@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    export_csv,
     load_csv,
     load_idx,
     make_synthetic_blobs,
@@ -20,85 +19,20 @@ from .data import (
     split_dataset,
 )
 from .errors import HnfError
-from .layers import (
-    HnfLayer,
-    HnfNetwork,
-    iter_layer_features,
-    layer_forward,
-    load_network,
-    network_forward,
-    network_invert,
-    pair_distance_report,
-    relu,
-    save_network,
-    un_collapse,
-    vn_expand,
-    weight_perturbation_check,
-)
-from .matrixgen import (
-    WeightKind,
-    WeightMatrix,
-    load_weight,
-    make_dct_orthonormal,
-    make_random_orthonormal,
-    make_raw_gaussian,
-    save_weight,
-    verify_full_column_rank,
-)
-from .solvers import (
-    AdmmConfig,
-    OutputMap,
-    admm_constrained_ls,
-    elm_solve,
-    embed_previous_map,
-    epsilon_first_layer,
-    epsilon_next_layer,
-    least_squares,
-)
 from .trainer import TrainConfig, TrainReport, evaluate, train, verify_invariants
 
 __all__ = [
     "__version__",
-    "AdmmConfig",
     "Dataset",
     "HnfError",
-    "HnfLayer",
-    "HnfNetwork",
-    "OutputMap",
     "TrainConfig",
     "TrainReport",
-    "WeightKind",
-    "WeightMatrix",
-    "admm_constrained_ls",
-    "elm_solve",
-    "embed_previous_map",
-    "epsilon_first_layer",
-    "epsilon_next_layer",
     "evaluate",
-    "export_csv",
-    "iter_layer_features",
-    "layer_forward",
-    "least_squares",
     "load_csv",
     "load_idx",
-    "load_network",
-    "load_weight",
-    "make_dct_orthonormal",
-    "make_random_orthonormal",
-    "make_raw_gaussian",
     "make_synthetic_blobs",
     "merge_train_test",
-    "network_forward",
-    "network_invert",
-    "pair_distance_report",
-    "relu",
-    "save_network",
-    "save_weight",
     "split_dataset",
     "train",
-    "un_collapse",
-    "verify_full_column_rank",
     "verify_invariants",
-    "vn_expand",
-    "weight_perturbation_check",
 ]

@@ -34,10 +34,14 @@ from .errors import (
     HnfError,
     ParameterError,
     ResourceError,
-    SolverError,
     StateError,
 )
-from .layers import DEFAULT_MEMORY_BUDGET, load_network, save_network
+from .layers import (
+    DEFAULT_MEMORY_BUDGET,
+    json_artifact,
+    load_network,
+    save_network,
+)
 from .solvers import AdmmConfig, load_output_map, save_output_map
 from .trainer import (
     TrainConfig,
@@ -55,15 +59,13 @@ EXIT_RESOURCE = 5
 _BLOB_DEFAULTS = {"p": 8, "q": 3, "n": 600, "separation": 10.0}
 
 
-def _exit_code_for(exc: Exception) -> int:
+def _exit_code_for(exc: HnfError) -> int:
     if isinstance(exc, (ConfigError, ParameterError, DimensionError, StateError)):
         return EXIT_CONFIG
-    if isinstance(exc, (DataError, FileNotFoundError)):
+    if isinstance(exc, DataError):
         return EXIT_DATA
     if isinstance(exc, ResourceError):
         return EXIT_RESOURCE
-    if isinstance(exc, (SolverError, HnfError)):
-        return EXIT_SOLVER
     return EXIT_SOLVER
 
 
@@ -250,8 +252,6 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
                 f"got {env_budget!r}"
             ) from None
 
-    if weight_kind not in ("random", "dct"):
-        raise ConfigError(f"weights must be random or dct, got {weight_kind!r}")
     admm = AdmmConfig(
         iterations=iters,
         penalty=penalty,
@@ -325,15 +325,21 @@ def _load_run(run_dir: str):
     manifest_path = run / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"no manifest.json under {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    net = load_network(run / manifest["artifacts"]["network"])
-    maps = [load_output_map(run / rel) for rel in manifest["artifacts"]["maps"]]
+    with json_artifact(manifest_path) as manifest:
+        artifacts = manifest["artifacts"]
+        network_path = run / artifacts["network"]
+        map_paths = [run / rel for rel in artifacts["maps"]]
+    net = load_network(network_path)
+    maps = [load_output_map(path) for path in map_paths]
     return manifest, net, maps
 
 
 def cmd_eval(args) -> int:
     manifest, net, maps = _load_run(args.run)
-    spec = args.data or manifest["data_source"]
+    spec = args.data or manifest.get("data_source")
+    if not isinstance(spec, str):
+        raise DataError(f"{args.run}: manifest.json names no data_source; "
+                        "pass --data")
     dopts = manifest.get("data_options", {})
     data = _load_data(spec, dopts.get("label_col"), dopts.get("split"),
                       dopts.get("split_seed", 0), dopts.get("blobs", {}),

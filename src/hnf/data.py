@@ -193,8 +193,16 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
             label_names.append(lab)
         labels[i] = index_of[lab]
 
-    x = np.array(features, dtype=np.float64).T
-    return _dataset(x, labels, label_names, path.name, source=str(path))
+    x = np.array(features, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = bad[0]
+        column = j + 1 if j < label_at else j + 2
+        raise ParseError(
+            f"{path}: row {i + (2 if has_header else 1)}, column {column}: "
+            f"non-finite feature {rows[i][column - 1]!r}"
+        )
+    return _dataset(x.T, labels, label_names, path.name, source=str(path))
 
 
 def _read_be_u32(blob: bytes, offset: int, path) -> int:

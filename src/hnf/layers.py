@@ -14,14 +14,17 @@ All vector operations also accept 2-D arrays whose columns are samples.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionError,
     NotInvertibleError,
+    NumericalError,
     ParameterError,
     ResourceError,
 )
@@ -32,7 +35,8 @@ from .matrixgen import (
     verify_full_column_rank,
 )
 
-#: Cap on the total bytes network_forward may retain (4 GiB).
+#: Cap on the total bytes one network_forward call may retain (4 GiB); it
+#: bounds each block of trials that verify_invariants runs through it.
 DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 
 #: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
@@ -134,10 +138,6 @@ class HnfNetwork:
                 )
 
     @property
-    def input_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
     def depth(self) -> int:
         return len(self.layers)
 
@@ -160,11 +160,6 @@ def layer_forward(layer: HnfLayer, q: np.ndarray) -> np.ndarray:
     return ACTIVATIONS[layer.activation](z)
 
 
-def _feature_bytes(dim: int, x: np.ndarray) -> int:
-    count = 1 if x.ndim == 1 else x.shape[1]
-    return dim * count * 8
-
-
 def network_forward(
     net: HnfNetwork,
     x: np.ndarray,
@@ -178,45 +173,39 @@ def network_forward(
     :func:`iter_layer_features` to visit layers one at a time instead.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != net.input_dim:
-        raise DimensionError(
-            f"input dim {x.shape[0]} does not match network input "
-            f"dim {net.input_dim}"
-        )
+    cols = 1 if x.ndim == 1 else x.shape[1]
     total = 0
     for i, layer in enumerate(net.layers):
-        total += _feature_bytes(layer.out_dim, x)
+        total += layer.out_dim * cols * 8
         if total > memory_budget:
             raise ResourceError(
                 f"retaining features up to layer {i + 1} needs {total} bytes, "
                 f"over the {memory_budget}-byte budget; "
                 "use iter_layer_features for streaming access"
             )
-    features = []
-    cur = x
-    for layer in net.layers:
-        cur = layer_forward(layer, cur)
-        features.append(cur)
-    return features
+    return list(iter_layer_features(net, x))
 
 
 def iter_layer_features(net: HnfNetwork, x: np.ndarray):
-    """Yield each layer's features in turn, retaining only the current one."""
-    cur = np.asarray(x, dtype=np.float64)
-    if cur.shape[0] != net.input_dim:
-        raise DimensionError(
-            f"input dim {cur.shape[0]} does not match network input "
-            f"dim {net.input_dim}"
-        )
+    """Yield each layer's features in turn, retaining only the current one;
+    the one loop that applies a network's layers to data."""
+    cur = x
     for layer in net.layers:
         cur = layer_forward(layer, cur)
         yield cur
 
 
-def _pinv(w: WeightMatrix) -> np.ndarray:
+def pinv_weight(w: WeightMatrix) -> np.ndarray:
+    """Pseudo-inverse of a weight: its transpose when orthonormal, else an
+    SVD pseudo-inverse with cutoff :data:`PINV_RCOND`."""
     if w.orthonormal:
         return w.entries.T
-    return np.linalg.pinv(w.entries, rcond=PINV_RCOND)
+    try:
+        return np.linalg.pinv(w.entries, rcond=PINV_RCOND)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"pseudo-inverse of a {w.rows}x{w.cols} weight did not converge"
+        ) from exc
 
 
 def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
@@ -243,7 +232,7 @@ def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
             f"dim {net.layers[-1].out_dim}"
         )
     for layer in reversed(net.layers):
-        cur = _pinv(layer.weight) @ un_collapse(cur)
+        cur = pinv_weight(layer.weight) @ un_collapse(cur)
     return cur
 
 
@@ -336,14 +325,25 @@ def save_network(net: HnfNetwork, out_dir) -> Path:
     return manifest
 
 
+@contextmanager
+def json_artifact(path):
+    """Parse a JSON artifact for a ``with`` block that reads its fields;
+    malformed JSON, or a key the block finds missing or of the wrong type,
+    becomes a :class:`DataError` naming the file."""
+    try:
+        yield json.loads(Path(path).read_text())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed or incomplete JSON: {exc!r}") from exc
+
+
 def load_network(manifest_path) -> HnfNetwork:
     """Rebuild a network from a manifest written by :func:`save_network`."""
     manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
     base = manifest_path.parent
     layers = []
-    for rec in doc["layers"]:
-        w = load_weight(base / rec["file"])
-        layers.append(HnfLayer(w, expand=rec["expand"],
-                               activation=rec["activation"]))
+    with json_artifact(manifest_path) as doc:
+        for rec in doc["layers"]:
+            w = load_weight(base / rec["file"])
+            layers.append(HnfLayer(w, expand=rec["expand"],
+                                   activation=rec["activation"]))
     return HnfNetwork(tuple(layers))

@@ -4,14 +4,12 @@ Everything here minimizes the sample-average squared prediction error
 ``cost(O) = (1/N) * ||T - O @ Y||_F^2`` over a Q-by-d linear map ``O``:
 
 * :func:`least_squares`: the unconstrained closed form (with optional
-  ridge), used for the raw-input baseline;
-* :func:`elm_solve`: the closed form on random nonlinear features;
+  ridge), used for the baseline on raw inputs or on ELM front features;
 * :func:`admm_constrained_ls`: the same cost subject to a Frobenius-ball
   constraint ``||O||_F^2 <= eps``, solved by splitting the variable against
   the ball indicator and alternating a ridge solve, a ball projection, and
   a dual update;
-* the budget schedule (:func:`epsilon_first_layer`,
-  :func:`epsilon_next_layer`) and the feasible embedding
+* the budget (:func:`epsilon_budget`) and the feasible embedding
   (:func:`embed_previous_map`) that together guarantee each layer's
   constrained optimum can match its predecessor's training cost.
 
@@ -31,8 +29,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, pinvh
 
-from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .layers import PINV_RCOND
+from .errors import DataError, DimensionError, FormatError, ParameterError
+from .layers import json_artifact, pinv_weight
 from .matrixgen import WeightMatrix
 
 #: Lower bound applied to computed budgets so the ball never degenerates.
@@ -136,32 +134,6 @@ def least_squares(y: np.ndarray, t: np.ndarray, ridge: float = 0.0,
                      layer_index, {"method": "least_squares", "ridge": ridge})
 
 
-def elm_solve(w1: WeightMatrix, x: np.ndarray, t: np.ndarray,
-              activation: str = "relu") -> tuple[np.ndarray, OutputMap]:
-    """Random-feature closed-form solve: activation(W1 @ X) then least squares.
-
-    Returns the feature matrix along with the fitted map so the caller can
-    keep extending the network on top of it.
-    """
-    from .layers import ACTIVATIONS
-
-    x, t = _as_data_matrices(x, t)
-    if w1.cols != x.shape[0]:
-        raise DimensionError(
-            f"weight expects input dim {w1.cols}, data has {x.shape[0]}"
-        )
-    if activation not in ACTIVATIONS:
-        raise ParameterError(
-            f"unknown activation {activation!r}; expected one of "
-            f"{sorted(ACTIVATIONS)}"
-        )
-    features = ACTIVATIONS[activation](w1.entries @ x)
-    fitted = least_squares(features, t, 0.0)
-    fitted = OutputMap(fitted.matrix, math.inf, fitted.train_cost, 0,
-                       {"method": "elm", "activation": activation})
-    return features, fitted
-
-
 def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     """Euclidean projection onto {M : ||M||_F^2 <= eps}."""
     nrm2 = float(np.sum(m * m))
@@ -242,63 +214,38 @@ def admm_constrained_ls(y: np.ndarray, t: np.ndarray, eps: float,
                      sample_cost(t, z, y), layer_index, diag)
 
 
-def _map_matrix(o_prev) -> np.ndarray:
-    return o_prev.matrix if isinstance(o_prev, OutputMap) else np.asarray(o_prev, dtype=np.float64)
-
-
-def _pinv_weight(w: WeightMatrix) -> np.ndarray:
-    if w.orthonormal:
-        return w.entries.T
-    try:
-        return np.linalg.pinv(w.entries, rcond=PINV_RCOND)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"pseudo-inverse of a {w.rows}x{w.cols} weight did not converge"
-        ) from exc
-
-
-def _epsilon_budget(o_prev, w: WeightMatrix) -> float:
-    o = _map_matrix(o_prev)
+def _pull_back(o_prev: OutputMap, w: WeightMatrix) -> np.ndarray:
+    """``M = O_prev @ pinv(W)``, the previous map seen through weight W."""
+    o = o_prev.matrix
     if w.cols != o.shape[1]:
         raise DimensionError(
             f"previous map has {o.shape[1]} columns but weight expects "
             f"{w.cols}"
         )
-    m = o @ _pinv_weight(w)
-    value = 2.0 * float(np.sum(m * m))
-    return max(value, EPSILON_FLOOR)
+    return o @ pinv_weight(w)
 
 
-def epsilon_first_layer(o_prev, w1: WeightMatrix) -> float:
-    """Budget for the first expanding layer over a closed-form baseline.
+def epsilon_budget(o_prev: OutputMap, w: WeightMatrix) -> float:
+    """Ball radius for a layer with weight W over the previous map.
 
-    ``2 * ||O_prev @ pinv(W1)||_F^2``, which is ``2 * ||O_prev||_F^2`` when
-    W1 is orthonormal. Floored at :data:`EPSILON_FLOOR` so an all-zero
-    baseline still yields a solvable ball.
+    ``2 * ||O_prev @ pinv(W)||_F^2``, which is ``2 * ||O_prev||_F^2`` when W
+    is orthonormal; the same formula holds for the first expanding layer
+    (over the baseline) and every later one. Floored at
+    :data:`EPSILON_FLOOR` so an all-zero previous map still yields a
+    solvable ball.
     """
-    return _epsilon_budget(o_prev, w1)
+    m = _pull_back(o_prev, w)
+    return max(2.0 * float(np.sum(m * m)), EPSILON_FLOOR)
 
 
-def epsilon_next_layer(o_prev, w_l: WeightMatrix) -> float:
-    """Budget for a later layer given the previous layer's map; same formula
-    as :func:`epsilon_first_layer` applied one level up the chain."""
-    return _epsilon_budget(o_prev, w_l)
-
-
-def embed_previous_map(o_prev, w_l: WeightMatrix) -> np.ndarray:
+def embed_previous_map(o_prev: OutputMap, w_l: WeightMatrix) -> np.ndarray:
     """The feasible witness ``[M, -M]`` with ``M = O_prev @ pinv(W_l)``.
 
     Applied to this layer's expanded features it reproduces the previous
     layer's predictions exactly, certifying that the previous training cost
     stays attainable under the new budget.
     """
-    o = _map_matrix(o_prev)
-    if w_l.cols != o.shape[1]:
-        raise DimensionError(
-            f"previous map has {o.shape[1]} columns but weight expects "
-            f"{w_l.cols}"
-        )
-    m = o @ _pinv_weight(w_l)
+    m = _pull_back(o_prev, w_l)
     return np.hstack([m, -m])
 
 
@@ -325,10 +272,17 @@ def save_output_map(om: OutputMap, path_prefix) -> tuple[Path, Path]:
 def load_output_map(json_path) -> OutputMap:
     """Read a map written by :func:`save_output_map`."""
     json_path = Path(json_path)
-    meta = json.loads(json_path.read_text())
-    raw = (json_path.parent / meta["matrix_file"]).read_bytes()
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(
-        meta["rows"], meta["cols"]).copy()
-    eps = math.inf if meta["epsilon"] is None else float(meta["epsilon"])
-    return OutputMap(matrix, eps, float(meta["train_cost"]),
-                     int(meta["layer_index"]), meta["solver"])
+    with json_artifact(json_path) as meta:
+        rows, cols = int(meta["rows"]), int(meta["cols"])
+        bin_path = json_path.parent / meta["matrix_file"]
+        eps = math.inf if meta["epsilon"] is None else float(meta["epsilon"])
+        fitted = (float(meta["train_cost"]), int(meta["layer_index"]),
+                  meta["solver"])
+    raw = bin_path.read_bytes()
+    if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
+        raise FormatError(
+            f"{bin_path}: {len(raw)} bytes, but {json_path.name} declares a "
+            f"{rows}x{cols} float64 map"
+        )
+    matrix = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    return OutputMap(matrix, eps, *fitted)

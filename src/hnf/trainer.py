@@ -14,6 +14,7 @@ budgets or stopping: there is no cross-validation anywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -26,6 +27,8 @@ from .data import Dataset
 from .errors import (
     ConfigError,
     HnfError,
+    NotInvertibleError,
+    NumericalError,
     ParameterError,
     ResourceError,
     SolverError,
@@ -36,9 +39,10 @@ from .layers import (
     DEFAULT_MEMORY_BUDGET,
     HnfLayer,
     HnfNetwork,
+    iter_layer_features,
     layer_forward,
+    network_forward,
     network_invert,
-    vn_expand,
     weight_perturbation_check,
 )
 from .matrixgen import (
@@ -46,15 +50,13 @@ from .matrixgen import (
     make_dct_orthonormal,
     make_random_orthonormal,
     make_raw_gaussian,
-    verify_full_column_rank,
 )
 from .solvers import (
     AdmmConfig,
     OutputMap,
     admm_constrained_ls,
     embed_previous_map,
-    epsilon_first_layer,
-    epsilon_next_layer,
+    epsilon_budget,
     least_squares,
     sample_cost,
 )
@@ -62,13 +64,12 @@ from .solvers import (
 WEIGHT_KINDS = ("random", "dct")
 EPS_SCHEDULES = ("exact", "doubling")
 
-#: Splitting penalties quoted for fixed feature scalings
-#: (raw-Gaussian-scaled and unit-scaled features respectively). The
-#: production default is data-scaled instead: see AdmmConfig.penalty.
-QUOTED_PENALTIES = {"raw_gaussian_scale": 1e-7, "unit_scale": 1e2}
-
 #: Slack for the non-increasing cost assertion.
 MONOTONE_SLACK = 1e-8
+
+#: Trials verify_invariants runs together as matrix columns; keeps its
+#: memory at O(VERIFY_BLOCK x total feature width) for any trial count.
+VERIFY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -302,12 +303,11 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         layers.append(front)
         cur_tr = layer_forward(front, x_tr)
         cur_te = layer_forward(front, x_te)
-        baseline = least_squares(cur_tr, t_tr, 0.0, layer_index=0)
         baseline_nodes = cfg.n1
     else:
         cur_tr, cur_te = x_tr, x_te
-        baseline = least_squares(cur_tr, t_tr, 0.0, layer_index=0)
         baseline_nodes = 0
+    baseline = least_squares(cur_tr, t_tr, 0.0, layer_index=0)
     baseline_rec = LayerRecord(
         layer=0,
         nodes_cumulative=baseline_nodes,
@@ -322,29 +322,26 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     maps: list[OutputMap] = [baseline]
     records: list[LayerRecord] = []
     certified = True
-    prev_map = baseline
-    prev_eps = math.nan
     nodes = baseline_nodes
 
-    for i, (layer_no, n_l, m_l) in enumerate(plan):
+    for layer_no, n_l, m_l in plan:
         t0 = time.perf_counter()
         w = _make_weight(cfg, n_l, m_l, layer_no)
+        layer = HnfLayer(w)
         _check_budget(layer_no, 2 * n_l, cur_tr.shape[1] + cur_te.shape[1],
                       cfg.memory_budget)
 
-        if i == 0:
-            eps = epsilon_first_layer(prev_map, w)
-        elif cfg.eps_schedule == "doubling":
-            eps = 2.0 * prev_eps
+        if cfg.eps_schedule == "doubling" and records:
+            eps = 2.0 * records[-1].epsilon
         else:
-            eps = epsilon_next_layer(prev_map, w)
+            eps = epsilon_budget(maps[-1], w)
 
-        witness = embed_previous_map(prev_map, w)
+        witness = embed_previous_map(maps[-1], w)
         witness_norm2 = float(np.sum(witness * witness))
         witness_feasible = witness_norm2 <= eps * (1.0 + 1e-9)
 
-        cur_tr = vn_expand(w.entries @ cur_tr)
-        cur_te = vn_expand(w.entries @ cur_te)
+        cur_tr = layer_forward(layer, cur_tr)
+        cur_te = layer_forward(layer, cur_te)
         witness_cost = sample_cost(t_tr, witness, cur_tr)
 
         init = witness if admm_cfg.warm_start else None
@@ -371,7 +368,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         certified = certified and final_norm2 <= eps * (1.0 + 1e-6)
 
         nodes += 2 * n_l
-        layers.append(HnfLayer(w))
+        layers.append(layer)
         maps.append(solved)
         records.append(LayerRecord(
             layer=layer_no,
@@ -383,8 +380,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
             admm_iters=int((solved.solver or {}).get("iterations", 0)),
             wall_ms=int((time.perf_counter() - t0) * 1000),
         ))
-        prev_map = solved
-        prev_eps = eps
 
     meta = {
         "dataset": dict(data.meta),
@@ -410,7 +405,7 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     network has a front layer). ``transform`` is the (mu, sigma) pair used
     at training time, if standardization was on.
     """
-    by_index = {m.layer_index: m for m in maps}
+    by_index = {m.layer_index: m for m in maps if m.layer_index <= net.depth}
     if layer not in by_index:
         raise StateError(
             f"no map for layer {layer}; available: {sorted(by_index)}"
@@ -426,10 +421,9 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     if transform is not None:
         x = apply_standardize(x, *transform)
 
-    n_net_layers = layer if layer > 0 else (1 if net.has_front else 0)
-    feats = x
-    for hl in net.layers[:n_net_layers]:
-        feats = layer_forward(hl, feats)
+    k = layer if layer > 0 else int(net.has_front)
+    feats = x if k == 0 else next(
+        itertools.islice(iter_layer_features(net, x), k - 1, None))
     om = by_index[layer]
     return Evaluation(sample_cost(t, om.matrix, feats),
                       accuracy(om.matrix @ feats, t))
@@ -458,6 +452,12 @@ class InvariantReport:
         return all(c.passed for c in self.checks)
 
 
+#: The checks verify_invariants reports, in report order.
+CHECK_NAMES = ("distance_sandwich_lower", "distance_sandwich_upper",
+               "norm_preservation", "inversion_round_trip",
+               "weight_perturbation_bound")
+
+
 def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
                       seed: int = 0) -> InvariantReport:
     """Empirically drive the network's structural guarantees on real inputs.
@@ -470,8 +470,12 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     * inversion round trip within 1e-6 relative error;
     * the weight-perturbation bound.
 
-    Failures are reported, never raised. When the network has a non-expanding
-    front layer, checks run on the expanding subchain behind it.
+    Trials run in blocks of :data:`VERIFY_BLOCK` matrix columns: each block
+    draws its input pairs, runs one forward pass per side and one inversion,
+    then draws one weight perturbation per trial. Failures are reported,
+    never raised; an inversion error counts every trial of its block as a
+    violation. When the network has a non-expanding front layer, checks run
+    on the expanding subchain behind it.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -487,85 +491,79 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         front_note = ""
     n = base.shape[1]
     orthonormal = all(l.weight.orthonormal for l in sub.layers)
-    invertible = all(l.expand and verify_full_column_rank(l.weight)
-                     for l in net.layers[1 if net.has_front else 0:])
+    invertible = True
 
     slack = 1e-9
-    lower_viol = upper_viol = norm_viol = invert_viol = perturb_viol = 0
-    worst_low = worst_up = worst_norm = worst_inv = worst_pert = math.inf
+    viol = dict.fromkeys(CHECK_NAMES, 0)
+    worst = dict.fromkeys(CHECK_NAMES, math.inf)
 
-    for _ in range(trials):
-        i = int(rng.integers(n))
-        x1 = base[:, i]
-        if rng.random() < 0.5:
-            x2 = base[:, int(rng.integers(n))]
-        else:
-            x2 = x1 + rng.standard_normal(x1.shape) * (
-                0.1 * (np.linalg.norm(x1) + 1.0))
-        d2 = float(np.sum((x1 - x2) ** 2))
+    def record(name: str, margins: np.ndarray, floor: float = 0.0) -> None:
+        # not-greater-or-equal also counts NaN margins as violations
+        if margins.size:
+            worst[name] = min(worst[name], float(np.min(margins)))
+        viol[name] += int(np.count_nonzero(~(margins >= floor)))
 
-        f1, f2 = [x1], [x2]
-        for hl in sub.layers:
-            f1.append(layer_forward(hl, f1[-1]))
-            f2.append(layer_forward(hl, f2[-1]))
-
-        if orthonormal and d2 > 0:
-            for l in range(1, len(sub.layers) + 1):
-                dl2 = float(np.sum((f1[l] - f2[l]) ** 2))
-                low = (dl2 - d2 / 2 ** l) / d2
-                up = (d2 - dl2) / d2
-                worst_low = min(worst_low, low)
-                worst_up = min(worst_up, up)
-                # not-greater-or-equal also catches NaN features
-                if not low >= -slack:
-                    lower_viol += 1
-                if not up >= -slack:
-                    upper_viol += 1
+    for start in range(0, trials, VERIFY_BLOCK):
+        count = min(VERIFY_BLOCK, trials - start)
+        # pairs fill rows, so each trial's column is contiguous once transposed
+        x1 = np.empty((count, base.shape[0]))
+        x2 = np.empty_like(x1)
+        for t in range(count):
+            x1[t] = base[:, int(rng.integers(n))]
+            if rng.random() < 0.5:
+                x2[t] = base[:, int(rng.integers(n))]
+            else:
+                x2[t] = x1[t] + rng.standard_normal(x1.shape[1]) * (
+                    0.1 * (np.linalg.norm(x1[t]) + 1.0))
+        x1, x2 = x1.T, x2.T
+        f1 = [x1, *network_forward(sub, x1)]
+        f2 = [x2, *network_forward(sub, x2)]
 
         if orthonormal:
-            nrm_in = float(np.sum(x1 ** 2))
-            if nrm_in > 0:
-                rel = abs(float(np.sum(f1[-1] ** 2)) - nrm_in) / nrm_in
-                worst_norm = min(worst_norm, slack - rel)
-                if not rel <= slack:
-                    norm_viol += 1
+            d2 = np.sum((x1 - x2) ** 2, axis=0)
+            pos = d2 > 0
+            for l in range(1, len(f1)):
+                dl2 = np.sum((f1[l] - f2[l]) ** 2, axis=0)[pos]
+                low = (dl2 - d2[pos] / 2 ** l) / d2[pos]
+                up = (d2[pos] - dl2) / d2[pos]
+                record("distance_sandwich_lower", low, -slack)
+                record("distance_sandwich_upper", up, -slack)
+            nrm_in = np.sum(x1 ** 2, axis=0)
+            nz = nrm_in > 0
+            rel = np.abs(np.sum(f1[-1] ** 2, axis=0)[nz] - nrm_in[nz]) / nrm_in[nz]
+            record("norm_preservation", slack - rel)
 
-        if invertible:
-            try:
-                x_rec = network_invert(sub, f1[-1])
-                denom = float(np.linalg.norm(x1)) or 1.0
-                rel = float(np.linalg.norm(x_rec - x1)) / denom
-                worst_inv = min(worst_inv, 1e-6 - rel)
-                if rel > 1e-6:
-                    invert_viol += 1
-            except Exception:
-                invert_viol += 1
+        try:
+            x_rec = network_invert(sub, f1[-1])
+        except (NotInvertibleError, NumericalError):
+            invertible = False
+            viol["inversion_round_trip"] += count
         else:
-            invert_viol += 1
+            denom = np.linalg.norm(x1, axis=0)
+            denom[denom == 0] = 1.0
+            rel = np.linalg.norm(x_rec - x1, axis=0) / denom
+            record("inversion_round_trip", 1e-6 - rel)
 
-        li = int(rng.integers(len(sub.layers)))
-        hl = sub.layers[li]
-        dw = rng.standard_normal(hl.weight.entries.shape)
-        dw *= rng.uniform(1e-6, 1.0) / max(np.linalg.norm(dw), 1e-30)
-        chk = weight_perturbation_check(hl, dw, f1[li])
-        margin = chk.rhs * (1.0 + 1e-9) - chk.lhs
-        worst_pert = min(worst_pert, margin)
-        if not chk.holds:
-            perturb_viol += 1
+        margins = np.empty(count)
+        for t in range(count):
+            li = int(rng.integers(len(sub.layers)))
+            hl = sub.layers[li]
+            dw = rng.standard_normal(hl.weight.entries.shape)
+            dw *= rng.uniform(1e-6, 1.0) / max(np.linalg.norm(dw), 1e-30)
+            chk = weight_perturbation_check(hl, dw, f1[li][:, t])
+            margins[t] = chk.rhs * (1.0 + 1e-9) - chk.lhs
+        record("weight_perturbation_bound", margins)
 
-    def result(name, viol, worst, note=""):
-        if math.isinf(worst):
-            worst = math.nan
-        return CheckResult(name, trials, viol, worst,
-                           note or front_note)
-
-    skip_note = "" if orthonormal else "skipped: non-orthonormal weights"
+    notes = dict.fromkeys(CHECK_NAMES, front_note)
+    if not orthonormal:
+        notes.update(dict.fromkeys(CHECK_NAMES[:3],
+                                   "skipped: non-orthonormal weights"))
+    if not invertible:
+        notes["inversion_round_trip"] = "network is not invertible"
     checks = [
-        result("distance_sandwich_lower", lower_viol, worst_low, skip_note),
-        result("distance_sandwich_upper", upper_viol, worst_up, skip_note),
-        result("norm_preservation", norm_viol, worst_norm, skip_note),
-        result("inversion_round_trip", invert_viol, worst_inv,
-               "" if invertible else "network is not invertible"),
-        result("weight_perturbation_bound", perturb_viol, worst_pert),
+        CheckResult(name, trials, viol[name],
+                    math.nan if math.isinf(worst[name]) else worst[name],
+                    notes[name])
+        for name in CHECK_NAMES
     ]
     return InvariantReport(trials, checks)

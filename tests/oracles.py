@@ -4,11 +4,23 @@ Nothing here imports from hnf's solver internals: the normal-equations
 oracle inverts the Gram matrix by Gauss-Jordan elimination in extended
 precision, the constrained solver is reproduced by bisecting the
 Lagrange multiplier, and the budget formula is evaluated with the
-collapse matrix explicitly materialized.
+collapse matrix explicitly materialized. The invariant-check reference
+runs single layers and single columns through hnf.layers, one pair at a
+time.
 """
+
+import math
 
 import numpy as np
 import scipy.fft
+
+from hnf.errors import NotInvertibleError, NumericalError
+from hnf.layers import (
+    HnfNetwork,
+    layer_forward,
+    network_invert,
+    weight_perturbation_check,
+)
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -96,3 +108,77 @@ def epsilon_materialized(o_prev: np.ndarray, w: np.ndarray) -> float:
 def dct_ii_matrix_oracle(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix via scipy.fft (independent construction)."""
     return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+
+
+def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
+                     block: int) -> dict[str, tuple[int, float]]:
+    """Per-pair reference for ``hnf.trainer.verify_invariants``.
+
+    Draws from the same seeded generator in the same order (a block's pairs
+    first, then one weight perturbation per trial of the block) but pushes
+    each pair through the layers with :func:`layer_forward` and inverts it
+    with :func:`network_invert` one column at a time. Returns, per check,
+    the violation count and the worst margin (nan when nothing was checked).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    layers = list(net.layers)
+    if not layers[0].expand:
+        x = layer_forward(layers[0], x)
+        layers = layers[1:]
+    sub = HnfNetwork(tuple(layers))
+    orthonormal = all(layer.weight.orthonormal for layer in layers)
+    slack = 1e-9
+    names = ("distance_sandwich_lower", "distance_sandwich_upper",
+             "norm_preservation", "inversion_round_trip",
+             "weight_perturbation_bound")
+    viol = dict.fromkeys(names, 0)
+    worst = dict.fromkeys(names, math.inf)
+
+    def note(name, margin, bad):
+        worst[name] = min(worst[name], margin)
+        viol[name] += bool(bad)
+
+    n = x.shape[1]
+    for start in range(0, trials, block):
+        feats = []
+        for _ in range(min(block, trials - start)):
+            x1 = x[:, int(rng.integers(n))]
+            if rng.random() < 0.5:
+                x2 = x[:, int(rng.integers(n))]
+            else:
+                x2 = x1 + rng.standard_normal(x1.shape) * (
+                    0.1 * (np.linalg.norm(x1) + 1.0))
+            f1, f2 = [x1], [x2]
+            for layer in layers:
+                f1.append(layer_forward(layer, f1[-1]))
+                f2.append(layer_forward(layer, f2[-1]))
+            feats.append(f1)
+            d2 = float(np.sum((x1 - x2) ** 2))
+            if orthonormal and d2 > 0:
+                for l in range(1, len(f1)):
+                    dl2 = float(np.sum((f1[l] - f2[l]) ** 2))
+                    low = (dl2 - d2 / 2 ** l) / d2
+                    up = (d2 - dl2) / d2
+                    note("distance_sandwich_lower", low, not low >= -slack)
+                    note("distance_sandwich_upper", up, not up >= -slack)
+            nrm_in = float(np.sum(x1 ** 2))
+            if orthonormal and nrm_in > 0:
+                rel = abs(float(np.sum(f1[-1] ** 2)) - nrm_in) / nrm_in
+                note("norm_preservation", slack - rel, not rel <= slack)
+            try:
+                x_rec = network_invert(sub, f1[-1])
+            except (NotInvertibleError, NumericalError):
+                viol["inversion_round_trip"] += 1
+            else:
+                denom = float(np.linalg.norm(x1)) or 1.0
+                rel = float(np.linalg.norm(x_rec - x1)) / denom
+                note("inversion_round_trip", 1e-6 - rel, not rel <= 1e-6)
+        for f1 in feats:
+            li = int(rng.integers(len(layers)))
+            dw = rng.standard_normal(layers[li].weight.entries.shape)
+            dw *= rng.uniform(1e-6, 1.0) / max(np.linalg.norm(dw), 1e-30)
+            chk = weight_perturbation_check(layers[li], dw, f1[li])
+            note("weight_perturbation_bound",
+                 chk.rhs * (1.0 + 1e-9) - chk.lhs, not chk.holds)
+    return {name: (viol[name], math.nan if math.isinf(worst[name])
+                   else worst[name]) for name in names}

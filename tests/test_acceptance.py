@@ -34,8 +34,7 @@ from hnf.solvers import (
     OutputMap,
     admm_constrained_ls,
     embed_previous_map,
-    epsilon_first_layer,
-    epsilon_next_layer,
+    epsilon_budget,
     least_squares,
     sample_cost,
 )
@@ -195,10 +194,9 @@ def test_c05c_witness_dominance_at_production_setting():
             cfg = TrainConfig(n1=16, depth=4, weight_kind=kind, seed=seed)
             prev_map = least_squares(x, t, 0.0)
             feats = x
-            for i, (layer_no, n_l, m_l) in enumerate(plan_widths(8, cfg)):
+            for layer_no, n_l, m_l in plan_widths(8, cfg):
                 w = _make_weight(cfg, n_l, m_l, layer_no)
-                eps = (epsilon_first_layer(prev_map, w) if i == 0
-                       else epsilon_next_layer(prev_map, w))
+                eps = epsilon_budget(prev_map, w)
                 witness = embed_previous_map(prev_map, w)
                 assert float(np.sum(witness ** 2)) <= eps * (1 + 1e-9)
                 feats = vn_expand(w.entries @ feats)
@@ -231,7 +229,7 @@ def test_c06_budget_identity_vs_materialized_oracle():
             s = np.linalg.svd(w.entries, compute_uv=False)
             if s[-1] < 1e-6:
                 continue
-        value = epsilon_next_layer(_wrap(o_prev), w)
+        value = epsilon_budget(_wrap(o_prev), w)
         oracle = oracles.epsilon_materialized(o_prev, w.entries)
         assert abs(value - oracle) <= 1e-10, trial
         if trial % 2 == 0:

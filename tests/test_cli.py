@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -180,6 +181,60 @@ class TestVerifyCommand:
 
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    code, out = run_train(tmp_path_factory.mktemp("trained"))
+    assert code == 0
+    return out
+
+
+def corrupt_copy(trained_run, tmp_path, rel, edit):
+    """A copy of the trained run with ``edit`` applied to the bytes of ``rel``."""
+    run = tmp_path / "copy"
+    shutil.copytree(trained_run, run)
+    (run / rel).write_bytes(edit((run / rel).read_bytes()))
+    return run
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + b"\0" * 8],
+                             ids=["truncated", "oversized"])
+    def test_map_size_mismatch_exits_3(self, trained_run, tmp_path, capsys,
+                                       edit):
+        run = corrupt_copy(trained_run, tmp_path, "maps/map01.bin", edit)
+        assert main(["eval", "--run", str(run)]) == 3
+        assert main(["verify", "--run", str(run), "--data", "blobs",
+                     "--trials", "5"]) == 3
+        assert "map01.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel, key", [
+        ("manifest.json", "artifacts"),
+        ("network.json", "layers"),
+        ("maps/map01.json", "rows"),
+    ])
+    @pytest.mark.parametrize("damage", ["malformed", "incomplete"])
+    def test_bad_json_exits_3(self, trained_run, tmp_path, capsys, rel, key,
+                              damage):
+        def edit(raw):
+            if damage == "malformed":
+                return raw[: len(raw) // 2]
+            doc = json.loads(raw)
+            del doc[key]
+            return json.dumps(doc).encode()
+
+        run = corrupt_copy(trained_run, tmp_path, rel, edit)
+        assert main(["eval", "--run", str(run)]) == 3
+        assert rel.split("/")[-1] in capsys.readouterr().err
+
+    def test_non_finite_csv_feature_exits_3(self, tmp_path, capsys):
+        src = tmp_path / "nan.csv"
+        src.write_text("1,2,A\n3,nan,B\n2,1,A\n4,3,B\n")
+        code = main(["train", "--data", f"csv:{src}", "--n1", "2",
+                     "--depth", "1", "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "row 2, column 2" in capsys.readouterr().err
 
 
 class TestCurvesCommand:

@@ -53,6 +53,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2, column 1"):
             load_csv(path, label_column=2)
 
+    @pytest.mark.parametrize("text, label, header, where", [
+        ("1,2,A\n3,nan,B\n", 2, False, "row 2, column 2"),
+        ("A,1,2\nB,inf,4\n", 0, False, "row 2, column 2"),
+        ("f1,f2,c\n1,2,A\n-inf,4,B\n1e999,0,A\n", "c", True,
+         "row 3, column 1"),
+    ])
+    def test_non_finite_feature_located(self, tmp_path, text, label, header,
+                                        where):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where):
+            load_csv(path, label_column=label, has_header=header)
+
     def test_label_by_header_name(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,cls\n1,2,A\n3,4,B\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hnf.errors import DataError, DimensionError, ParameterError
-from hnf.layers import vn_expand
+from hnf.layers import HnfLayer, layer_forward, vn_expand
 from hnf.matrixgen import (
     WeightKind,
     WeightMatrix,
@@ -17,10 +17,8 @@ from hnf.solvers import (
     AdmmConfig,
     OutputMap,
     admm_constrained_ls,
-    elm_solve,
     embed_previous_map,
-    epsilon_first_layer,
-    epsilon_next_layer,
+    epsilon_budget,
     least_squares,
     load_output_map,
     project_frobenius_ball,
@@ -93,12 +91,18 @@ class TestLeastSquares:
                           rng.standard_normal((2, 6)), 0.0)
 
 
+def elm_front_solve(w, x, t, activation="relu"):
+    """The trainer's ELM front: a non-expanding layer, then least squares."""
+    feats = layer_forward(HnfLayer(w, expand=False, activation=activation), x)
+    return feats, least_squares(feats, t, 0.0)
+
+
 class TestElmSolve:
     def test_relu_inactive_on_nonnegative_inputs(self, rng):
         x = np.abs(rng.standard_normal((3, 12)))
         t = rng.standard_normal((2, 12))
         w = WeightMatrix(3, 3, np.eye(3), WeightKind.DCT_ORTHONORMAL, None)
-        feats, om = elm_solve(w, x, t, activation="relu")
+        feats, om = elm_front_solve(w, x, t, activation="relu")
         assert np.array_equal(feats, x)
         direct = least_squares(x, t, 0.0)
         assert np.allclose(om.matrix, direct.matrix, atol=1e-12)
@@ -106,7 +110,8 @@ class TestElmSolve:
     def test_sigmoid_at_zero_gives_half(self):
         w = make_raw_gaussian(4, 3, seed=0)
         t = np.vstack([np.ones(5), np.zeros(5)])
-        feats, _ = elm_solve(w, np.zeros((3, 5)), t, activation="sigmoid")
+        feats, _ = elm_front_solve(w, np.zeros((3, 5)), t,
+                                   activation="sigmoid")
         assert np.allclose(feats, 0.5)
 
     def test_random_features_beat_raw_least_squares(self):
@@ -119,14 +124,14 @@ class TestElmSolve:
         t[labels, np.arange(n)] = 1.0
         raw = least_squares(x, t, 0.0)
         w1 = make_raw_gaussian(n1, p, seed=1)
-        _, om = elm_solve(w1, x, t, activation="relu")
+        _, om = elm_front_solve(w1, x, t, activation="relu")
         assert om.train_cost < raw.train_cost
 
     def test_dimension_mismatch(self, rng):
         w = make_raw_gaussian(4, 3, seed=0)
         with pytest.raises(DimensionError):
-            elm_solve(w, rng.standard_normal((5, 4)),
-                      rng.standard_normal((2, 4)))
+            elm_front_solve(w, rng.standard_normal((5, 4)),
+                            rng.standard_normal((2, 4)))
 
 
 class TestProjection:
@@ -250,18 +255,18 @@ class TestEpsilonSchedule:
         o_prev = make_map(rng.standard_normal((3, 4)))
         w = make_random_orthonormal(6, 4, seed=0)
         expected = 2.0 * float(np.sum(o_prev.matrix ** 2))
-        assert epsilon_first_layer(o_prev, w) == pytest.approx(
+        assert epsilon_budget(o_prev, w) == pytest.approx(
             expected, rel=1e-12)
 
     def test_zero_previous_map_floored(self):
         o_prev = make_map(np.zeros((2, 3)))
         w = make_random_orthonormal(3, 3, seed=0)
-        assert epsilon_first_layer(o_prev, w) == EPSILON_FLOOR
+        assert epsilon_budget(o_prev, w) == EPSILON_FLOOR
 
     def test_matches_materialized_oracle_orthonormal(self, rng):
         o_prev = make_map(rng.standard_normal((2, 3)))
         w = make_random_orthonormal(3, 3, seed=5)
-        value = epsilon_first_layer(o_prev, w)
+        value = epsilon_budget(o_prev, w)
         oracle = oracles.epsilon_materialized(o_prev.matrix, w.entries)
         assert abs(value - oracle) <= 1e-10
         assert value == pytest.approx(2.0 * float(np.sum(o_prev.matrix ** 2)),
@@ -271,7 +276,7 @@ class TestEpsilonSchedule:
         o = rng.standard_normal((2, 4))
         o *= np.sqrt(1.5 / np.sum(o * o))
         w = make_random_orthonormal(4, 4, seed=1)
-        assert epsilon_next_layer(make_map(o), w) == pytest.approx(
+        assert epsilon_budget(make_map(o), w) == pytest.approx(
             3.0, rel=1e-12)
 
     def test_matches_oracle_non_orthonormal(self, rng):
@@ -281,7 +286,7 @@ class TestEpsilonSchedule:
             n = m + int(rng.integers(0, 4))
             o_prev = rng.standard_normal((q, m))
             w = make_raw_gaussian(n, m, seed=trial)
-            value = epsilon_next_layer(make_map(o_prev), w)
+            value = epsilon_budget(make_map(o_prev), w)
             oracle = oracles.epsilon_materialized(o_prev, w.entries)
             assert abs(value - oracle) <= 1e-10
 
@@ -290,7 +295,7 @@ class TestEpsilonSchedule:
         o = rng.standard_normal((2, 4))
         o *= np.sqrt(eps_prev * 0.8 / np.sum(o * o))
         w = make_random_orthonormal(4, 4, seed=2)
-        exact = epsilon_next_layer(make_map(o), w)
+        exact = epsilon_budget(make_map(o), w)
         doubling = 2.0 * eps_prev
         assert doubling >= exact
 
@@ -298,7 +303,7 @@ class TestEpsilonSchedule:
         o_prev = make_map(rng.standard_normal((2, 3)))
         w = make_random_orthonormal(5, 4, seed=0)
         with pytest.raises(DimensionError):
-            epsilon_next_layer(o_prev, w)
+            epsilon_budget(o_prev, w)
 
 
 class TestEmbedPreviousMap:
@@ -337,7 +342,7 @@ class TestEmbedPreviousMap:
         w = make_random_orthonormal(6, 4, seed=4)
         witness = embed_previous_map(o_prev, w)
         assert float(np.sum(witness ** 2)) == pytest.approx(
-            epsilon_first_layer(o_prev, w), rel=1e-12)
+            epsilon_budget(o_prev, w), rel=1e-12)
 
 
 class TestOutputMapIO:

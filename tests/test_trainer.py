@@ -6,16 +6,21 @@ import pytest
 
 from hnf.data import make_synthetic_blobs
 from hnf.errors import ConfigError, ParameterError, ResourceError, StateError
-from hnf.layers import vn_expand
-from hnf.matrixgen import make_random_orthonormal
+from hnf.layers import HnfLayer, HnfNetwork, vn_expand
+from hnf.matrixgen import (
+    WeightMatrix,
+    make_random_orthonormal,
+    make_raw_gaussian,
+)
 from hnf.solvers import (
     AdmmConfig,
     OutputMap,
     admm_constrained_ls,
-    epsilon_first_layer,
+    epsilon_budget,
     least_squares,
 )
 from hnf.trainer import (
+    VERIFY_BLOCK,
     TrainConfig,
     accuracy,
     evaluate,
@@ -23,6 +28,9 @@ from hnf.trainer import (
     train,
     verify_invariants,
 )
+
+import oracles
+from conftest import build_chain
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +82,7 @@ class TestTrain:
         w = make_random_orthonormal(16, 8, seed=cfg.seed + 1)
         assert np.array_equal(net.layers[0].weight.entries, w.entries)
         baseline = least_squares(blobs.X_train, blobs.T_train, 0.0)
-        eps = epsilon_first_layer(baseline, w)
+        eps = epsilon_budget(baseline, w)
         feats = vn_expand(w.entries @ blobs.X_train)
         direct = admm_constrained_ls(
             feats, blobs.T_train, eps, AdmmConfig(), layer_index=1)
@@ -245,6 +253,35 @@ class TestVerifyInvariants:
         net, _, _ = train(blobs, cfg)
         rep = verify_invariants(net, blobs, trials=20, seed=0)
         assert rep.passed
+
+    @pytest.mark.parametrize("kind", ["random", "dct", "elm", "rank_deficient"])
+    def test_batched_matches_per_pair_reference(self, blobs, kind):
+        if kind == "elm":
+            front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
+            net = HnfNetwork((front, *build_chain(20, 20, 2, seed=3).layers))
+        elif kind == "rank_deficient":
+            w = make_random_orthonormal(16, 8, seed=1)
+            entries = w.entries.copy()
+            entries[:, 1] = entries[:, 0]
+            bad = WeightMatrix(16, 8, entries, w.kind, w.seed)
+            net = HnfNetwork((HnfLayer(bad), *build_chain(32, 32, 1).layers))
+        else:
+            net = build_chain(8, 16, 3, kind=kind, seed=1)
+        trials = VERIFY_BLOCK + 44
+        rep = verify_invariants(net, blobs, trials=trials, seed=9)
+        ref = oracles.verify_reference(net, blobs.X, trials, 9, VERIFY_BLOCK)
+        assert [c.name for c in rep.checks] == list(ref)
+        for chk in rep.checks:
+            viol, margin = ref[chk.name]
+            assert chk.count == trials
+            assert chk.violations == viol, chk.name
+            if math.isnan(margin):
+                assert math.isnan(chk.worst_margin), chk.name
+            else:
+                assert abs(chk.worst_margin - margin) <= 1e-12, chk.name
+        if kind == "rank_deficient":
+            assert rep.checks[3].violations == trials
+            assert rep.checks[3].note == "network is not invertible"
 
 
 class TestReportSerialization:
