@@ -42,7 +42,7 @@ from .layers import (
     load_network,
     save_network,
 )
-from .solvers import AdmmConfig, load_output_map, save_output_map
+from .solvers import load_output_map, save_output_map
 from .trainer import (
     TrainConfig,
     evaluate,
@@ -58,6 +58,11 @@ EXIT_RESOURCE = 5
 
 _BLOB_DEFAULTS = {"p": 8, "q": 3, "n": 600, "separation": 10.0}
 
+#: Keys a ``train --config`` file may set; each mirrors the flag of that name.
+_CONFIG_KEYS = ("data", "label_col", "delimiter", "split", "split_seed",
+                "n1", "depth", "weights", "seed", "elm", "elm_activation",
+                "eps_schedule", "standardize", "out")
+
 
 def _exit_code_for(exc: HnfError) -> int:
     if isinstance(exc, (ConfigError, ParameterError, DimensionError, StateError)):
@@ -70,7 +75,9 @@ def _exit_code_for(exc: HnfError) -> int:
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines; '#' starts a comment. A key outside
+    :data:`_CONFIG_KEYS` is an error, so a misspelt or retired setting is
+    never silently ignored."""
     values = {}
     p = Path(path)
     if not p.is_file():
@@ -82,7 +89,11 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                              f"accepted keys: {', '.join(_CONFIG_KEYS)}")
+        values[key] = value
     return values
 
 
@@ -169,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use an ELM feature layer in front")
     p_train.add_argument("--elm-activation", choices=["relu", "sigmoid"],
                          default=None)
-    p_train.add_argument("--admm-iters", type=int, default=None)
-    p_train.add_argument("--admm-penalty", type=float, default=None,
-                         help="splitting penalty; default scales to the "
-                              "feature Gram (1e-7 and 1e2 are the quoted "
-                              "constants for raw-Gaussian and unit scales)")
-    p_train.add_argument("--admm-tol", type=float, default=None)
-    p_train.add_argument("--warm-start", action="store_true", default=None)
     p_train.add_argument("--eps-schedule", choices=["exact", "doubling"],
                          default=None)
     p_train.add_argument("--standardize", action="store_true", default=None)
@@ -233,10 +237,6 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
     elm_act = pick(args.elm_activation, "elm_activation", str, "relu")
     schedule = pick(args.eps_schedule, "eps_schedule", str, "exact")
     standardize = bool(pick(args.standardize, "standardize", bool, False))
-    iters = pick(args.admm_iters, "admm_iters", int, 100)
-    penalty = pick(args.admm_penalty, "admm_penalty", float, None)
-    tol = pick(args.admm_tol, "admm_tol", float, 0.0)
-    warm = bool(pick(args.warm_start, "warm_start", bool, False))
     out_dir = pick(args.out, "out", str, None)
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set out=")
@@ -252,15 +252,9 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
                 f"got {env_budget!r}"
             ) from None
 
-    admm = AdmmConfig(
-        iterations=iters,
-        penalty=penalty,
-        tolerance=tol,
-        warm_start=warm,
-    )
     cfg = TrainConfig(
         n1=n1, depth=depth, weight_kind=weight_kind, seed=seed,
-        elm_front=elm, elm_activation=elm_act, admm=admm,
+        elm_front=elm, elm_activation=elm_act,
         eps_schedule=schedule, memory_budget=budget, standardize=standardize,
     )
     data_opts = {

@@ -1,14 +1,15 @@
-"""Optimization routines for the trained output maps.
+"""The trained output maps: the layer solve, its budget and its witness.
 
 Everything here minimizes the sample-average squared prediction error
 ``cost(O) = (1/N) * ||T - O @ Y||_F^2`` over a Q-by-d linear map ``O``:
 
-* :func:`least_squares`: the unconstrained closed form (with optional
-  ridge), used for the baseline on raw inputs or on ELM front features;
-* :func:`admm_constrained_ls`: the same cost subject to a Frobenius-ball
-  constraint ``||O||_F^2 <= eps``, solved by splitting the variable against
-  the ball indicator and alternating a ridge solve, a ball projection, and
-  a dual update;
+* :func:`least_squares` solves it exactly, optionally subject to a
+  Frobenius-ball constraint ``||O||_F^2 <= eps``. It diagonalizes the
+  feature Gram once; the minimum-norm unconstrained solution is returned
+  when it fits in the ball (always, for the default ``eps=inf`` used by
+  the baseline and the ELM front), otherwise the ball multiplier is found
+  by Newton's method on the secular equation (a trust-region step, Moré &
+  Sorensen 1983);
 * the budget (:func:`epsilon_budget`) and the feasible embedding
   (:func:`embed_previous_map`) that together guarantee each layer's
   constrained optimum can match its predecessor's training cost.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, pinvh
+from scipy.linalg import eigh
 
 from .errors import DataError, DimensionError, FormatError, ParameterError
 from .layers import json_artifact, pinv_weight
@@ -35,6 +36,12 @@ from .matrixgen import WeightMatrix
 
 #: Lower bound applied to computed budgets so the ball never degenerates.
 EPSILON_FLOOR = 1e-12
+
+#: The multiplier search stops once ||O||_F^2 is within this relative
+#: distance of eps, or after NEWTON_MAX_STEPS steps; the ball projection
+#: keeps the result feasible either way.
+NEWTON_RTOL = 1e-13
+NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,9 @@ class OutputMap:
     ``epsilon`` is ``math.inf`` for unconstrained solves. ``layer_index`` 0
     marks the baseline map applied to raw inputs (or ELM features);
     expanding layers count from 1 (2 when an ELM front occupies slot 1).
-    ``solver`` echoes the producing configuration and diagnostics.
+    ``solver`` holds the solve's diagnostics: ``method`` ("exact"),
+    ``newton_steps`` and the ball ``multiplier`` (0 when the constraint is
+    inactive); the trainer adds the certificate's witness figures.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -55,38 +64,6 @@ class OutputMap:
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Solver knobs for the ball-constrained least squares.
-
-    ``penalty`` is the splitting penalty. ``None`` (the default) scales it
-    to the data: the mean diagonal of the (2/N)-scaled feature Gram, which
-    keeps the ridge step and the projection step balanced regardless of
-    feature magnitude. Fixed values suit fixed scalings: 1e-7 for
-    raw-Gaussian-scaled features, 1e2 for unit-scaled ones. ``tolerance`` 0
-    runs all iterations; a positive value stops early once the primal plus
-    dual residual drops below it. ``warm_start`` lets the trainer seed the
-    solve with the embedded witness instead of zero.
-    """
-
-    iterations: int = 100
-    penalty: float | None = None
-    tolerance: float = 0.0
-    warm_start: bool = False
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ParameterError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
-        if self.penalty is not None and not self.penalty > 0:
-            raise ParameterError(f"penalty must be > 0, got {self.penalty}")
-        if self.tolerance < 0:
-            raise ParameterError(
-                f"tolerance must be >= 0, got {self.tolerance}"
-            )
 
 
 def _as_data_matrices(y: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,29 +88,6 @@ def sample_cost(t: np.ndarray, o: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(r * r) / t.shape[1])
 
 
-def least_squares(y: np.ndarray, t: np.ndarray, ridge: float = 0.0,
-                  layer_index: int = 0) -> OutputMap:
-    """Closed-form minimizer of the sample-average squared error.
-
-    Solves the normal equations ``O = T Y^T (Y Y^T + ridge I)^-1``; when
-    ridge is 0 and the Gram matrix is singular, falls back to its
-    pseudo-inverse (the minimum-norm solution).
-    """
-    y, t = _as_data_matrices(y, t)
-    if ridge < 0:
-        raise ParameterError(f"ridge must be >= 0, got {ridge}")
-    gram = y @ y.T
-    if ridge > 0:
-        gram[np.diag_indices_from(gram)] += ridge
-    b = t @ y.T
-    try:
-        o = cho_solve(cho_factor(gram), b.T).T
-    except LinAlgError:
-        o = b @ pinvh(gram)
-    return OutputMap(np.ascontiguousarray(o), math.inf, sample_cost(t, o, y),
-                     layer_index, {"method": "least_squares", "ridge": ridge})
-
-
 def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     """Euclidean projection onto {M : ||M||_F^2 <= eps}."""
     nrm2 = float(np.sum(m * m))
@@ -142,76 +96,45 @@ def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     return m * math.sqrt(eps / nrm2)
 
 
-def admm_constrained_ls(y: np.ndarray, t: np.ndarray, eps: float,
-                        cfg: AdmmConfig | None = None,
-                        initial: np.ndarray | None = None,
-                        layer_index: int = 0) -> OutputMap:
-    """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps.
+def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
+                  layer_index: int = 0) -> OutputMap:
+    """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps, exactly.
 
-    Splits O against a copy Z constrained to the ball and alternates:
-
-    * O-update: ridge solve
-      ``O = ((2/N) T Y^T + rho (Z - L)) ((2/N) Y Y^T + rho I)^-1``;
-    * Z-update: projection of ``O + L`` onto the ball;
-    * dual update ``L += O - Z``.
-
-    The returned map is the Z iterate, which is feasible at every iteration
-    count. ``initial`` seeds Z (projected into the ball first).
+    With ``G = Y Y^T = V diag(lam) V^T`` and ``C = T Y^T V``, the
+    minimizers are ``O(mu) = C diag(1 / (lam + mu)) V^T`` with squared norm
+    ``s(mu) = sum_j ||C[:, j]||^2 / (lam_j + mu)^2``. Eigenvalues at or below
+    ``(d + N) * machine-eps * lam_max`` are dropped, so ``O(0)`` is the
+    minimum-norm (pseudo-inverse) solution; it is returned when
+    ``s(0) <= eps``. Otherwise Newton's method on
+    ``1/sqrt(s(mu)) - 1/sqrt(eps)``, which is concave and increasing,
+    climbs from ``mu = 0`` to the root without overshooting.
     """
     y, t = _as_data_matrices(y, t)
     if not (np.isfinite(y).all() and np.isfinite(t).all()):
         raise DataError("non-finite values in data")
     if not eps > 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
-    cfg = cfg or AdmmConfig()
-    d, n = y.shape
-    q = t.shape[0]
-    scale = 2.0 / n
+    lam, v = eigh(y @ y.T, overwrite_a=True, check_finite=False)
+    c = (t @ y.T) @ v
+    # forming G sums N products per entry and eigh adds d more roundings, so
+    # eigenvalues below (d + N) * eps * lam_max are rounding noise
+    keep = lam > sum(y.shape) * np.finfo(np.float64).eps * lam[-1]
+    lam, c, v = lam[keep], c[:, keep], v[:, keep]
+    w = np.sum(c * c, axis=0)
 
-    m = scale * (y @ y.T)
-    if cfg.penalty is None:
-        rho = max(float(np.trace(m)) / d, 1e-12)
-    else:
-        rho = cfg.penalty
-    m[np.diag_indices_from(m)] += rho
-    factor = cho_factor(m)
-    b = scale * (t @ y.T)
+    mu, steps = 0.0, 0
+    s = float(np.sum(w / lam ** 2))
+    while s - eps > NEWTON_RTOL * eps and steps < NEWTON_MAX_STEPS:
+        # phi = s^-1/2 - eps^-1/2 and phi' = s^-3/2 * sum(w / (lam + mu)^3)
+        r = float(np.sum(w / (lam + mu) ** 3))
+        mu += s * (math.sqrt(s / eps) - 1.0) / r
+        s = float(np.sum(w / (lam + mu) ** 2))
+        steps += 1
 
-    if initial is not None:
-        initial = np.asarray(initial, dtype=np.float64)
-        if initial.shape != (q, d):
-            raise DimensionError(
-                f"initial shape {initial.shape} does not match ({q}, {d})"
-            )
-        z = project_frobenius_ball(initial.copy(), eps)
-    else:
-        z = np.zeros((q, d))
-    lam = np.zeros((q, d))
-
-    iters_run = 0
-    primal = dual = math.nan
-    for _ in range(cfg.iterations):
-        o = cho_solve(factor, (b + rho * (z - lam)).T).T
-        z_new = project_frobenius_ball(o + lam, eps)
-        primal = float(np.linalg.norm(o - z_new))
-        dual = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        lam += o - z
-        iters_run += 1
-        if cfg.tolerance > 0 and primal + dual <= cfg.tolerance:
-            break
-
-    diag = {
-        "method": "admm",
-        "iterations": iters_run,
-        "penalty": rho,
-        "penalty_mode": "auto" if cfg.penalty is None else "explicit",
-        "tolerance": cfg.tolerance,
-        "primal_residual": primal,
-        "dual_residual": dual,
-    }
-    return OutputMap(np.ascontiguousarray(z), float(eps),
-                     sample_cost(t, z, y), layer_index, diag)
+    o = project_frobenius_ball((c / (lam + mu)) @ v.T, eps)
+    diag = {"method": "exact", "newton_steps": steps, "multiplier": mu}
+    return OutputMap(np.ascontiguousarray(o), float(eps),
+                     sample_cost(t, o, y), layer_index, diag)
 
 
 def _pull_back(o_prev: OutputMap, w: WeightMatrix) -> np.ndarray:

@@ -52,9 +52,7 @@ from .matrixgen import (
     make_raw_gaussian,
 )
 from .solvers import (
-    AdmmConfig,
     OutputMap,
-    admm_constrained_ls,
     embed_previous_map,
     epsilon_budget,
     least_squares,
@@ -78,8 +76,8 @@ class TrainConfig:
 
     ``n1`` is the first layer's pre-expansion width (the ELM width when
     ``elm_front``); ``depth`` counts layers including the ELM front.
-    ``admm=None`` uses solver defaults (100 iterations, data-scaled
-    penalty). ``width_rule`` maps (layer_number, fan_in) to the layer's
+    Every map is an exact least-squares solve, so no solver setting
+    appears here. ``width_rule`` maps (layer_number, fan_in) to the layer's
     pre-expansion width; the default keeps it equal to the fan-in for
     layers past the first.
     """
@@ -90,7 +88,6 @@ class TrainConfig:
     seed: int = 0
     elm_front: bool = False
     elm_activation: str = "relu"
-    admm: AdmmConfig | None = None
     eps_schedule: str = "exact"
     width_rule: Callable[[int, int], int] | None = None
     memory_budget: int = DEFAULT_MEMORY_BUDGET
@@ -121,11 +118,7 @@ class TrainConfig:
         if self.elm_front and self.depth < 2:
             raise ConfigError("an ELM front needs depth >= 2 to add a layer")
 
-    def resolved_admm(self) -> AdmmConfig:
-        return self.admm if self.admm is not None else AdmmConfig()
-
     def echo(self) -> dict:
-        admm = self.resolved_admm()
         return {
             "n1": self.n1,
             "depth": self.depth,
@@ -136,12 +129,6 @@ class TrainConfig:
             "eps_schedule": self.eps_schedule,
             "memory_budget": self.memory_budget,
             "standardize": self.standardize,
-            "admm": {
-                "iterations": admm.iterations,
-                "penalty": admm.penalty,
-                "tolerance": admm.tolerance,
-                "warm_start": admm.warm_start,
-            },
         }
 
 
@@ -155,7 +142,7 @@ class LayerRecord:
     train_cost: float
     train_acc: float
     test_acc: float
-    admm_iters: int
+    newton_steps: int
     wall_ms: int
 
     def as_dict(self) -> dict:
@@ -168,13 +155,13 @@ class LayerRecord:
             "train_cost": self.train_cost,
             "train_acc": self.train_acc,
             "test_acc": test,
-            "admm_iters": self.admm_iters,
+            "newton_steps": self.newton_steps,
             "wall_ms": self.wall_ms,
         }
 
 
 _CSV_FIELDS = ("layer", "nodes_cumulative", "epsilon", "train_cost",
-               "train_acc", "test_acc", "admm_iters", "wall_ms")
+               "train_acc", "test_acc", "newton_steps", "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -273,8 +260,8 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
 
     Returns the fixed network, the per-layer maps (baseline first), and the
     report. ``report.monotonicity_certified`` is True iff every layer's
-    witness was feasible and every returned map is feasible with cost at
-    most the witness's.
+    witness was feasible and reproduced the previous layer's cost, and
+    every returned map is feasible with cost at most the witness's.
     """
     if data.meta["N_train"] < 1:
         raise ConfigError("dataset has an empty train split")
@@ -283,7 +270,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
             f"orthonormal first layer needs n1 >= input dim, "
             f"got n1={cfg.n1} < P={data.input_dim}"
         )
-    admm_cfg = cfg.resolved_admm()
     plan = plan_widths(data.input_dim, cfg)
 
     x_tr, t_tr = data.X_train, data.T_train
@@ -307,7 +293,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     else:
         cur_tr, cur_te = x_tr, x_te
         baseline_nodes = 0
-    baseline = least_squares(cur_tr, t_tr, 0.0, layer_index=0)
+    baseline = least_squares(cur_tr, t_tr, layer_index=0)
     baseline_rec = LayerRecord(
         layer=0,
         nodes_cumulative=baseline_nodes,
@@ -315,7 +301,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         train_cost=baseline.train_cost,
         train_acc=accuracy(baseline.matrix @ cur_tr, t_tr),
         test_acc=accuracy(baseline.matrix @ cur_te, t_te),
-        admm_iters=0,
+        newton_steps=0,
         wall_ms=int((time.perf_counter() - t0) * 1000),
     )
 
@@ -344,19 +330,18 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         cur_te = layer_forward(layer, cur_te)
         witness_cost = sample_cost(t_tr, witness, cur_tr)
 
-        init = witness if admm_cfg.warm_start else None
         try:
-            solved = admm_constrained_ls(cur_tr, t_tr, eps, admm_cfg,
-                                         initial=init, layer_index=layer_no)
+            solved = least_squares(cur_tr, t_tr, eps, layer_index=layer_no)
         except HnfError:
             raise
         except Exception as exc:
             raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc
-        diag = dict(solved.solver or {})
+        diag = dict(solved.solver)
         diag["witness_cost"] = witness_cost
+        diag["witness_drift"] = witness_cost - maps[-1].train_cost
         if solved.train_cost > witness_cost:
             diag["fallback"] = "witness"
-            diag["admm_cost"] = solved.train_cost
+            diag["solve_cost"] = solved.train_cost
             solved = OutputMap(witness, eps, witness_cost, layer_no, diag)
         else:
             solved = OutputMap(solved.matrix, solved.epsilon,
@@ -364,6 +349,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
 
         final_norm2 = float(np.sum(solved.matrix * solved.matrix))
         certified = certified and witness_feasible
+        certified = certified and abs(diag["witness_drift"]) <= MONOTONE_SLACK
         certified = certified and solved.train_cost <= witness_cost + MONOTONE_SLACK
         certified = certified and final_norm2 <= eps * (1.0 + 1e-6)
 
@@ -377,7 +363,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
             train_cost=solved.train_cost,
             train_acc=accuracy(solved.matrix @ cur_tr, t_tr),
             test_acc=accuracy(solved.matrix @ cur_te, t_te),
-            admm_iters=int((solved.solver or {}).get("iterations", 0)),
+            newton_steps=diag["newton_steps"],
             wall_ms=int((time.perf_counter() - t0) * 1000),
         ))
 

@@ -41,15 +41,11 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     return aug[:, n:]
 
 
-def normal_equations_extended(y: np.ndarray, t: np.ndarray,
-                              ridge: float = 0.0) -> np.ndarray:
-    """O = T Y^T (Y Y^T + ridge I)^-1 computed in extended precision."""
+def normal_equations_extended(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """O = T Y^T (Y Y^T)^-1 computed in extended precision."""
     y = np.array(y, dtype=np.longdouble)
     t = np.array(t, dtype=np.longdouble)
-    g = y @ y.T
-    if ridge:
-        g = g + np.longdouble(ridge) * np.eye(g.shape[0], dtype=np.longdouble)
-    o = t @ y.T @ gauss_jordan_inverse(g)
+    o = t @ y.T @ gauss_jordan_inverse(y @ y.T)
     return o.astype(np.float64)
 
 

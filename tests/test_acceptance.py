@@ -30,9 +30,7 @@ from hnf.layers import (
 )
 from hnf.matrixgen import make_random_orthonormal, make_raw_gaussian
 from hnf.solvers import (
-    AdmmConfig,
     OutputMap,
-    admm_constrained_ls,
     embed_previous_map,
     epsilon_budget,
     least_squares,
@@ -151,8 +149,8 @@ def test_c04_invertibility_round_trip():
         assert float(np.max(rel)) <= 1e-6, kind
 
 
-def test_c05a_admm_feasibility():
-    """Every returned map satisfies its ball constraint within 1e-6."""
+def test_c05a_constrained_solve_feasibility():
+    """Every returned map satisfies its ball constraint within 1e-12."""
     rng = np.random.Generator(np.random.PCG64(50))
     for trial in range(25):
         d = int(rng.integers(2, 21))
@@ -161,14 +159,13 @@ def test_c05a_admm_feasibility():
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((q, n))
         eps = float(rng.uniform(0.01, 5.0))
-        for iters in (1, 7, 100):
-            om = admm_constrained_ls(y, t, eps, AdmmConfig(iterations=iters))
-            assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-6)
+        om = least_squares(y, t, eps)
+        assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
 
 
-def test_c05b_admm_matches_dual_oracle():
-    """On 50 random small instances (d<=20, N<=200), 2000-iteration cost is
-    within 1e-3 relative of the independent dual-bisection oracle."""
+def test_c05b_constrained_solve_matches_dual_oracle():
+    """On 50 random small instances (d<=20, N<=200), the exact solve's cost
+    is within 1e-9 relative of the independent dual-bisection oracle."""
     rng = np.random.Generator(np.random.PCG64(2024))
     for trial in range(50):
         d = int(rng.integers(2, 21))
@@ -176,23 +173,23 @@ def test_c05b_admm_matches_dual_oracle():
         q = int(rng.integers(1, 6))
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((q, n))
-        o_ls = least_squares(y, t, 0.0)
+        o_ls = least_squares(y, t)
         eps = float(np.sum(o_ls.matrix ** 2)) * rng.uniform(0.05, 1.5)
-        om = admm_constrained_ls(y, t, eps, AdmmConfig(iterations=2000))
-        assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-6)
+        om = least_squares(y, t, eps)
+        assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
         _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
-        assert om.train_cost <= oracle_cost * (1 + 1e-3), f"instance {trial}"
+        assert om.train_cost <= oracle_cost * (1 + 1e-9), f"instance {trial}"
 
 
 def test_c05c_witness_dominance_at_production_setting():
-    """Raw 100-iteration ADMM cost <= embedded-witness cost + 1e-8 on every
+    """Raw constrained-solve cost <= embedded-witness cost + 1e-8 on every
     layer solve of the criterion-1 grid, rebuilt outside the trainer."""
     blobs = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
     x, t = blobs.X_train, blobs.T_train
     for kind in ("random", "dct"):
         for seed in (1, 2, 3):
             cfg = TrainConfig(n1=16, depth=4, weight_kind=kind, seed=seed)
-            prev_map = least_squares(x, t, 0.0)
+            prev_map = least_squares(x, t)
             feats = x
             for layer_no, n_l, m_l in plan_widths(8, cfg):
                 w = _make_weight(cfg, n_l, m_l, layer_no)
@@ -201,8 +198,7 @@ def test_c05c_witness_dominance_at_production_setting():
                 assert float(np.sum(witness ** 2)) <= eps * (1 + 1e-9)
                 feats = vn_expand(w.entries @ feats)
                 witness_cost = sample_cost(t, witness, feats)
-                om = admm_constrained_ls(feats, t, eps,
-                                         AdmmConfig(iterations=100))
+                om = least_squares(feats, t, eps)
                 assert om.train_cost <= witness_cost + 1e-8, \
                     (kind, seed, layer_no)
                 prev_map = om

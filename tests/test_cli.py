@@ -5,7 +5,7 @@ import pytest
 
 from hnf.cli import main
 from hnf.layers import load_network
-from hnf.solvers import load_output_map
+from hnf.solvers import embed_previous_map, load_output_map
 
 
 def run_train(tmp_path, *extra):
@@ -70,6 +70,31 @@ class TestTrainCommand:
         assert code == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 4
+
+    def test_config_file_unknown_key_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "data = blobs\n"
+            "n1 = 16\n"
+            "depth = 2\n"
+            "admm_iters = 100\n"
+            f"out = {tmp_path / 'cfg_run'}\n"
+        )
+        assert main(["train", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfgfile}:4: unknown key 'admm_iters'" in err
+        assert "eps_schedule" in err
+        assert not (tmp_path / "cfg_run").exists()
+
+    def test_uncertified_chain_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "hnf.trainer.embed_previous_map",
+            lambda o_prev, w: 0.5 * embed_previous_map(o_prev, w))
+        code, out = run_train(tmp_path)
+        assert code == 4
+        assert "certification FAILED" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monotonicity_certified"] is False
 
     def test_elm_train(self, tmp_path, capsys):
         out = tmp_path / "elm"
@@ -268,6 +293,12 @@ class TestCurvesCommand:
 class TestArgumentHandling:
     def test_bad_flag_exits_2(self):
         assert main(["train", "--no-such-flag"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--admm-iters=5", "--admm-penalty=1",
+                                      "--admm-tol=0", "--warm-start"])
+    def test_removed_solver_flags_exit_2(self, tmp_path, flag):
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "1",
+                     "--out", str(tmp_path / "x"), flag]) == 2
 
     def test_missing_required_configuration_exits_2(self, tmp_path):
         assert main(["train", "--data", "blobs",

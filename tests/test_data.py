@@ -159,13 +159,13 @@ class TestLoadIdx:
 class TestBlobs:
     def test_separated_blobs_linearly_separable(self):
         ds = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-        om = least_squares(ds.X_train, ds.T_train, 0.0)
+        om = least_squares(ds.X_train, ds.T_train)
         acc = accuracy(om.matrix @ ds.X_train, ds.T_train)
         assert acc >= 0.95
 
     def test_zero_separation_chance_level(self):
         ds = make_synthetic_blobs(8, 4, 2000, separation=0.0, seed=2)
-        om = least_squares(ds.X_train, ds.T_train, 0.0)
+        om = least_squares(ds.X_train, ds.T_train)
         acc = accuracy(om.matrix @ ds.X_test, ds.T_test)
         assert abs(acc - 0.25) <= 0.1
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnf.errors import DataError, DimensionError, ParameterError
 from hnf.layers import HnfLayer, layer_forward, vn_expand
@@ -14,9 +16,7 @@ from hnf.matrixgen import (
 )
 from hnf.solvers import (
     EPSILON_FLOOR,
-    AdmmConfig,
     OutputMap,
-    admm_constrained_ls,
     embed_previous_map,
     epsilon_budget,
     least_squares,
@@ -36,35 +36,28 @@ def make_map(matrix: np.ndarray) -> OutputMap:
 class TestLeastSquares:
     def test_identity_fit(self):
         y = np.eye(2)
-        om = least_squares(y, y, 0.0)
+        om = least_squares(y, y)
         assert np.allclose(om.matrix, np.eye(2), atol=1e-12)
         assert om.train_cost == pytest.approx(0.0, abs=1e-24)
         assert om.epsilon == math.inf
 
     def test_exact_line(self):
-        om = least_squares(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]), 0.0)
+        om = least_squares(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]))
         assert om.matrix == pytest.approx(np.array([[2.0]]), abs=1e-12)
         assert om.train_cost == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_extended_precision_oracle(self, rng):
         y = rng.standard_normal((4, 50))
         t = rng.standard_normal((3, 50))
-        om = least_squares(y, t, 0.0)
-        expected = oracles.normal_equations_extended(y, t, 0.0)
-        assert np.max(np.abs(om.matrix - expected)) <= 1e-8
-
-    def test_ridge_matches_oracle(self, rng):
-        y = rng.standard_normal((6, 40))
-        t = rng.standard_normal((2, 40))
-        om = least_squares(y, t, ridge=0.7)
-        expected = oracles.normal_equations_extended(y, t, 0.7)
+        om = least_squares(y, t)
+        expected = oracles.normal_equations_extended(y, t)
         assert np.max(np.abs(om.matrix - expected)) <= 1e-8
 
     def test_singular_gram_falls_back_to_pseudo_inverse(self, rng):
         base = rng.standard_normal((1, 30))
         y = np.vstack([base, base])
         t = rng.standard_normal((2, 30))
-        om = least_squares(y, t, 0.0)
+        om = least_squares(y, t)
         assert np.all(np.isfinite(om.matrix))
         recomputed = sample_cost(t, om.matrix, y)
         assert om.train_cost == pytest.approx(recomputed, rel=1e-9)
@@ -72,29 +65,24 @@ class TestLeastSquares:
     def test_train_cost_recomputable(self, rng):
         y = rng.standard_normal((5, 60))
         t = rng.standard_normal((3, 60))
-        om = least_squares(y, t, 0.0)
+        om = least_squares(y, t)
         assert om.train_cost == pytest.approx(
             sample_cost(t, om.matrix, y), rel=1e-9)
 
     def test_empty_data_rejected(self):
         with pytest.raises(DataError):
-            least_squares(np.zeros((2, 0)), np.zeros((2, 0)), 0.0)
-
-    def test_negative_ridge_rejected(self, rng):
-        y = rng.standard_normal((2, 5))
-        with pytest.raises(ParameterError):
-            least_squares(y, y, ridge=-1.0)
+            least_squares(np.zeros((2, 0)), np.zeros((2, 0)))
 
     def test_sample_count_mismatch(self, rng):
         with pytest.raises(DimensionError):
             least_squares(rng.standard_normal((2, 5)),
-                          rng.standard_normal((2, 6)), 0.0)
+                          rng.standard_normal((2, 6)))
 
 
 def elm_front_solve(w, x, t, activation="relu"):
     """The trainer's ELM front: a non-expanding layer, then least squares."""
     feats = layer_forward(HnfLayer(w, expand=False, activation=activation), x)
-    return feats, least_squares(feats, t, 0.0)
+    return feats, least_squares(feats, t)
 
 
 class TestElmSolve:
@@ -104,7 +92,7 @@ class TestElmSolve:
         w = WeightMatrix(3, 3, np.eye(3), WeightKind.DCT_ORTHONORMAL, None)
         feats, om = elm_front_solve(w, x, t, activation="relu")
         assert np.array_equal(feats, x)
-        direct = least_squares(x, t, 0.0)
+        direct = least_squares(x, t)
         assert np.allclose(om.matrix, direct.matrix, atol=1e-12)
 
     def test_sigmoid_at_zero_gives_half(self):
@@ -122,7 +110,7 @@ class TestElmSolve:
         x = centers[labels].T + rng.standard_normal((p, n))
         t = np.zeros((q, n))
         t[labels, np.arange(n)] = 1.0
-        raw = least_squares(x, t, 0.0)
+        raw = least_squares(x, t)
         w1 = make_raw_gaussian(n1, p, seed=1)
         _, om = elm_front_solve(w1, x, t, activation="relu")
         assert om.train_cost < raw.train_cost
@@ -150,30 +138,33 @@ class TestProjection:
 
 
 class TestAdmm:
+    """Ball-constrained solves: :func:`least_squares` with a finite eps."""
+
     def test_scalar_boundary_solution(self):
-        om = admm_constrained_ls(np.array([[2.0]]), np.array([[4.0]]),
-                                 eps=1.0, cfg=AdmmConfig(penalty=1.0))
-        assert om.matrix[0, 0] == pytest.approx(1.0, abs=1e-5)
-        assert om.train_cost == pytest.approx(4.0, rel=1e-4)
+        om = least_squares(np.array([[2.0]]), np.array([[4.0]]), eps=1.0)
+        assert om.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert om.train_cost == pytest.approx(4.0, rel=1e-12)
 
     def test_inactive_constraint_returns_least_squares(self, rng):
         y = rng.standard_normal((5, 80))
         t = rng.standard_normal((3, 80))
-        o_ls = least_squares(y, t, 0.0)
+        o_ls = least_squares(y, t)
         eps = 2.0 * float(np.sum(o_ls.matrix ** 2))
-        om = admm_constrained_ls(y, t, eps, AdmmConfig(penalty=1.0))
-        assert np.max(np.abs(om.matrix - o_ls.matrix)) <= 1e-4
+        om = least_squares(y, t, eps)
+        assert np.array_equal(om.matrix, o_ls.matrix)
+        assert om.solver["newton_steps"] == 0
+        assert om.solver["multiplier"] == 0.0
 
     def test_active_constraint_lands_on_sphere(self, rng):
         y = rng.standard_normal((5, 80))
         t = rng.standard_normal((3, 80))
-        o_ls = least_squares(y, t, 0.0)
+        o_ls = least_squares(y, t)
         eps = 0.1 * float(np.sum(o_ls.matrix ** 2))
-        om = admm_constrained_ls(y, t, eps, AdmmConfig(penalty=1.0,
-                                                       iterations=2000))
-        assert float(np.sum(om.matrix ** 2)) == pytest.approx(eps, rel=1e-3)
+        om = least_squares(y, t, eps)
+        assert float(np.sum(om.matrix ** 2)) == pytest.approx(eps, rel=1e-12)
+        assert om.solver["multiplier"] > 0
         _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
-        assert om.train_cost <= oracle_cost * (1 + 1e-3)
+        assert om.train_cost <= oracle_cost * (1 + 1e-9)
 
     def test_matches_dual_oracle_on_random_instances(self):
         rng = np.random.Generator(np.random.PCG64(99))
@@ -183,71 +174,78 @@ class TestAdmm:
             q = int(rng.integers(1, 6))
             y = rng.standard_normal((d, n))
             t = rng.standard_normal((q, n))
-            o_ls = least_squares(y, t, 0.0)
+            o_ls = least_squares(y, t)
             eps = float(np.sum(o_ls.matrix ** 2)) * rng.uniform(0.05, 1.5)
-            om = admm_constrained_ls(y, t, eps,
-                                     AdmmConfig(penalty=1.0, iterations=2000))
-            _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
-            assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-6)
-            assert om.train_cost <= oracle_cost * (1 + 1e-3), f"trial {trial}"
-
-    def test_feasible_at_any_iteration_count(self, rng):
-        y = rng.standard_normal((4, 30))
-        t = rng.standard_normal((2, 30))
-        for iters in (1, 3, 10, 100):
-            om = admm_constrained_ls(y, t, 0.05,
-                                     AdmmConfig(penalty=1.0, iterations=iters))
-            assert float(np.sum(om.matrix ** 2)) <= 0.05 * (1 + 1e-6)
-
-    def test_warm_start_initial_iterate(self, rng):
-        y = rng.standard_normal((4, 30))
-        t = rng.standard_normal((2, 30))
-        o_ls = least_squares(y, t, 0.0)
-        eps = 4.0 * float(np.sum(o_ls.matrix ** 2))
-        om = admm_constrained_ls(y, t, eps, AdmmConfig(penalty=1.0),
-                                 initial=o_ls.matrix)
-        assert np.max(np.abs(om.matrix - o_ls.matrix)) <= 1e-6
+            om = least_squares(y, t, eps)
+            oracle, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
+            assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
+            assert om.train_cost <= oracle_cost * (1 + 1e-9), f"trial {trial}"
+            assert np.max(np.abs(om.matrix - oracle)) <= 1e-6, f"trial {trial}"
 
     def test_parameter_and_data_errors(self, rng):
         y = rng.standard_normal((3, 10))
         t = rng.standard_normal((2, 10))
-        with pytest.raises(ParameterError):
-            admm_constrained_ls(y, t, eps=0.0)
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError):
+                least_squares(y, t, eps=eps)
         bad = y.copy()
         bad[0, 0] = np.nan
         with pytest.raises(DataError):
-            admm_constrained_ls(bad, t, eps=1.0)
-        with pytest.raises(ParameterError):
-            AdmmConfig(iterations=0)
-        with pytest.raises(ParameterError):
-            AdmmConfig(penalty=0.0)
-
-    def test_early_stop_tolerance(self, rng):
-        y = rng.standard_normal((3, 20))
-        t = rng.standard_normal((2, 20))
-        om = admm_constrained_ls(y, t, 1e6,
-                                 AdmmConfig(penalty=1.0, iterations=500,
-                                            tolerance=1e-12))
-        assert om.solver["iterations"] < 500
+            least_squares(bad, t, eps=1.0)
+        with pytest.raises(DataError):
+            least_squares(bad, t)
 
     def test_deterministic(self, rng):
         y = rng.standard_normal((4, 40))
         t = rng.standard_normal((2, 40))
-        a = admm_constrained_ls(y, t, 0.5, AdmmConfig())
-        b = admm_constrained_ls(y, t, 0.5, AdmmConfig())
+        a = least_squares(y, t, 0.5)
+        b = least_squares(y, t, 0.5)
         assert np.array_equal(a.matrix, b.matrix)
         assert a.train_cost == b.train_cost
+        assert a.solver == b.solver
 
     def test_singular_gram_still_converges(self, rng):
         base = rng.standard_normal((2, 60))
         y = np.vstack([base, base[:1]])
         t = rng.standard_normal((2, 60))
         for eps in (0.01, 1e3):
-            om = admm_constrained_ls(y, t, eps,
-                                     AdmmConfig(iterations=2000))
-            assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-6)
+            om = least_squares(y, t, eps)
+            assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
             _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
-            assert om.train_cost <= oracle_cost * (1 + 1e-3)
+            assert om.train_cost <= oracle_cost * (1 + 1e-9)
+
+
+class TestExactSolveProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 12), n=st.integers(1, 60), q=st.integers(1, 4),
+           duplicate=st.booleans(), radius=st.sampled_from(
+               [0.01, 0.3, 0.99, 1.0, 1.01, 3.0, math.inf]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_feasible_and_optimal(self, d, n, q, duplicate, radius, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        y = rng.standard_normal((d, n))
+        if duplicate and d > 1:
+            y[-1] = y[0]
+        t = rng.standard_normal((q, n))
+        free = least_squares(y, t)
+        eps = radius * float(np.sum(free.matrix ** 2))
+        om = least_squares(y, t, eps)
+        assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
+        if duplicate and d > 1:
+            # Y^T (e_0 - e_last) = 0: a difference between the first and
+            # last columns of O adds norm but changes no prediction
+            gap = np.max(np.abs(om.matrix[:, 0] - om.matrix[:, -1]))
+            assert gap <= 1e-8 * np.linalg.norm(om.matrix)
+        _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
+        # interpolating fits (rank = N) cost zero up to round-off only
+        floor = 1e-12 * float(np.sum(t * t)) / n
+        assert om.train_cost <= oracle_cost * (1 + 1e-9) + floor
+        # a square Gaussian Y can square to a Gram of condition 1e10, where
+        # no float64 solve is that close; n >= 2d keeps the Gram well-posed
+        if math.isinf(eps) and not duplicate and n >= 2 * d:
+            expected = oracles.normal_equations_extended(y, t)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(om.matrix - expected)) <= 1e-8 * scale
 
 
 class TestEpsilonSchedule:
@@ -348,14 +346,14 @@ class TestEmbedPreviousMap:
 class TestOutputMapIO:
     def test_round_trip(self, tmp_path, rng):
         om = OutputMap(rng.standard_normal((3, 6)), 2.5, 0.125, 2,
-                       {"method": "admm", "iterations": 100})
+                       {"method": "exact", "newton_steps": 4})
         save_output_map(om, tmp_path / "map02")
         back = load_output_map(tmp_path / "map02.json")
         assert np.array_equal(back.matrix, om.matrix)
         assert back.epsilon == om.epsilon
         assert back.train_cost == om.train_cost
         assert back.layer_index == om.layer_index
-        assert back.solver["iterations"] == 100
+        assert back.solver["newton_steps"] == 4
 
     def test_infinite_epsilon_round_trips_as_null(self, tmp_path, rng):
         om = OutputMap(rng.standard_normal((2, 2)), math.inf, 0.5, 0, None)

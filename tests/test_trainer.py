@@ -13,13 +13,13 @@ from hnf.matrixgen import (
     make_raw_gaussian,
 )
 from hnf.solvers import (
-    AdmmConfig,
     OutputMap,
-    admm_constrained_ls,
+    embed_previous_map,
     epsilon_budget,
     least_squares,
 )
 from hnf.trainer import (
+    MONOTONE_SLACK,
     VERIFY_BLOCK,
     TrainConfig,
     accuracy,
@@ -74,6 +74,8 @@ class TestTrain:
         assert report.monotonicity_certified
         assert net.depth == 3
         assert len(maps) == 4
+        for m in maps[1:]:
+            assert abs(m.solver["witness_drift"]) <= 1e-12
 
     def test_depth_one_equals_direct_constrained_solve(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=2)
@@ -81,15 +83,14 @@ class TestTrain:
 
         w = make_random_orthonormal(16, 8, seed=cfg.seed + 1)
         assert np.array_equal(net.layers[0].weight.entries, w.entries)
-        baseline = least_squares(blobs.X_train, blobs.T_train, 0.0)
+        baseline = least_squares(blobs.X_train, blobs.T_train)
         eps = epsilon_budget(baseline, w)
         feats = vn_expand(w.entries @ blobs.X_train)
-        direct = admm_constrained_ls(
-            feats, blobs.T_train, eps, AdmmConfig(), layer_index=1)
+        direct = least_squares(feats, blobs.T_train, eps, layer_index=1)
         expect = direct.matrix
         if direct.train_cost > maps[1].train_cost:
             pytest.fail("trainer should never beat the identical solve")
-        assert np.allclose(maps[1].matrix, expect, atol=1e-12)
+        assert np.array_equal(maps[1].matrix, expect)
         assert report.per_layer[0].epsilon == pytest.approx(eps, rel=1e-12)
 
     def test_n1_below_input_dim_rejected(self, blobs):
@@ -166,12 +167,15 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(n1=8, depth=1, elm_front=True)
 
-    def test_warm_start_still_certified(self, blobs):
-        cfg = TrainConfig(n1=16, depth=3, seed=1,
-                          admm=AdmmConfig(warm_start=True))
-        _, _, report = train(blobs, cfg)
-        assert report.monotonicity_certified
-        assert monotone([r.train_cost for r in report.rows()])
+    def test_witness_off_previous_cost_not_certified(self, blobs, monkeypatch):
+        # half the witness is still inside the ball, but it no longer
+        # reproduces the previous layer's cost, so the chain has a gap
+        monkeypatch.setattr(
+            "hnf.trainer.embed_previous_map",
+            lambda o_prev, w: 0.5 * embed_previous_map(o_prev, w))
+        _, maps, report = train(blobs, TrainConfig(n1=16, depth=3, seed=1))
+        assert not report.monotonicity_certified
+        assert abs(maps[1].solver["witness_drift"]) > MONOTONE_SLACK
 
     def test_elm_front_with_dct_tail(self, blobs):
         cfg = TrainConfig(n1=24, depth=3, weight_kind="dct",
