@@ -13,7 +13,9 @@ import datetime
 import json
 import math
 import os
+import shutil
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .layers import (
 from .solvers import load_output_map, save_output_map
 from .trainer import (
     TrainConfig,
+    build_network,
     evaluate,
     train,
     verify_invariants,
@@ -79,10 +82,11 @@ def _read_config_file(path: str) -> dict:
     :data:`_CONFIG_KEYS` is an error, so a misspelt or retired setting is
     never silently ignored."""
     values = {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -221,7 +225,11 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
             raw = file_vals[key]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError:
+                raise ConfigError(f"{args.config}: {key} = {raw!r} is not "
+                                  f"a valid {cast.__name__}") from None
         return default
 
     data_spec = pick(args.data, "data", str, None)
@@ -267,22 +275,41 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
     return cfg, data_spec, {"out": out_dir, **data_opts}
 
 
+def _check_out_dir(out: Path) -> None:
+    """Refuse an existing ``--out`` unless it is empty or a previous run."""
+    if out.exists() and not (out.is_dir() and (
+            (out / "manifest.json").is_file() or not any(out.iterdir()))):
+        raise ConfigError(f"--out {out} exists and is neither empty nor a "
+                          "run directory (no manifest.json); not replacing it")
+
+
+def _replace_dir(out: Path, write) -> None:
+    """Run ``write(tmp)`` on a fresh sibling of ``out``, then swap it in for
+    ``out``: a failed write leaves ``out`` as it was, and a retrain never
+    leaves files of the previous run behind."""
+    out = Path(os.path.abspath(out))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tag = f".{out.name}.{uuid.uuid4().hex}"
+    tmp, old = out.with_name(tag + ".tmp"), out.with_name(tag + ".old")
+    tmp.mkdir()
+    try:
+        write(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if out.exists():
+        out.rename(old)
+    tmp.rename(out)
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def cmd_train(args) -> int:
     cfg, data_spec, opts = _train_config_from(args)
+    out = Path(opts["out"])
+    _check_out_dir(out)
     data = _load_data(data_spec, opts["label_col"], opts["split"],
                       opts["split_seed"], opts["blobs"], opts["delimiter"])
     net, maps, report = train(data, cfg)
-
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    save_network(net, out)
-    map_files = []
-    for om in maps:
-        prefix = out / "maps" / f"map{om.layer_index:02d}"
-        save_output_map(om, prefix)
-        map_files.append(f"maps/map{om.layer_index:02d}.json")
-    report.to_jsonl(out / "report.jsonl")
-    report.to_csv(out / "report.csv")
 
     manifest = {
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
@@ -298,12 +325,21 @@ def cmd_train(args) -> int:
         "monotonicity_certified": report.monotonicity_certified,
         "artifacts": {
             "network": "network.json",
-            "maps": map_files,
+            "maps": [f"maps/map{om.layer_index:02d}.json" for om in maps],
             "report_jsonl": "report.jsonl",
             "report_csv": "report.csv",
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+    def write(run: Path) -> None:
+        save_network(net, run)
+        for om in maps:
+            save_output_map(om, run / "maps" / f"map{om.layer_index:02d}")
+        report.to_jsonl(run / "report.jsonl")
+        report.to_csv(run / "report.csv")
+        (run / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+    _replace_dir(out, write)
 
     for rec in report.rows():
         print(json.dumps(rec.as_dict()))
@@ -316,10 +352,7 @@ def cmd_train(args) -> int:
 
 def _load_run(run_dir: str):
     run = Path(run_dir)
-    manifest_path = run / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataError(f"no manifest.json under {run_dir}")
-    with json_artifact(manifest_path) as manifest:
+    with json_artifact(run / "manifest.json") as manifest:
         artifacts = manifest["artifacts"]
         network_path = run / artifacts["network"]
         map_paths = [run / rel for rel in artifacts["maps"]]
@@ -374,7 +407,7 @@ def cmd_verify(args) -> int:
     else:
         cfg = TrainConfig(n1=args.n1, depth=args.depth,
                           weight_kind=args.weights, seed=args.seed)
-        net, _, _ = train(data, cfg)
+        net = build_network(data.input_dim, cfg)
 
     report = verify_invariants(net, data, args.trials, args.seed)
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")
@@ -392,17 +425,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    run = Path(args.run)
-    report_path = run / "report.jsonl"
-    if not report_path.is_file():
-        raise DataError(f"no report.jsonl under {args.run}")
-    rows = [json.loads(line) for line in report_path.read_text().splitlines()
-            if line.strip()]
     lines = ["nodes_cumulative,train_acc,test_acc,layer"]
-    for row in rows:
-        test = "" if row["test_acc"] is None else repr(row["test_acc"])
-        lines.append(f"{row['nodes_cumulative']},{row['train_acc']!r},"
-                     f"{test},{row['layer']}")
+    with json_artifact(Path(args.run) / "report.jsonl", jsonl=True) as rows:
+        for row in rows:
+            test = "" if row["test_acc"] is None else repr(row["test_acc"])
+            lines.append(f"{row['nodes_cumulative']},{row['train_acc']!r},"
+                         f"{test},{row['layer']}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -430,7 +458,7 @@ def main(argv=None) -> int:
     except HnfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

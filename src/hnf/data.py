@@ -9,7 +9,6 @@ that together cover every column.
 from __future__ import annotations
 
 import csv
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,11 +123,18 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
     path = Path(path)
     if not path.is_file():
         raise DataError(f"cannot read data file: {path}")
-    if delimiter.isspace():
-        rows = [line.split() for line in path.read_text().splitlines()]
-    else:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
+    if len(delimiter) != 1 and not delimiter.isspace():
+        raise ParameterError(f"delimiter must be one character or "
+                             f"whitespace, got {delimiter!r}")
+    try:
+        if delimiter.isspace():
+            rows = [line.split()
+                    for line in path.read_text(encoding="utf-8").splitlines()]
+        else:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh, delimiter=delimiter))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: unreadable text: {exc}") from None
     rows = [r for r in rows if r]
     if not rows:
         raise ParseError(f"{path}: no rows")
@@ -361,24 +367,3 @@ def make_synthetic_blobs(p: int, q: int, n: int, separation: float,
     return _dataset(x, labels, names, "blobs", train_idx, test_idx,
                     separation=float(separation), seed=int(seed),
                     source=f"blobs(p={p},q={q},n={n},sep={separation},seed={seed})")
-
-
-def export_csv(ds: Dataset, path, write_meta: bool = True) -> None:
-    """Write features plus a final label column; floats use shortest
-    round-trip formatting so :func:`load_csv` reproduces X and T exactly.
-
-    Also writes a ``<path>.meta.json`` sidecar with the dataset metadata
-    (dims, label order, split sizes) unless ``write_meta`` is off.
-    """
-    path = Path(path)
-    names = ds.meta["label_names"]
-    labels = np.argmax(ds.T, axis=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for j in range(ds.n_samples):
-            row = [repr(float(v)) for v in ds.X[:, j]]
-            row.append(names[labels[j]])
-            writer.writerow(row)
-    if write_meta:
-        sidecar = path.with_suffix(path.suffix + ".meta.json")
-        sidecar.write_text(json.dumps(ds.meta, indent=2))

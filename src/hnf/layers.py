@@ -237,35 +237,6 @@ def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PairDistanceReport:
-    """Squared distances of a pair of inputs through every layer."""
-
-    input_dist2: float
-    per_layer_dist2: list[float]
-
-
-def pair_distance_report(
-    net: HnfNetwork, x1: np.ndarray, x2: np.ndarray
-) -> PairDistanceReport:
-    """Squared input distance and per-layer squared feature distances.
-
-    With orthonormal weights every layer-l entry lies in
-    ``[d2 / 2**l, d2]`` where ``d2`` is the squared input distance.
-    """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x1.ndim != 1 or x2.ndim != 1:
-        raise DimensionError("pair distances are defined for single vectors")
-    if x1.shape != x2.shape:
-        raise DimensionError(f"shape mismatch: {x1.shape} vs {x2.shape}")
-    d2 = float(np.sum((x1 - x2) ** 2))
-    f1 = network_forward(net, x1)
-    f2 = network_forward(net, x2)
-    dists = [float(np.sum((a - b) ** 2)) for a, b in zip(f1, f2)]
-    return PairDistanceReport(d2, dists)
-
-
-@dataclass(frozen=True)
 class PerturbationCheck:
     """Outcome of one weight-perturbation bound evaluation."""
 
@@ -326,13 +297,20 @@ def save_network(net: HnfNetwork, out_dir) -> Path:
 
 
 @contextmanager
-def json_artifact(path):
-    """Parse a JSON artifact for a ``with`` block that reads its fields;
-    malformed JSON, or a key the block finds missing or of the wrong type,
-    becomes a :class:`DataError` naming the file."""
+def json_artifact(path, jsonl: bool = False):
+    """Parse a JSON artifact (with ``jsonl``, the list of its non-blank
+    lines' records) for a ``with`` block that reads its fields; an
+    unreadable file or one the block reads, malformed JSON, or a field the
+    block finds missing, of the wrong type or out of range becomes a
+    :class:`DataError` naming the file."""
     try:
-        yield json.loads(Path(path).read_text())
-    except (ValueError, KeyError, TypeError) as exc:
+        text = Path(path).read_text(encoding="utf-8")
+        yield ([json.loads(line) for line in text.splitlines() if line.strip()]
+               if jsonl else json.loads(text))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    except (ValueError, KeyError, TypeError, ArithmeticError, ParameterError,
+            DimensionError) as exc:
         raise DataError(f"{path}: malformed or incomplete JSON: {exc!r}") from exc
 
 
@@ -346,4 +324,4 @@ def load_network(manifest_path) -> HnfNetwork:
             w = load_weight(base / rec["file"])
             layers.append(HnfLayer(w, expand=rec["expand"],
                                    activation=rec["activation"]))
-    return HnfNetwork(tuple(layers))
+        return HnfNetwork(tuple(layers))

@@ -201,7 +201,7 @@ def load_output_map(json_path) -> OutputMap:
         eps = math.inf if meta["epsilon"] is None else float(meta["epsilon"])
         fitted = (float(meta["train_cost"]), int(meta["layer_index"]),
                   meta["solver"])
-    raw = bin_path.read_bytes()
+        raw = bin_path.read_bytes()
     if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
         raise FormatError(
             f"{bin_path}: {len(raw)} bytes, but {json_path.name} declares a "

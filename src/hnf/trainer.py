@@ -1,12 +1,14 @@
 """Layer-wise training loop with a certified non-increasing training cost.
 
-The trainer never learns a weight matrix. Each step appends a fixed layer,
-expands the training features, derives the new map's norm budget from the
-previous map, and solves the ball-constrained least squares. The budget is
-chosen so the previous map can be embedded verbatim into the new layer (the
-witness), which makes the cost guarantee constructive: the solver result is
-kept only if it beats the witness, otherwise the witness itself becomes the
-layer's map. Either way the per-layer training cost cannot increase.
+The trainer never learns a weight matrix: :func:`build_network` designs the
+whole fixed network from the input dimension and the config before any
+solve. Each step then expands the training features through the next
+layer, derives the new map's norm budget from the previous map, and solves
+the ball-constrained least squares. The budget is chosen so the previous
+map can be embedded verbatim into the new layer (the witness), which makes
+the cost guarantee constructive: the solver result is kept only if it
+beats the witness, otherwise the witness itself becomes the layer's map.
+Either way the per-layer training cost cannot increase.
 
 Test metrics are recorded per layer for reporting but never influence the
 budgets or stopping: there is no cross-validation anywhere.
@@ -18,8 +20,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .layers import (
     weight_perturbation_check,
 )
 from .matrixgen import (
-    WeightMatrix,
     make_dct_orthonormal,
     make_random_orthonormal,
     make_raw_gaussian,
@@ -77,9 +77,7 @@ class TrainConfig:
     ``n1`` is the first layer's pre-expansion width (the ELM width when
     ``elm_front``); ``depth`` counts layers including the ELM front.
     Every map is an exact least-squares solve, so no solver setting
-    appears here. ``width_rule`` maps (layer_number, fan_in) to the layer's
-    pre-expansion width; the default keeps it equal to the fan-in for
-    layers past the first.
+    appears here.
     """
 
     n1: int
@@ -89,7 +87,6 @@ class TrainConfig:
     elm_front: bool = False
     elm_activation: str = "relu"
     eps_schedule: str = "exact"
-    width_rule: Callable[[int, int], int] | None = None
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     standardize: bool = False
 
@@ -119,17 +116,7 @@ class TrainConfig:
             raise ConfigError("an ELM front needs depth >= 2 to add a layer")
 
     def echo(self) -> dict:
-        return {
-            "n1": self.n1,
-            "depth": self.depth,
-            "weight_kind": self.weight_kind,
-            "seed": self.seed,
-            "elm_front": self.elm_front,
-            "elm_activation": self.elm_activation,
-            "eps_schedule": self.eps_schedule,
-            "memory_budget": self.memory_budget,
-            "standardize": self.standardize,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -146,22 +133,15 @@ class LayerRecord:
     wall_ms: int
 
     def as_dict(self) -> dict:
-        eps = None if math.isinf(self.epsilon) else self.epsilon
-        test = None if math.isnan(self.test_acc) else self.test_acc
-        return {
-            "layer": self.layer,
-            "nodes_cumulative": self.nodes_cumulative,
-            "epsilon": eps,
-            "train_cost": self.train_cost,
-            "train_acc": self.train_acc,
-            "test_acc": test,
-            "newton_steps": self.newton_steps,
-            "wall_ms": self.wall_ms,
-        }
+        d = asdict(self)
+        if math.isinf(self.epsilon):
+            d["epsilon"] = None
+        if math.isnan(self.test_acc):
+            d["test_acc"] = None
+        return d
 
 
-_CSV_FIELDS = ("layer", "nodes_cumulative", "epsilon", "train_cost",
-               "train_acc", "test_acc", "newton_steps", "wall_ms")
+_CSV_FIELDS = tuple(f.name for f in fields(LayerRecord))
 
 
 @dataclass(frozen=True)
@@ -201,38 +181,38 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     ))
 
 
-def plan_widths(input_dim: int, cfg: TrainConfig) -> list[tuple[int, int, int]]:
-    """Per expanding layer: (layer_number, pre-expansion width n, fan-in m).
+def build_network(input_dim: int, cfg: TrainConfig) -> HnfNetwork:
+    """The fixed network a run with ``cfg`` trains on ``input_dim`` inputs.
 
-    Without an ELM front, layer 1 maps the input (fan-in P) and every later
-    layer's fan-in is double the previous width. With an ELM front the first
-    expanding layer is layer 2 with fan-in n1.
+    Every weight is designed, never learned, so this is the one place that
+    creates them. With an ELM front, layer 1 is a raw-Gaussian activation
+    layer of width n1 (seed + 1). The first expanding layer has width n1
+    and fan-in P (n1 behind the front); every later layer's width equals
+    its fan-in, twice the previous width. Expanding layer l is random
+    orthonormal with seed + l, or DCT.
     """
-    rule = cfg.width_rule or (lambda layer, m: m)
-    plan: list[tuple[int, int, int]] = []
+    layers: list[HnfLayer] = []
     if cfg.elm_front:
-        first, m = 2, cfg.n1
+        front = make_raw_gaussian(cfg.n1, input_dim, cfg.seed + 1)
+        layers.append(HnfLayer(front, expand=False,
+                               activation=cfg.elm_activation))
+        fan_in = cfg.n1
+    elif cfg.n1 < input_dim:
+        raise ConfigError(
+            f"orthonormal first layer needs n1 >= input dim, "
+            f"got n1={cfg.n1} < P={input_dim}"
+        )
     else:
-        first, m = 1, input_dim
-    prev_n = None
-    for layer in range(first, cfg.depth + 1):
-        if prev_n is not None:
-            m = 2 * prev_n
-        n = cfg.n1 if layer == first and not cfg.elm_front else rule(layer, m)
-        if n < m:
-            raise ConfigError(
-                f"layer {layer}: orthonormal weights need width n >= fan-in "
-                f"m, got n={n} < m={m}"
-            )
-        plan.append((layer, n, m))
-        prev_n = n
-    return plan
-
-
-def _make_weight(cfg: TrainConfig, n: int, m: int, layer: int) -> WeightMatrix:
-    if cfg.weight_kind == "dct":
-        return make_dct_orthonormal(n, m)
-    return make_random_orthonormal(n, m, cfg.seed + layer)
+        fan_in = input_dim
+    width = cfg.n1
+    for layer_no in range(len(layers) + 1, cfg.depth + 1):
+        if cfg.weight_kind == "dct":
+            w = make_dct_orthonormal(width, fan_in)
+        else:
+            w = make_random_orthonormal(width, fan_in, cfg.seed + layer_no)
+        layers.append(HnfLayer(w))
+        fan_in = width = 2 * width
+    return HnfNetwork(tuple(layers))
 
 
 def _standardize_params(x_train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,34 +245,26 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     """
     if data.meta["N_train"] < 1:
         raise ConfigError("dataset has an empty train split")
-    if not cfg.elm_front and cfg.n1 < data.input_dim:
-        raise ConfigError(
-            f"orthonormal first layer needs n1 >= input dim, "
-            f"got n1={cfg.n1} < P={data.input_dim}"
-        )
-    plan = plan_widths(data.input_dim, cfg)
+    t0 = time.perf_counter()
+    net = build_network(data.input_dim, cfg)
+    first = int(net.has_front)
+    for layer_no, layer in enumerate(net.layers[first:], first + 1):
+        _check_budget(layer_no, layer.out_dim, data.n_samples,
+                      cfg.memory_budget)
 
-    x_tr, t_tr = data.X_train, data.T_train
-    x_te, t_te = data.X_test, data.T_test
+    cur_tr, t_tr = data.X_train, data.T_train
+    cur_te, t_te = data.X_test, data.T_test
     std_params = None
     if cfg.standardize:
-        mu, sigma = _standardize_params(x_tr)
-        x_tr = apply_standardize(x_tr, mu, sigma)
-        x_te = apply_standardize(x_te, mu, sigma)
+        mu, sigma = _standardize_params(cur_tr)
+        cur_tr = apply_standardize(cur_tr, mu, sigma)
+        cur_te = apply_standardize(cur_te, mu, sigma)
         std_params = {"mu": mu.ravel().tolist(), "sigma": sigma.ravel().tolist()}
 
-    layers: list[HnfLayer] = []
-    t0 = time.perf_counter()
-    if cfg.elm_front:
-        front_w = make_raw_gaussian(cfg.n1, data.input_dim, cfg.seed + 1)
-        front = HnfLayer(front_w, expand=False, activation=cfg.elm_activation)
-        layers.append(front)
-        cur_tr = layer_forward(front, x_tr)
-        cur_te = layer_forward(front, x_te)
-        baseline_nodes = cfg.n1
-    else:
-        cur_tr, cur_te = x_tr, x_te
-        baseline_nodes = 0
+    if net.has_front:
+        cur_tr = layer_forward(net.layers[0], cur_tr)
+        cur_te = layer_forward(net.layers[0], cur_te)
+    baseline_nodes = cfg.n1 if net.has_front else 0
     baseline = least_squares(cur_tr, t_tr, layer_index=0)
     baseline_rec = LayerRecord(
         layer=0,
@@ -310,13 +282,9 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     certified = True
     nodes = baseline_nodes
 
-    for layer_no, n_l, m_l in plan:
+    for layer_no, layer in enumerate(net.layers[first:], first + 1):
         t0 = time.perf_counter()
-        w = _make_weight(cfg, n_l, m_l, layer_no)
-        layer = HnfLayer(w)
-        _check_budget(layer_no, 2 * n_l, cur_tr.shape[1] + cur_te.shape[1],
-                      cfg.memory_budget)
-
+        w = layer.weight
         if cfg.eps_schedule == "doubling" and records:
             eps = 2.0 * records[-1].epsilon
         else:
@@ -353,8 +321,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         certified = certified and solved.train_cost <= witness_cost + MONOTONE_SLACK
         certified = certified and final_norm2 <= eps * (1.0 + 1e-6)
 
-        nodes += 2 * n_l
-        layers.append(layer)
+        nodes += layer.out_dim
         maps.append(solved)
         records.append(LayerRecord(
             layer=layer_no,
@@ -373,7 +340,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         "standardize_params": std_params,
     }
     report = TrainReport(baseline_rec, records, certified, meta)
-    return HnfNetwork(tuple(layers)), maps, report
+    return net, maps, report
 
 
 @dataclass(frozen=True)

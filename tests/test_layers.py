@@ -13,7 +13,6 @@ from hnf.layers import (
     load_network,
     network_forward,
     network_invert,
-    pair_distance_report,
     relu,
     save_network,
     sigmoid,
@@ -252,45 +251,45 @@ class TestNetworkInvert:
         assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) <= 1e-6
 
 
+def pair_distances(net, x1, x2):
+    """Squared input distance and squared feature distance at every layer."""
+    return float(np.sum((x1 - x2) ** 2)), [
+        float(np.sum((a - b) ** 2))
+        for a, b in zip(network_forward(net, x1), network_forward(net, x2))]
+
+
 class TestPairDistanceReport:
     def test_equal_inputs(self):
         net = build_chain(4, 5, 2, seed=1)
         x = np.arange(4.0)
-        rep = pair_distance_report(net, x, x)
-        assert rep.input_dist2 == 0.0
-        assert all(d == 0.0 for d in rep.per_layer_dist2)
+        d2, per_layer = pair_distances(net, x, x)
+        assert d2 == 0.0
+        assert per_layer == [0.0, 0.0]
 
     def test_lower_bound_attained_with_opposite_signs(self):
         net = HnfNetwork((identity_layer(3),))
         z1 = np.array([1.0, -2.0, 0.5])
         z2 = -z1
-        rep = pair_distance_report(net, z1, z2)
-        assert rep.per_layer_dist2[0] == pytest.approx(
-            0.5 * rep.input_dist2, rel=1e-12)
+        d2, per_layer = pair_distances(net, z1, z2)
+        assert per_layer[0] == pytest.approx(0.5 * d2, rel=1e-12)
 
     def test_upper_bound_attained_with_matching_signs(self):
         net = HnfNetwork((identity_layer(3),))
         z1 = np.array([1.0, 2.0, 0.5])
         z2 = np.array([3.0, 0.25, 1.5])
-        rep = pair_distance_report(net, z1, z2)
-        assert rep.per_layer_dist2[0] == pytest.approx(
-            rep.input_dist2, rel=1e-12)
+        d2, per_layer = pair_distances(net, z1, z2)
+        assert per_layer[0] == pytest.approx(d2, rel=1e-12)
 
     def test_bounds_hold_at_every_layer(self, rng):
         net = build_chain(6, 6, 4, seed=5)
         for _ in range(25):
             x1 = rng.standard_normal(6)
             x2 = rng.standard_normal(6)
-            rep = pair_distance_report(net, x1, x2)
-            d2 = rep.input_dist2
-            for l, dl2 in enumerate(rep.per_layer_dist2, start=1):
+            d2, per_layer = pair_distances(net, x1, x2)
+            assert len(per_layer) == 4
+            for l, dl2 in enumerate(per_layer, start=1):
                 assert dl2 >= d2 / 2 ** l - 1e-9 * d2
                 assert dl2 <= d2 + 1e-9 * d2
-
-    def test_shape_mismatch(self):
-        net = build_chain(4, 5, 1, seed=0)
-        with pytest.raises(DimensionError):
-            pair_distance_report(net, np.zeros(4), np.zeros(5))
 
 
 class TestWeightPerturbation:

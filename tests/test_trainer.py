@@ -23,8 +23,8 @@ from hnf.trainer import (
     VERIFY_BLOCK,
     TrainConfig,
     accuracy,
+    build_network,
     evaluate,
-    plan_widths,
     train,
     verify_invariants,
 )
@@ -43,24 +43,45 @@ def monotone(costs, slack=1e-8):
 
 
 class TestPlanWidths:
+    @staticmethod
+    def shapes(net):
+        return [(l.weight.rows, l.weight.cols, l.expand) for l in net.layers]
+
     def test_default_rule_doubles(self):
         cfg = TrainConfig(n1=16, depth=3)
-        plan = plan_widths(8, cfg)
-        assert plan == [(1, 16, 8), (2, 32, 32), (3, 64, 64)]
+        assert self.shapes(build_network(8, cfg)) == [
+            (16, 8, True), (32, 32, True), (64, 64, True)]
 
     def test_elm_plan_starts_at_two(self):
         cfg = TrainConfig(n1=20, depth=3, elm_front=True)
-        plan = plan_widths(8, cfg)
-        assert plan == [(2, 20, 20), (3, 40, 40)]
+        assert self.shapes(build_network(8, cfg)) == [
+            (20, 8, False), (20, 20, True), (40, 40, True)]
 
-    def test_custom_width_rule(self):
-        cfg = TrainConfig(n1=16, depth=2, width_rule=lambda l, m: m + 3)
-        assert plan_widths(8, cfg) == [(1, 16, 8), (2, 35, 32)]
 
-    def test_width_rule_below_fan_in_rejected(self):
-        cfg = TrainConfig(n1=16, depth=2, width_rule=lambda l, m: m - 1)
-        with pytest.raises(ConfigError):
-            plan_widths(8, cfg)
+class TestBuildNetwork:
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(n1=16, depth=3, seed=4),
+        TrainConfig(n1=16, depth=3, weight_kind="dct"),
+        TrainConfig(n1=24, depth=3, seed=2, elm_front=True,
+                    elm_activation="sigmoid"),
+    ], ids=["random", "dct", "elm"])
+    def test_same_weights_as_trained_network(self, blobs, cfg):
+        built = build_network(blobs.input_dim, cfg)
+        trained, _, _ = train(blobs, cfg)
+        assert len(built.layers) == len(trained.layers) == cfg.depth
+        for a, b in zip(built.layers, trained.layers):
+            assert (a.expand, a.activation) == (b.expand, b.activation)
+            assert a.weight.kind is b.weight.kind
+            assert a.weight.seed == b.weight.seed
+            assert a.weight.entries.tobytes() == b.weight.entries.tobytes()
+
+    def test_n1_below_input_dim_rejected(self):
+        with pytest.raises(ConfigError, match="n1 >= input dim"):
+            build_network(8, TrainConfig(n1=4, depth=1))
+
+    def test_elm_front_may_be_narrower_than_input(self):
+        net = build_network(8, TrainConfig(n1=4, depth=2, elm_front=True))
+        assert [l.out_dim for l in net.layers] == [4, 8]
 
 
 class TestTrain:
@@ -142,6 +163,17 @@ class TestTrain:
         with pytest.raises(ResourceError, match="layer"):
             train(blobs, cfg)
 
+    def test_memory_budget_checked_before_any_solve(self, blobs,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr("hnf.trainer.least_squares",
+                            lambda *a, **k: calls.append(a))
+        # layers 1-3 need 128000, 256000 and 512000 bytes on 500 columns
+        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=300_000)
+        with pytest.raises(ResourceError, match="layer 3"):
+            train(blobs, cfg)
+        assert calls == []
+
     def test_standardize_recorded(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
         _, _, report = train(blobs, cfg)
@@ -186,15 +218,6 @@ class TestTrain:
                    for l in net.layers[1:])
         assert report.monotonicity_certified
         assert monotone([r.train_cost for r in report.rows()])
-
-    def test_custom_width_rule_through_training(self, blobs):
-        cfg = TrainConfig(n1=16, depth=2, seed=1,
-                          width_rule=lambda l, m: m + 4)
-        net, _, report = train(blobs, cfg)
-        assert report.monotonicity_certified
-        assert net.layers[1].weight.rows == 36
-        assert net.layers[1].weight.cols == 32
-        assert report.per_layer[1].nodes_cumulative == 2 * 16 + 2 * 36
 
 
 class TestEvaluate:
