@@ -121,22 +121,19 @@ def _load_data(spec: str, label_col, split_count: int | None,
         has_header = isinstance(label, str)
         ds = load_csv(path, label_column=label, delimiter=delimiter,
                       has_header=has_header)
-        if split_count:
-            ds = split_dataset(ds, split_count, split_seed)
-        return ds
-    if spec.startswith("idx:"):
+    elif spec.startswith("idx:"):
         parts = spec[len("idx:"):].split(",")
-        if len(parts) == 2:
-            ds = load_idx(parts[0], parts[1])
-            if split_count:
-                ds = split_dataset(ds, split_count, split_seed)
-            return ds
         if len(parts) == 4:
             return merge_train_test(load_idx(parts[0], parts[1]),
                                     load_idx(parts[2], parts[3]))
-        raise DataError("idx: needs IMAGES,LABELS or IMG,LBL,TEST_IMG,TEST_LBL")
-    raise DataError(f"unknown data source {spec!r}; "
-                    "use blobs, csv:PATH, or idx:IMG,LBL")
+        if len(parts) != 2:
+            raise DataError("idx: needs IMAGES,LABELS or "
+                            "IMG,LBL,TEST_IMG,TEST_LBL")
+        ds = load_idx(parts[0], parts[1])
+    else:
+        raise DataError(f"unknown data source {spec!r}; "
+                        "use blobs, csv:PATH, or idx:IMG,LBL")
+    return split_dataset(ds, split_count, split_seed) if split_count else ds
 
 
 def _add_common_data_args(p: argparse.ArgumentParser) -> None:
@@ -276,24 +273,33 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
 
 
 def _check_out_dir(out: Path) -> None:
-    """Refuse an existing ``--out`` unless it is empty or a previous run."""
-    if out.exists() and not (out.is_dir() and (
-            (out / "manifest.json").is_file() or not any(out.iterdir()))):
-        raise ConfigError(f"--out {out} exists and is neither empty nor a "
-                          "run directory (no manifest.json); not replacing it")
+    """Refuse an existing ``--out`` unless it is empty or a previous run:
+    its manifest.json is an object with ``artifacts`` and ``config``."""
+    if not out.exists() or (out.is_dir() and not any(out.iterdir())):
+        return
+    try:
+        with json_artifact(out / "manifest.json") as doc:
+            if isinstance(doc, dict) and {"artifacts", "config"} <= doc.keys():
+                return
+    except DataError:
+        pass
+    raise ConfigError(f"--out {out} exists and is neither empty nor a run "
+                      "directory (no hnf manifest.json); not replacing it")
 
 
 def _replace_dir(out: Path, write) -> None:
     """Run ``write(tmp)`` on a fresh sibling of ``out``, then swap it in for
     ``out``: a failed write leaves ``out`` as it was, and a retrain never
-    leaves files of the previous run behind."""
-    out = Path(os.path.abspath(out))
+    leaves files of the previous run behind. ``out`` is checked again just
+    before the swap; a symlinked ``out`` is replaced at its target."""
+    out = Path(os.path.realpath(out))
     out.parent.mkdir(parents=True, exist_ok=True)
     tag = f".{out.name}.{uuid.uuid4().hex}"
     tmp, old = out.with_name(tag + ".tmp"), out.with_name(tag + ".old")
     tmp.mkdir()
     try:
         write(tmp)
+        _check_out_dir(out)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -407,7 +413,7 @@ def cmd_verify(args) -> int:
     else:
         cfg = TrainConfig(n1=args.n1, depth=args.depth,
                           weight_kind=args.weights, seed=args.seed)
-        net = build_network(data.input_dim, cfg)
+        net = build_network(data.input_dim, cfg, data.n_samples)
 
     report = verify_invariants(net, data, args.trials, args.seed)
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")

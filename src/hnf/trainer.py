@@ -181,7 +181,17 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     ))
 
 
-def build_network(input_dim: int, cfg: TrainConfig) -> HnfNetwork:
+def _check_budget(layer: int, dim: int, n_cols: int, budget: int) -> None:
+    need = dim * n_cols * 8
+    if need > budget:
+        raise ResourceError(
+            f"layer {layer}: feature matrix needs {need} bytes "
+            f"({dim} x {n_cols} float64), over the {budget}-byte budget"
+        )
+
+
+def build_network(input_dim: int, cfg: TrainConfig,
+                  n_cols: int = 0) -> HnfNetwork:
     """The fixed network a run with ``cfg`` trains on ``input_dim`` inputs.
 
     Every weight is designed, never learned, so this is the one place that
@@ -189,7 +199,8 @@ def build_network(input_dim: int, cfg: TrainConfig) -> HnfNetwork:
     layer of width n1 (seed + 1). The first expanding layer has width n1
     and fan-in P (n1 behind the front); every later layer's width equals
     its fan-in, twice the previous width. Expanding layer l is random
-    orthonormal with seed + l, or DCT.
+    orthonormal with seed + l, or DCT, built only after its features on
+    ``n_cols`` columns pass the ``cfg.memory_budget`` check.
     """
     layers: list[HnfLayer] = []
     if cfg.elm_front:
@@ -206,6 +217,7 @@ def build_network(input_dim: int, cfg: TrainConfig) -> HnfNetwork:
         fan_in = input_dim
     width = cfg.n1
     for layer_no in range(len(layers) + 1, cfg.depth + 1):
+        _check_budget(layer_no, 2 * width, n_cols, cfg.memory_budget)
         if cfg.weight_kind == "dct":
             w = make_dct_orthonormal(width, fan_in)
         else:
@@ -226,15 +238,6 @@ def apply_standardize(x: np.ndarray, mu, sigma) -> np.ndarray:
     return (x - np.asarray(mu)) / np.asarray(sigma)
 
 
-def _check_budget(layer: int, dim: int, n_cols: int, budget: int) -> None:
-    need = dim * n_cols * 8
-    if need > budget:
-        raise ResourceError(
-            f"layer {layer}: feature matrix needs {need} bytes "
-            f"({dim} x {n_cols} float64), over the {budget}-byte budget"
-        )
-
-
 def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap], TrainReport]:
     """Run the full layer-wise pipeline on the dataset's train split.
 
@@ -246,11 +249,8 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     if data.meta["N_train"] < 1:
         raise ConfigError("dataset has an empty train split")
     t0 = time.perf_counter()
-    net = build_network(data.input_dim, cfg)
+    net = build_network(data.input_dim, cfg, data.n_samples)
     first = int(net.has_front)
-    for layer_no, layer in enumerate(net.layers[first:], first + 1):
-        _check_budget(layer_no, layer.out_dim, data.n_samples,
-                      cfg.memory_budget)
 
     cur_tr, t_tr = data.X_train, data.T_train
     cur_te, t_te = data.X_test, data.T_test

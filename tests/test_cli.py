@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shutil
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import hnf
+import hnf.trainer
 from hnf.cli import main
-from hnf.layers import load_network
+from hnf.layers import load_network, save_network
 from hnf.errors import DataError
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
 
@@ -135,6 +137,50 @@ class TestTrainCommand:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "mine"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["notes"]
+
+    @pytest.mark.parametrize("manifest", [
+        '{"name": "my-app", "version": "1.0"}', "not json", "[]"],
+        ids=["foreign", "malformed", "list"])
+    def test_foreign_manifest_dir_untouched(self, tmp_path, capsys,
+                                            manifest):
+        out = tmp_path / "app"
+        out.mkdir()
+        (out / "manifest.json").write_text(manifest)
+        (out / "index.html").write_text("mine")
+        code, _ = run_train(tmp_path, "--out", str(out))
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["index.html",
+                                                         "manifest.json"]
+        assert (out / "manifest.json").read_text() == manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["app"]
+
+    def test_out_rechecked_before_swap(self, tmp_path, capsys, monkeypatch):
+        _, out = run_train(tmp_path)
+        real_save = save_network
+
+        def save_then_foreign(net, run):
+            real_save(net, run)
+            (out / "manifest.json").write_text('{"name": "my-app"}')
+
+        monkeypatch.setattr("hnf.cli.save_network", save_then_foreign)
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "1",
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert "not replacing" in capsys.readouterr().err
+        assert (out / "manifest.json").read_text() == '{"name": "my-app"}'
+        assert (out / "maps" / "map03.bin").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def test_symlinked_out_replaces_target(self, tmp_path, capsys):
+        _, real = run_train(tmp_path)
+        link = tmp_path / "link"
+        link.symlink_to(real, target_is_directory=True)
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "1",
+                     "--seed", "1", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert not (real / "maps" / "map03.bin").exists()
+        assert (real / "maps" / "map01.bin").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "run"]
 
     def test_failed_write_keeps_previous_run(self, tmp_path, capsys,
                                              monkeypatch):
@@ -288,6 +334,23 @@ class TestVerifyCommand:
         monkeypatch.setattr("hnf.cli.train", no_training)
         assert main(argv) == 0
         assert capsys.readouterr().out == table
+
+    def test_fresh_network_over_budget_exits_5(self, capsys, monkeypatch):
+        built = []
+        real_make = hnf.trainer.make_random_orthonormal
+
+        def make(rows, cols, seed):
+            built.append(seed)
+            return real_make(rows, cols, seed)
+
+        monkeypatch.setattr("hnf.trainer.make_random_orthonormal", make)
+        # 600 blob columns: layer 2 needs 307200 bytes, layer 3 614400
+        monkeypatch.setattr("hnf.cli.TrainConfig", functools.partial(
+            hnf.trainer.TrainConfig, memory_budget=400_000))
+        assert main(["verify", "--data", "blobs", "--n1", "16", "--depth",
+                     "6", "--trials", "5"]) == 5
+        assert "layer 3" in capsys.readouterr().err
+        assert built == [1, 2]
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hnf.trainer
 from hnf.data import make_synthetic_blobs
 from hnf.errors import ConfigError, ParameterError, ResourceError, StateError
 from hnf.layers import HnfLayer, HnfNetwork, vn_expand
@@ -173,6 +174,29 @@ class TestTrain:
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["random", "dct"])
+    def test_memory_budget_checked_before_wider_weights(self, blobs,
+                                                        monkeypatch, kind):
+        built = []
+
+        def recording(name):
+            real = getattr(hnf.trainer, name)
+
+            def make(rows, cols, *args):
+                built.append(rows)
+                return real(rows, cols, *args)
+            return make
+
+        for name in ("make_random_orthonormal", "make_dct_orthonormal"):
+            monkeypatch.setattr(hnf.trainer, name, recording(name))
+        # layer 3 needs 512000 bytes on 500 columns; layers 3-6 have
+        # widths 64, 128, 256 and 512
+        cfg = TrainConfig(n1=16, depth=6, weight_kind=kind, seed=1,
+                          memory_budget=300_000)
+        with pytest.raises(ResourceError, match="layer 3"):
+            train(blobs, cfg)
+        assert built == [16, 32]
 
     def test_standardize_recorded(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
