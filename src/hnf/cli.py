@@ -38,14 +38,10 @@ from .errors import (
     ResourceError,
     StateError,
 )
-from .layers import (
-    DEFAULT_MEMORY_BUDGET,
-    json_artifact,
-    load_network,
-    save_network,
-)
+from .layers import json_artifact, load_network, save_network
 from .solvers import load_output_map, save_output_map
 from .trainer import (
+    DEFAULT_MEMORY_BUDGET,
     TrainConfig,
     build_network,
     evaluate,
@@ -101,26 +97,26 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _load_data(spec: str, label_col, split_count: int | None,
-               split_seed: int, blob_opts: dict,
-               delimiter: str = ",") -> Dataset:
+def _load_data(spec: str, opts: dict) -> Dataset:
+    """Load ``spec`` with the options a manifest records as
+    ``data_options``; an absent or None option takes its default."""
     if spec == "blobs":
-        opts = {**_BLOB_DEFAULTS, **blob_opts}
+        blob = {**_BLOB_DEFAULTS, **(opts.get("blobs") or {})}
         return make_synthetic_blobs(
-            int(opts["p"]), int(opts["q"]), int(opts["n"]),
-            float(opts["separation"]), int(opts.get("seed", 0)))
+            int(blob["p"]), int(blob["q"]), int(blob["n"]),
+            float(blob["separation"]), int(blob.get("seed", 0)))
     if spec.startswith("csv:"):
         path = spec[len("csv:"):]
         if not path:
             raise DataError("csv: needs a path")
-        label = label_col if label_col is not None else -1
+        label = -1 if opts.get("label_col") is None else opts["label_col"]
         try:
             label = int(label)
         except (TypeError, ValueError):
             pass
-        has_header = isinstance(label, str)
-        ds = load_csv(path, label_column=label, delimiter=delimiter,
-                      has_header=has_header)
+        ds = load_csv(path, label_column=label,
+                      delimiter=opts.get("delimiter") or ",",
+                      has_header=isinstance(label, str))
     elif spec.startswith("idx:"):
         parts = spec[len("idx:"):].split(",")
         if len(parts) == 4:
@@ -133,7 +129,29 @@ def _load_data(spec: str, label_col, split_count: int | None,
     else:
         raise DataError(f"unknown data source {spec!r}; "
                         "use blobs, csv:PATH, or idx:IMG,LBL")
-    return split_dataset(ds, split_count, split_seed) if split_count else ds
+    if opts.get("split") is None:
+        return ds
+    return split_dataset(ds, opts["split"], opts.get("split_seed") or 0)
+
+
+def _run_data(run_dir: str, manifest: dict, spec: str | None = None) -> Dataset:
+    """The dataset a run was trained on, from its manifest's
+    ``data_source`` (or ``spec``) and ``data_options``."""
+    spec = spec or manifest.get("data_source")
+    if not isinstance(spec, str):
+        raise DataError(f"{run_dir}: manifest.json names no data_source; "
+                        "pass --data")
+    return _load_data(spec, manifest.get("data_options", {}))
+
+
+def _memory_budget() -> int:
+    """``HNF_MEM_BUDGET`` in bytes; the default when it is unset or empty."""
+    raw = os.environ.get("HNF_MEM_BUDGET") or str(DEFAULT_MEMORY_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"HNF_MEM_BUDGET must be an integer byte count, "
+                          f"got {raw!r}") from None
 
 
 def _add_common_data_args(p: argparse.ArgumentParser) -> None:
@@ -246,21 +264,10 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set out=")
 
-    budget = DEFAULT_MEMORY_BUDGET
-    env_budget = os.environ.get("HNF_MEM_BUDGET")
-    if env_budget:
-        try:
-            budget = int(env_budget)
-        except ValueError:
-            raise ConfigError(
-                f"HNF_MEM_BUDGET must be an integer byte count, "
-                f"got {env_budget!r}"
-            ) from None
-
     cfg = TrainConfig(
         n1=n1, depth=depth, weight_kind=weight_kind, seed=seed,
-        elm_front=elm, elm_activation=elm_act,
-        eps_schedule=schedule, memory_budget=budget, standardize=standardize,
+        elm_front=elm, elm_activation=elm_act, eps_schedule=schedule,
+        memory_budget=_memory_budget(), standardize=standardize,
     )
     data_opts = {
         "label_col": pick(args.label_col, "label_col", str, None),
@@ -313,8 +320,7 @@ def cmd_train(args) -> int:
     cfg, data_spec, opts = _train_config_from(args)
     out = Path(opts["out"])
     _check_out_dir(out)
-    data = _load_data(data_spec, opts["label_col"], opts["split"],
-                      opts["split_seed"], opts["blobs"], opts["delimiter"])
+    data = _load_data(data_spec, opts)
     net, maps, report = train(data, cfg)
 
     manifest = {
@@ -369,14 +375,7 @@ def _load_run(run_dir: str):
 
 def cmd_eval(args) -> int:
     manifest, net, maps = _load_run(args.run)
-    spec = args.data or manifest.get("data_source")
-    if not isinstance(spec, str):
-        raise DataError(f"{args.run}: manifest.json names no data_source; "
-                        "pass --data")
-    dopts = manifest.get("data_options", {})
-    data = _load_data(spec, dopts.get("label_col"), dopts.get("split"),
-                      dopts.get("split_seed", 0), dopts.get("blobs", {}),
-                      dopts.get("delimiter", ","))
+    data = _run_data(args.run, manifest, args.data)
     std = manifest.get("standardize_params")
     transform = None
     if std:
@@ -404,15 +403,18 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    data_spec = args.data or "blobs"
-    data = _load_data(data_spec, args.label_col, args.split,
-                      args.split_seed or 0, _blob_opts(args, args.seed),
-                      args.delimiter or ",")
+    opts = {"label_col": args.label_col, "delimiter": args.delimiter,
+            "split": args.split, "split_seed": args.split_seed,
+            "blobs": _blob_opts(args, args.seed)}
     if args.run:
-        _, net, _ = _load_run(args.run)
+        manifest, net, _ = _load_run(args.run)
+        data = (_load_data(args.data, opts) if args.data
+                else _run_data(args.run, manifest))
     else:
+        data = _load_data(args.data or "blobs", opts)
         cfg = TrainConfig(n1=args.n1, depth=args.depth,
-                          weight_kind=args.weights, seed=args.seed)
+                          weight_kind=args.weights, seed=args.seed,
+                          memory_budget=_memory_budget())
         net = build_network(data.input_dim, cfg, data.n_samples)
 
     report = verify_invariants(net, data, args.trials, args.seed)

@@ -1,6 +1,10 @@
 """The fixed nonlinear machinery: ReLU, dimension-doubling expansion, the
 lossless collapse, forward maps, and the exact inverse map.
 
+:func:`iter_layer_features` is the one loop that applies a network to
+data; it holds one layer's features at a time. Memory is budgeted where
+the weights are built (``hnf.trainer.build_network``), not here.
+
 A layer computes ``vn_expand(W @ q)``: the input is projected by a fixed
 weight matrix and split into its positive part and negated negative part.
 The expansion concatenates ``relu(z)`` and ``relu(-z)``, so nothing is lost
@@ -26,7 +30,6 @@ from .errors import (
     NotInvertibleError,
     NumericalError,
     ParameterError,
-    ResourceError,
 )
 from .matrixgen import (
     WeightMatrix,
@@ -34,10 +37,6 @@ from .matrixgen import (
     save_weight,
     verify_full_column_rank,
 )
-
-#: Cap on the total bytes one network_forward call may retain (4 GiB); it
-#: bounds each block of trials that verify_invariants runs through it.
-DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 
 #: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
 PINV_RCOND = 1e-10
@@ -158,32 +157,6 @@ def layer_forward(layer: HnfLayer, q: np.ndarray) -> np.ndarray:
     if layer.expand:
         return vn_expand(z)
     return ACTIVATIONS[layer.activation](z)
-
-
-def network_forward(
-    net: HnfNetwork,
-    x: np.ndarray,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> list[np.ndarray]:
-    """Feature vectors of every layer, first to last.
-
-    Retains all intermediate features; raises :class:`ResourceError` naming
-    the offending layer if the retained total would exceed ``memory_budget``
-    (feature dimension doubles per expanding layer). Use
-    :func:`iter_layer_features` to visit layers one at a time instead.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    cols = 1 if x.ndim == 1 else x.shape[1]
-    total = 0
-    for i, layer in enumerate(net.layers):
-        total += layer.out_dim * cols * 8
-        if total > memory_budget:
-            raise ResourceError(
-                f"retaining features up to layer {i + 1} needs {total} bytes, "
-                f"over the {memory_budget}-byte budget; "
-                "use iter_layer_features for streaming access"
-            )
-    return list(iter_layer_features(net, x))
 
 
 def iter_layer_features(net: HnfNetwork, x: np.ndarray):

@@ -30,7 +30,7 @@ from .errors import DimensionError, FormatError, ParameterError
 MAGIC = b"HNFW"
 _HEADER = struct.Struct("<4sIIBQ")
 
-#: Default relative cutoff for the full-column-rank check.
+#: Relative cutoff (to sigma_max) for the full-column-rank check.
 RANK_RTOL = 1e-6
 
 
@@ -141,15 +141,13 @@ def make_raw_gaussian(n: int, m: int, seed: int) -> WeightMatrix:
                         WeightKind.RAW_GAUSSIAN, seed)
 
 
-def verify_full_column_rank(w: WeightMatrix, tol: float | None = None) -> bool:
-    """True iff the smallest of the m leading singular values exceeds ``tol``.
+def verify_full_column_rank(w: WeightMatrix) -> bool:
+    """True iff the smallest of the m leading singular values exceeds
+    ``RANK_RTOL * sigma_max``.
 
-    ``tol`` defaults to ``RANK_RTOL * sigma_max``. Total function: never
-    raises for any matrix content (non-finite entries count as not full
-    rank).
+    Total function: never raises for any matrix content (non-finite
+    entries count as not full rank).
     """
-    if tol is not None and tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
     if w.rows < w.cols:
         return False
     try:
@@ -158,9 +156,7 @@ def verify_full_column_rank(w: WeightMatrix, tol: float | None = None) -> bool:
         return False
     if not np.isfinite(s).all():
         return False
-    if tol is None:
-        tol = RANK_RTOL * float(s[0])
-    return bool(s[w.cols - 1] > tol)
+    return bool(s[w.cols - 1] > RANK_RTOL * float(s[0]))
 
 
 def save_weight(w: WeightMatrix, path) -> None:

@@ -96,8 +96,8 @@ def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     return m * math.sqrt(eps / nrm2)
 
 
-def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
-                  layer_index: int = 0) -> OutputMap:
+def least_squares(y: np.ndarray, t: np.ndarray,
+                  eps: float = math.inf) -> OutputMap:
     """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps, exactly.
 
     With ``G = Y Y^T = V diag(lam) V^T`` and ``C = T Y^T V``, the
@@ -134,7 +134,7 @@ def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
     o = project_frobenius_ball((c / (lam + mu)) @ v.T, eps)
     diag = {"method": "exact", "newton_steps": steps, "multiplier": mu}
     return OutputMap(np.ascontiguousarray(o), float(eps),
-                     sample_cost(t, o, y), layer_index, diag)
+                     sample_cost(t, o, y), solver=diag)
 
 
 def _pull_back(o_prev: OutputMap, w: WeightMatrix) -> np.ndarray:

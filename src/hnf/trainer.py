@@ -37,12 +37,10 @@ from .errors import (
 )
 from .layers import (
     ACTIVATIONS,
-    DEFAULT_MEMORY_BUDGET,
     HnfLayer,
     HnfNetwork,
     iter_layer_features,
     layer_forward,
-    network_forward,
     network_invert,
     weight_perturbation_check,
 )
@@ -65,8 +63,13 @@ EPS_SCHEDULES = ("exact", "doubling")
 #: Slack for the non-increasing cost assertion.
 MONOTONE_SLACK = 1e-8
 
-#: Trials verify_invariants runs together as matrix columns; keeps its
-#: memory at O(VERIFY_BLOCK x total feature width) for any trial count.
+#: Default cap on the bytes build_network may commit (4 GiB).
+DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
+
+#: Trials verify_invariants runs together as matrix columns. A block holds
+#: both sides' features of every layer, about 4 x 256 x 8 bytes per unit of
+#: the last feature width d; that exceeds the (d/2)^2 x 8 bytes of the last
+#: weight by at most 8.4 MB (at d = 2048), so it needs no budget of its own.
 VERIFY_BLOCK = 256
 
 
@@ -181,49 +184,52 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     ))
 
 
-def _check_budget(layer: int, dim: int, n_cols: int, budget: int) -> None:
-    need = dim * n_cols * 8
+def _check_budget(layer: int, weight_bytes: int, out_dim: int, n_cols: int,
+                  budget: int) -> None:
+    need = weight_bytes + out_dim * n_cols * 8
     if need > budget:
         raise ResourceError(
-            f"layer {layer}: feature matrix needs {need} bytes "
-            f"({dim} x {n_cols} float64), over the {budget}-byte budget"
+            f"layer {layer}: weights up to this layer ({weight_bytes} bytes) "
+            f"plus its {out_dim} x {n_cols} float64 features need {need} "
+            f"bytes, over the {budget}-byte budget"
         )
 
 
 def build_network(input_dim: int, cfg: TrainConfig,
-                  n_cols: int = 0) -> HnfNetwork:
+                  n_cols: int) -> HnfNetwork:
     """The fixed network a run with ``cfg`` trains on ``input_dim`` inputs.
 
     Every weight is designed, never learned, so this is the one place that
-    creates them. With an ELM front, layer 1 is a raw-Gaussian activation
-    layer of width n1 (seed + 1). The first expanding layer has width n1
-    and fan-in P (n1 behind the front); every later layer's width equals
-    its fan-in, twice the previous width. Expanding layer l is random
-    orthonormal with seed + l, or DCT, built only after its features on
-    ``n_cols`` columns pass the ``cfg.memory_budget`` check.
+    creates them and checks the memory budget. With an ELM front, layer 1
+    is a raw-Gaussian activation layer of width n1 (seed + 1). The first
+    expanding layer has width n1 and fan-in P (n1 behind the front); every
+    later layer's width equals its fan-in, twice the previous width.
+    Expanding layer l is random orthonormal with seed + l, or DCT. Before
+    a layer's weight is built, every weight so far (its own included) plus
+    its features on ``n_cols`` columns must fit ``cfg.memory_budget``.
     """
-    layers: list[HnfLayer] = []
-    if cfg.elm_front:
-        front = make_raw_gaussian(cfg.n1, input_dim, cfg.seed + 1)
-        layers.append(HnfLayer(front, expand=False,
-                               activation=cfg.elm_activation))
-        fan_in = cfg.n1
-    elif cfg.n1 < input_dim:
+    if not cfg.elm_front and cfg.n1 < input_dim:
         raise ConfigError(
             f"orthonormal first layer needs n1 >= input dim, "
             f"got n1={cfg.n1} < P={input_dim}"
         )
-    else:
-        fan_in = input_dim
-    width = cfg.n1
-    for layer_no in range(len(layers) + 1, cfg.depth + 1):
-        _check_budget(layer_no, 2 * width, n_cols, cfg.memory_budget)
-        if cfg.weight_kind == "dct":
+    layers: list[HnfLayer] = []
+    weight_bytes = 0
+    fan_in, width = input_dim, cfg.n1
+    for layer_no in range(1, cfg.depth + 1):
+        front = cfg.elm_front and layer_no == 1
+        weight_bytes += width * fan_in * 8
+        _check_budget(layer_no, weight_bytes, width if front else 2 * width,
+                      n_cols, cfg.memory_budget)
+        if front:
+            w = make_raw_gaussian(width, fan_in, cfg.seed + 1)
+        elif cfg.weight_kind == "dct":
             w = make_dct_orthonormal(width, fan_in)
         else:
             w = make_random_orthonormal(width, fan_in, cfg.seed + layer_no)
-        layers.append(HnfLayer(w))
-        fan_in = width = 2 * width
+        layers.append(HnfLayer(w, expand=not front, activation=(
+            cfg.elm_activation if front else "relu")))
+        fan_in = width = width if front else 2 * width
     return HnfNetwork(tuple(layers))
 
 
@@ -265,7 +271,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         cur_tr = layer_forward(net.layers[0], cur_tr)
         cur_te = layer_forward(net.layers[0], cur_te)
     baseline_nodes = cfg.n1 if net.has_front else 0
-    baseline = least_squares(cur_tr, t_tr, layer_index=0)
+    baseline = least_squares(cur_tr, t_tr)
     baseline_rec = LayerRecord(
         layer=0,
         nodes_cumulative=baseline_nodes,
@@ -299,7 +305,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         witness_cost = sample_cost(t_tr, witness, cur_tr)
 
         try:
-            solved = least_squares(cur_tr, t_tr, eps, layer_index=layer_no)
+            solved = least_squares(cur_tr, t_tr, eps)
         except HnfError:
             raise
         except Exception as exc:
@@ -469,8 +475,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
                 x2[t] = x1[t] + rng.standard_normal(x1.shape[1]) * (
                     0.1 * (np.linalg.norm(x1[t]) + 1.0))
         x1, x2 = x1.T, x2.T
-        f1 = [x1, *network_forward(sub, x1)]
-        f2 = [x2, *network_forward(sub, x2)]
+        f1 = [x1, *iter_layer_features(sub, x1)]
+        f2 = [x2, *iter_layer_features(sub, x2)]
 
         if orthonormal:
             d2 = np.sum((x1 - x2) ** 2, axis=0)

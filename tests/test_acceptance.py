@@ -23,7 +23,7 @@ from hnf.data import (
 )
 from hnf.layers import (
     HnfLayer,
-    network_forward,
+    iter_layer_features,
     network_invert,
     vn_expand,
     weight_perturbation_check,
@@ -97,7 +97,7 @@ def test_c02_norm_preservation():
     rng = np.random.Generator(np.random.PCG64(2))
     net = build_chain(8, 16, 4, seed=7)
     x = rng.standard_normal((8, 1000))
-    feats = network_forward(net, x)
+    feats = list(iter_layer_features(net, x))
     in2 = np.sum(x * x, axis=0)
     out2 = np.sum(feats[-1] ** 2, axis=0)
     rel = np.abs(out2 - in2) / in2
@@ -143,7 +143,7 @@ def test_c04_invertibility_round_trip():
     for kind in ("random", "dct"):
         net = build_chain(8, 16, 4, kind=kind, seed=11)
         x = rng.standard_normal((8, 1000))
-        ybar = network_forward(net, x)[-1]
+        ybar = list(iter_layer_features(net, x))[-1]
         x_rec = network_invert(net, ybar)
         rel = np.linalg.norm(x_rec - x, axis=0) / np.linalg.norm(x, axis=0)
         assert float(np.max(rel)) <= 1e-6, kind
@@ -191,7 +191,8 @@ def test_c05c_witness_dominance_at_production_setting():
             cfg = TrainConfig(n1=16, depth=4, weight_kind=kind, seed=seed)
             prev_map = least_squares(x, t)
             feats = x
-            for layer_no, layer in enumerate(build_network(8, cfg).layers, 1):
+            net = build_network(8, cfg, blobs.n_samples)
+            for layer_no, layer in enumerate(net.layers, 1):
                 w = layer.weight
                 eps = epsilon_budget(prev_map, w)
                 witness = embed_previous_map(prev_map, w)

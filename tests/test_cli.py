@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import shutil
@@ -9,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import hnf
+import hnf.cli
 import hnf.trainer
 from hnf.cli import main
+from hnf.data import make_synthetic_blobs
 from hnf.layers import load_network, save_network
 from hnf.errors import DataError
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
@@ -68,6 +69,14 @@ class TestTrainCommand:
         code = main(["train", "--data", "blobs", "--n1", "2",
                      "--depth", "1", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_split_zero_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "four.csv"
+        src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")
+        code = main(["train", "--data", f"csv:{src}", "--split", "0",
+                     "--n1", "2", "--depth", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "n_train" in capsys.readouterr().err
 
     def test_memory_budget_env_exits_5(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HNF_MEM_BUDGET", "10000")
@@ -344,13 +353,36 @@ class TestVerifyCommand:
             return real_make(rows, cols, seed)
 
         monkeypatch.setattr("hnf.trainer.make_random_orthonormal", make)
-        # 600 blob columns: layer 2 needs 307200 bytes, layer 3 614400
-        monkeypatch.setattr("hnf.cli.TrainConfig", functools.partial(
-            hnf.trainer.TrainConfig, memory_budget=400_000))
+        # 600 blob columns: layer 2 needs 316416 bytes, layer 3 656384
+        monkeypatch.setenv("HNF_MEM_BUDGET", "400000")
         assert main(["verify", "--data", "blobs", "--n1", "16", "--depth",
                      "6", "--trials", "5"]) == 5
         assert "layer 3" in capsys.readouterr().err
         assert built == [1, 2]
+
+    @pytest.mark.parametrize("budget,code,message", [
+        ("1000", 5, "layer 1"), ("abc", 2, "HNF_MEM_BUDGET")])
+    def test_fresh_network_reads_env_budget(self, monkeypatch, capsys,
+                                            budget, code, message):
+        monkeypatch.setenv("HNF_MEM_BUDGET", budget)
+        assert main(["verify", "--data", "blobs", "--trials", "5"]) == code
+        assert message in capsys.readouterr().err
+
+    def test_run_without_data_checks_its_own_data(self, tmp_path, capsys,
+                                                   monkeypatch):
+        _, out = run_train(tmp_path, "--blob-p", "5")
+        capsys.readouterr()
+        seen = []
+        real = hnf.cli.verify_invariants
+
+        def recording(net, data, *args):
+            seen.append(data)
+            return real(net, data, *args)
+
+        monkeypatch.setattr("hnf.cli.verify_invariants", recording)
+        assert main(["verify", "--run", str(out), "--trials", "5"]) == 0
+        expected = make_synthetic_blobs(5, 3, 600, 10.0, 1)
+        assert seen[0].X.tobytes() == expected.X.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hnf.errors import DimensionError, NotInvertibleError, ResourceError
+from hnf.errors import DimensionError, NotInvertibleError
 from hnf.layers import (
     HnfLayer,
     HnfNetwork,
     iter_layer_features,
     layer_forward,
     load_network,
-    network_forward,
     network_invert,
     relu,
     save_network,
@@ -165,38 +164,25 @@ class TestNetworkForward:
         layer = HnfLayer(make_random_orthonormal(5, 3, seed=0))
         net = HnfNetwork((layer,))
         x = rng.standard_normal(3)
-        feats = network_forward(net, x)
+        feats = list(iter_layer_features(net, x))
         assert len(feats) == 1
         assert np.array_equal(feats[0], layer_forward(layer, x))
 
     def test_norm_preserved_through_chain(self, rng):
         net = build_chain(4, 5, 3, seed=11)
         x = rng.standard_normal(4)
-        feats = network_forward(net, x)
+        feats = list(iter_layer_features(net, x))
         assert abs(np.sum(feats[-1] ** 2) / np.sum(x ** 2) - 1.0) <= 1e-9
 
     def test_zero_input_gives_zero_features(self):
         net = build_chain(4, 5, 3, seed=11)
-        for f in network_forward(net, np.zeros(4)):
+        for f in list(iter_layer_features(net, np.zeros(4))):
             assert np.count_nonzero(f) == 0
 
     def test_dimension_mismatch(self):
         net = build_chain(4, 5, 2, seed=0)
         with pytest.raises(DimensionError):
-            network_forward(net, np.zeros(5))
-
-    def test_memory_budget_names_layer(self, rng):
-        net = build_chain(4, 4, 3, seed=0)
-        x = rng.standard_normal((4, 100))
-        with pytest.raises(ResourceError, match="layer"):
-            network_forward(net, x, memory_budget=10_000)
-
-    def test_streaming_matches_collected(self, rng):
-        net = build_chain(4, 4, 3, seed=0)
-        x = rng.standard_normal((4, 10))
-        collected = network_forward(net, x)
-        for a, b in zip(iter_layer_features(net, x), collected):
-            assert np.array_equal(a, b)
+            list(iter_layer_features(net, np.zeros(5)))
 
     def test_chaining_validated(self):
         l1 = HnfLayer(make_random_orthonormal(4, 3, seed=0))
@@ -207,11 +193,11 @@ class TestNetworkForward:
     def test_batched_forward_repeatable_and_close_to_per_column(self, rng):
         net = build_chain(5, 6, 3, seed=9)
         x = rng.standard_normal((5, 17))
-        batched = network_forward(net, x)[-1]
-        again = network_forward(net, x)[-1]
+        batched = list(iter_layer_features(net, x))[-1]
+        again = list(iter_layer_features(net, x))[-1]
         assert np.array_equal(batched, again)
         for j in range(x.shape[1]):
-            single = network_forward(net, x[:, j])[-1]
+            single = list(iter_layer_features(net, x[:, j]))[-1]
             assert np.allclose(batched[:, j], single, rtol=1e-12, atol=1e-14)
 
 
@@ -219,7 +205,7 @@ class TestNetworkInvert:
     def test_round_trip(self, rng):
         net = build_chain(8, 8, 3, seed=21)
         x = rng.standard_normal(8)
-        ybar = network_forward(net, x)[-1]
+        ybar = list(iter_layer_features(net, x))[-1]
         x_rec = network_invert(net, ybar)
         assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) <= 1e-6
 
@@ -246,7 +232,7 @@ class TestNetworkInvert:
         w = make_raw_gaussian(6, 4, seed=3)
         net = HnfNetwork((HnfLayer(w),))
         x = rng.standard_normal(4)
-        ybar = network_forward(net, x)[-1]
+        ybar = list(iter_layer_features(net, x))[-1]
         x_rec = network_invert(net, ybar)
         assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) <= 1e-6
 
@@ -255,7 +241,8 @@ def pair_distances(net, x1, x2):
     """Squared input distance and squared feature distance at every layer."""
     return float(np.sum((x1 - x2) ** 2)), [
         float(np.sum((a - b) ** 2))
-        for a, b in zip(network_forward(net, x1), network_forward(net, x2))]
+        for a, b in zip(list(iter_layer_features(net, x1)),
+                        list(iter_layer_features(net, x2)))]
 
 
 class TestPairDistanceReport:
@@ -319,8 +306,8 @@ class TestWeightPerturbation:
                 perturbed.append(HnfLayer(WeightMatrix(
                     w.rows, w.cols, w.entries + dw, WeightKind.RAW_GAUSSIAN, 0)))
             pnet = HnfNetwork(tuple(perturbed))
-            out = network_forward(net, x)[-1]
-            out_p = network_forward(pnet, x)[-1]
+            out = list(iter_layer_features(net, x))[-1]
+            out_p = list(iter_layer_features(pnet, x))[-1]
             lhs = float(np.sum((out - out_p) ** 2))
             bound = float(np.prod([np.sum(dw ** 2) for dw in dws]) *
                           np.sum(x ** 2))
@@ -343,6 +330,6 @@ class TestManifest:
         assert back.depth == net.depth
         assert back.has_front
         x = rng.standard_normal((4, 5))
-        orig = network_forward(net, x)[-1]
-        again = network_forward(back, x)[-1]
+        orig = list(iter_layer_features(net, x))[-1]
+        again = list(iter_layer_features(back, x))[-1]
         assert np.array_equal(orig, again)

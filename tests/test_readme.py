@@ -1,0 +1,13 @@
+"""The README's Python API example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_python_api_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

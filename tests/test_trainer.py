@@ -50,12 +50,12 @@ class TestPlanWidths:
 
     def test_default_rule_doubles(self):
         cfg = TrainConfig(n1=16, depth=3)
-        assert self.shapes(build_network(8, cfg)) == [
+        assert self.shapes(build_network(8, cfg, 600)) == [
             (16, 8, True), (32, 32, True), (64, 64, True)]
 
     def test_elm_plan_starts_at_two(self):
         cfg = TrainConfig(n1=20, depth=3, elm_front=True)
-        assert self.shapes(build_network(8, cfg)) == [
+        assert self.shapes(build_network(8, cfg, 600)) == [
             (20, 8, False), (20, 20, True), (40, 40, True)]
 
 
@@ -67,7 +67,7 @@ class TestBuildNetwork:
                     elm_activation="sigmoid"),
     ], ids=["random", "dct", "elm"])
     def test_same_weights_as_trained_network(self, blobs, cfg):
-        built = build_network(blobs.input_dim, cfg)
+        built = build_network(blobs.input_dim, cfg, blobs.n_samples)
         trained, _, _ = train(blobs, cfg)
         assert len(built.layers) == len(trained.layers) == cfg.depth
         for a, b in zip(built.layers, trained.layers):
@@ -78,10 +78,11 @@ class TestBuildNetwork:
 
     def test_n1_below_input_dim_rejected(self):
         with pytest.raises(ConfigError, match="n1 >= input dim"):
-            build_network(8, TrainConfig(n1=4, depth=1))
+            build_network(8, TrainConfig(n1=4, depth=1), 600)
 
     def test_elm_front_may_be_narrower_than_input(self):
-        net = build_network(8, TrainConfig(n1=4, depth=2, elm_front=True))
+        net = build_network(8, TrainConfig(n1=4, depth=2, elm_front=True),
+                            600)
         assert [l.out_dim for l in net.layers] == [4, 8]
 
 
@@ -108,7 +109,7 @@ class TestTrain:
         baseline = least_squares(blobs.X_train, blobs.T_train)
         eps = epsilon_budget(baseline, w)
         feats = vn_expand(w.entries @ blobs.X_train)
-        direct = least_squares(feats, blobs.T_train, eps, layer_index=1)
+        direct = least_squares(feats, blobs.T_train, eps)
         expect = direct.matrix
         if direct.train_cost > maps[1].train_cost:
             pytest.fail("trainer should never beat the identical solve")
@@ -169,7 +170,7 @@ class TestTrain:
         calls = []
         monkeypatch.setattr("hnf.trainer.least_squares",
                             lambda *a, **k: calls.append(a))
-        # layers 1-3 need 128000, 256000 and 512000 bytes on 500 columns
+        # layers 1-3 need 129024, 265216 and 553984 bytes on 500 columns
         cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=300_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
@@ -190,13 +191,30 @@ class TestTrain:
 
         for name in ("make_random_orthonormal", "make_dct_orthonormal"):
             monkeypatch.setattr(hnf.trainer, name, recording(name))
-        # layer 3 needs 512000 bytes on 500 columns; layers 3-6 have
+        # layer 3 needs 553984 bytes on 500 columns; layers 3-6 have
         # widths 64, 128, 256 and 512
         cfg = TrainConfig(n1=16, depth=6, weight_kind=kind, seed=1,
                           memory_budget=300_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
         assert built == [16, 32]
+
+    def test_memory_budget_counts_weights(self, monkeypatch):
+        built = []
+        real = hnf.trainer.make_random_orthonormal
+
+        def make(rows, cols, seed):
+            built.append(rows)
+            return real(rows, cols, seed)
+
+        monkeypatch.setattr(hnf.trainer, "make_random_orthonormal", make)
+        small = make_synthetic_blobs(4, 2, 20, separation=6.0, seed=3)
+        # on 20 columns the features of layer 5 take 40960 bytes, but the
+        # weights of layers 1-5 take 174336 (widths 8 to 128)
+        cfg = TrainConfig(n1=8, depth=6, memory_budget=100_000)
+        with pytest.raises(ResourceError, match="layer 5"):
+            train(small, cfg)
+        assert built == [8, 16, 32, 64]
 
     def test_standardize_recorded(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
