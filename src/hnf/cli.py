@@ -1,4 +1,4 @@
-"""Batch command-line interface: train, eval, verify, curves.
+"""Batch command-line interface: train, eval, verify.
 
 Exit codes are stable: 0 success, 2 configuration problems, 3 data problems,
 4 solver or certification failures, 5 resource budget exceeded. Every train
@@ -222,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=200)
 
-    p_curves = sub.add_parser("curves", help="emit accuracy-vs-size curve CSV")
-    p_curves.add_argument("--run", required=True, help="artifact directory")
-    p_curves.add_argument("--out", default=None,
-                          help="output CSV path (default: stdout)")
-
     return parser
 
 
@@ -432,26 +427,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_curves(args) -> int:
-    lines = ["nodes_cumulative,train_acc,test_acc,layer"]
-    with json_artifact(Path(args.run) / "report.jsonl", jsonl=True) as rows:
-        for row in rows:
-            test = "" if row["test_acc"] is None else repr(row["test_acc"])
-            lines.append(f"{row['nodes_cumulative']},{row['train_acc']!r},"
-                         f"{test},{row['layer']}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "verify": cmd_verify,
-    "curves": cmd_curves,
 }
 
 

@@ -43,7 +43,7 @@ class SolverError(HnfError):
 
 
 class NotInvertibleError(SolverError):
-    """The network cannot be inverted (rank-deficient or lossy layer)."""
+    """The network has a non-expanding layer, so it cannot be inverted."""
 
 
 class NumericalError(SolverError):

@@ -31,12 +31,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .matrixgen import (
-    WeightMatrix,
-    load_weight,
-    save_weight,
-    verify_full_column_rank,
-)
+from .matrixgen import WeightMatrix, load_weight, save_weight
 
 #: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
 PINV_RCOND = 1e-10
@@ -185,18 +180,16 @@ def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
     """Reconstruct the network input from the last layer's features.
 
     Walks the chain backwards: collapse the expansion, then apply the weight
-    pseudo-inverse (the transpose, for orthonormal weights). Requires every
-    layer to expand and every weight to be full column rank.
+    pseudo-inverse (the transpose, for orthonormal weights). Raises
+    :class:`NotInvertibleError` when a layer does not expand. The weights
+    are not checked: a rank-deficient, wide or non-finite one gives a
+    reconstruction that misses the input, which a round trip measures.
     """
     for i, layer in enumerate(net.layers):
         if not layer.expand:
             raise NotInvertibleError(
                 f"layer {i + 1} is a non-expanding feature layer; "
                 "the collapse that inversion relies on does not exist"
-            )
-        if not verify_full_column_rank(layer.weight):
-            raise NotInvertibleError(
-                f"layer {i + 1} weight is rank deficient"
             )
     cur = np.asarray(ybar_last, dtype=np.float64)
     if cur.shape[0] != net.layers[-1].out_dim:
@@ -270,16 +263,13 @@ def save_network(net: HnfNetwork, out_dir) -> Path:
 
 
 @contextmanager
-def json_artifact(path, jsonl: bool = False):
-    """Parse a JSON artifact (with ``jsonl``, the list of its non-blank
-    lines' records) for a ``with`` block that reads its fields; an
+def json_artifact(path):
+    """Parse a JSON artifact for a ``with`` block that reads its fields; an
     unreadable file or one the block reads, malformed JSON, or a field the
     block finds missing, of the wrong type or out of range becomes a
     :class:`DataError` naming the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        yield ([json.loads(line) for line in text.splitlines() if line.strip()]
-               if jsonl else json.loads(text))
+        yield json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
     except (ValueError, KeyError, TypeError, ArithmeticError, ParameterError,

@@ -30,9 +30,6 @@ from .errors import DimensionError, FormatError, ParameterError
 MAGIC = b"HNFW"
 _HEADER = struct.Struct("<4sIIBQ")
 
-#: Relative cutoff (to sigma_max) for the full-column-rank check.
-RANK_RTOL = 1e-6
-
 
 class WeightKind(enum.IntEnum):
     """Weight matrix construction, encoded as u8 in the binary format."""
@@ -139,24 +136,6 @@ def make_raw_gaussian(n: int, m: int, seed: int) -> WeightMatrix:
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     return WeightMatrix(n, m, rng.standard_normal((n, m)),
                         WeightKind.RAW_GAUSSIAN, seed)
-
-
-def verify_full_column_rank(w: WeightMatrix) -> bool:
-    """True iff the smallest of the m leading singular values exceeds
-    ``RANK_RTOL * sigma_max``.
-
-    Total function: never raises for any matrix content (non-finite
-    entries count as not full rank).
-    """
-    if w.rows < w.cols:
-        return False
-    try:
-        s = np.linalg.svd(w.entries, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return False
-    if not np.isfinite(s).all():
-        return False
-    return bool(s[w.cols - 1] > RANK_RTOL * float(s[0]))
 
 
 def save_weight(w: WeightMatrix, path) -> None:

@@ -457,9 +457,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     worst = dict.fromkeys(CHECK_NAMES, math.inf)
 
     def record(name: str, margins: np.ndarray, floor: float = 0.0) -> None:
-        # not-greater-or-equal also counts NaN margins as violations
-        if margins.size:
-            worst[name] = min(worst[name], float(np.min(margins)))
+        # a NaN margin makes the worst margin NaN and, by not-greater-or-
+        # equal, counts as a violation
+        worst[name] = float(np.min(margins, initial=worst[name]))
         viol[name] += int(np.count_nonzero(~(margins >= floor)))
 
     for start in range(0, trials, VERIFY_BLOCK):

@@ -114,7 +114,8 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
     first, then one weight perturbation per trial of the block) but pushes
     each pair through the layers with :func:`layer_forward` and inverts it
     with :func:`network_invert` one column at a time. Returns, per check,
-    the violation count and the worst margin (nan when nothing was checked).
+    the violation count and the worst margin (nan when nothing was checked
+    or any margin was nan).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = list(net.layers)
@@ -131,7 +132,7 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
     worst = dict.fromkeys(names, math.inf)
 
     def note(name, margin, bad):
-        worst[name] = min(worst[name], margin)
+        worst[name] = float(np.minimum(worst[name], margin))
         viol[name] += bool(bad)
 
     n = x.shape[1]

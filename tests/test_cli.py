@@ -328,6 +328,30 @@ class TestVerifyCommand:
                      "--trials", "10"])
         assert code == 4
 
+    def test_non_finite_weight_fails_with_nan_margins(self, tmp_path, capsys):
+        """A NaN entry reaches every check: each counts its violations and
+        reports nan, not a finite margin, as its worst."""
+        out = tmp_path / "run"
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "2",
+                     "--out", str(out)]) == 0
+        from hnf.matrixgen import WeightMatrix, load_weight, save_weight
+
+        wpath = out / "weights" / "w01.hnfw"
+        w = load_weight(wpath)
+        entries = w.entries.copy()
+        entries[3, 2] = float("nan")
+        save_weight(WeightMatrix(w.rows, w.cols, entries, w.kind, w.seed),
+                    wpath)
+        capsys.readouterr()
+        assert main(["verify", "--run", str(out), "--trials", "300"]) == 4
+        rows = {line.split()[0]: line.split()[1:4] for line in
+                capsys.readouterr().out.splitlines()[1:]}
+        assert len(rows) == 5
+        assert rows["inversion_round_trip"][:2] == ["300", "300"]
+        for name, (_, violations, margin) in rows.items():
+            assert int(violations) > 0, name
+            assert margin == "nan", name
+
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
 
@@ -482,42 +506,6 @@ class TestCorruptArtifacts:
         assert "row 2, column 2" in capsys.readouterr().err
 
 
-class TestCurvesCommand:
-    def test_csv_matches_report(self, tmp_path, capsys):
-        _, out = run_train(tmp_path)
-        capsys.readouterr()
-        assert main(["curves", "--run", str(out)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "nodes_cumulative,train_acc,test_acc,layer"
-        assert len(lines) == 5
-        report_rows = [json.loads(l) for l in
-                       (out / "report.jsonl").read_text().splitlines()]
-        for line, rec in zip(lines[1:], report_rows):
-            nodes, train_acc, test_acc, layer = line.split(",")
-            assert int(nodes) == rec["nodes_cumulative"]
-            assert float(train_acc) == rec["train_acc"]
-            assert float(test_acc) == rec["test_acc"]
-            assert int(layer) == rec["layer"]
-
-    def test_written_to_file(self, tmp_path, capsys):
-        _, out = run_train(tmp_path)
-        capsys.readouterr()
-        target = tmp_path / "curves.csv"
-        assert main(["curves", "--run", str(out), "--out", str(target)]) == 0
-        assert target.read_text().startswith("nodes_cumulative")
-
-    def test_missing_report_exits_3(self, tmp_path):
-        assert main(["curves", "--run", str(tmp_path / "empty")]) == 3
-
-    @pytest.mark.parametrize("text", ['{"layer": 0\n', '{"layer": 0}\n'],
-                             ids=["malformed", "incomplete"])
-    def test_bad_report_exits_3(self, trained_run, tmp_path, capsys, text):
-        run = corrupt_copy(trained_run, tmp_path, "report.jsonl",
-                           lambda raw: text.encode())
-        assert main(["curves", "--run", str(run)]) == 3
-        assert "report.jsonl" in capsys.readouterr().err
-
-
 class TestArgumentHandling:
     def test_bad_flag_exits_2(self):
         assert main(["train", "--no-such-flag"]) == 2
@@ -527,6 +515,9 @@ class TestArgumentHandling:
     def test_removed_solver_flags_exit_2(self, tmp_path, flag):
         assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "1",
                      "--out", str(tmp_path / "x"), flag]) == 2
+
+    def test_retired_curves_command_exits_2(self, tmp_path):
+        assert main(["curves", "--run", str(tmp_path)]) == 2
 
     def test_missing_required_configuration_exits_2(self, tmp_path):
         assert main(["train", "--data", "blobs",

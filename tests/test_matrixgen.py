@@ -3,7 +3,6 @@ import pytest
 
 from hnf.errors import DimensionError, FormatError, ParameterError
 from hnf.matrixgen import (
-    WeightKind,
     WeightMatrix,
     dct_matrix,
     load_weight,
@@ -11,7 +10,6 @@ from hnf.matrixgen import (
     make_random_orthonormal,
     make_raw_gaussian,
     save_weight,
-    verify_full_column_rank,
 )
 
 from oracles import dct_ii_matrix_oracle
@@ -119,35 +117,6 @@ class TestRawGaussian:
         w = make_raw_gaussian(2, 9, seed=0)
         assert w.entries.shape == (2, 9)
         assert not w.orthonormal
-
-
-class TestFullColumnRank:
-    def test_orthonormal_true(self):
-        for n, m in [(3, 2), (8, 8), (20, 5)]:
-            w = make_random_orthonormal(n, m, seed=n)
-            assert verify_full_column_rank(w)
-
-    def test_duplicated_column_false(self):
-        base = make_random_orthonormal(5, 3, seed=0).entries.copy()
-        base[:, 2] = base[:, 1]
-        w = WeightMatrix(5, 3, base, WeightKind.RAW_GAUSSIAN, 0)
-        assert not verify_full_column_rank(w)
-
-    def test_small_off_diagonal_entry_still_full_rank(self):
-        entries = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1e-9]])
-        w = WeightMatrix(3, 2, entries, WeightKind.RAW_GAUSSIAN, 0)
-        sigma_min = np.linalg.svd(entries, compute_uv=False)[-1]
-        assert sigma_min >= 1.0
-        assert verify_full_column_rank(w)
-
-    def test_wide_matrix_never_full_column_rank(self):
-        w = make_raw_gaussian(2, 5, seed=1)
-        assert not verify_full_column_rank(w)
-
-    def test_total_on_non_finite_entries(self):
-        entries = np.array([[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]])
-        w = WeightMatrix(3, 2, entries, WeightKind.RAW_GAUSSIAN, 0)
-        assert verify_full_column_rank(w) is False
 
 
 class TestBinaryFormat:

@@ -350,7 +350,6 @@ class TestVerifyInvariants:
                 assert abs(chk.worst_margin - margin) <= 1e-12, chk.name
         if kind == "rank_deficient":
             assert rep.checks[3].violations == trials
-            assert rep.checks[3].note == "network is not invertible"
 
 
 class TestReportSerialization:
