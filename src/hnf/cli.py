@@ -63,10 +63,10 @@ _CONFIG_KEYS = ("data", "label_col", "delimiter", "split", "split_seed",
                 "eps_schedule", "standardize", "out")
 
 
-def _exit_code_for(exc: HnfError) -> int:
+def _exit_code_for(exc: HnfError | OSError) -> int:
     if isinstance(exc, (ConfigError, ParameterError, DimensionError, StateError)):
         return EXIT_CONFIG
-    if isinstance(exc, DataError):
+    if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
     if isinstance(exc, ResourceError):
         return EXIT_RESOURCE
@@ -134,16 +134,6 @@ def _load_data(spec: str, opts: dict) -> Dataset:
     return split_dataset(ds, opts["split"], opts.get("split_seed") or 0)
 
 
-def _run_data(run_dir: str, manifest: dict, spec: str | None = None) -> Dataset:
-    """The dataset a run was trained on, from its manifest's
-    ``data_source`` (or ``spec``) and ``data_options``."""
-    spec = spec or manifest.get("data_source")
-    if not isinstance(spec, str):
-        raise DataError(f"{run_dir}: manifest.json names no data_source; "
-                        "pass --data")
-    return _load_data(spec, manifest.get("data_options", {}))
-
-
 def _memory_budget() -> int:
     """``HNF_MEM_BUDGET`` in bytes; the default when it is unset or empty."""
     raw = os.environ.get("HNF_MEM_BUDGET") or str(DEFAULT_MEMORY_BUDGET)
@@ -170,12 +160,9 @@ def _add_common_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _blob_opts(args, seed: int) -> dict:
-    opts = {"seed": seed}
-    for key, val in (("p", args.blob_p), ("q", args.blob_q),
-                     ("n", args.blob_n), ("separation", args.blob_sep)):
-        if val is not None:
-            opts[key] = val
-    return opts
+    given = {"p": args.blob_p, "q": args.blob_q, "n": args.blob_n,
+             "separation": args.blob_sep}
+    return {"seed": seed, **{k: v for k, v in given.items() if v is not None}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,39 +344,61 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_run(run_dir: str):
+def _typed(doc, types: dict) -> dict:
+    """The non-null fields of ``doc`` if it is an object whose ``types``
+    fields are null or of that type (a bool is no number), else TypeError."""
+    if not isinstance(doc, dict) or any(
+            isinstance(doc.get(k), bool)
+            or not isinstance(doc.get(k), (kind, type(None)))
+            for k, kind in types.items()):
+        raise TypeError(f"expected an object with fields {types}, got {doc!r}")
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
+    """A run's data, standardization transform, network and maps. The data
+    is ``spec`` loaded with ``opts``, each defaulting to the manifest's;
+    a manifest field of the wrong type, length or range is a DataError
+    naming manifest.json."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
-        artifacts = manifest["artifacts"]
-        network_path = run / artifacts["network"]
-        map_paths = [run / rel for rel in artifacts["maps"]]
-    net = load_network(network_path)
-    maps = [load_output_map(path) for path in map_paths]
-    return manifest, net, maps
+        net = load_network(run / manifest["artifacts"]["network"])
+        maps = [load_output_map(run / rel) for rel in manifest["artifacts"]["maps"]]
+        std, transform = manifest.get("standardize_params"), None
+        if std is not None:  # mu and sigma as (P, 1) columns
+            transform = np.array([std["mu"], std["sigma"]], dtype=np.float64
+                                 ).reshape(2, net.layers[0].in_dim, 1)
+            if not (np.isfinite(transform).all() and (transform[1] > 0).all()):
+                raise ValueError("standardize_params must be finite, sigma > 0")
+        spec = spec or manifest.get("data_source")
+        if opts is None:  # the types train writes; null takes the default
+            opts = _typed(manifest.get("data_options") or {}, {
+                "label_col": (str, int), "delimiter": str, "split": int,
+                "split_seed": int, "blobs": dict})
+            opts["blobs"] = _typed(opts.get("blobs", {}), {
+                "p": int, "q": int, "n": int, "separation": (int, float),
+                "seed": int})
+    if not isinstance(spec, str):
+        raise DataError(f"{run_dir}: manifest.json names no data_source; "
+                        "pass --data")
+    return _load_data(spec, opts), transform, net, maps
 
 
 def cmd_eval(args) -> int:
-    manifest, net, maps = _load_run(args.run)
-    data = _run_data(args.run, manifest, args.data)
-    std = manifest.get("standardize_params")
-    transform = None
-    if std:
-        transform = (np.asarray(std["mu"])[:, None],
-                     np.asarray(std["sigma"])[:, None])
-
-    layer_ids = sorted(m.layer_index for m in maps)
+    data, transform, net, maps = _load_run(args.run, args.data)
     if args.layer is not None:
-        if args.layer not in layer_ids:
-            raise StateError(
-                f"no map for layer {args.layer}; available: {layer_ids}"
-            )
-        layer_ids = [args.layer]
+        layer_ids = sorted(m.layer_index for m in maps)
+        maps = [m for m in maps if m.layer_index == args.layer]
+        if not maps:
+            raise StateError(f"no map for layer {args.layer}; "
+                             f"available: {layer_ids}")
 
+    train_scores = evaluate(net, maps, data, "train", transform)
+    test_scores = evaluate(net, maps, data, "test", transform)
     print(f"{'layer':>5} {'train_cost':>20} {'train_acc':>12} "
           f"{'test_cost':>20} {'test_acc':>12}")
-    for lid in layer_ids:
-        tr = evaluate(net, maps, data, lid, "train", transform)
-        te = evaluate(net, maps, data, lid, "test", transform)
+    for lid, tr in sorted(train_scores.items()):
+        te = test_scores[lid]
         print(f"{lid:>5} {tr.cost:>20.12e} {tr.accuracy:>12.10f} "
               f"{te.cost:>20.12e} {te.accuracy:>12.10f}")
     return EXIT_OK
@@ -402,9 +411,8 @@ def cmd_verify(args) -> int:
             "split": args.split, "split_seed": args.split_seed,
             "blobs": _blob_opts(args, args.seed)}
     if args.run:
-        manifest, net, _ = _load_run(args.run)
-        data = (_load_data(args.data, opts) if args.data
-                else _run_data(args.run, manifest))
+        data, _, net, _ = _load_run(args.run, args.data,
+                                    opts if args.data else None)
     else:
         data = _load_data(args.data or "blobs", opts)
         cfg = TrainConfig(n1=args.n1, depth=args.depth,
@@ -442,12 +450,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except HnfError as exc:
+    except (HnfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

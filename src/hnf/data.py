@@ -190,14 +190,9 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
         features.append(feat)
         raw_labels.append(row[label_at])
 
-    label_names: list[str] = []
-    index_of: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lab in enumerate(raw_labels):
-        if lab not in index_of:
-            index_of[lab] = len(label_names)
-            label_names.append(lab)
-        labels[i] = index_of[lab]
+    label_names = list(dict.fromkeys(raw_labels))  # first-appearance order
+    index_of = {lab: i for i, lab in enumerate(label_names)}
+    labels = np.array([index_of[lab] for lab in raw_labels], dtype=np.int64)
 
     x = np.array(features, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(x))

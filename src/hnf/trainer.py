@@ -10,23 +10,24 @@ the cost guarantee constructive: the solver result is kept only if it
 beats the witness, otherwise the witness itself becomes the layer's map.
 Either way the per-layer training cost cannot increase.
 
-Test metrics are recorded per layer for reporting but never influence the
-budgets or stopping: there is no cross-validation anywhere.
+The loop never touches the test split: :func:`evaluate` scores every map
+on it once, after the last layer, for the report only. Nothing about the
+budgets or stopping looks at it; there is no cross-validation anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import Dataset
 from .errors import (
     ConfigError,
+    DimensionError,
     HnfError,
     NotInvertibleError,
     NumericalError,
@@ -233,24 +234,15 @@ def build_network(input_dim: int, cfg: TrainConfig,
     return HnfNetwork(tuple(layers))
 
 
-def _standardize_params(x_train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = x_train.mean(axis=1, keepdims=True)
-    sigma = x_train.std(axis=1, keepdims=True)
-    sigma[sigma == 0] = 1.0
-    return mu, sigma
-
-
-def apply_standardize(x: np.ndarray, mu, sigma) -> np.ndarray:
-    return (x - np.asarray(mu)) / np.asarray(sigma)
-
-
 def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap], TrainReport]:
     """Run the full layer-wise pipeline on the dataset's train split.
 
     Returns the fixed network, the per-layer maps (baseline first), and the
     report. ``report.monotonicity_certified`` is True iff every layer's
     witness was feasible and reproduced the previous layer's cost, and
-    every returned map is feasible with cost at most the witness's.
+    every returned map is feasible with cost at most the witness's. The
+    loop walks the train split only; after the last layer one
+    :func:`evaluate` walk of the test split fills every row's ``test_acc``.
     """
     if data.meta["N_train"] < 1:
         raise ConfigError("dataset has an empty train split")
@@ -259,17 +251,17 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     first = int(net.has_front)
 
     cur_tr, t_tr = data.X_train, data.T_train
-    cur_te, t_te = data.X_test, data.T_test
-    std_params = None
+    transform = std_params = None
     if cfg.standardize:
-        mu, sigma = _standardize_params(cur_tr)
-        cur_tr = apply_standardize(cur_tr, mu, sigma)
-        cur_te = apply_standardize(cur_te, mu, sigma)
+        mu = cur_tr.mean(axis=1, keepdims=True)
+        sigma = cur_tr.std(axis=1, keepdims=True)
+        sigma[sigma == 0] = 1.0
+        transform = mu, sigma
+        cur_tr = (cur_tr - mu) / sigma
         std_params = {"mu": mu.ravel().tolist(), "sigma": sigma.ravel().tolist()}
 
     if net.has_front:
         cur_tr = layer_forward(net.layers[0], cur_tr)
-        cur_te = layer_forward(net.layers[0], cur_te)
     baseline_nodes = cfg.n1 if net.has_front else 0
     baseline = least_squares(cur_tr, t_tr)
     baseline_rec = LayerRecord(
@@ -278,7 +270,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         epsilon=math.inf,
         train_cost=baseline.train_cost,
         train_acc=accuracy(baseline.matrix @ cur_tr, t_tr),
-        test_acc=accuracy(baseline.matrix @ cur_te, t_te),
+        test_acc=math.nan,
         newton_steps=0,
         wall_ms=int((time.perf_counter() - t0) * 1000),
     )
@@ -301,7 +293,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         witness_feasible = witness_norm2 <= eps * (1.0 + 1e-9)
 
         cur_tr = layer_forward(layer, cur_tr)
-        cur_te = layer_forward(layer, cur_te)
         witness_cost = sample_cost(t_tr, witness, cur_tr)
 
         try:
@@ -335,11 +326,15 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
             epsilon=eps,
             train_cost=solved.train_cost,
             train_acc=accuracy(solved.matrix @ cur_tr, t_tr),
-            test_acc=accuracy(solved.matrix @ cur_te, t_te),
+            test_acc=math.nan,
             newton_steps=diag["newton_steps"],
             wall_ms=int((time.perf_counter() - t0) * 1000),
         ))
 
+    del cur_tr  # the test walk need not hold the last train features
+    test = evaluate(net, maps, data, "test", transform)
+    baseline_rec, *records = (replace(r, test_acc=test[r.layer].accuracy)
+                              for r in (baseline_rec, *records))
     meta = {
         "dataset": dict(data.meta),
         "config": cfg.echo(),
@@ -356,19 +351,25 @@ class Evaluation:
 
 
 def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
-             layer: int, split: str = "test",
-             transform: tuple | None = None) -> Evaluation:
-    """Cost and accuracy of the map at ``layer`` on the chosen split.
+             split: str = "test",
+             transform: tuple | None = None) -> dict[int, Evaluation]:
+    """Cost and accuracy of every map on the chosen split, keyed by layer.
 
-    ``layer`` 0 is the baseline (raw inputs, or the ELM features when the
-    network has a front layer). ``transform`` is the (mu, sigma) pair used
-    at training time, if standardization was on.
+    One walk of the split through the network scores them all, stopping
+    at the deepest map. The baseline (layer 0) is scored on the raw inputs,
+    or on the ELM features when the network has a front layer; the map of
+    layer ``L`` on layer ``L``'s features. ``transform`` is the (mu, sigma)
+    pair used at training time, if standardization was on. A map that
+    names no layer of the network raises :class:`StateError`, and data of
+    another input width :class:`DimensionError`.
     """
-    by_index = {m.layer_index: m for m in maps if m.layer_index <= net.depth}
-    if layer not in by_index:
-        raise StateError(
-            f"no map for layer {layer}; available: {sorted(by_index)}"
-        )
+    item = {m.layer_index: m.layer_index or int(net.has_front) for m in maps}
+    if not all(0 <= k <= net.depth for k in item):
+        raise StateError(f"maps for layers {sorted(item)}, but the network "
+                         f"has layers 0..{net.depth}")
+    if data.input_dim != net.layers[0].in_dim:
+        raise DimensionError(f"data has {data.input_dim} features, but the "
+                             f"network takes {net.layers[0].in_dim}")
     if split == "train":
         x, t = data.X_train, data.T_train
     elif split == "test":
@@ -376,16 +377,19 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     else:
         raise ParameterError(f"split must be 'train' or 'test', got {split!r}")
     if x.shape[1] == 0:
-        return Evaluation(math.nan, math.nan)
+        return {m.layer_index: Evaluation(math.nan, math.nan) for m in maps}
     if transform is not None:
-        x = apply_standardize(x, *transform)
+        x = (x - transform[0]) / transform[1]
 
-    k = layer if layer > 0 else int(net.has_front)
-    feats = x if k == 0 else next(
-        itertools.islice(iter_layer_features(net, x), k - 1, None))
-    om = by_index[layer]
-    return Evaluation(sample_cost(t, om.matrix, feats),
-                      accuracy(om.matrix @ feats, t))
+    walk = iter_layer_features(net, x)
+    scores = {}
+    for k in range(max(item.values(), default=0) + 1):
+        feats = next(walk) if k else x
+        for m in maps:
+            if item[m.layer_index] == k:
+                scores[m.layer_index] = Evaluation(
+                    sample_cost(t, m.matrix, feats), accuracy(m.matrix @ feats, t))
+    return scores
 
 
 @dataclass(frozen=True)
@@ -440,14 +444,10 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    if net.has_front:
-        sub = HnfNetwork(net.layers[1:])
-        base = layer_forward(net.layers[0], data.X)
-        front_note = "checks run behind the non-expanding front layer"
-    else:
-        sub = net
-        base = data.X
-        front_note = ""
+    sub = HnfNetwork(net.layers[int(net.has_front):])
+    base = layer_forward(net.layers[0], data.X) if net.has_front else data.X
+    front_note = ("checks run behind the non-expanding front layer"
+                  if net.has_front else "")
     n = base.shape[1]
     orthonormal = all(l.weight.orthonormal for l in sub.layers)
     invertible = True
@@ -519,10 +519,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
                                    "skipped: non-orthonormal weights"))
     if not invertible:
         notes["inversion_round_trip"] = "network is not invertible"
-    checks = [
+    return InvariantReport(trials, [
         CheckResult(name, trials, viol[name],
                     math.nan if math.isinf(worst[name]) else worst[name],
                     notes[name])
-        for name in CHECK_NAMES
-    ]
-    return InvariantReport(trials, checks)
+        for name in CHECK_NAMES])

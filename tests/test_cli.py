@@ -9,6 +9,7 @@ import pytest
 
 import hnf
 import hnf.cli
+import hnf.layers
 import hnf.trainer
 from hnf.cli import main
 from hnf.data import make_synthetic_blobs
@@ -256,6 +257,17 @@ class TestEvalCommand:
     def test_missing_manifest_exits_3(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "nope")]) == 3
 
+    def test_walks_each_split_once(self, trained_run, capsys, monkeypatch):
+        calls = []
+        real = hnf.layers.layer_forward
+        monkeypatch.setattr("hnf.layers.layer_forward",
+                            lambda *a: calls.append(1) or real(*a))
+        assert main(["eval", "--run", str(trained_run)]) == 0
+        assert len(calls) == 6  # depth 3, once per split
+        calls.clear()
+        assert main(["eval", "--run", str(trained_run), "--layer", "1"]) == 0
+        assert len(calls) == 2
+
     def test_unknown_layer_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
         capsys.readouterr()
@@ -416,6 +428,21 @@ def trained_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def manifest_runs(trained_run, tmp_path_factory):
+    """Runs whose manifests the corruption tests edit: plain blobs,
+    standardized blobs, and a csv: source with --split."""
+    base = tmp_path_factory.mktemp("manifest_runs")
+    src = base / "data.csv"
+    src.write_text("".join(f"{i % 5},{i * 7 % 11},{'AB'[i % 2]}\n"
+                           for i in range(12)))
+    code, std = run_train(base / "std", "--standardize")
+    assert code == 0
+    assert main(["train", "--data", f"csv:{src}", "--split", "8", "--n1", "4",
+                 "--depth", "2", "--out", str(base / "csv")]) == 0
+    return {"blobs": trained_run, "std": std, "csv": base / "csv"}
+
+
 def corrupt_copy(trained_run, tmp_path, rel, edit):
     """A copy of the trained run with ``edit`` applied to the bytes of ``rel``."""
     run = tmp_path / "copy"
@@ -479,6 +506,48 @@ class TestCorruptArtifacts:
                      "--trials", "5"]) == 3
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("run, edit", [
+        ("std", lambda d: d.update(standardize_params="abc")),
+        ("std", lambda d: d["standardize_params"]["mu"].__setitem__(0, "x")),
+        ("std", lambda d: d["standardize_params"].pop("sigma")),
+        ("std", lambda d: d["standardize_params"].update(mu=[0.0])),
+        ("std", lambda d: d["standardize_params"]["sigma"].__setitem__(0, 0.0)),
+        ("blobs", lambda d: d.update(data_options=[1])),
+        ("blobs", lambda d: d["data_options"]["blobs"].update(p="abc")),
+        ("blobs", lambda d: d["data_options"].update(blobs=[1])),
+        ("csv", lambda d: d["data_options"].update(split="abc")),
+        ("csv", lambda d: d["data_options"].update(split=20.5)),
+        ("csv", lambda d: d["data_options"].update(label_col=[1])),
+    ], ids=["std-not-object", "mu-not-number", "sigma-missing", "mu-short",
+            "sigma-zero", "options-list", "blob-p-text", "blobs-list",
+            "split-text", "split-fraction", "label-col-list"])
+    def test_bad_manifest_field_exits_3(self, manifest_runs, tmp_path, capsys,
+                                        run, edit):
+        def rewrite(raw):
+            doc = json.loads(raw)
+            edit(doc)
+            return json.dumps(doc).encode()
+
+        copy = corrupt_copy(manifest_runs[run], tmp_path, "manifest.json",
+                            rewrite)
+        assert main(["eval", "--run", str(copy)]) == 3
+        assert main(["verify", "--run", str(copy), "--trials", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("run", ["blobs", "std"])
+    def test_data_of_another_width_exits_2(self, manifest_runs, tmp_path,
+                                           capsys, run):
+        def rewrite(raw):
+            doc = json.loads(raw)
+            doc["data_options"]["blobs"]["p"] = 5
+            return json.dumps(doc).encode()
+
+        copy = corrupt_copy(manifest_runs[run], tmp_path, "manifest.json",
+                            rewrite)
+        assert main(["eval", "--run", str(copy)]) == 2
+        assert "5 features" in capsys.readouterr().err
 
     def test_missing_map_bin_is_data_error(self, trained_run, tmp_path):
         run = tmp_path / "copy"

@@ -1,5 +1,5 @@
-"""The README's Python API example runs as written, and every ``hnf``
-command it shows is one the CLI accepts."""
+"""The README's Python API example runs as written, every ``hnf`` command
+it shows is one the CLI accepts, and it lists the report's columns."""
 
 import re
 import shlex
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hnf.cli import build_parser
+from hnf.trainer import _CSV_FIELDS
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -28,3 +29,10 @@ def test_shell_commands_parse():
             build_parser().parse_args(shlex.split(line))
         except SystemExit:
             pytest.fail(f"README command does not parse: hnf {line}")
+
+
+def test_report_columns_match_the_code():
+    bullet = re.search(r"^\* `report\.jsonl` / `report\.csv`: one record per "
+                       r"row: (.*?)\.\s", README.read_text(), re.M | re.S)
+    assert bullet, "README has no report.jsonl / report.csv bullet"
+    assert re.findall(r"`(\w+)`", bullet.group(1)) == list(_CSV_FIELDS)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hnf.layers
 import hnf.trainer
 from hnf.data import make_synthetic_blobs
 from hnf.errors import ConfigError, ParameterError, ResourceError, StateError
@@ -267,7 +268,7 @@ class TestEvaluate:
         ds = make_synthetic_blobs(4, 2, 10, separation=50.0, seed=0)
         cfg = TrainConfig(n1=4, depth=1, seed=0)
         net, maps, _ = train(ds, cfg)
-        ev = evaluate(net, maps, ds, layer=1, split="train")
+        ev = evaluate(net, maps, ds, split="train")[1]
         assert ev.accuracy == 1.0
 
     def test_zero_map_accuracy_is_class_zero_frequency(self, blobs):
@@ -276,29 +277,54 @@ class TestEvaluate:
         zero = OutputMap(np.zeros_like(maps[1].matrix), 1.0, 0.0, 1)
         labels = np.argmax(blobs.T_test, axis=0)
         freq0 = float(np.mean(labels == 0))
-        ev = evaluate(net, [maps[0], zero], blobs, layer=1)
+        ev = evaluate(net, [maps[0], zero], blobs)[1]
         assert ev.accuracy == pytest.approx(freq0)
 
     def test_train_split_cost_matches_solver(self, blobs):
         cfg = TrainConfig(n1=16, depth=2, seed=1)
         net, maps, report = train(blobs, cfg)
+        scores = evaluate(net, maps, blobs, split="train")
         for layer, rec in enumerate(report.per_layer, start=1):
-            ev = evaluate(net, maps, blobs, layer=layer, split="train")
-            assert ev.cost == pytest.approx(rec.train_cost, rel=1e-9)
-        ev0 = evaluate(net, maps, blobs, layer=0, split="train")
-        assert ev0.cost == pytest.approx(report.baseline.train_cost, rel=1e-9)
+            assert scores[layer].cost == pytest.approx(rec.train_cost, rel=1e-9)
+        assert scores[0].cost == pytest.approx(report.baseline.train_cost,
+                                               rel=1e-9)
 
     def test_missing_layer_is_state_error(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1)
         net, maps, _ = train(blobs, cfg)
+        beyond = OutputMap(maps[1].matrix, 1.0, 0.0, net.depth + 1)
         with pytest.raises(StateError):
-            evaluate(net, maps, blobs, layer=99)
+            evaluate(net, [*maps, beyond], blobs)
 
     def test_elm_baseline_uses_front_features(self, blobs):
         cfg = TrainConfig(n1=32, depth=2, elm_front=True, seed=4)
         net, maps, report = train(blobs, cfg)
-        ev = evaluate(net, maps, blobs, layer=0, split="train")
+        ev = evaluate(net, maps, blobs, split="train")[0]
         assert ev.cost == pytest.approx(report.baseline.train_cost, rel=1e-9)
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(n1=16, depth=3, seed=1),
+        TrainConfig(n1=16, depth=3, seed=2, standardize=True),
+        TrainConfig(n1=24, depth=3, seed=3, elm_front=True, weight_kind="dct"),
+    ], ids=["plain", "standardize", "elm-dct"])
+    def test_report_test_acc_is_evaluates(self, blobs, cfg):
+        net, maps, report = train(blobs, cfg)
+        std = report.meta["standardize_params"]
+        transform = std and (np.array(std["mu"])[:, None],
+                             np.array(std["sigma"])[:, None])
+        scores = evaluate(net, maps, blobs, "test", transform)
+        assert sorted(scores) == [r.layer for r in report.rows()]
+        for rec in report.rows():
+            assert rec.test_acc == scores[rec.layer].accuracy
+
+    def test_walk_stops_at_the_deepest_map(self, blobs, monkeypatch):
+        net, maps, _ = train(blobs, TrainConfig(n1=16, depth=3, seed=1))
+        calls = []
+        real = hnf.layers.layer_forward
+        monkeypatch.setattr("hnf.layers.layer_forward",
+                            lambda *a: calls.append(1) or real(*a))
+        assert list(evaluate(net, maps[:3], blobs)) == [0, 1, 2]
+        assert len(calls) == 2
 
 
 class TestVerifyInvariants:
