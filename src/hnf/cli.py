@@ -45,6 +45,7 @@ from .trainer import (
     TrainConfig,
     build_network,
     evaluate,
+    map_widths,
     train,
     verify_invariants,
 )
@@ -357,13 +358,16 @@ def _typed(doc, types: dict) -> dict:
 
 def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
     """A run's data, standardization transform, network and maps. The data
-    is ``spec`` loaded with ``opts``, each defaulting to the manifest's;
-    a manifest field of the wrong type, length or range is a DataError
-    naming manifest.json."""
+    is ``spec`` loaded with ``opts``, each defaulting to the manifest's.
+    A manifest field of the wrong type, length or range, or manifest
+    ``data_options`` the data cannot take, is a DataError naming
+    manifest.json; a map whose column count does not fit its layer is one
+    naming the map's file."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
         net = load_network(run / manifest["artifacts"]["network"])
-        maps = [load_output_map(run / rel) for rel in manifest["artifacts"]["maps"]]
+        rels = manifest["artifacts"]["maps"]
+        maps = [load_output_map(run / rel) for rel in rels]
         std, transform = manifest.get("standardize_params"), None
         if std is not None:  # mu and sigma as (P, 1) columns
             transform = np.array([std["mu"], std["sigma"]], dtype=np.float64
@@ -371,17 +375,30 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
             if not (np.isfinite(transform).all() and (transform[1] > 0).all()):
                 raise ValueError("standardize_params must be finite, sigma > 0")
         spec = spec or manifest.get("data_source")
-        if opts is None:  # the types train writes; null takes the default
+        manifest_opts = opts is None
+        if manifest_opts:  # the types train writes; null takes the default
             opts = _typed(manifest.get("data_options") or {}, {
                 "label_col": (str, int), "delimiter": str, "split": int,
                 "split_seed": int, "blobs": dict})
             opts["blobs"] = _typed(opts.get("blobs", {}), {
                 "p": int, "q": int, "n": int, "separation": (int, float),
                 "seed": int})
+    width = map_widths(net)
+    for rel, m in zip(rels, maps):
+        if m.matrix.shape[1] != width.get(m.layer_index):
+            raise DataError(f"{run / rel}: {m.matrix.shape[1]} columns, but "
+                            f"the map of layer {m.layer_index} reads "
+                            f"{width.get(m.layer_index, 'no')} features")
     if not isinstance(spec, str):
         raise DataError(f"{run_dir}: manifest.json names no data_source; "
                         "pass --data")
-    return _load_data(spec, opts), transform, net, maps
+    try:
+        return _load_data(spec, opts), transform, net, maps
+    except ParameterError as exc:
+        if not manifest_opts:
+            raise
+        raise DataError(f"{run / 'manifest.json'}: data_options do not fit "
+                        f"{spec}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:

@@ -2,8 +2,10 @@
 lossless collapse, forward maps, and the exact inverse map.
 
 :func:`iter_layer_features` is the one loop that applies a network to
-data; it holds one layer's features at a time. Memory is budgeted where
-the weights are built (``hnf.trainer.build_network``), not here.
+data: training, scoring and the invariant checks all walk through it, and
+nothing else calls :func:`layer_forward`. It holds one layer's features
+at a time. Memory is budgeted where the weights are built
+(``hnf.trainer.build_network``), not here.
 
 A layer computes ``vn_expand(W @ q)``: the input is projected by a fixed
 weight matrix and split into its positive part and negated negative part.
@@ -155,12 +157,11 @@ def layer_forward(layer: HnfLayer, q: np.ndarray) -> np.ndarray:
 
 
 def iter_layer_features(net: HnfNetwork, x: np.ndarray):
-    """Yield each layer's features in turn, retaining only the current one;
-    the one loop that applies a network's layers to data."""
-    cur = x
+    """Yield each layer's features in turn, retaining only the current one
+    (not even ``x``); the one loop that applies a network's layers to data."""
     for layer in net.layers:
-        cur = layer_forward(layer, cur)
-        yield cur
+        x = layer_forward(layer, x)
+        yield x
 
 
 def pinv_weight(w: WeightMatrix) -> np.ndarray:

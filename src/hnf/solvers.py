@@ -10,9 +10,10 @@ Everything here minimizes the sample-average squared prediction error
   the baseline and the ELM front), otherwise the ball multiplier is found
   by Newton's method on the secular equation (a trust-region step, Moré &
   Sorensen 1983);
-* the budget (:func:`epsilon_budget`) and the feasible embedding
-  (:func:`embed_previous_map`) that together guarantee each layer's
-  constrained optimum can match its predecessor's training cost.
+* :func:`embed_previous_map` pulls the previous map back through the new
+  weight once and returns the feasible witness with the budget it fits
+  in, which together guarantee each layer's constrained optimum can match
+  its predecessor's training cost.
 
 The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of
@@ -137,39 +138,26 @@ def least_squares(y: np.ndarray, t: np.ndarray,
                      sample_cost(t, o, y), solver=diag)
 
 
-def _pull_back(o_prev: OutputMap, w: WeightMatrix) -> np.ndarray:
-    """``M = O_prev @ pinv(W)``, the previous map seen through weight W."""
+def embed_previous_map(o_prev: OutputMap,
+                       w: WeightMatrix) -> tuple[np.ndarray, float]:
+    """The witness ``[M, -M]`` with ``M = O_prev @ pinv(W)``, and the ball
+    radius ``max(2 * ||M||_F^2, EPSILON_FLOOR)`` it fits in.
+
+    Applied to this layer's expanded features the witness reproduces the
+    previous layer's predictions exactly, certifying that the previous
+    training cost stays attainable within the radius. The radius is
+    ``2 * ||O_prev||_F^2`` when W is orthonormal, for the first expanding
+    layer (over the baseline) and every later one; the floor keeps the
+    ball solvable over an all-zero previous map.
+    """
     o = o_prev.matrix
     if w.cols != o.shape[1]:
         raise DimensionError(
             f"previous map has {o.shape[1]} columns but weight expects "
             f"{w.cols}"
         )
-    return o @ pinv_weight(w)
-
-
-def epsilon_budget(o_prev: OutputMap, w: WeightMatrix) -> float:
-    """Ball radius for a layer with weight W over the previous map.
-
-    ``2 * ||O_prev @ pinv(W)||_F^2``, which is ``2 * ||O_prev||_F^2`` when W
-    is orthonormal; the same formula holds for the first expanding layer
-    (over the baseline) and every later one. Floored at
-    :data:`EPSILON_FLOOR` so an all-zero previous map still yields a
-    solvable ball.
-    """
-    m = _pull_back(o_prev, w)
-    return max(2.0 * float(np.sum(m * m)), EPSILON_FLOOR)
-
-
-def embed_previous_map(o_prev: OutputMap, w_l: WeightMatrix) -> np.ndarray:
-    """The feasible witness ``[M, -M]`` with ``M = O_prev @ pinv(W_l)``.
-
-    Applied to this layer's expanded features it reproduces the previous
-    layer's predictions exactly, certifying that the previous training cost
-    stays attainable under the new budget.
-    """
-    m = _pull_back(o_prev, w_l)
-    return np.hstack([m, -m])
+    m = o @ pinv_weight(w)
+    return np.hstack([m, -m]), max(2.0 * float(np.sum(m * m)), EPSILON_FLOOR)
 
 
 def save_output_map(om: OutputMap, path_prefix) -> tuple[Path, Path]:

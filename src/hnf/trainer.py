@@ -2,17 +2,19 @@
 
 The trainer never learns a weight matrix: :func:`build_network` designs the
 whole fixed network from the input dimension and the config before any
-solve. Each step then expands the training features through the next
-layer, derives the new map's norm budget from the previous map, and solves
-the ball-constrained least squares. The budget is chosen so the previous
-map can be embedded verbatim into the new layer (the witness), which makes
-the cost guarantee constructive: the solver result is kept only if it
-beats the witness, otherwise the witness itself becomes the layer's map.
-Either way the per-layer training cost cannot increase.
+solve. :func:`map_inputs` walks the training features through it and
+yields the features each map reads; the baseline is the walk's first
+item, and each later step pulls the previous map back through the new
+weight once, which gives both the new map's norm budget and the witness:
+the previous map embedded verbatim into the new layer. That makes the
+cost guarantee constructive: the solver result is kept only if it beats
+the witness, otherwise the witness itself becomes the layer's map. Either
+way the per-layer training cost cannot increase.
 
 The loop never touches the test split: :func:`evaluate` scores every map
-on it once, after the last layer, for the report only. Nothing about the
-budgets or stopping looks at it; there is no cross-validation anywhere.
+on it once, after the last layer, with the same walk, for the report only.
+Nothing about the budgets or stopping looks at it; there is no
+cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .layers import (
     HnfLayer,
     HnfNetwork,
     iter_layer_features,
-    layer_forward,
     network_invert,
     weight_perturbation_check,
 )
@@ -53,7 +54,6 @@ from .matrixgen import (
 from .solvers import (
     OutputMap,
     embed_previous_map,
-    epsilon_budget,
     least_squares,
     sample_cost,
 )
@@ -234,6 +234,27 @@ def build_network(input_dim: int, cfg: TrainConfig,
     return HnfNetwork(tuple(layers))
 
 
+def map_inputs(net: HnfNetwork, x: np.ndarray):
+    """Yield ``(layer, features)`` for each layer that carries a map: the
+    baseline (layer 0) on ``x``, or on the ELM front's features when there
+    is a front, then each expanding layer on its own output. The one place
+    that knows which features a map reads."""
+    walk = enumerate(iter_layer_features(net, x), 1)
+    if net.has_front:
+        x = next(walk)[1]
+    yield 0, x
+    del x  # later layers need not keep the baseline's features alive
+    yield from walk
+
+
+def map_widths(net: HnfNetwork) -> dict[int, int]:
+    """The feature width of each layer :func:`map_inputs` yields, read off
+    the layers without forwarding any data."""
+    base = net.layers[0].out_dim if net.has_front else net.layers[0].in_dim
+    return {0: base, **{k: l.out_dim for k, l in enumerate(net.layers, 1)
+                        if l.expand}}
+
+
 def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap], TrainReport]:
     """Run the full layer-wise pipeline on the dataset's train split.
 
@@ -241,106 +262,74 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     report. ``report.monotonicity_certified`` is True iff every layer's
     witness was feasible and reproduced the previous layer's cost, and
     every returned map is feasible with cost at most the witness's. The
-    loop walks the train split only; after the last layer one
+    loop is one :func:`map_inputs` walk of the train split, timing each row
+    from the end of the previous one; after the last layer one
     :func:`evaluate` walk of the test split fills every row's ``test_acc``.
     """
     if data.meta["N_train"] < 1:
         raise ConfigError("dataset has an empty train split")
-    t0 = time.perf_counter()
+    clock = time.perf_counter()
     net = build_network(data.input_dim, cfg, data.n_samples)
-    first = int(net.has_front)
 
-    cur_tr, t_tr = data.X_train, data.T_train
+    x, t = data.X_train, data.T_train
     transform = std_params = None
     if cfg.standardize:
-        mu = cur_tr.mean(axis=1, keepdims=True)
-        sigma = cur_tr.std(axis=1, keepdims=True)
+        mu = x.mean(axis=1, keepdims=True)
+        sigma = x.std(axis=1, keepdims=True)
         sigma[sigma == 0] = 1.0
         transform = mu, sigma
-        cur_tr = (cur_tr - mu) / sigma
+        x = (x - mu) / sigma
         std_params = {"mu": mu.ravel().tolist(), "sigma": sigma.ravel().tolist()}
 
-    if net.has_front:
-        cur_tr = layer_forward(net.layers[0], cur_tr)
-    baseline_nodes = cfg.n1 if net.has_front else 0
-    baseline = least_squares(cur_tr, t_tr)
-    baseline_rec = LayerRecord(
-        layer=0,
-        nodes_cumulative=baseline_nodes,
-        epsilon=math.inf,
-        train_cost=baseline.train_cost,
-        train_acc=accuracy(baseline.matrix @ cur_tr, t_tr),
-        test_acc=math.nan,
-        newton_steps=0,
-        wall_ms=int((time.perf_counter() - t0) * 1000),
-    )
-
-    maps: list[OutputMap] = [baseline]
-    records: list[LayerRecord] = []
-    certified = True
-    nodes = baseline_nodes
-
-    for layer_no, layer in enumerate(net.layers[first:], first + 1):
-        t0 = time.perf_counter()
-        w = layer.weight
-        if cfg.eps_schedule == "doubling" and records:
-            eps = 2.0 * records[-1].epsilon
+    maps, rows, certified = [], [], True
+    nodes = cfg.n1 if net.has_front else 0
+    walk = map_inputs(net, x)
+    del x  # so a standardized copy is freed once layer 1 is computed
+    for layer_no, feats in walk:
+        if not maps:
+            om = least_squares(feats, t)
         else:
-            eps = epsilon_budget(maps[-1], w)
+            nodes += len(feats)
+            witness, eps = embed_previous_map(
+                maps[-1], net.layers[layer_no - 1].weight)
+            if cfg.eps_schedule == "doubling" and len(maps) > 1:
+                eps = 2.0 * maps[-1].epsilon
+            witness_cost = sample_cost(t, witness, feats)
+            try:
+                om = least_squares(feats, t, eps)
+            except HnfError:
+                raise
+            except Exception as exc:
+                raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc
+            diag = {**om.solver, "witness_cost": witness_cost,
+                    "witness_drift": witness_cost - maps[-1].train_cost}
+            if om.train_cost > witness_cost:
+                diag.update(fallback="witness", solve_cost=om.train_cost)
+                om = OutputMap(witness, eps, witness_cost)
+            om = replace(om, layer_index=layer_no, solver=diag)
+            certified = (
+                certified
+                and float(np.sum(witness * witness)) <= eps * (1.0 + 1e-9)
+                and abs(diag["witness_drift"]) <= MONOTONE_SLACK
+                and om.train_cost <= witness_cost + MONOTONE_SLACK
+                and float(np.sum(om.matrix * om.matrix)) <= eps * (1.0 + 1e-6))
+        maps.append(om)
+        train_acc = accuracy(om.matrix @ feats, t)
+        now = time.perf_counter()
+        rows.append(LayerRecord(layer_no, nodes, om.epsilon, om.train_cost,
+                                train_acc, math.nan, om.solver["newton_steps"],
+                                int((now - clock) * 1000)))
+        clock = now
 
-        witness = embed_previous_map(maps[-1], w)
-        witness_norm2 = float(np.sum(witness * witness))
-        witness_feasible = witness_norm2 <= eps * (1.0 + 1e-9)
-
-        cur_tr = layer_forward(layer, cur_tr)
-        witness_cost = sample_cost(t_tr, witness, cur_tr)
-
-        try:
-            solved = least_squares(cur_tr, t_tr, eps)
-        except HnfError:
-            raise
-        except Exception as exc:
-            raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc
-        diag = dict(solved.solver)
-        diag["witness_cost"] = witness_cost
-        diag["witness_drift"] = witness_cost - maps[-1].train_cost
-        if solved.train_cost > witness_cost:
-            diag["fallback"] = "witness"
-            diag["solve_cost"] = solved.train_cost
-            solved = OutputMap(witness, eps, witness_cost, layer_no, diag)
-        else:
-            solved = OutputMap(solved.matrix, solved.epsilon,
-                               solved.train_cost, layer_no, diag)
-
-        final_norm2 = float(np.sum(solved.matrix * solved.matrix))
-        certified = certified and witness_feasible
-        certified = certified and abs(diag["witness_drift"]) <= MONOTONE_SLACK
-        certified = certified and solved.train_cost <= witness_cost + MONOTONE_SLACK
-        certified = certified and final_norm2 <= eps * (1.0 + 1e-6)
-
-        nodes += layer.out_dim
-        maps.append(solved)
-        records.append(LayerRecord(
-            layer=layer_no,
-            nodes_cumulative=nodes,
-            epsilon=eps,
-            train_cost=solved.train_cost,
-            train_acc=accuracy(solved.matrix @ cur_tr, t_tr),
-            test_acc=math.nan,
-            newton_steps=diag["newton_steps"],
-            wall_ms=int((time.perf_counter() - t0) * 1000),
-        ))
-
-    del cur_tr  # the test walk need not hold the last train features
+    del feats  # the test walk need not hold the last train features
     test = evaluate(net, maps, data, "test", transform)
-    baseline_rec, *records = (replace(r, test_acc=test[r.layer].accuracy)
-                              for r in (baseline_rec, *records))
+    rows = [replace(r, test_acc=test[r.layer].accuracy) for r in rows]
     meta = {
         "dataset": dict(data.meta),
         "config": cfg.echo(),
         "standardize_params": std_params,
     }
-    report = TrainReport(baseline_rec, records, certified, meta)
+    report = TrainReport(rows[0], rows[1:], certified, meta)
     return net, maps, report
 
 
@@ -355,40 +344,43 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
              transform: tuple | None = None) -> dict[int, Evaluation]:
     """Cost and accuracy of every map on the chosen split, keyed by layer.
 
-    One walk of the split through the network scores them all, stopping
-    at the deepest map. The baseline (layer 0) is scored on the raw inputs,
-    or on the ELM features when the network has a front layer; the map of
-    layer ``L`` on layer ``L``'s features. ``transform`` is the (mu, sigma)
-    pair used at training time, if standardization was on. A map that
-    names no layer of the network raises :class:`StateError`, and data of
-    another input width :class:`DimensionError`.
+    One :func:`map_inputs` walk of the split scores each map on the
+    features it reads, stopping at the deepest map. ``transform`` is the
+    (mu, sigma) pair used at training time, if standardization was on. A
+    map that names no map-bearing layer (beyond the depth, or layer 1
+    behind an ELM front) raises :class:`StateError`; data of another input
+    width or class count :class:`DimensionError`.
     """
-    item = {m.layer_index: m.layer_index or int(net.has_front) for m in maps}
-    if not all(0 <= k <= net.depth for k in item):
-        raise StateError(f"maps for layers {sorted(item)}, but the network "
-                         f"has layers 0..{net.depth}")
+    layers, widths = {m.layer_index for m in maps}, map_widths(net)
+    if not layers <= widths.keys():
+        raise StateError(f"maps for layers {sorted(layers)}, but the network "
+                         f"has maps on layers {sorted(widths)}")
     if data.input_dim != net.layers[0].in_dim:
         raise DimensionError(f"data has {data.input_dim} features, but the "
                              f"network takes {net.layers[0].in_dim}")
+    predicted = {len(m.matrix) for m in maps} - {data.n_classes}
+    if predicted:
+        raise DimensionError(f"data has {data.n_classes} classes, but the "
+                             f"maps predict {predicted.pop()}")
     if split == "train":
         x, t = data.X_train, data.T_train
     elif split == "test":
         x, t = data.X_test, data.T_test
     else:
         raise ParameterError(f"split must be 'train' or 'test', got {split!r}")
-    if x.shape[1] == 0:
-        return {m.layer_index: Evaluation(math.nan, math.nan) for m in maps}
     if transform is not None:
         x = (x - transform[0]) / transform[1]
 
-    walk = iter_layer_features(net, x)
+    deepest = max(layers, default=0)
     scores = {}
-    for k in range(max(item.values(), default=0) + 1):
-        feats = next(walk) if k else x
+    for layer, feats in map_inputs(net, x):
         for m in maps:
-            if item[m.layer_index] == k:
-                scores[m.layer_index] = Evaluation(
-                    sample_cost(t, m.matrix, feats), accuracy(m.matrix @ feats, t))
+            if m.layer_index == layer:
+                scores[layer] = Evaluation(
+                    sample_cost(t, m.matrix, feats) if t.size else math.nan,
+                    accuracy(m.matrix @ feats, t))
+        if layer == deepest:
+            break
     return scores
 
 
@@ -445,7 +437,7 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sub = HnfNetwork(net.layers[int(net.has_front):])
-    base = layer_forward(net.layers[0], data.X) if net.has_front else data.X
+    base = next(map_inputs(net, data.X))[1]
     front_note = ("checks run behind the non-expanding front layer"
                   if net.has_front else "")
     n = base.shape[1]

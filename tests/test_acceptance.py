@@ -32,7 +32,6 @@ from hnf.matrixgen import make_random_orthonormal, make_raw_gaussian
 from hnf.solvers import (
     OutputMap,
     embed_previous_map,
-    epsilon_budget,
     least_squares,
     sample_cost,
 )
@@ -194,8 +193,7 @@ def test_c05c_witness_dominance_at_production_setting():
             net = build_network(8, cfg, blobs.n_samples)
             for layer_no, layer in enumerate(net.layers, 1):
                 w = layer.weight
-                eps = epsilon_budget(prev_map, w)
-                witness = embed_previous_map(prev_map, w)
+                witness, eps = embed_previous_map(prev_map, w)
                 assert float(np.sum(witness ** 2)) <= eps * (1 + 1e-9)
                 feats = vn_expand(w.entries @ feats)
                 witness_cost = sample_cost(t, witness, feats)
@@ -226,7 +224,7 @@ def test_c06_budget_identity_vs_materialized_oracle():
             s = np.linalg.svd(w.entries, compute_uv=False)
             if s[-1] < 1e-6:
                 continue
-        value = epsilon_budget(_wrap(o_prev), w)
+        value = embed_previous_map(_wrap(o_prev), w)[1]
         oracle = oracles.epsilon_materialized(o_prev, w.entries)
         assert abs(value - oracle) <= 1e-10, trial
         if trial % 2 == 0:

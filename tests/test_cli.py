@@ -71,6 +71,14 @@ class TestTrainCommand:
                      "--depth", "1", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_split_below_range_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "four.csv"
+        src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")
+        code = main(["train", "--data", f"csv:{src}", "--split", "-5",
+                     "--n1", "2", "--depth", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "got -5" in capsys.readouterr().err
+
     def test_split_zero_exits_2(self, tmp_path, capsys):
         src = tmp_path / "four.csv"
         src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")
@@ -212,9 +220,11 @@ class TestTrainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
     def test_uncertified_chain_exits_4(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "hnf.trainer.embed_previous_map",
-            lambda o_prev, w: 0.5 * embed_previous_map(o_prev, w))
+        def halved(o_prev, w):
+            witness, eps = embed_previous_map(o_prev, w)
+            return 0.5 * witness, eps
+
+        monkeypatch.setattr("hnf.trainer.embed_previous_map", halved)
         code, out = run_train(tmp_path)
         assert code == 4
         assert "certification FAILED" in capsys.readouterr().err
@@ -519,9 +529,13 @@ class TestCorruptArtifacts:
         ("csv", lambda d: d["data_options"].update(split="abc")),
         ("csv", lambda d: d["data_options"].update(split=20.5)),
         ("csv", lambda d: d["data_options"].update(label_col=[1])),
+        ("csv", lambda d: d["data_options"].update(split=-5)),
+        ("csv", lambda d: d["data_options"].update(split=13)),
+        ("blobs", lambda d: d["data_options"]["blobs"].update(p=0)),
     ], ids=["std-not-object", "mu-not-number", "sigma-missing", "mu-short",
             "sigma-zero", "options-list", "blob-p-text", "blobs-list",
-            "split-text", "split-fraction", "label-col-list"])
+            "split-text", "split-fraction", "label-col-list",
+            "split-negative", "split-over-rows", "blob-p-zero"])
     def test_bad_manifest_field_exits_3(self, manifest_runs, tmp_path, capsys,
                                         run, edit):
         def rewrite(raw):
@@ -548,6 +562,29 @@ class TestCorruptArtifacts:
                             rewrite)
         assert main(["eval", "--run", str(copy)]) == 2
         assert "5 features" in capsys.readouterr().err
+
+    def test_other_class_count_exits_2(self, trained_run, tmp_path, capsys):
+        src = tmp_path / "two.csv"  # 8 features like the run, 2 classes not 3
+        src.write_text("".join(f"{','.join(str(i * j % 7) for j in range(8))},"
+                               f"{'AB'[i % 2]}\n" for i in range(6)))
+        assert main(["eval", "--run", str(trained_run), "--data",
+                     f"csv:{src}"]) == 2
+        err = capsys.readouterr().err
+        assert "2 classes" in err and "predict 3" in err
+        assert "Traceback" not in err
+
+    def test_map_of_another_layer_exits_3(self, trained_run, tmp_path, capsys):
+        run = corrupt_copy(trained_run, tmp_path, "maps/map02.bin",
+                           lambda b: (trained_run / "maps/map01.bin").read_bytes())
+        meta = json.loads((run / "maps/map02.json").read_text())
+        first = json.loads((run / "maps/map01.json").read_text())
+        meta.update(rows=first["rows"], cols=first["cols"])
+        (run / "maps/map02.json").write_text(json.dumps(meta))
+        assert main(["eval", "--run", str(run)]) == 3
+        assert main(["verify", "--run", str(run), "--data", "blobs",
+                     "--trials", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("map02.json") == 2 and "Traceback" not in err
 
     def test_missing_map_bin_is_data_error(self, trained_run, tmp_path):
         run = tmp_path / "copy"

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hnf
 from hnf.errors import DimensionError, NotInvertibleError
 from hnf.layers import (
     HnfLayer,
@@ -199,6 +203,21 @@ class TestNetworkForward:
         for j in range(x.shape[1]):
             single = list(iter_layer_features(net, x[:, j]))[-1]
             assert np.allclose(batched[:, j], single, rtol=1e-12, atol=1e-14)
+
+    def test_layer_forward_is_called_only_by_the_one_loop(self):
+        def calls(node):
+            return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and getattr(c.func, "id", getattr(c.func, "attr", None))
+                    == "layer_forward"]
+
+        inside = outside = 0
+        for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loop = [c for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    and fn.name == "iter_layer_features" for c in calls(fn)]
+            inside += len(loop)
+            outside += len(calls(tree)) - len(loop)
+        assert (inside, outside) == (1, 0)
 
 
 class TestNetworkInvert:

@@ -18,7 +18,6 @@ from hnf.solvers import (
     EPSILON_FLOOR,
     OutputMap,
     embed_previous_map,
-    epsilon_budget,
     least_squares,
     load_output_map,
     project_frobenius_ball,
@@ -253,18 +252,18 @@ class TestEpsilonSchedule:
         o_prev = make_map(rng.standard_normal((3, 4)))
         w = make_random_orthonormal(6, 4, seed=0)
         expected = 2.0 * float(np.sum(o_prev.matrix ** 2))
-        assert epsilon_budget(o_prev, w) == pytest.approx(
+        assert embed_previous_map(o_prev, w)[1] == pytest.approx(
             expected, rel=1e-12)
 
     def test_zero_previous_map_floored(self):
         o_prev = make_map(np.zeros((2, 3)))
         w = make_random_orthonormal(3, 3, seed=0)
-        assert epsilon_budget(o_prev, w) == EPSILON_FLOOR
+        assert embed_previous_map(o_prev, w)[1] == EPSILON_FLOOR
 
     def test_matches_materialized_oracle_orthonormal(self, rng):
         o_prev = make_map(rng.standard_normal((2, 3)))
         w = make_random_orthonormal(3, 3, seed=5)
-        value = epsilon_budget(o_prev, w)
+        value = embed_previous_map(o_prev, w)[1]
         oracle = oracles.epsilon_materialized(o_prev.matrix, w.entries)
         assert abs(value - oracle) <= 1e-10
         assert value == pytest.approx(2.0 * float(np.sum(o_prev.matrix ** 2)),
@@ -274,7 +273,7 @@ class TestEpsilonSchedule:
         o = rng.standard_normal((2, 4))
         o *= np.sqrt(1.5 / np.sum(o * o))
         w = make_random_orthonormal(4, 4, seed=1)
-        assert epsilon_budget(make_map(o), w) == pytest.approx(
+        assert embed_previous_map(make_map(o), w)[1] == pytest.approx(
             3.0, rel=1e-12)
 
     def test_matches_oracle_non_orthonormal(self, rng):
@@ -284,7 +283,7 @@ class TestEpsilonSchedule:
             n = m + int(rng.integers(0, 4))
             o_prev = rng.standard_normal((q, m))
             w = make_raw_gaussian(n, m, seed=trial)
-            value = epsilon_budget(make_map(o_prev), w)
+            value = embed_previous_map(make_map(o_prev), w)[1]
             oracle = oracles.epsilon_materialized(o_prev, w.entries)
             assert abs(value - oracle) <= 1e-10
 
@@ -293,7 +292,7 @@ class TestEpsilonSchedule:
         o = rng.standard_normal((2, 4))
         o *= np.sqrt(eps_prev * 0.8 / np.sum(o * o))
         w = make_random_orthonormal(4, 4, seed=2)
-        exact = epsilon_budget(make_map(o), w)
+        exact = embed_previous_map(make_map(o), w)[1]
         doubling = 2.0 * eps_prev
         assert doubling >= exact
 
@@ -301,14 +300,14 @@ class TestEpsilonSchedule:
         o_prev = make_map(rng.standard_normal((2, 3)))
         w = make_random_orthonormal(5, 4, seed=0)
         with pytest.raises(DimensionError):
-            epsilon_budget(o_prev, w)
+            embed_previous_map(o_prev, w)[1]
 
 
 class TestEmbedPreviousMap:
     def test_identity_weight_witness(self, rng):
         o = rng.standard_normal((2, 3))
         w = WeightMatrix(3, 3, np.eye(3), WeightKind.DCT_ORTHONORMAL, None)
-        witness = embed_previous_map(make_map(o), w)
+        witness = embed_previous_map(make_map(o), w)[0]
         assert np.array_equal(witness, np.hstack([o, -o]))
         for _ in range(10):
             z = rng.standard_normal(3)
@@ -328,7 +327,7 @@ class TestEmbedPreviousMap:
                 w = make_random_orthonormal(7, 5, seed=3)
             else:
                 w = make_dct_orthonormal(7, 5)
-            witness = embed_previous_map(make_map(o_prev), w)
+            witness = embed_previous_map(make_map(o_prev), w)[0]
             q = rng.standard_normal((5, 100))
             prev_pred = o_prev @ q
             new_pred = witness @ vn_expand(w.entries @ q)
@@ -338,9 +337,9 @@ class TestEmbedPreviousMap:
     def test_witness_norm_matches_exact_budget(self, rng):
         o_prev = make_map(rng.standard_normal((2, 4)))
         w = make_random_orthonormal(6, 4, seed=4)
-        witness = embed_previous_map(o_prev, w)
+        witness = embed_previous_map(o_prev, w)[0]
         assert float(np.sum(witness ** 2)) == pytest.approx(
-            epsilon_budget(o_prev, w), rel=1e-12)
+            embed_previous_map(o_prev, w)[1], rel=1e-12)
 
 
 class TestOutputMapIO:

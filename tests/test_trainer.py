@@ -17,7 +17,6 @@ from hnf.matrixgen import (
 from hnf.solvers import (
     OutputMap,
     embed_previous_map,
-    epsilon_budget,
     least_squares,
 )
 from hnf.trainer import (
@@ -27,6 +26,8 @@ from hnf.trainer import (
     accuracy,
     build_network,
     evaluate,
+    map_inputs,
+    map_widths,
     train,
     verify_invariants,
 )
@@ -108,7 +109,7 @@ class TestTrain:
         w = make_random_orthonormal(16, 8, seed=cfg.seed + 1)
         assert np.array_equal(net.layers[0].weight.entries, w.entries)
         baseline = least_squares(blobs.X_train, blobs.T_train)
-        eps = epsilon_budget(baseline, w)
+        eps = embed_previous_map(baseline, w)[1]
         feats = vn_expand(w.entries @ blobs.X_train)
         direct = least_squares(feats, blobs.T_train, eps)
         expect = direct.matrix
@@ -245,12 +246,32 @@ class TestTrain:
     def test_witness_off_previous_cost_not_certified(self, blobs, monkeypatch):
         # half the witness is still inside the ball, but it no longer
         # reproduces the previous layer's cost, so the chain has a gap
-        monkeypatch.setattr(
-            "hnf.trainer.embed_previous_map",
-            lambda o_prev, w: 0.5 * embed_previous_map(o_prev, w))
+        def halved(o_prev, w):
+            witness, eps = embed_previous_map(o_prev, w)
+            return 0.5 * witness, eps
+
+        monkeypatch.setattr("hnf.trainer.embed_previous_map", halved)
         _, maps, report = train(blobs, TrainConfig(n1=16, depth=3, seed=1))
         assert not report.monotonicity_certified
         assert abs(maps[1].solver["witness_drift"]) > MONOTONE_SLACK
+
+    def test_worse_solve_falls_back_to_the_witness(self, blobs, monkeypatch):
+        def zero_when_constrained(y, t, eps=math.inf):
+            om = least_squares(y, t, eps)
+            if math.isinf(eps):
+                return om
+            return OutputMap(np.zeros_like(om.matrix), eps, 1e3,
+                             solver=om.solver)
+
+        monkeypatch.setattr("hnf.trainer.least_squares", zero_when_constrained)
+        net, maps, report = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
+        assert report.monotonicity_certified
+        for k, layer in enumerate(net.layers, 1):
+            witness, eps = embed_previous_map(maps[k - 1], layer.weight)
+            assert np.array_equal(maps[k].matrix, witness)
+            assert (maps[k].epsilon, maps[k].layer_index) == (eps, k)
+            assert maps[k].solver["fallback"] == "witness"
+            assert maps[k].solver["solve_cost"] == 1e3
 
     def test_elm_front_with_dct_tail(self, blobs):
         cfg = TrainConfig(n1=24, depth=3, weight_kind="dct",
@@ -261,6 +282,32 @@ class TestTrain:
                    for l in net.layers[1:])
         assert report.monotonicity_certified
         assert monotone([r.train_cost for r in report.rows()])
+
+
+class TestMapInputs:
+    @pytest.mark.parametrize("elm, layers", [(False, [0, 1, 2, 3]),
+                                             (True, [0, 2, 3])],
+                             ids=["plain", "elm"])
+    def test_yields_each_map_layer_on_its_features(self, blobs, elm, layers):
+        net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm), 1)
+        x = blobs.X_train
+        feats = [x, *hnf.layers.iter_layer_features(net, x)]
+        walk = list(map_inputs(net, x))
+        assert [layer for layer, _ in walk] == layers
+        for layer, f in walk:  # the baseline reads the front, if any
+            assert np.array_equal(f, feats[layer or int(elm)])
+        assert map_widths(net) == {layer: len(f) for layer, f in walk}
+
+    @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
+    def test_train_walks_each_split_once(self, blobs, monkeypatch, elm):
+        widths = []
+        real = hnf.layers.layer_forward
+        monkeypatch.setattr("hnf.layers.layer_forward",
+                            lambda layer, q: widths.append(q.shape[1])
+                            or real(layer, q))
+        train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm, seed=1))
+        n_train, n_test = blobs.X_train.shape[1], blobs.X_test.shape[1]
+        assert widths == [n_train] * 3 + [n_test] * 3
 
 
 class TestEvaluate:
@@ -295,6 +342,13 @@ class TestEvaluate:
         beyond = OutputMap(maps[1].matrix, 1.0, 0.0, net.depth + 1)
         with pytest.raises(StateError):
             evaluate(net, [*maps, beyond], blobs)
+
+    def test_layer_one_behind_a_front_is_state_error(self, blobs):
+        net, maps, _ = train(blobs, TrainConfig(n1=32, depth=2, elm_front=True,
+                                                seed=4))
+        layer1 = OutputMap(np.zeros((3, 32)), 1.0, 0.0, 1)
+        with pytest.raises(StateError, match=r"layers \[0, 1, 2\]"):
+            evaluate(net, [*maps, layer1], blobs)
 
     def test_elm_baseline_uses_front_features(self, blobs):
         cfg = TrainConfig(n1=32, depth=2, elm_front=True, seed=4)
