@@ -16,6 +16,7 @@ import os
 import shutil
 import sys
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -357,12 +358,12 @@ def _typed(doc, types: dict) -> dict:
 
 
 def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
-    """A run's data, standardization transform, network and maps. The data
-    is ``spec`` loaded with ``opts``, each defaulting to the manifest's.
-    A manifest field of the wrong type, length or range, or manifest
-    ``data_options`` the data cannot take, is a DataError naming
-    manifest.json; a map whose column count does not fit its layer is one
-    naming the map's file."""
+    """A run's data, standardization transform, network, maps and label
+    names. The data is ``spec`` loaded with ``opts``, each defaulting to
+    the manifest's. A manifest field of the wrong type, length or range,
+    or manifest ``data_options`` the data cannot take, is a DataError
+    naming manifest.json; a map whose column count does not fit its layer
+    is one naming the map's file."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
         net = load_network(run / manifest["artifacts"]["network"])
@@ -374,6 +375,8 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
                                  ).reshape(2, net.layers[0].in_dim, 1)
             if not (np.isfinite(transform).all() and (transform[1] > 0).all()):
                 raise ValueError("standardize_params must be finite, sigma > 0")
+        names = _typed(manifest.get("dataset") or {},
+                       {"label_names": list}).get("label_names")
         spec = spec or manifest.get("data_source")
         manifest_opts = opts is None
         if manifest_opts:  # the types train writes; null takes the default
@@ -393,7 +396,7 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
         raise DataError(f"{run_dir}: manifest.json names no data_source; "
                         "pass --data")
     try:
-        return _load_data(spec, opts), transform, net, maps
+        return _load_data(spec, opts), transform, net, maps, names
     except ParameterError as exc:
         if not manifest_opts:
             raise
@@ -402,7 +405,14 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
 
 
 def cmd_eval(args) -> int:
-    data, transform, net, maps = _load_run(args.run, args.data)
+    data, transform, net, maps, names = _load_run(args.run, args.data)
+    if names is not None and len(names) == data.n_classes:
+        own = data.meta["label_names"]  # numbered by first appearance
+        unknown = [n for n in own if n not in names]
+        if unknown:
+            raise DimensionError(f"data labels {unknown} are not the run's "
+                                 f"labels {names}")
+        data = replace(data, T=data.T[[own.index(n) for n in names]])
     if args.layer is not None:
         layer_ids = sorted(m.layer_index for m in maps)
         maps = [m for m in maps if m.layer_index == args.layer]
@@ -428,8 +438,8 @@ def cmd_verify(args) -> int:
             "split": args.split, "split_seed": args.split_seed,
             "blobs": _blob_opts(args, args.seed)}
     if args.run:
-        data, _, net, _ = _load_run(args.run, args.data,
-                                    opts if args.data else None)
+        data, _, net, _, _ = _load_run(args.run, args.data,
+                                       opts if args.data else None)
     else:
         data = _load_data(args.data or "blobs", opts)
         cfg = TrainConfig(n1=args.n1, depth=args.depth,

@@ -3,9 +3,9 @@ lossless collapse, forward maps, and the exact inverse map.
 
 :func:`iter_layer_features` is the one loop that applies a network to
 data: training, scoring and the invariant checks all walk through it, and
-nothing else calls :func:`layer_forward`. It holds one layer's features
-at a time. Memory is budgeted where the weights are built
-(``hnf.trainer.build_network``), not here.
+nothing else calls :func:`layer_forward`. A walk computes every layer in
+place in one buffer, the widest layer's features. Memory is budgeted
+where the weights are built (``hnf.trainer.build_network``), not here.
 
 A layer computes ``vn_expand(W @ q)``: the input is projected by a fixed
 weight matrix and split into its positive part and negated negative part.
@@ -38,33 +38,35 @@ from .matrixgen import WeightMatrix, load_weight, save_weight
 #: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
 PINV_RCOND = 1e-10
 
-
-def relu(v: np.ndarray) -> np.ndarray:
-    """Elementwise max(v, 0)."""
-    return np.maximum(v, 0.0)
+#: Columns :func:`layer_forward` multiplies at a time, in a fixed order.
+FORWARD_BLOCK = 8192
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function 1 / (1 + exp(-v))."""
-    out = np.empty_like(v, dtype=np.float64)
-    np.negative(v, out=out)
+def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(v, 0), into ``out`` if given."""
+    return np.maximum(v, 0.0, out=out)
+
+
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic 1 / (1 + exp(-v)), into ``out`` if given."""
+    out = np.negative(v, out=out, dtype=np.float64)
     np.exp(out, out=out)
     out += 1.0
-    np.reciprocal(out, out=out)
-    return out
+    return np.reciprocal(out, out=out)
 
 
 ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid}
 
 
-def vn_expand(z: np.ndarray) -> np.ndarray:
-    """Stack relu(z) on top of relu(-z), doubling the leading dimension.
+def vn_expand(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stack relu(z) on top of relu(-z), doubling the leading dimension,
+    into ``out`` if given.
 
     Exactly norm-preserving: ||vn_expand(z)||^2 == ||z||^2.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
-    out = np.empty((2 * n,) + z.shape[1:], dtype=np.float64)
+    out = np.empty((2 * n,) + z.shape[1:]) if out is None else out
     np.maximum(z, 0.0, out=out[:n])
     np.minimum(z, 0.0, out=out[n:])
     np.negative(out[n:], out=out[n:])
@@ -143,24 +145,36 @@ class HnfNetwork:
         return not self.layers[0].expand
 
 
-def layer_forward(layer: HnfLayer, q: np.ndarray) -> np.ndarray:
-    """Apply one layer to a vector or to columns of a matrix."""
+def layer_forward(layer: HnfLayer, q: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Apply one layer to a vector or to columns of a matrix, into ``out``
+    (new if None). ``W @ q`` is formed :data:`FORWARD_BLOCK` columns at a
+    time in scratch, so ``out`` may overlap ``q``: a block of ``q`` is read
+    before its columns of ``out`` are written."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != layer.in_dim:
         raise DimensionError(
             f"input dim {q.shape[0]} does not match layer in_dim {layer.in_dim}"
         )
-    z = layer.weight.entries @ q
-    if layer.expand:
-        return vn_expand(z)
-    return ACTIVATIONS[layer.activation](z)
+    out = np.empty((layer.out_dim,) + q.shape[1:]) if out is None else out
+    act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
+    q2, out2 = (q, out) if q.ndim > 1 else (q[:, None], out[:, None])
+    z = np.empty((layer.weight.rows, min(FORWARD_BLOCK, q2.shape[1])))
+    for start in range(0, q2.shape[1], FORWARD_BLOCK):
+        block = q2[:, start:start + FORWARD_BLOCK]
+        zb = np.matmul(layer.weight.entries, block, out=z[:, :block.shape[1]])
+        act(zb, out=out2[:, start:start + FORWARD_BLOCK])
+    return out
 
 
 def iter_layer_features(net: HnfNetwork, x: np.ndarray):
-    """Yield each layer's features in turn, retaining only the current one
-    (not even ``x``); the one loop that applies a network's layers to data."""
+    """Yield each layer's features in turn; the one loop that applies a
+    network's layers to data. Layer l reads ``buf[:in_dim]`` of one buffer
+    and overwrites it with ``buf[:out_dim]``, so each item is a view that
+    the next step overwrites: copy what you keep. ``x`` is not retained."""
+    buf = np.empty((max(l.out_dim for l in net.layers),) + np.shape(x)[1:])
     for layer in net.layers:
-        x = layer_forward(layer, x)
+        x = layer_forward(layer, x, buf[:layer.out_dim])
         yield x
 
 

@@ -111,11 +111,17 @@ def least_squares(y: np.ndarray, t: np.ndarray,
     climbs from ``mu = 0`` to the root without overshooting.
     """
     y, t = _as_data_matrices(y, t)
-    if not (np.isfinite(y).all() and np.isfinite(t).all()):
-        raise DataError("non-finite values in data")
     if not eps > 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
-    lam, v = eigh(y @ y.T, overwrite_a=True, check_finite=False)
+    # a non-finite or overflowing feature makes its row's sum of squares,
+    # a diagonal entry of G, non-finite: no d x N mask is needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = y @ y.T
+    if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(t).all()):
+        raise DataError("non-finite values in data")
+    # syrk makes G exactly symmetric: LAPACK overwrites the F-ordered G.T
+    lam, v = eigh(g.T, overwrite_a=True, check_finite=False)
+    del g
     c = (t @ y.T) @ v
     # forming G sums N products per entry and eigh adds d more roundings, so
     # eigenvalues below (d + N) * eps * lam_max are rounding noise

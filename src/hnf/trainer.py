@@ -236,9 +236,9 @@ def build_network(input_dim: int, cfg: TrainConfig,
 
 def map_inputs(net: HnfNetwork, x: np.ndarray):
     """Yield ``(layer, features)`` for each layer that carries a map: the
-    baseline (layer 0) on ``x``, or on the ELM front's features when there
-    is a front, then each expanding layer on its own output. The one place
-    that knows which features a map reads."""
+    baseline (layer 0) on ``x`` or on the ELM front's features, then each
+    expanding layer on its own output, a view the next item overwrites.
+    The one place that knows which features a map reads."""
     walk = enumerate(iter_layer_features(net, x), 1)
     if net.has_front:
         x = next(walk)[1]
@@ -437,7 +437,7 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sub = HnfNetwork(net.layers[int(net.has_front):])
-    base = next(map_inputs(net, data.X))[1]
+    base = next(map_inputs(HnfNetwork(net.layers[:1]), data.X))[1]
     front_note = ("checks run behind the non-expanding front layer"
                   if net.has_front else "")
     n = base.shape[1]
@@ -467,8 +467,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
                 x2[t] = x1[t] + rng.standard_normal(x1.shape[1]) * (
                     0.1 * (np.linalg.norm(x1[t]) + 1.0))
         x1, x2 = x1.T, x2.T
-        f1 = [x1, *iter_layer_features(sub, x1)]
-        f2 = [x2, *iter_layer_features(sub, x2)]
+        f1 = [x1, *(f.copy() for f in iter_layer_features(sub, x1))]
+        f2 = [x2, *(f.copy() for f in iter_layer_features(sub, x2))]
 
         if orthonormal:
             d2 = np.sum((x1 - x2) ** 2, axis=0)

@@ -6,10 +6,11 @@ precision, the constrained solver is reproduced by bisecting the
 Lagrange multiplier, and the budget formula is evaluated with the
 collapse matrix explicitly materialized. The invariant-check reference
 runs single layers and single columns through hnf.layers, one pair at a
-time.
+time. :func:`traced_peak` measures what a call allocates.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.fft
@@ -21,6 +22,18 @@ from hnf.layers import (
     network_invert,
     weight_perturbation_check,
 )
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``'s result and the peak bytes allocated during the call,
+    as :mod:`tracemalloc` counts them; numpy reports its array buffers to
+    tracemalloc, so this is the call's peak of array memory."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:

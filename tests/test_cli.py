@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hnf
@@ -277,6 +278,52 @@ class TestEvalCommand:
         calls.clear()
         assert main(["eval", "--run", str(trained_run), "--layer", "1"]) == 0
         assert len(calls) == 2
+
+    @staticmethod
+    def labelled_csv(path, labels):
+        """60 rows of 4 features, class B shifted from class A; ``labels``
+        gives the two names used for A and B."""
+        rng = np.random.Generator(np.random.PCG64(5))
+        rows = [(rng.standard_normal(4) + 1.5 * (i % 2), labels[i % 2])
+                for i in range(60)]
+        path.write_text("".join(",".join(f"{v:.6f}" for v in x) + f",{lab}\n"
+                                for x, lab in rows))
+        return path
+
+    @staticmethod
+    def correct_count(stdout):
+        """Rows classified right over both splits (40 train, 20 test)."""
+        cols = stdout.splitlines()[1].split()
+        return round(40 * float(cols[2]) + 20 * float(cols[4]))
+
+    def test_labels_in_another_order_keep_their_classes(self, tmp_path,
+                                                       capsys):
+        ab = self.labelled_csv(tmp_path / "ab.csv", "AB")
+        lines = ab.read_text().splitlines(keepends=True)
+        ba = tmp_path / "ba.csv"  # the same rows, rotated so B comes first
+        ba.write_text("".join(lines[1:] + lines[:1]))
+        run = tmp_path / "rab"
+        assert main(["train", "--data", f"csv:{ab}", "--split", "40",
+                     "--n1", "4", "--depth", "1", "--out", str(run)]) == 0
+        capsys.readouterr()
+        counts = []
+        for src in (ab, ba):
+            assert main(["eval", "--run", str(run), "--data",
+                         f"csv:{src}"]) == 0
+            counts.append(self.correct_count(capsys.readouterr().out))
+        assert counts[0] == counts[1] >= 45
+
+    def test_label_the_run_never_saw_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "rab"
+        assert main(["train", "--data",
+                     f"csv:{self.labelled_csv(tmp_path / 'ab.csv', 'AB')}",
+                     "--split", "40", "--n1", "4", "--depth", "1",
+                     "--out", str(run)]) == 0
+        ac = self.labelled_csv(tmp_path / "ac.csv", "AC")
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", f"csv:{ac}"]) == 2
+        err = capsys.readouterr().err
+        assert "'C'" in err and "Traceback" not in err
 
     def test_unknown_layer_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
@@ -610,6 +657,17 @@ class TestCorruptArtifacts:
                      "--depth", "1", "--out", str(tmp_path / "run")])
         assert code == 3
         assert "row 2, column 2" in capsys.readouterr().err
+
+    def test_overflowing_csv_feature_exits_3(self, tmp_path, capsys):
+        """1e200 is finite, but its square overflows in the Gram."""
+        src = tmp_path / "big.csv"
+        src.write_text("1,2,A\n3,1e200,B\n2,1,A\n4,3,B\n")
+        code = main(["train", "--data", f"csv:{src}", "--n1", "2",
+                     "--depth", "1", "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestArgumentHandling:

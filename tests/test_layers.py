@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 import hnf
 from hnf.errors import DimensionError, NotInvertibleError
 from hnf.layers import (
+    ACTIVATIONS,
+    FORWARD_BLOCK,
     HnfLayer,
     HnfNetwork,
     iter_layer_features,
@@ -30,6 +32,7 @@ from hnf.matrixgen import (
     make_raw_gaussian,
 )
 
+import oracles
 from conftest import build_chain
 
 
@@ -168,7 +171,7 @@ class TestNetworkForward:
         layer = HnfLayer(make_random_orthonormal(5, 3, seed=0))
         net = HnfNetwork((layer,))
         x = rng.standard_normal(3)
-        feats = list(iter_layer_features(net, x))
+        feats = [f.copy() for f in iter_layer_features(net, x)]
         assert len(feats) == 1
         assert np.array_equal(feats[0], layer_forward(layer, x))
 
@@ -180,7 +183,9 @@ class TestNetworkForward:
 
     def test_zero_input_gives_zero_features(self):
         net = build_chain(4, 5, 3, seed=11)
-        for f in list(iter_layer_features(net, np.zeros(4))):
+        feats = [f.copy() for f in iter_layer_features(net, np.zeros(4))]
+        assert len(feats) == 3
+        for f in feats:
             assert np.count_nonzero(f) == 0
 
     def test_dimension_mismatch(self):
@@ -204,20 +209,63 @@ class TestNetworkForward:
             single = list(iter_layer_features(net, x[:, j]))[-1]
             assert np.allclose(batched[:, j], single, rtol=1e-12, atol=1e-14)
 
-    def test_layer_forward_is_called_only_by_the_one_loop(self):
-        def calls(node):
-            return [c for c in ast.walk(node) if isinstance(c, ast.Call)
-                    and getattr(c.func, "id", getattr(c.func, "attr", None))
-                    == "layer_forward"]
+    @pytest.mark.parametrize("kind", ["plain", "elm-sigmoid", "1-D"])
+    def test_blocked_walk_matches_per_layer_reference(self, rng, kind):
+        net = build_chain(5, 6, 3, seed=2)
+        if kind == "elm-sigmoid":
+            front = HnfLayer(make_raw_gaussian(5, 5, seed=3), expand=False,
+                             activation="sigmoid")
+            net = HnfNetwork((front, *net.layers))
+        x = rng.standard_normal(
+            (5,) if kind == "1-D" else (5, 2 * FORWARD_BLOCK + 37))
+        walk = [f.copy() for f in iter_layer_features(net, x)]
+        assert len(walk) == net.depth
+        for layer, got in zip(net.layers, walk):
+            z = layer.weight.entries @ x
+            x = vn_expand(z) if layer.expand else ACTIVATIONS[
+                layer.activation](z)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
-        inside = outside = 0
-        for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            loop = [c for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                    and fn.name == "iter_layer_features" for c in calls(fn)]
-            inside += len(loop)
-            outside += len(calls(tree)) - len(loop)
-        assert (inside, outside) == (1, 0)
+    def test_walk_items_are_views_of_one_buffer(self, rng):
+        net = build_chain(5, 6, 3, seed=2)
+        x = rng.standard_normal((5, 40))
+        first, *_, last = iter_layer_features(net, x)
+        assert np.shares_memory(first, last)
+        assert not np.shares_memory(first, x)
+
+    def test_walk_peak_is_the_widest_features_plus_one_block(self, rng):
+        net = build_chain(8, 16, 4, seed=6)
+        x = rng.standard_normal((8, 2 * FORWARD_BLOCK + 37))
+        widest = net.layers[-1].out_dim * x.shape[1] * 8
+        block = net.layers[-1].weight.rows * FORWARD_BLOCK * 8
+        count, peak = oracles.traced_peak(
+            lambda: sum(1 for _ in iter_layer_features(net, x)))
+        assert count == 4
+        assert peak <= widest + block + 2 ** 20
+
+    def test_layer_forward_is_called_only_by_the_one_loop(self):
+        """Inside hnf, only the walk calls layer_forward, and only
+        map_inputs and verify_invariants consume the walk, whose items are
+        views of one buffer."""
+        def callers(name):
+            found = []
+            for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                total = sum(1 for c in ast.walk(tree) if named(c, name))
+                inside = [fn.name for fn in ast.walk(tree)
+                          if isinstance(fn, ast.FunctionDef)
+                          for c in ast.walk(fn) if named(c, name)]
+                found += inside + ["<module>"] * (total - len(inside))
+            return sorted(found)
+
+        def named(node, name):
+            return isinstance(node, ast.Call) and name == getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+
+        assert callers("layer_forward") == ["iter_layer_features"]
+        assert set(callers("iter_layer_features")) == {"map_inputs",
+                                                       "verify_invariants"}
 
 
 class TestNetworkInvert:
@@ -263,8 +311,8 @@ def pair_distances(net, x1, x2):
     """Squared input distance and squared feature distance at every layer."""
     return float(np.sum((x1 - x2) ** 2)), [
         float(np.sum((a - b) ** 2))
-        for a, b in zip(list(iter_layer_features(net, x1)),
-                        list(iter_layer_features(net, x2)))]
+        for a, b in zip([f.copy() for f in iter_layer_features(net, x1)],
+                        [f.copy() for f in iter_layer_features(net, x2)])]
 
 
 class TestPairDistanceReport:

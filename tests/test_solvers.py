@@ -194,6 +194,27 @@ class TestAdmm:
         with pytest.raises(DataError):
             least_squares(bad, t)
 
+    @pytest.mark.parametrize("value", [math.inf, 1e200],
+                             ids=["inf", "square-overflows"])
+    @pytest.mark.parametrize("eps", [1.0, math.inf], ids=["ball", "free"])
+    def test_non_finite_feature_is_data_error(self, rng, value, eps):
+        y = rng.standard_normal((3, 10))
+        y[1, 4] = value
+        with pytest.raises(DataError):
+            least_squares(y, rng.standard_normal((2, 10)), eps)
+
+    def test_peak_has_no_feature_sized_term(self, rng):
+        """Beyond O(d^2) for the Gram and its eigenvectors and a few Q x N
+        residuals, the solve allocates nothing of the d x N features' size,
+        not even a bool mask."""
+        d, n, q = 256, 20000, 2
+        y = rng.standard_normal((d, n))
+        t = rng.standard_normal((q, n))
+        om, peak = oracles.traced_peak(least_squares, y, t, 1e-6)
+        assert om.solver["multiplier"] > 0
+        assert peak <= 3 * d * d * 8 + 4 * q * n * 8 + 2 ** 20
+        assert peak < d * n
+
     def test_deterministic(self, rng):
         y = rng.standard_normal((4, 40))
         t = rng.standard_normal((2, 40))

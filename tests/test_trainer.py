@@ -291,8 +291,8 @@ class TestMapInputs:
     def test_yields_each_map_layer_on_its_features(self, blobs, elm, layers):
         net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm), 1)
         x = blobs.X_train
-        feats = [x, *hnf.layers.iter_layer_features(net, x)]
-        walk = list(map_inputs(net, x))
+        feats = [x, *(f.copy() for f in hnf.layers.iter_layer_features(net, x))]
+        walk = [(layer, f.copy()) for layer, f in map_inputs(net, x)]
         assert [layer for layer, _ in walk] == layers
         for layer, f in walk:  # the baseline reads the front, if any
             assert np.array_equal(f, feats[layer or int(elm)])
@@ -303,8 +303,8 @@ class TestMapInputs:
         widths = []
         real = hnf.layers.layer_forward
         monkeypatch.setattr("hnf.layers.layer_forward",
-                            lambda layer, q: widths.append(q.shape[1])
-                            or real(layer, q))
+                            lambda layer, q, *rest: widths.append(q.shape[1])
+                            or real(layer, q, *rest))
         train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm, seed=1))
         n_train, n_test = blobs.X_train.shape[1], blobs.X_test.shape[1]
         assert widths == [n_train] * 3 + [n_test] * 3
