@@ -64,6 +64,10 @@ _CONFIG_KEYS = ("data", "label_col", "delimiter", "split", "split_seed",
                 "n1", "depth", "weights", "seed", "elm", "elm_activation",
                 "eps_schedule", "standardize", "out")
 
+#: The boolean values a config file may spell, in any case.
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
 
 def _exit_code_for(exc: HnfError | OSError) -> int:
     if isinstance(exc, (ConfigError, ParameterError, DimensionError, StateError)):
@@ -222,11 +226,9 @@ def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
             return flag_val
         if key in file_vals:
             raw = file_vals[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
             try:
-                return cast(raw)
-            except ValueError:
+                return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+            except (KeyError, ValueError):
                 raise ConfigError(f"{args.config}: {key} = {raw!r} is not "
                                   f"a valid {cast.__name__}") from None
         return default

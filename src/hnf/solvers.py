@@ -4,12 +4,11 @@ Everything here minimizes the sample-average squared prediction error
 ``cost(O) = (1/N) * ||T - O @ Y||_F^2`` over a Q-by-d linear map ``O``:
 
 * :func:`least_squares` solves it exactly, optionally subject to a
-  Frobenius-ball constraint ``||O||_F^2 <= eps``. It diagonalizes the
-  feature Gram once; the minimum-norm unconstrained solution is returned
-  when it fits in the ball (always, for the default ``eps=inf`` used by
-  the baseline and the ELM front), otherwise the ball multiplier is found
-  by Newton's method on the secular equation (a trust-region step, Moré &
-  Sorensen 1983);
+  Frobenius-ball constraint ``||O||_F^2 <= eps`` (a trust-region step,
+  Moré & Sorensen 1983): Newton's method finds an active ball's multiplier
+  from the witness's, one Cholesky factorization per step. The Gram is
+  diagonalized instead for ``eps=inf`` (the baseline and the ELM front)
+  and for an inactive ball, whose minimum-norm solution needs the spectrum;
 * :func:`embed_previous_map` pulls the previous map back through the new
   weight once and returns the feasible witness with the budget it fits
   in, which together guarantee each layer's constrained optimum can match
@@ -30,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DataError, DimensionError, FormatError, ParameterError
 from .layers import json_artifact, pinv_weight
@@ -44,6 +44,10 @@ EPSILON_FLOOR = 1e-12
 NEWTON_RTOL = 1e-13
 NEWTON_MAX_STEPS = 100
 
+#: Cholesky-Newton keeps the multiplier at or above MU_FLOOR * trace(G), so
+#: G + mu*I stays well conditioned; a smaller one is left to the spectrum.
+MU_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class OutputMap:
@@ -52,8 +56,9 @@ class OutputMap:
     ``epsilon`` is ``math.inf`` for unconstrained solves. ``layer_index`` 0
     marks the baseline map applied to raw inputs (or ELM features);
     expanding layers count from 1 (2 when an ELM front occupies slot 1).
-    ``solver`` holds the solve's diagnostics: ``method`` ("exact"),
-    ``newton_steps`` and the ball ``multiplier`` (0 when the constraint is
+    ``solver`` holds the solve's diagnostics: ``method`` (the path that
+    produced the map, "cholesky" or "eigh"), ``newton_steps`` (its Newton
+    updates) and the ball ``multiplier`` (0 when the constraint is
     inactive); the trainer adds the certificate's witness figures.
     """
 
@@ -97,18 +102,20 @@ def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     return m * math.sqrt(eps / nrm2)
 
 
-def least_squares(y: np.ndarray, t: np.ndarray,
-                  eps: float = math.inf) -> OutputMap:
+def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
+                  witness: np.ndarray | None = None) -> OutputMap:
     """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps, exactly.
 
-    With ``G = Y Y^T = V diag(lam) V^T`` and ``C = T Y^T V``, the
-    minimizers are ``O(mu) = C diag(1 / (lam + mu)) V^T`` with squared norm
-    ``s(mu) = sum_j ||C[:, j]||^2 / (lam_j + mu)^2``. Eigenvalues at or below
-    ``(d + N) * machine-eps * lam_max`` are dropped, so ``O(0)`` is the
-    minimum-norm (pseudo-inverse) solution; it is returned when
-    ``s(0) <= eps``. Otherwise Newton's method on
-    ``1/sqrt(s(mu)) - 1/sqrt(eps)``, which is concave and increasing,
-    climbs from ``mu = 0`` to the root without overshooting.
+    With ``G = Y Y^T`` and ``B = T Y^T`` the minimizers are
+    ``O(mu) = B (G + mu I)^-1``, whose squared norm ``s(mu)`` falls as mu
+    grows. A finite ball is first solved by :func:`_cholesky_newton`,
+    started from the multiplier ``(<B, W> - <W G, W>) / eps`` of a feasible
+    ``witness`` map W when one is given. Otherwise, or when that hands the
+    solve back, ``G = V diag(lam) V^T`` is diagonalized: eigenvalues at or
+    below ``(d + N) * machine-eps * lam_max`` are dropped, so ``O(0)`` is
+    the minimum-norm (pseudo-inverse) solution; it is returned when
+    ``s(0) <= eps``, else Newton's method climbs from ``mu = 0`` in the
+    eigenbasis.
     """
     y, t = _as_data_matrices(y, t)
     if not eps > 0:
@@ -119,29 +126,82 @@ def least_squares(y: np.ndarray, t: np.ndarray,
         g = y @ y.T
     if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(t).all()):
         raise DataError("non-finite values in data")
-    # syrk makes G exactly symmetric: LAPACK overwrites the F-ordered G.T
-    lam, v = eigh(g.T, overwrite_a=True, check_finite=False)
+    b = t @ y.T
+    found = None
+    if math.isfinite(eps):
+        mu = 0.0 if witness is None else float(
+            np.vdot(b, witness) - np.vdot(witness @ g, witness)) / eps
+        # syrk makes G exactly symmetric, so G.T is G in Fortran order
+        found = _cholesky_newton(g.T, b, eps, mu)
+    if found is None:
+        # LAPACK overwrites the F-ordered G.T in place
+        lam, v = eigh(g.T, overwrite_a=True, check_finite=False)
+        c = b @ v
+        # forming G sums N products per entry and eigh adds d more
+        # roundings, so eigenvalues below (d + N) * eps * lam_max are noise
+        keep = lam > sum(y.shape) * np.finfo(np.float64).eps * lam[-1]
+        lam, c, v = lam[keep], c[:, keep], v[:, keep]
+        w = np.sum(c * c, axis=0)
+
+        mu, steps = 0.0, 0
+        s = float(np.sum(w / lam ** 2))
+        while s - eps > NEWTON_RTOL * eps and steps < NEWTON_MAX_STEPS:
+            # phi = s^-1/2 - eps^-1/2 and phi' = s^-3/2 * sum(w / (lam + mu)^3)
+            r = float(np.sum(w / (lam + mu) ** 3))
+            mu += s * (math.sqrt(s / eps) - 1.0) / r
+            s = float(np.sum(w / (lam + mu) ** 2))
+            steps += 1
+        found = (c / (lam + mu)) @ v.T, "eigh", steps, mu
     del g
-    c = (t @ y.T) @ v
-    # forming G sums N products per entry and eigh adds d more roundings, so
-    # eigenvalues below (d + N) * eps * lam_max are rounding noise
-    keep = lam > sum(y.shape) * np.finfo(np.float64).eps * lam[-1]
-    lam, c, v = lam[keep], c[:, keep], v[:, keep]
-    w = np.sum(c * c, axis=0)
-
-    mu, steps = 0.0, 0
-    s = float(np.sum(w / lam ** 2))
-    while s - eps > NEWTON_RTOL * eps and steps < NEWTON_MAX_STEPS:
-        # phi = s^-1/2 - eps^-1/2 and phi' = s^-3/2 * sum(w / (lam + mu)^3)
-        r = float(np.sum(w / (lam + mu) ** 3))
-        mu += s * (math.sqrt(s / eps) - 1.0) / r
-        s = float(np.sum(w / (lam + mu) ** 2))
-        steps += 1
-
-    o = project_frobenius_ball((c / (lam + mu)) @ v.T, eps)
-    diag = {"method": "exact", "newton_steps": steps, "multiplier": mu}
+    o, method, steps, mu = found
+    o = project_frobenius_ball(o, eps)
+    diag = {"method": method, "newton_steps": steps, "multiplier": mu}
     return OutputMap(np.ascontiguousarray(o), float(eps),
                      sample_cost(t, o, y), solver=diag)
+
+
+def _reset_gram(g: np.ndarray, diagonal: np.ndarray) -> None:
+    """Rebuild a symmetric ``g`` in place from its strict upper triangle,
+    with ``diagonal`` on its diagonal."""
+    for j in range(0, len(g), 256):  # blocks of columns, for the cache
+        k = min(j + 256, len(g))
+        g[k:, j:k] = g[j:k, k:].T
+        upper = np.triu(g[j:k, j:k], 1)
+        g[j:k, j:k] = upper + upper.T
+    np.fill_diagonal(g, diagonal)
+
+
+def _cholesky_newton(g: np.ndarray, b: np.ndarray, eps: float, mu: float):
+    """Newton's method on ``1/sqrt(s(mu)) - 1/sqrt(eps)`` from ``mu``, one
+    Cholesky ``L L^T = G + mu I`` per step, formed in the lower triangle of
+    the F-ordered ``g`` while the upper one keeps G (rebuilt on return).
+    ``O^T`` comes by ``dpotrs`` and ``-s'(mu) / 2 = ||L^-1 O^T||_F^2`` by
+    ``dtrtrs``. The function is concave and increasing: a start above the
+    root steps below it, then Newton climbs without overshooting, never
+    below ``MU_FLOOR * trace(G)``. Returns ``(O, "cholesky", steps, mu)``,
+    or None to hand over to the spectrum when ``s <= eps`` at that floor
+    (an inactive ball, or a multiplier of numerically 0), when a
+    factorization fails, or when Newton does not converge.
+    """
+    floor = MU_FLOOR * float(np.trace(g))
+    mu = max(mu, floor)
+    g_diag = np.diagonal(g).copy()
+    for steps in range(NEWTON_MAX_STEPS + 1):
+        _reset_gram(g, g_diag + mu)
+        chol, info = dpotrf(g, lower=1, clean=0, overwrite_a=1)
+        if info:
+            break
+        ot = dpotrs(chol, b.T, lower=1)[0]
+        s = float(np.sum(ot * ot))
+        if mu == floor and s <= eps:
+            break
+        if abs(s - eps) <= NEWTON_RTOL * eps:
+            return ot.T, "cholesky", steps, mu
+        z = dtrtrs(chol, ot, lower=1)[0]
+        mu = max(mu + s * (math.sqrt(s / eps) - 1.0) / float(np.sum(z * z)),
+                 floor)
+    _reset_gram(g, g_diag)
+    return None
 
 
 def embed_previous_map(o_prev: OutputMap,

@@ -6,10 +6,11 @@ solve. :func:`map_inputs` walks the training features through it and
 yields the features each map reads; the baseline is the walk's first
 item, and each later step pulls the previous map back through the new
 weight once, which gives both the new map's norm budget and the witness:
-the previous map embedded verbatim into the new layer. That makes the
-cost guarantee constructive: the solver result is kept only if it beats
-the witness, otherwise the witness itself becomes the layer's map. Either
-way the per-layer training cost cannot increase.
+the previous map embedded verbatim into the new layer. The witness also
+starts the solve: its ball multiplier is where Newton's method begins.
+That makes the cost guarantee constructive: the solver result is kept
+only if it beats the witness, otherwise the witness itself becomes the
+layer's map. Either way the per-layer training cost cannot increase.
 
 The loop never touches the test split: :func:`evaluate` scores every map
 on it once, after the last layer, with the same walk, for the report only.
@@ -296,7 +297,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
                 eps = 2.0 * maps[-1].epsilon
             witness_cost = sample_cost(t, witness, feats)
             try:
-                om = least_squares(feats, t, eps)
+                om = least_squares(feats, t, eps, witness=witness)
             except HnfError:
                 raise
             except Exception as exc:
@@ -312,7 +313,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
                 and float(np.sum(witness * witness)) <= eps * (1.0 + 1e-9)
                 and abs(diag["witness_drift"]) <= MONOTONE_SLACK
                 and om.train_cost <= witness_cost + MONOTONE_SLACK
-                and float(np.sum(om.matrix * om.matrix)) <= eps * (1.0 + 1e-6))
+                and float(np.sum(om.matrix * om.matrix)) <= eps * (1.0 + 1e-12))
         maps.append(om)
         train_acc = accuracy(om.matrix @ feats, t)
         now = time.perf_counter()

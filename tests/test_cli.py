@@ -107,6 +107,15 @@ class TestTrainCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 4
 
+    def test_config_file_booleans_in_any_case(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        out = tmp_path / "cfg_run"
+        cfgfile.write_text("data = blobs\nn1 = 16\ndepth = 1\n"
+                           f"standardize = ON\nelm = No\nout = {out}\n")
+        assert main(["train", "--config", str(cfgfile)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["standardize"], config["elm_front"]) == (True, False)
+
     def test_config_file_unknown_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -125,7 +134,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("text, named", [
         (b"data = blobs\nn1 = \xff\n", "run.cfg"),
         (b"data = blobs\nn1 = abc\ndepth = 1\n", "n1 = 'abc'"),
-    ], ids=["non-utf8", "bad-int"])
+        (b"data = blobs\nn1 = 16\ndepth = 1\nstandardize = ture\n",
+         "standardize = 'ture'"),
+    ], ids=["non-utf8", "bad-int", "bad-bool"])
     def test_config_file_unreadable_value_exits_2(self, tmp_path, capsys,
                                                   text, named):
         cfgfile = tmp_path / "run.cfg"

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
+import hnf.solvers
+from hnf.data import make_synthetic_blobs
 from hnf.errors import DataError, DimensionError, ParameterError
 from hnf.layers import HnfLayer, layer_forward, vn_expand
 from hnf.matrixgen import (
@@ -24,6 +27,8 @@ from hnf.solvers import (
     sample_cost,
     save_output_map,
 )
+
+from hnf.trainer import TrainConfig, build_network, map_inputs
 
 import oracles
 
@@ -204,9 +209,9 @@ class TestAdmm:
             least_squares(y, rng.standard_normal((2, 10)), eps)
 
     def test_peak_has_no_feature_sized_term(self, rng):
-        """Beyond O(d^2) for the Gram and its eigenvectors and a few Q x N
-        residuals, the solve allocates nothing of the d x N features' size,
-        not even a bool mask."""
+        """Beyond O(d^2) for the Gram (factored in place on this active
+        ball) and a few Q x N residuals, the solve allocates nothing of the
+        d x N features' size, not even a bool mask."""
         d, n, q = 256, 20000, 2
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((q, n))
@@ -241,6 +246,10 @@ class TestExactSolveProperties:
            duplicate=st.booleans(), radius=st.sampled_from(
                [0.01, 0.3, 0.99, 1.0, 1.01, 3.0, math.inf]),
            seed=st.integers(0, 2 ** 32 - 1))
+    # the ball's multiplier is 0 here, so Newton must hand the solve to the
+    # spectrum: a multiplier floor near machine epsilon ran 100 steps on
+    # this instance and returned a map with a duplicate-column gap
+    @example(d=2, n=1, q=1, duplicate=True, radius=1.0, seed=0)
     def test_feasible_and_optimal(self, d, n, q, duplicate, radius, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         y = rng.standard_normal((d, n))
@@ -266,6 +275,93 @@ class TestExactSolveProperties:
             expected = oracles.normal_equations_extended(y, t)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(om.matrix - expected)) <= 1e-8 * scale
+
+
+class TestCholeskyNewton:
+    def test_inactive_ball_takes_the_eigh_path(self, rng, monkeypatch):
+        y = rng.standard_normal((5, 80))
+        t = rng.standard_normal((3, 80))
+        free = least_squares(y, t)
+        eps = 2.0 * float(np.sum(free.matrix ** 2))
+        factorizations = []
+
+        def counted(*args, **kw):
+            factorizations.append(1)
+            return dpotrf(*args, **kw)
+
+        monkeypatch.setattr(hnf.solvers, "dpotrf", counted)
+        # the Cholesky path hands over as soon as it reaches the floor:
+        # at once from a cold start, after one step down from a start
+        # above the root
+        for witness, tries in ((None, 1), (free.matrix, 1),
+                               (0.1 * free.matrix, 2)):
+            factorizations.clear()
+            om = least_squares(y, t, eps, witness=witness)
+            assert om.solver == {"method": "eigh", "newton_steps": 0,
+                                 "multiplier": 0.0}
+            assert np.array_equal(om.matrix, free.matrix)
+            assert len(factorizations) == tries
+
+    def test_handover_sees_the_gram_unchanged(self, rng):
+        """The factors overwrite G's lower triangle, which is rebuilt in
+        blocks of 256 columns before the spectral solve reads it."""
+        y = rng.standard_normal((300, 700))
+        t = rng.standard_normal((2, 700))
+        free = least_squares(y, t)
+        eps = 2.0 * float(np.sum(free.matrix ** 2))
+        om = least_squares(y, t, eps, witness=0.1 * free.matrix)
+        assert om.solver["method"] == "eigh"
+        assert np.array_equal(om.matrix, free.matrix)
+
+    def test_singular_gram_with_zero_multiplier_takes_the_eigh_path(self, rng):
+        base = rng.standard_normal((3, 40))
+        y = np.vstack([base, base[:1]])
+        t = rng.standard_normal((2, 40))
+        free = least_squares(y, t)
+        om = least_squares(y, t, float(np.sum(free.matrix ** 2)))
+        assert om.solver["method"] == "eigh"
+        assert np.allclose(om.matrix, free.matrix, rtol=0, atol=1e-12)
+        assert np.max(np.abs(om.matrix[:, 0] - om.matrix[:, -1])) <= (
+            1e-12 * np.linalg.norm(om.matrix))
+
+    def test_active_ball_takes_the_cholesky_path(self, rng):
+        y = rng.standard_normal((5, 80))
+        t = rng.standard_normal((3, 80))
+        free = least_squares(y, t)
+        om = least_squares(y, t, 0.1 * float(np.sum(free.matrix ** 2)))
+        assert om.solver["method"] == "cholesky"
+        assert om.solver["multiplier"] > 0
+
+    def test_matches_eigh_on_relu_features(self, monkeypatch):
+        """On every layer of a blobs network, with the trainer's witness and
+        ball, the Cholesky path reproduces the spectral solve, and starting
+        from the witness's multiplier never costs an extra Newton step."""
+        blobs = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
+        x, t = blobs.X_train, blobs.T_train
+        net = build_network(8, TrainConfig(n1=16, depth=3, seed=1), 1)
+        prev, steps, cold_steps = None, 0, 0
+        for layer, feats in map_inputs(net, x):
+            if prev is None:
+                prev = least_squares(feats, t)
+                continue
+            witness, eps = embed_previous_map(prev, net.layers[layer - 1].weight)
+            om = least_squares(feats, t, eps, witness=witness)
+            cold = least_squares(feats, t, eps)
+            with monkeypatch.context() as m:  # skip the Cholesky path
+                m.setattr(hnf.solvers, "_cholesky_newton", lambda *a: None)
+                ref = least_squares(feats, t, eps)
+            assert om.solver["method"] == "cholesky", layer
+            assert ref.solver["method"] == "eigh"
+            assert ref.solver["multiplier"] > 0
+            scale = np.max(np.abs(ref.matrix))
+            assert np.max(np.abs(om.matrix - ref.matrix)) <= 1e-10 * scale
+            assert om.solver["multiplier"] == pytest.approx(
+                ref.solver["multiplier"], rel=1e-9)
+            assert om.solver["newton_steps"] <= cold.solver["newton_steps"]
+            steps += om.solver["newton_steps"]
+            cold_steps += cold.solver["newton_steps"]
+            prev = om
+        assert steps < cold_steps
 
 
 class TestEpsilonSchedule:
@@ -366,7 +462,7 @@ class TestEmbedPreviousMap:
 class TestOutputMapIO:
     def test_round_trip(self, tmp_path, rng):
         om = OutputMap(rng.standard_normal((3, 6)), 2.5, 0.125, 2,
-                       {"method": "exact", "newton_steps": 4})
+                       {"method": "cholesky", "newton_steps": 4})
         save_output_map(om, tmp_path / "map02")
         back = load_output_map(tmp_path / "map02.json")
         assert np.array_equal(back.matrix, om.matrix)

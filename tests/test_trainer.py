@@ -18,6 +18,7 @@ from hnf.solvers import (
     OutputMap,
     embed_previous_map,
     least_squares,
+    sample_cost,
 )
 from hnf.trainer import (
     MONOTONE_SLACK,
@@ -256,8 +257,8 @@ class TestTrain:
         assert abs(maps[1].solver["witness_drift"]) > MONOTONE_SLACK
 
     def test_worse_solve_falls_back_to_the_witness(self, blobs, monkeypatch):
-        def zero_when_constrained(y, t, eps=math.inf):
-            om = least_squares(y, t, eps)
+        def zero_when_constrained(y, t, eps=math.inf, **kw):
+            om = least_squares(y, t, eps, **kw)
             if math.isinf(eps):
                 return om
             return OutputMap(np.zeros_like(om.matrix), eps, 1e3,
@@ -272,6 +273,20 @@ class TestTrain:
             assert (maps[k].epsilon, maps[k].layer_index) == (eps, k)
             assert maps[k].solver["fallback"] == "witness"
             assert maps[k].solver["solve_cost"] == 1e3
+
+    def test_map_just_outside_the_ball_not_certified(self, blobs, monkeypatch):
+        def outside(y, t, eps=math.inf, **kw):
+            om = least_squares(y, t, eps, **kw)
+            if math.isinf(eps):
+                return om
+            m = om.matrix * math.sqrt(eps * (1 + 1e-9) / np.sum(om.matrix ** 2))
+            return OutputMap(m, eps, sample_cost(t, m, y), solver=om.solver)
+
+        monkeypatch.setattr("hnf.trainer.least_squares", outside)
+        _, maps, report = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
+        assert not report.monotonicity_certified
+        assert "fallback" not in maps[1].solver
+        assert np.sum(maps[1].matrix ** 2) > maps[1].epsilon * (1 + 1e-12)
 
     def test_elm_front_with_dct_tail(self, blobs):
         cfg = TrainConfig(n1=24, depth=3, weight_kind="dct",
@@ -465,4 +480,4 @@ class TestCertificationInternals:
         _, maps, _ = train(blobs, cfg)
         for om in maps[1:]:
             assert math.isfinite(om.epsilon)
-            assert float(np.sum(om.matrix ** 2)) <= om.epsilon * (1 + 1e-6)
+            assert float(np.sum(om.matrix ** 2)) <= om.epsilon * (1 + 1e-12)
