@@ -217,39 +217,6 @@ def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
     return cur
 
 
-@dataclass(frozen=True)
-class PerturbationCheck:
-    """Outcome of one weight-perturbation bound evaluation."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def weight_perturbation_check(
-    layer: HnfLayer, dw: np.ndarray, q: np.ndarray
-) -> PerturbationCheck:
-    """Check that perturbing the weight moves the output by at most
-    ``||dW||_F^2 * ||q||^2`` (in squared norm)."""
-    dw = np.asarray(dw, dtype=np.float64)
-    if dw.shape != layer.weight.entries.shape:
-        raise DimensionError(
-            f"perturbation shape {dw.shape} does not match weight shape "
-            f"{layer.weight.entries.shape}"
-        )
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != layer.in_dim:
-        raise DimensionError(
-            f"input dim {q.shape[0]} does not match layer in_dim {layer.in_dim}"
-        )
-    act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
-    out = act(layer.weight.entries @ q)
-    out_perturbed = act((layer.weight.entries + dw) @ q)
-    lhs = float(np.sum((out - out_perturbed) ** 2))
-    rhs = float(np.sum(dw ** 2) * np.sum(q ** 2))
-    return PerturbationCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))
-
-
 def save_network(net: HnfNetwork, out_dir) -> Path:
     """Write the weight files plus a JSON manifest; returns the manifest path.
 

@@ -138,9 +138,11 @@ def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
         lam, v = eigh(g.T, overwrite_a=True, check_finite=False)
         c = b @ v
         # forming G sums N products per entry and eigh adds d more
-        # roundings, so eigenvalues below (d + N) * eps * lam_max are noise
-        keep = lam > sum(y.shape) * np.finfo(np.float64).eps * lam[-1]
-        lam, c, v = lam[keep], c[:, keep], v[:, keep]
+        # roundings, so eigenvalues below (d + N) * eps * lam_max are noise;
+        # lam ascends, so a slice drops them without copying v
+        drop = np.searchsorted(
+            lam, sum(y.shape) * np.finfo(np.float64).eps * lam[-1], "right")
+        lam, c, v = lam[drop:], c[:, drop:], v[:, drop:]
         w = np.sum(c * c, axis=0)
 
         mu, steps = 0.0, 0
@@ -174,7 +176,8 @@ def _reset_gram(g: np.ndarray, diagonal: np.ndarray) -> None:
 def _cholesky_newton(g: np.ndarray, b: np.ndarray, eps: float, mu: float):
     """Newton's method on ``1/sqrt(s(mu)) - 1/sqrt(eps)`` from ``mu``, one
     Cholesky ``L L^T = G + mu I`` per step, formed in the lower triangle of
-    the F-ordered ``g`` while the upper one keeps G (rebuilt on return).
+    the F-ordered ``g`` while the upper one keeps G. G is rebuilt only on a
+    handover; on success the lower triangle holds the last factor.
     ``O^T`` comes by ``dpotrs`` and ``-s'(mu) / 2 = ||L^-1 O^T||_F^2`` by
     ``dtrtrs``. The function is concave and increasing: a start above the
     root steps below it, then Newton climbs without overshooting, never

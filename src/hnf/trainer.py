@@ -45,7 +45,8 @@ from .layers import (
     HnfNetwork,
     iter_layer_features,
     network_invert,
-    weight_perturbation_check,
+    un_collapse,
+    vn_expand,
 )
 from .matrixgen import (
     make_dct_orthonormal,
@@ -325,12 +326,8 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     del feats  # the test walk need not hold the last train features
     test = evaluate(net, maps, data, "test", transform)
     rows = [replace(r, test_acc=test[r.layer].accuracy) for r in rows]
-    meta = {
-        "dataset": dict(data.meta),
-        "config": cfg.echo(),
-        "standardize_params": std_params,
-    }
-    report = TrainReport(rows[0], rows[1:], certified, meta)
+    report = TrainReport(rows[0], rows[1:], certified,
+                         {"standardize_params": std_params})
     return net, maps, report
 
 
@@ -377,9 +374,12 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     for layer, feats in map_inputs(net, x):
         for m in maps:
             if m.layer_index == layer:
+                p = m.matrix @ feats
+                acc = accuracy(p, t)
+                p -= t  # -(t - p): sample_cost's squares, bit for bit
                 scores[layer] = Evaluation(
-                    sample_cost(t, m.matrix, feats) if t.size else math.nan,
-                    accuracy(m.matrix @ feats, t))
+                    float(np.sum(p * p) / t.shape[1]) if t.size else math.nan,
+                    acc)
         if layer == deepest:
             break
     return scores
@@ -428,7 +428,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
 
     Trials run in blocks of :data:`VERIFY_BLOCK` matrix columns: each block
     draws its input pairs, runs one forward pass per side and one inversion,
-    then draws one weight perturbation per trial. Failures are reported,
+    then draws one weight perturbation per trial, for a random layer, from
+    its exact law as seen through ``dW q`` and ``||dW||_F``, and checks
+    them all at once on the features the walk holds. Failures are reported,
     never raised; an inversion error counts every trial of its block as a
     violation. When the network has a non-expanding front layer, checks run
     on the expanding subchain behind it.
@@ -457,17 +459,15 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
 
     for start in range(0, trials, VERIFY_BLOCK):
         count = min(VERIFY_BLOCK, trials - start)
-        # pairs fill rows, so each trial's column is contiguous once transposed
-        x1 = np.empty((count, base.shape[0]))
-        x2 = np.empty_like(x1)
-        for t in range(count):
-            x1[t] = base[:, int(rng.integers(n))]
-            if rng.random() < 0.5:
-                x2[t] = base[:, int(rng.integers(n))]
-            else:
-                x2[t] = x1[t] + rng.standard_normal(x1.shape[1]) * (
-                    0.1 * (np.linalg.norm(x1[t]) + 1.0))
-        x1, x2 = x1.T, x2.T
+        # trial t pairs input i1[t] with input i2[t] on heads, else with
+        # its own noisy copy
+        i1 = rng.integers(n, size=count)
+        heads = rng.random(count) < 0.5
+        i2 = rng.integers(n, size=count)
+        noise = rng.standard_normal((count, base.shape[0])).T
+        x1 = base[:, i1]
+        x2 = np.where(heads, base[:, i2], x1 + noise * (
+            0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
         f1 = [x1, *(f.copy() for f in iter_layer_features(sub, x1))]
         f2 = [x2, *(f.copy() for f in iter_layer_features(sub, x2))]
 
@@ -496,14 +496,28 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
             rel = np.linalg.norm(x_rec - x1, axis=0) / denom
             record("inversion_round_trip", 1e-6 - rel)
 
+        # dW = r G / ||G||_F with G i.i.d. N(0, 1) is seen only through
+        # dW q = r ||q|| xi / sqrt(||xi||^2 + c), xi ~ N(0, I), c ~ chi^2
+        # with n (m - 1) degrees of freedom, and ||dW||_F = r
+        li = rng.integers(len(sub.layers), size=count)
+        r = rng.uniform(1e-6, 1.0, size=count)
         margins = np.empty(count)
-        for t in range(count):
-            li = int(rng.integers(len(sub.layers)))
-            hl = sub.layers[li]
-            dw = rng.standard_normal(hl.weight.entries.shape)
-            dw *= rng.uniform(1e-6, 1.0) / max(np.linalg.norm(dw), 1e-30)
-            chk = weight_perturbation_check(hl, dw, f1[li][:, t])
-            margins[t] = chk.rhs * (1.0 + 1e-9) - chk.lhs
+        for l, layer in enumerate(sub.layers):
+            on = li == l
+            q, out, rl = f1[l][:, on], f1[l + 1][:, on], r[on]
+            rows, cols = layer.weight.entries.shape
+            delta = rng.standard_normal((rows, len(rl)))
+            # 2 Gamma(k / 2) is chi^2 with k degrees of freedom, also for k = 0
+            c = 2.0 * rng.standard_gamma(rows * (cols - 1) / 2, size=len(rl))
+            qq = np.sum(q * q, axis=0)
+            delta *= rl * np.sqrt(qq / (np.sum(delta * delta, axis=0) + c))
+            if layer.expand:  # the walk's features hold W q exactly
+                out_p = vn_expand(un_collapse(out) + delta)
+            else:
+                out_p = ACTIVATIONS[layer.activation](
+                    layer.weight.entries @ q + delta)
+            margins[on] = (rl * rl * qq * (1.0 + 1e-9)
+                           - np.sum((out - out_p) ** 2, axis=0))
         record("weight_perturbation_bound", margins)
 
     notes = dict.fromkeys(CHECK_NAMES, front_note)

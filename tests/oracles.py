@@ -6,7 +6,8 @@ precision, the constrained solver is reproduced by bisecting the
 Lagrange multiplier, and the budget formula is evaluated with the
 collapse matrix explicitly materialized. The invariant-check reference
 runs single layers and single columns through hnf.layers, one pair at a
-time. :func:`traced_peak` measures what a call allocates.
+time, and checks each weight perturbation densely, as a full matrix.
+:func:`traced_peak` measures what a call allocates.
 """
 
 import math
@@ -14,13 +15,16 @@ import tracemalloc
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 
 from hnf.errors import NotInvertibleError, NumericalError
 from hnf.layers import (
+    ACTIVATIONS,
+    HnfLayer,
     HnfNetwork,
     layer_forward,
     network_invert,
-    weight_perturbation_check,
+    vn_expand,
 )
 
 
@@ -119,16 +123,45 @@ def dct_ii_matrix_oracle(n: int) -> np.ndarray:
     return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
 
 
+def perturbation_margin(layer: HnfLayer, dw: np.ndarray,
+                        q: np.ndarray) -> float:
+    """``||dW||_F^2 ||q||^2 (1 + 1e-9) - ||act(W q) - act((W + dW) q)||^2``
+    for a dense weight perturbation ``dW``: >= 0 when the layer's
+    weight-perturbation bound holds, with the slack hnf's check allows."""
+    act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
+    w = layer.weight.entries
+    lhs = float(np.sum((act(w @ q) - act((w + dw) @ q)) ** 2))
+    return float(np.sum(dw ** 2) * np.sum(q ** 2)) * (1.0 + 1e-9) - lhs
+
+
+def dense_perturbation(delta: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+    """A weight perturbation ``dW`` with ``dW q = delta`` and
+    ``||dW||_F = r`` (up to rounding), given ``||delta|| <= r ||q||``:
+    ``delta q^T / ||q||^2`` plus a rank-one part whose rows are orthogonal
+    to q, which carries the rest of the norm."""
+    qq = float(q @ q)
+    dw = np.outer(delta, q / qq) if qq > 0 else np.zeros((len(delta), len(q)))
+    rest = r * r - float(np.sum(dw * dw))
+    null = scipy.linalg.null_space(q[None, :])
+    if rest > 0 and null.size:
+        dw[0] += math.sqrt(rest) * null[:, 0]
+    return dw
+
+
 def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
                      block: int) -> dict[str, tuple[int, float]]:
     """Per-pair reference for ``hnf.trainer.verify_invariants``.
 
-    Draws from the same seeded generator in the same order (a block's pairs
-    first, then one weight perturbation per trial of the block) but pushes
-    each pair through the layers with :func:`layer_forward` and inverts it
-    with :func:`network_invert` one column at a time. Returns, per check,
-    the violation count and the worst margin (nan when nothing was checked
-    or any margin was nan).
+    Draws from the same seeded generator in the same order: per block, the
+    pairs' first indices, coins, second indices and noise, then each
+    trial's layer and perturbation norm r, then per layer the normals and
+    chi-square draws of its trials, in trial order. It pushes each pair
+    through the layers with :func:`layer_forward` and inverts it with
+    :func:`network_invert` one column at a time. Each perturbation becomes
+    a dense ``dW`` (:func:`dense_perturbation`) for
+    :func:`perturbation_margin`. Returns, per check, the violation count
+    and the worst margin (nan when nothing was checked or any margin was
+    nan).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = list(net.layers)
@@ -150,14 +183,18 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
 
     n = x.shape[1]
     for start in range(0, trials, block):
+        count = min(block, trials - start)
+        i1 = rng.integers(n, size=count)
+        heads = rng.random(count) < 0.5
+        i2 = rng.integers(n, size=count)
+        noise = rng.standard_normal((count, x.shape[0]))
         feats = []
-        for _ in range(min(block, trials - start)):
-            x1 = x[:, int(rng.integers(n))]
-            if rng.random() < 0.5:
-                x2 = x[:, int(rng.integers(n))]
+        for t in range(count):
+            x1 = x[:, i1[t]]
+            if heads[t]:
+                x2 = x[:, i2[t]]
             else:
-                x2 = x1 + rng.standard_normal(x1.shape) * (
-                    0.1 * (np.linalg.norm(x1) + 1.0))
+                x2 = x1 + noise[t] * (0.1 * (np.linalg.norm(x1) + 1.0))
             f1, f2 = [x1], [x2]
             for layer in layers:
                 f1.append(layer_forward(layer, f1[-1]))
@@ -183,12 +220,21 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
                 denom = float(np.linalg.norm(x1)) or 1.0
                 rel = float(np.linalg.norm(x_rec - x1)) / denom
                 note("inversion_round_trip", 1e-6 - rel, not rel <= 1e-6)
-        for f1 in feats:
-            li = int(rng.integers(len(layers)))
-            dw = rng.standard_normal(layers[li].weight.entries.shape)
-            dw *= rng.uniform(1e-6, 1.0) / max(np.linalg.norm(dw), 1e-30)
-            chk = weight_perturbation_check(layers[li], dw, f1[li])
-            note("weight_perturbation_bound",
-                 chk.rhs * (1.0 + 1e-9) - chk.lhs, not chk.holds)
+        li = rng.integers(len(layers), size=count)
+        r = rng.uniform(1e-6, 1.0, size=count)
+        draws = {}
+        for l, layer in enumerate(layers):
+            rows, cols = layer.weight.entries.shape
+            k = int(np.count_nonzero(li == l))
+            xi = rng.standard_normal((rows, k)).T
+            c = 2.0 * rng.standard_gamma(rows * (cols - 1) / 2, size=k)
+            draws[l] = iter(zip(xi, c))
+        for t, f1 in enumerate(feats):
+            xi, c = next(draws[li[t]])
+            q = f1[li[t]]
+            delta = r[t] * np.linalg.norm(q) * xi / math.sqrt(xi @ xi + c)
+            margin = perturbation_margin(
+                layers[li[t]], dense_perturbation(delta, q, r[t]), q)
+            note("weight_perturbation_bound", margin, not margin >= 0)
     return {name: (viol[name], math.nan if math.isinf(worst[name])
                    else worst[name]) for name in names}

@@ -435,6 +435,12 @@ class TestVerifyCommand:
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
 
+    def test_one_feature_csv_passes(self, tmp_path, capsys):
+        src = tmp_path / "one.csv"
+        src.write_text("".join(f"{i % 7 - 3},{'AB'[i % 2]}\n" for i in range(40)))
+        assert main(["verify", "--data", f"csv:{src}", "--n1", "4",
+                     "--depth", "2", "--trials", "50"]) == 0
+
     def test_fresh_network_is_built_not_trained(self, capsys, monkeypatch):
         argv = ["verify", "--data", "blobs", "--n1", "16", "--depth", "3",
                 "--trials", "25"]

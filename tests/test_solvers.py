@@ -220,6 +220,17 @@ class TestAdmm:
         assert peak <= 3 * d * d * 8 + 4 * q * n * 8 + 2 ** 20
         assert peak < d * n
 
+    def test_eigh_path_copies_no_eigenvectors(self, rng):
+        """An unconstrained solve holds G and its eigenvectors, about
+        2 d^2 floats at its peak; dropping the noise eigenvalues by a mask
+        copied the eigenvectors once more, to 3 d^2."""
+        d, n = 512, 1500
+        y = rng.standard_normal((d, n))
+        t = rng.standard_normal((2, n))
+        om, peak = oracles.traced_peak(least_squares, y, t)
+        assert om.solver["method"] == "eigh"
+        assert peak < 2.5 * d * d * 8
+
     def test_deterministic(self, rng):
         y = rng.standard_normal((4, 40))
         t = rng.standard_normal((2, 40))

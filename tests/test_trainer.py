@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import hnf.layers
 import hnf.trainer
-from hnf.data import make_synthetic_blobs
+from hnf.data import Dataset, make_synthetic_blobs
 from hnf.errors import ConfigError, ParameterError, ResourceError, StateError
 from hnf.layers import HnfLayer, HnfNetwork, vn_expand
 from hnf.matrixgen import (
@@ -350,6 +351,9 @@ class TestEvaluate:
             assert scores[layer].cost == pytest.approx(rec.train_cost, rel=1e-9)
         assert scores[0].cost == pytest.approx(report.baseline.train_cost,
                                                rel=1e-9)
+        for (layer, feats), m in zip(map_inputs(net, blobs.X_train), maps):
+            assert scores[layer].cost == sample_cost(blobs.T_train, m.matrix,
+                                                     feats)
 
     def test_missing_layer_is_state_error(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1)
@@ -418,11 +422,58 @@ class TestVerifyInvariants:
         rep = verify_invariants(net, blobs, trials=20, seed=0)
         assert rep.passed
 
-    @pytest.mark.parametrize("kind", ["random", "dct", "elm", "rank_deficient"])
+    def test_reduced_perturbation_has_the_dense_law(self):
+        """||dW q||^2 / (||dW||_F^2 ||q||^2) for dW = r G / ||G||_F, G an
+        i.i.d. N(0, 1) n x m matrix, against ||xi||^2 / (||xi||^2 + c) with
+        xi ~ N(0, I_n) and c ~ chi^2 on n (m - 1) degrees of freedom."""
+        n, m, draws = 40, 30, 20000
+        rng = np.random.Generator(np.random.PCG64(11))
+        q = rng.standard_normal(m)
+        dense = np.concatenate([
+            np.sum((g @ q) ** 2, axis=1) / np.sum(g * g, axis=(1, 2))
+            for g in (rng.standard_normal((1000, n, m))
+                      for _ in range(draws // 1000))]) / (q @ q)
+        xi2 = np.sum(rng.standard_normal((draws, n)) ** 2, axis=1)
+        c = 2.0 * rng.standard_gamma(n * (m - 1) / 2, size=draws)
+        assert scipy.stats.ks_2samp(dense, xi2 / (xi2 + c)).pvalue > 0.01
+
+    def test_planted_violation_counted_on_every_trial(self, blobs, monkeypatch):
+        """With the check's expansion negated and scaled by 1.5, the
+        perturbed output of an orthonormal layer sits at least ||q|| from
+        the walk's nonnegative one, beyond every bound r^2 ||q||^2, r <= 1."""
+        real = hnf.trainer.vn_expand
+        monkeypatch.setattr("hnf.trainer.vn_expand", lambda z: -1.5 * real(z))
+        net = build_chain(8, 16, 3, seed=1)
+        trials = VERIFY_BLOCK + 44
+        rep = verify_invariants(net, blobs, trials=trials, seed=9)
+        assert [c.violations for c in rep.checks] == [0, 0, 0, 0, trials]
+        assert rep.checks[4].worst_margin < 0
+
+    def test_fan_in_one_and_zero_inputs(self):
+        """A layer of fan-in 1 (its chi-square has 0 degrees of freedom)
+        and all-zero input columns, whose perturbations are all 0, give
+        finite margins and no violation."""
+        x = make_synthetic_blobs(1, 3, 400, separation=6.0, seed=3)
+        zeroed = x.X.copy()
+        zeroed[:, ::2] = 0.0
+        data = Dataset(zeroed, x.T, x.train_idx, x.test_idx, x.meta)
+        net = build_network(1, TrainConfig(n1=4, depth=3, seed=1), 400)
+        rep = verify_invariants(net, data, trials=VERIFY_BLOCK + 44, seed=9)
+        assert rep.passed
+        assert all(math.isfinite(c.worst_margin) for c in rep.checks)
+        assert rep.checks[4].worst_margin == 0.0
+
+    @pytest.mark.parametrize("kind", ["random", "dct", "elm", "rank_deficient",
+                                      "inner_sigmoid"])
     def test_batched_matches_per_pair_reference(self, blobs, kind):
         if kind == "elm":
             front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
             net = HnfNetwork((front, *build_chain(20, 20, 2, seed=3).layers))
+        elif kind == "inner_sigmoid":  # only a hand-written manifest has one
+            inner = HnfLayer(make_raw_gaussian(12, 32, seed=2), expand=False,
+                             activation="sigmoid")
+            net = HnfNetwork((*build_chain(8, 16, 1, seed=1).layers, inner,
+                              *build_chain(12, 12, 1, seed=3).layers))
         elif kind == "rank_deficient":
             w = make_random_orthonormal(16, 8, seed=1)
             entries = w.entries.copy()
@@ -443,7 +494,7 @@ class TestVerifyInvariants:
                 assert math.isnan(chk.worst_margin), chk.name
             else:
                 assert abs(chk.worst_margin - margin) <= 1e-12, chk.name
-        if kind == "rank_deficient":
+        if kind in ("rank_deficient", "inner_sigmoid"):
             assert rep.checks[3].violations == trials
 
 
