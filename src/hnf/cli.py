@@ -2,8 +2,8 @@
 
 Exit codes are stable: 0 success, 2 configuration problems, 3 data problems,
 4 solver or certification failures, 5 resource budget exceeded. Every train
-run writes a manifest sufficient to reproduce it byte-for-byte on the same
-build, and every artifact it writes can be re-loaded by ``eval``.
+run writes a manifest that reproduces it byte-for-byte on the same build and
+BLAS thread count, and ``eval`` can re-load every artifact it writes.
 """
 
 from __future__ import annotations

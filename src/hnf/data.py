@@ -8,9 +8,10 @@ that together cover every column.
 
 from __future__ import annotations
 
-import csv
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -109,16 +110,53 @@ def _dataset(x, labels, label_names, name, train_idx=None, test_idx=None,
                    np.asarray(test_idx, dtype=np.int64), meta)
 
 
+def _data_lines(fh, opts: dict, skip: int = 0):
+    """``(file line number, line)`` of each non-blank line after ``skip``."""
+    spaced = opts["delimiter"] is None
+    for rownum, line in enumerate(fh, 1):
+        if rownum > skip and (line.strip() if spaced else line.rstrip("\n")):
+            yield rownum, line
+
+
+def _fields(line: str, opts: dict) -> list[str]:
+    return list(np.loadtxt([line], dtype=object, ndmin=1, **opts))
+
+
+def _bad_row(path, opts, skip, width, label_at) -> ParseError:
+    """The first ragged row, or row with a bad feature, by file line."""
+    row_opts = {**opts, "converters": {label_at: lambda s: 0.0}}
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for rownum, line in _data_lines(fh, opts, skip):
+            with suppress(ValueError):
+                row = np.loadtxt([line], **row_opts)
+                if row.size == width and np.isfinite(row).all():
+                    continue
+            cells = _fields(line, opts)
+            if len(cells) != width:
+                return ParseError(f"{path}: row {rownum} has {len(cells)} "
+                                  f"fields, expected {width}")
+            for j, cell in enumerate(cells):
+                kind = "non-numeric"
+                with suppress(ValueError):
+                    if j == label_at or np.isfinite(
+                            np.loadtxt([line], usecols=j, **opts)):
+                        continue
+                    kind = "non-finite"
+                return ParseError(f"{path}: row {rownum}, column {j + 1}: "
+                                  f"{kind} feature {cell!r}")
+    return ParseError(f"{path}: no bad row on a second read")
+
+
 def load_csv(path, label_column=-1, delimiter: str = ",",
              has_header: bool = False) -> Dataset:
     """Parse a rectangular delimited file into a dataset.
 
     ``label_column`` selects the label field by index (negatives count from
-    the end) or by header name (requires ``has_header``). Features must be
-    numeric; labels are mapped to 0..Q-1 in first-appearance order, recorded
-    in ``meta["label_names"]``. A whitespace delimiter splits on runs of
-    whitespace (the common layout of space-separated numeric files). All
-    samples land in the train split; apply :func:`split_dataset` afterwards.
+    the end) or by header name (requires ``has_header``). Labels are mapped
+    to 0..Q-1 in first-appearance order, recorded in ``meta["label_names"]``.
+    One np.loadtxt pass reads the file, as README "Data sources" describes;
+    error rows are file lines. All samples land in the train split; apply
+    :func:`split_dataset` afterwards.
     """
     path = Path(path)
     if not path.is_file():
@@ -126,84 +164,46 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
     if len(delimiter) != 1 and not delimiter.isspace():
         raise ParameterError(f"delimiter must be one character or "
                              f"whitespace, got {delimiter!r}")
-    try:
-        if delimiter.isspace():
-            rows = [line.split()
-                    for line in path.read_text(encoding="utf-8").splitlines()]
-        else:
-            with open(path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh, delimiter=delimiter))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"{path}: unreadable text: {exc}") from None
-    rows = [r for r in rows if r]
-    if not rows:
-        raise ParseError(f"{path}: no rows")
-
-    header = None
-    if has_header:
-        header = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: header but no data rows")
-    width = len(rows[0])
+    opts = {"delimiter": None if delimiter.isspace() else delimiter,
+            "comments": None, "quotechar": '"', "encoding": "utf-8"}
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        head = list(islice(_data_lines(fh, opts), 1 + has_header))
+    if len(head) < 1 + has_header:
+        raise ParseError(f"{path}: " + ("header but no data rows" if head
+                                        else "no rows"))
+    skip = head[0][0] if has_header else 0
+    width = len(_fields(head[-1][1], opts))
     if width < 2:
-        raise ParseError(f"{path}: need at least one feature and a label")
+        raise ParseError(f"{path}: row {head[-1][0]}: need at least one "
+                         f"feature and a label")
 
-    if isinstance(label_column, str):
-        if header is None:
-            raise ParseError(
-                f"{path}: label column named {label_column!r} needs a header"
-            )
-        try:
-            label_at = header.index(label_column)
-        except ValueError:
-            raise ParseError(
-                f"{path}: no header column named {label_column!r}"
-            ) from None
-    else:
+    header = _fields(head[0][1], opts) if has_header else []
+    if not isinstance(label_column, str):
         idx = int(label_column)
-        if not -width <= idx < width:
-            raise ParseError(
-                f"{path}: label column {idx} out of range for {width} fields"
-            )
-        label_at = idx % width
+    elif label_column in header:
+        idx = header.index(label_column)
+    else:
+        raise ParseError(f"{path}: " + (
+            f"no header column named {label_column!r}" if has_header
+            else f"label column named {label_column!r} needs a header"))
+    if not -width <= idx < width:
+        raise ParseError(f"{path}: label column {idx} out of range for "
+                         f"{width} fields")
+    label_at = idx % width
 
-    features = []
-    raw_labels = []
-    for i, row in enumerate(rows):
-        rownum = i + (2 if has_header else 1)
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {rownum} has {len(row)} fields, expected {width}"
-            )
-        feat = []
-        for j, cell in enumerate(row):
-            if j == label_at:
-                continue
-            try:
-                feat.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {rownum}, column {j + 1}: "
-                    f"non-numeric feature {cell!r}"
-                ) from None
-        features.append(feat)
-        raw_labels.append(row[label_at])
-
-    label_names = list(dict.fromkeys(raw_labels))  # first-appearance order
-    index_of = {lab: i for i, lab in enumerate(label_names)}
-    labels = np.array([index_of[lab] for lab in raw_labels], dtype=np.int64)
-
-    x = np.array(features, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(x))
-    if bad.size:
-        i, j = bad[0]
-        column = j + 1 if j < label_at else j + 2
-        raise ParseError(
-            f"{path}: row {i + (2 if has_header else 1)}, column {column}: "
-            f"non-finite feature {rows[i][column - 1]!r}"
-        )
-    return _dataset(x.T, labels, label_names, path.name, source=str(path))
+    index_of: dict[str, int] = {}  # first-appearance order
+    try:
+        table = np.loadtxt(path, ndmin=2, skiprows=skip, converters={
+            label_at: lambda s: index_of.setdefault(s, len(index_of))}, **opts)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: unreadable text: {exc}") from None
+    except ValueError:
+        raise _bad_row(path, opts, skip, width, label_at) from None
+    x = np.delete(table, label_at, axis=1)
+    if not np.isfinite(x).all():
+        raise _bad_row(path, opts, skip, width, label_at)
+    return _dataset(x.T, table[:, label_at].astype(np.int64), list(index_of),
+                    path.name, source=str(path))
 
 
 def _read_be_u32(blob: bytes, offset: int, path) -> int:

@@ -7,17 +7,21 @@ Lagrange multiplier, and the budget formula is evaluated with the
 collapse matrix explicitly materialized. The invariant-check reference
 runs single layers and single columns through hnf.layers, one pair at a
 time, and checks each weight perturbation densely, as a full matrix.
-:func:`traced_peak` measures what a call allocates.
+:func:`traced_peak` measures what a call allocates, and
+:func:`reference_load_csv` parses a CSV cell by cell with Python's ``csv``
+module and ``float``.
 """
 
+import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from hnf.errors import NotInvertibleError, NumericalError
+from hnf.errors import NotInvertibleError, NumericalError, ParseError
 from hnf.layers import (
     ACTIVATIONS,
     HnfLayer,
@@ -38,6 +42,75 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reference_load_csv(path, label_column=-1, delimiter: str = ",",
+                       has_header: bool = False):
+    """``(X, T, label_names)`` of a delimited file, parsed one cell at a time.
+
+    The per-cell reader :func:`hnf.data.load_csv` replaced: ``csv.reader``
+    (or ``str.split`` for a whitespace delimiter) splits the rows and
+    ``float`` reads each feature. Blank rows are dropped before rows are
+    numbered, so its error rows count non-blank rows only.
+    """
+    path = Path(path)
+    if delimiter.isspace():
+        rows = [line.split()
+                for line in path.read_text(encoding="utf-8").splitlines()]
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh, delimiter=delimiter))
+    rows = [r for r in rows if r]
+    if not rows:
+        raise ParseError(f"{path}: no rows")
+    header = None
+    if has_header:
+        header = rows[0]
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: header but no data rows")
+    width = len(rows[0])
+    if width < 2:
+        raise ParseError(f"{path}: need at least one feature and a label")
+    if isinstance(label_column, str):
+        if header is None or label_column not in header:
+            raise ParseError(f"{path}: no header column {label_column!r}")
+        label_at = header.index(label_column)
+    else:
+        if not -width <= int(label_column) < width:
+            raise ParseError(f"{path}: label column {label_column} out of "
+                             f"range for {width} fields")
+        label_at = int(label_column) % width
+
+    features = []
+    raw_labels = []
+    for i, row in enumerate(rows):
+        rownum = i + (2 if has_header else 1)
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: row {rownum} has {len(row)} fields, expected {width}"
+            )
+        feat = []
+        for j, cell in enumerate(row):
+            if j == label_at:
+                continue
+            try:
+                feat.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {rownum}, column {j + 1}: "
+                    f"non-numeric feature {cell!r}"
+                ) from None
+        features.append(feat)
+        raw_labels.append(row[label_at])
+
+    label_names = list(dict.fromkeys(raw_labels))  # first-appearance order
+    index_of = {lab: i for i, lab in enumerate(label_names)}
+    labels = np.array([index_of[lab] for lab in raw_labels], dtype=np.int64)
+    x = np.array(features, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ParseError(f"{path}: non-finite feature")
+    return x.T, np.eye(len(label_names))[:, labels], label_names
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:

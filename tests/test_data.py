@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hnf.data import (
     Dataset,
@@ -14,6 +16,8 @@ from hnf.data import (
 from hnf.errors import DataError, FormatError, ParameterError, ParseError
 from hnf.solvers import least_squares
 from hnf.trainer import accuracy
+
+from oracles import reference_load_csv, traced_peak
 
 
 def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray,
@@ -102,12 +106,134 @@ class TestLoadCsv:
         assert np.all(np.sum(ds.T == 1.0, axis=0) == 1)
         assert np.all((ds.T == 0.0) | (ds.T == 1.0))
 
+    @pytest.mark.parametrize("text, where", [
+        ("1,2,A\n\nx,4,B\n", "row 3, column 1: non-numeric feature 'x'"),
+        ("1,2,A\n\n3,B\n", "row 3 has 2 fields, expected 3"),
+    ])
+    def test_error_row_is_the_file_line(self, tmp_path, text, where):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where):
+            load_csv(path, label_column=2)
+
+    @pytest.mark.parametrize("text, delimiter, header, message", [
+        ("", ",", False, "no rows"),
+        ("\n\n", ",", False, "no rows"),
+        (" \t\n\n", " ", False, "no rows"),
+        ("f1,f2,c\n", ",", True, "header but no data rows"),
+        ("\nf1,f2,c\n\n", ",", True, "header but no data rows"),
+    ])
+    def test_empty_input_raises_without_a_numpy_warning(
+            self, tmp_path, recwarn, text, delimiter, header, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_csv(path, label_column=-1, delimiter=delimiter,
+                     has_header=header)
+        assert not recwarn.list
+
+    def test_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\n\nf1,f2,cls\n\n1,2,A\n3,4,B\n")
+        ds = load_csv(path, label_column="cls", has_header=True)
+        assert np.array_equal(ds.X, np.array([[1.0, 3.0], [2.0, 4.0]]))
+        assert ds.meta["label_names"] == ["A", "B"]
+
+    @pytest.mark.parametrize("text, delimiter, names", [
+        ('1 2 "a b"\n3 4 c\n', " ", ["a b", "c"]),
+        ('1,2,"say ""hi"""\n3,4,#c\n', ",", ['say "hi"', "#c"]),
+    ])
+    def test_quoting_and_hash(self, tmp_path, text, delimiter, names):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds = load_csv(path, label_column=-1, delimiter=delimiter)
+        assert ds.meta["label_names"] == names
+
+    def test_underscored_number_is_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1_000,2,A\n")
+        with pytest.raises(ParseError, match="row 1, column 1: non-numeric"):
+            load_csv(path, label_column=2)
+
     def test_quoted_label_containing_delimiter(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('1,2,"a,b"\n3,4,plain\n')
         ds = load_csv(path, label_column=2)
         assert ds.meta["label_names"] == ["a,b", "plain"]
         assert ds.input_dim == 2
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda f: f"{f:+.6e}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["-0.0", "+0", "1e5", "-2.5E-3", ".5", "5.", "4.9e-324",
+                     "+1.25e+300"]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table's text and the load_csv arguments that read it."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    spaced = delimiter.isspace()
+    p = draw(st.integers(1, 4))
+    label_at = draw(st.sampled_from(sorted({0, p // 2, p})))
+    plain = st.text("abXY09_-#", min_size=1, max_size=3)
+    if spaced:
+        label = plain
+    else:  # also quoted labels that hold the delimiter, spaces or a quote
+        quoted = st.text('ab #"' + delimiter, max_size=4).map(
+            lambda s: '"' + s.replace('"', '""') + '"')
+        label = st.one_of(plain, plain.map(lambda s: f" {s} "), quoted)
+    names = draw(st.lists(label, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = draw(st.lists(NUMBERS, min_size=p, max_size=p))
+        cells.insert(label_at, draw(st.sampled_from(names)))
+        rows.append(cells)
+    has_header = draw(st.booleans())
+    if has_header:
+        rows.insert(0, [f"h{j}" for j in range(p + 1)])
+    joiner = (draw(st.sampled_from([" ", "\t", " \t "])) if spaced
+              else delimiter)
+    blank = st.sampled_from(["", " \t"] if spaced else [""])
+    lines = []
+    for cells in rows:
+        lines += draw(st.lists(blank, max_size=2))
+        lines.append(joiner.join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    by_name = [f"h{label_at}"] if has_header else []
+    column = draw(st.sampled_from([label_at, label_at - p - 1] + by_name))
+    return text, {"label_column": column, "delimiter": delimiter,
+                  "has_header": has_header}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=csv_tables())
+def test_load_csv_matches_cell_by_cell_reference(tmp_path, table):
+    text, kwargs = table
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    x, t, names = reference_load_csv(path, **kwargs)
+    ds = load_csv(path, **kwargs)
+    assert ds.X.tobytes() == x.tobytes()
+    assert ds.T.tobytes() == t.tobytes()
+    assert ds.meta["label_names"] == names
+
+
+def test_ingest_peak_is_a_few_tables(tmp_path):
+    """A 20000 x 17 Letter-shaped table parses within 5x its float64 bytes."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    table = np.column_stack([rng.standard_normal((20000, 16)),
+                             np.arange(20000) % 26])
+    path = tmp_path / "letter.csv"
+    np.savetxt(path, table, fmt=["%.17g"] * 16 + ["%d"], delimiter=",")
+    ds, peak = traced_peak(load_csv, path)
+    assert np.array_equal(ds.X, table[:, :16].T)
+    assert peak <= 5 * table.nbytes
 
 
 class TestLoadIdx:

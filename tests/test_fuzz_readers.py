@@ -70,7 +70,7 @@ def test_load_idx(scratch, images, labels):
     returns_or_hnf_error(load_idx, img, lbl)
 
 
-csv_text = st.text(alphabet="0123456789.-+eE,; \t\nnaifAB\"\x00é",
+csv_text = st.text(alphabet="0123456789.-+eE,; \t\n\r_#'naifAB\"\x00é",
                    max_size=80).map(lambda s: s.encode("utf-8"))
 
 
