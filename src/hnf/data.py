@@ -8,6 +8,7 @@ that together cover every column.
 
 from __future__ import annotations
 
+import re
 import struct
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -110,23 +111,35 @@ def _dataset(x, labels, label_names, name, train_idx=None, test_idx=None,
                    np.asarray(test_idx, dtype=np.int64), meta)
 
 
-def _data_lines(fh, opts: dict, skip: int = 0):
-    """``(file line number, line)`` of each non-blank line after ``skip``."""
-    spaced = opts["delimiter"] is None
+def _data_lines(fh, opts: dict):
+    """``(first file line, record)`` of each non-blank record. As in
+    np.loadtxt, a ``"`` opens a quote only at the start of a field, and a
+    record runs on over line breaks while a quote is open."""
+    d, parts, quoted = opts["delimiter"], [], r'"(?:[^"]|"")*"(?!")'
+    sep, cell, first, lead = (
+        (r"\s+", r"\S", r'[^\s"]', r"\s*") if d is None else
+        (re.escape(d), f"[^{re.escape(d)}]", '(?!")', ""))
+    field = rf"(?:{quoted}|{first}){cell}*"
+    closed = re.compile(rf"{lead}(?:{field}(?:{sep}{field})*\s*)?")
     for rownum, line in enumerate(fh, 1):
-        if rownum > skip and (line.strip() if spaced else line.rstrip("\n")):
-            yield rownum, line
+        if parts or (line.strip() if d is None else line.rstrip("\n")):
+            parts.append(line)  # a line in a quote reads as if it opened it
+            if closed.fullmatch('"' * (len(parts) > 1) + line):
+                yield rownum + 1 - len(parts), "".join(parts)
+                parts = []
+    if parts:
+        yield rownum + 1 - len(parts), "".join(parts)
 
 
 def _fields(line: str, opts: dict) -> list[str]:
     return list(np.loadtxt([line], dtype=object, ndmin=1, **opts))
 
 
-def _bad_row(path, opts, skip, width, label_at) -> ParseError:
+def _bad_row(path, opts, has_header, width, label_at) -> ParseError:
     """The first ragged row, or row with a bad feature, by file line."""
     row_opts = {**opts, "converters": {label_at: lambda s: 0.0}}
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for rownum, line in _data_lines(fh, opts, skip):
+        for rownum, line in islice(_data_lines(fh, opts), has_header, None):
             with suppress(ValueError):
                 row = np.loadtxt([line], **row_opts)
                 if row.size == width and np.isfinite(row).all():
@@ -171,7 +184,7 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
     if len(head) < 1 + has_header:
         raise ParseError(f"{path}: " + ("header but no data rows" if head
                                         else "no rows"))
-    skip = head[0][0] if has_header else 0
+    skip = head[0][0] + head[0][1].count("\n") - 1 if has_header else 0
     width = len(_fields(head[-1][1], opts))
     if width < 2:
         raise ParseError(f"{path}: row {head[-1][0]}: need at least one "
@@ -198,10 +211,10 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: unreadable text: {exc}") from None
     except ValueError:
-        raise _bad_row(path, opts, skip, width, label_at) from None
+        raise _bad_row(path, opts, has_header, width, label_at) from None
     x = np.delete(table, label_at, axis=1)
     if not np.isfinite(x).all():
-        raise _bad_row(path, opts, skip, width, label_at)
+        raise _bad_row(path, opts, has_header, width, label_at)
     return _dataset(x.T, table[:, label_at].astype(np.int64), list(index_of),
                     path.name, source=str(path))
 

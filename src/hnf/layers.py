@@ -38,9 +38,6 @@ from .matrixgen import WeightMatrix, load_weight, save_weight
 #: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
 PINV_RCOND = 1e-10
 
-#: Columns :func:`layer_forward` multiplies at a time, in a fixed order.
-FORWARD_BLOCK = 8192
-
 
 def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise max(v, 0), into ``out`` if given."""
@@ -148,9 +145,8 @@ class HnfNetwork:
 def layer_forward(layer: HnfLayer, q: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Apply one layer to a vector or to columns of a matrix, into ``out``
-    (new if None). ``W @ q`` is formed :data:`FORWARD_BLOCK` columns at a
-    time in scratch, so ``out`` may overlap ``q``: a block of ``q`` is read
-    before its columns of ``out`` are written."""
+    (new if None) and in place: ``W @ q`` fills its last ``rows`` rows. ``out``
+    may overlap ``q``: numpy copies an overlapping ``matmul`` operand."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != layer.in_dim:
         raise DimensionError(
@@ -158,21 +154,20 @@ def layer_forward(layer: HnfLayer, q: np.ndarray,
         )
     out = np.empty((layer.out_dim,) + q.shape[1:]) if out is None else out
     act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
-    q2, out2 = (q, out) if q.ndim > 1 else (q[:, None], out[:, None])
-    z = np.empty((layer.weight.rows, min(FORWARD_BLOCK, q2.shape[1])))
-    for start in range(0, q2.shape[1], FORWARD_BLOCK):
-        block = q2[:, start:start + FORWARD_BLOCK]
-        zb = np.matmul(layer.weight.entries, block, out=z[:, :block.shape[1]])
-        act(zb, out=out2[:, start:start + FORWARD_BLOCK])
-    return out
+    z = np.matmul(layer.weight.entries, q,
+                  out=out[layer.out_dim - layer.weight.rows:])
+    return act(z, out=out)
 
 
-def iter_layer_features(net: HnfNetwork, x: np.ndarray):
+def iter_layer_features(net: HnfNetwork, x: np.ndarray,
+                        buf: np.ndarray | None = None):
     """Yield each layer's features in turn; the one loop that applies a
     network's layers to data. Layer l reads ``buf[:in_dim]`` of one buffer
-    and overwrites it with ``buf[:out_dim]``, so each item is a view that
-    the next step overwrites: copy what you keep. ``x`` is not retained."""
-    buf = np.empty((max(l.out_dim for l in net.layers),) + np.shape(x)[1:])
+    (new if None), the widest layer's features, and overwrites it with
+    ``buf[:out_dim]``, so each item is a view that the next step
+    overwrites: copy what you keep. ``x`` is not retained."""
+    if buf is None:
+        buf = np.empty((max(l.out_dim for l in net.layers),) + np.shape(x)[1:])
     for layer in net.layers:
         x = layer_forward(layer, x, buf[:layer.out_dim])
         yield x

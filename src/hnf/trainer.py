@@ -12,10 +12,11 @@ That makes the cost guarantee constructive: the solver result is kept
 only if it beats the witness, otherwise the witness itself becomes the
 layer's map. Either way the per-layer training cost cannot increase.
 
-The loop never touches the test split: :func:`evaluate` scores every map
-on it once, after the last layer, with the same walk, for the report only.
-Nothing about the budgets or stopping looks at it; there is no
-cross-validation anywhere.
+The train walk holds the widest features of every train column, as each
+Gram reads them all. The test split stays out of the loop: :func:`evaluate`
+scores every map on it once, after the last layer, for the report only,
+:data:`SCORE_BLOCK` columns at a time in one reused buffer. Nothing about
+the budgets or stopping looks at it; there is no cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 #: the last feature width d; that exceeds the (d/2)^2 x 8 bytes of the last
 #: weight by at most 8.4 MB (at d = 2048), so it needs no budget of its own.
 VERIFY_BLOCK = 256
+
+#: Columns evaluate scores at a time, in one reused widest x block buffer.
+SCORE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -236,12 +240,12 @@ def build_network(input_dim: int, cfg: TrainConfig,
     return HnfNetwork(tuple(layers))
 
 
-def map_inputs(net: HnfNetwork, x: np.ndarray):
+def map_inputs(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
     """Yield ``(layer, features)`` for each layer that carries a map: the
     baseline (layer 0) on ``x`` or on the ELM front's features, then each
-    expanding layer on its own output, a view the next item overwrites.
-    The one place that knows which features a map reads."""
-    walk = enumerate(iter_layer_features(net, x), 1)
+    expanding layer on its own output, a view the next item overwrites (in
+    ``buf``, if given). The one place that knows what each map reads."""
+    walk = enumerate(iter_layer_features(net, x, buf), 1)
     if net.has_front:
         x = next(walk)[1]
     yield 0, x
@@ -342,12 +346,12 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
              transform: tuple | None = None) -> dict[int, Evaluation]:
     """Cost and accuracy of every map on the chosen split, keyed by layer.
 
-    One :func:`map_inputs` walk of the split scores each map on the
-    features it reads, stopping at the deepest map. ``transform`` is the
-    (mu, sigma) pair used at training time, if standardization was on. A
-    map that names no map-bearing layer (beyond the depth, or layer 1
-    behind an ELM front) raises :class:`StateError`; data of another input
-    width or class count :class:`DimensionError`.
+    :func:`map_inputs` walks :data:`SCORE_BLOCK` columns of the split at a
+    time, in one reused buffer, scoring each map on the features it reads
+    and stopping at the deepest map. ``transform`` is the training (mu,
+    sigma), if it standardized. A map naming no map-bearing layer (beyond
+    the depth, or layer 1 behind an ELM front) raises :class:`StateError`;
+    data of another input width or class count :class:`DimensionError`.
     """
     layers, widths = {m.layer_index for m in maps}, map_widths(net)
     if not layers <= widths.keys():
@@ -369,20 +373,23 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     if transform is not None:
         x = (x - transform[0]) / transform[1]
 
-    deepest = max(layers, default=0)
-    scores = {}
-    for layer, feats in map_inputs(net, x):
-        for m in maps:
-            if m.layer_index == layer:
-                p = m.matrix @ feats
-                acc = accuracy(p, t)
-                p -= t  # -(t - p): sample_cost's squares, bit for bit
-                scores[layer] = Evaluation(
-                    float(np.sum(p * p) / t.shape[1]) if t.size else math.nan,
-                    acc)
-        if layer == deepest:
-            break
-    return scores
+    deepest, n = max(layers, default=0), t.shape[1]
+    sse, hits = [0.0] * len(maps), [0] * len(maps)
+    buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
+    for start in range(0, n, SCORE_BLOCK):
+        xb, tb = (a[:, start:start + SCORE_BLOCK] for a in (x, t))
+        for layer, feats in map_inputs(net, xb, buf[:, :xb.shape[1]]):
+            for i, m in enumerate(maps):
+                if m.layer_index == layer:
+                    p = m.matrix @ feats
+                    hits[i] += np.count_nonzero(
+                        np.argmax(p, axis=0) == np.argmax(tb, axis=0))
+                    p -= tb  # -(t - p): sample_cost's squares, bit for bit
+                    sse[i] += float(np.sum(p * p))
+            if layer == deepest:
+                break
+    return {m.layer_index: Evaluation(e / (n or math.nan), h / (n or math.nan))
+            for m, e, h in zip(maps, sse, hits)}
 
 
 @dataclass(frozen=True)
@@ -440,10 +447,10 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sub = HnfNetwork(net.layers[int(net.has_front):])
-    base = next(map_inputs(HnfNetwork(net.layers[:1]), data.X))[1]
+    front = HnfNetwork(net.layers[:1])
     front_note = ("checks run behind the non-expanding front layer"
                   if net.has_front else "")
-    n = base.shape[1]
+    n, width = data.n_samples, map_widths(net)[0]
     orthonormal = all(l.weight.orthonormal for l in sub.layers)
     invertible = True
 
@@ -464,9 +471,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         i1 = rng.integers(n, size=count)
         heads = rng.random(count) < 0.5
         i2 = rng.integers(n, size=count)
-        noise = rng.standard_normal((count, base.shape[0])).T
-        x1 = base[:, i1]
-        x2 = np.where(heads, base[:, i2], x1 + noise * (
+        noise = rng.standard_normal((count, width)).T
+        x1, y2 = (next(map_inputs(front, data.X[:, i]))[1] for i in (i1, i2))
+        x2 = np.where(heads, y2, x1 + noise * (
             0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
         f1 = [x1, *(f.copy() for f in iter_layer_features(sub, x1))]
         f2 = [x2, *(f.copy() for f in iter_layer_features(sub, x2))]

@@ -19,13 +19,35 @@ from hnf.errors import DataError
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
 
 
-def run_module(*argv):
-    """``python -m hnf ARGV`` in a child that imports this same package."""
+def run_module(*argv, python=("-m", "hnf")):
+    """``python -m hnf ARGV`` (or ``python PYTHON ARGV``) in a child that
+    imports this same package."""
     src = str(Path(hnf.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "hnf", *argv],
+    return subprocess.run([sys.executable, *python, *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+#: ``hnf eval --run RUN`` that prints, as JSON, its exit code and how far
+#: each evaluate call raised the process's peak RSS, in KiB. The peak is
+#: VmHWM, its own address space's: on Linux a child's ru_maxrss starts at
+#: the peak of the process that started it, here the test runner's.
+EVAL_RSS_PROBE = """
+import json, sys
+import hnf.cli
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+real, growth = hnf.cli.evaluate, []
+def probed(*args):
+    before = peak()
+    scores = real(*args)
+    growth.append(peak() - before)
+    return scores
+hnf.cli.evaluate = probed
+print(json.dumps([hnf.cli.main(["eval", "--run", sys.argv[1]]), growth]))
+"""
 
 
 def run_train(tmp_path, *extra):
@@ -278,6 +300,26 @@ class TestEvalCommand:
 
     def test_missing_manifest_exits_3(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "nope")]) == 3
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_eval_peak_holds_no_split_sized_features(self, tmp_path):
+        """The run's widest train features would take 128 MiB (64 x 262144
+        float64); scoring a split a block of columns at a time raises the
+        peak RSS of each evaluate call by less than a quarter of that."""
+        out = tmp_path / "run"
+        proc = run_module("train", "--data", "blobs", "--blob-p", "4",
+                          "--blob-q", "2", "--blob-n", "393216", "--n1", "4",
+                          "--depth", "4", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        features = 64 * 262144 * 8
+        assert json.loads((out / "manifest.json").read_text())[
+            "dataset"]["N_train"] * 64 * 8 == features
+        proc = run_module(str(out), python=("-c", EVAL_RSS_PROBE))
+        assert proc.returncode == 0, proc.stderr
+        code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and len(growth_kib) == 2
+        assert max(growth_kib) * 1024 < features / 4
 
     def test_walks_each_split_once(self, trained_run, capsys, monkeypatch):
         calls = []

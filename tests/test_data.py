@@ -155,6 +155,20 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 1, column 1: non-numeric"):
             load_csv(path, label_column=2)
 
+    def test_quoted_label_spans_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"A\nB",1,2\n3,4,5\n')
+        ds = load_csv(path, label_column=0)
+        assert ds.meta["label_names"] == ["A\nB", "3"]
+        assert np.array_equal(ds.X, np.array([[1.0, 4.0], [2.0, 5.0]]))
+
+    def test_error_row_is_where_its_record_starts(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('1,2,"A\nB"\n3,x,C\n')
+        with pytest.raises(ParseError,
+                           match="row 3, column 2: non-numeric feature 'x'"):
+            load_csv(path)
+
     def test_quoted_label_containing_delimiter(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('1,2,"a,b"\n3,4,plain\n')
@@ -182,8 +196,9 @@ def csv_tables(draw):
     plain = st.text("abXY09_-#", min_size=1, max_size=3)
     if spaced:
         label = plain
-    else:  # also quoted labels that hold the delimiter, spaces or a quote
-        quoted = st.text('ab #"' + delimiter, max_size=4).map(
+    else:  # also quoted labels that hold the delimiter, spaces, a quote
+        # or a line break
+        quoted = st.text('ab #"\n' + delimiter, max_size=4).map(
             lambda s: '"' + s.replace('"', '""') + '"')
         label = st.one_of(plain, plain.map(lambda s: f" {s} "), quoted)
     names = draw(st.lists(label, min_size=1, max_size=3))

@@ -70,8 +70,13 @@ def test_load_idx(scratch, images, labels):
     returns_or_hnf_error(load_idx, img, lbl)
 
 
-csv_text = st.text(alphabet="0123456789.-+eE,; \t\n\r_#'naifAB\"\x00é",
-                   max_size=80).map(lambda s: s.encode("utf-8"))
+csv_chars = st.text(alphabet="0123456789.-+eE,; \t\n\r_#'naifAB\"\x00é",
+                    max_size=80)
+# quoted labels that hold line breaks, among random text
+csv_text = st.one_of(csv_chars, st.lists(st.one_of(
+    st.text(alphabet="0123456789.,; \t\nAB", max_size=8),
+    st.sampled_from(['"A\nB"', '"\n"', '"a,\n""b"\n', '\n"x'])),
+    max_size=10).map("".join)).map(lambda s: s.encode("utf-8"))
 
 
 @FUZZ

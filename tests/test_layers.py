@@ -11,7 +11,6 @@ import hnf
 from hnf.errors import DimensionError, NotInvertibleError
 from hnf.layers import (
     ACTIVATIONS,
-    FORWARD_BLOCK,
     HnfLayer,
     HnfNetwork,
     iter_layer_features,
@@ -208,15 +207,28 @@ class TestNetworkForward:
             single = list(iter_layer_features(net, x[:, j]))[-1]
             assert np.allclose(batched[:, j], single, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["plain", "elm-sigmoid", "1-D"])
+    @pytest.mark.parametrize("kind", ["plain", "elm-sigmoid", "1-D",
+                                      "inner-sigmoid", "wide"])
     def test_blocked_walk_matches_per_layer_reference(self, rng, kind):
+        """Each layer writes W @ q into the last rows of its output, which
+        may overlap its input: a non-expanding inner layer, or an expanding
+        one with rows < in_dim, overwrites rows it reads."""
         net = build_chain(5, 6, 3, seed=2)
+        first = net.layers[0]
         if kind == "elm-sigmoid":
             front = HnfLayer(make_raw_gaussian(5, 5, seed=3), expand=False,
                              activation="sigmoid")
             net = HnfNetwork((front, *net.layers))
-        x = rng.standard_normal(
-            (5,) if kind == "1-D" else (5, 2 * FORWARD_BLOCK + 37))
+        elif kind == "inner-sigmoid":
+            inner = HnfLayer(make_raw_gaussian(9, 12, seed=3), expand=False,
+                             activation="sigmoid")
+            net = HnfNetwork((first, inner, HnfLayer(
+                make_random_orthonormal(9, 9, seed=4))))
+        elif kind == "wide":
+            wide = HnfLayer(make_raw_gaussian(4, 12, seed=3))
+            net = HnfNetwork((first, wide, HnfLayer(
+                make_random_orthonormal(8, 8, seed=4))))
+        x = rng.standard_normal((5,) if kind == "1-D" else (5, 2 * 8192 + 37))
         walk = [f.copy() for f in iter_layer_features(net, x)]
         assert len(walk) == net.depth
         for layer, got in zip(net.layers, walk):
@@ -234,14 +246,14 @@ class TestNetworkForward:
         assert not np.shares_memory(first, x)
 
     def test_walk_peak_is_the_widest_features_plus_one_block(self, rng):
+        """No scratch beside the one buffer: 1 MiB covers the rest."""
         net = build_chain(8, 16, 4, seed=6)
-        x = rng.standard_normal((8, 2 * FORWARD_BLOCK + 37))
+        x = rng.standard_normal((8, 2 * 8192 + 37))
         widest = net.layers[-1].out_dim * x.shape[1] * 8
-        block = net.layers[-1].weight.rows * FORWARD_BLOCK * 8
         count, peak = oracles.traced_peak(
             lambda: sum(1 for _ in iter_layer_features(net, x)))
         assert count == 4
-        assert peak <= widest + block + 2 ** 20
+        assert peak <= widest + 2 ** 20
 
     def test_layer_forward_is_called_only_by_the_one_loop(self):
         """Inside hnf, only the walk calls layer_forward, and only

@@ -23,6 +23,7 @@ from hnf.solvers import (
 )
 from hnf.trainer import (
     MONOTONE_SLACK,
+    SCORE_BLOCK,
     VERIFY_BLOCK,
     TrainConfig,
     accuracy,
@@ -399,6 +400,54 @@ class TestEvaluate:
         assert list(evaluate(net, maps[:3], blobs)) == [0, 1, 2]
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(n1=16, depth=3, seed=2, standardize=True),
+        TrainConfig(n1=24, depth=3, seed=3, elm_front=True,
+                    elm_activation="sigmoid"),
+    ], ids=["standardize", "elm-sigmoid"])
+    def test_blocks_match_a_one_block_reference(self, blobs, monkeypatch,
+                                                cfg, split):
+        """Scored 7 columns at a time, each map's cost is within 1e-12 of
+        sample_cost over the whole split, and its accuracy is exact."""
+        net, maps, report = train(blobs, cfg)
+        std = report.meta["standardize_params"]
+        transform = std and (np.array(std["mu"])[:, None],
+                             np.array(std["sigma"])[:, None])
+        x, t = ((blobs.X_train, blobs.T_train) if split == "train"
+                else (blobs.X_test, blobs.T_test))
+        if transform:
+            x = (x - transform[0]) / transform[1]
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
+        scores = evaluate(net, maps, blobs, split, transform)
+        assert sorted(scores) == [m.layer_index for m in maps]
+        for (layer, feats), m in zip(map_inputs(net, x), maps):
+            want = sample_cost(t, m.matrix, feats)
+            assert abs(scores[layer].cost - want) <= 1e-12 * want
+            assert scores[layer].accuracy == accuracy(m.matrix @ feats, t)
+
+    def test_empty_split_scores_nan(self, blobs):
+        net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
+        empty = Dataset(blobs.X, blobs.T, np.arange(blobs.n_samples),
+                        np.arange(0), blobs.meta)
+        scores = evaluate(net, maps, empty, "test")
+        assert sorted(scores) == [0, 1, 2]
+        for ev in scores.values():
+            assert math.isnan(ev.cost) and math.isnan(ev.accuracy)
+
+    def test_peak_is_one_block_of_the_widest_features(self):
+        """Over at least four blocks, evaluate holds the widest layer's
+        features on SCORE_BLOCK columns; 1 MiB covers the split's inputs,
+        targets and predictions."""
+        ds = make_synthetic_blobs(4, 2, 6 * SCORE_BLOCK, separation=3.0,
+                                  seed=1)
+        assert ds.meta["N_train"] >= 4 * SCORE_BLOCK
+        net, maps, _ = train(ds, TrainConfig(n1=16, depth=3, seed=1))
+        widest = max(l.out_dim for l in net.layers)
+        scores, peak = oracles.traced_peak(evaluate, net, maps, ds, "train")
+        assert sorted(scores) == [0, 1, 2, 3]
+        assert peak <= widest * SCORE_BLOCK * 8 + 2 ** 20
+
 
 class TestVerifyInvariants:
     def test_fresh_net_passes(self, blobs):
@@ -463,11 +512,26 @@ class TestVerifyInvariants:
         assert all(math.isfinite(c.worst_margin) for c in rep.checks)
         assert rep.checks[4].worst_margin == 0.0
 
-    @pytest.mark.parametrize("kind", ["random", "dct", "elm", "rank_deficient",
-                                      "inner_sigmoid"])
+    def test_front_runs_on_the_drawn_columns_only(self, blobs, monkeypatch):
+        """An ELM front's features are computed per trial block, on the
+        columns it draws, not on every column of the data."""
+        widths = []
+        real = hnf.layers.layer_forward
+        monkeypatch.setattr("hnf.layers.layer_forward",
+                            lambda layer, q, *rest: widths.append(q.shape[1])
+                            or real(layer, q, *rest))
+        front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
+        net = HnfNetwork((front, *build_chain(20, 20, 2, seed=3).layers))
+        assert verify_invariants(net, blobs, trials=VERIFY_BLOCK + 44).passed
+        assert widths and max(widths) <= VERIFY_BLOCK < blobs.n_samples
+
+    @pytest.mark.parametrize("kind", ["random", "dct", "elm", "elm_sigmoid",
+                                      "rank_deficient", "inner_sigmoid"])
     def test_batched_matches_per_pair_reference(self, blobs, kind):
-        if kind == "elm":
-            front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
+        if kind in ("elm", "elm_sigmoid"):  # the reference fronts every column
+            front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False,
+                             activation="sigmoid" if kind == "elm_sigmoid"
+                             else "relu")
             net = HnfNetwork((front, *build_chain(20, 20, 2, seed=3).layers))
         elif kind == "inner_sigmoid":  # only a hand-written manifest has one
             inner = HnfLayer(make_raw_gaussian(12, 32, seed=2), expand=False,
