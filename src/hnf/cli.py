@@ -447,7 +447,7 @@ def cmd_verify(args) -> int:
         cfg = TrainConfig(n1=args.n1, depth=args.depth,
                           weight_kind=args.weights, seed=args.seed,
                           memory_budget=_memory_budget())
-        net = build_network(data.input_dim, cfg, data.n_samples)
+        net = build_network(data.input_dim, cfg, data.meta["N_train"])
 
     report = verify_invariants(net, data, args.trials, args.seed)
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")

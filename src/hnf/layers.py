@@ -2,10 +2,12 @@
 lossless collapse, forward maps, and the exact inverse map.
 
 :func:`iter_layer_features` is the one loop that applies a network to
-data: training, scoring and the invariant checks all walk through it, and
-nothing else calls :func:`layer_forward`. A walk computes every layer in
-place in one buffer, the widest layer's features. Memory is budgeted
-where the weights are built (``hnf.trainer.build_network``), not here.
+whole features: scoring, the invariant checks and an ELM front in training
+walk through it, and nothing else calls :func:`layer_forward`. A walk
+computes every layer in place in one buffer, the widest layer's features.
+The train walk (``hnf.trainer``) holds pre-activations instead and
+expands them itself. Memory is budgeted where the weights are built
+(``hnf.trainer.build_network``), not here.
 
 A layer computes ``vn_expand(W @ q)``: the input is projected by a fixed
 weight matrix and split into its positive part and negated negative part.

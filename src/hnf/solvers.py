@@ -3,16 +3,23 @@
 Everything here minimizes the sample-average squared prediction error
 ``cost(O) = (1/N) * ||T - O @ Y||_F^2`` over a Q-by-d linear map ``O``:
 
-* :func:`least_squares` solves it exactly, optionally subject to a
-  Frobenius-ball constraint ``||O||_F^2 <= eps`` (a trust-region step,
-  Moré & Sorensen 1983): Newton's method finds an active ball's multiplier
-  from the witness's, one Cholesky factorization per step. The Gram is
+* :func:`least_squares` solves it exactly from the sufficient statistics
+  ``G = Y Y^T`` and ``B = T Y^T``, optionally subject to a Frobenius-ball
+  constraint ``||O||_F^2 <= eps`` (a trust-region step, Moré & Sorensen
+  1983): Newton's method finds an active ball's multiplier from the
+  witness's, one Cholesky factorization per step. The Gram is
   diagonalized instead for ``eps=inf`` (the baseline and the ELM front)
-  and for an inactive ball, whose minimum-norm solution needs the spectrum;
+  and for an inactive ball, whose minimum-norm solution needs the
+  spectrum. It never sees the features, so the caller may form the
+  statistics in any orthonormal basis ``u = R y``: costs, balls and
+  multipliers are the same there, and the map is ``O_u R``;
 * :func:`embed_previous_map` pulls the previous map back through the new
   weight once and returns the feasible witness with the budget it fits
   in, which together guarantee each layer's constrained optimum can match
   its predecessor's training cost.
+
+Only the factorizations here call scipy's LAPACK; the statistics are
+formed in numpy, whose OpenBLAS is not scipy's (see :mod:`hnf.trainer`).
 
 The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of
@@ -72,28 +79,6 @@ class OutputMap:
         self.matrix.setflags(write=False)
 
 
-def _as_data_matrices(y: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if y.ndim != 2 or t.ndim != 2:
-        raise DimensionError(
-            f"expected 2-D feature and target matrices, got {y.ndim}-D and {t.ndim}-D"
-        )
-    if y.size == 0 or t.size == 0:
-        raise DataError("empty data")
-    if y.shape[1] != t.shape[1]:
-        raise DimensionError(
-            f"feature and target sample counts differ: {y.shape[1]} vs {t.shape[1]}"
-        )
-    return y, t
-
-
-def sample_cost(t: np.ndarray, o: np.ndarray, y: np.ndarray) -> float:
-    """Sample-average squared error (1/N) * ||T - O @ Y||_F^2."""
-    r = t - o @ y
-    return float(np.sum(r * r) / t.shape[1])
-
-
 def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     """Euclidean projection onto {M : ||M||_F^2 <= eps}."""
     nrm2 = float(np.sum(m * m))
@@ -102,36 +87,39 @@ def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     return m * math.sqrt(eps / nrm2)
 
 
-def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
-                  witness: np.ndarray | None = None) -> OutputMap:
-    """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps, exactly.
+def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
+                  witness: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps, exactly,
+    from the statistics ``G = Y Y^T`` and ``B = T Y^T`` of N samples.
 
-    With ``G = Y Y^T`` and ``B = T Y^T`` the minimizers are
-    ``O(mu) = B (G + mu I)^-1``, whose squared norm ``s(mu)`` falls as mu
-    grows. A finite ball is first solved by :func:`_cholesky_newton`,
-    started from the multiplier ``(<B, W> - <W G, W>) / eps`` of a feasible
-    ``witness`` map W when one is given. Otherwise, or when that hands the
-    solve back, ``G = V diag(lam) V^T`` is diagonalized: eigenvalues at or
-    below ``(d + N) * machine-eps * lam_max`` are dropped, so ``O(0)`` is
-    the minimum-norm (pseudo-inverse) solution; it is returned when
+    ``G`` must be exactly symmetric and C-ordered; the solve overwrites
+    it. The minimizers are ``O(mu) = B (G + mu I)^-1``, whose squared norm
+    ``s(mu)`` falls as mu grows. A finite ball is first solved by
+    :func:`_cholesky_newton`, started from the multiplier
+    ``(<B, W> - <W G, W>) / eps`` of a feasible ``witness`` map W when one
+    is given. Otherwise, or when that hands the solve back,
+    ``G = V diag(lam) V^T`` is diagonalized: eigenvalues at or below
+    ``(d + N) * machine-eps * lam_max`` are dropped, so ``O(0)`` is the
+    minimum-norm (pseudo-inverse) solution; it is returned when
     ``s(0) <= eps``, else Newton's method climbs from ``mu = 0`` in the
-    eigenbasis.
+    eigenbasis. Returns the map and its diagnostics.
     """
-    y, t = _as_data_matrices(y, t)
+    if n < 1:
+        raise DataError("empty data")
+    if g.shape != (b.shape[1],) * 2:
+        raise DimensionError(
+            f"a {g.shape} Gram does not match a {b.shape} target product")
     if not eps > 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
     # a non-finite or overflowing feature makes its row's sum of squares,
-    # a diagonal entry of G, non-finite: no d x N mask is needed
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = y @ y.T
-    if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(t).all()):
+    # a diagonal entry of G, non-finite, and a non-finite target its row of B
+    if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(b).all()):
         raise DataError("non-finite values in data")
-    b = t @ y.T
     found = None
     if math.isfinite(eps):
         mu = 0.0 if witness is None else float(
             np.vdot(b, witness) - np.vdot(witness @ g, witness)) / eps
-        # syrk makes G exactly symmetric, so G.T is G in Fortran order
+        # G is exactly symmetric, so G.T is G in Fortran order
         found = _cholesky_newton(g.T, b, eps, mu)
     if found is None:
         # LAPACK overwrites the F-ordered G.T in place
@@ -141,7 +129,7 @@ def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
         # roundings, so eigenvalues below (d + N) * eps * lam_max are noise;
         # lam ascends, so a slice drops them without copying v
         drop = np.searchsorted(
-            lam, sum(y.shape) * np.finfo(np.float64).eps * lam[-1], "right")
+            lam, (len(g) + n) * np.finfo(np.float64).eps * lam[-1], "right")
         lam, c, v = lam[drop:], c[:, drop:], v[:, drop:]
         w = np.sum(c * c, axis=0)
 
@@ -154,12 +142,10 @@ def least_squares(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
             s = float(np.sum(w / (lam + mu) ** 2))
             steps += 1
         found = (c / (lam + mu)) @ v.T, "eigh", steps, mu
-    del g
     o, method, steps, mu = found
     o = project_frobenius_ball(o, eps)
-    diag = {"method": method, "newton_steps": steps, "multiplier": mu}
-    return OutputMap(np.ascontiguousarray(o), float(eps),
-                     sample_cost(t, o, y), solver=diag)
+    return np.ascontiguousarray(o), {"method": method, "newton_steps": steps,
+                                     "multiplier": mu}
 
 
 def _reset_gram(g: np.ndarray, diagonal: np.ndarray) -> None:

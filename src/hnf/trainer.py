@@ -2,21 +2,31 @@
 
 The trainer never learns a weight matrix: :func:`build_network` designs the
 whole fixed network from the input dimension and the config before any
-solve. :func:`map_inputs` walks the training features through it and
-yields the features each map reads; the baseline is the walk's first
-item, and each later step pulls the previous map back through the new
-weight once, which gives both the new map's norm budget and the witness:
-the previous map embedded verbatim into the new layer. The witness also
-starts the solve: its ball multiplier is where Newton's method begins.
-That makes the cost guarantee constructive: the solver result is kept
-only if it beats the witness, otherwise the witness itself becomes the
-layer's map. Either way the per-layer training cost cannot increase.
+solve. The baseline map reads the inputs, or the ELM front's features
+(:func:`map_inputs`); each later map reads an expanding layer's output,
+and the previous map pulled back through the new weight once gives both
+the new map's norm budget and the witness: the previous map embedded
+verbatim into the new layer. The witness also starts the solve: its ball
+multiplier is where Newton's method begins. That makes the cost guarantee
+constructive: the solver result is kept only if it beats the witness,
+otherwise the witness itself becomes the layer's map. Either way the
+per-layer training cost cannot increase.
 
-The train walk holds the widest features of every train column, as each
-Gram reads them all. The test split stays out of the loop: :func:`evaluate`
-scores every map on it once, after the last layer, for the report only,
-:data:`SCORE_BLOCK` columns at a time in one reused buffer. Nothing about
-the budgets or stopping looks at it; there is no cross-validation anywhere.
+The train walk (:func:`_fit`) holds each expanding layer's pre-activations
+``z = W q`` on every train column, in one buffer of the widest weight's
+rows: half the width of ``y = [relu(z); relu(-z)]``. As ``u = R y =
+[z; |z|] / sqrt(2)`` is an orthonormal rotation, each Gram is built in the
+``u`` basis: its ``z z^T`` and ``T z^T`` blocks come from the previous
+layer's statistics through the weight, only the ``|z|`` blocks are summed
+over :data:`SCORE_BLOCK`-column blocks, and the solved map is rotated
+back to ``y``. A scoring pass then expands each block once, scores the
+map and the witness on it, and writes the next layer's ``z`` into its
+columns. Every product of the walk runs in numpy and only the solve calls
+scipy: the two load their own OpenBLAS, whose spinning threads slow each
+other when their calls interleave. The test split stays out of the loop:
+:func:`evaluate` scores every map on it once, after the last layer, for
+the report only. Nothing about the budgets or stopping looks at it; there
+is no cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -54,12 +64,7 @@ from .matrixgen import (
     make_random_orthonormal,
     make_raw_gaussian,
 )
-from .solvers import (
-    OutputMap,
-    embed_previous_map,
-    least_squares,
-    sample_cost,
-)
+from .solvers import OutputMap, embed_previous_map, least_squares
 
 WEIGHT_KINDS = ("random", "dct")
 EPS_SCHEDULES = ("exact", "doubling")
@@ -76,7 +81,8 @@ DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 #: weight by at most 8.4 MB (at d = 2048), so it needs no budget of its own.
 VERIFY_BLOCK = 256
 
-#: Columns evaluate scores at a time, in one reused widest x block buffer.
+#: Columns a walk takes at a time: evaluate scores them in one reused
+#: widest x block buffer, and train sums its statistics and scores over them.
 SCORE_BLOCK = 2048
 
 
@@ -181,25 +187,20 @@ class TrainReport:
                     else str(d[k]) for k in _CSV_FIELDS) + "\n")
 
 
-def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of columns whose argmax matches the one-hot target; ties
-    resolve to the lowest class index."""
-    if predictions.shape[1] == 0:
-        return math.nan
-    return float(np.mean(
-        np.argmax(predictions, axis=0) == np.argmax(targets, axis=0)
-    ))
+def block_score(o: np.ndarray, feats: np.ndarray, t: np.ndarray,
+                labels: np.ndarray) -> tuple[float, int]:
+    """Squared error ``||t - o @ feats||_F^2`` of a map on a block of
+    columns, and how many columns' argmax (ties to the lowest class)
+    equals ``labels``."""
+    p = o @ feats
+    hits = int(np.count_nonzero(np.argmax(p, axis=0) == labels))
+    p -= t  # -(t - p): the squares of t - p, bit for bit
+    return float(np.sum(p * p)), hits
 
 
-def _check_budget(layer: int, weight_bytes: int, out_dim: int, n_cols: int,
-                  budget: int) -> None:
-    need = weight_bytes + out_dim * n_cols * 8
-    if need > budget:
-        raise ResourceError(
-            f"layer {layer}: weights up to this layer ({weight_bytes} bytes) "
-            f"plus its {out_dim} x {n_cols} float64 features need {need} "
-            f"bytes, over the {budget}-byte budget"
-        )
+def _blocks(n: int):
+    """Column slices of :data:`SCORE_BLOCK` columns covering ``n``."""
+    return (slice(s, s + SCORE_BLOCK) for s in range(0, n, SCORE_BLOCK))
 
 
 def build_network(input_dim: int, cfg: TrainConfig,
@@ -212,8 +213,10 @@ def build_network(input_dim: int, cfg: TrainConfig,
     expanding layer has width n1 and fan-in P (n1 behind the front); every
     later layer's width equals its fan-in, twice the previous width.
     Expanding layer l is random orthonormal with seed + l, or DCT. Before
-    a layer's weight is built, every weight so far (its own included) plus
-    its features on ``n_cols`` columns must fit ``cfg.memory_budget``.
+    a layer's weight is built, what the train walk holds there must fit
+    ``cfg.memory_budget``: every weight so far (its own included), the
+    layer's rows of pre-activations on ``n_cols`` columns, its d x d Gram
+    and the rows x rows one carried into it.
     """
     if not cfg.elm_front and cfg.n1 < input_dim:
         raise ConfigError(
@@ -226,8 +229,14 @@ def build_network(input_dim: int, cfg: TrainConfig,
     for layer_no in range(1, cfg.depth + 1):
         front = cfg.elm_front and layer_no == 1
         weight_bytes += width * fan_in * 8
-        _check_budget(layer_no, weight_bytes, width if front else 2 * width,
-                      n_cols, cfg.memory_budget)
+        d = width if front else 2 * width
+        need = weight_bytes + (width * n_cols + d * d + width * width) * 8
+        if need > cfg.memory_budget:
+            raise ResourceError(
+                f"layer {layer_no}: weights up to this layer ({weight_bytes} "
+                f"bytes), its {width} x {n_cols} float64 pre-activations and "
+                f"its {d} x {d} and {width} x {width} Grams need {need} bytes, "
+                f"over the {cfg.memory_budget}-byte budget")
         if front:
             w = make_raw_gaussian(width, fan_in, cfg.seed + 1)
         elif cfg.weight_kind == "dct":
@@ -244,12 +253,9 @@ def map_inputs(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
     """Yield ``(layer, features)`` for each layer that carries a map: the
     baseline (layer 0) on ``x`` or on the ELM front's features, then each
     expanding layer on its own output, a view the next item overwrites (in
-    ``buf``, if given). The one place that knows what each map reads."""
+    ``buf``, if given). The one place that knows what the baseline reads."""
     walk = enumerate(iter_layer_features(net, x, buf), 1)
-    if net.has_front:
-        x = next(walk)[1]
-    yield 0, x
-    del x  # later layers need not keep the baseline's features alive
+    yield 0, next(walk)[1] if net.has_front else x
     yield from walk
 
 
@@ -268,16 +274,17 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     report. ``report.monotonicity_certified`` is True iff every layer's
     witness was feasible and reproduced the previous layer's cost, and
     every returned map is feasible with cost at most the witness's. The
-    loop is one :func:`map_inputs` walk of the train split, timing each row
-    from the end of the previous one; after the last layer one
-    :func:`evaluate` walk of the test split fills every row's ``test_acc``.
+    loop is one :func:`_fit` walk of the train split, timing each row from
+    the end of the previous one; after the last layer one :func:`evaluate`
+    walk of the test split fills every row's ``test_acc``.
     """
-    if data.meta["N_train"] < 1:
+    n_train = data.meta["N_train"]
+    if n_train < 1:
         raise ConfigError("dataset has an empty train split")
     clock = time.perf_counter()
-    net = build_network(data.input_dim, cfg, data.n_samples)
+    net = build_network(data.input_dim, cfg, n_train)
 
-    x, t = data.X_train, data.T_train
+    x = data.X_train
     transform = std_params = None
     if cfg.standardize:
         mu = x.mean(axis=1, keepdims=True)
@@ -287,52 +294,134 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
         x = (x - mu) / sigma
         std_params = {"mu": mu.ravel().tolist(), "sigma": sigma.ravel().tolist()}
 
-    maps, rows, certified = [], [], True
-    nodes = cfg.n1 if net.has_front else 0
-    walk = map_inputs(net, x)
-    del x  # so a standardized copy is freed once layer 1 is computed
-    for layer_no, feats in walk:
-        if not maps:
-            om = least_squares(feats, t)
-        else:
-            nodes += len(feats)
-            witness, eps = embed_previous_map(
-                maps[-1], net.layers[layer_no - 1].weight)
-            if cfg.eps_schedule == "doubling" and len(maps) > 1:
-                eps = 2.0 * maps[-1].epsilon
-            witness_cost = sample_cost(t, witness, feats)
-            try:
-                om = least_squares(feats, t, eps, witness=witness)
-            except HnfError:
-                raise
-            except Exception as exc:
-                raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc
-            diag = {**om.solver, "witness_cost": witness_cost,
-                    "witness_drift": witness_cost - maps[-1].train_cost}
-            if om.train_cost > witness_cost:
-                diag.update(fallback="witness", solve_cost=om.train_cost)
-                om = OutputMap(witness, eps, witness_cost)
-            om = replace(om, layer_index=layer_no, solver=diag)
-            certified = (
-                certified
-                and float(np.sum(witness * witness)) <= eps * (1.0 + 1e-9)
-                and abs(diag["witness_drift"]) <= MONOTONE_SLACK
-                and om.train_cost <= witness_cost + MONOTONE_SLACK
-                and float(np.sum(om.matrix * om.matrix)) <= eps * (1.0 + 1e-12))
-        maps.append(om)
-        train_acc = accuracy(om.matrix @ feats, t)
-        now = time.perf_counter()
-        rows.append(LayerRecord(layer_no, nodes, om.epsilon, om.train_cost,
-                                train_acc, math.nan, om.solver["newton_steps"],
-                                int((now - clock) * 1000)))
-        clock = now
-
-    del feats  # the test walk need not hold the last train features
+    maps, rows, certified = _fit(net, x, data.T_train,
+                                 cfg.eps_schedule == "doubling", clock)
     test = evaluate(net, maps, data, "test", transform)
     rows = [replace(r, test_acc=test[r.layer].accuracy) for r in rows]
     report = TrainReport(rows[0], rows[1:], certified,
                          {"standardize_params": std_params})
     return net, maps, report
+
+
+def _to_y_basis(m: np.ndarray) -> np.ndarray:
+    """``m @ R``: a map on ``u = R y = [z; |z|] / sqrt(2)`` as a map on the
+    expanded ``y = [relu(z); relu(-z)]``."""
+    a, c = np.hsplit(m, 2)
+    return np.hstack([a + c, c - a]) * math.sqrt(0.5)
+
+
+def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
+           u_basis: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z Z^T, T Z^T)`` of the next pre-activations ``Z = W Y`` from this
+    layer's statistics ``G = Y Y^T`` and ``B = T Y^T``, 2 d^3 flops instead
+    of d^2 N; statistics in the u basis are read through ``W R^T``. The
+    result is made exactly symmetric, as the solve needs."""
+    if u_basis:
+        w1, w2 = np.hsplit(w, 2)
+        w = np.hstack([w1 - w2, w1 + w2]) * math.sqrt(0.5)
+    zz = w @ g @ w.T
+    return (zz + zz.T) * 0.5, b @ w.T
+
+
+def _expanded_statistics(z: np.ndarray, t: np.ndarray, zz: np.ndarray,
+                         tz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and B of ``y = vn_expand(z)`` in the orthonormal basis
+    ``u = R y = [z; |z|] / sqrt(2)``, given ``Z Z^T`` and ``T Z^T``
+    (:func:`_carry`): only the ``|z|`` blocks are summed, over column
+    blocks, through one reused rows x rows product."""
+    r, n = z.shape
+    g, b = np.zeros((2 * r, 2 * r)), np.zeros((len(t), 2 * r))
+    g[:r, :r], b[:, :r] = zz, tz
+    prod, absz = np.empty((r, r)), np.empty((r, min(n, SCORE_BLOCK)))
+    for cols in _blocks(n):
+        zb = z[:, cols]
+        a = np.abs(zb, out=absz[:, :zb.shape[1]])
+        g[:r, r:] += np.matmul(zb, a.T, out=prod)
+        g[r:, r:] += np.matmul(a, a.T, out=prod)
+        b[:, r:] += t[:, cols] @ a.T
+    g[r:, :r] = g[:r, r:].T
+    g *= 0.5
+    b *= math.sqrt(0.5)
+    return g, b
+
+
+def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
+         clock: float) -> tuple[list[OutputMap], list[LayerRecord], bool]:
+    """The maps, report rows and certificate of :func:`train` on the train
+    split ``(x, t)``, each row timed from ``clock`` or the row before: the
+    walk the module describes, where the witness ``[M, -M]`` reads
+    ``[sqrt(2) M, 0]`` in the ``u`` basis. Nothing outlives the call but
+    what it returns."""
+    n = t.shape[1]
+    held = np.empty((max(l.weight.rows for l in net.layers), n))
+    q = next(map_inputs(net, x, held))[1]  # x, or the front's in held
+    steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
+                          if l.expand)]
+    maps, rows, certified = [], [], True
+    nodes = net.layers[0].out_dim if net.has_front else 0
+    for k, (layer_no, layer) in enumerate(steps):
+        nxt = steps[k + 1][1] if k + 1 < len(steps) else None
+        # a non-finite or overflowing feature is reported by the solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            if layer is None:
+                g, b = q @ q.T, t @ q.T
+            else:
+                g, b = _expanded_statistics(held[:layer.weight.rows], t, *carry)
+            # the solve overwrites G, so the next layer's share is taken first
+            carry = None if nxt is None else _carry(
+                nxt.weight.entries, g, b, layer is not None)
+        eps = math.inf
+        witness = m = start = None
+        if layer is not None:
+            nodes += layer.out_dim
+            witness, eps = embed_previous_map(maps[-1], layer.weight)
+            if doubling and len(maps) > 1:
+                eps = 2.0 * maps[-1].epsilon
+            m = witness[:, :layer.weight.rows]
+            start = np.hstack([math.sqrt(2.0) * m, np.zeros_like(m)])  # on u
+        try:
+            o, diag = least_squares(g, b, n, eps, witness=start)
+        except HnfError:
+            raise
+        except Exception as exc:
+            raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc
+        del g  # overwritten by the solve; the next layer's Gram replaces it
+
+        sums = np.zeros((2, 2))  # squared error and hits: map, witness
+        if layer is not None:
+            o = _to_y_basis(o)
+            expanded = np.empty((layer.out_dim, min(n, SCORE_BLOCK)))
+        for cols in _blocks(n):
+            tb = t[:, cols]
+            labels = np.argmax(tb, axis=0)
+            feats = q[:, cols]
+            if layer is not None:
+                zb = held[:layer.weight.rows, cols]
+                feats = vn_expand(zb, out=expanded[:, :len(labels)])
+                sums[1] += block_score(m, zb, tb, labels)
+            sums[0] += block_score(o, feats, tb, labels)
+            if nxt is not None:
+                np.matmul(nxt.weight.entries, feats,
+                          out=held[:nxt.weight.rows, cols])
+        (cost, acc), (witness_cost, witness_acc) = (sums / n).tolist()
+        if layer is not None:
+            diag.update(witness_cost=witness_cost,
+                        witness_drift=witness_cost - maps[-1].train_cost)
+            if cost > witness_cost:
+                diag.update(fallback="witness", solve_cost=cost)
+                o, cost, acc = witness, witness_cost, witness_acc
+            certified = (
+                certified
+                and float(np.sum(witness * witness)) <= eps * (1.0 + 1e-9)
+                and abs(diag["witness_drift"]) <= MONOTONE_SLACK
+                and cost <= witness_cost + MONOTONE_SLACK
+                and float(np.sum(o * o)) <= eps * (1.0 + 1e-12))
+        maps.append(OutputMap(o, eps, cost, layer_no, diag))
+        now = time.perf_counter()
+        rows.append(LayerRecord(layer_no, nodes, eps, cost, acc, math.nan,
+                                diag["newton_steps"], int((now - clock) * 1000)))
+        clock = now
+    return maps, rows, certified
 
 
 @dataclass(frozen=True)
@@ -374,22 +463,19 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
         x = (x - transform[0]) / transform[1]
 
     deepest, n = max(layers, default=0), t.shape[1]
-    sse, hits = [0.0] * len(maps), [0] * len(maps)
+    sums = np.zeros((len(maps), 2))  # squared error and hits of each map
     buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
-    for start in range(0, n, SCORE_BLOCK):
-        xb, tb = (a[:, start:start + SCORE_BLOCK] for a in (x, t))
+    for cols in _blocks(n):
+        xb, tb = x[:, cols], t[:, cols]
+        labels = np.argmax(tb, axis=0)
         for layer, feats in map_inputs(net, xb, buf[:, :xb.shape[1]]):
             for i, m in enumerate(maps):
                 if m.layer_index == layer:
-                    p = m.matrix @ feats
-                    hits[i] += np.count_nonzero(
-                        np.argmax(p, axis=0) == np.argmax(tb, axis=0))
-                    p -= tb  # -(t - p): sample_cost's squares, bit for bit
-                    sse[i] += float(np.sum(p * p))
+                    sums[i] += block_score(m.matrix, feats, tb, labels)
             if layer == deepest:
                 break
-    return {m.layer_index: Evaluation(e / (n or math.nan), h / (n or math.nan))
-            for m, e, h in zip(maps, sse, hits)}
+    return {m.layer_index: Evaluation(*(s / (n or math.nan)).tolist())
+            for m, s in zip(maps, sums)}
 
 
 @dataclass(frozen=True)

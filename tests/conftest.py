@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hnf.layers import HnfLayer, HnfNetwork
 from hnf.matrixgen import make_dct_orthonormal, make_random_orthonormal
+from hnf.solvers import OutputMap, least_squares
+from oracles import sample_cost
 
 _acceptance_outcomes: dict[str, str] = {}
 
@@ -53,3 +56,13 @@ def build_chain(input_dim: int, n1: int, depth: int, kind: str = "random",
         m = 2 * n
         n = m
     return HnfNetwork(tuple(layers))
+
+
+def solve(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
+          witness: np.ndarray | None = None) -> OutputMap:
+    """:func:`hnf.solvers.least_squares` on the statistics of features
+    ``y`` and targets ``t``, as a map carrying its sample cost."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, b = y @ y.T, t @ y.T
+    o, diag = least_squares(g, b, t.shape[1], eps, witness)
+    return OutputMap(o, float(eps), sample_cost(t, o, y), solver=diag)

@@ -144,6 +144,13 @@ def sample_cost(t: np.ndarray, o: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(r * r) / t.shape[1])
 
 
+def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Fraction of columns whose argmax matches the one-hot target; ties
+    resolve to the lowest class index."""
+    return float(np.mean(
+        np.argmax(predictions, axis=0) == np.argmax(targets, axis=0)))
+
+
 def constrained_ls_oracle(y: np.ndarray, t: np.ndarray, eps: float,
                           bisect_iters: int = 300) -> tuple[np.ndarray, float]:
     """Ball-constrained least squares via bisection on the multiplier.

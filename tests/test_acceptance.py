@@ -28,16 +28,12 @@ from hnf.layers import (
     vn_expand,
 )
 from hnf.matrixgen import make_random_orthonormal, make_raw_gaussian
-from hnf.solvers import (
-    OutputMap,
-    embed_previous_map,
-    least_squares,
-    sample_cost,
-)
+from hnf.solvers import OutputMap, embed_previous_map
 from hnf.trainer import TrainConfig, build_network, train
 
 import oracles
-from conftest import build_chain
+from conftest import build_chain, solve
+from oracles import sample_cost
 
 DATA_DIR = Path(os.environ.get("HNF_DATA_DIR",
                                Path(__file__).parent.parent / "data"))
@@ -157,7 +153,7 @@ def test_c05a_constrained_solve_feasibility():
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((q, n))
         eps = float(rng.uniform(0.01, 5.0))
-        om = least_squares(y, t, eps)
+        om = solve(y, t, eps)
         assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
 
 
@@ -171,9 +167,9 @@ def test_c05b_constrained_solve_matches_dual_oracle():
         q = int(rng.integers(1, 6))
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((q, n))
-        o_ls = least_squares(y, t)
+        o_ls = solve(y, t)
         eps = float(np.sum(o_ls.matrix ** 2)) * rng.uniform(0.05, 1.5)
-        om = least_squares(y, t, eps)
+        om = solve(y, t, eps)
         assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
         _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
         assert om.train_cost <= oracle_cost * (1 + 1e-9), f"instance {trial}"
@@ -187,7 +183,7 @@ def test_c05c_witness_dominance_at_production_setting():
     for kind in ("random", "dct"):
         for seed in (1, 2, 3):
             cfg = TrainConfig(n1=16, depth=4, weight_kind=kind, seed=seed)
-            prev_map = least_squares(x, t)
+            prev_map = solve(x, t)
             feats = x
             net = build_network(8, cfg, blobs.n_samples)
             for layer_no, layer in enumerate(net.layers, 1):
@@ -196,7 +192,7 @@ def test_c05c_witness_dominance_at_production_setting():
                 assert float(np.sum(witness ** 2)) <= eps * (1 + 1e-9)
                 feats = vn_expand(w.entries @ feats)
                 witness_cost = sample_cost(t, witness, feats)
-                om = least_squares(feats, t, eps)
+                om = solve(feats, t, eps)
                 assert om.train_cost <= witness_cost + 1e-8, \
                     (kind, seed, layer_no)
                 prev_map = om

@@ -29,25 +29,34 @@ def run_module(*argv, python=("-m", "hnf")):
                           env={**os.environ, "PYTHONPATH": path})
 
 
-#: ``hnf eval --run RUN`` that prints, as JSON, its exit code and how far
-#: each evaluate call raised the process's peak RSS, in KiB. The peak is
-#: VmHWM, its own address space's: on Linux a child's ru_maxrss starts at
-#: the peak of the process that started it, here the test runner's.
-EVAL_RSS_PROBE = """
+#: ``hnf ARGV`` with ``hnf.cli.FN`` probed (``python -c RSS_PROBE FN
+#: ARGV...``): prints, as JSON, its exit code and how far each FN call
+#: raised the process's peak RSS, in KiB. The peak is VmHWM, its own
+#: address space's: on Linux a child's ru_maxrss starts at the peak of the
+#: process that started it, here the test runner's.
+RSS_PROBE = """
 import json, sys
 import hnf.cli
 def peak():
     with open("/proc/self/status") as fh:
         return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
-real, growth = hnf.cli.evaluate, []
+name, argv = sys.argv[1], sys.argv[2:]
+real, growth = getattr(hnf.cli, name), []
 def probed(*args):
     before = peak()
-    scores = real(*args)
+    result = real(*args)
     growth.append(peak() - before)
-    return scores
-hnf.cli.evaluate = probed
-print(json.dumps([hnf.cli.main(["eval", "--run", sys.argv[1]]), growth]))
+    return result
+setattr(hnf.cli, name, probed)
+print(json.dumps([hnf.cli.main(argv), growth]))
 """
+
+#: ``hnf train`` arguments of a blobs run whose widest expanded train
+#: features take 128 MiB: 64 rows on 262144 train columns.
+BIG_BLOBS_RUN = ("--data", "blobs", "--blob-p", "4", "--blob-q", "2",
+                 "--blob-n", "393216", "--n1", "4", "--depth", "4",
+                 "--seed", "1")
+BIG_BLOBS_FEATURES = 64 * 262144 * 8
 
 
 def run_train(tmp_path, *extra):
@@ -109,6 +118,22 @@ class TestTrainCommand:
                      "--n1", "2", "--depth", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "n_train" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_train_peak_holds_half_the_widest_features(self, tmp_path):
+        """The run's widest expanded train features would take 128 MiB;
+        holding its pre-activations instead, half that, raises the peak
+        RSS of the train call by less than three quarters of it."""
+        out = tmp_path / "run"
+        proc = run_module("train", "train", *BIG_BLOBS_RUN, "--out", str(out),
+                          python=("-c", RSS_PROBE))
+        assert proc.returncode == 0, proc.stderr
+        code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and len(growth_kib) == 1
+        assert json.loads((out / "manifest.json").read_text())[
+            "dataset"]["N_train"] * 64 * 8 == BIG_BLOBS_FEATURES
+        assert growth_kib[0] * 1024 < BIG_BLOBS_FEATURES * 3 / 4
 
     def test_memory_budget_env_exits_5(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HNF_MEM_BUDGET", "10000")
@@ -308,18 +333,16 @@ class TestEvalCommand:
         float64); scoring a split a block of columns at a time raises the
         peak RSS of each evaluate call by less than a quarter of that."""
         out = tmp_path / "run"
-        proc = run_module("train", "--data", "blobs", "--blob-p", "4",
-                          "--blob-q", "2", "--blob-n", "393216", "--n1", "4",
-                          "--depth", "4", "--seed", "1", "--out", str(out))
+        proc = run_module("train", *BIG_BLOBS_RUN, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        features = 64 * 262144 * 8
         assert json.loads((out / "manifest.json").read_text())[
-            "dataset"]["N_train"] * 64 * 8 == features
-        proc = run_module(str(out), python=("-c", EVAL_RSS_PROBE))
+            "dataset"]["N_train"] * 64 * 8 == BIG_BLOBS_FEATURES
+        proc = run_module("evaluate", "eval", "--run", str(out),
+                          python=("-c", RSS_PROBE))
         assert proc.returncode == 0, proc.stderr
         code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0 and len(growth_kib) == 2
-        assert max(growth_kib) * 1024 < features / 4
+        assert max(growth_kib) * 1024 < BIG_BLOBS_FEATURES / 4
 
     def test_walks_each_split_once(self, trained_run, capsys, monkeypatch):
         calls = []
@@ -505,7 +528,7 @@ class TestVerifyCommand:
             return real_make(rows, cols, seed)
 
         monkeypatch.setattr("hnf.trainer.make_random_orthonormal", make)
-        # 600 blob columns: layer 2 needs 316416 bytes, layer 3 656384
+        # 400 train columns: layer 2 needs 152576 bytes, layer 3 410624
         monkeypatch.setenv("HNF_MEM_BUDGET", "400000")
         assert main(["verify", "--data", "blobs", "--n1", "16", "--depth",
                      "6", "--trials", "5"]) == 5

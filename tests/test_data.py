@@ -14,10 +14,8 @@ from hnf.data import (
     split_dataset,
 )
 from hnf.errors import DataError, FormatError, ParameterError, ParseError
-from hnf.solvers import least_squares
-from hnf.trainer import accuracy
-
-from oracles import reference_load_csv, traced_peak
+from conftest import solve
+from oracles import accuracy, reference_load_csv, traced_peak
 
 
 def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray,
@@ -299,13 +297,13 @@ class TestLoadIdx:
 class TestBlobs:
     def test_separated_blobs_linearly_separable(self):
         ds = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-        om = least_squares(ds.X_train, ds.T_train)
+        om = solve(ds.X_train, ds.T_train)
         acc = accuracy(om.matrix @ ds.X_train, ds.T_train)
         assert acc >= 0.95
 
     def test_zero_separation_chance_level(self):
         ds = make_synthetic_blobs(8, 4, 2000, separation=0.0, seed=2)
-        om = least_squares(ds.X_train, ds.T_train)
+        om = solve(ds.X_train, ds.T_train)
         acc = accuracy(om.matrix @ ds.X_test, ds.T_test)
         assert abs(acc - 0.25) <= 0.1
 

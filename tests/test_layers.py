@@ -258,7 +258,9 @@ class TestNetworkForward:
     def test_layer_forward_is_called_only_by_the_one_loop(self):
         """Inside hnf, only the walk calls layer_forward, and only
         map_inputs and verify_invariants consume the walk, whose items are
-        views of one buffer."""
+        views of one buffer. The train walk, which holds pre-activations
+        and expands them itself, runs only inside train, and expands
+        nothing but what verify_invariants checks besides."""
         def callers(name):
             found = []
             for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
@@ -277,6 +279,9 @@ class TestNetworkForward:
         assert callers("layer_forward") == ["iter_layer_features"]
         assert set(callers("iter_layer_features")) == {"map_inputs",
                                                        "verify_invariants"}
+        assert callers("_fit") == ["train"]
+        assert callers("_expanded_statistics") == ["_fit"]
+        assert callers("vn_expand") == ["_fit", "verify_invariants"]
 
 
 class TestNetworkInvert:

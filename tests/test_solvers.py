@@ -24,13 +24,14 @@ from hnf.solvers import (
     least_squares,
     load_output_map,
     project_frobenius_ball,
-    sample_cost,
     save_output_map,
 )
 
 from hnf.trainer import TrainConfig, build_network, map_inputs
 
 import oracles
+from conftest import solve
+from oracles import sample_cost
 
 
 def make_map(matrix: np.ndarray) -> OutputMap:
@@ -40,20 +41,20 @@ def make_map(matrix: np.ndarray) -> OutputMap:
 class TestLeastSquares:
     def test_identity_fit(self):
         y = np.eye(2)
-        om = least_squares(y, y)
+        om = solve(y, y)
         assert np.allclose(om.matrix, np.eye(2), atol=1e-12)
         assert om.train_cost == pytest.approx(0.0, abs=1e-24)
         assert om.epsilon == math.inf
 
     def test_exact_line(self):
-        om = least_squares(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]))
+        om = solve(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]))
         assert om.matrix == pytest.approx(np.array([[2.0]]), abs=1e-12)
         assert om.train_cost == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_extended_precision_oracle(self, rng):
         y = rng.standard_normal((4, 50))
         t = rng.standard_normal((3, 50))
-        om = least_squares(y, t)
+        om = solve(y, t)
         expected = oracles.normal_equations_extended(y, t)
         assert np.max(np.abs(om.matrix - expected)) <= 1e-8
 
@@ -61,7 +62,7 @@ class TestLeastSquares:
         base = rng.standard_normal((1, 30))
         y = np.vstack([base, base])
         t = rng.standard_normal((2, 30))
-        om = least_squares(y, t)
+        om = solve(y, t)
         assert np.all(np.isfinite(om.matrix))
         recomputed = sample_cost(t, om.matrix, y)
         assert om.train_cost == pytest.approx(recomputed, rel=1e-9)
@@ -69,24 +70,26 @@ class TestLeastSquares:
     def test_train_cost_recomputable(self, rng):
         y = rng.standard_normal((5, 60))
         t = rng.standard_normal((3, 60))
-        om = least_squares(y, t)
+        om = solve(y, t)
         assert om.train_cost == pytest.approx(
             sample_cost(t, om.matrix, y), rel=1e-9)
 
     def test_empty_data_rejected(self):
         with pytest.raises(DataError):
-            least_squares(np.zeros((2, 0)), np.zeros((2, 0)))
+            solve(np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(DataError):
+            least_squares(np.eye(2), np.zeros((1, 2)), 0)
 
-    def test_sample_count_mismatch(self, rng):
+    def test_statistics_width_mismatch(self, rng):
+        y = rng.standard_normal((2, 5))
         with pytest.raises(DimensionError):
-            least_squares(rng.standard_normal((2, 5)),
-                          rng.standard_normal((2, 6)))
+            least_squares(y @ y.T, rng.standard_normal((3, 3)), 5)
 
 
 def elm_front_solve(w, x, t, activation="relu"):
     """The trainer's ELM front: a non-expanding layer, then least squares."""
     feats = layer_forward(HnfLayer(w, expand=False, activation=activation), x)
-    return feats, least_squares(feats, t)
+    return feats, solve(feats, t)
 
 
 class TestElmSolve:
@@ -96,7 +99,7 @@ class TestElmSolve:
         w = WeightMatrix(3, 3, np.eye(3), WeightKind.DCT_ORTHONORMAL, None)
         feats, om = elm_front_solve(w, x, t, activation="relu")
         assert np.array_equal(feats, x)
-        direct = least_squares(x, t)
+        direct = solve(x, t)
         assert np.allclose(om.matrix, direct.matrix, atol=1e-12)
 
     def test_sigmoid_at_zero_gives_half(self):
@@ -114,7 +117,7 @@ class TestElmSolve:
         x = centers[labels].T + rng.standard_normal((p, n))
         t = np.zeros((q, n))
         t[labels, np.arange(n)] = 1.0
-        raw = least_squares(x, t)
+        raw = solve(x, t)
         w1 = make_raw_gaussian(n1, p, seed=1)
         _, om = elm_front_solve(w1, x, t, activation="relu")
         assert om.train_cost < raw.train_cost
@@ -145,16 +148,16 @@ class TestAdmm:
     """Ball-constrained solves: :func:`least_squares` with a finite eps."""
 
     def test_scalar_boundary_solution(self):
-        om = least_squares(np.array([[2.0]]), np.array([[4.0]]), eps=1.0)
+        om = solve(np.array([[2.0]]), np.array([[4.0]]), eps=1.0)
         assert om.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert om.train_cost == pytest.approx(4.0, rel=1e-12)
 
     def test_inactive_constraint_returns_least_squares(self, rng):
         y = rng.standard_normal((5, 80))
         t = rng.standard_normal((3, 80))
-        o_ls = least_squares(y, t)
+        o_ls = solve(y, t)
         eps = 2.0 * float(np.sum(o_ls.matrix ** 2))
-        om = least_squares(y, t, eps)
+        om = solve(y, t, eps)
         assert np.array_equal(om.matrix, o_ls.matrix)
         assert om.solver["newton_steps"] == 0
         assert om.solver["multiplier"] == 0.0
@@ -162,9 +165,9 @@ class TestAdmm:
     def test_active_constraint_lands_on_sphere(self, rng):
         y = rng.standard_normal((5, 80))
         t = rng.standard_normal((3, 80))
-        o_ls = least_squares(y, t)
+        o_ls = solve(y, t)
         eps = 0.1 * float(np.sum(o_ls.matrix ** 2))
-        om = least_squares(y, t, eps)
+        om = solve(y, t, eps)
         assert float(np.sum(om.matrix ** 2)) == pytest.approx(eps, rel=1e-12)
         assert om.solver["multiplier"] > 0
         _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
@@ -178,9 +181,9 @@ class TestAdmm:
             q = int(rng.integers(1, 6))
             y = rng.standard_normal((d, n))
             t = rng.standard_normal((q, n))
-            o_ls = least_squares(y, t)
+            o_ls = solve(y, t)
             eps = float(np.sum(o_ls.matrix ** 2)) * rng.uniform(0.05, 1.5)
-            om = least_squares(y, t, eps)
+            om = solve(y, t, eps)
             oracle, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
             assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
             assert om.train_cost <= oracle_cost * (1 + 1e-9), f"trial {trial}"
@@ -191,13 +194,13 @@ class TestAdmm:
         t = rng.standard_normal((2, 10))
         for eps in (0.0, -1.0, math.nan):
             with pytest.raises(ParameterError):
-                least_squares(y, t, eps=eps)
+                solve(y, t, eps=eps)
         bad = y.copy()
         bad[0, 0] = np.nan
         with pytest.raises(DataError):
-            least_squares(bad, t, eps=1.0)
+            solve(bad, t, eps=1.0)
         with pytest.raises(DataError):
-            least_squares(bad, t)
+            solve(bad, t)
 
     @pytest.mark.parametrize("value", [math.inf, 1e200],
                              ids=["inf", "square-overflows"])
@@ -206,7 +209,7 @@ class TestAdmm:
         y = rng.standard_normal((3, 10))
         y[1, 4] = value
         with pytest.raises(DataError):
-            least_squares(y, rng.standard_normal((2, 10)), eps)
+            solve(y, rng.standard_normal((2, 10)), eps)
 
     def test_peak_has_no_feature_sized_term(self, rng):
         """Beyond O(d^2) for the Gram (factored in place on this active
@@ -215,7 +218,7 @@ class TestAdmm:
         d, n, q = 256, 20000, 2
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((q, n))
-        om, peak = oracles.traced_peak(least_squares, y, t, 1e-6)
+        om, peak = oracles.traced_peak(solve, y, t, 1e-6)
         assert om.solver["multiplier"] > 0
         assert peak <= 3 * d * d * 8 + 4 * q * n * 8 + 2 ** 20
         assert peak < d * n
@@ -227,15 +230,15 @@ class TestAdmm:
         d, n = 512, 1500
         y = rng.standard_normal((d, n))
         t = rng.standard_normal((2, n))
-        om, peak = oracles.traced_peak(least_squares, y, t)
+        om, peak = oracles.traced_peak(solve, y, t)
         assert om.solver["method"] == "eigh"
         assert peak < 2.5 * d * d * 8
 
     def test_deterministic(self, rng):
         y = rng.standard_normal((4, 40))
         t = rng.standard_normal((2, 40))
-        a = least_squares(y, t, 0.5)
-        b = least_squares(y, t, 0.5)
+        a = solve(y, t, 0.5)
+        b = solve(y, t, 0.5)
         assert np.array_equal(a.matrix, b.matrix)
         assert a.train_cost == b.train_cost
         assert a.solver == b.solver
@@ -245,7 +248,7 @@ class TestAdmm:
         y = np.vstack([base, base[:1]])
         t = rng.standard_normal((2, 60))
         for eps in (0.01, 1e3):
-            om = least_squares(y, t, eps)
+            om = solve(y, t, eps)
             assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
             _, oracle_cost = oracles.constrained_ls_oracle(y, t, eps)
             assert om.train_cost <= oracle_cost * (1 + 1e-9)
@@ -267,9 +270,9 @@ class TestExactSolveProperties:
         if duplicate and d > 1:
             y[-1] = y[0]
         t = rng.standard_normal((q, n))
-        free = least_squares(y, t)
+        free = solve(y, t)
         eps = radius * float(np.sum(free.matrix ** 2))
-        om = least_squares(y, t, eps)
+        om = solve(y, t, eps)
         assert float(np.sum(om.matrix ** 2)) <= eps * (1 + 1e-12)
         if duplicate and d > 1:
             # Y^T (e_0 - e_last) = 0: a difference between the first and
@@ -292,7 +295,7 @@ class TestCholeskyNewton:
     def test_inactive_ball_takes_the_eigh_path(self, rng, monkeypatch):
         y = rng.standard_normal((5, 80))
         t = rng.standard_normal((3, 80))
-        free = least_squares(y, t)
+        free = solve(y, t)
         eps = 2.0 * float(np.sum(free.matrix ** 2))
         factorizations = []
 
@@ -307,7 +310,7 @@ class TestCholeskyNewton:
         for witness, tries in ((None, 1), (free.matrix, 1),
                                (0.1 * free.matrix, 2)):
             factorizations.clear()
-            om = least_squares(y, t, eps, witness=witness)
+            om = solve(y, t, eps, witness=witness)
             assert om.solver == {"method": "eigh", "newton_steps": 0,
                                  "multiplier": 0.0}
             assert np.array_equal(om.matrix, free.matrix)
@@ -318,9 +321,9 @@ class TestCholeskyNewton:
         blocks of 256 columns before the spectral solve reads it."""
         y = rng.standard_normal((300, 700))
         t = rng.standard_normal((2, 700))
-        free = least_squares(y, t)
+        free = solve(y, t)
         eps = 2.0 * float(np.sum(free.matrix ** 2))
-        om = least_squares(y, t, eps, witness=0.1 * free.matrix)
+        om = solve(y, t, eps, witness=0.1 * free.matrix)
         assert om.solver["method"] == "eigh"
         assert np.array_equal(om.matrix, free.matrix)
 
@@ -328,8 +331,8 @@ class TestCholeskyNewton:
         base = rng.standard_normal((3, 40))
         y = np.vstack([base, base[:1]])
         t = rng.standard_normal((2, 40))
-        free = least_squares(y, t)
-        om = least_squares(y, t, float(np.sum(free.matrix ** 2)))
+        free = solve(y, t)
+        om = solve(y, t, float(np.sum(free.matrix ** 2)))
         assert om.solver["method"] == "eigh"
         assert np.allclose(om.matrix, free.matrix, rtol=0, atol=1e-12)
         assert np.max(np.abs(om.matrix[:, 0] - om.matrix[:, -1])) <= (
@@ -338,8 +341,8 @@ class TestCholeskyNewton:
     def test_active_ball_takes_the_cholesky_path(self, rng):
         y = rng.standard_normal((5, 80))
         t = rng.standard_normal((3, 80))
-        free = least_squares(y, t)
-        om = least_squares(y, t, 0.1 * float(np.sum(free.matrix ** 2)))
+        free = solve(y, t)
+        om = solve(y, t, 0.1 * float(np.sum(free.matrix ** 2)))
         assert om.solver["method"] == "cholesky"
         assert om.solver["multiplier"] > 0
 
@@ -353,14 +356,14 @@ class TestCholeskyNewton:
         prev, steps, cold_steps = None, 0, 0
         for layer, feats in map_inputs(net, x):
             if prev is None:
-                prev = least_squares(feats, t)
+                prev = solve(feats, t)
                 continue
             witness, eps = embed_previous_map(prev, net.layers[layer - 1].weight)
-            om = least_squares(feats, t, eps, witness=witness)
-            cold = least_squares(feats, t, eps)
+            om = solve(feats, t, eps, witness=witness)
+            cold = solve(feats, t, eps)
             with monkeypatch.context() as m:  # skip the Cholesky path
                 m.setattr(hnf.solvers, "_cholesky_newton", lambda *a: None)
-                ref = least_squares(feats, t, eps)
+                ref = solve(feats, t, eps)
             assert om.solver["method"] == "cholesky", layer
             assert ref.solver["method"] == "eigh"
             assert ref.solver["multiplier"] > 0

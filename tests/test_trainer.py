@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,28 +17,27 @@ from hnf.matrixgen import (
     make_random_orthonormal,
     make_raw_gaussian,
 )
-from hnf.solvers import (
-    OutputMap,
-    embed_previous_map,
-    least_squares,
-    sample_cost,
-)
+from hnf.solvers import OutputMap, embed_previous_map, least_squares
 from hnf.trainer import (
     MONOTONE_SLACK,
     SCORE_BLOCK,
     VERIFY_BLOCK,
     TrainConfig,
-    accuracy,
+    block_score,
     build_network,
     evaluate,
     map_inputs,
     map_widths,
+    _carry,
+    _expanded_statistics,
+    _to_y_basis,
     train,
     verify_invariants,
 )
 
 import oracles
-from conftest import build_chain
+from conftest import build_chain, solve
+from oracles import accuracy, sample_cost
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +112,16 @@ class TestTrain:
 
         w = make_random_orthonormal(16, 8, seed=cfg.seed + 1)
         assert np.array_equal(net.layers[0].weight.entries, w.entries)
-        baseline = least_squares(blobs.X_train, blobs.T_train)
+        baseline = solve(blobs.X_train, blobs.T_train)
         eps = embed_previous_map(baseline, w)[1]
         feats = vn_expand(w.entries @ blobs.X_train)
-        direct = least_squares(feats, blobs.T_train, eps)
+        direct = solve(feats, blobs.T_train, eps)
         expect = direct.matrix
         if direct.train_cost > maps[1].train_cost:
             pytest.fail("trainer should never beat the identical solve")
-        assert np.array_equal(maps[1].matrix, expect)
+        # the trainer sums its Gram in another basis and order
+        assert (np.linalg.norm(maps[1].matrix - expect)
+                <= 1e-12 * np.linalg.norm(expect))
         assert report.per_layer[0].epsilon == pytest.approx(eps, rel=1e-12)
 
     def test_n1_below_input_dim_rejected(self, blobs):
@@ -175,7 +178,7 @@ class TestTrain:
         calls = []
         monkeypatch.setattr("hnf.trainer.least_squares",
                             lambda *a, **k: calls.append(a))
-        # layers 1-3 need 129024, 265216 and 553984 bytes on 500 columns
+        # layers 1-3 need 53888, 135424 and 376320 bytes on 333 columns
         cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=300_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
@@ -196,7 +199,7 @@ class TestTrain:
 
         for name in ("make_random_orthonormal", "make_dct_orthonormal"):
             monkeypatch.setattr(hnf.trainer, name, recording(name))
-        # layer 3 needs 553984 bytes on 500 columns; layers 3-6 have
+        # layer 3 needs 376320 bytes on 333 columns; layers 3-6 have
         # widths 64, 128, 256 and 512
         cfg = TrainConfig(n1=16, depth=6, weight_kind=kind, seed=1,
                           memory_budget=300_000)
@@ -214,12 +217,36 @@ class TestTrain:
 
         monkeypatch.setattr(hnf.trainer, "make_random_orthonormal", make)
         small = make_synthetic_blobs(4, 2, 20, separation=6.0, seed=3)
-        # on 20 columns the features of layer 5 take 40960 bytes, but the
-        # weights of layers 1-5 take 174336 (widths 8 to 128)
-        cfg = TrainConfig(n1=8, depth=6, memory_budget=100_000)
+        # on 13 train columns layer 5's pre-activations and Grams take
+        # 668672 bytes, and the weights of layers 1-5 174336 more (widths 8
+        # to 128); layer 4 needs 213760 in all
+        cfg = TrainConfig(n1=8, depth=6, memory_budget=700_000)
         with pytest.raises(ResourceError, match="layer 5"):
             train(small, cfg)
         assert built == [8, 16, 32, 64]
+
+    def test_budget_counts_held_pre_activations(self, blobs):
+        """Layer 3 needs 376320 bytes: its 64 x 333 train pre-activations,
+        its 128 x 128 Gram, the 64 x 64 carried one and the weights. Counted
+        as 128-row features on all 500 columns, it needed 553984."""
+        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=450_000)
+        _, _, report = train(blobs, cfg)
+        assert report.monotonicity_certified
+        with pytest.raises(ResourceError, match="layer 3"):
+            train(blobs, replace(cfg, memory_budget=376_319))
+
+    def test_test_walk_holds_no_train_buffer(self, monkeypatch):
+        """No view into the train walk's pre-activations outlives the walk:
+        when the test split is scored, what is live is well under that
+        buffer's 32 x N_train floats."""
+        ds = make_synthetic_blobs(4, 2, 6000, separation=3.0, seed=1)
+        live, real = [], hnf.trainer.evaluate
+        monkeypatch.setattr(hnf.trainer, "evaluate", lambda *a: live.append(
+            tracemalloc.get_traced_memory()[0]) or real(*a))
+        _, peak = oracles.traced_peak(train, ds, TrainConfig(n1=4, depth=4))
+        held = 32 * ds.meta["N_train"] * 8
+        assert peak > held
+        assert live[0] < held / 2
 
     def test_standardize_recorded(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
@@ -259,12 +286,9 @@ class TestTrain:
         assert abs(maps[1].solver["witness_drift"]) > MONOTONE_SLACK
 
     def test_worse_solve_falls_back_to_the_witness(self, blobs, monkeypatch):
-        def zero_when_constrained(y, t, eps=math.inf, **kw):
-            om = least_squares(y, t, eps, **kw)
-            if math.isinf(eps):
-                return om
-            return OutputMap(np.zeros_like(om.matrix), eps, 1e3,
-                             solver=om.solver)
+        def zero_when_constrained(g, b, n, eps=math.inf, **kw):
+            o, diag = least_squares(g, b, n, eps, **kw)
+            return (o, diag) if math.isinf(eps) else (np.zeros_like(o), diag)
 
         monkeypatch.setattr("hnf.trainer.least_squares", zero_when_constrained)
         net, maps, report = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
@@ -274,15 +298,15 @@ class TestTrain:
             assert np.array_equal(maps[k].matrix, witness)
             assert (maps[k].epsilon, maps[k].layer_index) == (eps, k)
             assert maps[k].solver["fallback"] == "witness"
-            assert maps[k].solver["solve_cost"] == 1e3
+            # a zero map's cost on one-hot targets
+            assert maps[k].solver["solve_cost"] == 1.0
 
     def test_map_just_outside_the_ball_not_certified(self, blobs, monkeypatch):
-        def outside(y, t, eps=math.inf, **kw):
-            om = least_squares(y, t, eps, **kw)
+        def outside(g, b, n, eps=math.inf, **kw):
+            o, diag = least_squares(g, b, n, eps, **kw)
             if math.isinf(eps):
-                return om
-            m = om.matrix * math.sqrt(eps * (1 + 1e-9) / np.sum(om.matrix ** 2))
-            return OutputMap(m, eps, sample_cost(t, m, y), solver=om.solver)
+                return o, diag
+            return o * math.sqrt(eps * (1 + 1e-9) / np.sum(o ** 2)), diag
 
         monkeypatch.setattr("hnf.trainer.least_squares", outside)
         _, maps, report = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
@@ -301,6 +325,54 @@ class TestTrain:
         assert monotone([r.train_cost for r in report.rows()])
 
 
+class TestExpandedStatistics:
+    @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
+    def test_u_basis_gram_matches_the_expanded_features(self, blobs,
+                                                        monkeypatch, elm):
+        """Each expanding layer's G and B, assembled in the u basis from
+        the previous layer's statistics and block sums over |z|, and
+        rotated back, are those of vn_expand(z) within 1e-12 relative: for
+        the non-square first layer, the square inner ones and the layer
+        behind an ELM front."""
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm,
+                                           seed=1), 1)
+        t = blobs.T_train
+        q = next(map_inputs(net, blobs.X_train))[1]
+        g, b, u_basis = q @ q.T, t @ q.T, False
+        for layer in net.layers[elm:]:
+            w = layer.weight.entries
+            z = w @ q
+            y = vn_expand(z)
+            g, b = _expanded_statistics(z, t, *_carry(w, g, b, u_basis))
+            assert np.array_equal(g, g.T)
+            want_g, want_b = y @ y.T, t @ y.T
+            back = _to_y_basis(_to_y_basis(g).T)  # R^T G R, G symmetric
+            assert (np.linalg.norm(back - want_g)
+                    <= 1e-12 * np.linalg.norm(want_g)), w.shape
+            assert (np.linalg.norm(_to_y_basis(b) - want_b)
+                    <= 1e-12 * np.linalg.norm(want_b)), w.shape
+            q, u_basis = y, True
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(n1=16, depth=3, seed=1),
+        TrainConfig(n1=24, depth=3, seed=3, elm_front=True, weight_kind="dct",
+                    elm_activation="sigmoid"),
+    ], ids=["plain", "elm-dct"])
+    def test_blocks_match_a_one_block_run(self, blobs, monkeypatch, cfg):
+        """Summed and scored 7 columns at a time, the train walk reports
+        every cost within 1e-12 relative of a one-block run, and the same
+        accuracies."""
+        _, _, whole = train(blobs, cfg)
+        assert blobs.meta["N_train"] <= SCORE_BLOCK
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
+        _, _, blocked = train(blobs, cfg)
+        assert blocked.monotonicity_certified
+        for a, b in zip(whole.rows(), blocked.rows()):
+            assert abs(b.train_cost - a.train_cost) <= 1e-12 * a.train_cost
+            assert (b.train_acc, b.test_acc) == (a.train_acc, a.test_acc)
+
+
 class TestMapInputs:
     @pytest.mark.parametrize("elm, layers", [(False, [0, 1, 2, 3]),
                                              (True, [0, 2, 3])],
@@ -317,14 +389,29 @@ class TestMapInputs:
 
     @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
     def test_train_walks_each_split_once(self, blobs, monkeypatch, elm):
-        widths = []
-        real = hnf.layers.layer_forward
+        """The train split's pre-activations are expanded once per column
+        at each expanding layer, a block at a time; only an ELM front runs
+        layer_forward on the whole train split, and the test split's one
+        walk runs every layer on every column once."""
+        widths, expanded = [], {}
+        real, real_expand = hnf.layers.layer_forward, hnf.trainer.vn_expand
         monkeypatch.setattr("hnf.layers.layer_forward",
                             lambda layer, q, *rest: widths.append(q.shape[1])
                             or real(layer, q, *rest))
-        train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm, seed=1))
+
+        def expand(z, **kw):
+            expanded[len(z)] = expanded.get(len(z), 0) + z.shape[1]
+            return real_expand(z, **kw)
+
+        monkeypatch.setattr("hnf.trainer.vn_expand", expand)
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 100)
+        net, _, _ = train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm,
+                                             seed=1))
         n_train, n_test = blobs.X_train.shape[1], blobs.X_test.shape[1]
-        assert widths == [n_train] * 3 + [n_test] * 3
+        assert expanded == {l.weight.rows: n_train for l in net.layers
+                            if l.expand}
+        assert widths[:elm] == [n_train] * elm
+        assert sorted(widths[elm:]) == [n_test - 100] * 3 + [100] * 3
 
 
 class TestEvaluate:
@@ -586,7 +673,9 @@ class TestReportSerialization:
     def test_accuracy_tie_breaks_low(self):
         pred = np.array([[1.0, 0.5], [1.0, 0.5]])
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert accuracy(pred, t) == 0.5
+        # the tie in column 0 goes to class 0, a hit; squared error 1 + 0.5
+        assert block_score(np.eye(2), pred, t, np.argmax(t, axis=0)) == (
+            1.5, 1)
 
 
 class TestCertificationInternals:
