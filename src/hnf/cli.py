@@ -3,7 +3,11 @@
 Exit codes are stable: 0 success, 2 configuration problems, 3 data problems,
 4 solver or certification failures, 5 resource budget exceeded. Every train
 run writes a manifest that reproduces it byte-for-byte on the same build and
-BLAS thread count, and ``eval`` can re-load every artifact it writes.
+BLAS thread count, and ``eval`` can re-load every artifact it writes. A
+``csv:`` run also keeps the table it parsed (:data:`SNAPSHOT_FILE`), keyed
+to the CSV's bytes and parse options; ``eval`` and ``verify --run`` read
+that instead of parsing again while the key still matches, and parse
+otherwise, with the same output either way.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 import shutil
 import sys
 import uuid
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,9 +30,11 @@ from . import __version__
 from .data import (
     Dataset,
     load_csv,
+    load_csv_snapshot,
     load_idx,
     make_synthetic_blobs,
     merge_train_test,
+    save_csv_snapshot,
     split_dataset,
 )
 from .errors import (
@@ -58,6 +65,9 @@ EXIT_SOLVER = 4
 EXIT_RESOURCE = 5
 
 _BLOB_DEFAULTS = {"p": 8, "q": 3, "n": 600, "separation": 10.0}
+
+#: The run-directory file holding a ``csv:`` source's parsed table.
+SNAPSHOT_FILE = "table.snap"
 
 #: Keys a ``train --config`` file may set; each mirrors the flag of that name.
 _CONFIG_KEYS = ("data", "label_col", "delimiter", "split", "split_seed",
@@ -103,26 +113,37 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _load_data(spec: str, opts: dict) -> Dataset:
+def _csv_args(spec: str, opts: dict) -> tuple[str, int | str, str]:
+    """The path, label column and delimiter of a ``csv:`` source, each
+    option defaulted and the label column an int where it reads as one."""
+    path = spec[len("csv:"):]
+    if not path:
+        raise DataError("csv: needs a path")
+    label = -1 if opts.get("label_col") is None else opts["label_col"]
+    with suppress(TypeError, ValueError):
+        label = int(label)
+    return path, label, opts.get("delimiter") or ","
+
+
+def _load_data(spec: str, opts: dict,
+               snapshot: tuple | None = None) -> Dataset:
     """Load ``spec`` with the options a manifest records as
-    ``data_options``; an absent or None option takes its default."""
+    ``data_options``; an absent or None option takes its default. A
+    ``csv:`` source is read from ``snapshot``, a run's (snapshot path,
+    manifest record), when :func:`load_csv_snapshot` finds it holds the
+    table a parse would give, and parsed otherwise."""
     if spec == "blobs":
         blob = {**_BLOB_DEFAULTS, **(opts.get("blobs") or {})}
         return make_synthetic_blobs(
             int(blob["p"]), int(blob["q"]), int(blob["n"]),
             float(blob["separation"]), int(blob.get("seed", 0)))
     if spec.startswith("csv:"):
-        path = spec[len("csv:"):]
-        if not path:
-            raise DataError("csv: needs a path")
-        label = -1 if opts.get("label_col") is None else opts["label_col"]
-        try:
-            label = int(label)
-        except (TypeError, ValueError):
-            pass
-        ds = load_csv(path, label_column=label,
-                      delimiter=opts.get("delimiter") or ",",
-                      has_header=isinstance(label, str))
+        path, label, delimiter = _csv_args(spec, opts)
+        ds = (load_csv_snapshot(*snapshot, path, label, delimiter)
+              if snapshot else None)
+        if ds is None:
+            ds = load_csv(path, label_column=label, delimiter=delimiter,
+                          has_header=isinstance(label, str))
     elif spec.startswith("idx:"):
         parts = spec[len("idx:"):].split(",")
         if len(parts) == 4:
@@ -306,6 +327,11 @@ def cmd_train(args) -> int:
     cfg, data_spec, opts = _train_config_from(args)
     out = Path(opts["out"])
     _check_out_dir(out)
+    csv = _csv_args(data_spec, opts) if data_spec.startswith("csv:") else None
+    before = None
+    if csv:  # the snapshot is keyed to the CSV only if the parse saw no change
+        with suppress(OSError):
+            before = os.stat(csv[0])
     data = _load_data(data_spec, opts)
     net, maps, report = train(data, cfg)
 
@@ -335,6 +361,9 @@ def cmd_train(args) -> int:
             save_output_map(om, run / "maps" / f"map{om.layer_index:02d}")
         report.to_jsonl(run / "report.jsonl")
         report.to_csv(run / "report.csv")
+        if before:
+            manifest["data_snapshot"] = save_csv_snapshot(
+                data, run / SNAPSHOT_FILE, csv[0], before, *csv[1:])
         (run / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     _replace_dir(out, write)
@@ -379,6 +408,7 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
                 raise ValueError("standardize_params must be finite, sigma > 0")
         names = _typed(manifest.get("dataset") or {},
                        {"label_names": list}).get("label_names")
+        snapshot = run / SNAPSHOT_FILE, manifest.get("data_snapshot")
         spec = spec or manifest.get("data_source")
         manifest_opts = opts is None
         if manifest_opts:  # the types train writes; null takes the default
@@ -398,7 +428,7 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
         raise DataError(f"{run_dir}: manifest.json names no data_source; "
                         "pass --data")
     try:
-        return _load_data(spec, opts), transform, net, maps, names
+        return _load_data(spec, opts, snapshot), transform, net, maps, names
     except ParameterError as exc:
         if not manifest_opts:
             raise

@@ -4,10 +4,18 @@ synthetic blob generator used for desk-scale checks.
 A :class:`Dataset` stores inputs as columns of a P-by-N matrix paired with a
 Q-by-N one-hot target matrix, plus disjoint train/test column index lists
 that together cover every column.
+
+A parsed CSV table can be kept as a snapshot keyed to the SHA-256 of the
+CSV's bytes and its parse options (:func:`save_csv_snapshot`), and read
+back in place of a parse only while both still match and the snapshot
+passes its own digest (:func:`load_csv_snapshot`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import os
 import re
 import struct
 from contextlib import suppress
@@ -21,6 +29,9 @@ from .errors import DataError, FormatError, ParameterError, ParseError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+#: Bytes :func:`file_sha256` reads at a time.
+DIGEST_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -217,6 +228,83 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
         raise _bad_row(path, opts, has_header, width, label_at)
     return _dataset(x.T, table[:, label_at].astype(np.int64), list(index_of),
                     path.name, source=str(path))
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read ``DIGEST_CHUNK`` bytes at a time
+    so that no file-sized buffer is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(DIGEST_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def save_csv_snapshot(ds: Dataset, path, csv_path, before: os.stat_result,
+                      label_column, delimiter: str) -> dict | None:
+    """Write ``ds``, parsed by :func:`load_csv` from ``csv_path`` with
+    ``label_column`` and ``delimiter``, to ``path`` as three NPY arrays
+    back to back: the label names, each column's label index (int64) and
+    the P x N float64 features. Return the manifest record that keys it to
+    the CSV's bytes and those options. ``before`` is the CSV's ``os.stat``
+    from before the parse; if its inode, size or mtime moved since, the
+    digest may be of bytes the parse never saw, so nothing is written and
+    the result is None, as it is when a label name does not survive a
+    NumPy string array (one ending in NUL)."""
+    try:
+        csv_sha256 = file_sha256(csv_path)
+        moved = _stamp(os.stat(csv_path)) != _stamp(before)
+    except OSError:
+        return None
+    names = np.array(ds.meta["label_names"], dtype=str)
+    if moved or names.tolist() != ds.meta["label_names"]:
+        return None
+    with open(path, "wb") as fh:
+        for arr in (names, np.argmax(ds.T, axis=0).astype(np.int64), ds.X):
+            np.save(fh, arr, allow_pickle=False)
+    return {"csv_sha256": csv_sha256, "label_col": label_column,
+            "delimiter": delimiter, "sha256": file_sha256(path)}
+
+
+def load_csv_snapshot(path, record, csv_path, label_column,
+                      delimiter: str) -> Dataset | None:
+    """What ``load_csv(csv_path, label_column, delimiter)`` would return,
+    read from the snapshot :func:`save_csv_snapshot` wrote to ``path``
+    with manifest ``record``. None, so that the caller parses instead,
+    unless ``record`` holds the same options, the CSV's bytes and the
+    snapshot's hash to its digests, and the snapshot is a table."""
+    if not isinstance(record, dict) or (
+            type(record.get("label_col")), record.get("label_col"),
+            record.get("delimiter")) != (type(label_column), label_column,
+                                         delimiter):
+        return None
+    try:
+        if file_sha256(csv_path) != record.get("csv_sha256"):
+            return None
+        blob = Path(path).read_bytes()
+    except OSError:
+        return None
+    if hashlib.sha256(blob).hexdigest() != record.get("sha256"):
+        return None
+    fh = io.BytesIO(blob)
+    try:
+        names, labels, x = [np.lib.format.read_array(fh, allow_pickle=False)
+                            for _ in range(3)]
+        if not (fh.tell() == len(blob) and names.dtype.kind == "U"
+                and names.ndim == 1 and labels.dtype == np.int64
+                and x.dtype == np.float64 and x.ndim == 2
+                and labels.shape == x.shape[1:]
+                and 0 <= labels.min() <= labels.max() < names.size):
+            return None
+    except ValueError:
+        return None
+    csv_path = Path(csv_path)
+    return _dataset(x, labels, names.tolist(), csv_path.name,
+                    source=str(csv_path))
 
 
 def _read_be_u32(blob: bytes, offset: int, path) -> int:

@@ -13,7 +13,7 @@ import hnf.cli
 import hnf.layers
 import hnf.trainer
 from hnf.cli import main
-from hnf.data import make_synthetic_blobs
+from hnf.data import load_csv, make_synthetic_blobs, split_dataset
 from hnf.layers import load_network, save_network
 from hnf.errors import DataError
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
@@ -560,6 +560,195 @@ class TestVerifyCommand:
         assert seen[0].X.tobytes() == expected.X.tobytes()
 
 
+def count_parses(monkeypatch) -> list:
+    """Patch np.loadtxt, which every CSV parse calls, to log its calls."""
+    calls, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def audit(run, capsys, data=(), split=("--split", "40")):
+    """``(exit code, stdout)`` of ``eval`` and ``verify`` of ``run``, each
+    with ``data`` (and ``split`` for verify) when given; no traceback."""
+    results = []
+    for argv in (["eval", "--run", str(run), *data],
+                 ["verify", "--run", str(run), *data, *(data and split),
+                  "--trials", "5"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        results.append((code, out))
+    return results
+
+
+def without_snapshot(run, tmp_path):
+    """A copy of ``run`` with its table snapshot deleted, so that its
+    audits parse the CSV."""
+    copy = tmp_path / "parsed"
+    shutil.copytree(run, copy)
+    (copy / hnf.cli.SNAPSHOT_FILE).unlink(missing_ok=True)
+    return copy
+
+
+class TestCsvSnapshot:
+    """``train`` on a csv: source writes the parsed table into the run;
+    ``eval`` and ``verify --run`` read it only while the CSV's bytes and
+    parse options are the ones it was keyed to, and print what a parse
+    would make them print in every case."""
+
+    @pytest.fixture
+    def csv_run(self, tmp_path, capsys):
+        src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
+        run = tmp_path / "run"
+        assert main(["train", "--data", f"csv:{src}", "--split", "40",
+                     "--n1", "4", "--depth", "2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert (run / hnf.cli.SNAPSHOT_FILE).is_file()
+        return src, run
+
+    def test_unchanged_csv_is_not_parsed(self, csv_run, capsys, monkeypatch,
+                                         tmp_path):
+        src, run = csv_run
+        parses = count_parses(monkeypatch)
+        got = audit(run, capsys) + audit(run, capsys, ("--data", f"csv:{src}"))
+        assert parses == []
+        assert got == 2 * audit(without_snapshot(run, tmp_path), capsys)
+
+    def test_changed_byte_is_parsed_again(self, csv_run, capsys, monkeypatch,
+                                          tmp_path):
+        src, run = csv_run
+        text = src.read_text()
+        at = text.index(".") + 1  # the first feature's first decimal
+        src.write_text(text[:at] + "9876543210"[int(text[at])]
+                       + text[at + 1:])
+        parses = count_parses(monkeypatch)
+        got = audit(run, capsys)
+        assert parses
+        assert got == audit(without_snapshot(run, tmp_path), capsys)
+        assert [code for code, _ in got] == [0, 0]
+
+    def test_key_is_the_content_not_the_path(self, csv_run, capsys,
+                                             monkeypatch, tmp_path):
+        src, run = csv_run
+        copy = tmp_path / "copy.csv"
+        shutil.copyfile(src, copy)
+        other = tmp_path / "ba.csv"  # the same rows, B first
+        lines = src.read_text().splitlines(keepends=True)
+        other.write_text("".join(lines[1:] + lines[:1]))
+        parsed = without_snapshot(run, tmp_path)
+        for path, hit in ((copy, True), (other, False)):
+            parses = count_parses(monkeypatch)
+            data = ("--data", f"csv:{path}")
+            got = audit(run, capsys, data)
+            assert bool(parses) != hit
+            monkeypatch.undo()
+            assert got == audit(parsed, capsys, data)
+        # meta names the file given, not the one the run was trained on
+        data, *_ = hnf.cli._load_run(str(run), f"csv:{copy}")
+        assert (data.meta["name"], data.meta["source"]) == (
+            "copy.csv", str(copy))
+
+    @pytest.mark.parametrize("text, flags, label, delimiter", [
+        ("f1,cls,f2\n" + "".join(f"{i % 7}.5,{'xyz'[i % 3]},{i % 5}\n"
+                                 for i in range(30)),
+         ("--label-col", "cls"), "cls", ","),
+        ("".join(f"{i % 7};{i * 3 % 11};{'AB'[i % 2]}\n" for i in range(30)),
+         ("--delimiter", ";"), -1, ";"),
+        ("".join(f'{i % 7},{i * 3 % 11},"{"AB"[i % 2]}\n{i % 2}, x"\n'
+                 for i in range(30)), (), -1, ","),
+        ("".join(f"{i % 7 * 100},{i * 3 % 11},{'AB'[i % 2]}\n"
+                 for i in range(30)), ("--standardize",), -1, ","),
+    ], ids=["header-name", "semicolon", "quoted-multiline", "standardize"])
+    def test_snapshot_table_is_the_parsed_table(self, tmp_path, capsys,
+                                                monkeypatch, text, flags,
+                                                label, delimiter):
+        src = tmp_path / "data.csv"
+        src.write_text(text)
+        run = tmp_path / "run"
+        assert main(["train", "--data", f"csv:{src}", *flags, "--split", "20",
+                     "--split-seed", "4", "--n1", "4", "--depth", "1",
+                     "--out", str(run)]) == 0
+        capsys.readouterr()
+        parses = count_parses(monkeypatch)
+        data, *_ = hnf.cli._load_run(str(run))
+        assert parses == []
+        monkeypatch.undo()
+        want = split_dataset(load_csv(src, label, delimiter,
+                                      isinstance(label, str)), 20, 4)
+        assert data.X.tobytes() == want.X.tobytes()
+        assert data.X.strides == want.X.strides
+        assert data.T.tobytes() == want.T.tobytes()
+        assert data.train_idx.tobytes() == want.train_idx.tobytes()
+        assert data.test_idx.tobytes() == want.test_idx.tobytes()
+        assert data.meta == want.meta
+        assert audit(run, capsys) == audit(without_snapshot(run, tmp_path),
+                                           capsys)
+
+    @staticmethod
+    def edit_record(run, edit):
+        doc = json.loads((run / "manifest.json").read_text())
+        edit(doc)
+        (run / "manifest.json").write_text(json.dumps(doc))
+
+    @staticmethod
+    def edit_snapshot(run, edit):
+        snap = run / hnf.cli.SNAPSHOT_FILE
+        snap.write_bytes(edit(snap.read_bytes()))
+
+    @pytest.mark.parametrize("damage", [
+        lambda run: (run / hnf.cli.SNAPSHOT_FILE).unlink(),
+        lambda run: TestCsvSnapshot.edit_snapshot(run, lambda b: b[:-8]),
+        lambda run: TestCsvSnapshot.edit_snapshot(
+            run, lambda b: b[:len(b) // 2] + bytes([b[len(b) // 2] ^ 4])
+            + b[len(b) // 2 + 1:]),
+        lambda run: TestCsvSnapshot.edit_record(
+            run, lambda d: d.update(data_snapshot=[1])),
+        lambda run: TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_snapshot"].update(sha256=5)),
+        lambda run: TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_snapshot"].update(label_col=True)),
+        lambda run: TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_snapshot"].update(sha256="0" * 64)),
+        lambda run: TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_snapshot"].update(csv_sha256="0" * 64)),
+        lambda run: TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_snapshot"].update(delimiter=";")),
+        None,
+    ], ids=["missing", "truncated", "bit-flipped", "record-not-object",
+            "digest-not-text", "label-col-bool", "wrong-digest",
+            "wrong-csv-digest", "other-delimiter", "csv-rewritten-in-train"])
+    def test_unusable_snapshot_is_ignored(self, tmp_path, capsys,
+                                          monkeypatch, damage):
+        src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
+        if damage is None:  # the parse sees the file change under it
+            real = hnf.cli.load_csv
+
+            def parse_then_rewrite(path, **kw):
+                ds = real(path, **kw)
+                src.write_text("".join(src.read_text().splitlines(
+                    keepends=True)[1:]))
+                return ds
+
+            monkeypatch.setattr(hnf.cli, "load_csv", parse_then_rewrite)
+        run = tmp_path / "run"
+        assert main(["train", "--data", f"csv:{src}", "--split", "40",
+                     "--n1", "4", "--depth", "2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        if damage is None:
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert manifest["data_snapshot"] is None
+            assert not (run / hnf.cli.SNAPSHOT_FILE).exists()
+        else:
+            damage(run)
+        parses = count_parses(monkeypatch)
+        got = audit(run, capsys)
+        assert parses
+        assert got == audit(without_snapshot(run, tmp_path), capsys)
+        assert [code for code, _ in got] == [0, 0]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     code, out = run_train(tmp_path_factory.mktemp("trained"))
@@ -783,21 +972,26 @@ class TestArgumentHandling:
 
 class TestReproducibility:
     def test_model_artifacts_byte_identical_across_processes(self, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            proc = run_module("train", "--data", "blobs", "--n1", "16",
-                              "--depth", "2", "--seed", "11", "--out", str(out))
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out)
-        a, b = outs
-        for rel in sorted(p.relative_to(a) for p in a.rglob("*")
-                          if p.suffix in (".hnfw", ".bin")):
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
-        rows_a = [json.loads(l) for l in
-                  (a / "report.jsonl").read_text().splitlines()]
-        rows_b = [json.loads(l) for l in
-                  (b / "report.jsonl").read_text().splitlines()]
-        for ra, rb in zip(rows_a, rows_b):
-            ra.pop("wall_ms"), rb.pop("wall_ms")
-            assert ra == rb
+        src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
+        for data in (["blobs"], [f"csv:{src}", "--split", "40"]):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / name
+                proc = run_module("train", "--data", *data, "--n1", "16",
+                                  "--depth", "2", "--seed", "11",
+                                  "--out", str(out))
+                assert proc.returncode == 0, proc.stderr
+                outs.append(out)
+            a, b = outs
+            rels = sorted(p.relative_to(a) for p in a.rglob("*")
+                          if p.suffix in (".hnfw", ".bin", ".snap"))
+            assert (Path(hnf.cli.SNAPSHOT_FILE) in rels) == (data != ["blobs"])
+            for rel in rels:
+                assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+            rows_a = [json.loads(l) for l in
+                      (a / "report.jsonl").read_text().splitlines()]
+            rows_b = [json.loads(l) for l in
+                      (b / "report.jsonl").read_text().splitlines()]
+            for ra, rb in zip(rows_a, rows_b):
+                ra.pop("wall_ms"), rb.pop("wall_ms")
+                assert ra == rb

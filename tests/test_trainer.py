@@ -86,6 +86,33 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError, match="n1 >= input dim"):
             build_network(8, TrainConfig(n1=4, depth=1), 600)
 
+    @pytest.mark.parametrize("kind", ["random", "dct"])
+    def test_weight_build_peak_within_its_layer_count(self, kind,
+                                                      monkeypatch):
+        """Building a weight holds scratch beside it (a QR's for random
+        weights), but no more than the layer's own count in the budget
+        beyond the earlier weights: its weight, d x d Gram and rows x rows
+        carry, here on no columns. Layer 1 is 128 x 16, the rest square."""
+        peaks = []
+
+        def traced(build):
+            def wrapper(*args):
+                w, peak = oracles.traced_peak(build, *args)
+                peaks.append(peak)
+                return w
+            return wrapper
+
+        for name in ("make_random_orthonormal", "make_dct_orthonormal"):
+            monkeypatch.setattr(hnf.trainer, name,
+                                traced(getattr(hnf.trainer, name)))
+        net = build_network(16, TrainConfig(n1=128, depth=4,
+                                            weight_kind=kind), 0)
+        assert len(peaks) == 4
+        for layer, peak in zip(net.layers, peaks):
+            rows, cols = layer.weight.rows, layer.weight.cols
+            counted = (rows * cols + (2 * rows) ** 2 + rows ** 2) * 8
+            assert peak <= counted, (rows, cols, peak / (rows * cols * 8))
+
     def test_elm_front_may_be_narrower_than_input(self):
         net = build_network(8, TrainConfig(n1=4, depth=2, elm_front=True),
                             600)
