@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -125,13 +125,13 @@ def _csv_args(spec: str, opts: dict) -> tuple[str, int | str, str]:
     return path, label, opts.get("delimiter") or ","
 
 
-def _load_data(spec: str, opts: dict,
-               snapshot: tuple | None = None) -> Dataset:
+def _load_data(spec: str, opts: dict, snapshot: tuple | None = None,
+               digest=None) -> Dataset:
     """Load ``spec`` with the options a manifest records as
     ``data_options``; an absent or None option takes its default. A
     ``csv:`` source is read from ``snapshot``, a run's (snapshot path,
     manifest record), when :func:`load_csv_snapshot` finds it holds the
-    table a parse would give, and parsed otherwise."""
+    table a parse would give, and parsed into ``digest`` otherwise."""
     if spec == "blobs":
         blob = {**_BLOB_DEFAULTS, **(opts.get("blobs") or {})}
         return make_synthetic_blobs(
@@ -143,7 +143,7 @@ def _load_data(spec: str, opts: dict,
               if snapshot else None)
         if ds is None:
             ds = load_csv(path, label_column=label, delimiter=delimiter,
-                          has_header=isinstance(label, str))
+                          has_header=isinstance(label, str), digest=digest)
     elif spec.startswith("idx:"):
         parts = spec[len("idx:"):].split(",")
         if len(parts) == 4:
@@ -328,11 +328,8 @@ def cmd_train(args) -> int:
     out = Path(opts["out"])
     _check_out_dir(out)
     csv = _csv_args(data_spec, opts) if data_spec.startswith("csv:") else None
-    before = None
-    if csv:  # the snapshot is keyed to the CSV only if the parse saw no change
-        with suppress(OSError):
-            before = os.stat(csv[0])
-    data = _load_data(data_spec, opts)
+    digest = hashlib.sha256()  # of the CSV bytes parsed, which key the snapshot
+    data = _load_data(data_spec, opts, digest=digest)
     net, maps, report = train(data, cfg)
 
     manifest = {
@@ -361,9 +358,9 @@ def cmd_train(args) -> int:
             save_output_map(om, run / "maps" / f"map{om.layer_index:02d}")
         report.to_jsonl(run / "report.jsonl")
         report.to_csv(run / "report.csv")
-        if before:
+        if csv:
             manifest["data_snapshot"] = save_csv_snapshot(
-                data, run / SNAPSHOT_FILE, csv[0], before, *csv[1:])
+                data, run / SNAPSHOT_FILE, digest.hexdigest(), *csv[1:])
         (run / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     _replace_dir(out, write)
@@ -444,7 +441,8 @@ def cmd_eval(args) -> int:
         if unknown:
             raise DimensionError(f"data labels {unknown} are not the run's "
                                  f"labels {names}")
-        data = replace(data, T=data.T[[own.index(n) for n in names]])
+        data = replace(data, T=data.T[[own.index(n) for n in names]],
+                       checked=True)  # a permutation of T's rows
     if args.layer is not None:
         layer_ids = sorted(m.layer_index for m in maps)
         maps = [m for m in maps if m.layer_index == args.layer]
@@ -482,7 +480,7 @@ def cmd_verify(args) -> int:
     report = verify_invariants(net, data, args.trials, args.seed)
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")
     for chk in report.checks:
-        margin = "nan" if math.isnan(chk.worst_margin) else f"{chk.worst_margin:.3e}"
+        margin = f"{chk.worst_margin:.3e}" if chk.count else "-"
         line = (f"{chk.name:<28} {chk.count:>7} {chk.violations:>11} "
                 f"{margin:>13}")
         if chk.note:

@@ -6,21 +6,21 @@ Q-by-N one-hot target matrix, plus disjoint train/test column index lists
 that together cover every column.
 
 A parsed CSV table can be kept as a snapshot keyed to the SHA-256 of the
-CSV's bytes and its parse options (:func:`save_csv_snapshot`), and read
-back in place of a parse only while both still match and the snapshot
-passes its own digest (:func:`load_csv_snapshot`).
+bytes its parse read (:func:`load_csv` takes the digest to feed) and its
+parse options (:func:`save_csv_snapshot`), and read back in place of a
+parse only while both still match and the snapshot passes its own digest
+(:func:`load_csv_snapshot`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import os
 import re
 import struct
 from contextlib import suppress
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import InitVar, dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -36,31 +36,32 @@ DIGEST_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs-as-columns with one-hot targets and a train/test partition."""
+    """Inputs-as-columns with one-hot targets and a train/test partition.
+    ``checked`` skips the checks over all N columns, for arrays derived by
+    steps that keep them true: a shuffle split, a reordering of T's rows."""
 
     X: np.ndarray = field(repr=False)
     T: np.ndarray = field(repr=False)
     train_idx: np.ndarray = field(repr=False)
     test_idx: np.ndarray = field(repr=False)
     meta: dict
+    checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, checked: bool) -> None:
         if self.X.ndim != 2 or self.T.ndim != 2:
             raise DataError("X and T must be 2-D")
         if self.X.shape[1] != self.T.shape[1]:
             raise DataError(
                 f"X has {self.X.shape[1]} samples but T has {self.T.shape[1]}"
             )
-        n = self.X.shape[1]
-        combined = np.concatenate([self.train_idx, self.test_idx])
-        if len(np.unique(combined)) != n or len(combined) != n:
-            raise DataError("train/test indices must partition all columns")
-        onehot_ok = (
-            np.all(np.sum(self.T == 1.0, axis=0) == 1)
-            and np.all((self.T == 0.0) | (self.T == 1.0))
-        )
-        if not onehot_ok:
-            raise DataError("T columns must be exact one-hot vectors")
+        if not checked:
+            n = self.X.shape[1]
+            combined = np.concatenate([self.train_idx, self.test_idx])
+            if len(np.unique(combined)) != n or len(combined) != n:
+                raise DataError("train/test indices must partition all columns")
+            if not (np.all(np.sum(self.T == 1.0, axis=0) == 1)
+                    and np.all((self.T == 0.0) | (self.T == 1.0))):
+                raise DataError("T columns must be exact one-hot vectors")
         for arr in (self.X, self.T, self.train_idx, self.test_idx):
             arr.setflags(write=False)
 
@@ -99,6 +100,19 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     t = np.zeros((n_classes, labels.size))
     t[labels, np.arange(labels.size)] = 1.0
     return t
+
+
+class _HashedFile(io.FileIO):
+    """A file read through ``readinto``, which feeds ``digest`` each byte."""
+
+    def __init__(self, path, digest) -> None:
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, b) -> int:
+        n = super().readinto(b)
+        self.digest.update(b[:n])
+        return n
 
 
 def _dataset(x, labels, label_names, name, train_idx=None, test_idx=None,
@@ -172,15 +186,16 @@ def _bad_row(path, opts, has_header, width, label_at) -> ParseError:
 
 
 def load_csv(path, label_column=-1, delimiter: str = ",",
-             has_header: bool = False) -> Dataset:
+             has_header: bool = False, digest=None) -> Dataset:
     """Parse a rectangular delimited file into a dataset.
 
     ``label_column`` selects the label field by index (negatives count from
     the end) or by header name (requires ``has_header``). Labels are mapped
     to 0..Q-1 in first-appearance order, recorded in ``meta["label_names"]``.
-    One np.loadtxt pass reads the file, as README "Data sources" describes;
-    error rows are file lines. All samples land in the train split; apply
-    :func:`split_dataset` afterwards.
+    One read feeds the head probe and one np.loadtxt pass, as README "Data
+    sources" describes, and each byte to the hashlib object ``digest``, if
+    given; error rows are file lines. All samples land in the train split;
+    apply :func:`split_dataset` afterwards.
     """
     path = Path(path)
     if not path.is_file():
@@ -190,44 +205,52 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
                              f"whitespace, got {delimiter!r}")
     opts = {"delimiter": None if delimiter.isspace() else delimiter,
             "comments": None, "quotechar": '"', "encoding": "utf-8"}
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        head = list(islice(_data_lines(fh, opts), 1 + has_header))
-    if len(head) < 1 + has_header:
-        raise ParseError(f"{path}: " + ("header but no data rows" if head
-                                        else "no rows"))
-    skip = head[0][0] + head[0][1].count("\n") - 1 if has_header else 0
-    width = len(_fields(head[-1][1], opts))
-    if width < 2:
-        raise ParseError(f"{path}: row {head[-1][0]}: need at least one "
-                         f"feature and a label")
+    fh = open(path, encoding="utf-8") if digest is None else io.TextIOWrapper(
+        io.BufferedReader(_HashedFile(path, digest)), encoding="utf-8")
+    with fh:
+        seen = []  # the lines the head probe reads, which the parse reads too
+        probe = (seen.append(line) or line for line in fh)
+        try:
+            head = list(islice(_data_lines(probe, opts), 1 + has_header))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: unreadable text: {exc}") from None
+        if len(head) < 1 + has_header:
+            raise ParseError(f"{path}: " + ("header but no data rows" if head
+                                            else "no rows"))
+        skip = head[0][0] + head[0][1].count("\n") - 1 if has_header else 0
+        width = len(_fields(head[-1][1], opts))
+        if width < 2:
+            raise ParseError(f"{path}: row {head[-1][0]}: need at least one "
+                             f"feature and a label")
 
-    header = _fields(head[0][1], opts) if has_header else []
-    if not isinstance(label_column, str):
-        idx = int(label_column)
-    elif label_column in header:
-        idx = header.index(label_column)
-    else:
-        raise ParseError(f"{path}: " + (
-            f"no header column named {label_column!r}" if has_header
-            else f"label column named {label_column!r} needs a header"))
-    if not -width <= idx < width:
-        raise ParseError(f"{path}: label column {idx} out of range for "
-                         f"{width} fields")
-    label_at = idx % width
+        header = _fields(head[0][1], opts) if has_header else []
+        if not isinstance(label_column, str):
+            idx = int(label_column)
+        elif label_column in header:
+            idx = header.index(label_column)
+        else:
+            raise ParseError(f"{path}: " + (
+                f"no header column named {label_column!r}" if has_header
+                else f"label column named {label_column!r} needs a header"))
+        if not -width <= idx < width:
+            raise ParseError(f"{path}: label column {idx} out of range for "
+                             f"{width} fields")
+        label_at = idx % width
 
-    index_of: dict[str, int] = {}  # first-appearance order
-    try:
-        table = np.loadtxt(path, ndmin=2, skiprows=skip, converters={
-            label_at: lambda s: index_of.setdefault(s, len(index_of))}, **opts)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: unreadable text: {exc}") from None
-    except ValueError:
-        raise _bad_row(path, opts, has_header, width, label_at) from None
-    x = np.delete(table, label_at, axis=1)
-    if not np.isfinite(x).all():
-        raise _bad_row(path, opts, has_header, width, label_at)
-    return _dataset(x.T, table[:, label_at].astype(np.int64), list(index_of),
-                    path.name, source=str(path))
+        index_of: dict[str, int] = {}  # first-appearance order
+        label = {label_at: lambda s: index_of.setdefault(s, len(index_of))}
+        try:
+            table = np.loadtxt(chain(seen, fh), ndmin=2, skiprows=skip,
+                               converters=label, **opts)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: unreadable text: {exc}") from None
+        except ValueError:
+            raise _bad_row(path, opts, has_header, width, label_at) from None
+        x = np.delete(table, label_at, axis=1)
+        if not np.isfinite(x).all():
+            raise _bad_row(path, opts, has_header, width, label_at)
+        return _dataset(x.T, table[:, label_at].astype(np.int64),
+                        list(index_of), path.name, source=str(path))
 
 
 def file_sha256(path) -> str:
@@ -240,28 +263,17 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _stamp(st: os.stat_result) -> tuple[int, int, int]:
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def save_csv_snapshot(ds: Dataset, path, csv_path, before: os.stat_result,
-                      label_column, delimiter: str) -> dict | None:
-    """Write ``ds``, parsed by :func:`load_csv` from ``csv_path`` with
-    ``label_column`` and ``delimiter``, to ``path`` as three NPY arrays
-    back to back: the label names, each column's label index (int64) and
-    the P x N float64 features. Return the manifest record that keys it to
-    the CSV's bytes and those options. ``before`` is the CSV's ``os.stat``
-    from before the parse; if its inode, size or mtime moved since, the
-    digest may be of bytes the parse never saw, so nothing is written and
-    the result is None, as it is when a label name does not survive a
-    NumPy string array (one ending in NUL)."""
-    try:
-        csv_sha256 = file_sha256(csv_path)
-        moved = _stamp(os.stat(csv_path)) != _stamp(before)
-    except OSError:
-        return None
+def save_csv_snapshot(ds: Dataset, path, csv_sha256: str, label_column,
+                      delimiter: str) -> dict | None:
+    """Write ``ds``, parsed by :func:`load_csv` with ``label_column`` and
+    ``delimiter`` from CSV bytes of SHA-256 ``csv_sha256``, to ``path`` as
+    three NPY arrays back to back: the label names, each column's label
+    index (int64) and the P x N float64 features. Return the manifest
+    record that keys it to those bytes and options, or None, writing
+    nothing, when a label name does not survive a NumPy string array (one
+    ending in NUL)."""
     names = np.array(ds.meta["label_names"], dtype=str)
-    if moved or names.tolist() != ds.meta["label_names"]:
+    if names.tolist() != ds.meta["label_names"]:
         return None
     with open(path, "wb") as fh:
         for arr in (names, np.argmax(ds.T, axis=0).astype(np.int64), ds.X):
@@ -376,7 +388,7 @@ def split_dataset(ds: Dataset, n_train: int, seed: int = 0) -> Dataset:
     meta.update(N_train=int(n_train), N_test=int(n - n_train),
                 split_seed=int(seed))
     return Dataset(ds.X, ds.T, np.sort(perm[:n_train]),
-                   np.sort(perm[n_train:]), meta)
+                   np.sort(perm[n_train:]), meta, checked=True)
 
 
 def merge_train_test(train: Dataset, test: Dataset) -> Dataset:

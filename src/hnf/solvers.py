@@ -155,7 +155,7 @@ def _reset_gram(g: np.ndarray, diagonal: np.ndarray) -> None:
         k = min(j + 256, len(g))
         g[k:, j:k] = g[j:k, k:].T
         upper = np.triu(g[j:k, j:k], 1)
-        g[j:k, j:k] = upper + upper.T
+        np.add(upper, upper.T, out=g[j:k, j:k])
     np.fill_diagonal(g, diagonal)
 
 

@@ -21,9 +21,11 @@ layer's statistics through the weight, only the ``|z|`` blocks are summed
 over :data:`SCORE_BLOCK`-column blocks, and the solved map is rotated
 back to ``y``. A scoring pass then expands each block once, scores the
 map and the witness on it, and writes the next layer's ``z`` into its
-columns. Every product of the walk runs in numpy and only the solve calls
-scipy: the two load their own OpenBLAS, whose spinning threads slow each
-other when their calls interleave. The test split stays out of the loop:
+columns; one block buffer, the widest features on :data:`SCORE_BLOCK`
+columns, holds each block's ``|z|`` and expansion. Every product of the
+walk runs in numpy and only the solve calls scipy: the two load their own
+OpenBLAS, whose spinning threads slow each other when their calls
+interleave. The test split stays out of the loop:
 :func:`evaluate` scores every map on it once, after the last layer, for
 the report only. Nothing about the budgets or stopping looks at it; there
 is no cross-validation anywhere.
@@ -215,28 +217,30 @@ def build_network(input_dim: int, cfg: TrainConfig,
     Expanding layer l is random orthonormal with seed + l, or DCT. Before
     a layer's weight is built, what the train walk holds there must fit
     ``cfg.memory_budget``: every weight so far (its own included), the
-    layer's rows of pre-activations on ``n_cols`` columns, its d x d Gram
-    and the rows x rows one carried into it.
-    """
+    layer's rows of pre-activations on ``n_cols`` columns, the d-row block
+    buffer, its d x d Gram and the carry into it: the previous Gram beside
+    ``W R^T`` and their product."""
     if not cfg.elm_front and cfg.n1 < input_dim:
         raise ConfigError(
             f"orthonormal first layer needs n1 >= input dim, "
             f"got n1={cfg.n1} < P={input_dim}"
         )
     layers: list[HnfLayer] = []
-    weight_bytes = 0
+    weight_bytes, block = 0, min(n_cols, SCORE_BLOCK)
     fan_in, width = input_dim, cfg.n1
     for layer_no in range(1, cfg.depth + 1):
         front = cfg.elm_front and layer_no == 1
         weight_bytes += width * fan_in * 8
         d = width if front else 2 * width
-        need = weight_bytes + (width * n_cols + d * d + width * width) * 8
+        carry = 0 if front else (fan_in + 2 * width) * fan_in * 8
+        need = weight_bytes + carry + (width * n_cols + d * block + d * d) * 8
         if need > cfg.memory_budget:
             raise ResourceError(
                 f"layer {layer_no}: weights up to this layer ({weight_bytes} "
-                f"bytes), its {width} x {n_cols} float64 pre-activations and "
-                f"its {d} x {d} and {width} x {width} Grams need {need} bytes, "
-                f"over the {cfg.memory_budget}-byte budget")
+                f"bytes), its {width} x {n_cols} float64 pre-activations, "
+                f"the {d} x {block} block buffer, its {d} x {d} Gram and the "
+                f"{carry}-byte carry into it need {need} bytes, over the "
+                f"{cfg.memory_budget}-byte budget")
         if front:
             w = make_raw_gaussian(width, fan_in, cfg.seed + 1)
         elif cfg.weight_kind == "dct":
@@ -312,30 +316,33 @@ def _to_y_basis(m: np.ndarray) -> np.ndarray:
 
 def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
            u_basis: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(Z Z^T, T Z^T)`` of the next pre-activations ``Z = W Y`` from this
-    layer's statistics ``G = Y Y^T`` and ``B = T Y^T``, 2 d^3 flops instead
-    of d^2 N; statistics in the u basis are read through ``W R^T``. The
-    result is made exactly symmetric, as the solve needs."""
+    """The next layer's G and B, zero but for ``Z Z^T`` and ``T Z^T`` of
+    its pre-activations ``Z = W Y``, from this layer's ``G = Y Y^T`` and
+    ``B = T Y^T`` (read through ``W R^T`` in the u basis): 2 d^3 flops
+    instead of d^2 N. ``Z Z^T`` is made exactly symmetric, as solves need."""
     if u_basis:
         w1, w2 = np.hsplit(w, 2)
         w = np.hstack([w1 - w2, w1 + w2]) * math.sqrt(0.5)
-    zz = w @ g @ w.T
-    return (zz + zz.T) * 0.5, b @ w.T
+    r = len(w)
+    g_next, b_next = np.zeros((2 * r, 2 * r)), np.zeros((len(b), 2 * r))
+    zz = np.matmul(w @ g, w.T, out=g_next[:r, :r])
+    np.matmul(b, w.T, out=b_next[:, :r])
+    zz += zz.T  # numpy reads the overlapping zz.T from a copy
+    zz *= 0.5
+    return g_next, b_next
 
 
-def _expanded_statistics(z: np.ndarray, t: np.ndarray, zz: np.ndarray,
-                         tz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G and B of ``y = vn_expand(z)`` in the orthonormal basis
-    ``u = R y = [z; |z|] / sqrt(2)``, given ``Z Z^T`` and ``T Z^T``
-    (:func:`_carry`): only the ``|z|`` blocks are summed, over column
-    blocks, through one reused rows x rows product."""
+def _expanded_statistics(z: np.ndarray, t: np.ndarray, g: np.ndarray,
+                         b: np.ndarray, buf: np.ndarray):
+    """Complete in place the G and B of ``y = vn_expand(z)`` that
+    :func:`_carry` began, in the basis ``u = R y = [z; |z|] / sqrt(2)``:
+    sum the ``|z|`` blocks over column blocks, each ``|z|`` in ``buf`` and
+    products in G's lower-left block, which the closing transpose fills."""
     r, n = z.shape
-    g, b = np.zeros((2 * r, 2 * r)), np.zeros((len(t), 2 * r))
-    g[:r, :r], b[:, :r] = zz, tz
-    prod, absz = np.empty((r, r)), np.empty((r, min(n, SCORE_BLOCK)))
+    prod = g[r:, :r]
     for cols in _blocks(n):
         zb = z[:, cols]
-        a = np.abs(zb, out=absz[:, :zb.shape[1]])
+        a = np.abs(zb, out=buf[:r, :zb.shape[1]])
         g[:r, r:] += np.matmul(zb, a.T, out=prod)
         g[r:, r:] += np.matmul(a, a.T, out=prod)
         b[:, r:] += t[:, cols] @ a.T
@@ -354,6 +361,7 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
     what it returns."""
     n = t.shape[1]
     held = np.empty((max(l.weight.rows for l in net.layers), n))
+    buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
     q = next(map_inputs(net, x, held))[1]  # x, or the front's in held
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
@@ -366,7 +374,8 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
             if layer is None:
                 g, b = q @ q.T, t @ q.T
             else:
-                g, b = _expanded_statistics(held[:layer.weight.rows], t, *carry)
+                g, b = _expanded_statistics(held[:layer.weight.rows], t,
+                                            *carry, buf)
             # the solve overwrites G, so the next layer's share is taken first
             carry = None if nxt is None else _carry(
                 nxt.weight.entries, g, b, layer is not None)
@@ -390,14 +399,13 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
         sums = np.zeros((2, 2))  # squared error and hits: map, witness
         if layer is not None:
             o = _to_y_basis(o)
-            expanded = np.empty((layer.out_dim, min(n, SCORE_BLOCK)))
         for cols in _blocks(n):
             tb = t[:, cols]
             labels = np.argmax(tb, axis=0)
             feats = q[:, cols]
             if layer is not None:
                 zb = held[:layer.weight.rows, cols]
-                feats = vn_expand(zb, out=expanded[:, :len(labels)])
+                feats = vn_expand(zb, out=buf[:layer.out_dim, :len(labels)])
                 sums[1] += block_score(m, zb, tb, labels)
             sums[0] += block_score(o, feats, tb, labels)
             if nxt is not None:
@@ -526,7 +534,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     them all at once on the features the walk holds. Failures are reported,
     never raised; an inversion error counts every trial of its block as a
     violation. When the network has a non-expanding front layer, checks run
-    on the expanding subchain behind it.
+    on the expanding subchain behind it. A check's ``count`` is the trials
+    it checked: the sandwich leaves out pairs at zero distance, the norm
+    check inputs of zero norm, and non-orthonormal weights skip both.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -542,13 +552,15 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
 
     slack = 1e-9
     viol = dict.fromkeys(CHECK_NAMES, 0)
+    checked = dict.fromkeys(CHECK_NAMES, 0)
     worst = dict.fromkeys(CHECK_NAMES, math.inf)
 
     def record(name: str, margins: np.ndarray, floor: float = 0.0) -> None:
-        # a NaN margin makes the worst margin NaN and, by not-greater-or-
-        # equal, counts as a violation
+        # margins hold one column per trial checked; a NaN margin makes the
+        # worst margin NaN and, by not-greater-or-equal, counts as a violation
         worst[name] = float(np.min(margins, initial=worst[name]))
         viol[name] += int(np.count_nonzero(~(margins >= floor)))
+        checked[name] += margins.shape[-1]
 
     for start in range(0, trials, VERIFY_BLOCK):
         count = min(VERIFY_BLOCK, trials - start)
@@ -567,12 +579,12 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         if orthonormal:
             d2 = np.sum((x1 - x2) ** 2, axis=0)
             pos = d2 > 0
-            for l in range(1, len(f1)):
-                dl2 = np.sum((f1[l] - f2[l]) ** 2, axis=0)[pos]
-                low = (dl2 - d2[pos] / 2 ** l) / d2[pos]
-                up = (d2[pos] - dl2) / d2[pos]
-                record("distance_sandwich_lower", low, -slack)
-                record("distance_sandwich_upper", up, -slack)
+            dl2 = np.array([np.sum((a - b) ** 2, axis=0)[pos]
+                            for a, b in zip(f1[1:], f2[1:])])  # layer x trial
+            halving = 2.0 ** np.arange(1, len(f1))[:, None]
+            record("distance_sandwich_lower",
+                   (dl2 - d2[pos] / halving) / d2[pos], -slack)
+            record("distance_sandwich_upper", (d2[pos] - dl2) / d2[pos], -slack)
             nrm_in = np.sum(x1 ** 2, axis=0)
             nz = nrm_in > 0
             rel = np.abs(np.sum(f1[-1] ** 2, axis=0)[nz] - nrm_in[nz]) / nrm_in[nz]
@@ -581,8 +593,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         try:
             x_rec = network_invert(sub, f1[-1])
         except (NotInvertibleError, NumericalError):
-            invertible = False
-            viol["inversion_round_trip"] += count
+            invertible = False  # no margin: a NaN, which counts as violated
+            record("inversion_round_trip", np.full(count, np.nan))
         else:
             denom = np.linalg.norm(x1, axis=0)
             denom[denom == 0] = 1.0
@@ -620,7 +632,7 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     if not invertible:
         notes["inversion_round_trip"] = "network is not invertible"
     return InvariantReport(trials, [
-        CheckResult(name, trials, viol[name],
+        CheckResult(name, checked[name], viol[name],
                     math.nan if math.isinf(worst[name]) else worst[name],
                     notes[name])
         for name in CHECK_NAMES])

@@ -239,9 +239,9 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
     through the layers with :func:`layer_forward` and inverts it with
     :func:`network_invert` one column at a time. Each perturbation becomes
     a dense ``dW`` (:func:`dense_perturbation`) for
-    :func:`perturbation_margin`. Returns, per check, the violation count
-    and the worst margin (nan when nothing was checked or any margin was
-    nan).
+    :func:`perturbation_margin`. Returns, per check, the violation count,
+    the worst margin (nan when nothing was checked or any margin was nan)
+    and the number of trials checked.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = list(net.layers)
@@ -256,6 +256,7 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
              "weight_perturbation_bound")
     viol = dict.fromkeys(names, 0)
     worst = dict.fromkeys(names, math.inf)
+    checked = dict.fromkeys(names, 0)
 
     def note(name, margin, bad):
         worst[name] = float(np.minimum(worst[name], margin))
@@ -282,6 +283,8 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
             feats.append(f1)
             d2 = float(np.sum((x1 - x2) ** 2))
             if orthonormal and d2 > 0:
+                checked["distance_sandwich_lower"] += 1
+                checked["distance_sandwich_upper"] += 1
                 for l in range(1, len(f1)):
                     dl2 = float(np.sum((f1[l] - f2[l]) ** 2))
                     low = (dl2 - d2 / 2 ** l) / d2
@@ -290,8 +293,10 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
                     note("distance_sandwich_upper", up, not up >= -slack)
             nrm_in = float(np.sum(x1 ** 2))
             if orthonormal and nrm_in > 0:
+                checked["norm_preservation"] += 1
                 rel = abs(float(np.sum(f1[-1] ** 2)) - nrm_in) / nrm_in
                 note("norm_preservation", slack - rel, not rel <= slack)
+            checked["inversion_round_trip"] += 1
             try:
                 x_rec = network_invert(sub, f1[-1])
             except (NotInvertibleError, NumericalError):
@@ -316,5 +321,6 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
             margin = perturbation_margin(
                 layers[li[t]], dense_perturbation(delta, q, r[t]), q)
             note("weight_perturbation_bound", margin, not margin >= 0)
+            checked["weight_perturbation_bound"] += 1
     return {name: (viol[name], math.nan if math.isinf(worst[name])
-                   else worst[name]) for name in names}
+                   else worst[name], checked[name]) for name in names}

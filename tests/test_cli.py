@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +499,21 @@ class TestVerifyCommand:
             assert int(violations) > 0, name
             assert margin == "nan", name
 
+    def test_unchecked_check_prints_no_nan(self, tmp_path, capsys):
+        """On all-zero features the norm check has no input to check: it
+        prints a count of 0 and no margin, not the nan of a violation, and
+        the sandwich counts only the pairs drawn apart."""
+        src = tmp_path / "zero.csv"
+        src.write_text("0,0,A\n0,0,B\n0,0,A\n0,0,B\n")
+        assert main(["verify", "--data", f"csv:{src}", "--n1", "2",
+                     "--depth", "2", "--trials", "5"]) == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1:] for line in
+                out.splitlines()[1:]}
+        assert rows["norm_preservation"] == ["0", "0", "-"]
+        assert 0 < int(rows["distance_sandwich_lower"][0]) < 5
+        assert "nan" not in out
+
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
 
@@ -528,7 +545,7 @@ class TestVerifyCommand:
             return real_make(rows, cols, seed)
 
         monkeypatch.setattr("hnf.trainer.make_random_orthonormal", make)
-        # 400 train columns: layer 2 needs 152576 bytes, layer 3 410624
+        # 400 train columns: layer 2 needs 373760 bytes, layer 3 885760
         monkeypatch.setenv("HNF_MEM_BUDGET", "400000")
         assert main(["verify", "--data", "blobs", "--n1", "16", "--depth",
                      "6", "--trials", "5"]) == 5
@@ -614,6 +631,18 @@ class TestCsvSnapshot:
         got = audit(run, capsys) + audit(run, capsys, ("--data", f"csv:{src}"))
         assert parses == []
         assert got == 2 * audit(without_snapshot(run, tmp_path), capsys)
+
+    def test_audit_checks_the_columns_once(self, csv_run, capsys,
+                                           monkeypatch):
+        """eval reads the snapshot, outside input whose N columns it checks
+        (one np.unique of the split indices), then splits it and puts T's
+        rows in the run's label order without checking them again."""
+        _, run = csv_run
+        calls, real = [], np.unique
+        monkeypatch.setattr(np, "unique",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert main(["eval", "--run", str(run)]) == 0
+        assert len(calls) == 1
 
     def test_changed_byte_is_parsed_again(self, csv_run, capsys, monkeypatch,
                                           tmp_path):
@@ -721,7 +750,8 @@ class TestCsvSnapshot:
     def test_unusable_snapshot_is_ignored(self, tmp_path, capsys,
                                           monkeypatch, damage):
         src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
-        if damage is None:  # the parse sees the file change under it
+        parsed = src.read_bytes()
+        if damage is None:  # the file changes once the parse has read it
             real = hnf.cli.load_csv
 
             def parse_then_rewrite(path, **kw):
@@ -736,10 +766,10 @@ class TestCsvSnapshot:
                      "--n1", "4", "--depth", "2", "--out", str(run)]) == 0
         capsys.readouterr()
         monkeypatch.undo()
-        if damage is None:
+        if damage is None:  # keyed to the bytes parsed, which are gone
             manifest = json.loads((run / "manifest.json").read_text())
-            assert manifest["data_snapshot"] is None
-            assert not (run / hnf.cli.SNAPSHOT_FILE).exists()
+            assert manifest["data_snapshot"]["csv_sha256"] == (
+                hashlib.sha256(parsed).hexdigest())
         else:
             damage(run)
         parses = count_parses(monkeypatch)
@@ -747,6 +777,55 @@ class TestCsvSnapshot:
         assert parses
         assert got == audit(without_snapshot(run, tmp_path), capsys)
         assert [code for code, _ in got] == [0, 0]
+
+    @pytest.mark.parametrize("renamed", [False, True],
+                             ids=["in-place", "renamed-over"])
+    def test_csv_rewritten_mid_parse(self, tmp_path, capsys, monkeypatch,
+                                     renamed):
+        """A CSV rewritten while train parses it, after the parse has read
+        its first lines, gets a snapshot keyed to the bytes the parse read:
+        all old ones when a new file is renamed over it, old then new ones
+        when it is rewritten in place. Whether the old or the new bytes are
+        then in the file, eval and verify print what a parse prints, and
+        only the bytes parsed read the snapshot. Rows share one layout, so
+        any mix of the two files parses."""
+        rows = [f"{i % 7}.25,{i * 3 % 10}.5,{'AB'[i % 2]}\n"
+                for i in range(6000)]
+        old, new = "".join(rows), "".join(rows[3:] + rows[:3])
+        src, run = tmp_path / "big.csv", tmp_path / "run"
+        src.write_text(old)
+        real = np.loadtxt
+
+        def rewrite_mid_parse(lines, *args, **kwargs):
+            if not isinstance(lines, list):  # the parse, not a field split
+                lines = iter(lines)
+                first = [next(lines) for _ in range(10)]
+                (tmp_path / "new.csv").write_text(new)
+                if renamed:
+                    os.replace(tmp_path / "new.csv", src)
+                else:
+                    src.write_text(new)
+                lines = chain(first, lines)
+            return real(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", rewrite_mid_parse)
+        assert main(["train", "--data", f"csv:{src}", "--split", "40",
+                     "--n1", "4", "--depth", "2", "--out", str(run)]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        key = json.loads((run / "manifest.json").read_text())["data_snapshot"]
+        digests = {hashlib.sha256(text.encode()).hexdigest(): text
+                   for text in (old, new)}
+        assert digests.get(key["csv_sha256"]) == (old if renamed else None)
+        parsed = without_snapshot(run, tmp_path)
+        for text in (new, old):
+            src.write_text(text)
+            parses = count_parses(monkeypatch)
+            got = audit(run, capsys)
+            assert bool(parses) != (renamed and text == old)
+            monkeypatch.undo()
+            assert got == audit(parsed, capsys)
+            assert [code for code, _ in got] == [0, 0]
 
 
 @pytest.fixture(scope="module")

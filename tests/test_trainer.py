@@ -45,6 +45,11 @@ def blobs():
     return make_synthetic_blobs(8, 3, 500, separation=6.0, seed=3)
 
 
+#: Bytes a train call holds beyond its walk's count and the train split's
+#: copies: targets' products, maps, block sums and numpy's iterator buffers.
+TRACE_SLACK = 2 ** 19
+
+
 def monotone(costs, slack=1e-8):
     return all(b <= a + slack * (1.0 + a) for a, b in zip(costs, costs[1:]))
 
@@ -205,8 +210,8 @@ class TestTrain:
         calls = []
         monkeypatch.setattr("hnf.trainer.least_squares",
                             lambda *a, **k: calls.append(a))
-        # layers 1-3 need 53888, 135424 and 376320 bytes on 333 columns
-        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=300_000)
+        # layers 1-3 need 139648, 322304 and 782848 bytes on 333 columns
+        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=500_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
         assert calls == []
@@ -226,10 +231,10 @@ class TestTrain:
 
         for name in ("make_random_orthonormal", "make_dct_orthonormal"):
             monkeypatch.setattr(hnf.trainer, name, recording(name))
-        # layer 3 needs 376320 bytes on 333 columns; layers 3-6 have
+        # layer 3 needs 782848 bytes on 333 columns; layers 3-6 have
         # widths 64, 128, 256 and 512
         cfg = TrainConfig(n1=16, depth=6, weight_kind=kind, seed=1,
-                          memory_budget=300_000)
+                          memory_budget=500_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
         assert built == [16, 32]
@@ -244,23 +249,40 @@ class TestTrain:
 
         monkeypatch.setattr(hnf.trainer, "make_random_orthonormal", make)
         small = make_synthetic_blobs(4, 2, 20, separation=6.0, seed=3)
-        # on 13 train columns layer 5's pre-activations and Grams take
-        # 668672 bytes, and the weights of layers 1-5 174336 more (widths 8
-        # to 128); layer 4 needs 213760 in all
+        # on 13 train columns layer 5's pre-activations, block buffer, Gram
+        # and carry take 957440 bytes, and the weights of layers 1-5 174336
+        # more (widths 8 to 128); layer 4 needs 292608 in all
         cfg = TrainConfig(n1=8, depth=6, memory_budget=700_000)
         with pytest.raises(ResourceError, match="layer 5"):
             train(small, cfg)
         assert built == [8, 16, 32, 64]
 
     def test_budget_counts_held_pre_activations(self, blobs):
-        """Layer 3 needs 376320 bytes: its 64 x 333 train pre-activations,
-        its 128 x 128 Gram, the 64 x 64 carried one and the weights. Counted
-        as 128-row features on all 500 columns, it needed 553984."""
-        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=450_000)
+        """Layer 3 needs 782848 bytes: its 64 x 333 train pre-activations,
+        the 128 x 333 block buffer, its 128 x 128 Gram, the carry from the
+        64 x 64 one and the weights. Counted as 128-row features on all 500
+        columns, the pre-activations alone needed 512000."""
+        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=782_848)
         _, _, report = train(blobs, cfg)
         assert report.monotonicity_certified
         with pytest.raises(ResourceError, match="layer 3"):
-            train(blobs, replace(cfg, memory_budget=376_319))
+            train(blobs, replace(cfg, memory_budget=782_847))
+
+    def test_budget_bounds_the_traced_peak(self):
+        """What train allocates, as tracemalloc traces numpy's buffers,
+        is the count build_network checks plus the train split's X and T
+        copies and under TRACE_SLACK: a budget of the traced peak admits
+        the run, and one below it by the copies and the slack refuses it,
+        naming the block buffer and the carry."""
+        ds = make_synthetic_blobs(8, 3, 6000, separation=3.0, seed=1)
+        cfg = TrainConfig(n1=16, depth=4, seed=1)
+        n_train = ds.meta["N_train"]
+        _, peak = oracles.traced_peak(train, ds, cfg)
+        copies = ds.X_train.nbytes + ds.T_train.nbytes
+        build_network(ds.input_dim, replace(cfg, memory_budget=peak), n_train)
+        with pytest.raises(ResourceError, match="block buffer.*carry"):
+            build_network(ds.input_dim, replace(
+                cfg, memory_budget=peak - copies - TRACE_SLACK), n_train)
 
     def test_test_walk_holds_no_train_buffer(self, monkeypatch):
         """No view into the train walk's pre-activations outlives the walk:
@@ -371,7 +393,8 @@ class TestExpandedStatistics:
             w = layer.weight.entries
             z = w @ q
             y = vn_expand(z)
-            g, b = _expanded_statistics(z, t, *_carry(w, g, b, u_basis))
+            g, b = _expanded_statistics(z, t, *_carry(w, g, b, u_basis),
+                                        np.empty((len(z), 64)))
             assert np.array_equal(g, g.T)
             want_g, want_b = y @ y.T, t @ y.T
             back = _to_y_basis(_to_y_basis(g).T)  # R^T G R, G symmetric
@@ -665,8 +688,8 @@ class TestVerifyInvariants:
         ref = oracles.verify_reference(net, blobs.X, trials, 9, VERIFY_BLOCK)
         assert [c.name for c in rep.checks] == list(ref)
         for chk in rep.checks:
-            viol, margin = ref[chk.name]
-            assert chk.count == trials
+            viol, margin, checked = ref[chk.name]
+            assert chk.count == checked, chk.name
             assert chk.violations == viol, chk.name
             if math.isnan(margin):
                 assert math.isnan(chk.worst_margin), chk.name
