@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import shutil
@@ -125,13 +124,13 @@ def _csv_args(spec: str, opts: dict) -> tuple[str, int | str, str]:
     return path, label, opts.get("delimiter") or ","
 
 
-def _load_data(spec: str, opts: dict, snapshot: tuple | None = None,
-               digest=None) -> Dataset:
+def _load_data(spec: str, opts: dict,
+               snapshot: tuple | None = None) -> Dataset:
     """Load ``spec`` with the options a manifest records as
     ``data_options``; an absent or None option takes its default. A
     ``csv:`` source is read from ``snapshot``, a run's (snapshot path,
     manifest record), when :func:`load_csv_snapshot` finds it holds the
-    table a parse would give, and parsed into ``digest`` otherwise."""
+    table a parse would give, and parsed otherwise."""
     if spec == "blobs":
         blob = {**_BLOB_DEFAULTS, **(opts.get("blobs") or {})}
         return make_synthetic_blobs(
@@ -143,7 +142,7 @@ def _load_data(spec: str, opts: dict, snapshot: tuple | None = None,
               if snapshot else None)
         if ds is None:
             ds = load_csv(path, label_column=label, delimiter=delimiter,
-                          has_header=isinstance(label, str), digest=digest)
+                          has_header=isinstance(label, str))
     elif spec.startswith("idx:"):
         parts = spec[len("idx:"):].split(",")
         if len(parts) == 4:
@@ -328,8 +327,7 @@ def cmd_train(args) -> int:
     out = Path(opts["out"])
     _check_out_dir(out)
     csv = _csv_args(data_spec, opts) if data_spec.startswith("csv:") else None
-    digest = hashlib.sha256()  # of the CSV bytes parsed, which key the snapshot
-    data = _load_data(data_spec, opts, digest=digest)
+    data = _load_data(data_spec, opts)
     net, maps, report = train(data, cfg)
 
     manifest = {
@@ -360,7 +358,7 @@ def cmd_train(args) -> int:
         report.to_csv(run / "report.csv")
         if csv:
             manifest["data_snapshot"] = save_csv_snapshot(
-                data, run / SNAPSHOT_FILE, digest.hexdigest(), *csv[1:])
+                data, run / SNAPSHOT_FILE, *csv[1:])
         (run / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     _replace_dir(out, write)
@@ -481,11 +479,9 @@ def cmd_verify(args) -> int:
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")
     for chk in report.checks:
         margin = f"{chk.worst_margin:.3e}" if chk.count else "-"
-        line = (f"{chk.name:<28} {chk.count:>7} {chk.violations:>11} "
-                f"{margin:>13}")
-        if chk.note:
-            line += f"  ({chk.note})"
-        print(line)
+        note = f"  ({chk.note})" if chk.note else ""
+        print(f"{chk.name:<28} {chk.count:>7} {chk.violations:>11} "
+              f"{margin:>13}{note}")
     if not report.passed:
         print("invariant checks FAILED", file=sys.stderr)
         return EXIT_SOLVER

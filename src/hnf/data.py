@@ -6,9 +6,9 @@ Q-by-N one-hot target matrix, plus disjoint train/test column index lists
 that together cover every column.
 
 A parsed CSV table can be kept as a snapshot keyed to the SHA-256 of the
-bytes its parse read (:func:`load_csv` takes the digest to feed) and its
-parse options (:func:`save_csv_snapshot`), and read back in place of a
-parse only while both still match and the snapshot passes its own digest
+bytes its parse read (``meta["csv_sha256"]``) and its parse options
+(:func:`save_csv_snapshot`), and read back in place of a parse only while
+both still match and the snapshot passes its own digest
 (:func:`load_csv_snapshot`).
 """
 
@@ -29,9 +29,6 @@ from .errors import DataError, FormatError, ParameterError, ParseError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-
-#: Bytes :func:`file_sha256` reads at a time.
-DIGEST_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,15 +100,15 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 class _HashedFile(io.FileIO):
-    """A file read through ``readinto``, which feeds ``digest`` each byte."""
+    """A file whose ``readinto`` feeds each byte it reads to ``sha256``."""
 
-    def __init__(self, path, digest) -> None:
+    def __init__(self, path) -> None:
         super().__init__(path)
-        self.digest = digest
+        self.sha256 = hashlib.sha256()
 
     def readinto(self, b) -> int:
         n = super().readinto(b)
-        self.digest.update(b[:n])
+        self.sha256.update(b[:n])
         return n
 
 
@@ -186,16 +183,16 @@ def _bad_row(path, opts, has_header, width, label_at) -> ParseError:
 
 
 def load_csv(path, label_column=-1, delimiter: str = ",",
-             has_header: bool = False, digest=None) -> Dataset:
+             has_header: bool = False) -> Dataset:
     """Parse a rectangular delimited file into a dataset.
 
     ``label_column`` selects the label field by index (negatives count from
     the end) or by header name (requires ``has_header``). Labels are mapped
     to 0..Q-1 in first-appearance order, recorded in ``meta["label_names"]``.
     One read feeds the head probe and one np.loadtxt pass, as README "Data
-    sources" describes, and each byte to the hashlib object ``digest``, if
-    given; error rows are file lines. All samples land in the train split;
-    apply :func:`split_dataset` afterwards.
+    sources" describes, and the SHA-256 of its bytes, ``meta["csv_sha256"]``;
+    error rows are file lines. All samples land in the train split; apply
+    :func:`split_dataset` afterwards.
     """
     path = Path(path)
     if not path.is_file():
@@ -205,9 +202,8 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
                              f"whitespace, got {delimiter!r}")
     opts = {"delimiter": None if delimiter.isspace() else delimiter,
             "comments": None, "quotechar": '"', "encoding": "utf-8"}
-    fh = open(path, encoding="utf-8") if digest is None else io.TextIOWrapper(
-        io.BufferedReader(_HashedFile(path, digest)), encoding="utf-8")
-    with fh:
+    raw = _HashedFile(path)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
         seen = []  # the lines the head probe reads, which the parse reads too
         probe = (seen.append(line) or line for line in fh)
         try:
@@ -250,35 +246,34 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
         if not np.isfinite(x).all():
             raise _bad_row(path, opts, has_header, width, label_at)
         return _dataset(x.T, table[:, label_at].astype(np.int64),
-                        list(index_of), path.name, source=str(path))
+                        list(index_of), path.name, source=str(path),
+                        csv_sha256=raw.sha256.hexdigest())
 
 
 def file_sha256(path) -> str:
-    """Hex SHA-256 of a file's bytes, read ``DIGEST_CHUNK`` bytes at a time
-    so that no file-sized buffer is held."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(DIGEST_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    """Hex SHA-256 of a file's bytes, read 1 MiB at a time so that no
+    file-sized buffer is held."""
+    with io.BufferedReader(raw := _HashedFile(path), 1 << 20) as fh:
+        while fh.read1():
+            pass
+    return raw.sha256.hexdigest()
 
 
-def save_csv_snapshot(ds: Dataset, path, csv_sha256: str, label_column,
+def save_csv_snapshot(ds: Dataset, path, label_column,
                       delimiter: str) -> dict | None:
     """Write ``ds``, parsed by :func:`load_csv` with ``label_column`` and
-    ``delimiter`` from CSV bytes of SHA-256 ``csv_sha256``, to ``path`` as
-    three NPY arrays back to back: the label names, each column's label
-    index (int64) and the P x N float64 features. Return the manifest
-    record that keys it to those bytes and options, or None, writing
-    nothing, when a label name does not survive a NumPy string array (one
-    ending in NUL)."""
+    ``delimiter``, to ``path`` as three NPY arrays back to back: the label
+    names, each column's label index (int64) and the P x N float64
+    features. Return the manifest record that keys it to those options and
+    the CSV bytes parsed, or None, writing nothing, when a label name does
+    not survive a NumPy string array (one ending in NUL)."""
     names = np.array(ds.meta["label_names"], dtype=str)
     if names.tolist() != ds.meta["label_names"]:
         return None
     with open(path, "wb") as fh:
         for arr in (names, np.argmax(ds.T, axis=0).astype(np.int64), ds.X):
             np.save(fh, arr, allow_pickle=False)
-    return {"csv_sha256": csv_sha256, "label_col": label_column,
+    return {"csv_sha256": ds.meta["csv_sha256"], "label_col": label_column,
             "delimiter": delimiter, "sha256": file_sha256(path)}
 
 
@@ -316,7 +311,7 @@ def load_csv_snapshot(path, record, csv_path, label_column,
         return None
     csv_path = Path(csv_path)
     return _dataset(x, labels, names.tolist(), csv_path.name,
-                    source=str(csv_path))
+                    source=str(csv_path), csv_sha256=record["csv_sha256"])
 
 
 def _read_be_u32(blob: bytes, offset: int, path) -> int:
@@ -419,7 +414,7 @@ def merge_train_test(train: Dataset, test: Dataset) -> Dataset:
     x = np.hstack([train.X, test.X])
     labels = np.concatenate([relabel(train), relabel(test)])
     n_tr = train.n_samples
-    meta = dict(train.meta)
+    meta = {k: v for k, v in train.meta.items() if k != "csv_sha256"}
     meta.update(Q=len(names), label_names=names,
                 N_train=n_tr, N_test=test.n_samples,
                 source=f"{train.meta.get('source')};{test.meta.get('source')}")
@@ -445,8 +440,7 @@ def make_synthetic_blobs(p: int, q: int, n: int, separation: float,
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.zeros((q, p))
     if q <= p:
-        for c in range(q):
-            means[c, c] = separation / np.sqrt(2.0)
+        np.fill_diagonal(means, separation / np.sqrt(2.0))
     else:
         dirs = rng.standard_normal((q, p))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -461,15 +455,9 @@ def make_synthetic_blobs(p: int, q: int, n: int, separation: float,
     cuts = counts * 2 // 3
     short = target_train - int(cuts.sum())
     cuts[:short] += 1
-    train_parts, test_parts = [], []
-    start = 0
-    for c in range(q):
-        idx = np.arange(start, start + counts[c])
-        start += counts[c]
-        train_parts.append(idx[: cuts[c]])
-        test_parts.append(idx[cuts[c]:])
-    train_idx = np.concatenate(train_parts)
-    test_idx = np.concatenate(test_parts)
+    # class c's first cuts[c] columns train, the rest test
+    in_train = np.arange(n) < (np.cumsum(counts) - counts + cuts)[labels]
+    train_idx, test_idx = np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
     names = [str(c) for c in range(q)]
     return _dataset(x, labels, names, "blobs", train_idx, test_idx,

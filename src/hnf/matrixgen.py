@@ -97,10 +97,8 @@ def make_random_orthonormal(n: int, m: int, seed: int) -> WeightMatrix:
     _check_dims(n, m, require_tall=True)
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     q, r = np.linalg.qr(rng.standard_normal((n, m)), mode="reduced")
-    signs = np.sign(np.diag(r))
+    q *= np.where(np.diag(r) < 0, -1.0, 1.0)  # so that R's diagonal is >= 0
     del r  # the draw went with the QR call; only q outlives the signs
-    signs[signs == 0] = 1.0
-    q *= signs
     return WeightMatrix(n, m, np.ascontiguousarray(q),
                         WeightKind.RANDOM_ORTHONORMAL, seed)
 

@@ -367,8 +367,7 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
                           if l.expand)]
     maps, rows, certified = [], [], True
     nodes = net.layers[0].out_dim if net.has_front else 0
-    for k, (layer_no, layer) in enumerate(steps):
-        nxt = steps[k + 1][1] if k + 1 < len(steps) else None
+    for (layer_no, layer), (_, nxt) in zip(steps, [*steps[1:], (0, None)]):
         # a non-finite or overflowing feature is reported by the solve
         with np.errstate(over="ignore", invalid="ignore"):
             if layer is None:

@@ -15,7 +15,7 @@ import hnf.cli
 import hnf.layers
 import hnf.trainer
 from hnf.cli import main
-from hnf.data import load_csv, make_synthetic_blobs, split_dataset
+from hnf.data import Dataset, load_csv, make_synthetic_blobs, split_dataset
 from hnf.layers import load_network, save_network
 from hnf.errors import DataError
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
@@ -634,15 +634,19 @@ class TestCsvSnapshot:
 
     def test_audit_checks_the_columns_once(self, csv_run, capsys,
                                            monkeypatch):
-        """eval reads the snapshot, outside input whose N columns it checks
-        (one np.unique of the split indices), then splits it and puts T's
-        rows in the run's label order without checking them again."""
+        """eval reads the snapshot, outside input whose N columns it checks,
+        then splits it and puts T's rows in the run's label order without
+        checking them again."""
         _, run = csv_run
-        calls, real = [], np.unique
-        monkeypatch.setattr(np, "unique",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        checked, real = [], Dataset.__post_init__
+
+        def spy(ds, flag):
+            checked.append(flag)
+            real(ds, flag)
+
+        monkeypatch.setattr(Dataset, "__post_init__", spy)
         assert main(["eval", "--run", str(run)]) == 0
-        assert len(calls) == 1
+        assert checked == [False, True, True]  # snapshot, split, reorder
 
     def test_changed_byte_is_parsed_again(self, csv_run, capsys, monkeypatch,
                                           tmp_path):
