@@ -1,12 +1,10 @@
 """The fixed nonlinear machinery: ReLU, dimension-doubling expansion, the
-lossless collapse, forward maps, and the exact inverse map.
+lossless collapse, the forward walk, and the exact inverse map.
 
-:func:`iter_layer_features` is the one loop that applies a network to
-whole features: scoring, the invariant checks and an ELM front in training
-walk through it, and nothing else calls :func:`layer_forward`. A walk
-computes every layer in place in one buffer, the widest layer's features.
-The train walk (``hnf.trainer``) holds pre-activations instead and
-expands them itself. Memory is budgeted where the weights are built
+:func:`walk` is the one loop that applies a network to data: scoring, the
+invariant checks and an ELM front in training run through it. The train
+walk (``hnf.trainer``) holds pre-activations instead and expands them
+itself. Memory is budgeted where the weights are built
 (``hnf.trainer.build_network``), not here.
 
 A layer computes ``vn_expand(W @ q)``: the input is projected by a fixed
@@ -144,35 +142,29 @@ class HnfNetwork:
         return not self.layers[0].expand
 
 
-def layer_forward(layer: HnfLayer, q: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Apply one layer to a vector or to columns of a matrix, into ``out``
-    (new if None) and in place: ``W @ q`` fills its last ``rows`` rows. ``out``
-    may overlap ``q``: numpy copies an overlapping ``matmul`` operand."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != layer.in_dim:
-        raise DimensionError(
-            f"input dim {q.shape[0]} does not match layer in_dim {layer.in_dim}"
-        )
-    out = np.empty((layer.out_dim,) + q.shape[1:]) if out is None else out
-    act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
-    z = np.matmul(layer.weight.entries, q,
-                  out=out[layer.out_dim - layer.weight.rows:])
-    return act(z, out=out)
-
-
-def iter_layer_features(net: HnfNetwork, x: np.ndarray,
-                        buf: np.ndarray | None = None):
-    """Yield each layer's features in turn; the one loop that applies a
-    network's layers to data. Layer l reads ``buf[:in_dim]`` of one buffer
-    (new if None), the widest layer's features, and overwrites it with
-    ``buf[:out_dim]``, so each item is a view that the next step
-    overwrites: copy what you keep. ``x`` is not retained."""
+def walk(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
+    """The one loop that applies a network to data. Yields ``(layer,
+    features)`` for each layer that carries a map: the baseline (layer 0)
+    on ``x`` or on the ELM front's output, then every later layer, each run
+    in place in one buffer (new if None) of the widest layer's features:
+    ``W @ q`` fills its last ``rows`` rows (numpy copies an overlapping
+    operand), then the expansion or activation. So each item but ``x`` is
+    a view the next overwrites: copy what you keep. Data of another width
+    than the first layer takes raises :class:`DimensionError`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != net.layers[0].in_dim:
+        raise DimensionError(f"data has {x.shape[0]} features, but the "
+                             f"network takes {net.layers[0].in_dim}")
+    if not net.has_front:
+        yield 0, x
     if buf is None:
-        buf = np.empty((max(l.out_dim for l in net.layers),) + np.shape(x)[1:])
-    for layer in net.layers:
-        x = layer_forward(layer, x, buf[:layer.out_dim])
-        yield x
+        buf = np.empty((max(l.out_dim for l in net.layers),) + x.shape[1:])
+    for no, layer in enumerate(net.layers, 1):
+        out = buf[:layer.out_dim]
+        z = np.matmul(layer.weight.entries, x, out=out[-layer.weight.rows:])
+        act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
+        x = act(z, out=out)
+        yield (0 if no == 1 and net.has_front else no), x
 
 
 def pinv_weight(w: WeightMatrix) -> np.ndarray:

@@ -2,15 +2,14 @@
 
 The trainer never learns a weight matrix: :func:`build_network` designs the
 whole fixed network from the input dimension and the config before any
-solve. The baseline map reads the inputs, or the ELM front's features
-(:func:`map_inputs`); each later map reads an expanding layer's output,
-and the previous map pulled back through the new weight once gives both
-the new map's norm budget and the witness: the previous map embedded
-verbatim into the new layer. The witness also starts the solve: its ball
-multiplier is where Newton's method begins. That makes the cost guarantee
-constructive: the solver result is kept only if it beats the witness,
-otherwise the witness itself becomes the layer's map. Either way the
-per-layer training cost cannot increase.
+solve. The baseline map reads the inputs, or the ELM front's features; each
+later map reads an expanding layer's output, and the previous map pulled
+back through the new weight once gives both the new map's norm budget and
+the witness: the previous map embedded verbatim into the new layer. The
+witness also starts the solve: its ball multiplier is where Newton's method
+begins. That makes the cost guarantee constructive: the solver result is
+kept only if it beats the witness, otherwise the witness itself becomes the
+layer's map. Either way the per-layer training cost cannot increase.
 
 The train walk (:func:`_fit`) holds each expanding layer's pre-activations
 ``z = W q`` on every train column, in one buffer of the widest weight's
@@ -18,17 +17,19 @@ rows: half the width of ``y = [relu(z); relu(-z)]``. As ``u = R y =
 [z; |z|] / sqrt(2)`` is an orthonormal rotation, each Gram is built in the
 ``u`` basis: its ``z z^T`` and ``T z^T`` blocks come from the previous
 layer's statistics through the weight, only the ``|z|`` blocks are summed
-over :data:`SCORE_BLOCK`-column blocks, and the solved map is rotated
-back to ``y``. A scoring pass then expands each block once, scores the
-map and the witness on it, and writes the next layer's ``z`` into its
-columns; one block buffer, the widest features on :data:`SCORE_BLOCK`
-columns, holds each block's ``|z|`` and expansion. Every product of the
-walk runs in numpy and only the solve calls scipy: the two load their own
-OpenBLAS, whose spinning threads slow each other when their calls
-interleave. The test split stays out of the loop:
-:func:`evaluate` scores every map on it once, after the last layer, for
-the report only. Nothing about the budgets or stopping looks at it; there
-is no cross-validation anywhere.
+over :data:`SCORE_BLOCK`-column blocks, and the solved map is rotated back
+to ``y``. A scoring pass then expands each block once, scores the map and
+the witness on it, and writes the next layer's ``z`` into its columns; one
+block buffer, the widest features on :data:`SCORE_BLOCK` columns, holds
+each block's ``|z|`` and expansion. Every product of the walk runs in numpy
+and only the solve calls scipy: the two load their own OpenBLAS, whose
+spinning threads slow each other when their calls interleave. Everything
+else that applies the network to data runs through :func:`hnf.layers.walk`,
+the one forward loop: the ELM front here, and :func:`evaluate` and
+:func:`verify_invariants` block by block. The test split stays out of the
+loop: :func:`evaluate` scores every map on it once, after the last layer,
+for the report only. Nothing about the budgets or stopping looks at it;
+there is no cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .data import Dataset
 from .errors import (
     ConfigError,
+    DataError,
     DimensionError,
     HnfError,
     NotInvertibleError,
@@ -56,10 +58,10 @@ from .layers import (
     ACTIVATIONS,
     HnfLayer,
     HnfNetwork,
-    iter_layer_features,
     network_invert,
     un_collapse,
     vn_expand,
+    walk,
 )
 from .matrixgen import (
     make_dct_orthonormal,
@@ -253,19 +255,9 @@ def build_network(input_dim: int, cfg: TrainConfig,
     return HnfNetwork(tuple(layers))
 
 
-def map_inputs(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
-    """Yield ``(layer, features)`` for each layer that carries a map: the
-    baseline (layer 0) on ``x`` or on the ELM front's features, then each
-    expanding layer on its own output, a view the next item overwrites (in
-    ``buf``, if given). The one place that knows what the baseline reads."""
-    walk = enumerate(iter_layer_features(net, x, buf), 1)
-    yield 0, next(walk)[1] if net.has_front else x
-    yield from walk
-
-
 def map_widths(net: HnfNetwork) -> dict[int, int]:
-    """The feature width of each layer :func:`map_inputs` yields, read off
-    the layers without forwarding any data."""
+    """The feature width of each layer :func:`hnf.layers.walk` yields, read
+    off the layers without forwarding any data."""
     base = net.layers[0].out_dim if net.has_front else net.layers[0].in_dim
     return {0: base, **{k: l.out_dim for k, l in enumerate(net.layers, 1)
                         if l.expand}}
@@ -362,7 +354,7 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
     n = t.shape[1]
     held = np.empty((max(l.weight.rows for l in net.layers), n))
     buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
-    q = next(map_inputs(net, x, held))[1]  # x, or the front's in held
+    q = next(walk(net, x, held))[1]  # x, or the front's in held
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
     maps, rows, certified = [], [], True
@@ -442,12 +434,13 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
              transform: tuple | None = None) -> dict[int, Evaluation]:
     """Cost and accuracy of every map on the chosen split, keyed by layer.
 
-    :func:`map_inputs` walks :data:`SCORE_BLOCK` columns of the split at a
-    time, in one reused buffer, scoring each map on the features it reads
-    and stopping at the deepest map. ``transform`` is the training (mu,
-    sigma), if it standardized. A map naming no map-bearing layer (beyond
-    the depth, or layer 1 behind an ELM front) raises :class:`StateError`;
-    data of another input width or class count :class:`DimensionError`.
+    :func:`hnf.layers.walk`, the one forward loop, runs :data:`SCORE_BLOCK`
+    columns of the split at a time, in one reused buffer, scoring each map
+    on the features it reads and stopping at the deepest map.
+    ``transform`` is the training (mu, sigma), if it standardized. A map
+    naming no map-bearing layer (beyond the depth, or layer 1 behind an ELM
+    front) raises :class:`StateError`; data of another input width or class
+    count :class:`DimensionError`.
     """
     layers, widths = {m.layer_index for m in maps}, map_widths(net)
     if not layers <= widths.keys():
@@ -475,7 +468,7 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     for cols in _blocks(n):
         xb, tb = x[:, cols], t[:, cols]
         labels = np.argmax(tb, axis=0)
-        for layer, feats in map_inputs(net, xb, buf[:, :xb.shape[1]]):
+        for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
             for i, m in enumerate(maps):
                 if m.layer_index == layer:
                     sums[i] += block_score(m.matrix, feats, tb, labels)
@@ -539,12 +532,12 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if data.n_samples == 0:
+        raise DataError(f"dataset {data.meta.get('source')} has no samples")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sub = HnfNetwork(net.layers[int(net.has_front):])
     front = HnfNetwork(net.layers[:1])
-    front_note = ("checks run behind the non-expanding front layer"
-                  if net.has_front else "")
     n, width = data.n_samples, map_widths(net)[0]
     orthonormal = all(l.weight.orthonormal for l in sub.layers)
     invertible = True
@@ -569,11 +562,10 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         heads = rng.random(count) < 0.5
         i2 = rng.integers(n, size=count)
         noise = rng.standard_normal((count, width)).T
-        x1, y2 = (next(map_inputs(front, data.X[:, i]))[1] for i in (i1, i2))
+        x1, y2 = (next(walk(front, data.X[:, i]))[1] for i in (i1, i2))
         x2 = np.where(heads, y2, x1 + noise * (
             0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
-        f1 = [x1, *(f.copy() for f in iter_layer_features(sub, x1))]
-        f2 = [x2, *(f.copy() for f in iter_layer_features(sub, x2))]
+        f1, f2 = ([f.copy() for _, f in walk(sub, x)] for x in (x1, x2))
 
         if orthonormal:
             d2 = np.sum((x1 - x2) ** 2, axis=0)
@@ -624,7 +616,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
                            - np.sum((out - out_p) ** 2, axis=0))
         record("weight_perturbation_bound", margins)
 
-    notes = dict.fromkeys(CHECK_NAMES, front_note)
+    notes = dict.fromkeys(CHECK_NAMES, "checks run behind the non-expanding "
+                          "front layer" if net.has_front else "")
     if not orthonormal:
         notes.update(dict.fromkeys(CHECK_NAMES[:3],
                                    "skipped: non-orthonormal weights"))

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import hnf.layers
 from hnf.layers import HnfLayer, HnfNetwork
 from hnf.matrixgen import make_dct_orthonormal, make_random_orthonormal
 from hnf.solvers import OutputMap, least_squares
@@ -66,3 +67,19 @@ def solve(y: np.ndarray, t: np.ndarray, eps: float = math.inf,
         g, b = y @ y.T, t @ y.T
     o, diag = least_squares(g, b, t.shape[1], eps, witness)
     return OutputMap(o, float(eps), sample_cost(t, o, y), solver=diag)
+
+
+def count_walk(monkeypatch) -> list[int]:
+    """Patch ``hnf.trainer``'s :func:`hnf.layers.walk` to record, in order,
+    the columns of every layer it computes; a baseline yielded as the input
+    it was given computes nothing. Returns the list it fills."""
+    widths, real = [], hnf.layers.walk
+
+    def counted(net, x, *rest):
+        for layer, feats in real(net, x, *rest):
+            if feats is not x:
+                widths.append(feats.shape[1])
+            yield layer, feats
+
+    monkeypatch.setattr("hnf.trainer.walk", counted)
+    return widths

@@ -5,8 +5,9 @@ oracle inverts the Gram matrix by Gauss-Jordan elimination in extended
 precision, the constrained solver is reproduced by bisecting the
 Lagrange multiplier, and the budget formula is evaluated with the
 collapse matrix explicitly materialized. The invariant-check reference
-runs single layers and single columns through hnf.layers, one pair at a
-time, and checks each weight perturbation densely, as a full matrix.
+computes each layer's ``act(W q)`` itself (:func:`layer_output`) on single
+columns, one pair at a time, and checks each weight perturbation densely,
+as a full matrix.
 :func:`traced_peak` measures what a call allocates, and
 :func:`reference_load_csv` parses a CSV cell by cell with Python's ``csv``
 module and ``float``.
@@ -26,7 +27,6 @@ from hnf.layers import (
     ACTIVATIONS,
     HnfLayer,
     HnfNetwork,
-    layer_forward,
     network_invert,
     vn_expand,
 )
@@ -203,14 +203,22 @@ def dct_ii_matrix_oracle(n: int) -> np.ndarray:
     return scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
 
 
+def layer_output(layer: HnfLayer, q: np.ndarray,
+                 dw: np.ndarray | None = None) -> np.ndarray:
+    """``act(W q)`` of one layer, or ``act((W + dW) q)``: its expansion or
+    activation on a fresh product, apart from the walk in :mod:`hnf.layers`."""
+    w = layer.weight.entries if dw is None else layer.weight.entries + dw
+    act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
+    return act(w @ q)
+
+
 def perturbation_margin(layer: HnfLayer, dw: np.ndarray,
                         q: np.ndarray) -> float:
     """``||dW||_F^2 ||q||^2 (1 + 1e-9) - ||act(W q) - act((W + dW) q)||^2``
     for a dense weight perturbation ``dW``: >= 0 when the layer's
     weight-perturbation bound holds, with the slack hnf's check allows."""
-    act = vn_expand if layer.expand else ACTIVATIONS[layer.activation]
-    w = layer.weight.entries
-    lhs = float(np.sum((act(w @ q) - act((w + dw) @ q)) ** 2))
+    lhs = float(np.sum((layer_output(layer, q)
+                        - layer_output(layer, q, dw)) ** 2))
     return float(np.sum(dw ** 2) * np.sum(q ** 2)) * (1.0 + 1e-9) - lhs
 
 
@@ -236,7 +244,7 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
     pairs' first indices, coins, second indices and noise, then each
     trial's layer and perturbation norm r, then per layer the normals and
     chi-square draws of its trials, in trial order. It pushes each pair
-    through the layers with :func:`layer_forward` and inverts it with
+    through the layers with :func:`layer_output` and inverts it with
     :func:`network_invert` one column at a time. Each perturbation becomes
     a dense ``dW`` (:func:`dense_perturbation`) for
     :func:`perturbation_margin`. Returns, per check, the violation count,
@@ -246,7 +254,7 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = list(net.layers)
     if not layers[0].expand:
-        x = layer_forward(layers[0], x)
+        x = layer_output(layers[0], x)
         layers = layers[1:]
     sub = HnfNetwork(tuple(layers))
     orthonormal = all(layer.weight.orthonormal for layer in layers)
@@ -278,8 +286,8 @@ def verify_reference(net: HnfNetwork, x: np.ndarray, trials: int, seed: int,
                 x2 = x1 + noise[t] * (0.1 * (np.linalg.norm(x1) + 1.0))
             f1, f2 = [x1], [x2]
             for layer in layers:
-                f1.append(layer_forward(layer, f1[-1]))
-                f2.append(layer_forward(layer, f2[-1]))
+                f1.append(layer_output(layer, f1[-1]))
+                f2.append(layer_output(layer, f2[-1]))
             feats.append(f1)
             d2 = float(np.sum((x1 - x2) ** 2))
             if orthonormal and d2 > 0:

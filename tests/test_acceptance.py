@@ -23,9 +23,9 @@ from hnf.data import (
 )
 from hnf.layers import (
     HnfLayer,
-    iter_layer_features,
     network_invert,
     vn_expand,
+    walk,
 )
 from hnf.matrixgen import make_random_orthonormal, make_raw_gaussian
 from hnf.solvers import OutputMap, embed_previous_map
@@ -91,9 +91,9 @@ def test_c02_norm_preservation():
     rng = np.random.Generator(np.random.PCG64(2))
     net = build_chain(8, 16, 4, seed=7)
     x = rng.standard_normal((8, 1000))
-    feats = list(iter_layer_features(net, x))
+    *_, (_, last) = walk(net, x)
     in2 = np.sum(x * x, axis=0)
-    out2 = np.sum(feats[-1] ** 2, axis=0)
+    out2 = np.sum(last ** 2, axis=0)
     rel = np.abs(out2 - in2) / in2
     assert float(np.max(rel)) <= 1e-9
     elapsed = time.perf_counter() - t0
@@ -137,7 +137,7 @@ def test_c04_invertibility_round_trip():
     for kind in ("random", "dct"):
         net = build_chain(8, 16, 4, kind=kind, seed=11)
         x = rng.standard_normal((8, 1000))
-        ybar = list(iter_layer_features(net, x))[-1]
+        *_, (_, ybar) = walk(net, x)
         x_rec = network_invert(net, ybar)
         rel = np.linalg.norm(x_rec - x, axis=0) / np.linalg.norm(x, axis=0)
         assert float(np.max(rel)) <= 1e-6, kind

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from itertools import chain
@@ -12,13 +13,14 @@ import pytest
 
 import hnf
 import hnf.cli
-import hnf.layers
 import hnf.trainer
 from hnf.cli import main
 from hnf.data import Dataset, load_csv, make_synthetic_blobs, split_dataset
 from hnf.layers import load_network, save_network
 from hnf.errors import DataError
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
+
+from conftest import count_walk
 
 
 def run_module(*argv, python=("-m", "hnf")):
@@ -347,10 +349,7 @@ class TestEvalCommand:
         assert max(growth_kib) * 1024 < BIG_BLOBS_FEATURES / 4
 
     def test_walks_each_split_once(self, trained_run, capsys, monkeypatch):
-        calls = []
-        real = hnf.layers.layer_forward
-        monkeypatch.setattr("hnf.layers.layer_forward",
-                            lambda *a: calls.append(1) or real(*a))
+        calls = count_walk(monkeypatch)
         assert main(["eval", "--run", str(trained_run)]) == 0
         assert len(calls) == 6  # depth 3, once per split
         calls.clear()
@@ -516,6 +515,18 @@ class TestVerifyCommand:
 
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
+
+    def test_empty_dataset_exits_3(self, tmp_path, capsys):
+        """An IDX pair of 0 images of 2 x 2 pixels leaves nothing to draw
+        trials from."""
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 0, 2, 2))
+        lbl.write_bytes(struct.pack(">II", 0x801, 0))
+        assert main(["verify", "--data", f"idx:{img},{lbl}", "--n1", "4",
+                     "--depth", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no samples" in err
+        assert str(img) in err and "Traceback" not in err
 
     def test_one_feature_csv_passes(self, tmp_path, capsys):
         src = tmp_path / "one.csv"
@@ -842,16 +853,19 @@ def trained_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def manifest_runs(trained_run, tmp_path_factory):
     """Runs whose manifests the corruption tests edit: plain blobs,
-    standardized blobs, and a csv: source with --split."""
+    standardized blobs, blobs behind an ELM front, and a csv: source with
+    --split."""
     base = tmp_path_factory.mktemp("manifest_runs")
     src = base / "data.csv"
     src.write_text("".join(f"{i % 5},{i * 7 % 11},{'AB'[i % 2]}\n"
                            for i in range(12)))
     code, std = run_train(base / "std", "--standardize")
     assert code == 0
+    code, elm = run_train(base / "elm", "--elm")
+    assert code == 0
     assert main(["train", "--data", f"csv:{src}", "--split", "8", "--n1", "4",
                  "--depth", "2", "--out", str(base / "csv")]) == 0
-    return {"blobs": trained_run, "std": std, "csv": base / "csv"}
+    return {"blobs": trained_run, "std": std, "elm": elm, "csv": base / "csv"}
 
 
 def corrupt_copy(trained_run, tmp_path, rel, edit):
@@ -951,9 +965,11 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("run", ["blobs", "std"])
+    @pytest.mark.parametrize("run", ["blobs", "std", "elm"])
     def test_data_of_another_width_exits_2(self, manifest_runs, tmp_path,
                                            capsys, run):
+        """eval and verify refuse data of another width than the run's,
+        with or without an ELM front before the walk's first map."""
         def rewrite(raw):
             doc = json.loads(raw)
             doc["data_options"]["blobs"]["p"] = 5
@@ -962,7 +978,10 @@ class TestCorruptArtifacts:
         copy = corrupt_copy(manifest_runs[run], tmp_path, "manifest.json",
                             rewrite)
         assert main(["eval", "--run", str(copy)]) == 2
-        assert "5 features" in capsys.readouterr().err
+        assert main(["verify", "--run", str(copy), "--trials", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == err.count("5 features") == 2
+        assert "Traceback" not in err
 
     def test_other_class_count_exits_2(self, trained_run, tmp_path, capsys):
         src = tmp_path / "two.csv"  # 8 features like the run, 2 classes not 3

@@ -13,8 +13,6 @@ from hnf.layers import (
     ACTIVATIONS,
     HnfLayer,
     HnfNetwork,
-    iter_layer_features,
-    layer_forward,
     load_network,
     network_invert,
     relu,
@@ -22,6 +20,7 @@ from hnf.layers import (
     sigmoid,
     un_collapse,
     vn_expand,
+    walk,
 )
 from hnf.matrixgen import (
     WeightKind,
@@ -37,6 +36,17 @@ from conftest import build_chain
 def identity_layer(n: int) -> HnfLayer:
     w = WeightMatrix(n, n, np.eye(n), WeightKind.DCT_ORTHONORMAL, None)
     return HnfLayer(w)
+
+
+def last_features(net: HnfNetwork, x: np.ndarray) -> np.ndarray:
+    """The last layer's features of ``x``, through :func:`walk`."""
+    *_, (_, feats) = walk(net, x)
+    return feats
+
+
+def forward(layer: HnfLayer, q: np.ndarray) -> np.ndarray:
+    """One layer's output: a one-layer network run through :func:`walk`."""
+    return last_features(HnfNetwork((layer,)), q)
 
 
 finite_vectors = arrays(
@@ -126,70 +136,71 @@ class TestUnCollapse:
 
 
 class TestLayerForward:
+    """One layer's forward, as a one-layer network through the walk."""
+
     def test_identity_weight(self):
-        out = layer_forward(identity_layer(2), np.array([1.0, -1.0]))
+        out = forward(identity_layer(2), np.array([1.0, -1.0]))
         assert np.array_equal(out, [1.0, 0.0, 0.0, 1.0])
 
     def test_norm_preservation(self, rng):
         layer = HnfLayer(make_random_orthonormal(9, 5, seed=1))
         for _ in range(20):
             q = rng.standard_normal(5)
-            ratio = np.sum(layer_forward(layer, q) ** 2) / np.sum(q ** 2)
+            ratio = np.sum(forward(layer, q) ** 2) / np.sum(q ** 2)
             assert abs(ratio - 1.0) <= 1e-9
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError):
-            layer_forward(identity_layer(2), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionError, match="3 features"):
+            forward(identity_layer(2), np.array([1.0, 2.0, 3.0]))
 
     def test_scaling_property(self, rng):
         layer = HnfLayer(make_random_orthonormal(6, 4, seed=2))
         q = rng.standard_normal(4)
         for a in [0.0, 0.5, 2.0, 7.25]:
-            lhs = layer_forward(layer, a * q)
-            rhs = a * layer_forward(layer, q)
+            lhs = forward(layer, a * q)
+            rhs = a * forward(layer, q)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_non_expanding_layer(self):
         w = make_raw_gaussian(4, 3, seed=5)
         layer = HnfLayer(w, expand=False, activation="relu")
         q = np.ones(3)
-        assert np.array_equal(layer_forward(layer, q),
-                              relu(w.entries @ q))
+        assert np.array_equal(forward(layer, q), relu(w.entries @ q))
         assert layer.out_dim == 4
 
     def test_sigmoid_at_zero(self):
         w = make_raw_gaussian(4, 3, seed=5)
         layer = HnfLayer(w, expand=False, activation="sigmoid")
-        assert np.allclose(layer_forward(layer, np.zeros(3)), 0.5)
+        assert np.allclose(forward(layer, np.zeros(3)), 0.5)
         assert np.allclose(sigmoid(np.zeros(3)), 0.5)
 
 
 class TestNetworkForward:
-    def test_single_layer_reduces_to_layer_forward(self, rng):
+    def test_single_layer_yields_its_input_then_its_features(self, rng):
         layer = HnfLayer(make_random_orthonormal(5, 3, seed=0))
-        net = HnfNetwork((layer,))
         x = rng.standard_normal(3)
-        feats = [f.copy() for f in iter_layer_features(net, x)]
-        assert len(feats) == 1
-        assert np.array_equal(feats[0], layer_forward(layer, x))
+        items = list(walk(HnfNetwork((layer,)), x))
+        assert [k for k, _ in items] == [0, 1]
+        assert items[0][1] is x
+        assert np.array_equal(items[1][1], vn_expand(layer.weight.entries @ x))
 
     def test_norm_preserved_through_chain(self, rng):
         net = build_chain(4, 5, 3, seed=11)
         x = rng.standard_normal(4)
-        feats = list(iter_layer_features(net, x))
-        assert abs(np.sum(feats[-1] ** 2) / np.sum(x ** 2) - 1.0) <= 1e-9
+        ybar = last_features(net, x)
+        assert abs(np.sum(ybar ** 2) / np.sum(x ** 2) - 1.0) <= 1e-9
 
     def test_zero_input_gives_zero_features(self):
         net = build_chain(4, 5, 3, seed=11)
-        feats = [f.copy() for f in iter_layer_features(net, np.zeros(4))]
-        assert len(feats) == 3
+        feats = [f.copy() for _, f in walk(net, np.zeros(4))]
+        assert len(feats) == 4  # the input, then three layers
         for f in feats:
             assert np.count_nonzero(f) == 0
 
     def test_dimension_mismatch(self):
         net = build_chain(4, 5, 2, seed=0)
         with pytest.raises(DimensionError):
-            list(iter_layer_features(net, np.zeros(5)))
+            list(walk(net, np.zeros(5)))
 
     def test_chaining_validated(self):
         l1 = HnfLayer(make_random_orthonormal(4, 3, seed=0))
@@ -200,22 +211,30 @@ class TestNetworkForward:
     def test_batched_forward_repeatable_and_close_to_per_column(self, rng):
         net = build_chain(5, 6, 3, seed=9)
         x = rng.standard_normal((5, 17))
-        batched = list(iter_layer_features(net, x))[-1]
-        again = list(iter_layer_features(net, x))[-1]
+        batched = last_features(net, x)
+        again = last_features(net, x)
         assert np.array_equal(batched, again)
         for j in range(x.shape[1]):
-            single = list(iter_layer_features(net, x[:, j]))[-1]
+            single = last_features(net, x[:, j])
             assert np.allclose(batched[:, j], single, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["plain", "elm-sigmoid", "1-D",
-                                      "inner-sigmoid", "wide"])
+                                      "inner-sigmoid", "wide", "one-layer",
+                                      "front-only"])
     def test_blocked_walk_matches_per_layer_reference(self, rng, kind):
         """Each layer writes W @ q into the last rows of its output, which
         may overlap its input: a non-expanding inner layer, or an expanding
-        one with rows < in_dim, overwrites rows it reads."""
+        one with rows < in_dim, overwrites rows it reads. The walk yields
+        the input as the baseline, or the front's output when there is
+        one, then every later layer under its number."""
         net = build_chain(5, 6, 3, seed=2)
         first = net.layers[0]
-        if kind == "elm-sigmoid":
+        if kind == "one-layer":
+            net = HnfNetwork((first,))
+        elif kind == "front-only":
+            net = HnfNetwork((HnfLayer(make_raw_gaussian(7, 5, seed=3),
+                                       expand=False),))
+        elif kind == "elm-sigmoid":
             front = HnfLayer(make_raw_gaussian(5, 5, seed=3), expand=False,
                              activation="sigmoid")
             net = HnfNetwork((front, *net.layers))
@@ -229,19 +248,24 @@ class TestNetworkForward:
             net = HnfNetwork((first, wide, HnfLayer(
                 make_random_orthonormal(8, 8, seed=4))))
         x = rng.standard_normal((5,) if kind == "1-D" else (5, 2 * 8192 + 37))
-        walk = [f.copy() for f in iter_layer_features(net, x)]
-        assert len(walk) == net.depth
-        for layer, got in zip(net.layers, walk):
-            z = layer.weight.entries @ x
-            x = vn_expand(z) if layer.expand else ACTIVATIONS[
-                layer.activation](z)
-            assert got.shape == x.shape
-            assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+        want = [x]
+        for layer in net.layers:
+            z = layer.weight.entries @ want[-1]
+            want.append(vn_expand(z) if layer.expand else ACTIVATIONS[
+                layer.activation](z))
+        items = [(k, f.copy()) for k, f in walk(net, x)]
+        front = int(net.has_front)
+        assert [k for k, _ in items] == [0, *range(1 + front, net.depth + 1)]
+        for k, got in items:
+            ref = want[k or front]
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_walk_items_are_views_of_one_buffer(self, rng):
         net = build_chain(5, 6, 3, seed=2)
         x = rng.standard_normal((5, 40))
-        first, *_, last = iter_layer_features(net, x)
+        baseline, first, *_, last = (f for _, f in walk(net, x))
+        assert baseline is x
         assert np.shares_memory(first, last)
         assert not np.shares_memory(first, x)
 
@@ -251,16 +275,16 @@ class TestNetworkForward:
         x = rng.standard_normal((8, 2 * 8192 + 37))
         widest = net.layers[-1].out_dim * x.shape[1] * 8
         count, peak = oracles.traced_peak(
-            lambda: sum(1 for _ in iter_layer_features(net, x)))
-        assert count == 4
+            lambda: sum(1 for _ in walk(net, x)))
+        assert count == 5  # the input, then four layers
         assert peak <= widest + 2 ** 20
 
-    def test_layer_forward_is_called_only_by_the_one_loop(self):
-        """Inside hnf, only the walk calls layer_forward, and only
-        map_inputs and verify_invariants consume the walk, whose items are
-        views of one buffer. The train walk, which holds pre-activations
-        and expands them itself, runs only inside train, and expands
-        nothing but what verify_invariants checks besides."""
+    def test_walk_is_called_only_by_fit_evaluate_and_verify(self):
+        """Inside hnf, the walk is called by the train walk (for an ELM
+        front), evaluate and verify_invariants, and by nothing else. The
+        train walk, which holds pre-activations and expands them itself,
+        runs only inside train, and expands nothing but what
+        verify_invariants checks besides."""
         def callers(name):
             found = []
             for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
@@ -276,9 +300,8 @@ class TestNetworkForward:
             return isinstance(node, ast.Call) and name == getattr(
                 node.func, "id", getattr(node.func, "attr", None))
 
-        assert callers("layer_forward") == ["iter_layer_features"]
-        assert set(callers("iter_layer_features")) == {"map_inputs",
-                                                       "verify_invariants"}
+        assert set(callers("walk")) == {"_fit", "evaluate",
+                                        "verify_invariants"}
         assert callers("_fit") == ["train"]
         assert callers("_expanded_statistics") == ["_fit"]
         assert callers("vn_expand") == ["_fit", "verify_invariants"]
@@ -288,8 +311,7 @@ class TestNetworkInvert:
     def test_round_trip(self, rng):
         net = build_chain(8, 8, 3, seed=21)
         x = rng.standard_normal(8)
-        ybar = list(iter_layer_features(net, x))[-1]
-        x_rec = network_invert(net, ybar)
+        x_rec = network_invert(net, last_features(net, x))
         assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) <= 1e-6
 
     def test_identity_layer_reduces_to_collapse(self):
@@ -305,7 +327,7 @@ class TestNetworkInvert:
         bad = WeightMatrix(5, 3, entries, WeightKind.RAW_GAUSSIAN, 0)
         net = HnfNetwork((HnfLayer(bad),))
         x = rng.standard_normal(3)
-        x_rec = network_invert(net, list(iter_layer_features(net, x))[-1])
+        x_rec = network_invert(net, last_features(net, x))
         assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) > 1e-6
 
     def test_non_expanding_front_rejected(self, rng):
@@ -318,17 +340,15 @@ class TestNetworkInvert:
         w = make_raw_gaussian(6, 4, seed=3)
         net = HnfNetwork((HnfLayer(w),))
         x = rng.standard_normal(4)
-        ybar = list(iter_layer_features(net, x))[-1]
-        x_rec = network_invert(net, ybar)
+        x_rec = network_invert(net, last_features(net, x))
         assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) <= 1e-6
 
 
 def pair_distances(net, x1, x2):
     """Squared input distance and squared feature distance at every layer."""
+    f1, f2 = ([f.copy() for _, f in walk(net, x)] for x in (x1, x2))
     return float(np.sum((x1 - x2) ** 2)), [
-        float(np.sum((a - b) ** 2))
-        for a, b in zip([f.copy() for f in iter_layer_features(net, x1)],
-                        [f.copy() for f in iter_layer_features(net, x2)])]
+        float(np.sum((a - b) ** 2)) for a, b in zip(f1[1:], f2[1:])]
 
 
 class TestPairDistanceReport:
@@ -391,8 +411,8 @@ class TestWeightPerturbation:
                 perturbed.append(HnfLayer(WeightMatrix(
                     w.rows, w.cols, w.entries + dw, WeightKind.RAW_GAUSSIAN, 0)))
             pnet = HnfNetwork(tuple(perturbed))
-            out = list(iter_layer_features(net, x))[-1]
-            out_p = list(iter_layer_features(pnet, x))[-1]
+            out = last_features(net, x)
+            out_p = last_features(pnet, x)
             lhs = float(np.sum((out - out_p) ** 2))
             bound = float(np.prod([np.sum(dw ** 2) for dw in dws]) *
                           np.sum(x ** 2))
@@ -410,6 +430,6 @@ class TestManifest:
         assert back.depth == net.depth
         assert back.has_front
         x = rng.standard_normal((4, 5))
-        orig = list(iter_layer_features(net, x))[-1]
-        again = list(iter_layer_features(back, x))[-1]
+        orig = last_features(net, x)
+        again = last_features(back, x)
         assert np.array_equal(orig, again)

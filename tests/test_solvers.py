@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dpotrf
 import hnf.solvers
 from hnf.data import make_synthetic_blobs
 from hnf.errors import DataError, DimensionError, ParameterError
-from hnf.layers import HnfLayer, layer_forward, vn_expand
+from hnf.layers import HnfLayer, HnfNetwork, vn_expand, walk
 from hnf.matrixgen import (
     WeightKind,
     WeightMatrix,
@@ -27,7 +27,7 @@ from hnf.solvers import (
     save_output_map,
 )
 
-from hnf.trainer import TrainConfig, build_network, map_inputs
+from hnf.trainer import TrainConfig, build_network
 
 import oracles
 from conftest import solve
@@ -88,7 +88,8 @@ class TestLeastSquares:
 
 def elm_front_solve(w, x, t, activation="relu"):
     """The trainer's ELM front: a non-expanding layer, then least squares."""
-    feats = layer_forward(HnfLayer(w, expand=False, activation=activation), x)
+    front = HnfLayer(w, expand=False, activation=activation)
+    feats = next(walk(HnfNetwork((front,)), x))[1]
     return feats, solve(feats, t)
 
 
@@ -354,7 +355,7 @@ class TestCholeskyNewton:
         x, t = blobs.X_train, blobs.T_train
         net = build_network(8, TrainConfig(n1=16, depth=3, seed=1), 1)
         prev, steps, cold_steps = None, 0, 0
-        for layer, feats in map_inputs(net, x):
+        for layer, feats in walk(net, x):
             if prev is None:
                 prev = solve(feats, t)
                 continue

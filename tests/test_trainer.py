@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
-import hnf.layers
 import hnf.trainer
 from hnf.data import Dataset, make_synthetic_blobs
-from hnf.errors import ConfigError, ParameterError, ResourceError, StateError
-from hnf.layers import HnfLayer, HnfNetwork, vn_expand
+from hnf.errors import (
+    ConfigError,
+    DataError,
+    ParameterError,
+    ResourceError,
+    StateError,
+)
+from hnf.layers import ACTIVATIONS, HnfLayer, HnfNetwork, vn_expand, walk
 from hnf.matrixgen import (
     WeightMatrix,
     make_random_orthonormal,
@@ -26,7 +31,6 @@ from hnf.trainer import (
     block_score,
     build_network,
     evaluate,
-    map_inputs,
     map_widths,
     _carry,
     _expanded_statistics,
@@ -36,13 +40,21 @@ from hnf.trainer import (
 )
 
 import oracles
-from conftest import build_chain, solve
+from conftest import build_chain, count_walk, solve
 from oracles import accuracy, sample_cost
 
 
 @pytest.fixture(scope="module")
 def blobs():
     return make_synthetic_blobs(8, 3, 500, separation=6.0, seed=3)
+
+
+def letter_shape():
+    """Letter-shape blobs (P = 16, Q = 26) whose train split spans three
+    :data:`SCORE_BLOCK`-column blocks."""
+    ds = make_synthetic_blobs(16, 26, 7000, separation=3.0, seed=3)
+    assert ds.meta["N_train"] > 2 * SCORE_BLOCK
+    return ds
 
 
 #: Bytes a train call holds beyond its walk's count and the train split's
@@ -52,6 +64,21 @@ TRACE_SLACK = 2 ** 19
 
 def monotone(costs, slack=1e-8):
     return all(b <= a + slack * (1.0 + a) for a, b in zip(costs, costs[1:]))
+
+
+def train_scores_match_the_report(data, cfg):
+    """Train ``cfg`` on ``data``; then ``evaluate`` on the train split must
+    reproduce every report row's train cost and accuracy bit for bit: the
+    walk forms each block's products as the train walk does."""
+    net, maps, report = train(data, cfg)
+    std = report.meta["standardize_params"]
+    transform = std and (np.array(std["mu"])[:, None],
+                         np.array(std["sigma"])[:, None])
+    scores = evaluate(net, maps, data, "train", transform)
+    assert sorted(scores) == [r.layer for r in report.rows()]
+    for rec in report.rows():
+        ev = scores[rec.layer]
+        assert (ev.cost, ev.accuracy) == (rec.train_cost, rec.train_acc), rec
 
 
 class TestPlanWidths:
@@ -387,7 +414,7 @@ class TestExpandedStatistics:
         net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm,
                                            seed=1), 1)
         t = blobs.T_train
-        q = next(map_inputs(net, blobs.X_train))[1]
+        q = next(walk(net, blobs.X_train))[1]
         g, b, u_basis = q @ q.T, t @ q.T, False
         for layer in net.layers[elm:]:
             w = layer.weight.entries
@@ -428,26 +455,28 @@ class TestMapInputs:
                                              (True, [0, 2, 3])],
                              ids=["plain", "elm"])
     def test_yields_each_map_layer_on_its_features(self, blobs, elm, layers):
+        """The walk yields each map's features, ``act(W q)`` bit for bit;
+        the baseline reads the front, if any."""
         net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm), 1)
-        x = blobs.X_train
-        feats = [x, *(f.copy() for f in hnf.layers.iter_layer_features(net, x))]
-        walk = [(layer, f.copy()) for layer, f in map_inputs(net, x)]
-        assert [layer for layer, _ in walk] == layers
-        for layer, f in walk:  # the baseline reads the front, if any
+        feats = [blobs.X_train]
+        for layer in net.layers:
+            z = layer.weight.entries @ feats[-1]
+            feats.append(vn_expand(z) if layer.expand
+                         else ACTIVATIONS[layer.activation](z))
+        items = [(layer, f.copy()) for layer, f in walk(net, blobs.X_train)]
+        assert [layer for layer, _ in items] == layers
+        for layer, f in items:
             assert np.array_equal(f, feats[layer or int(elm)])
-        assert map_widths(net) == {layer: len(f) for layer, f in walk}
+        assert map_widths(net) == {layer: len(f) for layer, f in items}
 
     @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
     def test_train_walks_each_split_once(self, blobs, monkeypatch, elm):
         """The train split's pre-activations are expanded once per column
-        at each expanding layer, a block at a time; only an ELM front runs
-        layer_forward on the whole train split, and the test split's one
-        walk runs every layer on every column once."""
-        widths, expanded = [], {}
-        real, real_expand = hnf.layers.layer_forward, hnf.trainer.vn_expand
-        monkeypatch.setattr("hnf.layers.layer_forward",
-                            lambda layer, q, *rest: widths.append(q.shape[1])
-                            or real(layer, q, *rest))
+        at each expanding layer, a block at a time; only an ELM front is
+        walked on the whole train split, and the test split's one walk runs
+        every layer on every column once."""
+        widths, expanded = count_walk(monkeypatch), {}
+        real_expand = hnf.trainer.vn_expand
 
         def expand(z, **kw):
             expanded[len(z)] = expanded.get(len(z), 0) + z.shape[1]
@@ -481,17 +510,24 @@ class TestEvaluate:
         ev = evaluate(net, [maps[0], zero], blobs)[1]
         assert ev.accuracy == pytest.approx(freq0)
 
-    def test_train_split_cost_matches_solver(self, blobs):
-        cfg = TrainConfig(n1=16, depth=2, seed=1)
-        net, maps, report = train(blobs, cfg)
+    def test_train_split_cost_matches_solver(self, blobs, monkeypatch):
+        """On one block, each train score is the sample cost of the whole
+        split. Over several blocks (64 columns here, 2048 on a
+        Letter-shape run), plain, standardized and with DCT weights, each
+        equals the report's train cost and accuracy exactly."""
+        net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
         scores = evaluate(net, maps, blobs, split="train")
-        for layer, rec in enumerate(report.per_layer, start=1):
-            assert scores[layer].cost == pytest.approx(rec.train_cost, rel=1e-9)
-        assert scores[0].cost == pytest.approx(report.baseline.train_cost,
-                                               rel=1e-9)
-        for (layer, feats), m in zip(map_inputs(net, blobs.X_train), maps):
+        for (layer, feats), m in zip(walk(net, blobs.X_train), maps):
             assert scores[layer].cost == sample_cost(blobs.T_train, m.matrix,
                                                      feats)
+        train_scores_match_the_report(letter_shape(), TrainConfig(
+            n1=32, depth=2, seed=1))
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        assert blobs.meta["N_train"] > 4 * 64
+        for cfg in (TrainConfig(n1=16, depth=3, seed=1),
+                    TrainConfig(n1=16, depth=3, seed=2, standardize=True),
+                    TrainConfig(n1=16, depth=3, seed=1, weight_kind="dct")):
+            train_scores_match_the_report(blobs, cfg)
 
     def test_missing_layer_is_state_error(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1)
@@ -507,11 +543,17 @@ class TestEvaluate:
         with pytest.raises(StateError, match=r"layers \[0, 1, 2\]"):
             evaluate(net, [*maps, layer1], blobs)
 
-    def test_elm_baseline_uses_front_features(self, blobs):
-        cfg = TrainConfig(n1=32, depth=2, elm_front=True, seed=4)
-        net, maps, report = train(blobs, cfg)
-        ev = evaluate(net, maps, blobs, split="train")[0]
-        assert ev.cost == pytest.approx(report.baseline.train_cost, rel=1e-9)
+    def test_elm_baseline_uses_front_features(self, blobs, monkeypatch):
+        """Behind an ELM front, the baseline and every later map score on
+        the train split exactly as the report has them, over 2048-column
+        blocks of a Letter-shape run and 64-column blocks of blobs."""
+        train_scores_match_the_report(letter_shape(), TrainConfig(
+            n1=32, depth=2, elm_front=True, seed=4))
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        for cfg in (TrainConfig(n1=32, depth=2, elm_front=True, seed=4),
+                    TrainConfig(n1=24, depth=3, seed=3, elm_front=True,
+                                elm_activation="sigmoid", standardize=True)):
+            train_scores_match_the_report(blobs, cfg)
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(n1=16, depth=3, seed=1),
@@ -530,10 +572,7 @@ class TestEvaluate:
 
     def test_walk_stops_at_the_deepest_map(self, blobs, monkeypatch):
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=3, seed=1))
-        calls = []
-        real = hnf.layers.layer_forward
-        monkeypatch.setattr("hnf.layers.layer_forward",
-                            lambda *a: calls.append(1) or real(*a))
+        calls = count_walk(monkeypatch)
         assert list(evaluate(net, maps[:3], blobs)) == [0, 1, 2]
         assert len(calls) == 2
 
@@ -558,7 +597,7 @@ class TestEvaluate:
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
         scores = evaluate(net, maps, blobs, split, transform)
         assert sorted(scores) == [m.layer_index for m in maps]
-        for (layer, feats), m in zip(map_inputs(net, x), maps):
+        for (layer, feats), m in zip(walk(net, x), maps):
             want = sample_cost(t, m.matrix, feats)
             assert abs(scores[layer].cost - want) <= 1e-12 * want
             assert scores[layer].accuracy == accuracy(m.matrix @ feats, t)
@@ -601,6 +640,15 @@ class TestVerifyInvariants:
         net, _, _ = train(blobs, cfg)
         with pytest.raises(ParameterError):
             verify_invariants(net, blobs, trials=0)
+
+    def test_empty_dataset_is_data_error(self, monkeypatch):
+        """A dataset with no samples is named before anything is drawn."""
+        empty = Dataset(np.zeros((8, 0)), np.zeros((3, 0)), np.arange(0),
+                        np.arange(0), {"source": "empty.csv"})
+        net = build_chain(8, 16, 2)
+        monkeypatch.setattr("numpy.random.Generator", None)  # no draw
+        with pytest.raises(DataError, match="empty.csv"):
+            verify_invariants(net, empty, trials=5)
 
     def test_elm_front_checks_subchain(self, blobs):
         cfg = TrainConfig(n1=32, depth=2, elm_front=True, seed=4)
@@ -652,11 +700,7 @@ class TestVerifyInvariants:
     def test_front_runs_on_the_drawn_columns_only(self, blobs, monkeypatch):
         """An ELM front's features are computed per trial block, on the
         columns it draws, not on every column of the data."""
-        widths = []
-        real = hnf.layers.layer_forward
-        monkeypatch.setattr("hnf.layers.layer_forward",
-                            lambda layer, q, *rest: widths.append(q.shape[1])
-                            or real(layer, q, *rest))
+        widths = count_walk(monkeypatch)
         front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
         net = HnfNetwork((front, *build_chain(20, 20, 2, seed=3).layers))
         assert verify_invariants(net, blobs, trials=VERIFY_BLOCK + 44).passed
