@@ -20,7 +20,7 @@ import shutil
 import sys
 import uuid
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -339,7 +339,7 @@ def cmd_train(args) -> int:
         "data_options": {k: opts[k] for k in ("label_col", "delimiter",
                                               "split", "split_seed", "blobs")},
         "dataset": data.meta,
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "standardize_params": report.meta.get("standardize_params"),
         "monotonicity_certified": report.monotonicity_certified,
         "artifacts": {

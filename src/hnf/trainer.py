@@ -135,9 +135,6 @@ class TrainConfig:
         if self.elm_front and self.depth < 2:
             raise ConfigError("an ELM front needs depth >= 2 to add a layer")
 
-    def echo(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class LayerRecord:
@@ -538,6 +535,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
 
     sub = HnfNetwork(net.layers[int(net.has_front):])
     front = HnfNetwork(net.layers[:1])
+    front_note = ("checks run behind the non-expanding front layer"
+                  if net.has_front else "")
     n, width = data.n_samples, map_widths(net)[0]
     orthonormal = all(l.weight.orthonormal for l in sub.layers)
     invertible = True
@@ -565,7 +564,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         x1, y2 = (next(walk(front, data.X[:, i]))[1] for i in (i1, i2))
         x2 = np.where(heads, y2, x1 + noise * (
             0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
-        f1, f2 = ([f.copy() for _, f in walk(sub, x)] for x in (x1, x2))
+        # a sub starting with a non-expanding layer yields no input: keep x
+        f1 = [x1, *(f.copy() for _, f in walk(sub, x1) if f is not x1)]
+        f2 = [x2, *(f.copy() for _, f in walk(sub, x2) if f is not x2)]
 
         if orthonormal:
             d2 = np.sum((x1 - x2) ** 2, axis=0)
@@ -616,8 +617,7 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
                            - np.sum((out - out_p) ** 2, axis=0))
         record("weight_perturbation_bound", margins)
 
-    notes = dict.fromkeys(CHECK_NAMES, "checks run behind the non-expanding "
-                          "front layer" if net.has_front else "")
+    notes = dict.fromkeys(CHECK_NAMES, front_note)
     if not orthonormal:
         notes.update(dict.fromkeys(CHECK_NAMES[:3],
                                    "skipped: non-orthonormal weights"))

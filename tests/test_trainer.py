@@ -546,7 +546,11 @@ class TestEvaluate:
     def test_elm_baseline_uses_front_features(self, blobs, monkeypatch):
         """Behind an ELM front, the baseline and every later map score on
         the train split exactly as the report has them, over 2048-column
-        blocks of a Letter-shape run and 64-column blocks of blobs."""
+        blocks of a Letter-shape run and 64-column blocks of blobs. The
+        train walk forms the front with one product over all train columns
+        and ``evaluate`` with one per block, so exact equality here relies
+        on the BLAS computing each column of a product in the same order
+        whatever the column count; it does not follow from the code."""
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, elm_front=True, seed=4))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
@@ -707,7 +711,8 @@ class TestVerifyInvariants:
         assert widths and max(widths) <= VERIFY_BLOCK < blobs.n_samples
 
     @pytest.mark.parametrize("kind", ["random", "dct", "elm", "elm_sigmoid",
-                                      "rank_deficient", "inner_sigmoid"])
+                                      "rank_deficient", "inner_sigmoid",
+                                      "elm_inner_sigmoid"])
     def test_batched_matches_per_pair_reference(self, blobs, kind):
         if kind in ("elm", "elm_sigmoid"):  # the reference fronts every column
             front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False,
@@ -719,6 +724,12 @@ class TestVerifyInvariants:
                              activation="sigmoid")
             net = HnfNetwork((*build_chain(8, 16, 1, seed=1).layers, inner,
                               *build_chain(12, 12, 1, seed=3).layers))
+        elif kind == "elm_inner_sigmoid":  # the checks start on a front too
+            front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
+            inner = HnfLayer(make_raw_gaussian(12, 20, seed=4), expand=False,
+                             activation="sigmoid")
+            net = HnfNetwork((front, inner,
+                              *build_chain(12, 12, 2, seed=3).layers))
         elif kind == "rank_deficient":
             w = make_random_orthonormal(16, 8, seed=1)
             entries = w.entries.copy()
@@ -739,7 +750,7 @@ class TestVerifyInvariants:
                 assert math.isnan(chk.worst_margin), chk.name
             else:
                 assert abs(chk.worst_margin - margin) <= 1e-12, chk.name
-        if kind in ("rank_deficient", "inner_sigmoid"):
+        if kind in ("rank_deficient", "inner_sigmoid", "elm_inner_sigmoid"):
             assert rep.checks[3].violations == trials
 
 
