@@ -10,6 +10,13 @@ depth.
 
 __version__ = "0.1.0"
 
+import os
+
+# numpy's and scipy's own OpenBLAS pools spin 2^28 cycles after every call,
+# on each other's cores; 4 (2^4, OpenBLAS's least) puts them to sleep at once.
+# OpenBLAS reads it when it loads, so this must precede numpy's first import.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .data import (
     Dataset,
     load_csv,

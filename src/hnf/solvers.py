@@ -19,7 +19,9 @@ Everything here minimizes the sample-average squared prediction error
   its predecessor's training cost.
 
 Only the factorizations here call scipy's LAPACK; the statistics are
-formed in numpy, whose OpenBLAS is not scipy's (see :mod:`hnf.trainer`).
+formed in numpy, whose OpenBLAS is not scipy's. Neither pool's threads spin
+after a call, as :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT`` (see
+:mod:`hnf.trainer`); results do not depend on it.
 
 The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of

@@ -22,14 +22,15 @@ to ``y``. A scoring pass then expands each block once, scores the map and
 the witness on it, and writes the next layer's ``z`` into its columns; one
 block buffer, the widest features on :data:`SCORE_BLOCK` columns, holds
 each block's ``|z|`` and expansion. Every product of the walk runs in numpy
-and only the solve calls scipy: the two load their own OpenBLAS, whose
-spinning threads slow each other when their calls interleave. Everything
-else that applies the network to data runs through :func:`hnf.layers.walk`,
-the one forward loop: the ELM front here, and :func:`evaluate` and
-:func:`verify_invariants` block by block. The test split stays out of the
-loop: :func:`evaluate` scores every map on it once, after the last layer,
-for the report only. Nothing about the budgets or stopping looks at it;
-there is no cross-validation anywhere.
+and only the solve calls scipy. The two load their own OpenBLAS, whose idle
+threads would spin on each other's cores after every call; :mod:`hnf` sets
+``OPENBLAS_THREAD_TIMEOUT`` before either loads so that they sleep at once,
+which changes no result. Everything else that applies the network to data
+runs through :func:`hnf.layers.walk`, the one forward loop: the ELM front
+here, and :func:`evaluate` and :func:`verify_invariants` block by block.
+The test split stays out of the loop: :func:`evaluate` scores every map on
+it once, after the last layer, for the report only. Nothing about the
+budgets or stopping looks at it; there is no cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     """
     n_train = data.meta["N_train"]
     if n_train < 1:
-        raise ConfigError("dataset has an empty train split")
+        raise DataError(f"dataset {data.meta.get('source')} has an empty train split")
     clock = time.perf_counter()
     net = build_network(data.input_dim, cfg, n_train)
 

@@ -23,14 +23,22 @@ from hnf.solvers import embed_previous_map, load_output_map, save_output_map
 from conftest import count_walk
 
 
-def run_module(*argv, python=("-m", "hnf")):
+def run_module(*argv, python=("-m", "hnf"), env=None):
     """``python -m hnf ARGV`` (or ``python PYTHON ARGV``) in a child that
-    imports this same package."""
+    imports this same package, with ENV (by default this process's) as its
+    environment."""
+    env = os.environ if env is None else env
     src = str(Path(hnf.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *python, *argv],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**env, "PYTHONPATH": path})
+
+
+def without_thread_timeout():
+    """This process's environment without ``OPENBLAS_THREAD_TIMEOUT``."""
+    return {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_THREAD_TIMEOUT"}
 
 
 #: ``hnf ARGV`` with ``hnf.cli.FN`` probed (``python -c RSS_PROBE FN
@@ -516,16 +524,20 @@ class TestVerifyCommand:
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
 
-    def test_empty_dataset_exits_3(self, tmp_path, capsys):
-        """An IDX pair of 0 images of 2 x 2 pixels leaves nothing to draw
-        trials from."""
+    @pytest.mark.parametrize("command, message", [
+        ("train", "empty train split"), ("verify", "no samples")],
+        ids=["train", "verify"])
+    def test_empty_dataset_exits_3(self, tmp_path, capsys, command, message):
+        """An IDX pair of 0 images of 2 x 2 pixels leaves nothing to train
+        on or draw trials from: a data problem for both commands."""
         img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
         img.write_bytes(struct.pack(">IIII", 0x803, 0, 2, 2))
         lbl.write_bytes(struct.pack(">II", 0x801, 0))
-        assert main(["verify", "--data", f"idx:{img},{lbl}", "--n1", "4",
+        out = ["--out", str(tmp_path / "run")] if command == "train" else []
+        assert main([command, *out, "--data", f"idx:{img},{lbl}", "--n1", "4",
                      "--depth", "2"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "no samples" in err
+        assert err.startswith("error:") and message in err
         assert str(img) in err and "Traceback" not in err
 
     def test_one_feature_csv_passes(self, tmp_path, capsys):
@@ -1074,14 +1086,19 @@ class TestArgumentHandling:
 
 class TestReproducibility:
     def test_model_artifacts_byte_identical_across_processes(self, tmp_path):
+        """Also whatever OpenBLAS's idle threads spin for: "a" runs with
+        ``OPENBLAS_THREAD_TIMEOUT`` unset, so hnf's own 4, "b" under 28,
+        OpenBLAS's default."""
         src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
+        plain = without_thread_timeout()
+        envs = {"a": plain, "b": {**plain, "OPENBLAS_THREAD_TIMEOUT": "28"}}
         for data in (["blobs"], [f"csv:{src}", "--split", "40"]):
             outs = []
-            for name in ("a", "b"):
+            for name, env in envs.items():
                 out = tmp_path / name
                 proc = run_module("train", "--data", *data, "--n1", "16",
                                   "--depth", "2", "--seed", "11",
-                                  "--out", str(out))
+                                  "--out", str(out), env=env)
                 assert proc.returncode == 0, proc.stderr
                 outs.append(out)
             a, b = outs
@@ -1097,3 +1114,34 @@ class TestReproducibility:
             for ra, rb in zip(rows_a, rows_b):
                 ra.pop("wall_ms"), rb.pop("wall_ms")
                 assert ra == rb
+
+
+#: Imports ``hnf.cli`` and prints, as JSON, what ``OPENBLAS_THREAD_TIMEOUT``
+#: was when numpy and scipy were first imported: each loads its OpenBLAS
+#: then, and OpenBLAS reads the variable only when it loads.
+IMPORT_ORDER_PROBE = """
+import json, os, sys
+seen = {}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("numpy", "scipy"):
+            seen.setdefault(name, os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+sys.meta_path.insert(0, Spy())
+import hnf.cli
+print(json.dumps(seen))
+"""
+
+
+class TestThreadTimeout:
+    @pytest.mark.parametrize("given, seen", [(None, "4"), ("28", "28")],
+                             ids=["unset", "user-set"])
+    def test_set_before_numpy_and_scipy_load(self, given, seen):
+        """hnf sets the timeout before anything it imports loads numpy, and
+        keeps a value the user set."""
+        env = without_thread_timeout()
+        if given is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = given
+        proc = run_module(python=("-c", IMPORT_ORDER_PROBE), env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"numpy": seen, "scipy": seen}
