@@ -45,10 +45,12 @@ from .errors import (
     ResourceError,
     StateError,
 )
-from .layers import json_artifact, load_network, save_network
+from .layers import ACTIVATIONS, json_artifact, load_network, save_network
 from .solvers import load_output_map, save_output_map
 from .trainer import (
     DEFAULT_MEMORY_BUDGET,
+    EPS_SCHEDULES,
+    WEIGHT_KINDS,
     TrainConfig,
     build_network,
     evaluate,
@@ -206,14 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
                                           "flags override file values")
     p_train.add_argument("--n1", type=int, default=None)
     p_train.add_argument("--depth", type=int, default=None)
-    p_train.add_argument("--weights", choices=["random", "dct"], default=None)
+    p_train.add_argument("--weights", choices=WEIGHT_KINDS, default=None)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--elm", action="store_true", default=None,
                          help="use an ELM feature layer in front")
-    p_train.add_argument("--elm-activation", choices=["relu", "sigmoid"],
+    p_train.add_argument("--elm-activation", choices=sorted(ACTIVATIONS),
                          default=None)
-    p_train.add_argument("--eps-schedule", choices=["exact", "doubling"],
-                         default=None)
+    p_train.add_argument("--eps-schedule", choices=EPS_SCHEDULES, default=None)
     p_train.add_argument("--standardize", action="store_true", default=None)
     p_train.add_argument("--out", default=None, help="artifact directory")
 
@@ -230,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="saved artifact directory (default: fresh net)")
     p_verify.add_argument("--n1", type=int, default=16)
     p_verify.add_argument("--depth", type=int, default=3)
-    p_verify.add_argument("--weights", choices=["random", "dct"],
-                          default="random")
+    p_verify.add_argument("--weights", choices=WEIGHT_KINDS, default="random")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=200)
 
@@ -386,15 +386,17 @@ def _typed(doc, types: dict) -> dict:
 def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
     """A run's data, standardization transform, network, maps and label
     names. The data is ``spec`` loaded with ``opts``, each defaulting to
-    the manifest's. A manifest field of the wrong type, length or range,
-    or manifest ``data_options`` the data cannot take, is a DataError
-    naming manifest.json; a map whose column count does not fit its layer
-    is one naming the map's file."""
+    the manifest's. A manifest field of the wrong type, length or range
+    (two maps of one layer too), or ``data_options`` the data cannot take,
+    is a DataError naming manifest.json; a map whose column count does not
+    fit its layer is one naming the map's file."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
         net = load_network(run / manifest["artifacts"]["network"])
         rels = manifest["artifacts"]["maps"]
         maps = [load_output_map(run / rel) for rel in rels]
+        if len({m.layer_index for m in maps}) < len(maps):
+            raise ValueError(f"maps {rels} repeat a layer")
         std, transform = manifest.get("standardize_params"), None
         if std is not None:  # mu and sigma as (P, 1) columns
             transform = np.array([std["mu"], std["sigma"]], dtype=np.float64

@@ -147,7 +147,7 @@ def save_weight(w: WeightMatrix, path) -> None:
 
 
 def load_weight(path) -> WeightMatrix:
-    """Read a matrix written by :func:`save_weight`."""
+    """Read a matrix written by :func:`save_weight`, finite entries only."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -166,6 +166,8 @@ def load_weight(path) -> WeightMatrix:
             f"got {len(blob)}"
         )
     entries = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    if not np.isfinite(entries).all():
+        raise FormatError(f"{path}: non-finite weight entries")
     entries = entries.reshape(rows, cols).copy()
     return WeightMatrix(rows, cols, entries, kind,
                         seed if kind is not WeightKind.DCT_ORTHONORMAL else None)

@@ -238,7 +238,7 @@ def save_output_map(om: OutputMap, path_prefix) -> tuple[Path, Path]:
 
 
 def load_output_map(json_path) -> OutputMap:
-    """Read a map written by :func:`save_output_map`."""
+    """Read a map written by :func:`save_output_map`, finite entries only."""
     json_path = Path(json_path)
     with json_artifact(json_path) as meta:
         rows, cols = int(meta["rows"]), int(meta["cols"])
@@ -253,4 +253,6 @@ def load_output_map(json_path) -> OutputMap:
             f"{rows}x{cols} float64 map"
         )
     matrix = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    if not np.isfinite(matrix).all():
+        raise FormatError(f"{bin_path}: non-finite map entries")
     return OutputMap(matrix, eps, *fitted)

@@ -11,26 +11,26 @@ begins. That makes the cost guarantee constructive: the solver result is
 kept only if it beats the witness, otherwise the witness itself becomes the
 layer's map. Either way the per-layer training cost cannot increase.
 
-The train walk (:func:`_fit`) holds each expanding layer's pre-activations
-``z = W q`` on every train column, in one buffer of the widest weight's
-rows: half the width of ``y = [relu(z); relu(-z)]``. As ``u = R y =
-[z; |z|] / sqrt(2)`` is an orthonormal rotation, each Gram is built in the
-``u`` basis: its ``z z^T`` and ``T z^T`` blocks come from the previous
-layer's statistics through the weight, only the ``|z|`` blocks are summed
-over :data:`SCORE_BLOCK`-column blocks, and the solved map is rotated back
-to ``y``. A scoring pass then expands each block once, scores the map and
-the witness on it, and writes the next layer's ``z`` into its columns; one
-block buffer, the widest features on :data:`SCORE_BLOCK` columns, holds
-each block's ``|z|`` and expansion. Every product of the walk runs in numpy
-and only the solve calls scipy. The two load their own OpenBLAS, whose idle
-threads would spin on each other's cores after every call; :mod:`hnf` sets
-``OPENBLAS_THREAD_TIMEOUT`` before either loads so that they sleep at once,
-which changes no result. Everything else that applies the network to data
-runs through :func:`hnf.layers.walk`, the one forward loop: the ELM front
-here, and :func:`evaluate` and :func:`verify_invariants` block by block.
-The test split stays out of the loop: :func:`evaluate` scores every map on
-it once, after the last layer, for the report only. Nothing about the
-budgets or stopping looks at it; there is no cross-validation anywhere.
+The train walk (:func:`_fit`) makes one pass per layer. It holds each
+expanding layer's pre-activations ``z = W q`` on every train column, in one
+buffer of the widest weight's rows: half the width of ``y = [relu(z);
+relu(-z)]``. As ``u = R y = [z; |z|] / sqrt(2)`` is an orthonormal
+rotation, each Gram is built in the ``u`` basis: :func:`_carry` writes its
+``z z^T`` and ``T z^T`` blocks from the previous layer's statistics through
+the weight. A layer's pass scores the solved map, rotated back to ``y``,
+and the witness on :data:`SCORE_BLOCK`-column blocks, each expanded once in
+one block buffer, then writes the block's next ``z`` and adds its ``|z|``
+terms to the next Gram (:func:`_add_abs_block`) while it is hot. Every
+product of the walk runs in numpy and only the solve calls scipy. The two
+load their own OpenBLAS, whose idle threads would spin on each other's
+cores after every call; :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT`` before
+either loads so that they sleep at once, which changes no result.
+Everything else that applies the network to data runs through
+:func:`hnf.layers.walk`, the one forward loop: the ELM front here, and
+:func:`evaluate` and :func:`verify_invariants` block by block. The test
+split stays out of the loop: :func:`evaluate` scores every map on it once,
+after the last layer, for the report only. Nothing about the budgets or
+stopping looks at it; there is no cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -304,6 +304,7 @@ def _to_y_basis(m: np.ndarray) -> np.ndarray:
     return np.hstack([a + c, c - a]) * math.sqrt(0.5)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the solve reports non-finite
 def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
            u_basis: bool) -> tuple[np.ndarray, np.ndarray]:
     """The next layer's G and B, zero but for ``Z Z^T`` and ``T Z^T`` of
@@ -322,52 +323,39 @@ def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
     return g_next, b_next
 
 
-def _expanded_statistics(z: np.ndarray, t: np.ndarray, g: np.ndarray,
-                         b: np.ndarray, buf: np.ndarray):
-    """Complete in place the G and B of ``y = vn_expand(z)`` that
-    :func:`_carry` began, in the basis ``u = R y = [z; |z|] / sqrt(2)``:
-    sum the ``|z|`` blocks over column blocks, each ``|z|`` in ``buf`` and
-    products in G's lower-left block, which the closing transpose fills."""
-    r, n = z.shape
-    prod = g[r:, :r]
-    for cols in _blocks(n):
-        zb = z[:, cols]
-        a = np.abs(zb, out=buf[:r, :zb.shape[1]])
-        g[:r, r:] += np.matmul(zb, a.T, out=prod)
-        g[r:, r:] += np.matmul(a, a.T, out=prod)
-        b[:, r:] += t[:, cols] @ a.T
-    g[r:, :r] = g[:r, r:].T
-    g *= 0.5
-    b *= math.sqrt(0.5)
-    return g, b
+@np.errstate(over="ignore", invalid="ignore")  # the solve reports non-finite
+def _add_abs_block(zb: np.ndarray, tb: np.ndarray, g: np.ndarray,
+                   b: np.ndarray, buf: np.ndarray) -> None:
+    """Add a block's ``|z|`` terms to the u-basis G and B that :func:`_carry`
+    began: ``|z|`` into ``buf``, rows x rows products into G's lower-left
+    block, which :func:`_fit` fills by transpose after the last block."""
+    r = len(zb)
+    a = np.abs(zb, out=buf[:r, :zb.shape[1]])
+    g[:r, r:] += np.matmul(zb, a.T, out=g[r:, :r])
+    g[r:, r:] += np.matmul(a, a.T, out=g[r:, :r])
+    b[:, r:] += tb @ a.T
 
 
 def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
          clock: float) -> tuple[list[OutputMap], list[LayerRecord], bool]:
     """The maps, report rows and certificate of :func:`train` on the train
-    split ``(x, t)``, each row timed from ``clock`` or the row before: the
-    walk the module describes, where the witness ``[M, -M]`` reads
-    ``[sqrt(2) M, 0]`` in the ``u`` basis. Nothing outlives the call but
-    what it returns."""
+    split ``(x, t)``, one pass per layer; the witness ``[M, -M]`` reads
+    ``[sqrt(2) M, 0]`` in the ``u`` basis. Each row, timed from ``clock`` or
+    the row before, covers the next layer's ``|z|`` sums."""
     n = t.shape[1]
     held = np.empty((max(l.weight.rows for l in net.layers), n))
     buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
     q = next(walk(net, x, held))[1]  # x, or the front's in held
+    with np.errstate(over="ignore", invalid="ignore"):  # as _carry does
+        g, b = q @ q.T, t @ q.T
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
     maps, rows, certified = [], [], True
     nodes = net.layers[0].out_dim if net.has_front else 0
     for (layer_no, layer), (_, nxt) in zip(steps, [*steps[1:], (0, None)]):
-        # a non-finite or overflowing feature is reported by the solve
-        with np.errstate(over="ignore", invalid="ignore"):
-            if layer is None:
-                g, b = q @ q.T, t @ q.T
-            else:
-                g, b = _expanded_statistics(held[:layer.weight.rows], t,
-                                            *carry, buf)
-            # the solve overwrites G, so the next layer's share is taken first
-            carry = None if nxt is None else _carry(
-                nxt.weight.entries, g, b, layer is not None)
+        # the solve overwrites G, so the next layer's share is taken first
+        carry = None if nxt is None else _carry(
+            nxt.weight.entries, g, b, layer is not None)
         eps = math.inf
         witness = m = start = None
         if layer is not None:
@@ -397,9 +385,15 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
                 feats = vn_expand(zb, out=buf[:layer.out_dim, :len(labels)])
                 sums[1] += block_score(m, zb, tb, labels)
             sums[0] += block_score(o, feats, tb, labels)
-            if nxt is not None:
-                np.matmul(nxt.weight.entries, feats,
-                          out=held[:nxt.weight.rows, cols])
+            if nxt is not None:  # feats are spent: buf takes the next |z|
+                zb = np.matmul(nxt.weight.entries, feats,
+                               out=held[:nxt.weight.rows, cols])
+                _add_abs_block(zb, tb, *carry, buf)
+        if nxt is not None:  # close the next layer's G and B
+            (g, b), r = carry, nxt.weight.rows
+            g[r:, :r] = g[:r, r:].T
+            g *= 0.5
+            b *= math.sqrt(0.5)
         (cost, acc), (witness_cost, witness_acc) = (sums / n).tolist()
         if layer is not None:
             diag.update(witness_cost=witness_cost,

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -16,9 +18,11 @@ import hnf.cli
 import hnf.trainer
 from hnf.cli import main
 from hnf.data import Dataset, load_csv, make_synthetic_blobs, split_dataset
-from hnf.layers import load_network, save_network
+from hnf.layers import HnfNetwork, load_network, save_network
 from hnf.errors import DataError
+from hnf.matrixgen import WeightMatrix
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
+from hnf.trainer import TrainConfig, build_network, verify_invariants
 
 from conftest import count_walk
 
@@ -483,28 +487,36 @@ class TestVerifyCommand:
         assert code == 4
 
     def test_non_finite_weight_fails_with_nan_margins(self, tmp_path, capsys):
-        """A NaN entry reaches every check: each counts its violations and
-        reports nan, not a finite margin, as its worst."""
+        """In memory, a NaN entry reaches every check: each counts its
+        violations and reports nan, not a finite margin, as its worst. In a
+        run's weight file it is a corrupt file: verify exits 3 naming it."""
+        blobs = make_synthetic_blobs(8, 3, 500, separation=6.0, seed=3)
+        net = build_network(8, TrainConfig(n1=16, depth=2), 1)
+        w = net.layers[0].weight
+        entries = w.entries.copy()
+        entries[3, 2] = float("nan")
+        net = HnfNetwork((replace(net.layers[0], weight=WeightMatrix(
+            w.rows, w.cols, entries, w.kind, w.seed)), *net.layers[1:]))
+        report = verify_invariants(net, blobs, trials=300)
+        assert len(report.checks) == 5
+        by_name = {c.name: c for c in report.checks}
+        inversion = by_name["inversion_round_trip"]
+        assert (inversion.count, inversion.violations) == (300, 300)
+        for c in report.checks:
+            assert c.violations > 0, c.name
+            assert math.isnan(c.worst_margin), c.name
+
         out = tmp_path / "run"
         assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "2",
                      "--out", str(out)]) == 0
-        from hnf.matrixgen import WeightMatrix, load_weight, save_weight
-
         wpath = out / "weights" / "w01.hnfw"
-        w = load_weight(wpath)
-        entries = w.entries.copy()
-        entries[3, 2] = float("nan")
-        save_weight(WeightMatrix(w.rows, w.cols, entries, w.kind, w.seed),
-                    wpath)
+        raw = bytearray(wpath.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        wpath.write_bytes(bytes(raw))
         capsys.readouterr()
-        assert main(["verify", "--run", str(out), "--trials", "300"]) == 4
-        rows = {line.split()[0]: line.split()[1:4] for line in
-                capsys.readouterr().out.splitlines()[1:]}
-        assert len(rows) == 5
-        assert rows["inversion_round_trip"][:2] == ["300", "300"]
-        for name, (_, violations, margin) in rows.items():
-            assert int(violations) > 0, name
-            assert margin == "nan", name
+        assert main(["verify", "--run", str(out), "--trials", "300"]) == 3
+        err = capsys.readouterr().err
+        assert "w01.hnfw" in err and "Traceback" not in err
 
     def test_unchecked_check_prints_no_nan(self, tmp_path, capsys):
         """On all-zero features the norm check has no input to check: it
@@ -899,6 +911,25 @@ class TestCorruptArtifacts:
                      "--trials", "5"]) == 3
         assert "map01.bin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rel", ["maps/map02.bin", "weights/w02.hnfw"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_artifact_exits_3(self, trained_run, tmp_path, capsys,
+                                         rel, value):
+        """A map or weight file holding a NaN or infinity is corrupt: eval
+        and verify exit 3 naming it, and print no cost or margin."""
+        def edit(raw):
+            return raw[:-8] + np.array([value], dtype="<f8").tobytes()
+
+        run = corrupt_copy(trained_run, tmp_path, rel, edit)
+        assert main(["eval", "--run", str(run)]) == 3
+        assert main(["verify", "--run", str(run), "--data", "blobs",
+                     "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(Path(rel).name) == 2
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("rel, key", [
         ("manifest.json", "artifacts"),
         ("network.json", "layers"),
@@ -959,10 +990,12 @@ class TestCorruptArtifacts:
         ("csv", lambda d: d["data_options"].update(split=-5)),
         ("csv", lambda d: d["data_options"].update(split=13)),
         ("blobs", lambda d: d["data_options"]["blobs"].update(p=0)),
+        ("blobs", lambda d: d["artifacts"]["maps"].append("maps/map02.json")),
     ], ids=["std-not-object", "mu-not-number", "sigma-missing", "mu-short",
             "sigma-zero", "options-list", "blob-p-text", "blobs-list",
             "split-text", "split-fraction", "label-col-list",
-            "split-negative", "split-over-rows", "blob-p-zero"])
+            "split-negative", "split-over-rows", "blob-p-zero",
+            "map-layer-twice"])
     def test_bad_manifest_field_exits_3(self, manifest_runs, tmp_path, capsys,
                                         run, edit):
         def rewrite(raw):

@@ -303,7 +303,7 @@ class TestNetworkForward:
         assert set(callers("walk")) == {"_fit", "evaluate",
                                         "verify_invariants"}
         assert callers("_fit") == ["train"]
-        assert callers("_expanded_statistics") == ["_fit"]
+        assert callers("_add_abs_block") == ["_fit"]
         assert callers("vn_expand") == ["_fit", "verify_invariants"]
 
 

@@ -147,3 +147,13 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_weight(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, tmp_path, value):
+        w = make_random_orthonormal(6, 4, seed=9)
+        entries = w.entries.copy()
+        entries[5, 3] = value
+        path = tmp_path / "w.hnfw"
+        save_weight(WeightMatrix(6, 4, entries, w.kind, w.seed), path)
+        with pytest.raises(FormatError, match="w.hnfw: non-finite"):
+            load_weight(path)

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dpotrf
 
 import hnf.solvers
 from hnf.data import make_synthetic_blobs
-from hnf.errors import DataError, DimensionError, ParameterError
+from hnf.errors import DataError, DimensionError, FormatError, ParameterError
 from hnf.layers import HnfLayer, HnfNetwork, vn_expand, walk
 from hnf.matrixgen import (
     WeightKind,
@@ -485,6 +485,14 @@ class TestOutputMapIO:
         assert back.train_cost == om.train_cost
         assert back.layer_index == om.layer_index
         assert back.solver["newton_steps"] == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, tmp_path, rng, value):
+        matrix = rng.standard_normal((3, 6))
+        matrix[0, 4] = value
+        save_output_map(OutputMap(matrix, 2.5, 0.125, 2), tmp_path / "map02")
+        with pytest.raises(FormatError, match="map02.bin: non-finite"):
+            load_output_map(tmp_path / "map02.json")
 
     def test_infinite_epsilon_round_trips_as_null(self, tmp_path, rng):
         om = OutputMap(rng.standard_normal((2, 2)), math.inf, 0.5, 0, None)

@@ -32,8 +32,7 @@ from hnf.trainer import (
     build_network,
     evaluate,
     map_widths,
-    _carry,
-    _expanded_statistics,
+    _fit,
     _to_y_basis,
     train,
     verify_invariants,
@@ -405,31 +404,60 @@ class TestExpandedStatistics:
     @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
     def test_u_basis_gram_matches_the_expanded_features(self, blobs,
                                                         monkeypatch, elm):
-        """Each expanding layer's G and B, assembled in the u basis from
-        the previous layer's statistics and block sums over |z|, and
-        rotated back, are those of vn_expand(z) within 1e-12 relative: for
-        the non-square first layer, the square inner ones and the layer
-        behind an ELM front."""
+        """Each expanding layer's G and B, begun by _carry from the previous
+        layer's statistics, summed by _add_abs_block once per 64-column
+        block of the pass before, closed and rotated back, are those of
+        vn_expand(z) within 1e-12 relative: for the non-square first layer,
+        the square inner ones and the layer behind an ELM front."""
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        solved, summed = [], []
+        real_step = hnf.trainer._add_abs_block
+
+        def solve(g, b, n, eps=math.inf, **kw):
+            solved.append((g.copy(), b.copy()))
+            return least_squares(g, b, n, eps, **kw)
+
+        def step(zb, tb, *rest):
+            summed.append((len(zb), zb.shape[1]))
+            real_step(zb, tb, *rest)
+
+        monkeypatch.setattr("hnf.trainer.least_squares", solve)
+        monkeypatch.setattr("hnf.trainer._add_abs_block", step)
         net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm,
                                            seed=1), 1)
-        t = blobs.T_train
-        q = next(walk(net, blobs.X_train))[1]
-        g, b, u_basis = q @ q.T, t @ q.T, False
-        for layer in net.layers[elm:]:
-            w = layer.weight.entries
-            z = w @ q
-            y = vn_expand(z)
-            g, b = _expanded_statistics(z, t, *_carry(w, g, b, u_basis),
-                                        np.empty((len(z), 64)))
+        x, t = blobs.X_train, blobs.T_train
+        _fit(net, x, t, False, 0.0)
+        n = t.shape[1]
+        blocks = [min(64, n - s) for s in range(0, n, 64)]
+        assert summed == [(l.weight.rows, c) for l in net.layers[elm:]
+                          for c in blocks]
+        feats = [f.copy() for _, f in walk(net, x)]
+        assert len(feats) == len(solved) == len(net.layers) + 1 - elm
+        for (g, b), y in zip(solved[1:], feats[1:]):
             assert np.array_equal(g, g.T)
             want_g, want_b = y @ y.T, t @ y.T
             back = _to_y_basis(_to_y_basis(g).T)  # R^T G R, G symmetric
             assert (np.linalg.norm(back - want_g)
-                    <= 1e-12 * np.linalg.norm(want_g)), w.shape
+                    <= 1e-12 * np.linalg.norm(want_g)), y.shape
             assert (np.linalg.norm(_to_y_basis(b) - want_b)
-                    <= 1e-12 * np.linalg.norm(want_b)), w.shape
-            q, u_basis = y, True
+                    <= 1e-12 * np.linalg.norm(want_b)), y.shape
+
+    @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
+    def test_fit_runs_one_block_loop_per_map(self, blobs, monkeypatch, elm):
+        """Every map is solved, scored and the next layer's |z| summed in one
+        pass over the train columns: _fit runs one _blocks loop per map."""
+        loops, real_blocks = [], hnf.trainer._blocks
+
+        def blocks(n):
+            loops.append(n)
+            return real_blocks(n)
+
+        monkeypatch.setattr("hnf.trainer._blocks", blocks)
+        net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm,
+                                           seed=1), 1)
+        maps, _, _ = _fit(net, blobs.X_train, blobs.T_train, False, 0.0)
+        assert len(maps) == 4 - elm
+        assert loops == [blobs.meta["N_train"]] * len(maps)
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(n1=16, depth=3, seed=1),
