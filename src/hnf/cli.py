@@ -43,10 +43,11 @@ from .errors import (
     HnfError,
     ParameterError,
     ResourceError,
+    SolverError,
     StateError,
 )
 from .layers import ACTIVATIONS, json_artifact, load_network, save_network
-from .solvers import load_output_map, save_output_map
+from .solvers import load_output_map, save_output_map, within_ball
 from .trainer import (
     DEFAULT_MEMORY_BUDGET,
     EPS_SCHEDULES,
@@ -389,7 +390,8 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
     the manifest's. A manifest field of the wrong type, length or range
     (two maps of one layer too), or ``data_options`` the data cannot take,
     is a DataError naming manifest.json; a map whose column count does not
-    fit its layer is one naming the map's file."""
+    fit its layer is one naming the map's file, and a map outside its ball
+    a SolverError naming it."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
         net = load_network(run / manifest["artifacts"]["network"])
@@ -421,6 +423,10 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
             raise DataError(f"{run / rel}: {m.matrix.shape[1]} columns, but "
                             f"the map of layer {m.layer_index} reads "
                             f"{width.get(m.layer_index, 'no')} features")
+        if not within_ball(m.matrix, m.epsilon):
+            raise SolverError(f"{run / rel}: squared norm "
+                              f"{float(np.sum(m.matrix ** 2)):.6e} is outside "
+                              f"its ball, epsilon {m.epsilon:.6e}")
     if not isinstance(spec, str):
         raise DataError(f"{run_dir}: manifest.json names no data_source; "
                         "pass --data")

@@ -54,7 +54,8 @@ class Dataset:
         if not checked:
             n = self.X.shape[1]
             combined = np.concatenate([self.train_idx, self.test_idx])
-            if len(np.unique(combined)) != n or len(combined) != n:
+            # a sort, not np.unique, whose first call imports numpy.ma
+            if not np.array_equal(np.sort(combined), np.arange(n)):
                 raise DataError("train/test indices must partition all columns")
             if not (np.all(np.sum(self.T == 1.0, axis=0) == 1)
                     and np.all((self.T == 0.0) | (self.T == 1.0))):

@@ -249,13 +249,20 @@ def json_artifact(path):
 
 
 def load_network(manifest_path) -> HnfNetwork:
-    """Rebuild a network from a manifest written by :func:`save_network`."""
+    """Rebuild a network from a manifest written by :func:`save_network`; a
+    weight file whose header disagrees with its record is a
+    :class:`DataError` naming that file."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     layers = []
     with json_artifact(manifest_path) as doc:
         for rec in doc["layers"]:
             w = load_weight(base / rec["file"])
+            header = {"rows": w.rows, "cols": w.cols, "kind": w.kind.name,
+                      "seed": w.seed}
+            if header != {k: rec[k] for k in header}:
+                raise DataError(f"{base / rec['file']}: header {header} is "
+                                f"not the layer {manifest_path.name} records")
             layers.append(HnfLayer(w, expand=rec["expand"],
                                    activation=rec["activation"]))
         return HnfNetwork(tuple(layers))

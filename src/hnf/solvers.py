@@ -21,7 +21,10 @@ Everything here minimizes the sample-average squared prediction error
 Only the factorizations here call scipy's LAPACK; the statistics are
 formed in numpy, whose OpenBLAS is not scipy's. Neither pool's threads spin
 after a call, as :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT`` (see
-:mod:`hnf.trainer`); results do not depend on it.
+:mod:`hnf.trainer`); results do not depend on it. The four routines used
+(``dpotrf``, ``dpotrs``, ``dtrtrs``, ``dsyevr``) come from scipy's compiled
+LAPACK module, loaded alone (:func:`_lapack`): ``import scipy.linalg``
+would add some 320 modules, about 20 MB and 0.3 s, to every process.
 
 The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of
@@ -31,18 +34,47 @@ M this is computed without materializing U, and it collapses to
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DataError, DimensionError, FormatError, ParameterError
 from .layers import json_artifact, pinv_weight
 from .matrixgen import WeightMatrix
+
+
+def _lapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from
+    its file under its own name; ``find_spec`` locates scipy without
+    importing it. Where no file loads alone (as in a build whose
+    ``scipy/__init__.py`` must first put bundled libraries on the search
+    path), ``scipy.linalg.lapack``, which exports the same routines."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        spec = importlib.util.spec_from_file_location(
+            name, linalg / f"_flapack{suffix}")
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:  # no such file, or it does not load alone
+            continue
+        sys.modules[name] = module  # a later import scipy.linalg reuses it
+        return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_flapack = _lapack()
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 #: Lower bound applied to computed budgets so the ball never degenerates.
 EPSILON_FLOOR = 1e-12
@@ -89,6 +121,11 @@ def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     return m * math.sqrt(eps / nrm2)
 
 
+def within_ball(o: np.ndarray, eps: float) -> bool:
+    """Whether ``||o||_F^2 <= eps``, to the certificate's relative 1e-12."""
+    return float(np.sum(o * o)) <= eps * (1.0 + 1e-12)
+
+
 def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
                   witness: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Minimize (1/N)||T - O Y||_F^2 subject to ||O||_F^2 <= eps, exactly,
@@ -125,7 +162,7 @@ def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
         found = _cholesky_newton(g.T, b, eps, mu)
     if found is None:
         # LAPACK overwrites the F-ordered G.T in place
-        lam, v = eigh(g.T, overwrite_a=True, check_finite=False)
+        lam, v = eigh(g.T)
         c = b @ v
         # forming G sums N products per entry and eigh adds d more
         # roundings, so eigenvalues below (d + N) * eps * lam_max are noise;
@@ -148,6 +185,20 @@ def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
     o = project_frobenius_ball(o, eps)
     return np.ascontiguousarray(o), {"method": method, "newton_steps": steps,
                                      "multiplier": mu}
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues and the eigenvectors of the symmetric
+    F-ordered ``a``, read from its lower triangle, which ``dsyevr``
+    overwrites: what ``scipy.linalg.eigh(a, overwrite_a=True,
+    check_finite=False)`` runs by default, to the bit."""
+    lwork, liwork, _ = _flapack.dsyevr_lwork(len(a), lower=1)
+    lam, v, _, _, info = _flapack.dsyevr(
+        a, compute_v=1, lower=1, overwrite_a=1, lwork=int(lwork),
+        liwork=int(liwork))
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed: info {info}")
+    return lam, v
 
 
 def _reset_gram(g: np.ndarray, diagonal: np.ndarray) -> None:

@@ -69,7 +69,7 @@ from .matrixgen import (
     make_random_orthonormal,
     make_raw_gaussian,
 )
-from .solvers import OutputMap, embed_previous_map, least_squares
+from .solvers import OutputMap, embed_previous_map, least_squares, within_ball
 
 WEIGHT_KINDS = ("random", "dct")
 EPS_SCHEDULES = ("exact", "doubling")
@@ -406,7 +406,7 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
                 and float(np.sum(witness * witness)) <= eps * (1.0 + 1e-9)
                 and abs(diag["witness_drift"]) <= MONOTONE_SLACK
                 and cost <= witness_cost + MONOTONE_SLACK
-                and float(np.sum(o * o)) <= eps * (1.0 + 1e-12))
+                and within_ball(o, eps))
         maps.append(OutputMap(o, eps, cost, layer_no, diag))
         now = time.perf_counter()
         rows.append(LayerRecord(layer_no, nodes, eps, cost, acc, math.nan,

@@ -1051,6 +1051,45 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert err.count("map02.json") == 2 and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b[:12] + bytes([2]) + b[13:],
+        lambda b: b[:13] + struct.pack("<Q", struct.unpack_from("<Q", b, 13)[0]
+                                       + 1) + b[21:],
+    ], ids=["kind", "seed"])
+    def test_weight_header_off_its_record_exits_3(self, trained_run, tmp_path,
+                                                  capsys, edit):
+        """A weight file whose header (``<4sIIBQ``: the kind byte at offset
+        12, the seed at 13-20) is not the layer network.json records is not
+        the run's weight."""
+        run = corrupt_copy(trained_run, tmp_path, "weights/w01.hnfw", edit)
+        assert main(["eval", "--run", str(run)]) == 3
+        assert main(["verify", "--run", str(run), "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("w01.hnfw") == 2
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("outside", [None, 1e-9], ids=["x10", "1e-9"])
+    def test_map_outside_its_ball_exits_4(self, trained_run, tmp_path, capsys,
+                                          outside):
+        """A stored map scaled by 10, or to 1e-9 relative outside its ball,
+        fails the run's certificate."""
+        meta = json.loads((trained_run / "maps/map03.json").read_text())
+
+        def edit(raw):
+            o = np.frombuffer(raw, dtype="<f8")
+            scale = 10.0 if outside is None else math.sqrt(
+                meta["epsilon"] * (1.0 + outside) / float(np.sum(o * o)))
+            return (o * scale).astype("<f8").tobytes()
+
+        run = corrupt_copy(trained_run, tmp_path, "maps/map03.bin", edit)
+        assert main(["eval", "--run", str(run)]) == 4
+        assert main(["verify", "--run", str(run), "--trials", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("map03") == 2
+        assert "Traceback" not in captured.err
+
     def test_missing_map_bin_is_data_error(self, trained_run, tmp_path):
         run = tmp_path / "copy"
         shutil.copytree(trained_run, run)
@@ -1150,31 +1189,107 @@ class TestReproducibility:
 
 
 #: Imports ``hnf.cli`` and prints, as JSON, what ``OPENBLAS_THREAD_TIMEOUT``
-#: was when numpy and scipy were first imported: each loads its OpenBLAS
-#: then, and OpenBLAS reads the variable only when it loads.
+#: was when numpy and scipy's compiled LAPACK module were loaded: each loads
+#: its OpenBLAS then, and OpenBLAS reads the variable only when it loads.
+#: Either load raises the interpreter's "import" audit event.
 IMPORT_ORDER_PROBE = """
 import json, os, sys
 seen = {}
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name in ("numpy", "scipy"):
-            seen.setdefault(name, os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
-        return None
-sys.meta_path.insert(0, Spy())
+def spy(event, args):
+    if event == "import" and args[0] in ("numpy", "scipy.linalg._flapack"):
+        seen.setdefault(args[0], os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.addaudithook(spy)
 import hnf.cli
 print(json.dumps(seen))
 """
+
+#: ``python -c LAPACK_PROBE FAULT RUN``: with scipy's LAPACK file made
+#: missing or unloadable (FAULT ``missing`` or ``unloadable``; ``none`` for
+#: neither), imports ``hnf.cli``, trains a blobs run into RUN, evaluates
+#: and verifies it, and prints, as JSON, the exit codes and the sorted
+#: ``scipy.linalg`` modules loaded; then imports ``scipy.linalg`` and
+#: prints whether its ``lapack.dpotrf`` is hnf's and its ``eigh`` works.
+LAPACK_PROBE = """
+import importlib.machinery, importlib.util, json, sys
+fault, run = sys.argv[1:]
+if fault == "missing":
+    importlib.machinery.EXTENSION_SUFFIXES = [
+        ".missing" + s for s in importlib.machinery.EXTENSION_SUFFIXES]
+elif fault == "unloadable":
+    real = importlib.util.module_from_spec
+    def module_from_spec(spec):
+        if spec.name == "scipy.linalg._flapack":
+            raise ImportError("does not load alone")
+        return real(spec)
+    importlib.util.module_from_spec = module_from_spec
+import hnf.cli
+codes = [hnf.cli.main(argv) for argv in (
+    ["train", "--data", "blobs", "--n1", "16", "--depth", "3", "--seed", "1",
+     "--out", run], ["eval", "--run", run], ["verify", "--run", run])]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+import numpy as np, scipy.linalg
+import hnf.solvers
+lam = scipy.linalg.eigh(np.diag([2.0, 1.0]), eigvals_only=True)
+same = scipy.linalg.lapack.dpotrf is hnf.solvers.dpotrf
+print(json.dumps([codes, loaded, same, lam.tolist()]))
+"""
+
+
+def lapack_probe(fault, run):
+    proc = run_module(fault, str(run), python=("-c", LAPACK_PROBE))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def lapack_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("lapack") / "run"
+    return run, lapack_probe("none", run)
+
+
+class TestLapackLoader:
+    def test_cli_loads_no_scipy_linalg_module_but_flapack(self, lapack_run):
+        """train, eval and verify run on scipy's LAPACK module alone."""
+        _, (codes, loaded, _, _) = lapack_run
+        assert codes == [0, 0, 0]
+        assert loaded == ["scipy.linalg._flapack"]
+
+    def test_scipy_linalg_imports_after_hnf(self, lapack_run):
+        """A later ``import scipy.linalg`` works and reuses the module hnf
+        loaded: its routines are hnf's."""
+        _, (_, _, same, lam) = lapack_run
+        assert same is True
+        assert lam == [1.0, 2.0]
+
+    @pytest.mark.parametrize("fault", ["missing", "unloadable"])
+    def test_fallback_writes_the_same_run(self, lapack_run, tmp_path, fault):
+        """Where the LAPACK file is missing or does not load alone, hnf
+        takes the routines from ``scipy.linalg.lapack``, to the same
+        bytes."""
+        run, (codes, _, _, _) = lapack_run
+        fallback = tmp_path / "run"
+        got, loaded, same, _ = lapack_probe(fault, fallback)
+        assert got == codes and same is True
+        assert "scipy.linalg.lapack" in loaded
+        rels = sorted(p.relative_to(run) for p in run.rglob("*.*")
+                      if p.parent.name in ("maps", "weights"))
+        assert rels and rels == sorted(
+            p.relative_to(fallback) for p in fallback.rglob("*.*")
+            if p.parent.name in ("maps", "weights"))
+        for rel in rels:
+            assert (run / rel).read_bytes() == (fallback / rel).read_bytes()
 
 
 class TestThreadTimeout:
     @pytest.mark.parametrize("given, seen", [(None, "4"), ("28", "28")],
                              ids=["unset", "user-set"])
     def test_set_before_numpy_and_scipy_load(self, given, seen):
-        """hnf sets the timeout before anything it imports loads numpy, and
-        keeps a value the user set."""
+        """hnf sets the timeout before anything it imports loads numpy or
+        scipy's LAPACK module, and keeps a value the user set."""
         env = without_thread_timeout()
         if given is not None:
             env["OPENBLAS_THREAD_TIMEOUT"] = given
         proc = run_module(python=("-c", IMPORT_ORDER_PROBE), env=env)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"numpy": seen, "scipy": seen}
+        assert json.loads(proc.stdout) == {"numpy": seen,
+                                           "scipy.linalg._flapack": seen}

@@ -344,6 +344,17 @@ class TestSplitAndMerge:
         combined = np.concatenate([resplit.train_idx, resplit.test_idx])
         assert len(np.unique(combined)) == 100
 
+    @pytest.mark.parametrize("train, test", [
+        ([0, 1], [1, 3]), ([0, 5], [2, 3]), ([-1, 1], [2, 3]), ([0, 1], [2]),
+    ], ids=["repeated", "beyond", "negative", "short"])
+    def test_indices_must_partition_the_columns(self, train, test):
+        """Train and test indices together name each column exactly once:
+        four distinct indices do not partition four columns if one lies
+        outside them."""
+        x, t = np.zeros((2, 4)), np.eye(2)[:, [0, 1, 0, 1]]
+        with pytest.raises(DataError, match="partition"):
+            Dataset(x, t, np.array(train), np.array(test), {})
+
     def test_split_deterministic(self):
         ds = make_synthetic_blobs(4, 2, 100, 3.0, seed=1)
         a = split_dataset(ds, 70, seed=5)

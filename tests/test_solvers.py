@@ -379,6 +379,28 @@ class TestCholeskyNewton:
         assert steps < cold_steps
 
 
+class TestEigh:
+    @pytest.mark.parametrize("n", [90, 25],
+                             ids=["full-rank", "rank-deficient"])
+    def test_matches_scipy_bit_for_bit(self, rng, n):
+        """``solvers.eigh`` reads the lower triangle of an F-ordered Gram and
+        returns what ``scipy.linalg.eigh(a, overwrite_a=True,
+        check_finite=False)`` does, bit for bit; the rank-deficient Gram has
+        a zero row and a repeated one, as ReLU features do."""
+        import scipy.linalg
+
+        y = rng.standard_normal((60, n))
+        y[7], y[8] = 0.0, y[3]
+        g = np.asfortranarray(y @ y.T)
+        g[np.triu_indices(len(g), 1)] = np.nan  # neither reads it
+        lam, v = hnf.solvers.eigh(g.copy(order="F"))
+        ref_lam, ref_v = scipy.linalg.eigh(g.copy(order="F"), overwrite_a=True,
+                                           check_finite=False)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+        assert np.all(np.diff(lam) >= 0) and np.isfinite(v).all()
+
+
 class TestEpsilonSchedule:
     def test_orthonormal_gives_twice_previous_norm(self, rng):
         o_prev = make_map(rng.standard_normal((3, 4)))
