@@ -19,12 +19,14 @@ rotation, each Gram is built in the ``u`` basis: :func:`_carry` writes its
 ``z z^T`` and ``T z^T`` blocks from the previous layer's statistics through
 the weight. A layer's pass scores the solved map, rotated back to ``y``,
 and the witness on :data:`SCORE_BLOCK`-column blocks, each expanded once in
-one block buffer, then writes the block's next ``z`` and adds its ``|z|``
-terms to the next Gram (:func:`_add_abs_block`) while it is hot. Every
-product of the walk runs in numpy and only the solve calls scipy. The two
-load their own OpenBLAS, whose idle threads would spin on each other's
-cores after every call; :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT`` before
-either loads so that they sleep at once, which changes no result.
+the pass's own block buffer, then writes the block's next ``z`` and adds
+its ``|z|`` terms to the next Gram (:func:`_add_abs_block`) while it is
+hot. Before each solve and each pass, glibc hands back the heap it kept
+after frees (:func:`_release_heap`), so the walk's peak is what it holds.
+Every product of the walk runs in numpy and only the solve calls scipy.
+The two load their own OpenBLAS, whose idle threads would spin on each
+other's cores after every call; :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT``
+before either loads so that they sleep at once, which changes no result.
 Everything else that applies the network to data runs through
 :func:`hnf.layers.walk`, the one forward loop: the ELM front here, and
 :func:`evaluate` and :func:`verify_invariants` block by block. The test
@@ -35,6 +37,7 @@ stopping looks at it; there is no cross-validation anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -217,9 +220,12 @@ def build_network(input_dim: int, cfg: TrainConfig,
     Expanding layer l is random orthonormal with seed + l, or DCT. Before
     a layer's weight is built, what the train walk holds there must fit
     ``cfg.memory_budget``: every weight so far (its own included), the
-    layer's rows of pre-activations on ``n_cols`` columns, the d-row block
-    buffer, its d x d Gram and the carry into it: the previous Gram beside
-    ``W R^T`` and their product."""
+    layer's rows of pre-activations on ``n_cols`` columns and the larger
+    of two moments. One is its d x d Gram with the carry into it (the
+    previous Gram beside ``W R^T`` and their product), which the previous
+    layer's solve follows. The other is a pass with its block buffer: the
+    previous layer's pass sums this Gram beside a buffer of this layer's
+    rows, and the last layer's own pass holds a d-row buffer alone."""
     if not cfg.elm_front and cfg.n1 < input_dim:
         raise ConfigError(
             f"orthonormal first layer needs n1 >= input dim, "
@@ -233,13 +239,17 @@ def build_network(input_dim: int, cfg: TrainConfig,
         weight_bytes += width * fan_in * 8
         d = width if front else 2 * width
         carry = 0 if front else (fan_in + 2 * width) * fan_in * 8
-        need = weight_bytes + carry + (width * n_cols + d * block + d * d) * 8
+        at_carry = carry + d * d * 8
+        in_pass = max(0 if front else (d * d + width * block) * 8,
+                      d * block * 8 if layer_no == cfg.depth else 0)
+        need = weight_bytes + width * n_cols * 8 + max(at_carry, in_pass)
         if need > cfg.memory_budget:
             raise ResourceError(
                 f"layer {layer_no}: weights up to this layer ({weight_bytes} "
-                f"bytes), its {width} x {n_cols} float64 pre-activations, "
-                f"the {d} x {block} block buffer, its {d} x {d} Gram and the "
-                f"{carry}-byte carry into it need {need} bytes, over the "
+                f"bytes), its {width} x {n_cols} float64 pre-activations "
+                f"and the larger of a pass with its block buffer ({in_pass} "
+                f"bytes) and its {d} x {d} Gram with the carry into it "
+                f"({at_carry} bytes) need {need} bytes, over the "
                 f"{cfg.memory_budget}-byte budget")
         if front:
             w = make_raw_gaussian(width, fan_in, cfg.seed + 1)
@@ -278,23 +288,35 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     clock = time.perf_counter()
     net = build_network(data.input_dim, cfg, n_train)
 
-    x = data.X_train
-    transform = std_params = None
-    if cfg.standardize:
-        mu = x.mean(axis=1, keepdims=True)
-        sigma = x.std(axis=1, keepdims=True)
-        sigma[sigma == 0] = 1.0
-        transform = mu, sigma
-        x = (x - mu) / sigma
-        std_params = {"mu": mu.ravel().tolist(), "sigma": sigma.ravel().tolist()}
-
-    maps, rows, certified = _fit(net, x, data.T_train,
-                                 cfg.eps_schedule == "doubling", clock)
+    maps, rows, certified, transform = _fit(net, data, cfg, clock)
     test = evaluate(net, maps, data, "test", transform)
     rows = [replace(r, test_acc=test[r.layer].accuracy) for r in rows]
+    std_params = None if transform is None else {
+        "mu": transform[0].ravel().tolist(),
+        "sigma": transform[1].ravel().tolist()}
     report = TrainReport(rows[0], rows[1:], certified,
                          {"standardize_params": std_params})
     return net, maps, report
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_heap() -> None:
+    """Hand the heap that glibc keeps resident after frees back to the
+    system, so that freed temporaries do not add to the peak of what
+    follows. Changes no value; does nothing without ``malloc_trim``."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def _to_y_basis(m: np.ndarray) -> np.ndarray:
@@ -336,18 +358,31 @@ def _add_abs_block(zb: np.ndarray, tb: np.ndarray, g: np.ndarray,
     b[:, r:] += tb @ a.T
 
 
-def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
-         clock: float) -> tuple[list[OutputMap], list[LayerRecord], bool]:
+def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
+         ) -> tuple[list[OutputMap], list[LayerRecord], bool, tuple | None]:
     """The maps, report rows and certificate of :func:`train` on the train
-    split ``(x, t)``, one pass per layer; the witness ``[M, -M]`` reads
-    ``[sqrt(2) M, 0]`` in the ``u`` basis. Each row, timed from ``clock`` or
-    the row before, covers the next layer's ``|z|`` sums."""
-    n = t.shape[1]
+    split of ``data``, one pass per layer, and the training (mu, sigma) if
+    ``cfg.standardize``; the witness ``[M, -M]`` reads ``[sqrt(2) M, 0]``
+    in the ``u`` basis. Each row, timed from ``clock`` or the row before,
+    covers the next layer's ``|z|`` sums. The train split's X (standardized
+    in place) and T copies live only as long as the baseline needs them;
+    a pass reads each block's targets from ``data.T`` and holds a block
+    buffer of the rows it uses, freed before the next carry and solve."""
+    idx = data.train_idx
+    n = len(idx)
     held = np.empty((max(l.weight.rows for l in net.layers), n))
-    buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
+    x, transform = data.X_train, None
+    if cfg.standardize:
+        mu = x.mean(axis=1, keepdims=True)
+        sigma = x.std(axis=1, keepdims=True)
+        sigma[sigma == 0] = 1.0
+        transform = mu, sigma
+        x -= mu
+        x /= sigma
     q = next(walk(net, x, held))[1]  # x, or the front's in held
+    del x
     with np.errstate(over="ignore", invalid="ignore"):  # as _carry does
-        g, b = q @ q.T, t @ q.T
+        g, b = q @ q.T, data.T_train @ q.T
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
     maps, rows, certified = [], [], True
@@ -361,10 +396,11 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
         if layer is not None:
             nodes += layer.out_dim
             witness, eps = embed_previous_map(maps[-1], layer.weight)
-            if doubling and len(maps) > 1:
+            if cfg.eps_schedule == "doubling" and len(maps) > 1:
                 eps = 2.0 * maps[-1].epsilon
             m = witness[:, :layer.weight.rows]
             start = np.hstack([math.sqrt(2.0) * m, np.zeros_like(m)])  # on u
+        _release_heap()
         try:
             o, diag = least_squares(g, b, n, eps, witness=start)
         except HnfError:
@@ -376,11 +412,16 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
         sums = np.zeros((2, 2))  # squared error and hits: map, witness
         if layer is not None:
             o = _to_y_basis(o)
+        _release_heap()
+        height = max(0 if layer is None else layer.out_dim,
+                     0 if nxt is None else nxt.weight.rows)
+        buf = np.empty((height, min(n, SCORE_BLOCK)))
         for cols in _blocks(n):
-            tb = t[:, cols]
+            tb = data.T[:, idx[cols]]
             labels = np.argmax(tb, axis=0)
-            feats = q[:, cols]
-            if layer is not None:
+            if layer is None:
+                feats = q[:, cols]
+            else:
                 zb = held[:layer.weight.rows, cols]
                 feats = vn_expand(zb, out=buf[:layer.out_dim, :len(labels)])
                 sums[1] += block_score(m, zb, tb, labels)
@@ -389,6 +430,7 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
                 zb = np.matmul(nxt.weight.entries, feats,
                                out=held[:nxt.weight.rows, cols])
                 _add_abs_block(zb, tb, *carry, buf)
+        q = buf = feats = tb = None  # the buffer, and the baseline's inputs
         if nxt is not None:  # close the next layer's G and B
             (g, b), r = carry, nxt.weight.rows
             g[r:, :r] = g[:r, r:].T
@@ -412,7 +454,7 @@ def _fit(net: HnfNetwork, x: np.ndarray, t: np.ndarray, doubling: bool,
         rows.append(LayerRecord(layer_no, nodes, eps, cost, acc, math.nan,
                                 diag["newton_steps"], int((now - clock) * 1000)))
         clock = now
-    return maps, rows, certified
+    return maps, rows, certified, transform
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import hnf.trainer
 from hnf.cli import main
 from hnf.data import Dataset, load_csv, make_synthetic_blobs, split_dataset
 from hnf.layers import HnfNetwork, load_network, save_network
-from hnf.errors import DataError
+from hnf.errors import DataError, ResourceError
 from hnf.matrixgen import WeightMatrix
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
 from hnf.trainer import TrainConfig, build_network, verify_invariants
@@ -73,6 +73,21 @@ BIG_BLOBS_RUN = ("--data", "blobs", "--blob-p", "4", "--blob-q", "2",
                  "--blob-n", "393216", "--n1", "4", "--depth", "4",
                  "--seed", "1")
 BIG_BLOBS_FEATURES = 64 * 262144 * 8
+
+#: ``hnf train`` arguments of a Letter-shaped blobs run (P = 16, Q = 26,
+#: 2000 train columns, n1 = 250, features up to d = 2000). Without a
+#: release of freed heap, glibc keeps about 24 MiB of the temporaries that
+#: carry layer 2's Gram into layer 3's resident through the last solve.
+LETTER_BLOBS_RUN = ("--data", "blobs", "--blob-p", "16", "--blob-q", "26",
+                    "--blob-n", "3000", "--n1", "250", "--depth", "3",
+                    "--seed", "1")
+
+#: What a train call's peak RSS holds beyond the count build_network checks:
+#: library code and OpenBLAS thread buffers first touched in the call
+#: (2.7-3.1 MiB for a depth-1 run on 300 columns, 2 cores), and beside the
+#: walk a block's targets and products and a solve's workspace (1.1 MiB of
+#: numpy buffers beyond the count, traced on LETTER_BLOBS_RUN).
+RSS_SLACK = 12 * 2 ** 20
 
 
 def run_train(tmp_path, *extra):
@@ -150,6 +165,26 @@ class TestTrainCommand:
         assert json.loads((out / "manifest.json").read_text())[
             "dataset"]["N_train"] * 64 * 8 == BIG_BLOBS_FEATURES
         assert growth_kib[0] * 1024 < BIG_BLOBS_FEATURES * 3 / 4
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_train_peak_is_within_the_budget_count(self, tmp_path):
+        """Freed heap is handed back before each solve and pass, so the
+        train call raises the peak RSS by less than the count build_network
+        checks plus RSS_SLACK: a budget that far below the growth refuses
+        the network."""
+        out = tmp_path / "run"
+        proc = run_module("train", "train", *LETTER_BLOBS_RUN,
+                          "--out", str(out), python=("-c", RSS_PROBE))
+        assert proc.returncode == 0, proc.stderr
+        code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and len(growth_kib) == 1
+        n_train = json.loads((out / "manifest.json").read_text())[
+            "dataset"]["N_train"]
+        budget = growth_kib[0] * 1024 - RSS_SLACK
+        with pytest.raises(ResourceError, match="block buffer.*carry"):
+            build_network(16, TrainConfig(n1=250, depth=3,
+                                          memory_budget=budget), n_train)
 
     def test_memory_budget_env_exits_5(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HNF_MEM_BUDGET", "10000")
@@ -580,7 +615,7 @@ class TestVerifyCommand:
             return real_make(rows, cols, seed)
 
         monkeypatch.setattr("hnf.trainer.make_random_orthonormal", make)
-        # 400 train columns: layer 2 needs 373760 bytes, layer 3 885760
+        # 400 train columns: layer 2 needs 246784 bytes, layer 3 582656
         monkeypatch.setenv("HNF_MEM_BUDGET", "400000")
         assert main(["verify", "--data", "blobs", "--n1", "16", "--depth",
                      "6", "--trials", "5"]) == 5
@@ -1164,7 +1199,8 @@ class TestReproducibility:
         src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
         plain = without_thread_timeout()
         envs = {"a": plain, "b": {**plain, "OPENBLAS_THREAD_TIMEOUT": "28"}}
-        for data in (["blobs"], [f"csv:{src}", "--split", "40"]):
+        for data in (["blobs"], ["blobs", "--elm"], ["blobs", "--standardize"],
+                     [f"csv:{src}", "--split", "40"]):
             outs = []
             for name, env in envs.items():
                 out = tmp_path / name
@@ -1176,7 +1212,7 @@ class TestReproducibility:
             a, b = outs
             rels = sorted(p.relative_to(a) for p in a.rglob("*")
                           if p.suffix in (".hnfw", ".bin", ".snap"))
-            assert (Path(hnf.cli.SNAPSHOT_FILE) in rels) == (data != ["blobs"])
+            assert (Path(hnf.cli.SNAPSHOT_FILE) in rels) == (data[0] != "blobs")
             for rel in rels:
                 assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
             rows_a = [json.loads(l) for l in

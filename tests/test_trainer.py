@@ -1,7 +1,9 @@
+import ctypes
 import json
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,8 +58,8 @@ def letter_shape():
     return ds
 
 
-#: Bytes a train call holds beyond its walk's count and the train split's
-#: copies: targets' products, maps, block sums and numpy's iterator buffers.
+#: Bytes a train call holds beyond its walk's count: a block's targets and
+#: products, maps, block sums and numpy's iterator buffers.
 TRACE_SLACK = 2 ** 19
 
 
@@ -236,7 +238,7 @@ class TestTrain:
         calls = []
         monkeypatch.setattr("hnf.trainer.least_squares",
                             lambda *a, **k: calls.append(a))
-        # layers 1-3 need 139648, 322304 and 782848 bytes on 333 columns
+        # layers 1-3 need 94464, 212480 and 553472 bytes on 333 columns
         cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=500_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
@@ -257,7 +259,7 @@ class TestTrain:
 
         for name in ("make_random_orthonormal", "make_dct_orthonormal"):
             monkeypatch.setattr(hnf.trainer, name, recording(name))
-        # layer 3 needs 782848 bytes on 333 columns; layers 3-6 have
+        # layer 3 needs 514048 bytes on 333 columns; layers 3-6 have
         # widths 64, 128, 256 and 512
         cfg = TrainConfig(n1=16, depth=6, weight_kind=kind, seed=1,
                           memory_budget=500_000)
@@ -275,40 +277,40 @@ class TestTrain:
 
         monkeypatch.setattr(hnf.trainer, "make_random_orthonormal", make)
         small = make_synthetic_blobs(4, 2, 20, separation=6.0, seed=3)
-        # on 13 train columns layer 5's pre-activations, block buffer, Gram
-        # and carry take 957440 bytes, and the weights of layers 1-5 174336
-        # more (widths 8 to 128); layer 4 needs 292608 in all
+        # on 13 train columns layer 5's pre-activations, Gram and the carry
+        # into it take 930816 bytes, and the weights of layers 1-5 174336
+        # more (widths 8 to 128); layer 4 needs 279296 in all
         cfg = TrainConfig(n1=8, depth=6, memory_budget=700_000)
         with pytest.raises(ResourceError, match="layer 5"):
             train(small, cfg)
         assert built == [8, 16, 32, 64]
 
     def test_budget_counts_held_pre_activations(self, blobs):
-        """Layer 3 needs 782848 bytes: its 64 x 333 train pre-activations,
-        the 128 x 333 block buffer, its 128 x 128 Gram, the carry from the
-        64 x 64 one and the weights. Counted as 128-row features on all 500
-        columns, the pre-activations alone needed 512000."""
-        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=782_848)
+        """Layer 3 needs 553472 bytes: the weights, its 64 x 333 train
+        pre-activations and its own pass's 128 x 333 block buffer, which
+        outweighs its 128 x 128 Gram with the carry from the 64 x 64 one,
+        and the previous pass's 64-row buffer beside that Gram. Counted as
+        128-row features on all 500 columns, the pre-activations alone
+        needed 512000."""
+        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=553_472)
         _, _, report = train(blobs, cfg)
         assert report.monotonicity_certified
         with pytest.raises(ResourceError, match="layer 3"):
-            train(blobs, replace(cfg, memory_budget=782_847))
+            train(blobs, replace(cfg, memory_budget=553_471))
 
     def test_budget_bounds_the_traced_peak(self):
         """What train allocates, as tracemalloc traces numpy's buffers,
-        is the count build_network checks plus the train split's X and T
-        copies and under TRACE_SLACK: a budget of the traced peak admits
-        the run, and one below it by the copies and the slack refuses it,
-        naming the block buffer and the carry."""
+        is the count build_network checks and under TRACE_SLACK more: a
+        budget of the traced peak admits the run, and one below it by the
+        slack refuses it, naming the block buffer and the carry."""
         ds = make_synthetic_blobs(8, 3, 6000, separation=3.0, seed=1)
         cfg = TrainConfig(n1=16, depth=4, seed=1)
         n_train = ds.meta["N_train"]
         _, peak = oracles.traced_peak(train, ds, cfg)
-        copies = ds.X_train.nbytes + ds.T_train.nbytes
         build_network(ds.input_dim, replace(cfg, memory_budget=peak), n_train)
         with pytest.raises(ResourceError, match="block buffer.*carry"):
             build_network(ds.input_dim, replace(
-                cfg, memory_budget=peak - copies - TRACE_SLACK), n_train)
+                cfg, memory_budget=peak - TRACE_SLACK), n_train)
 
     def test_test_walk_holds_no_train_buffer(self, monkeypatch):
         """No view into the train walk's pre-activations outlives the walk:
@@ -322,6 +324,42 @@ class TestTrain:
         held = 32 * ds.meta["N_train"] * 8
         assert peak > held
         assert live[0] < held / 2
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(n1=16, depth=3, seed=1),
+        TrainConfig(n1=16, depth=3, seed=1, standardize=True),
+        TrainConfig(n1=16, depth=3, seed=1, elm_front=True),
+    ], ids=["plain", "standardize", "elm"])
+    def test_solves_hold_no_block_buffer_or_train_copy(self, monkeypatch,
+                                                        cfg):
+        """When a solve starts, no block buffer of any pass's height is
+        live, nor the train split's T copy. Its X copy, standardized in
+        place if at all, is live only at the baseline's solve, whose pass
+        reads it, and not behind an ELM front: the baseline reads the
+        front's output in the held buffer. On 4000 train columns these
+        sizes are no other array's."""
+        ds = make_synthetic_blobs(8, 3, 6000, separation=3.0, seed=3)
+        n = ds.meta["N_train"]
+        net = build_network(8, cfg, n)
+        buffers = {h * SCORE_BLOCK * 8 for l in net.layers
+                   for h in (l.weight.rows, l.out_dim)}
+        x_copy, t_copy = ds.X_train.nbytes, ds.T_train.nbytes
+        live, real = [], hnf.trainer.least_squares
+
+        def spy(*args, **kw):
+            numpy_traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            live.append([t.size for t in numpy_traces.traces])
+            return real(*args, **kw)
+
+        monkeypatch.setattr("hnf.trainer.least_squares", spy)
+        oracles.traced_peak(train, ds, cfg)
+        assert n > SCORE_BLOCK
+        assert len(live) == len(net.layers) + 1 - cfg.elm_front
+        for k, sizes in enumerate(live):
+            assert not buffers & set(sizes), k
+            assert t_copy not in sizes, k
+            assert sizes.count(x_copy) == (k == 0 and not cfg.elm_front), k
 
     def test_standardize_recorded(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
@@ -400,6 +438,40 @@ class TestTrain:
         assert monotone([r.train_cost for r in report.rows()])
 
 
+class TestReleaseHeap:
+    @pytest.fixture(autouse=True)
+    def fresh_lookup(self):
+        hnf.trainer._malloc_trim.cache_clear()
+        yield
+        hnf.trainer._malloc_trim.cache_clear()
+
+    def test_does_nothing_without_malloc_trim(self, monkeypatch):
+        """A C library without malloc_trim (musl, macOS) is opened once,
+        and the release is then a no-op."""
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: opened.append(name) or object())
+        assert hnf.trainer._release_heap() is None
+        assert hnf.trainer._release_heap() is None
+        assert opened == [None]
+
+    def test_trims_before_each_solve_and_pass(self, blobs, monkeypatch):
+        """Where the C library has malloc_trim, train calls it with 0
+        right before each map's solve and right before its pass."""
+        calls, real = [], hnf.trainer.least_squares
+
+        def malloc_trim(pad):
+            calls.append(("trim", pad))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+            malloc_trim=malloc_trim))
+        monkeypatch.setattr("hnf.trainer.least_squares", lambda *a, **kw: (
+            calls.append("solve") or real(*a, **kw)))
+        train(blobs, TrainConfig(n1=16, depth=3, seed=1))
+        assert calls == [("trim", 0), "solve", ("trim", 0)] * 4
+
+
 class TestExpandedStatistics:
     @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
     def test_u_basis_gram_matches_the_expanded_features(self, blobs,
@@ -423,10 +495,10 @@ class TestExpandedStatistics:
 
         monkeypatch.setattr("hnf.trainer.least_squares", solve)
         monkeypatch.setattr("hnf.trainer._add_abs_block", step)
-        net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm,
-                                           seed=1), 1)
+        cfg = TrainConfig(n1=16, depth=3, elm_front=elm, seed=1)
+        net = build_network(8, cfg, 1)
+        _fit(net, blobs, cfg, 0.0)
         x, t = blobs.X_train, blobs.T_train
-        _fit(net, x, t, False, 0.0)
         n = t.shape[1]
         blocks = [min(64, n - s) for s in range(0, n, 64)]
         assert summed == [(l.weight.rows, c) for l in net.layers[elm:]
@@ -453,9 +525,9 @@ class TestExpandedStatistics:
             return real_blocks(n)
 
         monkeypatch.setattr("hnf.trainer._blocks", blocks)
-        net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm,
-                                           seed=1), 1)
-        maps, _, _ = _fit(net, blobs.X_train, blobs.T_train, False, 0.0)
+        cfg = TrainConfig(n1=16, depth=3, elm_front=elm, seed=1)
+        net = build_network(8, cfg, 1)
+        maps, _, _, _ = _fit(net, blobs, cfg, 0.0)
         assert len(maps) == 4 - elm
         assert loops == [blobs.meta["N_train"]] * len(maps)
 
