@@ -1,13 +1,14 @@
 """Batch command-line interface: train, eval, verify.
 
 Exit codes are stable: 0 success, 2 configuration problems, 3 data problems,
-4 solver or certification failures, 5 resource budget exceeded. Every train
-run writes a manifest that reproduces it byte-for-byte on the same build and
-BLAS thread count, and ``eval`` can re-load every artifact it writes. A
-``csv:`` run also keeps the table it parsed (:data:`SNAPSHOT_FILE`), keyed
-to the CSV's bytes and parse options; ``eval`` and ``verify --run`` read
-that instead of parsing again while the key still matches, and parse
-otherwise, with the same output either way.
+4 solver or certification failures, 5 resource budget exceeded or memory
+exhausted. Each train setting is its flag, else its ``--config`` line, else
+its :data:`_TRAIN_SETTINGS` default. A train run writes a manifest that
+reproduces it byte-for-byte on the same build and BLAS thread count, and
+``eval`` can re-load every artifact it writes. A ``csv:`` run also keeps the
+table it parsed (:data:`SNAPSHOT_FILE`), keyed to the CSV's bytes and parse
+options; ``eval`` and ``verify --run`` read that instead of parsing again
+while the key still matches, and parse otherwise, with the same output.
 """
 
 from __future__ import annotations
@@ -71,30 +72,38 @@ _BLOB_DEFAULTS = {"p": 8, "q": 3, "n": 600, "separation": 10.0}
 #: The run-directory file holding a ``csv:`` source's parsed table.
 SNAPSHOT_FILE = "table.snap"
 
-#: Keys a ``train --config`` file may set; each mirrors the flag of that name.
-_CONFIG_KEYS = ("data", "label_col", "delimiter", "split", "split_seed",
-                "n1", "depth", "weights", "seed", "elm", "elm_activation",
-                "eps_schedule", "standardize", "out")
+#: Each ``train`` setting: its ``--config`` key, which is also its flag's
+#: dest, its type, and its value when neither the flag nor the file sets it.
+_TRAIN_SETTINGS = {
+    "data": (str, None), "label_col": (str, None), "delimiter": (str, ","),
+    "split": (int, None), "split_seed": (int, 0), "n1": (int, None),
+    "depth": (int, None), "weights": (str, "random"), "seed": (int, 0),
+    "elm": (bool, False), "elm_activation": (str, "relu"),
+    "eps_schedule": (str, "exact"), "standardize": (bool, False),
+    "out": (str, None)}
+
+#: The settings a manifest records as ``data_options``, beside ``blobs``.
+_DATA_OPTIONS = ("label_col", "delimiter", "split", "split_seed")
 
 #: The boolean values a config file may spell, in any case.
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _exit_code_for(exc: HnfError | OSError) -> int:
+def _exit_code_for(exc: HnfError | OSError | MemoryError) -> int:
     if isinstance(exc, (ConfigError, ParameterError, DimensionError, StateError)):
         return EXIT_CONFIG
     if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
-    if isinstance(exc, ResourceError):
+    if isinstance(exc, (ResourceError, MemoryError)):
         return EXIT_RESOURCE
     return EXIT_SOLVER
 
 
 def _read_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment. A key outside
-    :data:`_CONFIG_KEYS` is an error, so a misspelt or retired setting is
-    never silently ignored."""
+    :data:`_TRAIN_SETTINGS` or an empty value (so a whitespace delimiter,
+    which stripping empties) is an error, never silently ignored."""
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -108,9 +117,11 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _TRAIN_SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
-                              f"accepted keys: {', '.join(_CONFIG_KEYS)}")
+                              f"accepted keys: {', '.join(_TRAIN_SETTINGS)}")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: {key} has no value")
         values[key] = value
     return values
 
@@ -188,10 +199,12 @@ def _add_common_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blob-sep", type=float, default=None)
 
 
-def _blob_opts(args, seed: int) -> dict:
-    given = {"p": args.blob_p, "q": args.blob_q, "n": args.blob_n,
-             "separation": args.blob_sep}
-    return {"seed": seed, **{k: v for k, v in given.items() if v is not None}}
+def _data_opts(args, values: dict) -> dict:
+    """A manifest's ``data_options``, from ``values`` and the blob flags."""
+    given = {"seed": values["seed"], "p": args.blob_p, "q": args.blob_q,
+             "n": args.blob_n, "separation": args.blob_sep}
+    return {**{k: values[k] for k in _DATA_OPTIONS},
+            "blobs": {k: v for k, v in given.items() if v is not None}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,51 +252,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_config_from(args) -> tuple[TrainConfig, str, dict]:
-    file_vals = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_val, key, cast, default):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            raw = file_vals[key]
+def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
+    """The run's config, data source, ``--out`` and data options."""
+    lines = _read_config_file(args.config) if args.config else {}
+    s = {}
+    for key, (kind, default) in _TRAIN_SETTINGS.items():
+        value = getattr(args, key)
+        if value is None and key in lines:
+            raw = lines[key]
             try:
-                return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+                value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
             except (KeyError, ValueError):
                 raise ConfigError(f"{args.config}: {key} = {raw!r} is not "
-                                  f"a valid {cast.__name__}") from None
-        return default
-
-    data_spec = pick(args.data, "data", str, None)
-    if not data_spec:
+                                  f"a valid {kind.__name__}") from None
+        s[key] = default if value is None else value
+    if not s["data"]:
         raise ConfigError("no data source: pass --data or set data= in the config")
-    n1 = pick(args.n1, "n1", int, None)
-    depth = pick(args.depth, "depth", int, None)
-    if n1 is None or depth is None:
+    if s["n1"] is None or s["depth"] is None:
         raise ConfigError("--n1 and --depth are required")
-    seed = pick(args.seed, "seed", int, 0)
-    weight_kind = pick(args.weights, "weights", str, "random")
-    elm = bool(pick(args.elm, "elm", bool, False))
-    elm_act = pick(args.elm_activation, "elm_activation", str, "relu")
-    schedule = pick(args.eps_schedule, "eps_schedule", str, "exact")
-    standardize = bool(pick(args.standardize, "standardize", bool, False))
-    out_dir = pick(args.out, "out", str, None)
-    if not out_dir:
+    if not s["out"]:
         raise ConfigError("no output directory: pass --out or set out=")
-
     cfg = TrainConfig(
-        n1=n1, depth=depth, weight_kind=weight_kind, seed=seed,
-        elm_front=elm, elm_activation=elm_act, eps_schedule=schedule,
-        memory_budget=_memory_budget(), standardize=standardize,
-    )
-    data_opts = {
-        "label_col": pick(args.label_col, "label_col", str, None),
-        "delimiter": pick(args.delimiter, "delimiter", str, ","),
-        "split": pick(args.split, "split", int, None),
-        "split_seed": pick(args.split_seed, "split_seed", int, 0),
-        "blobs": _blob_opts(args, seed),
-    }
-    return cfg, data_spec, {"out": out_dir, **data_opts}
+        n1=s["n1"], depth=s["depth"], weight_kind=s["weights"], seed=s["seed"],
+        elm_front=s["elm"], elm_activation=s["elm_activation"],
+        eps_schedule=s["eps_schedule"], memory_budget=_memory_budget(),
+        standardize=s["standardize"])
+    return cfg, s["data"], Path(s["out"]), _data_opts(args, s)
 
 
 def _check_out_dir(out: Path) -> None:
@@ -324,8 +318,7 @@ def _replace_dir(out: Path, write) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg, data_spec, opts = _train_config_from(args)
-    out = Path(opts["out"])
+    cfg, data_spec, out, opts = _train_config_from(args)
     _check_out_dir(out)
     csv = _csv_args(data_spec, opts) if data_spec.startswith("csv:") else None
     data = _load_data(data_spec, opts)
@@ -337,8 +330,7 @@ def cmd_train(args) -> int:
         "version": __version__,
         "numpy": np.__version__,
         "data_source": data_spec,
-        "data_options": {k: opts[k] for k in ("label_col", "delimiter",
-                                              "split", "split_seed", "blobs")},
+        "data_options": opts,
         "dataset": data.meta,
         "config": asdict(cfg),
         "standardize_params": report.meta.get("standardize_params"),
@@ -470,9 +462,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    opts = {"label_col": args.label_col, "delimiter": args.delimiter,
-            "split": args.split, "split_seed": args.split_seed,
-            "blobs": _blob_opts(args, args.seed)}
+    opts = _data_opts(args, vars(args))
     if args.run:
         data, _, net, _, _ = _load_run(args.run, args.data,
                                        opts if args.data else None)
@@ -511,8 +501,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (HnfError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HnfError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code_for(exc)
 
 

@@ -403,7 +403,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
         _release_heap()
         try:
             o, diag = least_squares(g, b, n, eps, witness=start)
-        except HnfError:
+        except (HnfError, MemoryError):
             raise
         except Exception as exc:
             raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc

@@ -234,7 +234,12 @@ class TestTrainCommand:
         (b"data = blobs\nn1 = abc\ndepth = 1\n", "n1 = 'abc'"),
         (b"data = blobs\nn1 = 16\ndepth = 1\nstandardize = ture\n",
          "standardize = 'ture'"),
-    ], ids=["non-utf8", "bad-int", "bad-bool"])
+        (b"data = blobs\nn1 16\n", "run.cfg:2: expected 'key = value'"),
+        (b"data = blobs\nn1 = 16\ndepth = 1\nlabel_col =  # none\n",
+         "run.cfg:4: label_col has no value"),
+        (b"data = blobs\nwarm_start =\n", "run.cfg:2: unknown key"),
+    ], ids=["non-utf8", "bad-int", "bad-bool", "no-equals", "empty-value",
+            "unknown-empty"])
     def test_config_file_unreadable_value_exits_2(self, tmp_path, capsys,
                                                   text, named):
         cfgfile = tmp_path / "run.cfg"
@@ -242,6 +247,105 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfgfile)]) == 2
         err = capsys.readouterr().err
         assert "run.cfg" in err and named in err
+
+    def test_config_file_whitespace_delimiter_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """Config values are stripped, so a tab delimiter there is an empty
+        value: refused before the data is read, not taken as ','. Only the
+        flag gives the tab."""
+        src = tmp_path / "tab.csv"
+        src.write_text("".join(f"{i % 5}\t{i % 3}\t{'AB'[i % 2]}\n"
+                               for i in range(20)))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data = csv:{src}\nn1 = 4\ndepth = 1\n"
+                           f"delimiter = \t\nout = {tmp_path / 'x'}\n")
+        monkeypatch.setattr("hnf.cli.load_csv", lambda *a, **k: pytest.fail(
+            "the data was read"))
+        assert main(["train", "--config", str(cfgfile)]) == 2
+        assert "run.cfg:4: delimiter has no value" in capsys.readouterr().err
+        monkeypatch.undo()
+        cfgfile.write_text(f"data = csv:{src}\nn1 = 4\ndepth = 1\n"
+                           f"out = {tmp_path / 'x'}\n")
+        assert main(["train", "--config", str(cfgfile),
+                     "--delimiter", "\t"]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("n1 = 16\ndepth = 1\nout = {out}\n", "no data source"),
+        ("data = blobs\nn1 = 16\ndepth = 1\n", "no output directory"),
+        ("data = blobs\nn1 = 16\ndepth = 1\nweights = qr\nout = {out}\n",
+         "weight_kind must be one of"),
+    ], ids=["no-data", "no-out", "unknown-weights"])
+    def test_config_file_settings_checked_exit_2(self, tmp_path, capsys,
+                                                 text, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text.format(out=tmp_path / "x"))
+        assert main(["train", "--config", str(cfgfile)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("extra, code, message", [
+        (["--data", "csv:"], 3, "csv: needs a path"),
+        (["--data", "idx:a"], 3, "idx: needs IMAGES,LABELS"),
+        (["--delimiter", "ab"], 2, "delimiter must be one character"),
+        (["--n1", "0"], 2, "n1 must be >= 1"),
+    ], ids=["csv-no-path", "idx-one-part", "long-delimiter", "n1-zero"])
+    def test_bad_data_or_network_flag_exits(self, tmp_path, capsys, extra,
+                                            code, message):
+        src = tmp_path / "four.csv"
+        src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")
+        assert main(["train", "--data", f"csv:{src}", "--n1", "2",
+                     "--depth", "1", "--out", str(tmp_path / "x"),
+                     *extra]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, exc, message", [
+        ("hnf.cli.train", MemoryError(), "MemoryError"),
+        ("hnf.trainer.least_squares", MemoryError("Unable to allocate 8 EiB"),
+         "Unable to allocate 8 EiB"),
+    ], ids=["train", "solve"])
+    def test_out_of_memory_exits_5(self, tmp_path, capsys, monkeypatch,
+                                   target, exc, message):
+        """Running out of memory is a resource problem, in the solve too,
+        and no traceback; no run directory is written."""
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, exhausted)
+        code, out = run_train(tmp_path)
+        assert code == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_idx_train_and_test_parts_round_trip(self, tmp_path, capsys):
+        """A four-part ``idx:`` source keeps its own split: 60 train and
+        20 test images of 2 x 2 pixels. ``eval --run`` reproduces the
+        report and ``verify --run`` passes."""
+        rng = np.random.default_rng(5)
+        parts = []
+        for name, n in (("train", 60), ("test", 20)):
+            img, lbl = (tmp_path / f"{name}-{kind}.idx" for kind in "IL")
+            img.write_bytes(struct.pack(">IIII", 0x803, n, 2, 2)
+                            + rng.integers(0, 256, 4 * n, np.uint8).tobytes())
+            lbl.write_bytes(struct.pack(">II", 0x801, n)
+                            + (np.arange(n) % 10).astype(np.uint8).tobytes())
+            parts += [str(img), str(lbl)]
+        out = tmp_path / "run"
+        assert main(["train", "--data", "idx:" + ",".join(parts), "--n1", "8",
+                     "--depth", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["dataset"]["N_train"],
+                manifest["dataset"]["N_test"]) == (60, 20)
+        rows = [json.loads(l) for l in
+                (out / "report.jsonl").read_text().splitlines()]
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out)]) == 0
+        body = capsys.readouterr().out.splitlines()[1:]
+        assert len(body) == len(rows) == 3
+        for line, rec in zip(body, rows):
+            assert float(line.split()[1]) == pytest.approx(rec["train_cost"],
+                                                           rel=1e-9)
+        assert main(["verify", "--run", str(out), "--trials", "5"]) == 0
 
     def test_retrain_leaves_no_stale_files(self, tmp_path, capsys):
         _, out = run_train(tmp_path)
@@ -623,7 +727,8 @@ class TestVerifyCommand:
         assert built == [1, 2]
 
     @pytest.mark.parametrize("budget,code,message", [
-        ("1000", 5, "layer 1"), ("abc", 2, "HNF_MEM_BUDGET")])
+        ("1000", 5, "layer 1"), ("abc", 2, "HNF_MEM_BUDGET"),
+        ("0", 2, "memory_budget must be positive")])
     def test_fresh_network_reads_env_budget(self, monkeypatch, capsys,
                                             budget, code, message):
         monkeypatch.setenv("HNF_MEM_BUDGET", budget)
@@ -1026,11 +1131,12 @@ class TestCorruptArtifacts:
         ("csv", lambda d: d["data_options"].update(split=13)),
         ("blobs", lambda d: d["data_options"]["blobs"].update(p=0)),
         ("blobs", lambda d: d["artifacts"]["maps"].append("maps/map02.json")),
+        ("blobs", lambda d: d.pop("data_source")),
     ], ids=["std-not-object", "mu-not-number", "sigma-missing", "mu-short",
             "sigma-zero", "options-list", "blob-p-text", "blobs-list",
             "split-text", "split-fraction", "label-col-list",
             "split-negative", "split-over-rows", "blob-p-zero",
-            "map-layer-twice"])
+            "map-layer-twice", "no-data-source"])
     def test_bad_manifest_field_exits_3(self, manifest_runs, tmp_path, capsys,
                                         run, edit):
         def rewrite(raw):

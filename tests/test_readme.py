@@ -1,5 +1,6 @@
 """The README's Python API example runs as written, every ``hnf`` command
-it shows is one the CLI accepts, and it lists the report's columns."""
+it shows is one the CLI accepts, and it lists the report's columns and the
+config keys, which are the train flags."""
 
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hnf.cli import build_parser
+from hnf.cli import _TRAIN_SETTINGS, build_parser
 from hnf.trainer import _CSV_FIELDS
 
 README = Path(__file__).parents[1] / "README.md"
@@ -36,3 +37,16 @@ def test_report_columns_match_the_code():
                        r"row: (.*?)\.\s", README.read_text(), re.M | re.S)
     assert bullet, "README has no report.jsonl / report.csv bullet"
     assert re.findall(r"`(\w+)`", bullet.group(1)) == list(_CSV_FIELDS)
+
+
+def test_config_keys_match_the_code():
+    sentence = re.search(r"The keys\s+are (.*?)\s+\(a `-`", README.read_text(),
+                         re.S)
+    assert sentence, "README has no 'The keys are' sentence"
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(_TRAIN_SETTINGS)
+
+
+def test_config_keys_are_the_train_flags():
+    dests = vars(build_parser().parse_args(["train"])).keys() - {
+        "command", "config", "blob_p", "blob_q", "blob_n", "blob_sep"}
+    assert dests == _TRAIN_SETTINGS.keys()
