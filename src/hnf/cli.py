@@ -200,7 +200,12 @@ def _add_common_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _data_opts(args, values: dict) -> dict:
-    """A manifest's ``data_options``, from ``values`` and the blob flags."""
+    """A manifest's ``data_options``, from ``values`` and the blob flags.
+    An empty option (which only a flag can give) is refused, as an empty
+    config value is: ``--delimiter ""`` would otherwise read as ','."""
+    empty = [k for k in _DATA_OPTIONS if values[k] == ""]
+    if empty:
+        raise ConfigError(f"--{empty[0].replace('_', '-')} has no value")
     given = {"seed": values["seed"], "p": args.blob_p, "q": args.blob_q,
              "n": args.blob_n, "separation": args.blob_sep}
     return {**{k: values[k] for k in _DATA_OPTIONS},
@@ -439,8 +444,9 @@ def cmd_eval(args) -> int:
         if unknown:
             raise DimensionError(f"data labels {unknown} are not the run's "
                                  f"labels {names}")
-        data = replace(data, T=data.T[[own.index(n) for n in names]],
-                       checked=True)  # a permutation of T's rows
+        order = [own.index(n) for n in names]
+        if order != list(range(len(order))):  # T in the run's label order
+            data = replace(data, T=data.T[order], checked=True)
     if args.layer is not None:
         layer_ids = sorted(m.layer_index for m in maps)
         maps = [m for m in maps if m.layer_index == args.layer]

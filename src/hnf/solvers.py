@@ -23,8 +23,10 @@ formed in numpy, whose OpenBLAS is not scipy's. Neither pool's threads spin
 after a call, as :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT`` (see
 :mod:`hnf.trainer`); results do not depend on it. The four routines used
 (``dpotrf``, ``dpotrs``, ``dtrtrs``, ``dsyevr``) come from scipy's compiled
-LAPACK module, loaded alone (:func:`_lapack`): ``import scipy.linalg``
-would add some 320 modules, about 20 MB and 0.3 s, to every process.
+LAPACK module, loaded alone (:func:`_lapack`) at the first factorization:
+``import scipy.linalg`` would add some 320 modules, about 20 MB and 0.3 s,
+to every process, and a process that solves nothing (``hnf eval``,
+``hnf verify``) loads neither the module nor its OpenBLAS.
 
 The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of
@@ -34,6 +36,7 @@ M this is computed without materializing U, and it collapses to
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -49,12 +52,14 @@ from .layers import json_artifact, pinv_weight
 from .matrixgen import WeightMatrix
 
 
+@functools.cache
 def _lapack():
     """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from
-    its file under its own name; ``find_spec`` locates scipy without
-    importing it. Where no file loads alone (as in a build whose
-    ``scipy/__init__.py`` must first put bundled libraries on the search
-    path), ``scipy.linalg.lapack``, which exports the same routines."""
+    its file under its own name at the first factorization; ``find_spec``
+    locates scipy without importing it. Where no file loads alone (as in a
+    build whose ``scipy/__init__.py`` must first put bundled libraries on
+    the search path), ``scipy.linalg.lapack``, which exports the same
+    routines."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -73,8 +78,17 @@ def _lapack():
     return lapack
 
 
-_flapack = _lapack()
-dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+#: The routines :func:`_cholesky_newton` looks up on this module at call
+#: time, so that a test may replace one.
+_ROUTINES = ("dpotrf", "dpotrs", "dtrtrs")
+
+
+def __getattr__(name: str):
+    """``dpotrf``, ``dpotrs`` and ``dtrtrs``: scipy's, loaded at first use."""
+    if name in _ROUTINES:
+        return getattr(_lapack(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Lower bound applied to computed budgets so the ball never degenerates.
 EPSILON_FLOOR = 1e-12
@@ -192,8 +206,9 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F-ordered ``a``, read from its lower triangle, which ``dsyevr``
     overwrites: what ``scipy.linalg.eigh(a, overwrite_a=True,
     check_finite=False)`` runs by default, to the bit."""
-    lwork, liwork, _ = _flapack.dsyevr_lwork(len(a), lower=1)
-    lam, v, _, _, info = _flapack.dsyevr(
+    lapack = _lapack()
+    lwork, liwork, _ = lapack.dsyevr_lwork(len(a), lower=1)
+    lam, v, _, _, info = lapack.dsyevr(
         a, compute_v=1, lower=1, overwrite_a=1, lwork=int(lwork),
         liwork=int(liwork))
     if info:
@@ -225,6 +240,8 @@ def _cholesky_newton(g: np.ndarray, b: np.ndarray, eps: float, mu: float):
     (an inactive ball, or a multiplier of numerically 0), when a
     factorization fails, or when Newton does not converge.
     """
+    dpotrf, dpotrs, dtrtrs = (getattr(sys.modules[__name__], r)
+                              for r in _ROUTINES)
     floor = MU_FLOOR * float(np.trace(g))
     mu = max(mu, floor)
     g_diag = np.diagonal(g).copy()

@@ -89,8 +89,8 @@ DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 #: weight by at most 8.4 MB (at d = 2048), so it needs no budget of its own.
 VERIFY_BLOCK = 256
 
-#: Columns a walk takes at a time: evaluate scores them in one reused
-#: widest x block buffer, and train sums its statistics and scores over them.
+#: Columns a walk takes at a time: evaluate scores them in one reused block
+#: buffer, and train sums its statistics and scores over them.
 SCORE_BLOCK = 2048
 
 
@@ -469,9 +469,12 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     """Cost and accuracy of every map on the chosen split, keyed by layer.
 
     :func:`hnf.layers.walk`, the one forward loop, runs :data:`SCORE_BLOCK`
-    columns of the split at a time, in one reused buffer, scoring each map
-    on the features it reads and stopping at the deepest map.
-    ``transform`` is the training (mu, sigma), if it standardized. A map
+    columns of the split at a time, in one reused buffer as tall as the
+    widest layer it runs, scoring each map on the features it reads and
+    stopping at the deepest map. Each block's inputs and targets are read
+    from ``data`` through the split's indices, and only the block is
+    standardized by ``transform``, the training (mu, sigma), if it
+    standardized: no copy of the split is made. A map
     naming no map-bearing layer (beyond the depth, or layer 1 behind an ELM
     front) raises :class:`StateError`; data of another input width or class
     count :class:`DimensionError`.
@@ -487,20 +490,22 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     if predicted:
         raise DimensionError(f"data has {data.n_classes} classes, but the "
                              f"maps predict {predicted.pop()}")
-    if split == "train":
-        x, t = data.X_train, data.T_train
-    elif split == "test":
-        x, t = data.X_test, data.T_test
-    else:
+    if split not in ("train", "test"):
         raise ParameterError(f"split must be 'train' or 'test', got {split!r}")
-    if transform is not None:
-        x = (x - transform[0]) / transform[1]
+    idx = data.train_idx if split == "train" else data.test_idx
 
-    deepest, n = max(layers, default=0), t.shape[1]
+    deepest, n = max(layers, default=0), len(idx)
     sums = np.zeros((len(maps), 2))  # squared error and hits of each map
-    buf = np.empty((max(l.out_dim for l in net.layers), min(n, SCORE_BLOCK)))
+    # the layers the walk runs: up to the deepest map, or the ELM front
+    reached = net.layers[:max(deepest, int(net.has_front))]
+    buf = np.empty((max((l.out_dim for l in reached), default=0),
+                    min(n, SCORE_BLOCK)))
     for cols in _blocks(n):
-        xb, tb = x[:, cols], t[:, cols]
+        xb = data.X[:, idx[cols]].astype(np.float64, copy=False)
+        tb = data.T[:, idx[cols]]
+        if transform is not None:
+            xb -= transform[0]
+            xb /= transform[1]
         labels = np.argmax(tb, axis=0)
         for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
             for i, m in enumerate(maps):

@@ -74,6 +74,13 @@ BIG_BLOBS_RUN = ("--data", "blobs", "--blob-p", "4", "--blob-q", "2",
                  "--seed", "1")
 BIG_BLOBS_FEATURES = 64 * 262144 * 8
 
+#: ``hnf train`` arguments of a wide standardized blobs run, whose train
+#: split's inputs take 32 MiB: 64 rows on 65536 train columns.
+WIDE_STANDARDIZED_RUN = ("--data", "blobs", "--blob-p", "64", "--blob-q",
+                         "2", "--blob-n", "98304", "--n1", "64", "--depth",
+                         "1", "--seed", "1", "--standardize")
+WIDE_TRAIN_INPUTS = 64 * 65536 * 8
+
 #: ``hnf train`` arguments of a Letter-shaped blobs run (P = 16, Q = 26,
 #: 2000 train columns, n1 = 250, features up to d = 2000). Without a
 #: release of freed heap, glibc keeps about 24 MiB of the temporaries that
@@ -268,6 +275,23 @@ class TestTrainCommand:
                            f"out = {tmp_path / 'x'}\n")
         assert main(["train", "--config", str(cfgfile),
                      "--delimiter", "\t"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--delimiter", "--label-col"])
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    def test_empty_data_option_flag_exits_2(self, tmp_path, capsys,
+                                            monkeypatch, command, flag):
+        """An empty data-option flag is refused before the data is read, as
+        an empty config value is: ``--delimiter ""`` is not taken as ','."""
+        src = tmp_path / "tab.csv"
+        src.write_text("".join(f"{i % 5}\t{i % 3}\t{'AB'[i % 2]}\n"
+                               for i in range(6)))
+        monkeypatch.setattr("hnf.cli.load_csv", lambda *a, **k: pytest.fail(
+            "the data was read"))
+        train = ["--n1", "4", "--depth", "1", "--out", str(tmp_path / "x")]
+        assert main([command, "--data", f"csv:{src}", flag, "",
+                     *(train if command == "train" else [])]) == 2
+        assert f"error: {flag} has no value" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("n1 = 16\ndepth = 1\nout = {out}\n", "no data source"),
@@ -498,6 +522,25 @@ class TestEvalCommand:
         code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0 and len(growth_kib) == 2
         assert max(growth_kib) * 1024 < BIG_BLOBS_FEATURES / 4
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_eval_peak_holds_no_copy_of_the_inputs(self, tmp_path):
+        """The run's train inputs take 32 MiB (64 x 65536 float64). Each
+        block is read from the data and standardized on its own, with no
+        copy of the split, so each evaluate call raises the peak RSS by
+        less than a quarter of them."""
+        out = tmp_path / "run"
+        proc = run_module("train", *WIDE_STANDARDIZED_RUN, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "manifest.json").read_text())[
+            "dataset"]["N_train"] * 64 * 8 == WIDE_TRAIN_INPUTS
+        proc = run_module("evaluate", "eval", "--run", str(out),
+                          python=("-c", RSS_PROBE))
+        assert proc.returncode == 0, proc.stderr
+        code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and len(growth_kib) == 2
+        assert max(growth_kib) * 1024 < WIDE_TRAIN_INPUTS / 4
 
     def test_walks_each_split_once(self, trained_run, capsys, monkeypatch):
         calls = count_walk(monkeypatch)
@@ -807,12 +850,27 @@ class TestCsvSnapshot:
         assert parses == []
         assert got == 2 * audit(without_snapshot(run, tmp_path), capsys)
 
-    def test_audit_checks_the_columns_once(self, csv_run, capsys,
-                                           monkeypatch):
-        """eval reads the snapshot, outside input whose N columns it checks,
-        then splits it and puts T's rows in the run's label order without
-        checking them again."""
+    def test_manifest_empty_delimiter_still_loads(self, csv_run, capsys):
+        """A run whose manifest records ``delimiter: ""`` (as a train given
+        ``--delimiter ""`` wrote) still reads its data with ','."""
         _, run = csv_run
+        want = audit(run, capsys)
+        TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_options"].update(delimiter=""))
+        assert audit(run, capsys) == want
+        assert [code for code, _ in want] == [0, 0]
+
+    def test_audit_checks_the_columns_once(self, csv_run, capsys,
+                                           monkeypatch, tmp_path):
+        """eval reads the snapshot, outside input whose N columns it checks,
+        then splits it without checking them again; T's rows are already in
+        the run's label order. Data whose labels come in another order is
+        parsed and split, and only then are T's rows put in the run's
+        order, unchecked too."""
+        src, run = csv_run
+        lines = src.read_text().splitlines(keepends=True)
+        ba = tmp_path / "ba.csv"  # the same rows, rotated so B comes first
+        ba.write_text("".join(lines[1:] + lines[:1]))
         checked, real = [], Dataset.__post_init__
 
         def spy(ds, flag):
@@ -821,7 +879,10 @@ class TestCsvSnapshot:
 
         monkeypatch.setattr(Dataset, "__post_init__", spy)
         assert main(["eval", "--run", str(run)]) == 0
-        assert checked == [False, True, True]  # snapshot, split, reorder
+        assert checked == [False, True]  # snapshot, split
+        checked.clear()
+        assert main(["eval", "--run", str(run), "--data", f"csv:{ba}"]) == 0
+        assert checked == [False, True, True]  # parse, split, reorder
 
     def test_changed_byte_is_parsed_again(self, csv_run, capsys, monkeypatch,
                                           tmp_path):
@@ -1330,10 +1391,12 @@ class TestReproducibility:
                 assert ra == rb
 
 
-#: Imports ``hnf.cli`` and prints, as JSON, what ``OPENBLAS_THREAD_TIMEOUT``
-#: was when numpy and scipy's compiled LAPACK module were loaded: each loads
-#: its OpenBLAS then, and OpenBLAS reads the variable only when it loads.
-#: Either load raises the interpreter's "import" audit event.
+#: Imports ``hnf.cli``, runs one least-squares solve, and prints, as JSON,
+#: what ``OPENBLAS_THREAD_TIMEOUT`` was when numpy and scipy's compiled
+#: LAPACK module were loaded: each loads its OpenBLAS then (numpy at import,
+#: the LAPACK module at the first solve), and OpenBLAS reads the variable
+#: only when it loads. Either load raises the interpreter's "import" audit
+#: event.
 IMPORT_ORDER_PROBE = """
 import json, os, sys
 seen = {}
@@ -1342,6 +1405,8 @@ def spy(event, args):
         seen.setdefault(args[0], os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 sys.addaudithook(spy)
 import hnf.cli
+import numpy as np
+hnf.solvers.least_squares(np.eye(2), np.ones((1, 2)), 2)
 print(json.dumps(seen))
 """
 
@@ -1377,6 +1442,17 @@ print(json.dumps([codes, loaded, same, lam.tolist()]))
 """
 
 
+#: ``python -c FLAPACK_PROBE ARGV...``: runs ``hnf ARGV`` in a fresh
+#: interpreter and prints, as JSON, its exit code and whether scipy's
+#: compiled LAPACK module was loaded.
+FLAPACK_PROBE = """
+import json, sys
+import hnf.cli
+code = hnf.cli.main(sys.argv[1:])
+print(json.dumps([code, "scipy.linalg._flapack" in sys.modules]))
+"""
+
+
 def lapack_probe(fault, run):
     proc = run_module(fault, str(run), python=("-c", LAPACK_PROBE))
     assert proc.returncode == 0, proc.stderr
@@ -1395,6 +1471,19 @@ class TestLapackLoader:
         _, (codes, loaded, _, _) = lapack_run
         assert codes == [0, 0, 0]
         assert loaded == ["scipy.linalg._flapack"]
+
+    def test_only_a_solve_loads_lapack(self, tmp_path):
+        """scipy's LAPACK module, and its OpenBLAS, load at the first
+        solve: train loads them, eval and verify of its run never do."""
+        run = str(tmp_path / "run")
+        for argv, loaded in (
+                (["train", "--data", "blobs", "--n1", "16", "--depth", "2",
+                  "--out", run], True),
+                (["eval", "--run", run], False),
+                (["verify", "--run", run, "--trials", "20"], False)):
+            proc = run_module(*argv, python=("-c", FLAPACK_PROBE))
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
 
     def test_scipy_linalg_imports_after_hnf(self, lapack_run):
         """A later ``import scipy.linalg`` works and reuses the module hnf
@@ -1426,8 +1515,9 @@ class TestThreadTimeout:
     @pytest.mark.parametrize("given, seen", [(None, "4"), ("28", "28")],
                              ids=["unset", "user-set"])
     def test_set_before_numpy_and_scipy_load(self, given, seen):
-        """hnf sets the timeout before anything it imports loads numpy or
-        scipy's LAPACK module, and keeps a value the user set."""
+        """hnf sets the timeout before anything it imports loads numpy, or
+        its first solve scipy's LAPACK module, and keeps a value the user
+        set."""
         env = without_thread_timeout()
         if given is not None:
             env["OPENBLAS_THREAD_TIMEOUT"] = given

@@ -716,17 +716,20 @@ class TestEvaluate:
             assert math.isnan(ev.cost) and math.isnan(ev.accuracy)
 
     def test_peak_is_one_block_of_the_widest_features(self):
-        """Over at least four blocks, evaluate holds the widest layer's
-        features on SCORE_BLOCK columns; 1 MiB covers the split's inputs,
-        targets and predictions."""
+        """Over at least four blocks, evaluate holds the features of the
+        widest layer it runs on SCORE_BLOCK columns: the last layer's for
+        every map, layer 1's (a quarter of those) for maps up to layer 1.
+        1 MiB covers a block's inputs, targets and predictions."""
         ds = make_synthetic_blobs(4, 2, 6 * SCORE_BLOCK, separation=3.0,
                                   seed=1)
         assert ds.meta["N_train"] >= 4 * SCORE_BLOCK
         net, maps, _ = train(ds, TrainConfig(n1=16, depth=3, seed=1))
-        widest = max(l.out_dim for l in net.layers)
-        scores, peak = oracles.traced_peak(evaluate, net, maps, ds, "train")
-        assert sorted(scores) == [0, 1, 2, 3]
-        assert peak <= widest * SCORE_BLOCK * 8 + 2 ** 20
+        for upto in (3, 1):
+            scores, peak = oracles.traced_peak(evaluate, net, maps[:upto + 1],
+                                               ds, "train")
+            assert sorted(scores) == list(range(upto + 1))
+            assert peak <= (net.layers[upto - 1].out_dim * SCORE_BLOCK * 8
+                            + 2 ** 20)
 
 
 class TestVerifyInvariants:
