@@ -200,12 +200,7 @@ def _add_common_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _data_opts(args, values: dict) -> dict:
-    """A manifest's ``data_options``, from ``values`` and the blob flags.
-    An empty option (which only a flag can give) is refused, as an empty
-    config value is: ``--delimiter ""`` would otherwise read as ','."""
-    empty = [k for k in _DATA_OPTIONS if values[k] == ""]
-    if empty:
-        raise ConfigError(f"--{empty[0].replace('_', '-')} has no value")
+    """A manifest's ``data_options``, from ``values`` and the blob flags."""
     given = {"seed": values["seed"], "p": args.blob_p, "q": args.blob_q,
              "n": args.blob_n, "separation": args.blob_sep}
     return {**{k: values[k] for k in _DATA_OPTIONS},
@@ -409,8 +404,8 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
         manifest_opts = opts is None
         if manifest_opts:  # the types train writes; null takes the default
             opts = _typed(manifest.get("data_options") or {}, {
-                "label_col": (str, int), "delimiter": str, "split": int,
-                "split_seed": int, "blobs": dict})
+                **{k: _TRAIN_SETTINGS[k][0] for k in _DATA_OPTIONS},
+                "label_col": (str, int), "blobs": dict})  # old label_col: int
             opts["blobs"] = _typed(opts.get("blobs", {}), {
                 "p": int, "q": int, "n": int, "separation": (int, float),
                 "seed": int})
@@ -505,7 +500,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
+    try:  # an empty data flag would read as its default: refuse it first
+        for k in ("data", *_DATA_OPTIONS):
+            if getattr(args, k, None) == "":
+                raise ConfigError(f"--{k.replace('_', '-')} has no value")
         return _COMMANDS[args.command](args)
     except (HnfError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

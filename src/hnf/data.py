@@ -450,7 +450,9 @@ def make_synthetic_blobs(p: int, q: int, n: int, separation: float,
     counts = np.full(q, n // q)
     counts[: n % q] += 1
     labels = np.repeat(np.arange(q), counts)
-    x = rng.standard_normal((p, n)) + means[labels].T
+    x = rng.standard_normal((p, n))
+    for c, end in enumerate(np.cumsum(counts)):  # class c's columns, in place
+        x[:, end - counts[c]:end] += means[c][:, None]
 
     target_train = round(n * 2 / 3)
     cuts = counts * 2 // 3

@@ -19,14 +19,15 @@ Everything here minimizes the sample-average squared prediction error
   its predecessor's training cost.
 
 Only the factorizations here call scipy's LAPACK; the statistics are
-formed in numpy, whose OpenBLAS is not scipy's. Neither pool's threads spin
-after a call, as :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT`` (see
-:mod:`hnf.trainer`); results do not depend on it. The four routines used
-(``dpotrf``, ``dpotrs``, ``dtrtrs``, ``dsyevr``) come from scipy's compiled
-LAPACK module, loaded alone (:func:`_lapack`) at the first factorization:
-``import scipy.linalg`` would add some 320 modules, about 20 MB and 0.3 s,
-to every process, and a process that solves nothing (``hnf eval``,
-``hnf verify``) loads neither the module nor its OpenBLAS.
+formed in numpy, whose OpenBLAS is not scipy's. Neither pool's idle threads
+spin on the other's cores after a call, as :mod:`hnf` sets
+``OPENBLAS_THREAD_TIMEOUT`` before either loads; results do not depend on
+it. The four routines used (``dpotrf``, ``dpotrs``, ``dtrtrs``,
+``dsyevr``) are read from :func:`_lapack`, scipy's compiled LAPACK module
+loaded alone at the first factorization: ``import scipy.linalg`` would add
+some 320 modules, about 20 MB and 0.3 s, to every process, and a process
+that solves nothing (``hnf eval``, ``hnf verify``) loads neither the
+module nor its OpenBLAS.
 
 The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of
@@ -55,7 +56,8 @@ from .matrixgen import WeightMatrix
 @functools.cache
 def _lapack():
     """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from
-    its file under its own name at the first factorization; ``find_spec``
+    its file under its own name at the first factorization, which reads its
+    routines here (so a test replaces one on this module); ``find_spec``
     locates scipy without importing it. Where no file loads alone (as in a
     build whose ``scipy/__init__.py`` must first put bundled libraries on
     the search path), ``scipy.linalg.lapack``, which exports the same
@@ -76,18 +78,6 @@ def _lapack():
         return module
     from scipy.linalg import lapack
     return lapack
-
-
-#: The routines :func:`_cholesky_newton` looks up on this module at call
-#: time, so that a test may replace one.
-_ROUTINES = ("dpotrf", "dpotrs", "dtrtrs")
-
-
-def __getattr__(name: str):
-    """``dpotrf``, ``dpotrs`` and ``dtrtrs``: scipy's, loaded at first use."""
-    if name in _ROUTINES:
-        return getattr(_lapack(), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Lower bound applied to computed budgets so the ball never degenerates.
@@ -240,23 +230,22 @@ def _cholesky_newton(g: np.ndarray, b: np.ndarray, eps: float, mu: float):
     (an inactive ball, or a multiplier of numerically 0), when a
     factorization fails, or when Newton does not converge.
     """
-    dpotrf, dpotrs, dtrtrs = (getattr(sys.modules[__name__], r)
-                              for r in _ROUTINES)
+    lapack = _lapack()
     floor = MU_FLOOR * float(np.trace(g))
     mu = max(mu, floor)
     g_diag = np.diagonal(g).copy()
     for steps in range(NEWTON_MAX_STEPS + 1):
         _reset_gram(g, g_diag + mu)
-        chol, info = dpotrf(g, lower=1, clean=0, overwrite_a=1)
+        chol, info = lapack.dpotrf(g, lower=1, clean=0, overwrite_a=1)
         if info:
             break
-        ot = dpotrs(chol, b.T, lower=1)[0]
+        ot = lapack.dpotrs(chol, b.T, lower=1)[0]
         s = float(np.sum(ot * ot))
         if mu == floor and s <= eps:
             break
         if abs(s - eps) <= NEWTON_RTOL * eps:
             return ot.T, "cholesky", steps, mu
-        z = dtrtrs(chol, ot, lower=1)[0]
+        z = lapack.dtrtrs(chol, ot, lower=1)[0]
         mu = max(mu + s * (math.sqrt(s / eps) - 1.0) / float(np.sum(z * z)),
                  floor)
     _reset_gram(g, g_diag)

@@ -17,16 +17,14 @@ buffer of the widest weight's rows: half the width of ``y = [relu(z);
 relu(-z)]``. As ``u = R y = [z; |z|] / sqrt(2)`` is an orthonormal
 rotation, each Gram is built in the ``u`` basis: :func:`_carry` writes its
 ``z z^T`` and ``T z^T`` blocks from the previous layer's statistics through
-the weight. A layer's pass scores the solved map, rotated back to ``y``,
-and the witness on :data:`SCORE_BLOCK`-column blocks, each expanded once in
-the pass's own block buffer, then writes the block's next ``z`` and adds
-its ``|z|`` terms to the next Gram (:func:`_add_abs_block`) while it is
-hot. Before each solve and each pass, glibc hands back the heap it kept
-after frees (:func:`_release_heap`), so the walk's peak is what it holds.
-Every product of the walk runs in numpy and only the solve calls scipy.
-The two load their own OpenBLAS, whose idle threads would spin on each
-other's cores after every call; :mod:`hnf` sets ``OPENBLAS_THREAD_TIMEOUT``
-before either loads so that they sleep at once, which changes no result.
+the weight. A layer's pass runs :data:`SCORE_BLOCK`-column blocks through
+:func:`hnf.layers.step`: it expands each block once in the pass's block
+buffer, where the pass scores the solved map, rotated back to ``y``, and
+the witness, then writes the block's next ``z``, whose ``|z|`` terms the
+pass adds to the next Gram (:func:`_add_abs_block`) while it is hot.
+Before each solve and each pass, glibc hands back the heap it kept after
+frees (:func:`_release_heap`), so the walk's peak is what it holds. Every
+product runs in numpy; only the solve calls scipy (see :mod:`hnf.solvers`).
 Everything else that applies the network to data runs through
 :func:`hnf.layers.walk`, the one forward loop: the ELM front here, and
 :func:`evaluate` and :func:`verify_invariants` block by block. The test
@@ -63,8 +61,8 @@ from .layers import (
     HnfLayer,
     HnfNetwork,
     network_invert,
+    step,
     un_collapse,
-    vn_expand,
     walk,
 )
 from .matrixgen import (
@@ -399,6 +397,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
             if cfg.eps_schedule == "doubling" and len(maps) > 1:
                 eps = 2.0 * maps[-1].epsilon
             m = witness[:, :layer.weight.rows]
+            q = held[:layer.weight.rows]  # the pass reads this layer's z
             start = np.hstack([math.sqrt(2.0) * m, np.zeros_like(m)])  # on u
         _release_heap()
         try:
@@ -419,16 +418,13 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
         for cols in _blocks(n):
             tb = data.T[:, idx[cols]]
             labels = np.argmax(tb, axis=0)
-            if layer is None:
-                feats = q[:, cols]
-            else:
-                zb = held[:layer.weight.rows, cols]
-                feats = vn_expand(zb, out=buf[:layer.out_dim, :len(labels)])
+            zb = q[:, cols]
+            if layer is not None:
                 sums[1] += block_score(m, zb, tb, labels)
+            feats = step(zb, layer, buf[:, :len(labels)])[0]
             sums[0] += block_score(o, feats, tb, labels)
             if nxt is not None:  # feats are spent: buf takes the next |z|
-                zb = np.matmul(nxt.weight.entries, feats,
-                               out=held[:nxt.weight.rows, cols])
+                zb = step(feats, nxt=nxt, out=held[:nxt.weight.rows, cols])[1]
                 _add_abs_block(zb, tb, *carry, buf)
         q = buf = feats = tb = None  # the buffer, and the baseline's inputs
         if nxt is not None:  # close the next layer's G and B
@@ -576,7 +572,6 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sub = HnfNetwork(net.layers[int(net.has_front):])
-    front = HnfNetwork(net.layers[:1])
     front_note = ("checks run behind the non-expanding front layer"
                   if net.has_front else "")
     n, width = data.n_samples, map_widths(net)[0]
@@ -603,11 +598,12 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         heads = rng.random(count) < 0.5
         i2 = rng.integers(n, size=count)
         noise = rng.standard_normal((count, width)).T
-        x1, y2 = (next(walk(front, data.X[:, i]))[1] for i in (i1, i2))
+        # the input, or the front's features, then each layer's behind it
+        f1 = [f.copy() for _, f in walk(net, data.X[:, i1])]
+        x1, y2 = f1[0], next(walk(net, data.X[:, i2]))[1]
         x2 = np.where(heads, y2, x1 + noise * (
             0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
-        # a sub starting with a non-expanding layer yields no input: keep x
-        f1 = [x1, *(f.copy() for _, f in walk(sub, x1) if f is not x1)]
+        # a sub starting with a non-expanding layer yields no input: keep x2
         f2 = [x2, *(f.copy() for _, f in walk(sub, x2) if f is not x2)]
 
         if orthonormal:
@@ -650,11 +646,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
             c = 2.0 * rng.standard_gamma(rows * (cols - 1) / 2, size=len(rl))
             qq = np.sum(q * q, axis=0)
             delta *= rl * np.sqrt(qq / (np.sum(delta * delta, axis=0) + c))
-            if layer.expand:  # the walk's features hold W q exactly
-                out_p = vn_expand(un_collapse(out) + delta)
-            else:
-                out_p = ACTIVATIONS[layer.activation](
-                    layer.weight.entries @ q + delta)
+            # the walk's expanded features hold W q exactly
+            z = un_collapse(out) if layer.expand else step(q, nxt=layer)[1]
+            out_p = step(z + delta, layer)[0]
             margins[on] = (rl * rl * qq * (1.0 + 1e-9)
                            - np.sum((out - out_p) ** 2, axis=0))
         record("weight_perturbation_bound", margins)

@@ -293,6 +293,20 @@ class TestTrainCommand:
         assert f"error: {flag} has no value" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--run", "RUN"], ["verify"], ["verify", "--run", "RUN"]],
+        ids=["eval", "verify", "verify-run"])
+    def test_empty_data_flag_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     argv):
+        """An empty ``--data`` is refused before any data or run is read,
+        not taken as blobs or as the run's own source."""
+        for name in ("_load_data", "_load_run"):
+            monkeypatch.setattr(f"hnf.cli.{name}", lambda *a, **k: pytest.fail(
+                "the data was read"))
+        argv = [str(tmp_path / "run") if a == "RUN" else a for a in argv]
+        assert main([*argv, "--data", ""]) == 2
+        assert "error: --data has no value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, message", [
         ("n1 = 16\ndepth = 1\nout = {out}\n", "no data source"),
         ("data = blobs\nn1 = 16\ndepth = 1\n", "no output directory"),
@@ -541,6 +555,23 @@ class TestEvalCommand:
         code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0 and len(growth_kib) == 2
         assert max(growth_kib) * 1024 < WIDE_TRAIN_INPUTS / 4
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_blobs_hold_one_copy_of_their_data(self):
+        """Blobs of 64 x 131072 inputs (64 MiB) and 4 x 131072 targets
+        (4 MiB) raise the peak RSS of their making by at most both plus
+        16 MiB: the class means are added in place, not gathered into a
+        second copy of the inputs."""
+        x_bytes, t_bytes = 64 * 131072 * 8, 4 * 131072 * 8
+        proc = run_module("make_synthetic_blobs", "verify", "--data", "blobs",
+                          "--blob-p", "64", "--blob-q", "4", "--blob-n",
+                          "131072", "--n1", "64", "--depth", "1", "--trials",
+                          "1", python=("-c", RSS_PROBE))
+        assert proc.returncode == 0, proc.stderr
+        code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and len(growth_kib) == 1
+        assert growth_kib[0] * 1024 <= x_bytes + t_bytes + 16 * 2 ** 20
 
     def test_walks_each_split_once(self, trained_run, capsys, monkeypatch):
         calls = count_walk(monkeypatch)
@@ -1437,7 +1468,7 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
 import numpy as np, scipy.linalg
 import hnf.solvers
 lam = scipy.linalg.eigh(np.diag([2.0, 1.0]), eigvals_only=True)
-same = scipy.linalg.lapack.dpotrf is hnf.solvers.dpotrf
+same = scipy.linalg.lapack.dpotrf is hnf.solvers._lapack().dpotrf
 print(json.dumps([codes, loaded, same, lam.tolist()]))
 """
 

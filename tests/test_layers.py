@@ -282,9 +282,9 @@ class TestNetworkForward:
     def test_walk_is_called_only_by_fit_evaluate_and_verify(self):
         """Inside hnf, the walk is called by the train walk (for an ELM
         front), evaluate and verify_invariants, and by nothing else. The
-        train walk, which holds pre-activations and expands them itself,
-        runs only inside train, and expands nothing but what
-        verify_invariants checks besides."""
+        train walk, which holds pre-activations, runs only inside train.
+        Features are formed only by the step, which the walk, the train
+        walk and verify_invariants' perturbation check call."""
         def callers(name):
             found = []
             for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
@@ -304,7 +304,33 @@ class TestNetworkForward:
                                         "verify_invariants"}
         assert callers("_fit") == ["train"]
         assert callers("_add_abs_block") == ["_fit"]
-        assert callers("vn_expand") == ["_fit", "verify_invariants"]
+        assert callers("vn_expand") == ["step"]
+        assert set(callers("step")) == {"_fit", "verify_invariants", "walk"}
+
+    def test_weights_multiply_data_only_in_step_carry_and_pinv(self):
+        """Outside hnf.matrixgen, which builds, stores and loads weights, a
+        weight's entries are read only by the step and pinv_weight, handed
+        to _carry, or asked their shape: the only places a weight meets
+        data."""
+        readers = set()
+
+        def visit(node, fn, parent):
+            if isinstance(node, ast.FunctionDef):
+                fn = node.name
+            if isinstance(node, ast.Attribute) and node.attr == "entries":
+                if isinstance(parent, ast.Call) and getattr(
+                        parent.func, "id", None) == "_carry":
+                    readers.add("_carry")
+                elif not (isinstance(parent, ast.Attribute)
+                          and parent.attr == "shape"):
+                    readers.add(fn)
+            for child in ast.iter_child_nodes(node):
+                visit(child, fn, node)
+
+        for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
+            if path.name != "matrixgen.py":
+                visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
+        assert readers == {"step", "_carry", "pinv_weight"}
 
 
 class TestNetworkInvert:

@@ -304,7 +304,7 @@ class TestCholeskyNewton:
             factorizations.append(1)
             return dpotrf(*args, **kw)
 
-        monkeypatch.setattr(hnf.solvers, "dpotrf", counted)
+        monkeypatch.setattr(hnf.solvers._lapack(), "dpotrf", counted)
         # the Cholesky path hands over as soon as it reaches the floor:
         # at once from a cold start, after one step down from a start
         # above the root

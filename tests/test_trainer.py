@@ -576,13 +576,14 @@ class TestMapInputs:
         walked on the whole train split, and the test split's one walk runs
         every layer on every column once."""
         widths, expanded = count_walk(monkeypatch), {}
-        real_expand = hnf.trainer.vn_expand
+        real_step = hnf.trainer.step
 
-        def expand(z, **kw):
-            expanded[len(z)] = expanded.get(len(z), 0) + z.shape[1]
-            return real_expand(z, **kw)
+        def step(z, layer=None, *rest, **kw):
+            if layer is not None and layer.expand:
+                expanded[len(z)] = expanded.get(len(z), 0) + z.shape[1]
+            return real_step(z, layer, *rest, **kw)
 
-        monkeypatch.setattr("hnf.trainer.vn_expand", expand)
+        monkeypatch.setattr("hnf.trainer.step", step)
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 100)
         net, _, _ = train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm,
                                              seed=1))
@@ -782,8 +783,9 @@ class TestVerifyInvariants:
         """With the check's expansion negated and scaled by 1.5, the
         perturbed output of an orthonormal layer sits at least ||q|| from
         the walk's nonnegative one, beyond every bound r^2 ||q||^2, r <= 1."""
-        real = hnf.trainer.vn_expand
-        monkeypatch.setattr("hnf.trainer.vn_expand", lambda z: -1.5 * real(z))
+        real = hnf.trainer.step
+        monkeypatch.setattr("hnf.trainer.step", lambda z, layer: (
+            -1.5 * real(z, layer)[0], None))
         net = build_chain(8, 16, 3, seed=1)
         trials = VERIFY_BLOCK + 44
         rep = verify_invariants(net, blobs, trials=trials, seed=9)
