@@ -75,21 +75,14 @@ class Dataset:
     def n_samples(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def X_train(self) -> np.ndarray:
-        return self.X[:, self.train_idx]
-
-    @property
-    def T_train(self) -> np.ndarray:
-        return self.T[:, self.train_idx]
-
-    @property
-    def X_test(self) -> np.ndarray:
-        return self.X[:, self.test_idx]
-
-    @property
-    def T_test(self) -> np.ndarray:
-        return self.T[:, self.test_idx]
+    def columns(self, idx: np.ndarray, transform=None) -> np.ndarray:
+        """A new float64 array of the inputs at integer column indices
+        ``idx``, standardized by a (mu, sigma) ``transform`` if given."""
+        x = self.X[:, idx].astype(np.float64, copy=False)
+        if transform is not None:
+            x -= transform[0]
+            x /= transform[1]
+        return x
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -393,7 +386,8 @@ def merge_train_test(train: Dataset, test: Dataset) -> Dataset:
     The parts may disagree on label order (loaders assign indices by first
     appearance per file); labels are reconciled by name onto the train
     part's order, extended with any classes that only occur in the test
-    part.
+    part. The CLI's IDX parts always agree, but a library caller may join
+    two CSV parts whose first-appearance orders differ.
     """
     if train.input_dim != test.input_dim:
         raise DataError(
@@ -436,8 +430,9 @@ def make_synthetic_blobs(p: int, q: int, n: int, separation: float,
         raise ParameterError(f"degenerate blob parameters p={p} q={q} n={n}")
     if q > n:
         raise ParameterError(f"need at least one sample per class, q={q} > n={n}")
-    if separation < 0:
-        raise ParameterError(f"separation must be >= 0, got {separation}")
+    if not 0 <= separation < np.inf:  # NaN fails both comparisons
+        raise ParameterError(f"separation must be finite and >= 0, "
+                             f"got {separation}")
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.zeros((q, p))
     if q <= p:

@@ -1,13 +1,13 @@
 """The fixed nonlinear machinery: ReLU, dimension-doubling expansion, the
-lossless collapse, the per-block step and walk, and the exact inverse map.
+lossless collapse, a layer's features, the walk, and the exact inverse map.
 
-:func:`step` is the one place a weight multiplies data, beside
-:func:`pinv_weight` and the train walk's Gram carry. :func:`walk`, the one
-loop that applies a network to data, runs it a layer at a time: scoring,
-the invariant checks and an ELM front in training run through it. The
-train walk (``hnf.trainer``) holds pre-activations instead and calls the
-step itself. Memory is budgeted where the weights are built
-(``hnf.trainer.build_network``), not here.
+:meth:`HnfLayer.features` is the one place features are formed, and
+:meth:`~hnf.matrixgen.WeightMatrix.apply`, beside :func:`pinv_weight` and
+the train walk's Gram carry, the one place a weight multiplies data.
+:func:`walk`, the one loop that applies a network to data, runs both a
+layer at a time for scoring, the invariant checks and an ELM front in
+training. The train walk (``hnf.trainer``) holds pre-activations and calls
+each itself. Memory is budgeted in ``hnf.trainer.build_network``.
 
 A layer computes ``vn_expand(W @ q)``: the input is projected by a fixed
 weight matrix and split into its positive part and negated negative part.
@@ -116,6 +116,13 @@ class HnfLayer:
     def out_dim(self) -> int:
         return 2 * self.weight.rows if self.expand else self.weight.rows
 
+    def features(self, z: np.ndarray, out=None) -> np.ndarray:
+        """The expansion, or the activation, of pre-activations ``z`` in
+        ``out[:out_dim]`` (new if None; ``z`` may be its bottom rows)."""
+        out = None if out is None else out[:self.out_dim]
+        return (vn_expand(z, out=out) if self.expand
+                else ACTIVATIONS[self.activation](z, out=out))
+
 
 @dataclass(frozen=True)
 class HnfNetwork:
@@ -144,30 +151,15 @@ class HnfNetwork:
         return not self.layers[0].expand
 
 
-def step(z: np.ndarray, layer: HnfLayer | None = None, buf=None,
-         nxt: HnfLayer | None = None, out=None):
-    """``layer``'s features of its pre-activations ``z`` on a block of
-    columns (``z`` itself with no layer) in ``buf[:layer.out_dim]`` (new if
-    None; ``z`` may be its bottom rows), and ``nxt``'s pre-activations of
-    them in ``out`` (new if None; numpy reads an overlapping operand from a
-    copy), or None. A caller that reads the features before the next
-    product overwrites them calls each half on its own."""
-    if layer is not None:
-        buf = None if buf is None else buf[:layer.out_dim]
-        z = (vn_expand(z, out=buf) if layer.expand
-             else ACTIVATIONS[layer.activation](z, out=buf))
-    return z, None if nxt is None else np.matmul(nxt.weight.entries, z, out=out)
-
-
 def walk(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
     """The one loop that applies a network to data. Yields ``(layer,
     features)`` for each layer that carries a map: the baseline (layer 0)
     on ``x`` or on the ELM front's output, then every later layer, each
-    formed by :func:`step` only when asked for, in place in one buffer (new
-    if None) of the widest layer's features: ``W @ q`` fills its last
-    ``rows`` rows, then the expansion or activation. So each item but ``x``
-    is a view the next overwrites: copy what you keep. Data of another
-    width than the first layer takes raises :class:`DimensionError`."""
+    formed only when asked for, in place in one buffer (new if None) of
+    the widest layer's features: ``W @ q`` fills its last ``rows`` rows,
+    then :meth:`HnfLayer.features`. So each item but ``x`` is a view the
+    next overwrites: copy what you keep. Data of another width than the
+    first layer takes raises :class:`DimensionError`."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != net.layers[0].in_dim:
         raise DimensionError(f"data has {x.shape[0]} features, but the "
@@ -178,8 +170,8 @@ def walk(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
         buf = np.empty((max(l.out_dim for l in net.layers),) + x.shape[1:])
     for no, layer in enumerate(net.layers, 1):
         out = buf[:layer.out_dim]
-        z = step(x, nxt=layer, out=out[-layer.weight.rows:])[1]
-        x = step(z, layer, out)[0]
+        x = layer.features(layer.weight.apply(x, out[-layer.weight.rows:]),
+                           out)
         yield (0 if no == 1 and net.has_front else no), x
 
 

@@ -70,6 +70,11 @@ class WeightMatrix:
     def orthonormal(self) -> bool:
         return self.kind.orthonormal
 
+    def apply(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``W @ q`` into ``out`` (new if None; numpy reads an overlapping
+        ``q`` from a copy)."""
+        return np.matmul(self.entries, q, out=out)
+
 
 def _check_dims(n: int, m: int, *, require_tall: bool) -> None:
     if n < 1 or m < 1:

@@ -17,11 +17,11 @@ buffer of the widest weight's rows: half the width of ``y = [relu(z);
 relu(-z)]``. As ``u = R y = [z; |z|] / sqrt(2)`` is an orthonormal
 rotation, each Gram is built in the ``u`` basis: :func:`_carry` writes its
 ``z z^T`` and ``T z^T`` blocks from the previous layer's statistics through
-the weight. A layer's pass runs :data:`SCORE_BLOCK`-column blocks through
-:func:`hnf.layers.step`: it expands each block once in the pass's block
-buffer, where the pass scores the solved map, rotated back to ``y``, and
-the witness, then writes the block's next ``z``, whose ``|z|`` terms the
-pass adds to the next Gram (:func:`_add_abs_block`) while it is hot.
+the weight. A layer's pass expands each :data:`SCORE_BLOCK`-column block
+once (``HnfLayer.features``) in its block buffer, scores the solved map,
+rotated back to ``y``, and the witness there, then applies the next weight
+(``WeightMatrix.apply``) into the block's next ``z``, whose ``|z|`` terms
+it adds to the next Gram (:func:`_add_abs_block`) while it is hot.
 Before each solve and each pass, glibc hands back the heap it kept after
 frees (:func:`_release_heap`), so the walk's peak is what it holds. Every
 product runs in numpy; only the solve calls scipy (see :mod:`hnf.solvers`).
@@ -61,7 +61,6 @@ from .layers import (
     HnfLayer,
     HnfNetwork,
     network_invert,
-    step,
     un_collapse,
     walk,
 )
@@ -369,7 +368,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
     idx = data.train_idx
     n = len(idx)
     held = np.empty((max(l.weight.rows for l in net.layers), n))
-    x, transform = data.X_train, None
+    x, transform = data.columns(idx), None
     if cfg.standardize:
         mu = x.mean(axis=1, keepdims=True)
         sigma = x.std(axis=1, keepdims=True)
@@ -380,7 +379,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
     q = next(walk(net, x, held))[1]  # x, or the front's in held
     del x
     with np.errstate(over="ignore", invalid="ignore"):  # as _carry does
-        g, b = q @ q.T, data.T_train @ q.T
+        g, b = q @ q.T, data.T[:, idx] @ q.T
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
     maps, rows, certified = [], [], True
@@ -421,10 +420,11 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
             zb = q[:, cols]
             if layer is not None:
                 sums[1] += block_score(m, zb, tb, labels)
-            feats = step(zb, layer, buf[:, :len(labels)])[0]
+            feats = zb if layer is None else layer.features(
+                zb, buf[:, :len(labels)])
             sums[0] += block_score(o, feats, tb, labels)
             if nxt is not None:  # feats are spent: buf takes the next |z|
-                zb = step(feats, nxt=nxt, out=held[:nxt.weight.rows, cols])[1]
+                zb = nxt.weight.apply(feats, held[:nxt.weight.rows, cols])
                 _add_abs_block(zb, tb, *carry, buf)
         q = buf = feats = tb = None  # the buffer, and the baseline's inputs
         if nxt is not None:  # close the next layer's G and B
@@ -467,10 +467,9 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     :func:`hnf.layers.walk`, the one forward loop, runs :data:`SCORE_BLOCK`
     columns of the split at a time, in one reused buffer as tall as the
     widest layer it runs, scoring each map on the features it reads and
-    stopping at the deepest map. Each block's inputs and targets are read
-    from ``data`` through the split's indices, and only the block is
-    standardized by ``transform``, the training (mu, sigma), if it
-    standardized: no copy of the split is made. A map
+    stopping at the deepest map. Each block's inputs are gathered by
+    :meth:`Dataset.columns` and standardized by ``transform``, the training
+    (mu, sigma), if it standardized: no copy of the split is made. A map
     naming no map-bearing layer (beyond the depth, or layer 1 behind an ELM
     front) raises :class:`StateError`; data of another input width or class
     count :class:`DimensionError`.
@@ -497,11 +496,8 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     buf = np.empty((max((l.out_dim for l in reached), default=0),
                     min(n, SCORE_BLOCK)))
     for cols in _blocks(n):
-        xb = data.X[:, idx[cols]].astype(np.float64, copy=False)
+        xb = data.columns(idx[cols], transform)
         tb = data.T[:, idx[cols]]
-        if transform is not None:
-            xb -= transform[0]
-            xb /= transform[1]
         labels = np.argmax(tb, axis=0)
         for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
             for i, m in enumerate(maps):
@@ -599,8 +595,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         i2 = rng.integers(n, size=count)
         noise = rng.standard_normal((count, width)).T
         # the input, or the front's features, then each layer's behind it
-        f1 = [f.copy() for _, f in walk(net, data.X[:, i1])]
-        x1, y2 = f1[0], next(walk(net, data.X[:, i2]))[1]
+        f1 = [f.copy() for _, f in walk(net, data.columns(i1))]
+        x1, y2 = f1[0], next(walk(net, data.columns(i2)))[1]
         x2 = np.where(heads, y2, x1 + noise * (
             0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
         # a sub starting with a non-expanding layer yields no input: keep x2
@@ -647,8 +643,8 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
             qq = np.sum(q * q, axis=0)
             delta *= rl * np.sqrt(qq / (np.sum(delta * delta, axis=0) + c))
             # the walk's expanded features hold W q exactly
-            z = un_collapse(out) if layer.expand else step(q, nxt=layer)[1]
-            out_p = step(z + delta, layer)[0]
+            z = un_collapse(out) if layer.expand else layer.weight.apply(q)
+            out_p = layer.features(z + delta)
             margins[on] = (rl * rl * qq * (1.0 + 1e-9)
                            - np.sum((out - out_p) ** 2, axis=0))
         record("weight_perturbation_bound", margins)

@@ -179,7 +179,7 @@ def test_c05c_witness_dominance_at_production_setting():
     """Raw constrained-solve cost <= embedded-witness cost + 1e-8 on every
     layer solve of the criterion-1 grid, rebuilt outside the trainer."""
     blobs = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-    x, t = blobs.X_train, blobs.T_train
+    x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
     for kind in ("random", "dct"):
         for seed in (1, 2, 3):
             cfg = TrainConfig(n1=16, depth=4, weight_kind=kind, seed=seed)

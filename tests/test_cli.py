@@ -307,6 +307,25 @@ class TestTrainCommand:
         assert main([*argv, "--data", ""]) == 2
         assert "error: --data has no value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sep", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    def test_non_finite_blob_separation_exits_2(self, tmp_path, capsys,
+                                                monkeypatch, command, sep):
+        """A NaN or infinite ``--blob-sep`` is a bad flag, refused before
+        any blob is drawn or network built: it neither reads as a failed
+        invariant check (exit 4) nor as non-finite data (exit 3)."""
+        for name in ("train", "verify_invariants", "build_network"):
+            monkeypatch.setattr(f"hnf.cli.{name}", lambda *a, **k: pytest.fail(
+                "the network was built"))
+        monkeypatch.setattr("numpy.random.PCG64", lambda *a: pytest.fail(
+            "the blobs were drawn"))
+        train = ["--n1", "4", "--depth", "1", "--out", str(tmp_path / "x")]
+        assert main([command, "--data", "blobs", "--blob-sep", sep,
+                     *(train if command == "train" else [])]) == 2
+        assert ("error: separation must be finite and >= 0, got "
+                f"{float(sep)}") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("n1 = 16\ndepth = 1\nout = {out}\n", "no data source"),
         ("data = blobs\nn1 = 16\ndepth = 1\n", "no output directory"),

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -297,14 +298,15 @@ class TestLoadIdx:
 class TestBlobs:
     def test_separated_blobs_linearly_separable(self):
         ds = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-        om = solve(ds.X_train, ds.T_train)
-        acc = accuracy(om.matrix @ ds.X_train, ds.T_train)
+        x, t = ds.columns(ds.train_idx), ds.T[:, ds.train_idx]
+        acc = accuracy(solve(x, t).matrix @ x, t)
         assert acc >= 0.95
 
     def test_zero_separation_chance_level(self):
         ds = make_synthetic_blobs(8, 4, 2000, separation=0.0, seed=2)
-        om = solve(ds.X_train, ds.T_train)
-        acc = accuracy(om.matrix @ ds.X_test, ds.T_test)
+        om = solve(ds.columns(ds.train_idx), ds.T[:, ds.train_idx])
+        acc = accuracy(om.matrix @ ds.columns(ds.test_idx),
+                       ds.T[:, ds.test_idx])
         assert abs(acc - 0.25) <= 0.1
 
     def test_deterministic(self):
@@ -331,8 +333,9 @@ class TestBlobs:
             make_synthetic_blobs(0, 3, 10, 1.0, 0)
         with pytest.raises(ParameterError):
             make_synthetic_blobs(3, 11, 10, 1.0, 0)
-        with pytest.raises(ParameterError):
-            make_synthetic_blobs(3, 2, 10, -1.0, 0)
+        for sep in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                make_synthetic_blobs(3, 2, 10, sep, 0)
 
 
 class TestSplitAndMerge:
@@ -380,7 +383,7 @@ class TestSplitAndMerge:
         ds = merge_train_test(tr, te)
         assert ds.meta["N_train"] == 5
         assert ds.meta["N_test"] == 3
-        assert np.array_equal(ds.X_test, te.X)
+        assert np.array_equal(ds.columns(ds.test_idx), te.X)
 
     def test_merge_reconciles_label_orders(self, tmp_path):
         (tmp_path / "tr.csv").write_text("1,2,B\n3,4,A\n5,6,C\n")
@@ -401,6 +404,34 @@ class TestSplitAndMerge:
         assert ds.input_dim == 2
         assert np.array_equal(ds.X, np.array([[1.0, 3.0], [2.0, 4.0]]))
         assert ds.meta["label_names"] == ["A", "B"]
+
+
+class TestColumns:
+    def test_gather_is_the_standardized_split_bit_for_bit(self):
+        """Over each whole split, ``columns(idx, (mu, sigma))`` is
+        ``(X[:, idx] - mu) / sigma`` bit for bit, in a new array; X keeps
+        its values and stays read-only."""
+        ds = split_dataset(make_synthetic_blobs(5, 3, 300, 3.0, seed=4),
+                           200, seed=2)
+        x0 = ds.X.copy()
+        mu = x0[:, ds.train_idx].mean(axis=1, keepdims=True)
+        sigma = x0[:, ds.train_idx].std(axis=1, keepdims=True)
+        for idx in (ds.train_idx, ds.test_idx):
+            got = ds.columns(idx, (mu, sigma))
+            assert got.tobytes() == ((x0[:, idx] - mu) / sigma).tobytes()
+            plain = ds.columns(idx)
+            assert plain.dtype == np.float64
+            assert plain.tobytes() == x0[:, idx].tobytes()
+            assert not np.shares_memory(plain, ds.X)
+            plain += 1.0
+        assert np.array_equal(ds.X, x0)
+        assert not ds.X.flags.writeable
+
+    def test_empty_indices_give_no_columns(self):
+        ds = make_synthetic_blobs(5, 3, 30, 3.0, seed=4)
+        transform = np.zeros((5, 1)), np.ones((5, 1))
+        for t in (None, transform):
+            assert ds.columns(np.arange(0), t).shape == (5, 0)
 
 
 class TestRoundTrip:

@@ -283,8 +283,9 @@ class TestNetworkForward:
         """Inside hnf, the walk is called by the train walk (for an ELM
         front), evaluate and verify_invariants, and by nothing else. The
         train walk, which holds pre-activations, runs only inside train.
-        Features are formed only by the step, which the walk, the train
-        walk and verify_invariants' perturbation check call."""
+        Features are formed only by HnfLayer.features, and weights applied
+        by WeightMatrix.apply, both called by the walk, the train walk and
+        verify_invariants' perturbation check."""
         def callers(name):
             found = []
             for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
@@ -304,14 +305,15 @@ class TestNetworkForward:
                                         "verify_invariants"}
         assert callers("_fit") == ["train"]
         assert callers("_add_abs_block") == ["_fit"]
-        assert callers("vn_expand") == ["step"]
-        assert set(callers("step")) == {"_fit", "verify_invariants", "walk"}
+        assert callers("vn_expand") == ["features"]
+        for name in ("apply", "features"):
+            assert set(callers(name)) == {"_fit", "verify_invariants", "walk"}
 
-    def test_weights_multiply_data_only_in_step_carry_and_pinv(self):
-        """Outside hnf.matrixgen, which builds, stores and loads weights, a
-        weight's entries are read only by the step and pinv_weight, handed
-        to _carry, or asked their shape: the only places a weight meets
-        data."""
+    def test_weights_multiply_data_only_in_apply_carry_and_pinv(self):
+        """Outside hnf.matrixgen, which builds, stores, loads and applies
+        weights, a weight's entries are read only by pinv_weight, handed to
+        _carry, or asked their shape: with WeightMatrix.apply, the only
+        places a weight meets data."""
         readers = set()
 
         def visit(node, fn, parent):
@@ -330,7 +332,7 @@ class TestNetworkForward:
         for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
             if path.name != "matrixgen.py":
                 visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
-        assert readers == {"step", "_carry", "pinv_weight"}
+        assert readers == {"_carry", "pinv_weight"}
 
 
 class TestNetworkInvert:

@@ -119,6 +119,31 @@ class TestRawGaussian:
         assert not w.orthonormal
 
 
+class TestApply:
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 9)], ids=["tall", "wide"])
+    def test_apply_is_the_product_bit_for_bit(self, rng, shape):
+        w = make_raw_gaussian(*shape, seed=3)
+        q = rng.standard_normal((shape[1], 37))
+        want = (w.entries @ q).tobytes()
+        assert w.apply(q).tobytes() == want
+        out = np.empty((shape[0], 37))
+        assert w.apply(q, out) is out
+        assert out.tobytes() == want
+
+    def test_out_overlapping_its_input(self, rng):
+        """As inside the walk for a wide hand-made layer: ``q`` fills a
+        buffer's top rows, and ``W q`` goes into the last rows of the
+        layer's output, which ``q`` also covers."""
+        w = make_raw_gaussian(4, 12, seed=3)
+        buf = rng.standard_normal((16, 37))
+        q = buf[:12]
+        want = (w.entries @ q).tobytes()
+        out = buf[:8][-4:]
+        assert np.shares_memory(q, out)
+        assert w.apply(q, out).tobytes() == want
+        assert buf[4:8].tobytes() == want
+
+
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         for w in [make_random_orthonormal(6, 4, seed=9),

@@ -352,7 +352,7 @@ class TestCholeskyNewton:
         ball, the Cholesky path reproduces the spectral solve, and starting
         from the witness's multiplier never costs an extra Newton step."""
         blobs = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-        x, t = blobs.X_train, blobs.T_train
+        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
         net = build_network(8, TrainConfig(n1=16, depth=3, seed=1), 1)
         prev, steps, cold_steps = None, 0, 0
         for layer, feats in walk(net, x):

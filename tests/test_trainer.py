@@ -172,10 +172,10 @@ class TestTrain:
 
         w = make_random_orthonormal(16, 8, seed=cfg.seed + 1)
         assert np.array_equal(net.layers[0].weight.entries, w.entries)
-        baseline = solve(blobs.X_train, blobs.T_train)
+        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
+        baseline = solve(x, t)
         eps = embed_previous_map(baseline, w)[1]
-        feats = vn_expand(w.entries @ blobs.X_train)
-        direct = solve(feats, blobs.T_train, eps)
+        direct = solve(vn_expand(w.entries @ x), t, eps)
         expect = direct.matrix
         if direct.train_cost > maps[1].train_cost:
             pytest.fail("trainer should never beat the identical solve")
@@ -343,7 +343,8 @@ class TestTrain:
         net = build_network(8, cfg, n)
         buffers = {h * SCORE_BLOCK * 8 for l in net.layers
                    for h in (l.weight.rows, l.out_dim)}
-        x_copy, t_copy = ds.X_train.nbytes, ds.T_train.nbytes
+        x_copy, t_copy = (ds.columns(ds.train_idx).nbytes,
+                          ds.T[:, ds.train_idx].nbytes)
         live, real = [], hnf.trainer.least_squares
 
         def spy(*args, **kw):
@@ -498,7 +499,7 @@ class TestExpandedStatistics:
         cfg = TrainConfig(n1=16, depth=3, elm_front=elm, seed=1)
         net = build_network(8, cfg, 1)
         _fit(net, blobs, cfg, 0.0)
-        x, t = blobs.X_train, blobs.T_train
+        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
         n = t.shape[1]
         blocks = [min(64, n - s) for s in range(0, n, 64)]
         assert summed == [(l.weight.rows, c) for l in net.layers[elm:]
@@ -558,12 +559,13 @@ class TestMapInputs:
         """The walk yields each map's features, ``act(W q)`` bit for bit;
         the baseline reads the front, if any."""
         net = build_network(8, TrainConfig(n1=16, depth=3, elm_front=elm), 1)
-        feats = [blobs.X_train]
+        x = blobs.columns(blobs.train_idx)
+        feats = [x]
         for layer in net.layers:
             z = layer.weight.entries @ feats[-1]
             feats.append(vn_expand(z) if layer.expand
                          else ACTIVATIONS[layer.activation](z))
-        items = [(layer, f.copy()) for layer, f in walk(net, blobs.X_train)]
+        items = [(layer, f.copy()) for layer, f in walk(net, x)]
         assert [layer for layer, _ in items] == layers
         for layer, f in items:
             assert np.array_equal(f, feats[layer or int(elm)])
@@ -574,22 +576,23 @@ class TestMapInputs:
         """The train split's pre-activations are expanded once per column
         at each expanding layer, a block at a time; only an ELM front is
         walked on the whole train split, and the test split's one walk runs
-        every layer on every column once."""
+        every layer on every column once, so each expanding layer's
+        features are formed once per column of the whole dataset."""
         widths, expanded = count_walk(monkeypatch), {}
-        real_step = hnf.trainer.step
+        real = HnfLayer.features
 
-        def step(z, layer=None, *rest, **kw):
-            if layer is not None and layer.expand:
+        def features(layer, z, *rest):
+            if layer.expand:
                 expanded[len(z)] = expanded.get(len(z), 0) + z.shape[1]
-            return real_step(z, layer, *rest, **kw)
+            return real(layer, z, *rest)
 
-        monkeypatch.setattr("hnf.trainer.step", step)
+        monkeypatch.setattr(HnfLayer, "features", features)
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 100)
         net, _, _ = train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm,
                                              seed=1))
-        n_train, n_test = blobs.X_train.shape[1], blobs.X_test.shape[1]
-        assert expanded == {l.weight.rows: n_train for l in net.layers
-                            if l.expand}
+        n_train, n_test = len(blobs.train_idx), len(blobs.test_idx)
+        assert expanded == {l.weight.rows: n_train + n_test
+                            for l in net.layers if l.expand}
         assert widths[:elm] == [n_train] * elm
         assert sorted(widths[elm:]) == [n_test - 100] * 3 + [100] * 3
 
@@ -606,7 +609,7 @@ class TestEvaluate:
         cfg = TrainConfig(n1=16, depth=1, seed=1)
         net, maps, _ = train(blobs, cfg)
         zero = OutputMap(np.zeros_like(maps[1].matrix), 1.0, 0.0, 1)
-        labels = np.argmax(blobs.T_test, axis=0)
+        labels = np.argmax(blobs.T[:, blobs.test_idx], axis=0)
         freq0 = float(np.mean(labels == 0))
         ev = evaluate(net, [maps[0], zero], blobs)[1]
         assert ev.accuracy == pytest.approx(freq0)
@@ -618,9 +621,9 @@ class TestEvaluate:
         equals the report's train cost and accuracy exactly."""
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
         scores = evaluate(net, maps, blobs, split="train")
-        for (layer, feats), m in zip(walk(net, blobs.X_train), maps):
-            assert scores[layer].cost == sample_cost(blobs.T_train, m.matrix,
-                                                     feats)
+        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
+        for (layer, feats), m in zip(walk(net, x), maps):
+            assert scores[layer].cost == sample_cost(t, m.matrix, feats)
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, seed=1))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
@@ -695,10 +698,8 @@ class TestEvaluate:
         std = report.meta["standardize_params"]
         transform = std and (np.array(std["mu"])[:, None],
                              np.array(std["sigma"])[:, None])
-        x, t = ((blobs.X_train, blobs.T_train) if split == "train"
-                else (blobs.X_test, blobs.T_test))
-        if transform:
-            x = (x - transform[0]) / transform[1]
+        idx = blobs.train_idx if split == "train" else blobs.test_idx
+        x, t = blobs.columns(idx, transform), blobs.T[:, idx]
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
         scores = evaluate(net, maps, blobs, split, transform)
         assert sorted(scores) == [m.layer_index for m in maps]
@@ -780,12 +781,13 @@ class TestVerifyInvariants:
         assert scipy.stats.ks_2samp(dense, xi2 / (xi2 + c)).pvalue > 0.01
 
     def test_planted_violation_counted_on_every_trial(self, blobs, monkeypatch):
-        """With the check's expansion negated and scaled by 1.5, the
-        perturbed output of an orthonormal layer sits at least ||q|| from
-        the walk's nonnegative one, beyond every bound r^2 ||q||^2, r <= 1."""
-        real = hnf.trainer.step
-        monkeypatch.setattr("hnf.trainer.step", lambda z, layer: (
-            -1.5 * real(z, layer)[0], None))
+        """With the check's expansion (the one formed into no buffer)
+        negated and scaled by 1.5, the perturbed output of an orthonormal
+        layer sits at least ||q|| from the walk's nonnegative one, beyond
+        every bound r^2 ||q||^2, r <= 1."""
+        real = HnfLayer.features
+        monkeypatch.setattr(HnfLayer, "features", lambda l, z, out=None: (
+            real(l, z, out) if out is not None else -1.5 * real(l, z)))
         net = build_chain(8, 16, 3, seed=1)
         trials = VERIFY_BLOCK + 44
         rep = verify_invariants(net, blobs, trials=trials, seed=9)
