@@ -174,6 +174,14 @@ def _load_data(spec: str, opts: dict,
     return split_dataset(ds, opts["split"], opts.get("split_seed") or 0)
 
 
+def _check_split(spec: str, opts: dict) -> None:
+    """Refuse a split of blobs or a four-part ``idx:``: each has its own."""
+    if opts.get("split") is not None and (
+            spec == "blobs" or spec.startswith("idx:") and spec.count(",") == 3):
+        raise ConfigError(f"--split (or split =) does not apply to {spec}, "
+                          "which has its own train/test division")
+
+
 def _memory_budget() -> int:
     """``HNF_MEM_BUDGET`` in bytes; the default when it is unset or empty."""
     raw = os.environ.get("HNF_MEM_BUDGET") or str(DEFAULT_MEMORY_BUDGET)
@@ -272,6 +280,7 @@ def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
         raise ConfigError("--n1 and --depth are required")
     if not s["out"]:
         raise ConfigError("no output directory: pass --out or set out=")
+    _check_split(s["data"], s)
     cfg = TrainConfig(
         n1=s["n1"], depth=s["depth"], weight_kind=s["weights"], seed=s["seed"],
         elm_front=s["elm"], elm_activation=s["elm_activation"],
@@ -439,9 +448,9 @@ def cmd_eval(args) -> int:
         if unknown:
             raise DimensionError(f"data labels {unknown} are not the run's "
                                  f"labels {names}")
-        order = [own.index(n) for n in names]
-        if order != list(range(len(order))):  # T in the run's label order
-            data = replace(data, T=data.T[order], checked=True)
+        order = [names.index(n) for n in own]  # each label's run index
+        if order != list(range(len(order))):
+            data = replace(data, labels=np.array(order)[data.labels])
     if args.layer is not None:
         layer_ids = sorted(m.layer_index for m in maps)
         maps = [m for m in maps if m.layer_index == args.layer]
@@ -464,6 +473,8 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     opts = _data_opts(args, vars(args))
+    if args.data or not args.run:  # the flags choose the data
+        _check_split(args.data or "blobs", opts)
     if args.run:
         data, _, net, _, _ = _load_run(args.run, args.data,
                                        opts if args.data else None)
@@ -472,7 +483,7 @@ def cmd_verify(args) -> int:
         cfg = TrainConfig(n1=args.n1, depth=args.depth,
                           weight_kind=args.weights, seed=args.seed,
                           memory_budget=_memory_budget())
-        net = build_network(data.input_dim, cfg, data.meta["N_train"])
+        net = build_network(data.input_dim, cfg, len(data.train_idx))
 
     report = verify_invariants(net, data, args.trials, args.seed)
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")

@@ -1,9 +1,9 @@
 """Dataset ingestion: CSV and IDX loaders, one-hot encoding, splits, and the
 synthetic blob generator used for desk-scale checks.
 
-A :class:`Dataset` stores inputs as columns of a P-by-N matrix paired with a
-Q-by-N one-hot target matrix, plus disjoint train/test column index lists
-that together cover every column.
+A :class:`Dataset` stores inputs as columns of a P-by-N matrix, each paired
+with its class index, plus disjoint train/test column index lists that
+together cover every column.
 
 A parsed CSV table can be kept as a snapshot keyed to the SHA-256 of the
 bytes its parse read (``meta["csv_sha256"]``) and its parse options
@@ -19,7 +19,7 @@ import io
 import re
 import struct
 from contextlib import suppress
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 
@@ -33,43 +33,32 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs-as-columns with one-hot targets and a train/test partition.
-    ``checked`` skips the checks over all N columns, for arrays derived by
-    steps that keep them true: a shuffle split, a reordering of T's rows."""
+    """Inputs-as-columns, each with a class index in 0..n_classes-1, and a
+    train/test partition."""
 
     X: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+    n_classes: int
     train_idx: np.ndarray = field(repr=False)
     test_idx: np.ndarray = field(repr=False)
     meta: dict
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool) -> None:
-        if self.X.ndim != 2 or self.T.ndim != 2:
-            raise DataError("X and T must be 2-D")
-        if self.X.shape[1] != self.T.shape[1]:
-            raise DataError(
-                f"X has {self.X.shape[1]} samples but T has {self.T.shape[1]}"
-            )
-        if not checked:
-            n = self.X.shape[1]
-            combined = np.concatenate([self.train_idx, self.test_idx])
-            # a sort, not np.unique, whose first call imports numpy.ma
-            if not np.array_equal(np.sort(combined), np.arange(n)):
-                raise DataError("train/test indices must partition all columns")
-            if not (np.all(np.sum(self.T == 1.0, axis=0) == 1)
-                    and np.all((self.T == 0.0) | (self.T == 1.0))):
-                raise DataError("T columns must be exact one-hot vectors")
-        for arr in (self.X, self.T, self.train_idx, self.test_idx):
+    def __post_init__(self) -> None:
+        if self.X.ndim != 2 or self.labels.shape != self.X.shape[1:]:
+            raise DataError(f"labels {self.labels.shape} do not fit X {self.X.shape}")
+        combined = np.concatenate([self.train_idx, self.test_idx])
+        # a sort, not np.unique, whose first call imports numpy.ma
+        if not np.array_equal(np.sort(combined), np.arange(self.n_samples)):
+            raise DataError("train/test indices must partition all columns")
+        if self.labels.dtype.kind not in "iu" or not np.all(
+                (self.labels >= 0) & (self.labels < self.n_classes)):
+            raise DataError(f"labels must be integers in 0..{self.n_classes - 1}")
+        for arr in (self.X, self.labels, self.train_idx, self.test_idx):
             arr.setflags(write=False)
 
     @property
     def input_dim(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.T.shape[0]
 
     @property
     def n_samples(self) -> int:
@@ -84,13 +73,18 @@ class Dataset:
             x /= transform[1]
         return x
 
+    def targets(self, idx: np.ndarray) -> np.ndarray:
+        """A new Q-by-len(idx) array: the one-hot targets at ``idx``."""
+        return one_hot(self.labels[idx], self.n_classes)
+
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Q-by-N indicator matrix from integer labels 0..Q-1."""
+    """Q-by-N indicator matrix from integer labels 0..Q-1, Fortran-ordered
+    as ``t[:, idx]`` of a C-ordered ``t`` is (BLAS rounds by layout)."""
     labels = np.asarray(labels, dtype=np.int64)
-    t = np.zeros((n_classes, labels.size))
-    t[labels, np.arange(labels.size)] = 1.0
-    return t
+    t = np.zeros((labels.size, n_classes))
+    t[np.arange(labels.size), labels] = 1.0
+    return t.T
 
 
 class _HashedFile(io.FileIO):
@@ -112,7 +106,6 @@ def _dataset(x, labels, label_names, name, train_idx=None, test_idx=None,
     if train_idx is None:
         train_idx = np.arange(n)
         test_idx = np.arange(0)
-    t = one_hot(labels, len(label_names))
     meta = {
         "name": name,
         "P": int(x.shape[0]),
@@ -122,7 +115,8 @@ def _dataset(x, labels, label_names, name, train_idx=None, test_idx=None,
         "label_names": list(label_names),
         **extra,
     }
-    return Dataset(np.asarray(x, dtype=np.float64), t,
+    return Dataset(np.asarray(x, dtype=np.float64),
+                   np.asarray(labels, dtype=np.int64), len(label_names),
                    np.asarray(train_idx, dtype=np.int64),
                    np.asarray(test_idx, dtype=np.int64), meta)
 
@@ -265,7 +259,7 @@ def save_csv_snapshot(ds: Dataset, path, label_column,
     if names.tolist() != ds.meta["label_names"]:
         return None
     with open(path, "wb") as fh:
-        for arr in (names, np.argmax(ds.T, axis=0).astype(np.int64), ds.X):
+        for arr in (names, ds.labels, ds.X):
             np.save(fh, arr, allow_pickle=False)
     return {"csv_sha256": ds.meta["csv_sha256"], "label_col": label_column,
             "delimiter": delimiter, "sha256": file_sha256(path)}
@@ -376,8 +370,8 @@ def split_dataset(ds: Dataset, n_train: int, seed: int = 0) -> Dataset:
     meta = dict(ds.meta)
     meta.update(N_train=int(n_train), N_test=int(n - n_train),
                 split_seed=int(seed))
-    return Dataset(ds.X, ds.T, np.sort(perm[:n_train]),
-                   np.sort(perm[n_train:]), meta, checked=True)
+    return Dataset(ds.X, ds.labels, ds.n_classes, np.sort(perm[:n_train]),
+                   np.sort(perm[n_train:]), meta)
 
 
 def merge_train_test(train: Dataset, test: Dataset) -> Dataset:
@@ -394,26 +388,18 @@ def merge_train_test(train: Dataset, test: Dataset) -> Dataset:
             f"train and test parts have mismatched input dims: "
             f"{train.input_dim} vs {test.input_dim}"
         )
-    names = list(train.meta["label_names"])
-    index_of = {name: i for i, name in enumerate(names)}
-    for name in test.meta["label_names"]:
-        if name not in index_of:
-            index_of[name] = len(names)
-            names.append(name)
-
-    def relabel(ds: Dataset) -> np.ndarray:
-        own = ds.meta["label_names"]
-        raw = np.argmax(ds.T, axis=0)
-        return np.array([index_of[own[i]] for i in raw], dtype=np.int64)
-
+    names = list(dict.fromkeys([*train.meta["label_names"],
+                                *test.meta["label_names"]]))
+    labels = np.concatenate([  # each part's labels, renumbered by name
+        np.array([names.index(n) for n in ds.meta["label_names"]],
+                 dtype=np.int64)[ds.labels] for ds in (train, test)])
     x = np.hstack([train.X, test.X])
-    labels = np.concatenate([relabel(train), relabel(test)])
     n_tr = train.n_samples
     meta = {k: v for k, v in train.meta.items() if k != "csv_sha256"}
     meta.update(Q=len(names), label_names=names,
                 N_train=n_tr, N_test=test.n_samples,
                 source=f"{train.meta.get('source')};{test.meta.get('source')}")
-    return Dataset(x, one_hot(labels, len(names)), np.arange(n_tr),
+    return Dataset(x, labels, len(names), np.arange(n_tr),
                    np.arange(n_tr, n_tr + test.n_samples), meta)
 
 

@@ -227,15 +227,9 @@ def save_network(net: HnfNetwork, out_dir) -> Path:
     for i, layer in enumerate(net.layers):
         fname = f"weights/w{i:02d}.hnfw"
         save_weight(layer.weight, out_dir / fname)
-        records.append({
-            "file": fname,
-            "rows": layer.weight.rows,
-            "cols": layer.weight.cols,
-            "kind": layer.weight.kind.name,
-            "seed": layer.weight.seed,
-            "expand": layer.expand,
-            "activation": layer.activation,
-        })
+        records.append({"file": fname, **layer.weight.header,
+                        "expand": layer.expand,
+                        "activation": layer.activation})
     manifest = out_dir / "network.json"
     manifest.write_text(json.dumps({"layers": records}, indent=2))
     return manifest
@@ -266,10 +260,8 @@ def load_network(manifest_path) -> HnfNetwork:
     with json_artifact(manifest_path) as doc:
         for rec in doc["layers"]:
             w = load_weight(base / rec["file"])
-            header = {"rows": w.rows, "cols": w.cols, "kind": w.kind.name,
-                      "seed": w.seed}
-            if header != {k: rec[k] for k in header}:
-                raise DataError(f"{base / rec['file']}: header {header} is "
+            if w.header != {k: rec[k] for k in w.header}:
+                raise DataError(f"{base / rec['file']}: header {w.header} is "
                                 f"not the layer {manifest_path.name} records")
             layers.append(HnfLayer(w, expand=rec["expand"],
                                    activation=rec["activation"]))

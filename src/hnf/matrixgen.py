@@ -70,6 +70,12 @@ class WeightMatrix:
     def orthonormal(self) -> bool:
         return self.kind.orthonormal
 
+    @property
+    def header(self) -> dict:
+        """What a network manifest records of the weight beside its file."""
+        return {"rows": self.rows, "cols": self.cols, "kind": self.kind.name,
+                "seed": self.seed}
+
     def apply(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``W @ q`` into ``out`` (new if None; numpy reads an overlapping
         ``q`` from a copy)."""

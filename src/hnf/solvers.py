@@ -157,7 +157,8 @@ def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
     # a non-finite or overflowing feature makes its row's sum of squares,
     # a diagonal entry of G, non-finite, and a non-finite target its row of B
     if not (np.isfinite(np.diagonal(g)).all() and np.isfinite(b).all()):
-        raise DataError("non-finite values in data")
+        raise DataError("non-finite feature statistics: the features' sums "
+                        "of squares overflow float64, or a value is not finite")
     found = None
     if math.isfinite(eps):
         mu = 0.0 if witness is None else float(

@@ -116,21 +116,13 @@ class TrainConfig:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
         if self.n1 < 1:
             raise ConfigError(f"n1 must be >= 1, got {self.n1}")
-        if self.weight_kind not in WEIGHT_KINDS:
-            raise ConfigError(
-                f"weight_kind must be one of {WEIGHT_KINDS}, "
-                f"got {self.weight_kind!r}"
-            )
-        if self.eps_schedule not in EPS_SCHEDULES:
-            raise ConfigError(
-                f"eps_schedule must be one of {EPS_SCHEDULES}, "
-                f"got {self.eps_schedule!r}"
-            )
-        if self.elm_activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"elm_activation must be one of {sorted(ACTIVATIONS)}, "
-                f"got {self.elm_activation!r}"
-            )
+        for name, allowed in (("weight_kind", WEIGHT_KINDS),
+                              ("eps_schedule", EPS_SCHEDULES),
+                              ("elm_activation", sorted(ACTIVATIONS))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(
+                    f"{name} must be one of {allowed}, got {value!r}")
         if self.memory_budget < 1:
             raise ConfigError("memory_budget must be positive")
         if self.elm_front and self.depth < 2:
@@ -279,7 +271,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     the end of the previous one; after the last layer one :func:`evaluate`
     walk of the test split fills every row's ``test_acc``.
     """
-    n_train = data.meta["N_train"]
+    n_train = len(data.train_idx)
     if n_train < 1:
         raise DataError(f"dataset {data.meta.get('source')} has an empty train split")
     clock = time.perf_counter()
@@ -361,9 +353,9 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
     split of ``data``, one pass per layer, and the training (mu, sigma) if
     ``cfg.standardize``; the witness ``[M, -M]`` reads ``[sqrt(2) M, 0]``
     in the ``u`` basis. Each row, timed from ``clock`` or the row before,
-    covers the next layer's ``|z|`` sums. The train split's X (standardized
-    in place) and T copies live only as long as the baseline needs them;
-    a pass reads each block's targets from ``data.T`` and holds a block
+    covers the next layer's ``|z|`` sums. The train split's inputs
+    (standardized in place) and targets live only through the baseline; a
+    pass forms each block's by :meth:`Dataset.targets` and holds a block
     buffer of the rows it uses, freed before the next carry and solve."""
     idx = data.train_idx
     n = len(idx)
@@ -379,7 +371,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
     q = next(walk(net, x, held))[1]  # x, or the front's in held
     del x
     with np.errstate(over="ignore", invalid="ignore"):  # as _carry does
-        g, b = q @ q.T, data.T[:, idx] @ q.T
+        g, b = q @ q.T, data.targets(idx) @ q.T
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
     maps, rows, certified = [], [], True
@@ -415,8 +407,8 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
                      0 if nxt is None else nxt.weight.rows)
         buf = np.empty((height, min(n, SCORE_BLOCK)))
         for cols in _blocks(n):
-            tb = data.T[:, idx[cols]]
-            labels = np.argmax(tb, axis=0)
+            tb = data.targets(idx[cols])
+            labels = data.labels[idx[cols]]
             zb = q[:, cols]
             if layer is not None:
                 sums[1] += block_score(m, zb, tb, labels)
@@ -497,8 +489,8 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
                     min(n, SCORE_BLOCK)))
     for cols in _blocks(n):
         xb = data.columns(idx[cols], transform)
-        tb = data.T[:, idx[cols]]
-        labels = np.argmax(tb, axis=0)
+        tb = data.targets(idx[cols])
+        labels = data.labels[idx[cols]]
         for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
             for i, m in enumerate(maps):
                 if m.layer_index == layer:
@@ -565,6 +557,9 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if data.n_samples == 0:
         raise DataError(f"dataset {data.meta.get('source')} has no samples")
+    if not np.isfinite(np.einsum("ij,ij->j", data.X, data.X)).all():
+        raise DataError(f"dataset {data.meta.get('source')}: an input's "
+                        "squared norm overflows float64 or is not finite")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sub = HnfNetwork(net.layers[int(net.has_front):])

@@ -105,6 +105,28 @@ def run_train(tmp_path, *extra):
     return code, out
 
 
+def idx_parts(tmp_path) -> str:
+    """A four-part ``idx:`` source: 60 train and 20 test images of 2 x 2
+    pixels."""
+    rng = np.random.default_rng(5)
+    parts = []
+    for name, n in (("train", 60), ("test", 20)):
+        img, lbl = (tmp_path / f"{name}-{kind}.idx" for kind in "IL")
+        img.write_bytes(struct.pack(">IIII", 0x803, n, 2, 2)
+                        + rng.integers(0, 256, 4 * n, np.uint8).tobytes())
+        lbl.write_bytes(struct.pack(">II", 0x801, n)
+                        + (np.arange(n) % 10).astype(np.uint8).tobytes())
+        parts += [str(img), str(lbl)]
+    return "idx:" + ",".join(parts)
+
+
+def refuse_data_reads(monkeypatch):
+    """Make any read of data or of a run fail the test."""
+    for name in ("_load_data", "_load_run"):
+        monkeypatch.setattr(f"hnf.cli.{name}", lambda *a, **k: pytest.fail(
+            "the data was read"))
+
+
 class TestTrainCommand:
     def test_blobs_run_writes_artifacts(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
@@ -148,6 +170,28 @@ class TestTrainCommand:
                      "--n1", "2", "--depth", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["blobs", "idx"])
+    def test_split_of_a_divided_source_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, source, via):
+        """blobs and a four-part ``idx:`` source bring their own train/test
+        division: a split of either, by flag or config line, is refused
+        before any data is read, where it used to be ignored."""
+        spec = "blobs" if source == "blobs" else idx_parts(tmp_path)
+        out = tmp_path / "run"
+        argv = ["train", "--n1", "8", "--depth", "1", "--out", str(out)]
+        if via == "flag":
+            argv += ["--data", spec, "--split", "99999"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"data = {spec}\nsplit = 99999\n")
+            argv += ["--config", str(cfg)]
+        refuse_data_reads(monkeypatch)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: --split (or split =) does not apply to" in err
+        assert not out.exists()
 
     def test_split_zero_exits_2(self, tmp_path, capsys):
         src = tmp_path / "four.csv"
@@ -300,9 +344,7 @@ class TestTrainCommand:
                                      argv):
         """An empty ``--data`` is refused before any data or run is read,
         not taken as blobs or as the run's own source."""
-        for name in ("_load_data", "_load_run"):
-            monkeypatch.setattr(f"hnf.cli.{name}", lambda *a, **k: pytest.fail(
-                "the data was read"))
+        refuse_data_reads(monkeypatch)
         argv = [str(tmp_path / "run") if a == "RUN" else a for a in argv]
         assert main([*argv, "--data", ""]) == 2
         assert "error: --data has no value" in capsys.readouterr().err
@@ -378,17 +420,8 @@ class TestTrainCommand:
         """A four-part ``idx:`` source keeps its own split: 60 train and
         20 test images of 2 x 2 pixels. ``eval --run`` reproduces the
         report and ``verify --run`` passes."""
-        rng = np.random.default_rng(5)
-        parts = []
-        for name, n in (("train", 60), ("test", 20)):
-            img, lbl = (tmp_path / f"{name}-{kind}.idx" for kind in "IL")
-            img.write_bytes(struct.pack(">IIII", 0x803, n, 2, 2)
-                            + rng.integers(0, 256, 4 * n, np.uint8).tobytes())
-            lbl.write_bytes(struct.pack(">II", 0x801, n)
-                            + (np.arange(n) % 10).astype(np.uint8).tobytes())
-            parts += [str(img), str(lbl)]
         out = tmp_path / "run"
-        assert main(["train", "--data", "idx:" + ",".join(parts), "--n1", "8",
+        assert main(["train", "--data", idx_parts(tmp_path), "--n1", "8",
                      "--depth", "2", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["dataset"]["N_train"],
@@ -768,6 +801,70 @@ class TestVerifyCommand:
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize("source", ["default", "blobs", "idx", "run"])
+    def test_split_of_a_divided_source_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, trained_run,
+                                               source):
+        """As for train, a split of blobs (also the default source, and
+        with ``--run``) or of a four-part ``idx:`` source is refused
+        before any data or run is read."""
+        data = {"default": [], "blobs": ["--data", "blobs"],
+                "idx": ["--data", idx_parts(tmp_path)],
+                "run": ["--run", str(trained_run), "--data", "blobs"]}[source]
+        refuse_data_reads(monkeypatch)
+        assert main(["verify", *data, "--split", "99999", "--trials",
+                     "5"]) == 2
+        assert "does not apply to" in capsys.readouterr().err
+
+    def test_recorded_split_of_a_divided_source_still_loads(
+            self, trained_run, tmp_path, capsys):
+        """A run whose manifest recorded a split that train then ignored
+        still loads in eval and verify --run, as it always did."""
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_options"].update(split=99999))
+        got = audit(run, capsys)
+        assert got == audit(trained_run, capsys)
+        assert [code for code, _ in got] == [0, 0]
+
+    @pytest.mark.parametrize("meta", [{}, {"N_train": 5}],
+                             ids=["no-count", "stale-count"])
+    def test_fresh_network_is_sized_from_the_split(self, capsys, monkeypatch,
+                                                   meta):
+        """The fresh network's budget counts the split's 400 train
+        columns, whatever ``meta["N_train"]`` says or if it is absent."""
+        blobs = make_synthetic_blobs(8, 3, 600, 10.0, 0)
+        monkeypatch.setattr("hnf.cli._load_data",
+                            lambda *a: replace(blobs, meta=meta))
+        sized, real = [], hnf.cli.build_network
+        monkeypatch.setattr("hnf.cli.build_network", lambda p, cfg, n: (
+            sized.append(n) or real(p, cfg, n)))
+        assert main(["verify", "--trials", "5"]) == 0
+        assert sized == [400]
+
+    def test_overflowing_inputs_exit_3(self, tmp_path, capsys, monkeypatch,
+                                       recwarn):
+        """Finite blobs whose squares overflow float64 are a data problem
+        for both commands: train names the feature statistics, and verify
+        refuses them before it walks, with no margin of nan, exit 4 or
+        RuntimeWarning."""
+        out = tmp_path / "run"
+        assert main(["train", "--data", "blobs", "--blob-sep", "1e200",
+                     "--n1", "16", "--depth", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "sums of squares overflow float64" in err
+        assert not out.exists()
+        monkeypatch.setattr("hnf.trainer.walk", lambda *a: pytest.fail(
+            "verify walked the network"))
+        assert main(["verify", "--data", "blobs", "--blob-sep", "1e200",
+                     "--trials", "20"]) == 3
+        out, err = capsys.readouterr()
+        assert "squared norm overflows float64" in err
+        assert out == "" and "Traceback" not in err
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("command, message", [
         ("train", "empty train split"), ("verify", "no samples")],
         ids=["train", "verify"])
@@ -910,29 +1007,34 @@ class TestCsvSnapshot:
         assert audit(run, capsys) == want
         assert [code for code, _ in want] == [0, 0]
 
-    def test_audit_checks_the_columns_once(self, csv_run, capsys,
-                                           monkeypatch, tmp_path):
-        """eval reads the snapshot, outside input whose N columns it checks,
-        then splits it without checking them again; T's rows are already in
-        the run's label order. Data whose labels come in another order is
-        parsed and split, and only then are T's rows put in the run's
-        order, unchecked too."""
+    def test_eval_puts_labels_in_the_run_order(self, csv_run, capsys,
+                                               monkeypatch, tmp_path):
+        """eval reads the snapshot, whose labels are in the run's order,
+        and splits it: two datasets, each checked in full. Data whose
+        labels come in another order is parsed and split, and only then
+        are its labels renumbered to the run's order, by name: a third."""
         src, run = csv_run
         lines = src.read_text().splitlines(keepends=True)
         ba = tmp_path / "ba.csv"  # the same rows, rotated so B comes first
         ba.write_text("".join(lines[1:] + lines[:1]))
-        checked, real = [], Dataset.__post_init__
-
-        def spy(ds, flag):
-            checked.append(flag)
-            real(ds, flag)
-
-        monkeypatch.setattr(Dataset, "__post_init__", spy)
-        assert main(["eval", "--run", str(run)]) == 0
-        assert checked == [False, True]  # snapshot, split
-        checked.clear()
-        assert main(["eval", "--run", str(run), "--data", f"csv:{ba}"]) == 0
-        assert checked == [False, True, True]  # parse, split, reorder
+        built, scored, real = [], [], Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__",
+                            lambda ds: built.append(ds) or real(ds))
+        real_evaluate = hnf.cli.evaluate
+        monkeypatch.setattr("hnf.cli.evaluate", lambda net, maps, data, *a:
+                            scored.append(data) or real_evaluate(
+                                net, maps, data, *a))
+        for path, datasets in ((src, 2), (ba, 3)):
+            built.clear()
+            scored.clear()
+            data = () if path == src else ("--data", f"csv:{path}")
+            assert main(["eval", "--run", str(run), *data]) == 0
+            assert len(built) == datasets
+            names = [line.rsplit(",", 1)[1].strip()
+                     for line in path.read_text().splitlines()]
+            want = [["A", "B"].index(name) for name in names]
+            assert [d.labels.tolist() for d in scored] == [want, want]
+        assert built[0].meta["label_names"] == ["B", "A"]
 
     def test_changed_byte_is_parsed_again(self, csv_run, capsys, monkeypatch,
                                           tmp_path):
@@ -997,7 +1099,8 @@ class TestCsvSnapshot:
                                       isinstance(label, str)), 20, 4)
         assert data.X.tobytes() == want.X.tobytes()
         assert data.X.strides == want.X.strides
-        assert data.T.tobytes() == want.T.tobytes()
+        assert data.labels.tobytes() == want.labels.tobytes()
+        assert data.n_classes == want.n_classes
         assert data.train_idx.tobytes() == want.train_idx.tobytes()
         assert data.test_idx.tobytes() == want.test_idx.tobytes()
         assert data.meta == want.meta

@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hnf.data import (
     load_idx,
     make_synthetic_blobs,
     merge_train_test,
+    one_hot,
     split_dataset,
 )
 from hnf.errors import DataError, FormatError, ParameterError, ParseError
@@ -39,7 +41,8 @@ class TestLoadCsv:
         ds = load_csv(path, label_column=2)
         assert ds.input_dim == 2
         assert ds.n_classes == 2
-        assert np.array_equal(ds.T, np.eye(2))
+        assert np.array_equal(ds.labels, [0, 1])
+        assert np.array_equal(ds.targets(np.arange(2)), np.eye(2))
         assert np.array_equal(ds.X, np.array([[1.0, 3.0], [2.0, 4.0]]))
         assert ds.meta["label_names"] == ["A", "B"]
 
@@ -86,7 +89,7 @@ class TestLoadCsv:
         path.write_text("T,1,2\nU,3,4\nT,5,6\n")
         ds = load_csv(path, label_column=0)
         assert ds.meta["label_names"] == ["T", "U"]
-        assert np.array_equal(np.argmax(ds.T, axis=0), [0, 1, 0])
+        assert np.array_equal(ds.labels, [0, 1, 0])
 
     def test_label_column_out_of_range(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -102,8 +105,9 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("1,2,A\n3,4,B\n5,6,A\n7,8,C\n")
         ds = load_csv(path, label_column=2)
-        assert np.all(np.sum(ds.T == 1.0, axis=0) == 1)
-        assert np.all((ds.T == 0.0) | (ds.T == 1.0))
+        t = ds.targets(np.arange(ds.n_samples))
+        assert np.all(np.sum(t == 1.0, axis=0) == 1)
+        assert np.all((t == 0.0) | (t == 1.0))
 
     @pytest.mark.parametrize("text, where", [
         ("1,2,A\n\nx,4,B\n", "row 3, column 1: non-numeric feature 'x'"),
@@ -234,7 +238,7 @@ def test_load_csv_matches_cell_by_cell_reference(tmp_path, table):
     x, t, names = reference_load_csv(path, **kwargs)
     ds = load_csv(path, **kwargs)
     assert ds.X.tobytes() == x.tobytes()
-    assert ds.T.tobytes() == t.tobytes()
+    assert ds.targets(np.arange(ds.n_samples)).tobytes() == t.tobytes()
     assert ds.meta["label_names"] == names
 
 
@@ -262,7 +266,7 @@ class TestLoadIdx:
         assert np.max(ds.X) <= 1.0 and np.min(ds.X) >= 0.0
         assert ds.X[:, 0] == pytest.approx(
             images[0].reshape(-1) / 255.0)
-        assert np.array_equal(np.argmax(ds.T, axis=0), labels)
+        assert np.array_equal(ds.labels, labels)
 
     def test_truncated_images(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(4, 3, 3)).astype(np.uint8)
@@ -298,30 +302,29 @@ class TestLoadIdx:
 class TestBlobs:
     def test_separated_blobs_linearly_separable(self):
         ds = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-        x, t = ds.columns(ds.train_idx), ds.T[:, ds.train_idx]
+        x, t = ds.columns(ds.train_idx), ds.targets(ds.train_idx)
         acc = accuracy(solve(x, t).matrix @ x, t)
         assert acc >= 0.95
 
     def test_zero_separation_chance_level(self):
         ds = make_synthetic_blobs(8, 4, 2000, separation=0.0, seed=2)
-        om = solve(ds.columns(ds.train_idx), ds.T[:, ds.train_idx])
+        om = solve(ds.columns(ds.train_idx), ds.targets(ds.train_idx))
         acc = accuracy(om.matrix @ ds.columns(ds.test_idx),
-                       ds.T[:, ds.test_idx])
+                       ds.targets(ds.test_idx))
         assert abs(acc - 0.25) <= 0.1
 
     def test_deterministic(self):
         a = make_synthetic_blobs(5, 3, 90, separation=4.0, seed=7)
         b = make_synthetic_blobs(5, 3, 90, separation=4.0, seed=7)
         assert np.array_equal(a.X, b.X)
-        assert np.array_equal(a.T, b.T)
+        assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.train_idx, b.train_idx)
 
     def test_split_ratio_and_balance(self):
         ds = make_synthetic_blobs(4, 3, 300, separation=5.0, seed=0)
         assert ds.meta["N_train"] == 200
         assert ds.meta["N_test"] == 100
-        labels = np.argmax(ds.T, axis=0)
-        counts = np.bincount(labels)
+        counts = np.bincount(ds.labels)
         assert np.all(counts == 100)
 
     def test_more_classes_than_dims(self):
@@ -354,9 +357,9 @@ class TestSplitAndMerge:
         """Train and test indices together name each column exactly once:
         four distinct indices do not partition four columns if one lies
         outside them."""
-        x, t = np.zeros((2, 4)), np.eye(2)[:, [0, 1, 0, 1]]
+        x, labels = np.zeros((2, 4)), np.array([0, 1, 0, 1])
         with pytest.raises(DataError, match="partition"):
-            Dataset(x, t, np.array(train), np.array(test), {})
+            Dataset(x, labels, 2, np.array(train), np.array(test), {})
 
     def test_split_deterministic(self):
         ds = make_synthetic_blobs(4, 2, 100, 3.0, seed=1)
@@ -394,8 +397,7 @@ class TestSplitAndMerge:
         assert te.meta["label_names"] == ["A", "C", "D"]
         ds = merge_train_test(tr, te)
         assert ds.meta["label_names"] == ["B", "A", "C", "D"]
-        labels = np.argmax(ds.T, axis=0)
-        assert list(labels) == [0, 1, 2, 1, 2, 3]
+        assert list(ds.labels) == [0, 1, 2, 1, 2, 3]
 
     def test_whitespace_delimiter_splits_runs(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -438,16 +440,42 @@ class TestRoundTrip:
     def test_export_then_load_exact(self, tmp_path):
         ds = make_synthetic_blobs(5, 3, 60, 2.5, seed=9)
         path = tmp_path / "blobs.csv"
-        labels = np.argmax(ds.T, axis=0)
         path.write_text("".join(
-            ",".join(map(repr, ds.X[:, j].tolist())) + f",c{labels[j]}\n"
+            ",".join(map(repr, ds.X[:, j].tolist())) + f",c{ds.labels[j]}\n"
             for j in range(ds.n_samples)))
         back = load_csv(path, label_column=-1)
         assert np.array_equal(back.X, ds.X)
-        assert np.array_equal(back.T, ds.T)
+        assert np.array_equal(back.labels, ds.labels)
 
     def test_dataset_invariants_enforced(self):
+        """Each label is an integer class index in 0..n_classes-1, one per
+        column of X, on every dataset built, a split one too."""
         x = np.zeros((2, 3))
-        bad_t = np.zeros((2, 3))
-        with pytest.raises(DataError):
-            Dataset(x, bad_t, np.arange(3), np.arange(0), {})
+        for bad in ([0, 2, 1], [0, -1, 1], [0.0, 1.0, 1.0], [0, 1]):
+            with pytest.raises(DataError):
+                Dataset(x, np.array(bad), 2, np.arange(3), np.arange(0), {})
+        ds = split_dataset(make_synthetic_blobs(3, 2, 30, 3.0, seed=1), 20)
+        with pytest.raises(DataError, match="labels must be integers in 0..1"):
+            split_dataset(replace(ds, labels=ds.labels + 1), 20)
+
+
+class TestTargets:
+    def test_targets_are_the_one_hot_columns(self):
+        """``targets(idx)`` is ``one_hot(labels)[:, idx]`` bit for bit, in
+        the Fortran layout of that gather (matrix products round by
+        layout), in a new array each call."""
+        ds = split_dataset(make_synthetic_blobs(4, 5, 200, 3.0, seed=2),
+                           150, seed=3)
+        full = one_hot(ds.labels, ds.n_classes)
+        for idx in (ds.train_idx, ds.test_idx, ds.train_idx[7:40]):
+            got = ds.targets(idx)
+            want = full[:, idx]
+            assert got.shape == (5, len(idx)) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous and want.flags.f_contiguous
+            assert not np.shares_memory(got, ds.targets(idx))
+            assert np.array_equal(np.argmax(got, axis=0), ds.labels[idx])
+
+    def test_empty_indices_give_no_targets(self):
+        ds = make_synthetic_blobs(5, 3, 30, 3.0, seed=4)
+        assert ds.targets(np.arange(0)).shape == (3, 0)

@@ -285,7 +285,8 @@ class TestNetworkForward:
         train walk, which holds pre-activations, runs only inside train.
         Features are formed only by HnfLayer.features, and weights applied
         by WeightMatrix.apply, both called by the walk, the train walk and
-        verify_invariants' perturbation check."""
+        verify_invariants' perturbation check. A block's one-hot targets
+        are formed only by Dataset.targets."""
         def callers(name):
             found = []
             for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
@@ -306,6 +307,7 @@ class TestNetworkForward:
         assert callers("_fit") == ["train"]
         assert callers("_add_abs_block") == ["_fit"]
         assert callers("vn_expand") == ["features"]
+        assert callers("one_hot") == ["targets"]
         for name in ("apply", "features"):
             assert set(callers(name)) == {"_fit", "verify_invariants", "walk"}
 

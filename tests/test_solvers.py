@@ -328,6 +328,30 @@ class TestCholeskyNewton:
         assert om.solver["method"] == "eigh"
         assert np.array_equal(om.matrix, free.matrix)
 
+    def test_failed_factorization_hands_over_a_rebuilt_gram(self, rng,
+                                                            monkeypatch):
+        """A factorization that reports ``info > 0`` ends the Newton search,
+        and the spectral path finds the optimum the Cholesky path would
+        have: it reads G rebuilt after the factor overwrote its lower
+        triangle, or it would solve another problem."""
+        y = rng.standard_normal((5, 80))
+        t = rng.standard_normal((3, 80))
+        eps = 0.1 * float(np.sum(solve(y, t).matrix ** 2))
+        want = solve(y, t, eps)
+        assert want.solver["method"] == "cholesky"
+        calls = []
+
+        def failing(*args, **kw):
+            calls.append(1)
+            chol, _ = dpotrf(*args, **kw)  # the factor, in G's lower half
+            return chol, 1
+
+        monkeypatch.setattr(hnf.solvers._lapack(), "dpotrf", failing)
+        om = solve(y, t, eps)
+        assert om.solver["method"] == "eigh" and calls == [1]
+        scale = np.max(np.abs(want.matrix))
+        assert np.max(np.abs(om.matrix - want.matrix)) <= 1e-10 * scale
+
     def test_singular_gram_with_zero_multiplier_takes_the_eigh_path(self, rng):
         base = rng.standard_normal((3, 40))
         y = np.vstack([base, base[:1]])
@@ -352,7 +376,7 @@ class TestCholeskyNewton:
         ball, the Cholesky path reproduces the spectral solve, and starting
         from the witness's multiplier never costs an extra Newton step."""
         blobs = make_synthetic_blobs(8, 3, 600, separation=10.0, seed=1)
-        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
+        x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
         net = build_network(8, TrainConfig(n1=16, depth=3, seed=1), 1)
         prev, steps, cold_steps = None, 0, 0
         for layer, feats in walk(net, x):

@@ -172,7 +172,7 @@ class TestTrain:
 
         w = make_random_orthonormal(16, 8, seed=cfg.seed + 1)
         assert np.array_equal(net.layers[0].weight.entries, w.entries)
-        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
+        x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
         baseline = solve(x, t)
         eps = embed_previous_map(baseline, w)[1]
         direct = solve(vn_expand(w.entries @ x), t, eps)
@@ -227,6 +227,25 @@ class TestTrain:
 
         for re_, rd in zip(rep_e.per_layer, rep_d.per_layer):
             assert rd.epsilon >= re_.epsilon * (1 - 1e-12)
+
+    def test_run_is_sized_from_the_split(self, blobs):
+        """train counts the train split's columns, not ``meta["N_train"]``:
+        a library dataset whose meta has none trains as its split says,
+        and a stale count of 5 on 40 train columns does not let a budget
+        that fits 5 columns but not 40 pass."""
+        bare = replace(blobs, meta={})
+        cfg = TrainConfig(n1=8, depth=2, seed=1)
+        maps = train(bare, cfg)[1]
+        assert [m.matrix.tobytes() for m in maps] == [
+            m.matrix.tobytes() for m in train(blobs, cfg)[1]]
+        split = Dataset(blobs.X[:, :60], blobs.labels[:60], blobs.n_classes,
+                        np.arange(40), np.arange(40, 60), {"N_train": 5})
+        small = TrainConfig(n1=8, depth=1, seed=1, memory_budget=6000)
+        build_network(8, small, 5)
+        with pytest.raises(ResourceError, match="layer 1"):
+            build_network(8, small, 40)
+        with pytest.raises(ResourceError, match="layer 1"):
+            train(split, small)
 
     def test_memory_budget_names_layer(self, blobs):
         cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=200_000)
@@ -333,7 +352,7 @@ class TestTrain:
     def test_solves_hold_no_block_buffer_or_train_copy(self, monkeypatch,
                                                         cfg):
         """When a solve starts, no block buffer of any pass's height is
-        live, nor the train split's T copy. Its X copy, standardized in
+        live, nor the train split's targets. Its X copy, standardized in
         place if at all, is live only at the baseline's solve, whose pass
         reads it, and not behind an ELM front: the baseline reads the
         front's output in the held buffer. On 4000 train columns these
@@ -344,7 +363,7 @@ class TestTrain:
         buffers = {h * SCORE_BLOCK * 8 for l in net.layers
                    for h in (l.weight.rows, l.out_dim)}
         x_copy, t_copy = (ds.columns(ds.train_idx).nbytes,
-                          ds.T[:, ds.train_idx].nbytes)
+                          ds.targets(ds.train_idx).nbytes)
         live, real = [], hnf.trainer.least_squares
 
         def spy(*args, **kw):
@@ -499,7 +518,7 @@ class TestExpandedStatistics:
         cfg = TrainConfig(n1=16, depth=3, elm_front=elm, seed=1)
         net = build_network(8, cfg, 1)
         _fit(net, blobs, cfg, 0.0)
-        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
+        x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
         n = t.shape[1]
         blocks = [min(64, n - s) for s in range(0, n, 64)]
         assert summed == [(l.weight.rows, c) for l in net.layers[elm:]
@@ -609,7 +628,7 @@ class TestEvaluate:
         cfg = TrainConfig(n1=16, depth=1, seed=1)
         net, maps, _ = train(blobs, cfg)
         zero = OutputMap(np.zeros_like(maps[1].matrix), 1.0, 0.0, 1)
-        labels = np.argmax(blobs.T[:, blobs.test_idx], axis=0)
+        labels = blobs.labels[blobs.test_idx]
         freq0 = float(np.mean(labels == 0))
         ev = evaluate(net, [maps[0], zero], blobs)[1]
         assert ev.accuracy == pytest.approx(freq0)
@@ -621,7 +640,7 @@ class TestEvaluate:
         equals the report's train cost and accuracy exactly."""
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
         scores = evaluate(net, maps, blobs, split="train")
-        x, t = blobs.columns(blobs.train_idx), blobs.T[:, blobs.train_idx]
+        x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
         for (layer, feats), m in zip(walk(net, x), maps):
             assert scores[layer].cost == sample_cost(t, m.matrix, feats)
         train_scores_match_the_report(letter_shape(), TrainConfig(
@@ -699,7 +718,7 @@ class TestEvaluate:
         transform = std and (np.array(std["mu"])[:, None],
                              np.array(std["sigma"])[:, None])
         idx = blobs.train_idx if split == "train" else blobs.test_idx
-        x, t = blobs.columns(idx, transform), blobs.T[:, idx]
+        x, t = blobs.columns(idx, transform), blobs.targets(idx)
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
         scores = evaluate(net, maps, blobs, split, transform)
         assert sorted(scores) == [m.layer_index for m in maps]
@@ -710,8 +729,8 @@ class TestEvaluate:
 
     def test_empty_split_scores_nan(self, blobs):
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
-        empty = Dataset(blobs.X, blobs.T, np.arange(blobs.n_samples),
-                        np.arange(0), blobs.meta)
+        empty = Dataset(blobs.X, blobs.labels, blobs.n_classes,
+                        np.arange(blobs.n_samples), np.arange(0), blobs.meta)
         scores = evaluate(net, maps, empty, "test")
         assert sorted(scores) == [0, 1, 2]
         for ev in scores.values():
@@ -752,7 +771,7 @@ class TestVerifyInvariants:
 
     def test_empty_dataset_is_data_error(self, monkeypatch):
         """A dataset with no samples is named before anything is drawn."""
-        empty = Dataset(np.zeros((8, 0)), np.zeros((3, 0)), np.arange(0),
+        empty = Dataset(np.zeros((8, 0)), np.arange(0), 3, np.arange(0),
                         np.arange(0), {"source": "empty.csv"})
         net = build_chain(8, 16, 2)
         monkeypatch.setattr("numpy.random.Generator", None)  # no draw
@@ -801,7 +820,8 @@ class TestVerifyInvariants:
         x = make_synthetic_blobs(1, 3, 400, separation=6.0, seed=3)
         zeroed = x.X.copy()
         zeroed[:, ::2] = 0.0
-        data = Dataset(zeroed, x.T, x.train_idx, x.test_idx, x.meta)
+        data = Dataset(zeroed, x.labels, x.n_classes, x.train_idx,
+                       x.test_idx, x.meta)
         net = build_network(1, TrainConfig(n1=4, depth=3, seed=1), 400)
         rep = verify_invariants(net, data, trials=VERIFY_BLOCK + 44, seed=9)
         assert rep.passed
