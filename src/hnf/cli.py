@@ -67,23 +67,31 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 EXIT_RESOURCE = 5
 
-_BLOB_DEFAULTS = {"p": 8, "q": 3, "n": 600, "separation": 10.0}
-
 #: The run-directory file holding a ``csv:`` source's parsed table.
 SNAPSHOT_FILE = "table.snap"
 
+#: Each data option, by its flag's dest: its type, default, the kinds of
+#: source that take it and its key in a manifest's ``data_options``, a
+#: blobs option's in ``blobs``, beside the blob seed, which is ``--seed``.
+_DATA_OPTIONS = {
+    "label_col": (str, None, ("csv",), "label_col"),
+    "delimiter": (str, ",", ("csv",), "delimiter"),
+    "split": (int, None, ("csv", "idx"), "split"),
+    "split_seed": (int, 0, ("csv", "idx"), "split_seed"),
+    "blob_p": (int, 8, ("blobs",), "p"), "blob_q": (int, 3, ("blobs",), "q"),
+    "blob_n": (int, 600, ("blobs",), "n"),
+    "blob_sep": (float, 10.0, ("blobs",), "separation")}
+
 #: Each ``train`` setting: its ``--config`` key, which is also its flag's
-#: dest, its type, and its value when neither the flag nor the file sets it.
+#: dest, its type, and its value when neither the flag nor the file sets it
+#: (None for a data option, which :func:`_data_options` then defaults).
 _TRAIN_SETTINGS = {
-    "data": (str, None), "label_col": (str, None), "delimiter": (str, ","),
-    "split": (int, None), "split_seed": (int, 0), "n1": (int, None),
-    "depth": (int, None), "weights": (str, "random"), "seed": (int, 0),
-    "elm": (bool, False), "elm_activation": (str, "relu"),
+    "data": (str, None),
+    **{k: (kind, None) for k, (kind, *_) in _DATA_OPTIONS.items()},
+    "n1": (int, None), "depth": (int, None), "weights": (str, "random"),
+    "seed": (int, 0), "elm": (bool, False), "elm_activation": (str, "relu"),
     "eps_schedule": (str, "exact"), "standardize": (bool, False),
     "out": (str, None)}
-
-#: The settings a manifest records as ``data_options``, beside ``blobs``.
-_DATA_OPTIONS = ("label_col", "delimiter", "split", "split_seed")
 
 #: The boolean values a config file may spell, in any case.
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -126,34 +134,33 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _csv_args(spec: str, opts: dict) -> tuple[str, int | str, str]:
-    """The path, label column and delimiter of a ``csv:`` source, each
-    option defaulted and the label column an int where it reads as one."""
-    path = spec[len("csv:"):]
-    if not path:
-        raise DataError("csv: needs a path")
-    label = -1 if opts.get("label_col") is None else opts["label_col"]
-    with suppress(TypeError, ValueError):
-        label = int(label)
-    return path, label, opts.get("delimiter") or ","
+def _option(opts: dict, dest: str):
+    """Option ``dest`` as ``opts``, a manifest's ``data_options``, records it;
+    its default if absent, null or empty (as older trains read a delimiter)."""
+    _, default, sources, key = _DATA_OPTIONS[dest]
+    value = (opts["blobs"] if "blobs" in sources else opts).get(key)
+    if dest == "label_col":  # an int where it reads as one; -1, the last, unset
+        with suppress(ValueError):
+            return int(-1 if value in (None, "") else value)
+    return default if value in (None, "") else value
 
 
 def _load_data(spec: str, opts: dict,
                snapshot: tuple | None = None) -> Dataset:
-    """Load ``spec`` with the options a manifest records as
-    ``data_options``; an absent or None option takes its default. A
-    ``csv:`` source is read from ``snapshot``, a run's (snapshot path,
+    """Load ``spec`` with the options ``opts`` records for its kind of source.
+    A ``csv:`` source is read from ``snapshot``, a run's (snapshot path,
     manifest record), when :func:`load_csv_snapshot` finds it holds the
     table a parse would give, and parsed otherwise."""
     if spec == "blobs":
-        blob = {**_BLOB_DEFAULTS, **(opts.get("blobs") or {})}
         return make_synthetic_blobs(
-            int(blob["p"]), int(blob["q"]), int(blob["n"]),
-            float(blob["separation"]), int(blob.get("seed", 0)))
+            *(_option(opts, f"blob_{k}") for k in "pqn"),
+            float(_option(opts, "blob_sep")), opts["blobs"].get("seed", 0))
     if spec.startswith("csv:"):
-        path, label, delimiter = _csv_args(spec, opts)
-        ds = (load_csv_snapshot(*snapshot, path, label, delimiter)
-              if snapshot else None)
+        path, label, delimiter = (spec[len("csv:"):], _option(opts, "label_col"),
+                                  _option(opts, "delimiter"))
+        if not path:
+            raise DataError("csv: needs a path")
+        ds = snapshot and load_csv_snapshot(*snapshot, path, label, delimiter)
         if ds is None:
             ds = load_csv(path, label_column=label, delimiter=delimiter,
                           has_header=isinstance(label, str))
@@ -169,17 +176,9 @@ def _load_data(spec: str, opts: dict,
     else:
         raise DataError(f"unknown data source {spec!r}; "
                         "use blobs, csv:PATH, or idx:IMG,LBL")
-    if opts.get("split") is None:
-        return ds
-    return split_dataset(ds, opts["split"], opts.get("split_seed") or 0)
-
-
-def _check_split(spec: str, opts: dict) -> None:
-    """Refuse a split of blobs or a four-part ``idx:``: each has its own."""
-    if opts.get("split") is not None and (
-            spec == "blobs" or spec.startswith("idx:") and spec.count(",") == 3):
-        raise ConfigError(f"--split (or split =) does not apply to {spec}, "
-                          "which has its own train/test division")
+    split = _option(opts, "split")
+    return ds if split is None else split_dataset(
+        ds, split, _option(opts, "split_seed"))
 
 
 def _memory_budget() -> int:
@@ -192,27 +191,28 @@ def _memory_budget() -> int:
                           f"got {raw!r}") from None
 
 
-def _add_common_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="blobs | csv:PATH | idx:IMG,LBL[,TIMG,TLBL]")
-    p.add_argument("--label-col", default=None,
-                   help="label column index or header name (csv)")
-    p.add_argument("--delimiter", default=None,
-                   help="csv field delimiter (default ,)")
-    p.add_argument("--split", type=int, default=None, metavar="N_TRAIN",
-                   help="seeded shuffle split for sources with no canonical one")
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--blob-p", type=int, default=None)
-    p.add_argument("--blob-q", type=int, default=None)
-    p.add_argument("--blob-n", type=int, default=None)
-    p.add_argument("--blob-sep", type=float, default=None)
-
-
-def _data_opts(args, values: dict) -> dict:
-    """A manifest's ``data_options``, from ``values`` and the blob flags."""
-    given = {"seed": values["seed"], "p": args.blob_p, "q": args.blob_q,
-             "n": args.blob_n, "separation": args.blob_sep}
-    return {**{k: values[k] for k in _DATA_OPTIONS},
-            "blobs": {k: v for k, v in given.items() if v is not None}}
+def _data_options(spec: str | None, values: dict, config: bool) -> dict:
+    """The ``data_options`` a manifest records for ``spec``: ``values``' seed
+    and the options the source takes (blobs ones if set, others defaulted).
+    Refuses a negative seed and a set option the source does not take (any,
+    for ``spec`` None: a run's manifest picks the data), by flag (and key)."""
+    kind = spec and ("idx4" if spec.startswith("idx:") and spec.count(",") == 3
+                     else spec.partition(":")[0])  # idx4: train and test pairs
+    opts, blobs = {}, {"seed": values["seed"]}
+    named = lambda dest: ("--" + dest.replace("_", "-")
+                          + (f" (or {dest} =)" if config else ""))
+    for dest in ("seed", "split_seed"):
+        if (values[dest] or 0) < 0:
+            raise ConfigError(f"{named(dest)} must be >= 0, got {values[dest]}")
+    for dest, (_, default, sources, key) in _DATA_OPTIONS.items():
+        if values[dest] is not None and kind not in sources:
+            raise ConfigError(f"{named(dest)} does not apply to " + (
+                spec or "verify --run without --data"))
+        if kind == "blobs" and values[dest] is not None:
+            blobs[key] = values[dest]
+        elif kind in sources and kind != "blobs":
+            opts[key] = default if values[dest] is None else values[dest]
+    return {**opts, "blobs": blobs}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a network and write artifacts")
-    _add_common_data_args(p_train)
     p_train.add_argument("--config", help="flat key=value config file; "
                                           "flags override file values")
     p_train.add_argument("--n1", type=int, default=None)
@@ -248,14 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single layer to evaluate (default: all)")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
-    _add_common_data_args(p_verify)
-    p_verify.add_argument("--run", default=None,
-                          help="saved artifact directory (default: fresh net)")
-    p_verify.add_argument("--n1", type=int, default=16)
-    p_verify.add_argument("--depth", type=int, default=3)
-    p_verify.add_argument("--weights", choices=WEIGHT_KINDS, default="random")
+    p_verify.add_argument("--run", help="artifact directory (default: fresh net)")
+    p_verify.add_argument("--n1", type=int, help="fresh net only")
+    p_verify.add_argument("--depth", type=int, help="fresh net only")
+    p_verify.add_argument("--weights", choices=WEIGHT_KINDS, help="fresh net only")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=200)
+    for p in (p_train, p_verify):
+        p.add_argument("--data", help="blobs | csv:PATH | idx:IMG,LBL[,TIMG,TLBL]")
+        for dest, (kind, default, sources, _) in _DATA_OPTIONS.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=kind,
+                           help=f"{' or '.join(sources)} only (default {default})")
 
     return parser
 
@@ -280,13 +282,13 @@ def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
         raise ConfigError("--n1 and --depth are required")
     if not s["out"]:
         raise ConfigError("no output directory: pass --out or set out=")
-    _check_split(s["data"], s)
+    opts = _data_options(s["data"], s, config=True)
     cfg = TrainConfig(
         n1=s["n1"], depth=s["depth"], weight_kind=s["weights"], seed=s["seed"],
         elm_front=s["elm"], elm_activation=s["elm_activation"],
         eps_schedule=s["eps_schedule"], memory_budget=_memory_budget(),
         standardize=s["standardize"])
-    return cfg, s["data"], Path(s["out"]), _data_opts(args, s)
+    return cfg, s["data"], Path(s["out"]), opts
 
 
 def _check_out_dir(out: Path) -> None:
@@ -294,12 +296,9 @@ def _check_out_dir(out: Path) -> None:
     its manifest.json is an object with ``artifacts`` and ``config``."""
     if not out.exists() or (out.is_dir() and not any(out.iterdir())):
         return
-    try:
-        with json_artifact(out / "manifest.json") as doc:
-            if isinstance(doc, dict) and {"artifacts", "config"} <= doc.keys():
-                return
-    except DataError:
-        pass
+    with suppress(DataError), json_artifact(out / "manifest.json") as doc:
+        if isinstance(doc, dict) and {"artifacts", "config"} <= doc.keys():
+            return
     raise ConfigError(f"--out {out} exists and is neither empty nor a run "
                       "directory (no hnf manifest.json); not replacing it")
 
@@ -329,7 +328,6 @@ def _replace_dir(out: Path, write) -> None:
 def cmd_train(args) -> int:
     cfg, data_spec, out, opts = _train_config_from(args)
     _check_out_dir(out)
-    csv = _csv_args(data_spec, opts) if data_spec.startswith("csv:") else None
     data = _load_data(data_spec, opts)
     net, maps, report = train(data, cfg)
 
@@ -358,9 +356,10 @@ def cmd_train(args) -> int:
             save_output_map(om, run / "maps" / f"map{om.layer_index:02d}")
         report.to_jsonl(run / "report.jsonl")
         report.to_csv(run / "report.csv")
-        if csv:
+        if data_spec.startswith("csv:"):
             manifest["data_snapshot"] = save_csv_snapshot(
-                data, run / SNAPSHOT_FILE, *csv[1:])
+                data, run / SNAPSHOT_FILE, _option(opts, "label_col"),
+                _option(opts, "delimiter"))
         (run / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     _replace_dir(out, write)
@@ -412,12 +411,11 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
         spec = spec or manifest.get("data_source")
         manifest_opts = opts is None
         if manifest_opts:  # the types train writes; null takes the default
+            types = {key: (int, float) if kind is float else kind
+                     for kind, _, _, key in _DATA_OPTIONS.values()}
             opts = _typed(manifest.get("data_options") or {}, {
-                **{k: _TRAIN_SETTINGS[k][0] for k in _DATA_OPTIONS},
-                "label_col": (str, int), "blobs": dict})  # old label_col: int
-            opts["blobs"] = _typed(opts.get("blobs", {}), {
-                "p": int, "q": int, "n": int, "separation": (int, float),
-                "seed": int})
+                **types, "label_col": (str, int), "blobs": dict})  # old: int
+            opts["blobs"] = _typed(opts.get("blobs", {}), {**types, "seed": int})
     width = map_widths(net)
     for rel, m in zip(rels, maps):
         if m.matrix.shape[1] != width.get(m.layer_index):
@@ -472,16 +470,18 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    opts = _data_opts(args, vars(args))
-    if args.data or not args.run:  # the flags choose the data
-        _check_split(args.data or "blobs", opts)
+    spec = args.data or (None if args.run else "blobs")
+    opts = _data_options(spec, vars(args), config=False)
+    if args.run and (args.n1, args.depth, args.weights) != (None, None, None):
+        raise ConfigError("--n1, --depth and --weights do not apply to verify "
+                          "--run, which checks the run's own network")
     if args.run:
-        data, _, net, _, _ = _load_run(args.run, args.data,
-                                       opts if args.data else None)
+        data, _, net, _, _ = _load_run(args.run, spec, spec and opts)
     else:
-        data = _load_data(args.data or "blobs", opts)
-        cfg = TrainConfig(n1=args.n1, depth=args.depth,
-                          weight_kind=args.weights, seed=args.seed,
+        data = _load_data(spec, opts)
+        cfg = TrainConfig(n1=16 if args.n1 is None else args.n1,
+                          depth=3 if args.depth is None else args.depth,
+                          weight_kind=args.weights or "random", seed=args.seed,
                           memory_budget=_memory_budget())
         net = build_network(data.input_dim, cfg, len(data.train_idx))
 

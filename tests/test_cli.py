@@ -1511,6 +1511,166 @@ class TestArgumentHandling:
         assert (out / "manifest.json").is_file()
 
 
+#: A value each data option's flag would take where it applies.
+OPTION_VALUES = {"label_col": "0", "delimiter": ";", "split": "5",
+                 "split_seed": "1", "blob_p": "3", "blob_q": "2",
+                 "blob_n": "50", "blob_sep": "2"}
+
+
+def missing_source(tmp_path, kind) -> str:
+    """A ``--data`` value of this kind naming files that do not exist, so
+    that reading it would exit 3."""
+    files = [str(tmp_path / f"missing-{i}") for i in range(4)]
+    return {"blobs": "blobs", "csv": f"csv:{files[0]}",
+            "idx": "idx:" + ",".join(files[:2]),
+            "idx4": "idx:" + ",".join(files)}[kind]
+
+
+def inapplicable_options():
+    """(command, source kind, option, via) for each data option the code's
+    table says the source does not take; "run" is ``verify --run`` without
+    ``--data``, whose manifest picks the data, and via is the flag or, for
+    train, a config line."""
+    kinds = ("blobs", "csv", "idx", "idx4")
+    for command, kind, via in [*(("train", k, v) for k in kinds
+                                 for v in ("flag", "config")),
+                               *(("verify", k, "flag") for k in kinds),
+                               ("verify", "run", "flag")]:
+        for dest, (*_, sources, _) in hnf.cli._DATA_OPTIONS.items():
+            if kind not in sources:
+                yield pytest.param(command, kind, dest, via,
+                                   id=f"{command}-{kind}-{dest}-{via}")
+
+
+class TestDataOptions:
+    """Each data option applies to the kinds of source the table in
+    ``hnf.cli`` names; anywhere else it is refused before any read."""
+
+    def test_every_option_has_a_value(self):
+        assert OPTION_VALUES.keys() == hnf.cli._DATA_OPTIONS.keys()
+
+    @pytest.mark.parametrize("command, kind, dest, via",
+                             inapplicable_options())
+    def test_option_the_source_does_not_take_exits_2(
+            self, tmp_path, capsys, monkeypatch, command, kind, dest, via):
+        refuse_data_reads(monkeypatch)
+        out = tmp_path / "run"
+        data = (["--run", str(tmp_path / "no-run")] if kind == "run" else
+                ["--data", missing_source(tmp_path, kind)])
+        flag = "--" + dest.replace("_", "-")
+        argv = [command, *data, *(["--n1", "4", "--depth", "1", "--out",
+                                   str(out)] if command == "train" else [])]
+        if via == "flag":
+            argv += [flag, OPTION_VALUES[dest]]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{dest} = {OPTION_VALUES[dest]}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        source = "verify --run without --data" if kind == "run" else data[1]
+        assert f"does not apply to {source}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--data", "blobs", "--seed", "-1"], "--seed (or seed =)"),
+        (["train", "--data", "csv:MISSING", "--split", "100", "--split-seed",
+          "-1"], "--split-seed (or split_seed =)"),
+        (["train", "CONFIG", "data = blobs\nseed = -1\n"],
+         "--seed (or seed =)"),
+        (["train", "CONFIG", "data = csv:MISSING\nsplit = 100\n"
+          "split_seed = -1\n"], "--split-seed (or split_seed =)"),
+        (["verify", "--data", "blobs", "--seed", "-1", "--trials", "3"],
+         "--seed"),
+        (["verify", "--data", "csv:MISSING", "--split", "100",
+          "--split-seed", "-1"], "--split-seed"),
+        (["verify", "--run", "MISSING", "--seed", "-1"], "--seed"),
+    ], ids=["train-seed", "train-split-seed", "train-config-seed",
+            "train-config-split-seed", "verify-seed", "verify-split-seed",
+            "verify-run-seed"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv,
+                                   named):
+        """A negative seed is refused before any data is read, by flag or
+        config line, not left to numpy's ValueError traceback (exit 1)."""
+        refuse_data_reads(monkeypatch)
+        missing, out = str(tmp_path / "missing"), tmp_path / "run"
+        argv = [a.replace("MISSING", missing) for a in argv]
+        if argv[1] == "CONFIG":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv.pop(2))
+            argv[1:2] = ["--config", str(cfg)]
+        if argv[0] == "train":
+            argv += ["--n1", "16", "--depth", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named} must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--n1", "99"], ["--depth", "7"], ["--weights", "dct"],
+        ["--n1", "99", "--depth", "7", "--weights", "dct"]],
+        ids=["n1", "depth", "weights", "all"])
+    def test_fresh_network_flag_with_run_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch, flags):
+        """--n1, --depth and --weights describe the network verify builds
+        without --run; with --run they are refused before the run is read."""
+        refuse_data_reads(monkeypatch)
+        assert main(["verify", "--run", str(tmp_path / "no-run"), *flags,
+                     "--trials", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --n1, --depth and --weights do not apply to verify --run, "
+            "which checks the run's own network\n")
+
+    def test_fresh_network_defaults(self, capsys):
+        """Without --run, the fresh network is 16 wide, 3 deep and random,
+        whether those flags are given or not."""
+        assert main(["verify", "--trials", "5"]) == 0
+        table = capsys.readouterr().out
+        assert main(["verify", "--n1", "16", "--depth", "3", "--weights",
+                     "random", "--trials", "5"]) == 0
+        assert capsys.readouterr().out == table
+
+    @pytest.mark.parametrize("source", ["blobs", "csv"])
+    def test_recorded_options_the_source_does_not_take_still_load(
+            self, trained_run, tmp_path, capsys, source):
+        """A manifest holding options its source does not take, as older
+        trains recorded them (label_col and delimiter on a blobs run,
+        blob options on a csv: run), still loads in eval and verify --run,
+        which print what they print without them."""
+        if source == "blobs":
+            run, extra = tmp_path / "run", {"label_col": "7", "delimiter": ";"}
+            shutil.copytree(trained_run, run)
+        else:
+            src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
+            run, extra = tmp_path / "run", {"blobs": {"seed": 0, "p": 3,
+                                                      "separation": 2.0}}
+            assert main(["train", "--data", f"csv:{src}", "--split", "40",
+                         "--n1", "4", "--depth", "2", "--out", str(run)]) == 0
+            capsys.readouterr()
+        want = audit(run, capsys)
+        TestCsvSnapshot.edit_record(
+            run, lambda d: d["data_options"].update(extra))
+        assert audit(run, capsys) == want
+        assert [code for code, _ in want] == [0, 0]
+
+    @pytest.mark.parametrize("argv, options", [
+        (["--data", "blobs", "--blob-p", "5"], {"blobs": {"seed": 1, "p": 5}}),
+        (["--data", "CSV", "--split", "40"],
+         {"label_col": None, "delimiter": ",", "split": 40, "split_seed": 0,
+          "blobs": {"seed": 1}}),
+    ], ids=["blobs", "csv"])
+    def test_manifest_records_the_options_its_source_took(
+            self, tmp_path, capsys, argv, options):
+        src = TestEvalCommand.labelled_csv(tmp_path / "ab.csv", "AB")
+        run = tmp_path / "run"
+        argv = [f"csv:{src}" if a == "CSV" else a for a in argv]
+        assert main(["train", *argv, "--n1", "8", "--depth", "1", "--seed",
+                     "1", "--out", str(run)]) == 0
+        doc = json.loads((run / "manifest.json").read_text())
+        assert doc["data_options"] == options
+
+
 class TestReproducibility:
     def test_model_artifacts_byte_identical_across_processes(self, tmp_path):
         """Also whatever OpenBLAS's idle threads spin for: "a" runs with

@@ -1,14 +1,18 @@
 """The README's Python API example runs as written, every ``hnf`` command
-it shows is one the CLI accepts, and it lists the report's columns and the
-config keys, which are the train flags."""
+it shows is one the CLI accepts, and it lists the report's columns, the
+config keys, which are the train flags, and the options each data source
+takes."""
 
 import re
 import shlex
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
 
-from hnf.cli import _TRAIN_SETTINGS, build_parser
+from hnf.cli import (_DATA_OPTIONS, _TRAIN_SETTINGS, _data_options,
+                     build_parser)
+from hnf.errors import ConfigError
 from hnf.trainer import _CSV_FIELDS
 
 README = Path(__file__).parents[1] / "README.md"
@@ -48,5 +52,26 @@ def test_config_keys_match_the_code():
 
 def test_config_keys_are_the_train_flags():
     dests = vars(build_parser().parse_args(["train"])).keys() - {
-        "command", "config", "blob_p", "blob_q", "blob_n", "blob_sep"}
+        "command", "config"}
     assert dests == _TRAIN_SETTINGS.keys()
+
+
+def test_data_source_options_match_the_code():
+    """One row per kind of source, listing in the code's order exactly the
+    data options the code lets that source take."""
+    table = re.search(r"^\| source \| options it takes \|\n\| --- \| --- \|\n"
+                      r"((?:\|.*\|\n)+)", README.read_text(), re.M)
+    assert table, "README has no data source options table"
+    rows = [re.fullmatch(r"\| `(.+)` \| (.+) \|", row).groups()
+            for row in table.group(1).splitlines()]
+    assert [(source.partition(":")[0], source.count(",")) for source, _ in rows
+            ] == [("blobs", 0), ("csv", 0), ("idx", 1), ("idx", 3)]
+    for source, options in rows:
+        taken = []
+        for dest in _DATA_OPTIONS:
+            values = {**dict.fromkeys(_DATA_OPTIONS), "seed": 0, dest: 1}
+            with suppress(ConfigError):
+                _data_options(source, values, config=False)
+                taken.append("--" + dest.replace("_", "-"))
+        listed = re.findall(r"`(--[\w-]+)`", options)
+        assert listed == taken and (taken or options == "none"), source
