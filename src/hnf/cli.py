@@ -1,14 +1,14 @@
 """Batch command-line interface: train, eval, verify.
 
-Exit codes are stable: 0 success, 2 configuration problems, 3 data problems,
-4 solver or certification failures, 5 resource budget exceeded or memory
-exhausted. Each train setting is its flag, else its ``--config`` line, else
-its :data:`_TRAIN_SETTINGS` default. A train run writes a manifest that
-reproduces it byte-for-byte on the same build and BLAS thread count, and
-``eval`` can re-load every artifact it writes. A ``csv:`` run also keeps the
-table it parsed (:data:`SNAPSHOT_FILE`), keyed to the CSV's bytes and parse
-options; ``eval`` and ``verify --run`` read that instead of parsing again
-while the key still matches, and parse otherwise, with the same output.
+Every failure leaves through :func:`main`, which exits with its error
+class's ``exit_code`` (see :mod:`hnf.errors`). Each train setting is its
+flag, else its ``--config`` line, else its :data:`_TRAIN_SETTINGS` default.
+A train run writes a manifest that reproduces it byte-for-byte on the same
+build and BLAS thread count, and ``eval`` can re-load every artifact it
+writes. A ``csv:`` run also keeps the table it parsed
+(:data:`SNAPSHOT_FILE`), keyed to the CSV's bytes and parse options;
+``eval`` and ``verify --run`` read that instead of parsing again while the
+key still matches, and parse otherwise, with the same output.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ from .trainer import (
     verify_invariants,
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_SOLVER = 4
-EXIT_RESOURCE = 5
-
 #: The run-directory file holding a ``csv:`` source's parsed table.
 SNAPSHOT_FILE = "table.snap"
 
@@ -96,16 +90,6 @@ _TRAIN_SETTINGS = {
 #: The boolean values a config file may spell, in any case.
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
-
-
-def _exit_code_for(exc: HnfError | OSError | MemoryError) -> int:
-    if isinstance(exc, (ConfigError, ParameterError, DimensionError, StateError)):
-        return EXIT_CONFIG
-    if isinstance(exc, (DataError, OSError)):
-        return EXIT_DATA
-    if isinstance(exc, (ResourceError, MemoryError)):
-        return EXIT_RESOURCE
-    return EXIT_SOLVER
 
 
 def _read_config_file(path: str) -> dict:
@@ -325,7 +309,7 @@ def _replace_dir(out: Path, write) -> None:
     shutil.rmtree(old, ignore_errors=True)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg, data_spec, out, opts = _train_config_from(args)
     _check_out_dir(out)
     data = _load_data(data_spec, opts)
@@ -367,10 +351,8 @@ def cmd_train(args) -> int:
     for rec in report.rows():
         print(json.dumps(rec.as_dict()))
     if not report.monotonicity_certified:
-        print("certification FAILED: training cost chain is not certified",
-              file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+        raise SolverError("certification FAILED: training cost chain is not "
+                          "certified")
 
 
 def _typed(doc, types: dict) -> dict:
@@ -438,7 +420,7 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
                         f"{spec}: {exc}") from exc
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     data, transform, net, maps, names = _load_run(args.run, args.data)
     if names is not None and len(names) == data.n_classes:
         own = data.meta["label_names"]  # numbered by first appearance
@@ -464,10 +446,9 @@ def cmd_eval(args) -> int:
         te = test_scores[lid]
         print(f"{lid:>5} {tr.cost:>20.12e} {tr.accuracy:>12.10f} "
               f"{te.cost:>20.12e} {te.accuracy:>12.10f}")
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     spec = args.data or (None if args.run else "blobs")
@@ -493,9 +474,7 @@ def cmd_verify(args) -> int:
         print(f"{chk.name:<28} {chk.count:>7} {chk.violations:>11} "
               f"{margin:>13}{note}")
     if not report.passed:
-        print("invariant checks FAILED", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+        raise SolverError("invariant checks FAILED")
 
 
 _COMMANDS = {
@@ -515,10 +494,13 @@ def main(argv=None) -> int:
         for k in ("data", *_DATA_OPTIONS):
             if getattr(args, k, None) == "":
                 raise ConfigError(f"--{k.replace('_', '-')} has no value")
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+        return 0
     except (HnfError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return _exit_code_for(exc)
+        # an OSError exits as a DataError, a MemoryError as a ResourceError
+        return (exc if isinstance(exc, HnfError) else DataError
+                if isinstance(exc, OSError) else ResourceError).exit_code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, ParseError
+from .errors import (DataError, FormatError, ParameterError, ParseError,
+                     ResourceError)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -365,6 +366,8 @@ def split_dataset(ds: Dataset, n_train: int, seed: int = 0) -> Dataset:
         raise ParameterError(
             f"n_train must be in 1..{n}, got {n_train}"
         )
+    if seed < 0:
+        raise ParameterError(f"split seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
     meta = dict(ds.meta)
@@ -419,6 +422,11 @@ def make_synthetic_blobs(p: int, q: int, n: int, separation: float,
     if not 0 <= separation < np.inf:  # NaN fails both comparisons
         raise ParameterError(f"separation must be finite and >= 0, "
                              f"got {separation}")
+    if seed < 0:
+        raise ParameterError(f"blob seed must be >= 0, got {seed}")
+    if p * n * 8 > np.iinfo(np.intp).max:
+        raise ResourceError(f"{p} x {n} float64 blob inputs exceed the "
+                            f"{np.iinfo(np.intp).max} bytes an array can hold")
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.zeros((q, p))
     if q <= p:

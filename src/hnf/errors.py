@@ -1,33 +1,39 @@
 """Exception hierarchy shared by all hnf modules.
 
 Every error raised by the library derives from :class:`HnfError` so callers
-can catch one base class. The CLI maps subclasses to stable exit codes
-(see ``hnf.cli``).
+can catch one base class. Each class's ``exit_code`` is the code ``hnf``
+exits with when it reports that error.
 """
 
 
 class HnfError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 4
 
 
 class ConfigError(HnfError):
     """Invalid training or run configuration."""
+    exit_code = 2
 
 
 class ParameterError(HnfError):
     """An argument violates an operation's precondition."""
+    exit_code = 2
 
 
 class DimensionError(HnfError):
     """Array shapes do not satisfy the operation's contract."""
+    exit_code = 2
 
 
 class StateError(HnfError):
     """Requested something the current artifacts do not contain."""
+    exit_code = 2
 
 
 class DataError(HnfError):
     """Dataset content is unusable (empty, non-finite, inconsistent)."""
+    exit_code = 3
 
 
 class ParseError(DataError):
@@ -52,3 +58,4 @@ class NumericalError(SolverError):
 
 class ResourceError(HnfError):
     """A memory or runtime budget would be exceeded."""
+    exit_code = 5

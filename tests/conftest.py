@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -7,11 +8,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import hnf.errors
 import hnf.layers
 from hnf.layers import HnfLayer, HnfNetwork
 from hnf.matrixgen import make_dct_orthonormal, make_random_orthonormal
 from hnf.solvers import OutputMap, least_squares
 from oracles import sample_cost
+
+README = Path(__file__).parents[1] / "README.md"
+
+#: Every error class ``hnf.cli.main`` reports: each in :mod:`hnf.errors`,
+#: then OSError and MemoryError.
+ERROR_CLASSES = [cls for cls in vars(hnf.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, Exception)
+                 ] + [OSError, MemoryError]
 
 _acceptance_outcomes: dict[str, str] = {}
 
@@ -83,3 +93,14 @@ def count_walk(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("hnf.trainer.walk", counted)
     return widths
+
+
+def exit_code_rows() -> list[tuple[int, list[str]]]:
+    """README's exit-code table: each row's code and the classes it names."""
+    table = re.search(r"^\| code \| errors \| meaning \|\n"
+                      r"\| --- \| --- \| --- \|\n((?:\|.*\|\n)+)",
+                      README.read_text(), re.M)
+    assert table, "README has no exit-code table"
+    rows = [re.match(r"\| (\d+) \| (.*?) \|", row).groups()
+            for row in table.group(1).splitlines()]
+    return [(int(code), re.findall(r"`(\w+)`", names)) for code, names in rows]

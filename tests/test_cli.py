@@ -24,7 +24,7 @@ from hnf.matrixgen import WeightMatrix
 from hnf.solvers import embed_previous_map, load_output_map, save_output_map
 from hnf.trainer import TrainConfig, build_network, verify_invariants
 
-from conftest import count_walk
+from conftest import ERROR_CLASSES, count_walk, exit_code_rows
 
 
 def run_module(*argv, python=("-m", "hnf"), env=None):
@@ -1346,11 +1346,14 @@ class TestCorruptArtifacts:
         ("blobs", lambda d: d["data_options"]["blobs"].update(p=0)),
         ("blobs", lambda d: d["artifacts"]["maps"].append("maps/map02.json")),
         ("blobs", lambda d: d.pop("data_source")),
+        ("csv", lambda d: d["data_options"].update(split_seed=-1)),
+        ("blobs", lambda d: d["data_options"]["blobs"].update(seed=-1)),
     ], ids=["std-not-object", "mu-not-number", "sigma-missing", "mu-short",
             "sigma-zero", "options-list", "blob-p-text", "blobs-list",
             "split-text", "split-fraction", "label-col-list",
             "split-negative", "split-over-rows", "blob-p-zero",
-            "map-layer-twice", "no-data-source"])
+            "map-layer-twice", "no-data-source", "split-seed-negative",
+            "blob-seed-negative"])
     def test_bad_manifest_field_exits_3(self, manifest_runs, tmp_path, capsys,
                                         run, edit):
         def rewrite(raw):
@@ -1364,6 +1367,50 @@ class TestCorruptArtifacts:
         assert main(["verify", "--run", str(copy), "--trials", "5"]) == 3
         err = capsys.readouterr().err
         assert "manifest.json" in err and "Traceback" not in err
+
+    def test_negative_blob_seed_with_data_exits_3(self, trained_run, tmp_path,
+                                                   capsys):
+        """``eval --data blobs`` still takes the manifest's blob options."""
+        def rewrite(raw):
+            doc = json.loads(raw)
+            doc["data_options"]["blobs"]["seed"] = -1
+            return json.dumps(doc).encode()
+
+        copy = corrupt_copy(trained_run, tmp_path, "manifest.json", rewrite)
+        assert main(["eval", "--run", str(copy), "--data", "blobs"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["train", "--blob-n", str(2**62)], None),
+        (["train", "--blob-n", str(2**70)], None),
+        (["verify", "--data", "blobs", "--blob-p", str(2**62), "--trials", "2"],
+         None),
+        (["eval"], "n"), (["verify", "--trials", "2"], "n"),
+        (["eval"], "p"), (["verify", "--trials", "2"], "p"),
+    ], ids=["train-blob-n-2^62", "train-blob-n-2^70", "verify-blob-p-2^62",
+            "eval-recorded-n", "verify-recorded-n", "eval-recorded-p",
+            "verify-recorded-p"])
+    def test_unaddressable_blob_size_exits_5(self, trained_run, tmp_path,
+                                             capsys, argv, recorded):
+        """A blob size whose p x n float64 inputs no array can address, by
+        flag or recorded in a manifest as 2**70, is refused before any
+        allocation."""
+        def rewrite(raw):
+            doc = json.loads(raw)
+            doc["data_options"]["blobs"][recorded] = 2**70
+            return json.dumps(doc).encode()
+
+        if recorded:
+            argv = [*argv, "--run", str(corrupt_copy(
+                trained_run, tmp_path, "manifest.json", rewrite))]
+        elif argv[0] == "train":
+            argv = [*argv, "--data", "blobs", "--n1", "16", "--depth", "1",
+                    "--out", str(tmp_path / "run")]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "bytes an array can hold" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("run", ["blobs", "std", "elm"])
     def test_data_of_another_width_exits_2(self, manifest_runs, tmp_path,
@@ -1502,6 +1549,20 @@ class TestArgumentHandling:
     def test_unknown_data_scheme_exits_3(self, tmp_path):
         assert main(["train", "--data", "ftp:whatever", "--n1", "8",
                      "--depth", "1", "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_each_error_exits_with_its_readme_code(self, monkeypatch, capsys,
+                                                   cls):
+        """Every error a command raises leaves through main as one error
+        line and the code of the README row that names its class."""
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setitem(hnf.cli._COMMANDS, "eval", fail)
+        [code] = [code for code, names in exit_code_rows()
+                  if cls.__name__ in names]
+        assert main(["eval", "--run", "x"]) == code
+        assert capsys.readouterr() == ("", "error: boom\n")
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "run"

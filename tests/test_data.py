@@ -340,6 +340,12 @@ class TestBlobs:
             with pytest.raises(ParameterError):
                 make_synthetic_blobs(3, 2, 10, sep, 0)
 
+    def test_negative_seed_refused(self):
+        """A negative seed is named; a seed past 64 bits is taken."""
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            make_synthetic_blobs(3, 2, 10, 1.0, -1)
+        assert make_synthetic_blobs(3, 2, 10, 1.0, 2**64).n_samples == 10
+
 
 class TestSplitAndMerge:
     def test_split_partitions(self, tmp_path):
@@ -373,6 +379,11 @@ class TestSplitAndMerge:
             split_dataset(ds, 0)
         with pytest.raises(ParameterError):
             split_dataset(ds, 101)
+
+    def test_split_negative_seed_refused(self):
+        ds = make_synthetic_blobs(4, 2, 100, 3.0, seed=1)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            split_dataset(ds, 70, seed=-1)
 
     def test_merge_keeps_canonical_division(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(5, 2, 2)).astype(np.uint8)

@@ -1,21 +1,19 @@
 """The README's Python API example runs as written, every ``hnf`` command
 it shows is one the CLI accepts, and it lists the report's columns, the
-config keys, which are the train flags, and the options each data source
-takes."""
+config keys, which are the train flags, the options each data source
+takes, and the error classes behind each exit code."""
 
 import re
 import shlex
 from contextlib import suppress
-from pathlib import Path
 
 import pytest
 
 from hnf.cli import (_DATA_OPTIONS, _TRAIN_SETTINGS, _data_options,
                      build_parser)
-from hnf.errors import ConfigError
+from hnf.errors import ConfigError, DataError, ResourceError
 from hnf.trainer import _CSV_FIELDS
-
-README = Path(__file__).parents[1] / "README.md"
+from conftest import ERROR_CLASSES, README, exit_code_rows
 
 
 def test_python_api_block_runs():
@@ -75,3 +73,17 @@ def test_data_source_options_match_the_code():
                 taken.append("--" + dest.replace("_", "-"))
         listed = re.findall(r"`(--[\w-]+)`", options)
         assert listed == taken and (taken or options == "none"), source
+
+
+def test_exit_codes_match_the_classes():
+    """Each error class is named in one row of the exit-code table, the row
+    of its ``exit_code`` (DataError's for an OSError, ResourceError's for a
+    MemoryError), and the table names no other; row 0 names none."""
+    rows = exit_code_rows()
+    builtin = {OSError: DataError, MemoryError: ResourceError}
+    for cls in ERROR_CLASSES:
+        assert [code for code, names in rows if cls.__name__ in names] == [
+            builtin.get(cls, cls).exit_code], cls.__name__
+    assert sorted(name for _, names in rows for name in names) == sorted(
+        cls.__name__ for cls in ERROR_CLASSES)
+    assert [names for code, names in rows if code == 0] == [[]]
