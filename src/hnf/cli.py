@@ -3,12 +3,15 @@
 Every failure leaves through :func:`main`, which exits with its error
 class's ``exit_code`` (see :mod:`hnf.errors`). Each train setting is its
 flag, else its ``--config`` line, else its :data:`_TRAIN_SETTINGS` default.
-A train run writes a manifest that reproduces it byte-for-byte on the same
-build and BLAS thread count, and ``eval`` can re-load every artifact it
-writes. A ``csv:`` run also keeps the table it parsed
-(:data:`SNAPSHOT_FILE`), keyed to the CSV's bytes and parse options;
-``eval`` and ``verify --run`` read that instead of parsing again while the
-key still matches, and parse otherwise, with the same output.
+This module writes and reads every file of a run directory: its manifest,
+``network.json`` beside the weight files (through :mod:`hnf.matrixgen`'s
+codec), the maps and the report. A train run writes a manifest that
+reproduces it byte-for-byte on the same build and BLAS thread count, and
+``eval`` can re-load every artifact it writes. A ``csv:`` run also keeps
+the table it parsed (:data:`SNAPSHOT_FILE`, through :mod:`hnf.data`),
+keyed to the CSV's bytes and parse options; ``eval`` and ``verify --run``
+read that instead of parsing again while the key still matches, and parse
+otherwise, with the same output.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import shutil
 import sys
 import uuid
-from contextlib import suppress
-from dataclasses import asdict, replace
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +45,23 @@ from .errors import (
     ConfigError,
     DataError,
     DimensionError,
+    FormatError,
     HnfError,
     ParameterError,
     ResourceError,
     SolverError,
     StateError,
 )
-from .layers import ACTIVATIONS, json_artifact, load_network, save_network
-from .solvers import load_output_map, save_output_map, within_ball
+from .layers import ACTIVATIONS, HnfLayer, HnfNetwork
+from .matrixgen import load_weight, save_weight
+from .solvers import OutputMap, within_ball
 from .trainer import (
     DEFAULT_MEMORY_BUDGET,
     EPS_SCHEDULES,
     WEIGHT_KINDS,
+    LayerRecord,
     TrainConfig,
+    TrainReport,
     build_network,
     evaluate,
     map_widths,
@@ -63,6 +71,9 @@ from .trainer import (
 
 #: The run-directory file holding a ``csv:`` source's parsed table.
 SNAPSHOT_FILE = "table.snap"
+
+#: The columns of ``report.csv``, in order.
+_CSV_FIELDS = tuple(f.name for f in fields(LayerRecord))
 
 #: Each data option, by its flag's dest: its type, default, the kinds of
 #: source that take it and its key in a manifest's ``data_options``, a
@@ -275,6 +286,120 @@ def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
     return cfg, s["data"], Path(s["out"]), opts
 
 
+def _typed(doc, types: dict) -> dict:
+    """The non-null fields of ``doc`` if it is an object whose ``types``
+    fields are null or of that type (a bool only of bool), else TypeError."""
+    if not isinstance(doc, dict) or any(
+            not isinstance(doc.get(k), (kind, type(None)))
+            or isinstance(doc.get(k), bool) and kind is not bool
+            for k, kind in types.items()):
+        raise TypeError(f"expected an object with fields {types}, got {doc!r}")
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@contextmanager
+def json_artifact(path):
+    """Parse a JSON artifact for a ``with`` block that reads its fields; an
+    unreadable file or one the block reads, malformed JSON, or a field the
+    block finds missing, of the wrong type or out of range becomes a
+    :class:`DataError` naming the file."""
+    try:
+        yield json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    except (ValueError, KeyError, TypeError, ArithmeticError, ParameterError,
+            DimensionError) as exc:
+        raise DataError(f"{path}: malformed or incomplete JSON: {exc!r}") from exc
+
+
+def save_network(net: HnfNetwork, run: Path) -> None:
+    """Write ``weights/wNN.hnfw`` and ``network.json``: ``{"layers": [{"file",
+    "rows", "cols", "kind", "seed", "expand", "activation"}, ...]}``, with
+    files relative to ``run``."""
+    (run / "weights").mkdir(parents=True, exist_ok=True)
+    records = []
+    for i, layer in enumerate(net.layers):
+        fname = f"weights/w{i:02d}.hnfw"
+        save_weight(layer.weight, run / fname)
+        records.append({"file": fname, **layer.weight.header,
+                        "expand": layer.expand,
+                        "activation": layer.activation})
+    (run / "network.json").write_text(json.dumps({"layers": records}, indent=2))
+
+
+def load_network(path: Path) -> HnfNetwork:
+    """Rebuild a network from a ``network.json`` :func:`save_network` wrote.
+    A field of the wrong type, or a weight file whose header disagrees with
+    its record, is a :class:`DataError` naming that file."""
+    layers = []
+    with json_artifact(path) as doc:
+        for rec in doc["layers"]:
+            typed = _typed(rec, {"file": str, "rows": int, "cols": int,
+                                 "expand": bool, "activation": str})
+            w = load_weight(path.parent / typed["file"])
+            if w.header != {k: rec[k] for k in w.header}:
+                raise DataError(f"{path.parent / rec['file']}: header "
+                                f"{w.header} is not the layer {path.name} "
+                                "records")
+            layers.append(HnfLayer(w, expand=typed["expand"],
+                                   activation=typed["activation"]))
+        return HnfNetwork(tuple(layers))
+
+
+def save_output_map(om: OutputMap, prefix: Path) -> None:
+    """Write ``<prefix>.bin`` (row-major float64) and ``<prefix>.json``."""
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    bin_path = prefix.with_suffix(".bin")
+    bin_path.write_bytes(np.ascontiguousarray(om.matrix, dtype="<f8").tobytes())
+    prefix.with_suffix(".json").write_text(json.dumps({
+        "rows": int(om.matrix.shape[0]),
+        "cols": int(om.matrix.shape[1]),
+        "epsilon": None if math.isinf(om.epsilon) else om.epsilon,
+        "train_cost": om.train_cost,
+        "layer_index": om.layer_index,
+        "solver": om.solver,
+        "matrix_file": bin_path.name,
+    }, indent=2))
+
+
+def load_output_map(path: Path) -> OutputMap:
+    """Read a map :func:`save_output_map` wrote, finite entries only; a field
+    of the wrong type, or an epsilon not null or > 0, is a DataError."""
+    with json_artifact(path) as meta:
+        typed = _typed(meta, {"rows": int, "cols": int, "layer_index": int,
+                              "epsilon": (int, float),
+                              "train_cost": (int, float), "matrix_file": str})
+        rows, cols = typed["rows"], typed["cols"]
+        eps = math.inf if meta["epsilon"] is None else float(meta["epsilon"])
+        if not eps > 0:
+            raise ValueError(f"epsilon must be null or > 0, got {eps}")
+        fitted = (float(typed["train_cost"]), typed["layer_index"],
+                  meta["solver"])
+        bin_path = path.parent / typed["matrix_file"]
+        raw = bin_path.read_bytes()
+    if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
+        raise FormatError(
+            f"{bin_path}: {len(raw)} bytes, but {path.name} declares a "
+            f"{rows}x{cols} float64 map"
+        )
+    matrix = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    if not np.isfinite(matrix).all():
+        raise FormatError(f"{bin_path}: non-finite map entries")
+    return OutputMap(matrix, eps, *fitted)
+
+
+def save_report(report: TrainReport, run: Path) -> None:
+    """Write the report's rows to ``report.jsonl`` and ``report.csv``."""
+    rows = [rec.as_dict() for rec in report.rows()]
+    cell = lambda v: ("" if v is None else repr(v) if isinstance(v, float)
+                      else str(v))
+    csv = [",".join(_CSV_FIELDS),
+           *(",".join(cell(d[k]) for k in _CSV_FIELDS) for d in rows)]
+    (run / "report.jsonl").write_text("".join(json.dumps(d) + "\n"
+                                              for d in rows))
+    (run / "report.csv").write_text("".join(line + "\n" for line in csv))
+
+
 def _check_out_dir(out: Path) -> None:
     """Refuse an existing ``--out`` unless it is empty or a previous run:
     its manifest.json is an object with ``artifacts`` and ``config``."""
@@ -338,8 +463,7 @@ def cmd_train(args) -> None:
         save_network(net, run)
         for om in maps:
             save_output_map(om, run / "maps" / f"map{om.layer_index:02d}")
-        report.to_jsonl(run / "report.jsonl")
-        report.to_csv(run / "report.csv")
+        save_report(report, run)
         if data_spec.startswith("csv:"):
             manifest["data_snapshot"] = save_csv_snapshot(
                 data, run / SNAPSHOT_FILE, _option(opts, "label_col"),
@@ -353,17 +477,6 @@ def cmd_train(args) -> None:
     if not report.monotonicity_certified:
         raise SolverError("certification FAILED: training cost chain is not "
                           "certified")
-
-
-def _typed(doc, types: dict) -> dict:
-    """The non-null fields of ``doc`` if it is an object whose ``types``
-    fields are null or of that type (a bool is no number), else TypeError."""
-    if not isinstance(doc, dict) or any(
-            isinstance(doc.get(k), bool)
-            or not isinstance(doc.get(k), (kind, type(None)))
-            for k, kind in types.items()):
-        raise TypeError(f"expected an object with fields {types}, got {doc!r}")
-    return {k: v for k, v in doc.items() if v is not None}
 
 
 def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
@@ -459,11 +572,11 @@ def cmd_verify(args) -> None:
     if args.run:
         data, _, net, _, _ = _load_run(args.run, spec, spec and opts)
     else:
-        data = _load_data(spec, opts)
         cfg = TrainConfig(n1=16 if args.n1 is None else args.n1,
                           depth=3 if args.depth is None else args.depth,
                           weight_kind=args.weights or "random", seed=args.seed,
                           memory_budget=_memory_budget())
+        data = _load_data(spec, opts)
         net = build_network(data.input_dim, cfg, len(data.train_idx))
 
     report = verify_invariants(net, data, args.trials, args.seed)

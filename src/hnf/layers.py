@@ -21,21 +21,17 @@ All vector operations also accept 2-D arrays whose columns are samples.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    DataError,
     DimensionError,
     NotInvertibleError,
     NumericalError,
     ParameterError,
 )
-from .matrixgen import WeightMatrix, load_weight, save_weight
+from .matrixgen import WeightMatrix
 
 #: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
 PINV_RCOND = 1e-10
@@ -212,57 +208,3 @@ def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
     for layer in reversed(net.layers):
         cur = pinv_weight(layer.weight) @ un_collapse(cur)
     return cur
-
-
-def save_network(net: HnfNetwork, out_dir) -> Path:
-    """Write the weight files plus a JSON manifest; returns the manifest path.
-
-    Manifest schema: ``{"layers": [{"file", "rows", "cols", "kind", "seed",
-    "expand", "activation"}, ...]}`` with files relative to the manifest.
-    """
-    out_dir = Path(out_dir)
-    weights_dir = out_dir / "weights"
-    weights_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    for i, layer in enumerate(net.layers):
-        fname = f"weights/w{i:02d}.hnfw"
-        save_weight(layer.weight, out_dir / fname)
-        records.append({"file": fname, **layer.weight.header,
-                        "expand": layer.expand,
-                        "activation": layer.activation})
-    manifest = out_dir / "network.json"
-    manifest.write_text(json.dumps({"layers": records}, indent=2))
-    return manifest
-
-
-@contextmanager
-def json_artifact(path):
-    """Parse a JSON artifact for a ``with`` block that reads its fields; an
-    unreadable file or one the block reads, malformed JSON, or a field the
-    block finds missing, of the wrong type or out of range becomes a
-    :class:`DataError` naming the file."""
-    try:
-        yield json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc}") from exc
-    except (ValueError, KeyError, TypeError, ArithmeticError, ParameterError,
-            DimensionError) as exc:
-        raise DataError(f"{path}: malformed or incomplete JSON: {exc!r}") from exc
-
-
-def load_network(manifest_path) -> HnfNetwork:
-    """Rebuild a network from a manifest written by :func:`save_network`; a
-    weight file whose header disagrees with its record is a
-    :class:`DataError` naming that file."""
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    layers = []
-    with json_artifact(manifest_path) as doc:
-        for rec in doc["layers"]:
-            w = load_weight(base / rec["file"])
-            if w.header != {k: rec[k] for k in w.header}:
-                raise DataError(f"{base / rec['file']}: header {w.header} is "
-                                f"not the layer {manifest_path.name} records")
-            layers.append(HnfLayer(w, expand=rec["expand"],
-                                   activation=rec["activation"]))
-        return HnfNetwork(tuple(layers))

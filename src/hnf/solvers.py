@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -48,8 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError, ParameterError
-from .layers import json_artifact, pinv_weight
+from .errors import DataError, DimensionError, ParameterError
+from .layers import pinv_weight
 from .matrixgen import WeightMatrix
 
 
@@ -273,44 +272,3 @@ def embed_previous_map(o_prev: OutputMap,
         )
     m = o @ pinv_weight(w)
     return np.hstack([m, -m]), max(2.0 * float(np.sum(m * m)), EPSILON_FLOOR)
-
-
-def save_output_map(om: OutputMap, path_prefix) -> tuple[Path, Path]:
-    """Write ``<prefix>.bin`` (row-major float64) and ``<prefix>.json``."""
-    path_prefix = Path(path_prefix)
-    bin_path = path_prefix.with_suffix(".bin")
-    json_path = path_prefix.with_suffix(".json")
-    bin_path.parent.mkdir(parents=True, exist_ok=True)
-    bin_path.write_bytes(np.ascontiguousarray(om.matrix, dtype="<f8").tobytes())
-    meta = {
-        "rows": int(om.matrix.shape[0]),
-        "cols": int(om.matrix.shape[1]),
-        "epsilon": None if math.isinf(om.epsilon) else om.epsilon,
-        "train_cost": om.train_cost,
-        "layer_index": om.layer_index,
-        "solver": om.solver,
-        "matrix_file": bin_path.name,
-    }
-    json_path.write_text(json.dumps(meta, indent=2))
-    return bin_path, json_path
-
-
-def load_output_map(json_path) -> OutputMap:
-    """Read a map written by :func:`save_output_map`, finite entries only."""
-    json_path = Path(json_path)
-    with json_artifact(json_path) as meta:
-        rows, cols = int(meta["rows"]), int(meta["cols"])
-        bin_path = json_path.parent / meta["matrix_file"]
-        eps = math.inf if meta["epsilon"] is None else float(meta["epsilon"])
-        fitted = (float(meta["train_cost"]), int(meta["layer_index"]),
-                  meta["solver"])
-        raw = bin_path.read_bytes()
-    if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
-        raise FormatError(
-            f"{bin_path}: {len(raw)} bytes, but {json_path.name} declares a "
-            f"{rows}x{cols} float64 map"
-        )
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-    if not np.isfinite(matrix).all():
-        raise FormatError(f"{bin_path}: non-finite map entries")
-    return OutputMap(matrix, eps, *fitted)

@@ -36,10 +36,9 @@ stopping looks at it; there is no cross-validation anywhere.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -123,6 +122,8 @@ class TrainConfig:
             if value not in allowed:
                 raise ConfigError(
                     f"{name} must be one of {allowed}, got {value!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in 0..2**64-1, got {self.seed}")
         if self.memory_budget < 1:
             raise ConfigError("memory_budget must be positive")
         if self.elm_front and self.depth < 2:
@@ -151,9 +152,6 @@ class LayerRecord:
         return d
 
 
-_CSV_FIELDS = tuple(f.name for f in fields(LayerRecord))
-
-
 @dataclass(frozen=True)
 class TrainReport:
     """Baseline plus per-layer records and the certification flag."""
@@ -165,20 +163,6 @@ class TrainReport:
 
     def rows(self) -> list[LayerRecord]:
         return [self.baseline, *self.per_layer]
-
-    def to_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for rec in self.rows():
-                fh.write(json.dumps(rec.as_dict()) + "\n")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(_CSV_FIELDS) + "\n")
-            for rec in self.rows():
-                d = rec.as_dict()
-                fh.write(",".join(
-                    "" if d[k] is None else repr(d[k]) if isinstance(d[k], float)
-                    else str(d[k]) for k in _CSV_FIELDS) + "\n")
 
 
 def block_score(o: np.ndarray, feats: np.ndarray, t: np.ndarray,
@@ -206,15 +190,16 @@ def build_network(input_dim: int, cfg: TrainConfig,
     is a raw-Gaussian activation layer of width n1 (seed + 1). The first
     expanding layer has width n1 and fan-in P (n1 behind the front); every
     later layer's width equals its fan-in, twice the previous width.
-    Expanding layer l is random orthonormal with seed + l, or DCT. Before
-    a layer's weight is built, what the train walk holds there must fit
-    ``cfg.memory_budget``: every weight so far (its own included), the
-    layer's rows of pre-activations on ``n_cols`` columns and the larger
-    of two moments. One is its d x d Gram with the carry into it (the
-    previous Gram beside ``W R^T`` and their product), which the previous
-    layer's solve follows. The other is a pass with its block buffer: the
-    previous layer's pass sums this Gram beside a buffer of this layer's
-    rows, and the last layer's own pass holds a d-row buffer alone."""
+    Expanding layer l is random orthonormal with seed + l (each modulo
+    2**64), or DCT. Before a layer's weight is built, what the train walk
+    holds there must fit ``cfg.memory_budget``: every weight so far (its
+    own included), the layer's rows of pre-activations on ``n_cols``
+    columns and the larger of two moments. One is its d x d Gram with the
+    carry into it (the previous Gram beside ``W R^T`` and their product),
+    which the previous layer's solve follows. The other is a pass with its
+    block buffer: the previous layer's pass sums this Gram beside a buffer
+    of this layer's rows, and the last layer's own pass holds a d-row
+    buffer alone."""
     if not cfg.elm_front and cfg.n1 < input_dim:
         raise ConfigError(
             f"orthonormal first layer needs n1 >= input dim, "
@@ -225,6 +210,7 @@ def build_network(input_dim: int, cfg: TrainConfig,
     fan_in, width = input_dim, cfg.n1
     for layer_no in range(1, cfg.depth + 1):
         front = cfg.elm_front and layer_no == 1
+        seed = (cfg.seed + layer_no) % 2 ** 64  # seed + 1 for the front
         weight_bytes += width * fan_in * 8
         d = width if front else 2 * width
         carry = 0 if front else (fan_in + 2 * width) * fan_in * 8
@@ -241,11 +227,11 @@ def build_network(input_dim: int, cfg: TrainConfig,
                 f"({at_carry} bytes) need {need} bytes, over the "
                 f"{cfg.memory_budget}-byte budget")
         if front:
-            w = make_raw_gaussian(width, fan_in, cfg.seed + 1)
+            w = make_raw_gaussian(width, fan_in, seed)
         elif cfg.weight_kind == "dct":
             w = make_dct_orthonormal(width, fan_in)
         else:
-            w = make_random_orthonormal(width, fan_in, cfg.seed + layer_no)
+            w = make_random_orthonormal(width, fan_in, seed)
         layers.append(HnfLayer(w, expand=not front, activation=(
             cfg.elm_activation if front else "relu")))
         fan_in = width = width if front else 2 * width

@@ -16,12 +16,13 @@ import pytest
 import hnf
 import hnf.cli
 import hnf.trainer
-from hnf.cli import main
+from hnf.cli import (load_network, load_output_map, main, save_network,
+                     save_output_map)
 from hnf.data import Dataset, load_csv, make_synthetic_blobs, split_dataset
-from hnf.layers import HnfNetwork, load_network, save_network
+from hnf.layers import HnfNetwork
 from hnf.errors import DataError, ResourceError
 from hnf.matrixgen import WeightMatrix
-from hnf.solvers import embed_previous_map, load_output_map, save_output_map
+from hnf.solvers import embed_previous_map
 from hnf.trainer import TrainConfig, build_network, verify_invariants
 
 from conftest import ERROR_CLASSES, count_walk, exit_code_rows
@@ -1313,8 +1314,30 @@ class TestCorruptArtifacts:
          "network.json"),
         ("network.json", lambda d: d["layers"][0].update(file=""),
          "network.json"),
+        ("network.json", lambda d: d["layers"][0].update(expand="no"),
+         "network.json"),
+        ("network.json", lambda d: d["layers"][0].update(expand=None),
+         "network.json"),
+        ("network.json", lambda d: d["layers"][0].update(activation=1),
+         "network.json"),
+        ("network.json", lambda d: d["layers"][0].update(rows=16.0),
+         "network.json"),
+        ("network.json", lambda d: d["layers"][0].update(cols=True),
+         "network.json"),
+        ("maps/map01.json", lambda d: d.update(rows=3.0), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(cols="32"), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(layer_index=True), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(layer_index="1"), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(epsilon=-1), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(epsilon="1"), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(train_cost="0.5"),
+         "map01.json"),
     ], ids=["map-file-empty", "network-empty", "map-entry-dir",
-            "unknown-activation", "weight-file-empty"])
+            "unknown-activation", "weight-file-empty", "expand-text",
+            "expand-null", "activation-number", "rows-float", "cols-bool",
+            "map-rows-float", "map-cols-text", "layer-index-bool",
+            "layer-index-text", "epsilon-negative", "epsilon-text",
+            "train-cost-text"])
     def test_unreadable_artifact_path_exits_3(self, trained_run, tmp_path,
                                               capsys, rel, edit, named):
         def rewrite(raw):
@@ -1667,6 +1690,19 @@ class TestDataOptions:
         err = capsys.readouterr().err
         assert err == f"error: {named} must be >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "verify"])
+    def test_seed_range_is_u64(self, tmp_path, capsys, command):
+        """The largest u64 seed builds a network, whose layers' seeds wrap
+        modulo 2**64; one past it exits 2 naming the value given."""
+        argv = [command, "--data", "blobs", "--n1", "8", "--depth", "2", *(
+            ["--out", str(tmp_path / "run")] if command == "train"
+            else ["--trials", "5"])]
+        assert main([*argv, "--seed", str(2 ** 64 - 1)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--seed", str(2 ** 64)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be in 0..2**64-1, got 18446744073709551616\n")
 
     @pytest.mark.parametrize("flags", [
         ["--n1", "99"], ["--depth", "7"], ["--weights", "dct"],

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hnf.cli import load_output_map
 from hnf.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, load_csv, load_idx
 from hnf.errors import HnfError
 from hnf.matrixgen import _HEADER, MAGIC, load_weight
-from hnf.solvers import load_output_map
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hnf
+from hnf.cli import load_network, save_network
 from hnf.errors import DimensionError, NotInvertibleError
 from hnf.layers import (
     ACTIVATIONS,
     HnfLayer,
     HnfNetwork,
-    load_network,
     network_invert,
     relu,
-    save_network,
     sigmoid,
     un_collapse,
     vn_expand,
@@ -336,6 +335,23 @@ class TestNetworkForward:
                 visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
         assert readers == {"_carry", "pinv_weight"}
 
+    @pytest.mark.parametrize("module", ["layers", "solvers", "trainer"])
+    def test_numeric_modules_do_no_file_io(self, module):
+        """hnf.cli writes and reads the run directory: no function of the
+        numeric modules opens, reads, writes or makes a file or directory,
+        and none of them imports json."""
+        source = Path(hnf.__file__).parent / f"{module}.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert not calls & {"open", "read_text", "write_text", "read_bytes",
+                            "write_bytes", "mkdir"}
+        assert "json" not in imported
+
 
 class TestNetworkInvert:
     def test_round_trip(self, rng):
@@ -455,8 +471,8 @@ class TestManifest:
                          activation="sigmoid")
         tail = HnfLayer(make_random_orthonormal(6, 6, seed=8))
         net = HnfNetwork((front, tail))
-        manifest = save_network(net, tmp_path)
-        back = load_network(manifest)
+        save_network(net, tmp_path)
+        back = load_network(tmp_path / "network.json")
         assert back.depth == net.depth
         assert back.has_front
         x = rng.standard_normal((4, 5))

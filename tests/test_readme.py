@@ -9,10 +9,9 @@ from contextlib import suppress
 
 import pytest
 
-from hnf.cli import (_DATA_OPTIONS, _TRAIN_SETTINGS, _data_options,
-                     build_parser)
+from hnf.cli import (_CSV_FIELDS, _DATA_OPTIONS, _TRAIN_SETTINGS,
+                     _data_options, build_parser)
 from hnf.errors import ConfigError, DataError, ResourceError
-from hnf.trainer import _CSV_FIELDS
 from conftest import ERROR_CLASSES, README, exit_code_rows
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
 import hnf.solvers
+from hnf.cli import load_output_map, save_output_map
 from hnf.data import make_synthetic_blobs
 from hnf.errors import DataError, DimensionError, FormatError, ParameterError
 from hnf.layers import HnfLayer, HnfNetwork, vn_expand, walk
@@ -22,9 +23,7 @@ from hnf.solvers import (
     OutputMap,
     embed_previous_map,
     least_squares,
-    load_output_map,
     project_frobenius_ball,
-    save_output_map,
 )
 
 from hnf.trainer import TrainConfig, build_network

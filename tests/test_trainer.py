@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 
 import hnf.trainer
+from hnf.cli import save_report
 from hnf.data import Dataset, make_synthetic_blobs
 from hnf.errors import (
     ConfigError,
@@ -191,6 +192,18 @@ class TestTrain:
     def test_depth_zero_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(n1=16, depth=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ConfigError, match=f"got {seed}$"):
+            TrainConfig(n1=16, depth=1, seed=seed)
+
+    @pytest.mark.parametrize("elm_front", [False, True])
+    def test_layer_seeds_wrap_modulo_2_64(self, elm_front):
+        """Layer l (the front too) is seeded with seed + l modulo 2**64."""
+        cfg = TrainConfig(n1=8, depth=3, seed=2 ** 64 - 1, elm_front=elm_front)
+        net = build_network(4, cfg, 10)
+        assert [l.weight.seed for l in net.layers] == [0, 1, 2]
 
     def test_deterministic_reports(self, blobs):
         cfg = TrainConfig(n1=16, depth=2, seed=5)
@@ -885,10 +898,9 @@ class TestReportSerialization:
     def test_jsonl_and_csv(self, tmp_path, blobs):
         cfg = TrainConfig(n1=16, depth=2, seed=1)
         _, _, report = train(blobs, cfg)
+        save_report(report, tmp_path)
         jpath = tmp_path / "report.jsonl"
         cpath = tmp_path / "report.csv"
-        report.to_jsonl(jpath)
-        report.to_csv(cpath)
 
         lines = jpath.read_text().splitlines()
         assert len(lines) == 3
