@@ -25,7 +25,7 @@ import shutil
 import sys
 import uuid
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -447,7 +447,10 @@ def cmd_train(args) -> None:
         "numpy": np.__version__,
         "data_source": data_spec,
         "data_options": opts,
-        "dataset": data.meta,
+        "dataset": {"name": data.meta["name"], "P": data.input_dim,
+                    "Q": data.n_classes, "N_train": len(data.train_idx),
+                    "N_test": len(data.test_idx),
+                    "label_names": data.label_names, **data.meta},
         "config": asdict(cfg),
         "standardize_params": report.meta.get("standardize_params"),
         "monotonicity_certified": report.monotonicity_certified,
@@ -502,6 +505,9 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
                 raise ValueError("standardize_params must be finite, sigma > 0")
         names = _typed(manifest.get("dataset") or {},
                        {"label_names": list}).get("label_names")
+        if names is not None and not (all(isinstance(n, str) for n in names)
+                                      and len(set(names)) == len(names)):
+            raise TypeError(f"label_names {names!r} are not distinct strings")
         snapshot = run / SNAPSHOT_FILE, manifest.get("data_snapshot")
         spec = spec or manifest.get("data_source")
         manifest_opts = opts is None
@@ -536,14 +542,7 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
 def cmd_eval(args) -> None:
     data, transform, net, maps, names = _load_run(args.run, args.data)
     if names is not None and len(names) == data.n_classes:
-        own = data.meta["label_names"]  # numbered by first appearance
-        unknown = [n for n in own if n not in names]
-        if unknown:
-            raise DimensionError(f"data labels {unknown} are not the run's "
-                                 f"labels {names}")
-        order = [names.index(n) for n in own]  # each label's run index
-        if order != list(range(len(order))):
-            data = replace(data, labels=np.array(order)[data.labels])
+        data = data.relabel(names)  # first-appearance order to the run's
     if args.layer is not None:
         layer_ids = sorted(m.layer_index for m in maps)
         maps = [m for m in maps if m.layer_index == args.layer]

@@ -2,8 +2,8 @@
 synthetic blob generator used for desk-scale checks.
 
 A :class:`Dataset` stores inputs as columns of a P-by-N matrix, each paired
-with its class index, plus disjoint train/test column index lists that
-together cover every column.
+with its class index into ``label_names``, plus disjoint train/test column
+index lists that together cover every column, and its provenance, ``meta``.
 
 A parsed CSV table can be kept as a snapshot keyed to the SHA-256 of the
 bytes its parse read (``meta["csv_sha256"]``) and its parse options
@@ -19,14 +19,14 @@ import io
 import re
 import struct
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (DataError, FormatError, ParameterError, ParseError,
-                     ResourceError)
+from .errors import (DataError, DimensionError, FormatError, ParameterError,
+                     ParseError, ResourceError)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -34,12 +34,12 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs-as-columns, each with a class index in 0..n_classes-1, and a
-    train/test partition."""
+    """Inputs-as-columns, each with a class index into ``label_names``, a
+    train/test partition, and ``meta``: provenance (name, source, seeds)."""
 
     X: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
-    n_classes: int
+    label_names: list
     train_idx: np.ndarray = field(repr=False)
     test_idx: np.ndarray = field(repr=False)
     meta: dict
@@ -56,6 +56,10 @@ class Dataset:
             raise DataError(f"labels must be integers in 0..{self.n_classes - 1}")
         for arr in (self.X, self.labels, self.train_idx, self.test_idx):
             arr.setflags(write=False)
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.label_names)
 
     @property
     def input_dim(self) -> int:
@@ -77,6 +81,16 @@ class Dataset:
     def targets(self, idx: np.ndarray) -> np.ndarray:
         """A new Q-by-len(idx) array: the one-hot targets at ``idx``."""
         return one_hot(self.labels[idx], self.n_classes)
+
+    def relabel(self, names: list) -> Dataset:
+        """The labels renumbered onto ``names`` (self if they already are);
+        a DimensionError names each label not in ``names``."""
+        if names == self.label_names:
+            return self
+        if unknown := [n for n in self.label_names if n not in names]:
+            raise DimensionError(f"data labels {unknown} are not among {names}")
+        order = np.array([names.index(n) for n in self.label_names], np.int64)
+        return replace(self, labels=order[self.labels], label_names=names)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -107,19 +121,11 @@ def _dataset(x, labels, label_names, name, train_idx=None, test_idx=None,
     if train_idx is None:
         train_idx = np.arange(n)
         test_idx = np.arange(0)
-    meta = {
-        "name": name,
-        "P": int(x.shape[0]),
-        "Q": len(label_names),
-        "N_train": int(len(train_idx)),
-        "N_test": int(len(test_idx)),
-        "label_names": list(label_names),
-        **extra,
-    }
     return Dataset(np.asarray(x, dtype=np.float64),
-                   np.asarray(labels, dtype=np.int64), len(label_names),
+                   np.asarray(labels, dtype=np.int64), list(label_names),
                    np.asarray(train_idx, dtype=np.int64),
-                   np.asarray(test_idx, dtype=np.int64), meta)
+                   np.asarray(test_idx, dtype=np.int64),
+                   {"name": name, **extra})
 
 
 def _data_lines(fh, opts: dict):
@@ -177,7 +183,7 @@ def load_csv(path, label_column=-1, delimiter: str = ",",
 
     ``label_column`` selects the label field by index (negatives count from
     the end) or by header name (requires ``has_header``). Labels are mapped
-    to 0..Q-1 in first-appearance order, recorded in ``meta["label_names"]``.
+    to 0..Q-1 in first-appearance order, named by ``label_names``.
     One read feeds the head probe and one np.loadtxt pass, as README "Data
     sources" describes, and the SHA-256 of its bytes, ``meta["csv_sha256"]``;
     error rows are file lines. All samples land in the train split; apply
@@ -256,8 +262,8 @@ def save_csv_snapshot(ds: Dataset, path, label_column,
     features. Return the manifest record that keys it to those options and
     the CSV bytes parsed, or None, writing nothing, when a label name does
     not survive a NumPy string array (one ending in NUL)."""
-    names = np.array(ds.meta["label_names"], dtype=str)
-    if names.tolist() != ds.meta["label_names"]:
+    names = np.array(ds.label_names, dtype=str)
+    if names.tolist() != ds.label_names:
         return None
     with open(path, "wb") as fh:
         for arr in (names, ds.labels, ds.X):
@@ -370,11 +376,8 @@ def split_dataset(ds: Dataset, n_train: int, seed: int = 0) -> Dataset:
         raise ParameterError(f"split seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
-    meta = dict(ds.meta)
-    meta.update(N_train=int(n_train), N_test=int(n - n_train),
-                split_seed=int(seed))
-    return Dataset(ds.X, ds.labels, ds.n_classes, np.sort(perm[:n_train]),
-                   np.sort(perm[n_train:]), meta)
+    return Dataset(ds.X, ds.labels, ds.label_names, np.sort(perm[:n_train]),
+                   np.sort(perm[n_train:]), {**ds.meta, "split_seed": int(seed)})
 
 
 def merge_train_test(train: Dataset, test: Dataset) -> Dataset:
@@ -391,19 +394,14 @@ def merge_train_test(train: Dataset, test: Dataset) -> Dataset:
             f"train and test parts have mismatched input dims: "
             f"{train.input_dim} vs {test.input_dim}"
         )
-    names = list(dict.fromkeys([*train.meta["label_names"],
-                                *test.meta["label_names"]]))
-    labels = np.concatenate([  # each part's labels, renumbered by name
-        np.array([names.index(n) for n in ds.meta["label_names"]],
-                 dtype=np.int64)[ds.labels] for ds in (train, test)])
-    x = np.hstack([train.X, test.X])
+    names = list(dict.fromkeys([*train.label_names, *test.label_names]))
+    labels = np.concatenate([ds.relabel(names).labels for ds in (train, test)])
     n_tr = train.n_samples
     meta = {k: v for k, v in train.meta.items() if k != "csv_sha256"}
-    meta.update(Q=len(names), label_names=names,
-                N_train=n_tr, N_test=test.n_samples,
-                source=f"{train.meta.get('source')};{test.meta.get('source')}")
-    return Dataset(x, labels, len(names), np.arange(n_tr),
-                   np.arange(n_tr, n_tr + test.n_samples), meta)
+    meta["source"] = f"{train.meta.get('source')};{test.meta.get('source')}"
+    return Dataset(np.hstack([train.X, test.X]), labels, names,
+                   np.arange(n_tr), np.arange(n_tr, n_tr + test.n_samples),
+                   meta)
 
 
 def make_synthetic_blobs(p: int, q: int, n: int, separation: float,

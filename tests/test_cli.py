@@ -148,6 +148,34 @@ class TestTrainCommand:
         for rel in manifest["artifacts"]["maps"]:
             load_output_map(out / rel)
 
+    @pytest.mark.parametrize("source, sizes, rest", [
+        ("blobs", [8, 3, 400, 200], ["separation", "seed", "source"]),
+        ("csv", [2, 3, 20, 10], ["source", "csv_sha256", "split_seed"]),
+        ("idx", [4, 10, 40, 20], ["source", "image_shape", "split_seed"]),
+        ("idx4", [4, 10, 60, 20], ["source", "image_shape"]),
+    ])
+    def test_manifest_dataset_record(self, tmp_path, capsys, source, sizes,
+                                     rest):
+        """The manifest's ``dataset`` record: the name, P, Q, the split
+        sizes and the label names, read from the dataset, then its
+        provenance in the order its loader gives it."""
+        src = tmp_path / "h.csv"
+        src.write_text("f1,cls,f2\n" + "".join(
+            f"{i % 7}.5,{'xyz'[i % 3]},{i % 5}\n" for i in range(30)))
+        spec = idx_parts(tmp_path)
+        data = {"blobs": ["blobs"],
+                "csv": [f"csv:{src}", "--label-col", "cls", "--split", "20"],
+                "idx": [",".join(spec.split(",")[:2]), "--split", "40"],
+                "idx4": [spec]}[source]
+        out = tmp_path / "run"
+        assert main(["train", "--data", *data, "--n1", "8", "--depth", "1",
+                     "--out", str(out)]) == 0
+        record = json.loads((out / "manifest.json").read_text())["dataset"]
+        assert list(record) == ["name", "P", "Q", "N_train", "N_test",
+                                "label_names", *rest]
+        assert [record[k] for k in ("P", "Q", "N_train", "N_test")] == sizes
+        assert len(record["label_names"]) == sizes[1]
+
     def test_missing_data_path_exits_3(self, tmp_path, capsys):
         code = main(["train", "--data", "csv:/nonexistent/file.csv",
                      "--n1", "4", "--depth", "1",
@@ -1035,7 +1063,7 @@ class TestCsvSnapshot:
                      for line in path.read_text().splitlines()]
             want = [["A", "B"].index(name) for name in names]
             assert [d.labels.tolist() for d in scored] == [want, want]
-        assert built[0].meta["label_names"] == ["B", "A"]
+        assert built[0].label_names == ["B", "A"]
 
     def test_changed_byte_is_parsed_again(self, csv_run, capsys, monkeypatch,
                                           tmp_path):
@@ -1102,6 +1130,7 @@ class TestCsvSnapshot:
         assert data.X.strides == want.X.strides
         assert data.labels.tobytes() == want.labels.tobytes()
         assert data.n_classes == want.n_classes
+        assert data.label_names == want.label_names
         assert data.train_idx.tobytes() == want.train_idx.tobytes()
         assert data.test_idx.tobytes() == want.test_idx.tobytes()
         assert data.meta == want.meta
@@ -1332,12 +1361,19 @@ class TestCorruptArtifacts:
         ("maps/map01.json", lambda d: d.update(epsilon="1"), "map01.json"),
         ("maps/map01.json", lambda d: d.update(train_cost="0.5"),
          "map01.json"),
+        ("manifest.json", lambda d: d["dataset"].update(
+            label_names=[0, 1, 2]), "manifest.json"),
+        ("manifest.json", lambda d: d["dataset"].update(
+            label_names=["0", "1", None]), "manifest.json"),
+        ("manifest.json", lambda d: d["dataset"].update(
+            label_names=["0", "1", "1"]), "manifest.json"),
     ], ids=["map-file-empty", "network-empty", "map-entry-dir",
             "unknown-activation", "weight-file-empty", "expand-text",
             "expand-null", "activation-number", "rows-float", "cols-bool",
             "map-rows-float", "map-cols-text", "layer-index-bool",
             "layer-index-text", "epsilon-negative", "epsilon-text",
-            "train-cost-text"])
+            "train-cost-text", "label-names-ints", "label-names-null-entry",
+            "label-names-repeat"])
     def test_unreadable_artifact_path_exits_3(self, trained_run, tmp_path,
                                               capsys, rel, edit, named):
         def rewrite(raw):

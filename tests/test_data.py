@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from hnf.data import (
     Dataset,
     load_csv,
+    load_csv_snapshot,
     load_idx,
     make_synthetic_blobs,
     merge_train_test,
     one_hot,
+    save_csv_snapshot,
     split_dataset,
 )
-from hnf.errors import DataError, FormatError, ParameterError, ParseError
+from hnf.errors import (DataError, DimensionError, FormatError, ParameterError,
+                        ParseError)
 from conftest import solve
 from oracles import accuracy, reference_load_csv, traced_peak
 
@@ -44,7 +47,7 @@ class TestLoadCsv:
         assert np.array_equal(ds.labels, [0, 1])
         assert np.array_equal(ds.targets(np.arange(2)), np.eye(2))
         assert np.array_equal(ds.X, np.array([[1.0, 3.0], [2.0, 4.0]]))
-        assert ds.meta["label_names"] == ["A", "B"]
+        assert ds.label_names == ["A", "B"]
 
     def test_ragged_row_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -75,7 +78,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,cls\n1,2,A\n3,4,B\n")
         ds = load_csv(path, label_column="cls", has_header=True)
-        assert ds.meta["label_names"] == ["A", "B"]
+        assert ds.label_names == ["A", "B"]
         assert ds.input_dim == 2
 
     def test_label_name_without_header(self, tmp_path):
@@ -88,7 +91,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("T,1,2\nU,3,4\nT,5,6\n")
         ds = load_csv(path, label_column=0)
-        assert ds.meta["label_names"] == ["T", "U"]
+        assert ds.label_names == ["T", "U"]
         assert np.array_equal(ds.labels, [0, 1, 0])
 
     def test_label_column_out_of_range(self, tmp_path):
@@ -140,7 +143,7 @@ class TestLoadCsv:
         path.write_text("\n\nf1,f2,cls\n\n1,2,A\n3,4,B\n")
         ds = load_csv(path, label_column="cls", has_header=True)
         assert np.array_equal(ds.X, np.array([[1.0, 3.0], [2.0, 4.0]]))
-        assert ds.meta["label_names"] == ["A", "B"]
+        assert ds.label_names == ["A", "B"]
 
     @pytest.mark.parametrize("text, delimiter, names", [
         ('1 2 "a b"\n3 4 c\n', " ", ["a b", "c"]),
@@ -150,7 +153,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text(text)
         ds = load_csv(path, label_column=-1, delimiter=delimiter)
-        assert ds.meta["label_names"] == names
+        assert ds.label_names == names
 
     def test_underscored_number_is_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -162,7 +165,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text('"A\nB",1,2\n3,4,5\n')
         ds = load_csv(path, label_column=0)
-        assert ds.meta["label_names"] == ["A\nB", "3"]
+        assert ds.label_names == ["A\nB", "3"]
         assert np.array_equal(ds.X, np.array([[1.0, 4.0], [2.0, 5.0]]))
 
     def test_error_row_is_where_its_record_starts(self, tmp_path):
@@ -176,7 +179,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text('1,2,"a,b"\n3,4,plain\n')
         ds = load_csv(path, label_column=2)
-        assert ds.meta["label_names"] == ["a,b", "plain"]
+        assert ds.label_names == ["a,b", "plain"]
         assert ds.input_dim == 2
 
 
@@ -239,7 +242,7 @@ def test_load_csv_matches_cell_by_cell_reference(tmp_path, table):
     ds = load_csv(path, **kwargs)
     assert ds.X.tobytes() == x.tobytes()
     assert ds.targets(np.arange(ds.n_samples)).tobytes() == t.tobytes()
-    assert ds.meta["label_names"] == names
+    assert ds.label_names == names
 
 
 def test_ingest_peak_is_a_few_tables(tmp_path):
@@ -322,8 +325,8 @@ class TestBlobs:
 
     def test_split_ratio_and_balance(self):
         ds = make_synthetic_blobs(4, 3, 300, separation=5.0, seed=0)
-        assert ds.meta["N_train"] == 200
-        assert ds.meta["N_test"] == 100
+        assert len(ds.train_idx) == 200
+        assert len(ds.test_idx) == 100
         counts = np.bincount(ds.labels)
         assert np.all(counts == 100)
 
@@ -351,8 +354,8 @@ class TestSplitAndMerge:
     def test_split_partitions(self, tmp_path):
         ds = make_synthetic_blobs(4, 2, 100, 3.0, seed=1)
         resplit = split_dataset(ds, 70, seed=5)
-        assert resplit.meta["N_train"] == 70
-        assert resplit.meta["N_test"] == 30
+        assert len(resplit.train_idx) == 70
+        assert len(resplit.test_idx) == 30
         combined = np.concatenate([resplit.train_idx, resplit.test_idx])
         assert len(np.unique(combined)) == 100
 
@@ -365,7 +368,8 @@ class TestSplitAndMerge:
         outside them."""
         x, labels = np.zeros((2, 4)), np.array([0, 1, 0, 1])
         with pytest.raises(DataError, match="partition"):
-            Dataset(x, labels, 2, np.array(train), np.array(test), {})
+            Dataset(x, labels, ["0", "1"], np.array(train), np.array(test),
+                    {})
 
     def test_split_deterministic(self):
         ds = make_synthetic_blobs(4, 2, 100, 3.0, seed=1)
@@ -395,8 +399,8 @@ class TestSplitAndMerge:
         te = load_idx(*write_idx_pair(sub, images2,
                                       np.array([7, 8, 9], dtype=np.uint8)))
         ds = merge_train_test(tr, te)
-        assert ds.meta["N_train"] == 5
-        assert ds.meta["N_test"] == 3
+        assert len(ds.train_idx) == 5
+        assert len(ds.test_idx) == 3
         assert np.array_equal(ds.columns(ds.test_idx), te.X)
 
     def test_merge_reconciles_label_orders(self, tmp_path):
@@ -404,11 +408,45 @@ class TestSplitAndMerge:
         (tmp_path / "te.csv").write_text("7,8,A\n9,10,C\n11,12,D\n")
         tr = load_csv(tmp_path / "tr.csv", label_column=2)
         te = load_csv(tmp_path / "te.csv", label_column=2)
-        assert tr.meta["label_names"] == ["B", "A", "C"]
-        assert te.meta["label_names"] == ["A", "C", "D"]
+        assert tr.label_names == ["B", "A", "C"]
+        assert te.label_names == ["A", "C", "D"]
         ds = merge_train_test(tr, te)
-        assert ds.meta["label_names"] == ["B", "A", "C", "D"]
+        assert ds.label_names == ["B", "A", "C", "D"]
         assert list(ds.labels) == [0, 1, 2, 1, 2, 3]
+
+    def test_meta_is_provenance_only(self, tmp_path, rng):
+        """No loader copies P, Q, the split sizes or the label names into
+        ``meta``: the arrays and ``label_names`` state them once."""
+        csv = tmp_path / "d.csv"
+        csv.write_text("1,2,B\n3,4,A\n5,6,B\n")
+        parsed = load_csv(csv)
+        record = save_csv_snapshot(parsed, tmp_path / "t.snap", -1, ",")
+        snap = load_csv_snapshot(tmp_path / "t.snap", record, csv, -1, ",")
+        images = rng.integers(0, 256, size=(5, 2, 2)).astype(np.uint8)
+        idx = load_idx(*write_idx_pair(tmp_path, images,
+                                       np.arange(5, dtype=np.uint8)))
+        blobs = make_synthetic_blobs(4, 2, 30, 3.0, seed=1)
+        for ds in (blobs, parsed, snap, idx, merge_train_test(idx, idx),
+                   split_dataset(blobs, 20)):
+            assert not {"P", "Q", "N_train", "N_test", "label_names"} & set(
+                ds.meta), ds.meta
+        assert snap.label_names == parsed.label_names == ["B", "A"]
+
+    def test_relabel(self, tmp_path):
+        """``relabel`` renumbers each label onto the given names, returns
+        the dataset itself when the names already match, and names a label
+        the names lack."""
+        (tmp_path / "d.csv").write_text("1,2,B\n3,4,A\n5,6,C\n7,8,A\n")
+        ds = split_dataset(load_csv(tmp_path / "d.csv"), 3, seed=2)
+        moved = ds.relabel(["A", "C", "B", "D"])
+        assert moved.label_names == ["A", "C", "B", "D"]
+        assert moved.n_classes == 4
+        assert list(moved.labels) == [2, 0, 1, 0]
+        assert moved.X is ds.X and moved.meta == ds.meta
+        assert np.array_equal(moved.train_idx, ds.train_idx)
+        assert ds.relabel(["B", "A", "C"]) is ds
+        with pytest.raises(DimensionError, match=r"\['B'\]"):
+            ds.relabel(["A", "C", "D"])
 
     def test_whitespace_delimiter_splits_runs(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -416,7 +454,7 @@ class TestSplitAndMerge:
         ds = load_csv(path, label_column=-1, delimiter=" ")
         assert ds.input_dim == 2
         assert np.array_equal(ds.X, np.array([[1.0, 3.0], [2.0, 4.0]]))
-        assert ds.meta["label_names"] == ["A", "B"]
+        assert ds.label_names == ["A", "B"]
 
 
 class TestColumns:
@@ -464,7 +502,8 @@ class TestRoundTrip:
         x = np.zeros((2, 3))
         for bad in ([0, 2, 1], [0, -1, 1], [0.0, 1.0, 1.0], [0, 1]):
             with pytest.raises(DataError):
-                Dataset(x, np.array(bad), 2, np.arange(3), np.arange(0), {})
+                Dataset(x, np.array(bad), ["0", "1"], np.arange(3),
+                        np.arange(0), {})
         ds = split_dataset(make_synthetic_blobs(3, 2, 30, 3.0, seed=1), 20)
         with pytest.raises(DataError, match="labels must be integers in 0..1"):
             split_dataset(replace(ds, labels=ds.labels + 1), 20)

@@ -55,7 +55,7 @@ def letter_shape():
     """Letter-shape blobs (P = 16, Q = 26) whose train split spans three
     :data:`SCORE_BLOCK`-column blocks."""
     ds = make_synthetic_blobs(16, 26, 7000, separation=3.0, seed=3)
-    assert ds.meta["N_train"] > 2 * SCORE_BLOCK
+    assert len(ds.train_idx) > 2 * SCORE_BLOCK
     return ds
 
 
@@ -251,7 +251,7 @@ class TestTrain:
         maps = train(bare, cfg)[1]
         assert [m.matrix.tobytes() for m in maps] == [
             m.matrix.tobytes() for m in train(blobs, cfg)[1]]
-        split = Dataset(blobs.X[:, :60], blobs.labels[:60], blobs.n_classes,
+        split = Dataset(blobs.X[:, :60], blobs.labels[:60], blobs.label_names,
                         np.arange(40), np.arange(40, 60), {"N_train": 5})
         small = TrainConfig(n1=8, depth=1, seed=1, memory_budget=6000)
         build_network(8, small, 5)
@@ -337,7 +337,7 @@ class TestTrain:
         slack refuses it, naming the block buffer and the carry."""
         ds = make_synthetic_blobs(8, 3, 6000, separation=3.0, seed=1)
         cfg = TrainConfig(n1=16, depth=4, seed=1)
-        n_train = ds.meta["N_train"]
+        n_train = len(ds.train_idx)
         _, peak = oracles.traced_peak(train, ds, cfg)
         build_network(ds.input_dim, replace(cfg, memory_budget=peak), n_train)
         with pytest.raises(ResourceError, match="block buffer.*carry"):
@@ -353,7 +353,7 @@ class TestTrain:
         monkeypatch.setattr(hnf.trainer, "evaluate", lambda *a: live.append(
             tracemalloc.get_traced_memory()[0]) or real(*a))
         _, peak = oracles.traced_peak(train, ds, TrainConfig(n1=4, depth=4))
-        held = 32 * ds.meta["N_train"] * 8
+        held = 32 * len(ds.train_idx) * 8
         assert peak > held
         assert live[0] < held / 2
 
@@ -371,7 +371,7 @@ class TestTrain:
         front's output in the held buffer. On 4000 train columns these
         sizes are no other array's."""
         ds = make_synthetic_blobs(8, 3, 6000, separation=3.0, seed=3)
-        n = ds.meta["N_train"]
+        n = len(ds.train_idx)
         net = build_network(8, cfg, n)
         buffers = {h * SCORE_BLOCK * 8 for l in net.layers
                    for h in (l.weight.rows, l.out_dim)}
@@ -562,7 +562,7 @@ class TestExpandedStatistics:
         net = build_network(8, cfg, 1)
         maps, _, _, _ = _fit(net, blobs, cfg, 0.0)
         assert len(maps) == 4 - elm
-        assert loops == [blobs.meta["N_train"]] * len(maps)
+        assert loops == [len(blobs.train_idx)] * len(maps)
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(n1=16, depth=3, seed=1),
@@ -574,7 +574,7 @@ class TestExpandedStatistics:
         every cost within 1e-12 relative of a one-block run, and the same
         accuracies."""
         _, _, whole = train(blobs, cfg)
-        assert blobs.meta["N_train"] <= SCORE_BLOCK
+        assert len(blobs.train_idx) <= SCORE_BLOCK
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
         _, _, blocked = train(blobs, cfg)
         assert blocked.monotonicity_certified
@@ -659,7 +659,7 @@ class TestEvaluate:
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, seed=1))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
-        assert blobs.meta["N_train"] > 4 * 64
+        assert len(blobs.train_idx) > 4 * 64
         for cfg in (TrainConfig(n1=16, depth=3, seed=1),
                     TrainConfig(n1=16, depth=3, seed=2, standardize=True),
                     TrainConfig(n1=16, depth=3, seed=1, weight_kind="dct")):
@@ -742,7 +742,7 @@ class TestEvaluate:
 
     def test_empty_split_scores_nan(self, blobs):
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
-        empty = Dataset(blobs.X, blobs.labels, blobs.n_classes,
+        empty = Dataset(blobs.X, blobs.labels, blobs.label_names,
                         np.arange(blobs.n_samples), np.arange(0), blobs.meta)
         scores = evaluate(net, maps, empty, "test")
         assert sorted(scores) == [0, 1, 2]
@@ -756,7 +756,7 @@ class TestEvaluate:
         1 MiB covers a block's inputs, targets and predictions."""
         ds = make_synthetic_blobs(4, 2, 6 * SCORE_BLOCK, separation=3.0,
                                   seed=1)
-        assert ds.meta["N_train"] >= 4 * SCORE_BLOCK
+        assert len(ds.train_idx) >= 4 * SCORE_BLOCK
         net, maps, _ = train(ds, TrainConfig(n1=16, depth=3, seed=1))
         for upto in (3, 1):
             scores, peak = oracles.traced_peak(evaluate, net, maps[:upto + 1],
@@ -784,8 +784,8 @@ class TestVerifyInvariants:
 
     def test_empty_dataset_is_data_error(self, monkeypatch):
         """A dataset with no samples is named before anything is drawn."""
-        empty = Dataset(np.zeros((8, 0)), np.arange(0), 3, np.arange(0),
-                        np.arange(0), {"source": "empty.csv"})
+        empty = Dataset(np.zeros((8, 0)), np.arange(0), ["a", "b", "c"],
+                        np.arange(0), np.arange(0), {"source": "empty.csv"})
         net = build_chain(8, 16, 2)
         monkeypatch.setattr("numpy.random.Generator", None)  # no draw
         with pytest.raises(DataError, match="empty.csv"):
@@ -833,7 +833,7 @@ class TestVerifyInvariants:
         x = make_synthetic_blobs(1, 3, 400, separation=6.0, seed=3)
         zeroed = x.X.copy()
         zeroed[:, ::2] = 0.0
-        data = Dataset(zeroed, x.labels, x.n_classes, x.train_idx,
+        data = Dataset(zeroed, x.labels, x.label_names, x.train_idx,
                        x.test_idx, x.meta)
         net = build_network(1, TrainConfig(n1=4, depth=3, seed=1), 400)
         rep = verify_invariants(net, data, trials=VERIFY_BLOCK + 44, seed=9)
