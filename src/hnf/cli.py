@@ -45,7 +45,6 @@ from .errors import (
     ConfigError,
     DataError,
     DimensionError,
-    FormatError,
     HnfError,
     ParameterError,
     ResourceError,
@@ -53,7 +52,7 @@ from .errors import (
     StateError,
 )
 from .layers import ACTIVATIONS, HnfLayer, HnfNetwork
-from .matrixgen import load_weight, save_weight
+from .matrixgen import load_weight, read_entries, save_weight
 from .solvers import OutputMap, within_ball
 from .trainer import (
     DEFAULT_MEMORY_BUDGET,
@@ -350,7 +349,7 @@ def save_output_map(om: OutputMap, prefix: Path) -> None:
     """Write ``<prefix>.bin`` (row-major float64) and ``<prefix>.json``."""
     prefix.parent.mkdir(parents=True, exist_ok=True)
     bin_path = prefix.with_suffix(".bin")
-    bin_path.write_bytes(np.ascontiguousarray(om.matrix, dtype="<f8").tobytes())
+    bin_path.write_bytes(np.ascontiguousarray(om.matrix, dtype="<f8"))
     prefix.with_suffix(".json").write_text(json.dumps({
         "rows": int(om.matrix.shape[0]),
         "cols": int(om.matrix.shape[1]),
@@ -376,15 +375,8 @@ def load_output_map(path: Path) -> OutputMap:
         fitted = (float(typed["train_cost"]), typed["layer_index"],
                   meta["solver"])
         bin_path = path.parent / typed["matrix_file"]
-        raw = bin_path.read_bytes()
-    if min(rows, cols) < 0 or len(raw) != rows * cols * 8:
-        raise FormatError(
-            f"{bin_path}: {len(raw)} bytes, but {path.name} declares a "
-            f"{rows}x{cols} float64 map"
-        )
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-    if not np.isfinite(matrix).all():
-        raise FormatError(f"{bin_path}: non-finite map entries")
+        with open(bin_path, "rb") as fh:
+            matrix = read_entries(fh, rows, cols, "map", path.name)
     return OutputMap(matrix, eps, *fitted)
 
 
@@ -486,10 +478,11 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
     """A run's data, standardization transform, network, maps and label
     names. The data is ``spec`` loaded with ``opts``, each defaulting to
     the manifest's. A manifest field of the wrong type, length or range
-    (two maps of one layer too), or ``data_options`` the data cannot take,
-    is a DataError naming manifest.json; a map whose column count does not
-    fit its layer is one naming the map's file, and a map outside its ball
-    a SolverError naming it."""
+    (two maps of one layer, or label names not one per map row, too), or
+    ``data_options`` the data cannot take, is a DataError naming
+    manifest.json; a map whose column count does not fit its layer is one
+    naming the map's file, and a map outside its ball a SolverError naming
+    it."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
         net = load_network(run / manifest["artifacts"]["network"])
@@ -506,8 +499,11 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
         names = _typed(manifest.get("dataset") or {},
                        {"label_names": list}).get("label_names")
         if names is not None and not (all(isinstance(n, str) for n in names)
-                                      and len(set(names)) == len(names)):
-            raise TypeError(f"label_names {names!r} are not distinct strings")
+                                      and len(set(names)) == len(names)
+                                      and {len(m.matrix) for m in maps}
+                                      <= {len(names)}):
+            raise TypeError(f"label_names {names!r} are not distinct strings, "
+                            "one per row of every map")
         snapshot = run / SNAPSHOT_FILE, manifest.get("data_snapshot")
         spec = spec or manifest.get("data_source")
         manifest_opts = opts is None

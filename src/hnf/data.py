@@ -22,6 +22,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -287,22 +288,21 @@ def load_csv_snapshot(path, record, csv_path, label_column,
     try:
         if file_sha256(csv_path) != record.get("csv_sha256"):
             return None
-        blob = Path(path).read_bytes()
-    except OSError:
-        return None
-    if hashlib.sha256(blob).hexdigest() != record.get("sha256"):
-        return None
-    fh = io.BytesIO(blob)
-    try:
-        names, labels, x = [np.lib.format.read_array(fh, allow_pickle=False)
-                            for _ in range(3)]
-        if not (fh.tell() == len(blob) and names.dtype.kind == "U"
-                and names.ndim == 1 and labels.dtype == np.int64
+        with io.BufferedReader(raw := _HashedFile(path)) as fh:
+            # read() alone, as np.fromfile would skip the hash: at the end,
+            # raw has hashed exactly the bytes the three arrays took
+            reader = SimpleNamespace(read=fh.read)
+            names, labels, x = [np.lib.format.read_array(
+                reader, allow_pickle=False) for _ in range(3)]
+            if fh.read(1) or raw.sha256.hexdigest() != record.get("sha256"):
+                return None
+        if not (names.dtype.kind == "U" and names.ndim == 1
+                and labels.dtype == np.int64
                 and x.dtype == np.float64 and x.ndim == 2
                 and labels.shape == x.shape[1:]
                 and 0 <= labels.min() <= labels.max() < names.size):
             return None
-    except ValueError:
+    except (OSError, ValueError, MemoryError):  # a bad shape may not fit
         return None
     csv_path = Path(csv_path)
     return _dataset(x, labels, names.tolist(), csv_path.name,

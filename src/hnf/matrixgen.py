@@ -20,6 +20,7 @@ row-major float64 entries.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -154,31 +155,38 @@ def save_weight(w: WeightMatrix, path) -> None:
                           0 if w.seed is None else int(w.seed))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(w.entries, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(w.entries, dtype="<f8")))
+
+
+def read_entries(fh, rows: int, cols: int, what: str, by: str) -> np.ndarray:
+    """The rest of the open binary file ``fh`` read straight into a rows x
+    cols float64 array; a FormatError names the file unless the rest is
+    that many bytes, all finite (min and max carry any NaN or infinity)."""
+    size = os.fstat(fh.fileno()).st_size
+    fits = min(rows, cols) >= 0 and size - fh.tell() == rows * cols * 8
+    entries = np.empty((rows, cols) if fits else 0, dtype="<f8")
+    if not fits or fh.readinto(entries) != entries.nbytes:
+        raise FormatError(f"{fh.name}: {size} bytes, but {by} "
+                          f"declares a {rows}x{cols} float64 {what}")
+    if not (np.isfinite(entries.min(initial=0.0))
+            and np.isfinite(entries.max(initial=0.0))):
+        raise FormatError(f"{fh.name}: non-finite {what} entries")
+    return entries
 
 
 def load_weight(path) -> WeightMatrix:
     """Read a matrix written by :func:`save_weight`, finite entries only."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, rows, cols, kind_code, seed = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    try:
-        kind = WeightKind(kind_code)
-    except ValueError as exc:
-        raise FormatError(f"{path}: unknown kind code {kind_code}") from exc
-    expected = _HEADER.size + rows * cols * 8
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes for {rows}x{cols}, "
-            f"got {len(blob)}"
-        )
-    entries = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    if not np.isfinite(entries).all():
-        raise FormatError(f"{path}: non-finite weight entries")
-    entries = entries.reshape(rows, cols).copy()
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, rows, cols, kind_code, seed = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        try:
+            kind = WeightKind(kind_code)
+        except ValueError as exc:
+            raise FormatError(f"{path}: unknown kind code {kind_code}") from exc
+        entries = read_entries(fh, rows, cols, "weight", "its header")
     return WeightMatrix(rows, cols, entries, kind,
                         seed if kind is not WeightKind.DCT_ORTHONORMAL else None)

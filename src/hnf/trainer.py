@@ -85,9 +85,15 @@ DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 #: weight by at most 8.4 MB (at d = 2048), so it needs no budget of its own.
 VERIFY_BLOCK = 256
 
-#: Columns a walk takes at a time: evaluate scores them in one reused block
-#: buffer, and train sums its statistics and scores over them.
+#: Columns the train pass takes at a time: it sums its statistics and
+#: scores over them, so this sets their summation order (evaluate's sums
+#: too) and the width of each Gram product.
 SCORE_BLOCK = 2048
+
+#: Columns evaluate (``eval``, train's test split) walks at a time in one
+#: reused block buffer. Thinner products cost BLAS time: a Shuttle-like
+#: ``eval`` took 4% longer at 1024 than at 2048 columns, 10% at 512.
+EVAL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -166,19 +172,20 @@ class TrainReport:
 
 
 def block_score(o: np.ndarray, feats: np.ndarray, t: np.ndarray,
-                labels: np.ndarray) -> tuple[float, int]:
+                labels: np.ndarray, out=None) -> tuple[float, int]:
     """Squared error ``||t - o @ feats||_F^2`` of a map on a block of
     columns, and how many columns' argmax (ties to the lowest class)
-    equals ``labels``."""
-    p = o @ feats
+    equals ``labels``. Given ``out``, the error is left there as ``o @
+    feats - t`` and counted as 0, for :func:`evaluate` to sum later."""
+    p = np.matmul(o, feats, out=out)
     hits = int(np.count_nonzero(np.argmax(p, axis=0) == labels))
     p -= t  # -(t - p): the squares of t - p, bit for bit
-    return float(np.sum(p * p)), hits
+    return 0.0 if out is not None else float(np.sum(p * p)), hits
 
 
-def _blocks(n: int):
-    """Column slices of :data:`SCORE_BLOCK` columns covering ``n``."""
-    return (slice(s, s + SCORE_BLOCK) for s in range(0, n, SCORE_BLOCK))
+def _blocks(n: int, width: int):
+    """Column slices of ``width`` columns covering ``n``."""
+    return (slice(s, min(n, s + width)) for s in range(0, n, width))
 
 
 def build_network(input_dim: int, cfg: TrainConfig,
@@ -392,7 +399,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
         height = max(0 if layer is None else layer.out_dim,
                      0 if nxt is None else nxt.weight.rows)
         buf = np.empty((height, min(n, SCORE_BLOCK)))
-        for cols in _blocks(n):
+        for cols in _blocks(n, SCORE_BLOCK):
             tb = data.targets(idx[cols])
             labels = data.labels[idx[cols]]
             zb = q[:, cols]
@@ -442,15 +449,16 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
              transform: tuple | None = None) -> dict[int, Evaluation]:
     """Cost and accuracy of every map on the chosen split, keyed by layer.
 
-    :func:`hnf.layers.walk`, the one forward loop, runs :data:`SCORE_BLOCK`
+    :func:`hnf.layers.walk`, the one forward loop, runs :data:`EVAL_BLOCK`
     columns of the split at a time, in one reused buffer as tall as the
     widest layer it runs, scoring each map on the features it reads and
-    stopping at the deepest map. Each block's inputs are gathered by
-    :meth:`Dataset.columns` and standardized by ``transform``, the training
-    (mu, sigma), if it standardized: no copy of the split is made. A map
-    naming no map-bearing layer (beyond the depth, or layer 1 behind an ELM
-    front) raises :class:`StateError`; data of another input width or class
-    count :class:`DimensionError`.
+    stopping at the deepest map; each map's squared errors are summed over
+    :data:`SCORE_BLOCK` columns, in the train pass's order. Each block's
+    inputs are gathered by :meth:`Dataset.columns` and standardized by
+    ``transform``, the training (mu, sigma), if it standardized: no copy of
+    the split is made. A map naming no map-bearing layer (beyond the depth,
+    or layer 1 behind an ELM front) raises :class:`StateError`; data of
+    another input width or class count :class:`DimensionError`.
     """
     layers, widths = {m.layer_index for m in maps}, map_widths(net)
     if not layers <= widths.keys():
@@ -472,17 +480,20 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     # the layers the walk runs: up to the deepest map, or the ELM front
     reached = net.layers[:max(deepest, int(net.has_front))]
     buf = np.empty((max((l.out_dim for l in reached), default=0),
-                    min(n, SCORE_BLOCK)))
-    for cols in _blocks(n):
-        xb = data.columns(idx[cols], transform)
-        tb = data.targets(idx[cols])
-        labels = data.labels[idx[cols]]
-        for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
-            for i, m in enumerate(maps):
-                if m.layer_index == layer:
-                    sums[i] += block_score(m.matrix, feats, tb, labels)
-            if layer == deepest:
-                break
+                    min(n, EVAL_BLOCK)))
+    err = np.empty((len(maps), data.n_classes, min(n, SCORE_BLOCK)))
+    for part in (idx[cols] for cols in _blocks(n, SCORE_BLOCK)):
+        for cols in _blocks(len(part), EVAL_BLOCK):
+            xb = data.columns(part[cols], transform)
+            tb, labels = data.targets(part[cols]), data.labels[part[cols]]
+            for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
+                for i, m in enumerate(maps):
+                    if m.layer_index == layer:
+                        sums[i] += block_score(m.matrix, feats, tb, labels,
+                                               err[i, :, cols])
+                if layer == deepest:
+                    break
+        sums[:, 0] += [np.sum(e * e) for e in err[:, :, :len(part)]]
     return {m.layer_index: Evaluation(*(s / (n or math.nan)).tolist())
             for m, s in zip(maps, sums)}
 

@@ -1154,6 +1154,9 @@ class TestCsvSnapshot:
         lambda run: TestCsvSnapshot.edit_snapshot(
             run, lambda b: b[:len(b) // 2] + bytes([b[len(b) // 2] ^ 4])
             + b[len(b) // 2 + 1:]),
+        lambda run: TestCsvSnapshot.edit_snapshot(run, lambda b: b + bytes(8)),
+        lambda run: TestCsvSnapshot.edit_snapshot(  # features: 9 rows, not 4
+            run, lambda b: b.replace(b"'shape': (4,", b"'shape': (9,")),
         lambda run: TestCsvSnapshot.edit_record(
             run, lambda d: d.update(data_snapshot=[1])),
         lambda run: TestCsvSnapshot.edit_record(
@@ -1167,7 +1170,8 @@ class TestCsvSnapshot:
         lambda run: TestCsvSnapshot.edit_record(
             run, lambda d: d["data_snapshot"].update(delimiter=";")),
         None,
-    ], ids=["missing", "truncated", "bit-flipped", "record-not-object",
+    ], ids=["missing", "truncated", "bit-flipped", "trailing-bytes",
+            "header-shape-past-the-end", "record-not-object",
             "digest-not-text", "label-col-bool", "wrong-digest",
             "wrong-csv-digest", "other-delimiter", "csv-rewritten-in-train"])
     def test_unusable_snapshot_is_ignored(self, tmp_path, capsys,
@@ -1367,13 +1371,15 @@ class TestCorruptArtifacts:
             label_names=["0", "1", None]), "manifest.json"),
         ("manifest.json", lambda d: d["dataset"].update(
             label_names=["0", "1", "1"]), "manifest.json"),
+        ("manifest.json", lambda d: d["dataset"].update(
+            label_names=["2", "1", "0", "9"]), "manifest.json"),
     ], ids=["map-file-empty", "network-empty", "map-entry-dir",
             "unknown-activation", "weight-file-empty", "expand-text",
             "expand-null", "activation-number", "rows-float", "cols-bool",
             "map-rows-float", "map-cols-text", "layer-index-bool",
             "layer-index-text", "epsilon-negative", "epsilon-text",
             "train-cost-text", "label-names-ints", "label-names-null-entry",
-            "label-names-repeat"])
+            "label-names-repeat", "label-names-count"])
     def test_unreadable_artifact_path_exits_3(self, trained_run, tmp_path,
                                               capsys, rel, edit, named):
         def rewrite(raw):

@@ -257,6 +257,24 @@ def test_ingest_peak_is_a_few_tables(tmp_path):
     assert peak <= 5 * table.nbytes
 
 
+def test_snapshot_loads_straight_into_its_arrays(tmp_path):
+    """A 16 MiB snapshot loads within its arrays' bytes plus 1 MiB: each
+    array is filled from the file, and no copy of the file is held."""
+    csv = tmp_path / "d.csv"
+    csv.write_text("1,2,B\n3,4,A\n")
+    n = 1025
+    ds = replace(load_csv(csv), X=np.random.Generator(
+        np.random.PCG64(4)).standard_normal((2048, n)),
+        labels=np.arange(n) % 2, train_idx=np.arange(n))
+    assert ds.X.nbytes >= 16 * 2 ** 20
+    record = save_csv_snapshot(ds, tmp_path / "t.snap", -1, ",")
+    snap, peak = traced_peak(load_csv_snapshot, tmp_path / "t.snap", record,
+                             csv, -1, ",")
+    assert np.array_equal(snap.X, ds.X)
+    assert np.array_equal(snap.labels, ds.labels)
+    assert peak <= ds.X.nbytes + ds.labels.nbytes + 2 ** 20
+
+
 class TestLoadIdx:
     def test_small_pair(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(6, 4, 5)).astype(np.uint8)

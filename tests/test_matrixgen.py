@@ -12,7 +12,7 @@ from hnf.matrixgen import (
     save_weight,
 )
 
-from oracles import dct_ii_matrix_oracle
+from oracles import dct_ii_matrix_oracle, traced_peak
 
 
 def orthonormality_defect(w: WeightMatrix) -> float:
@@ -172,6 +172,19 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_weight(path)
+
+    def test_entries_are_written_and_read_in_place(self, tmp_path):
+        """A 16 MiB weight is written with no copy of its entries and read
+        straight into its array: saving allocates at most 1 MiB, loading at
+        most the entries' bytes plus 1 MiB."""
+        w = make_raw_gaussian(2048, 1025, seed=2)
+        assert w.entries.nbytes >= 16 * 2 ** 20
+        path = tmp_path / "w.hnfw"
+        _, saved = traced_peak(save_weight, w, path)
+        back, loaded = traced_peak(load_weight, path)
+        assert np.array_equal(back.entries, w.entries)
+        assert saved <= 2 ** 20
+        assert loaded <= w.entries.nbytes + 2 ** 20
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry(self, tmp_path, value):

@@ -531,6 +531,20 @@ class TestOutputMapIO:
         assert back.layer_index == om.layer_index
         assert back.solver["newton_steps"] == 4
 
+    def test_entries_are_written_and_read_in_place(self, tmp_path, rng):
+        """A 16 MiB map is written with no copy of its entries and read
+        straight into its array: saving allocates at most 1 MiB, loading at
+        most the entries' bytes plus 1 MiB."""
+        om = OutputMap(rng.standard_normal((26, 80660)), math.inf, 0.5, 1)
+        assert om.matrix.nbytes >= 16 * 2 ** 20
+        _, saved = oracles.traced_peak(save_output_map, om,
+                                       tmp_path / "map01")
+        back, loaded = oracles.traced_peak(load_output_map,
+                                           tmp_path / "map01.json")
+        assert np.array_equal(back.matrix, om.matrix)
+        assert saved <= 2 ** 20
+        assert loaded <= om.matrix.nbytes + 2 ** 20
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry(self, tmp_path, rng, value):
         matrix = rng.standard_normal((3, 6))

@@ -27,6 +27,7 @@ from hnf.matrixgen import (
 )
 from hnf.solvers import OutputMap, embed_previous_map, least_squares
 from hnf.trainer import (
+    EVAL_BLOCK,
     MONOTONE_SLACK,
     SCORE_BLOCK,
     VERIFY_BLOCK,
@@ -553,9 +554,9 @@ class TestExpandedStatistics:
         pass over the train columns: _fit runs one _blocks loop per map."""
         loops, real_blocks = [], hnf.trainer._blocks
 
-        def blocks(n):
+        def blocks(n, width):
             loops.append(n)
-            return real_blocks(n)
+            return real_blocks(n, width)
 
         monkeypatch.setattr("hnf.trainer._blocks", blocks)
         cfg = TrainConfig(n1=16, depth=3, elm_front=elm, seed=1)
@@ -608,8 +609,9 @@ class TestMapInputs:
         """The train split's pre-activations are expanded once per column
         at each expanding layer, a block at a time; only an ELM front is
         walked on the whole train split, and the test split's one walk runs
-        every layer on every column once, so each expanding layer's
-        features are formed once per column of the whole dataset."""
+        every layer on every column once, :data:`EVAL_BLOCK` columns at a
+        time, so each expanding layer's features are formed once per column
+        of the whole dataset."""
         widths, expanded = count_walk(monkeypatch), {}
         real = HnfLayer.features
 
@@ -619,7 +621,8 @@ class TestMapInputs:
             return real(layer, z, *rest)
 
         monkeypatch.setattr(HnfLayer, "features", features)
-        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 100)
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 200)
+        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 100)
         net, _, _ = train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm,
                                              seed=1))
         n_train, n_test = len(blobs.train_idx), len(blobs.test_idx)
@@ -648,9 +651,10 @@ class TestEvaluate:
 
     def test_train_split_cost_matches_solver(self, blobs, monkeypatch):
         """On one block, each train score is the sample cost of the whole
-        split. Over several blocks (64 columns here, 2048 on a
-        Letter-shape run), plain, standardized and with DCT weights, each
-        equals the report's train cost and accuracy exactly."""
+        split. Over several train blocks (64 columns here, walked 24 at a
+        time; 2048 on a Letter-shape run, walked 1024 at a time), plain,
+        standardized and with DCT weights, each equals the report's train
+        cost and accuracy exactly."""
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
         scores = evaluate(net, maps, blobs, split="train")
         x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
@@ -659,6 +663,7 @@ class TestEvaluate:
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, seed=1))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 24)
         assert len(blobs.train_idx) > 4 * 64
         for cfg in (TrainConfig(n1=16, depth=3, seed=1),
                     TrainConfig(n1=16, depth=3, seed=2, standardize=True),
@@ -682,7 +687,8 @@ class TestEvaluate:
     def test_elm_baseline_uses_front_features(self, blobs, monkeypatch):
         """Behind an ELM front, the baseline and every later map score on
         the train split exactly as the report has them, over 2048-column
-        blocks of a Letter-shape run and 64-column blocks of blobs. The
+        train blocks of a Letter-shape run, walked 1024 columns at a time,
+        and 64-column blocks of blobs, walked 24 at a time. The
         train walk forms the front with one product over all train columns
         and ``evaluate`` with one per block, so exact equality here relies
         on the BLAS computing each column of a product in the same order
@@ -690,6 +696,7 @@ class TestEvaluate:
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, elm_front=True, seed=4))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 24)
         for cfg in (TrainConfig(n1=32, depth=2, elm_front=True, seed=4),
                     TrainConfig(n1=24, depth=3, seed=3, elm_front=True,
                                 elm_activation="sigmoid", standardize=True)):
@@ -724,15 +731,17 @@ class TestEvaluate:
     ], ids=["standardize", "elm-sigmoid"])
     def test_blocks_match_a_one_block_reference(self, blobs, monkeypatch,
                                                 cfg, split):
-        """Scored 7 columns at a time, each map's cost is within 1e-12 of
-        sample_cost over the whole split, and its accuracy is exact."""
+        """Walked 7 columns at a time and summed over 64-column blocks,
+        each map's cost is within 1e-12 of sample_cost over the whole
+        split, and its accuracy is exact."""
         net, maps, report = train(blobs, cfg)
         std = report.meta["standardize_params"]
         transform = std and (np.array(std["mu"])[:, None],
                              np.array(std["sigma"])[:, None])
         idx = blobs.train_idx if split == "train" else blobs.test_idx
         x, t = blobs.columns(idx, transform), blobs.targets(idx)
-        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
+        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 7)
         scores = evaluate(net, maps, blobs, split, transform)
         assert sorted(scores) == [m.layer_index for m in maps]
         for (layer, feats), m in zip(walk(net, x), maps):
@@ -751,9 +760,10 @@ class TestEvaluate:
 
     def test_peak_is_one_block_of_the_widest_features(self):
         """Over at least four blocks, evaluate holds the features of the
-        widest layer it runs on SCORE_BLOCK columns: the last layer's for
+        widest layer it runs on EVAL_BLOCK columns: the last layer's for
         every map, layer 1's (a quarter of those) for maps up to layer 1.
-        1 MiB covers a block's inputs, targets and predictions."""
+        1 MiB covers a block's inputs and targets, and each map's errors
+        on a train block."""
         ds = make_synthetic_blobs(4, 2, 6 * SCORE_BLOCK, separation=3.0,
                                   seed=1)
         assert len(ds.train_idx) >= 4 * SCORE_BLOCK
@@ -762,7 +772,7 @@ class TestEvaluate:
             scores, peak = oracles.traced_peak(evaluate, net, maps[:upto + 1],
                                                ds, "train")
             assert sorted(scores) == list(range(upto + 1))
-            assert peak <= (net.layers[upto - 1].out_dim * SCORE_BLOCK * 8
+            assert peak <= (net.layers[upto - 1].out_dim * EVAL_BLOCK * 8
                             + 2 ** 20)
 
 
