@@ -478,18 +478,28 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
     """A run's data, standardization transform, network, maps and label
     names. The data is ``spec`` loaded with ``opts``, each defaulting to
     the manifest's. A manifest field of the wrong type, length or range
-    (two maps of one layer, or label names not one per map row, too), or
-    ``data_options`` the data cannot take, is a DataError naming
-    manifest.json; a map whose column count does not fit its layer is one
-    naming the map's file, and a map outside its ball a SolverError naming
-    it."""
+    (maps not one for each layer of ``map_widths``, or label names not one
+    per map row, too), or ``data_options`` the data cannot take, is a
+    DataError naming manifest.json; a map whose layer or column count does
+    not fit the network is one naming the map's file, and a map outside
+    its ball a SolverError naming it."""
     run = Path(run_dir)
     with json_artifact(run / "manifest.json") as manifest:
         net = load_network(run / manifest["artifacts"]["network"])
-        rels = manifest["artifacts"]["maps"]
+        rels, width = manifest["artifacts"]["maps"], map_widths(net)
         maps = [load_output_map(run / rel) for rel in rels]
-        if len({m.layer_index for m in maps}) < len(maps):
-            raise ValueError(f"maps {rels} repeat a layer")
+        for rel, m in zip(rels, maps):
+            if m.matrix.shape[1] != width.get(m.layer_index):
+                raise DataError(f"{run / rel}: {m.matrix.shape[1]} columns, "
+                                f"but the map of layer {m.layer_index} reads "
+                                f"{width.get(m.layer_index, 'no')} features")
+            if not within_ball(m.matrix, m.epsilon):
+                raise SolverError(f"{run / rel}: squared norm "
+                                  f"{float(np.sum(m.matrix ** 2)):.6e} is "
+                                  f"outside its ball, epsilon {m.epsilon:.6e}")
+        if sorted(m.layer_index for m in maps) != sorted(width):
+            raise ValueError(f"maps {rels} are not one per layer of "
+                             f"{sorted(width)}")
         std, transform = manifest.get("standardize_params"), None
         if std is not None:  # mu and sigma as (P, 1) columns
             transform = np.array([std["mu"], std["sigma"]], dtype=np.float64
@@ -513,16 +523,6 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
             opts = _typed(manifest.get("data_options") or {}, {
                 **types, "label_col": (str, int), "blobs": dict})  # old: int
             opts["blobs"] = _typed(opts.get("blobs", {}), {**types, "seed": int})
-    width = map_widths(net)
-    for rel, m in zip(rels, maps):
-        if m.matrix.shape[1] != width.get(m.layer_index):
-            raise DataError(f"{run / rel}: {m.matrix.shape[1]} columns, but "
-                            f"the map of layer {m.layer_index} reads "
-                            f"{width.get(m.layer_index, 'no')} features")
-        if not within_ball(m.matrix, m.epsilon):
-            raise SolverError(f"{run / rel}: squared norm "
-                              f"{float(np.sum(m.matrix ** 2)):.6e} is outside "
-                              f"its ball, epsilon {m.epsilon:.6e}")
     if not isinstance(spec, str):
         raise DataError(f"{run_dir}: manifest.json names no data_source; "
                         "pass --data")

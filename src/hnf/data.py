@@ -327,13 +327,11 @@ def load_idx(images_path, labels_path) -> Dataset:
         if not p.is_file():
             raise DataError(f"cannot read data file: {p}")
 
-    blob = images_path.read_bytes()
-    if _read_be_u32(blob, 0, images_path) != IDX_IMAGE_MAGIC:
+    with open(images_path, "rb") as fh:  # the pixels straight into u8
+        head, pixels = fh.read(16), np.fromfile(fh, np.uint8)
+    if _read_be_u32(head, 0, images_path) != IDX_IMAGE_MAGIC:
         raise FormatError(f"{images_path}: bad image magic")
-    count = _read_be_u32(blob, 4, images_path)
-    rows = _read_be_u32(blob, 8, images_path)
-    cols = _read_be_u32(blob, 12, images_path)
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16)
+    count, rows, cols = (_read_be_u32(head, k, images_path) for k in (4, 8, 12))
     if pixels.size != count * rows * cols:
         raise FormatError(
             f"{images_path}: expected {count * rows * cols} pixels, "
@@ -358,7 +356,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{labels_path}: label {labels.max()} out of range 0-9"
         )
 
-    x = pixels.reshape(count, rows * cols).astype(np.float64).T / 255.0
+    x = np.divide(pixels.reshape(count, rows * cols).T, 255.0, dtype=float)
     names = [str(i) for i in range(10)]
     return _dataset(x, labels.astype(np.int64), names, images_path.name,
                     source=f"{images_path},{labels_path}",

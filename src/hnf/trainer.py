@@ -14,23 +14,24 @@ layer's map. Either way the per-layer training cost cannot increase.
 The train walk (:func:`_fit`) makes one pass per layer. It holds each
 expanding layer's pre-activations ``z = W q`` on every train column, in one
 buffer of the widest weight's rows: half the width of ``y = [relu(z);
-relu(-z)]``. As ``u = R y = [z; |z|] / sqrt(2)`` is an orthonormal
-rotation, each Gram is built in the ``u`` basis: :func:`_carry` writes its
-``z z^T`` and ``T z^T`` blocks from the previous layer's statistics through
-the weight. A layer's pass expands each :data:`SCORE_BLOCK`-column block
-once (``HnfLayer.features``) in its block buffer, scores the solved map,
-rotated back to ``y``, and the witness there, then applies the next weight
-(``WeightMatrix.apply``) into the block's next ``z``, whose ``|z|`` terms
-it adds to the next Gram (:func:`_add_abs_block`) while it is hot.
-Before each solve and each pass, glibc hands back the heap it kept after
-frees (:func:`_release_heap`), so the walk's peak is what it holds. Every
-product runs in numpy; only the solve calls scipy (see :mod:`hnf.solvers`).
-Everything else that applies the network to data runs through
-:func:`hnf.layers.walk`, the one forward loop: the ELM front here, and
-:func:`evaluate` and :func:`verify_invariants` block by block. The test
-split stays out of the loop: :func:`evaluate` scores every map on it once,
-after the last layer, for the report only. Nothing about the budgets or
-stopping looks at it; there is no cross-validation anywhere.
+relu(-z)]``. As ``u = R y = [z; |z|] / sqrt(2)`` is an orthonormal rotation,
+each Gram is built in the ``u`` basis: :func:`_carry` writes its ``z z^T``
+and ``T z^T`` blocks from the previous layer's statistics through the
+weight. A layer's pass expands each :data:`SCORE_BLOCK`-column block once
+(``HnfLayer.features``) in its block buffer, scores the solved map, rotated
+back to ``y``, and the witness there, then applies the next weight
+(``WeightMatrix.apply``) into the block's next ``z``, whose ``|z|`` terms it
+adds to the next Gram (:func:`_add_abs_block`) while it is hot. A cost, here
+and in :func:`evaluate`, is one ``np.sum`` of the split's per-column errors
+(:func:`block_score`) over N. Before each solve and each pass, glibc hands
+back the heap it kept after frees (:func:`_release_heap`), so the walk's
+peak is what it holds. Every product runs in numpy; only the solve calls
+scipy (see :mod:`hnf.solvers`). Everything else that applies the network to
+data runs through :func:`hnf.layers.walk`, the one forward loop: the ELM
+front here, and :func:`evaluate` and :func:`verify_invariants` block by
+block. The test split stays out of the loop: :func:`evaluate` scores every
+map on it once, after the last layer, for the report only. Nothing about the
+budgets or stopping looks at it; there is no cross-validation anywhere.
 """
 
 from __future__ import annotations
@@ -85,14 +86,14 @@ DEFAULT_MEMORY_BUDGET = 4 * 1024 ** 3
 #: weight by at most 8.4 MB (at d = 2048), so it needs no budget of its own.
 VERIFY_BLOCK = 256
 
-#: Columns the train pass takes at a time: it sums its statistics and
-#: scores over them, so this sets their summation order (evaluate's sums
-#: too) and the width of each Gram product.
+#: Columns the train pass takes at a time: it sums the next Gram over
+#: them, so this sets the Grams' summation order, and so the maps' bits,
+#: and the width of each Gram product. Costs do not depend on it.
 SCORE_BLOCK = 2048
 
 #: Columns evaluate (``eval``, train's test split) walks at a time in one
-#: reused block buffer. Thinner products cost BLAS time: a Shuttle-like
-#: ``eval`` took 4% longer at 1024 than at 2048 columns, 10% at 512.
+#: reused buffer, trading memory for time: a Shuttle-like ``eval`` took 4%
+#: longer at 1024 than at 2048 columns, 10% at 512.
 EVAL_BLOCK = 1024
 
 
@@ -172,15 +173,16 @@ class TrainReport:
 
 
 def block_score(o: np.ndarray, feats: np.ndarray, t: np.ndarray,
-                labels: np.ndarray, out=None) -> tuple[float, int]:
-    """Squared error ``||t - o @ feats||_F^2`` of a map on a block of
-    columns, and how many columns' argmax (ties to the lowest class)
-    equals ``labels``. Given ``out``, the error is left there as ``o @
-    feats - t`` and counted as 0, for :func:`evaluate` to sum later."""
-    p = np.matmul(o, feats, out=out)
+                labels: np.ndarray, err: np.ndarray) -> int:
+    """Each column's squared error ``||t_j - o @ feats_j||^2`` of a map on
+    a block, into ``err``, and how many columns' argmax (ties to the lowest
+    class) equals ``labels``. Added up class by class, an error's bits do
+    not depend on the block's width or the column's place in it."""
+    p = np.matmul(o, feats)
     hits = int(np.count_nonzero(np.argmax(p, axis=0) == labels))
     p -= t  # -(t - p): the squares of t - p, bit for bit
-    return 0.0 if out is not None else float(np.sum(p * p)), hits
+    err[:] = functools.reduce(np.add, np.square(p, out=p))  # row by row
+    return hits
 
 
 def _blocks(n: int, width: int):
@@ -200,13 +202,13 @@ def build_network(input_dim: int, cfg: TrainConfig,
     Expanding layer l is random orthonormal with seed + l (each modulo
     2**64), or DCT. Before a layer's weight is built, what the train walk
     holds there must fit ``cfg.memory_budget``: every weight so far (its
-    own included), the layer's rows of pre-activations on ``n_cols``
-    columns and the larger of two moments. One is its d x d Gram with the
-    carry into it (the previous Gram beside ``W R^T`` and their product),
-    which the previous layer's solve follows. The other is a pass with its
-    block buffer: the previous layer's pass sums this Gram beside a buffer
-    of this layer's rows, and the last layer's own pass holds a d-row
-    buffer alone."""
+    own included), the layer's rows of pre-activations and two error rows
+    on ``n_cols`` columns, and the larger of two moments. One is its d x d
+    Gram with the carry into it (the previous Gram beside ``W R^T`` and
+    their product), which the previous layer's solve follows. The other is
+    a pass with its block buffer: the previous layer's pass sums this Gram
+    beside a buffer of this layer's rows, and the last layer's own pass
+    holds a d-row buffer alone."""
     if not cfg.elm_front and cfg.n1 < input_dim:
         raise ConfigError(
             f"orthonormal first layer needs n1 >= input dim, "
@@ -224,15 +226,15 @@ def build_network(input_dim: int, cfg: TrainConfig,
         at_carry = carry + d * d * 8
         in_pass = max(0 if front else (d * d + width * block) * 8,
                       d * block * 8 if layer_no == cfg.depth else 0)
-        need = weight_bytes + width * n_cols * 8 + max(at_carry, in_pass)
+        need = weight_bytes + (width + 2) * n_cols * 8 + max(at_carry, in_pass)
         if need > cfg.memory_budget:
             raise ResourceError(
                 f"layer {layer_no}: weights up to this layer ({weight_bytes} "
-                f"bytes), its {width} x {n_cols} float64 pre-activations "
-                f"and the larger of a pass with its block buffer ({in_pass} "
-                f"bytes) and its {d} x {d} Gram with the carry into it "
-                f"({at_carry} bytes) need {need} bytes, over the "
-                f"{cfg.memory_budget}-byte budget")
+                f"bytes), its {width} x {n_cols} float64 pre-activations, "
+                f"2 error vectors and the larger of a pass with its block "
+                f"buffer ({in_pass} bytes) and its {d} x {d} Gram with the "
+                f"carry into it ({at_carry} bytes) need {need} bytes, over "
+                f"the {cfg.memory_budget}-byte budget")
         if front:
             w = make_raw_gaussian(width, fan_in, seed)
         elif cfg.weight_kind == "dct":
@@ -392,7 +394,7 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
             raise SolverError(f"layer {layer_no}: solver failed: {exc}") from exc
         del g  # overwritten by the solve; the next layer's Gram replaces it
 
-        sums = np.zeros((2, 2))  # squared error and hits: map, witness
+        err, hits = np.zeros((2, n)), [0, 0]  # of the map and the witness
         if layer is not None:
             o = _to_y_basis(o)
         _release_heap()
@@ -404,10 +406,10 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
             labels = data.labels[idx[cols]]
             zb = q[:, cols]
             if layer is not None:
-                sums[1] += block_score(m, zb, tb, labels)
+                hits[1] += block_score(m, zb, tb, labels, err[1, cols])
             feats = zb if layer is None else layer.features(
                 zb, buf[:, :len(labels)])
-            sums[0] += block_score(o, feats, tb, labels)
+            hits[0] += block_score(o, feats, tb, labels, err[0, cols])
             if nxt is not None:  # feats are spent: buf takes the next |z|
                 zb = nxt.weight.apply(feats, held[:nxt.weight.rows, cols])
                 _add_abs_block(zb, tb, *carry, buf)
@@ -417,7 +419,8 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
             g[r:, :r] = g[:r, r:].T
             g *= 0.5
             b *= math.sqrt(0.5)
-        (cost, acc), (witness_cost, witness_acc) = (sums / n).tolist()
+        (cost, acc), (witness_cost, witness_acc) = (
+            (float(np.sum(e)) / n, h / n) for e, h in zip(err, hits))
         if layer is not None:
             diag.update(witness_cost=witness_cost,
                         witness_drift=witness_cost - maps[-1].train_cost)
@@ -452,8 +455,8 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     :func:`hnf.layers.walk`, the one forward loop, runs :data:`EVAL_BLOCK`
     columns of the split at a time, in one reused buffer as tall as the
     widest layer it runs, scoring each map on the features it reads and
-    stopping at the deepest map; each map's squared errors are summed over
-    :data:`SCORE_BLOCK` columns, in the train pass's order. Each block's
+    stopping at the deepest map. Each map's cost is one sum of its vector
+    of per-column squared errors, as in the train pass. Each block's
     inputs are gathered by :meth:`Dataset.columns` and standardized by
     ``transform``, the training (mu, sigma), if it standardized: no copy of
     the split is made. A map naming no map-bearing layer (beyond the depth,
@@ -476,26 +479,24 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
     idx = data.train_idx if split == "train" else data.test_idx
 
     deepest, n = max(layers, default=0), len(idx)
-    sums = np.zeros((len(maps), 2))  # squared error and hits of each map
+    err, hits = np.empty((len(maps), n)), [0] * len(maps)  # of each map
     # the layers the walk runs: up to the deepest map, or the ELM front
     reached = net.layers[:max(deepest, int(net.has_front))]
     buf = np.empty((max((l.out_dim for l in reached), default=0),
                     min(n, EVAL_BLOCK)))
-    err = np.empty((len(maps), data.n_classes, min(n, SCORE_BLOCK)))
-    for part in (idx[cols] for cols in _blocks(n, SCORE_BLOCK)):
-        for cols in _blocks(len(part), EVAL_BLOCK):
-            xb = data.columns(part[cols], transform)
-            tb, labels = data.targets(part[cols]), data.labels[part[cols]]
-            for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
-                for i, m in enumerate(maps):
-                    if m.layer_index == layer:
-                        sums[i] += block_score(m.matrix, feats, tb, labels,
-                                               err[i, :, cols])
-                if layer == deepest:
-                    break
-        sums[:, 0] += [np.sum(e * e) for e in err[:, :, :len(part)]]
-    return {m.layer_index: Evaluation(*(s / (n or math.nan)).tolist())
-            for m, s in zip(maps, sums)}
+    for cols in _blocks(n, EVAL_BLOCK):
+        xb = data.columns(idx[cols], transform)
+        tb, labels = data.targets(idx[cols]), data.labels[idx[cols]]
+        for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
+            for i, m in enumerate(maps):
+                if m.layer_index == layer:
+                    hits[i] += block_score(m.matrix, feats, tb, labels,
+                                           err[i, cols])
+            if layer == deepest:
+                break
+    n = n or math.nan
+    return {m.layer_index: Evaluation(float(np.sum(e)) / n, h / n)
+            for m, e, h in zip(maps, err, hits)}
 
 
 @dataclass(frozen=True)

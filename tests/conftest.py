@@ -95,6 +95,28 @@ def count_walk(monkeypatch) -> list[int]:
     return widths
 
 
+def pin_products(monkeypatch) -> None:
+    """Patch ``np.matmul`` to form a matrix product one matrix-vector
+    product per column of its right operand, so that no column's bits
+    depend on how many columns the product has. The BLAS does not promise
+    that: it forms one column with a ``gemv`` and narrow or odd blocks with
+    other kernels than wide ones, which round differently."""
+    real = np.matmul
+
+    def by_column(a, b, out=None):
+        if np.ndim(a) != 2 or np.ndim(b) != 2:
+            return real(a, b, out=out)
+        cols = np.empty((a.shape[0], b.shape[1]))
+        for j in range(b.shape[1]):
+            cols[:, j] = real(a, np.ascontiguousarray(b[:, j]))
+        if out is None:
+            return cols
+        out[...] = cols  # b may overlap out: it has been read by now
+        return out
+
+    monkeypatch.setattr(np, "matmul", by_column)
+
+
 def exit_code_rows() -> list[tuple[int, list[str]]]:
     """README's exit-code table: each row's code and the classes it names."""
     table = re.search(r"^\| code \| errors \| meaning \|\n"

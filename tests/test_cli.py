@@ -1361,6 +1361,8 @@ class TestCorruptArtifacts:
         ("maps/map01.json", lambda d: d.update(cols="32"), "map01.json"),
         ("maps/map01.json", lambda d: d.update(layer_index=True), "map01.json"),
         ("maps/map01.json", lambda d: d.update(layer_index="1"), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(layer_index=2), "map01.json"),
+        ("maps/map01.json", lambda d: d.update(layer_index=9), "map01.json"),
         ("maps/map01.json", lambda d: d.update(epsilon=-1), "map01.json"),
         ("maps/map01.json", lambda d: d.update(epsilon="1"), "map01.json"),
         ("maps/map01.json", lambda d: d.update(train_cost="0.5"),
@@ -1377,7 +1379,8 @@ class TestCorruptArtifacts:
             "unknown-activation", "weight-file-empty", "expand-text",
             "expand-null", "activation-number", "rows-float", "cols-bool",
             "map-rows-float", "map-cols-text", "layer-index-bool",
-            "layer-index-text", "epsilon-negative", "epsilon-text",
+            "layer-index-text", "layer-index-wider", "layer-index-beyond",
+            "epsilon-negative", "epsilon-text",
             "train-cost-text", "label-names-ints", "label-names-null-entry",
             "label-names-repeat", "label-names-count"])
     def test_unreadable_artifact_path_exits_3(self, trained_run, tmp_path,
@@ -1410,6 +1413,8 @@ class TestCorruptArtifacts:
         ("csv", lambda d: d["data_options"].update(split=13)),
         ("blobs", lambda d: d["data_options"]["blobs"].update(p=0)),
         ("blobs", lambda d: d["artifacts"]["maps"].append("maps/map02.json")),
+        ("blobs", lambda d: d["artifacts"]["maps"].clear()),
+        ("elm", lambda d: d["artifacts"]["maps"].pop(0)),
         ("blobs", lambda d: d.pop("data_source")),
         ("csv", lambda d: d["data_options"].update(split_seed=-1)),
         ("blobs", lambda d: d["data_options"]["blobs"].update(seed=-1)),
@@ -1417,7 +1422,8 @@ class TestCorruptArtifacts:
             "sigma-zero", "options-list", "blob-p-text", "blobs-list",
             "split-text", "split-fraction", "label-col-list",
             "split-negative", "split-over-rows", "blob-p-zero",
-            "map-layer-twice", "no-data-source", "split-seed-negative",
+            "map-layer-twice", "maps-empty", "map-missing", "no-data-source",
+            "split-seed-negative",
             "blob-seed-negative"])
     def test_bad_manifest_field_exits_3(self, manifest_runs, tmp_path, capsys,
                                         run, edit):

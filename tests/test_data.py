@@ -289,6 +289,20 @@ class TestLoadIdx:
             images[0].reshape(-1) / 255.0)
         assert np.array_equal(ds.labels, labels)
 
+    def test_pixels_load_into_one_float_copy(self, tmp_path, rng):
+        """A 4000 x 28 x 28 pair loads with a traced peak of X, the pixel
+        bytes and under 1 MiB more: the pixels are read straight into their
+        u8 array, converted once and scaled in place. X has the bits and
+        the column-major layout of ``pixels.T / 255``."""
+        images = rng.integers(0, 256, size=(4000, 28, 28)).astype(np.uint8)
+        labels = (np.arange(4000) % 10).astype(np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        ds, peak = traced_peak(load_idx, img, lbl)
+        want = images.reshape(4000, 784).astype(np.float64).T / 255.0
+        assert ds.X.tobytes("A") == want.tobytes("A")
+        assert ds.X.strides == want.strides
+        assert peak <= ds.X.nbytes + images.nbytes + 2 ** 20
+
     def test_truncated_images(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(4, 3, 3)).astype(np.uint8)
         labels = np.zeros(4, dtype=np.uint8)

@@ -43,7 +43,7 @@ from hnf.trainer import (
 )
 
 import oracles
-from conftest import build_chain, count_walk, solve
+from conftest import build_chain, count_walk, pin_products, solve
 from oracles import accuracy, sample_cost
 
 
@@ -71,17 +71,20 @@ def monotone(costs, slack=1e-8):
 
 def train_scores_match_the_report(data, cfg):
     """Train ``cfg`` on ``data``; then ``evaluate`` on the train split must
-    reproduce every report row's train cost and accuracy bit for bit: the
-    walk forms each block's products as the train walk does."""
+    reproduce every report row's train cost and accuracy bit for bit, and
+    on the test split its test accuracy: the walk forms each block's
+    products as the train walk does."""
     net, maps, report = train(data, cfg)
     std = report.meta["standardize_params"]
     transform = std and (np.array(std["mu"])[:, None],
                          np.array(std["sigma"])[:, None])
     scores = evaluate(net, maps, data, "train", transform)
+    test = evaluate(net, maps, data, "test", transform)
     assert sorted(scores) == [r.layer for r in report.rows()]
     for rec in report.rows():
         ev = scores[rec.layer]
         assert (ev.cost, ev.accuracy) == (rec.train_cost, rec.train_acc), rec
+        assert rec.test_acc == test[rec.layer].accuracy, rec
 
 
 class TestPlanWidths:
@@ -271,7 +274,7 @@ class TestTrain:
         calls = []
         monkeypatch.setattr("hnf.trainer.least_squares",
                             lambda *a, **k: calls.append(a))
-        # layers 1-3 need 94464, 212480 and 553472 bytes on 333 columns
+        # layers 1-3 need 99792, 217808 and 558800 bytes on 333 columns
         cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=500_000)
         with pytest.raises(ResourceError, match="layer 3"):
             train(blobs, cfg)
@@ -292,7 +295,7 @@ class TestTrain:
 
         for name in ("make_random_orthonormal", "make_dct_orthonormal"):
             monkeypatch.setattr(hnf.trainer, name, recording(name))
-        # layer 3 needs 514048 bytes on 333 columns; layers 3-6 have
+        # layer 3 needs 519376 bytes on 333 columns; layers 3-6 have
         # widths 64, 128, 256 and 512
         cfg = TrainConfig(n1=16, depth=6, weight_kind=kind, seed=1,
                           memory_budget=500_000)
@@ -310,26 +313,26 @@ class TestTrain:
 
         monkeypatch.setattr(hnf.trainer, "make_random_orthonormal", make)
         small = make_synthetic_blobs(4, 2, 20, separation=6.0, seed=3)
-        # on 13 train columns layer 5's pre-activations, Gram and the carry
-        # into it take 930816 bytes, and the weights of layers 1-5 174336
-        # more (widths 8 to 128); layer 4 needs 279296 in all
+        # on 13 train columns layer 5's pre-activations, error vectors, Gram
+        # and the carry into it take 931024 bytes, and the weights of layers
+        # 1-5 174336 more (widths 8 to 128); layer 4 needs 279504 in all
         cfg = TrainConfig(n1=8, depth=6, memory_budget=700_000)
         with pytest.raises(ResourceError, match="layer 5"):
             train(small, cfg)
         assert built == [8, 16, 32, 64]
 
     def test_budget_counts_held_pre_activations(self, blobs):
-        """Layer 3 needs 553472 bytes: the weights, its 64 x 333 train
-        pre-activations and its own pass's 128 x 333 block buffer, which
-        outweighs its 128 x 128 Gram with the carry from the 64 x 64 one,
-        and the previous pass's 64-row buffer beside that Gram. Counted as
-        128-row features on all 500 columns, the pre-activations alone
-        needed 512000."""
-        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=553_472)
+        """Layer 3 needs 558800 bytes: the weights, its 64 x 333 train
+        pre-activations, the pass's two error vectors on 333 columns and
+        its own pass's 128 x 333 block buffer, which outweighs its 128 x
+        128 Gram with the carry from the 64 x 64 one, and the previous
+        pass's 64-row buffer beside that Gram. Counted as 128-row features
+        on all 500 columns, the pre-activations alone needed 512000."""
+        cfg = TrainConfig(n1=16, depth=3, seed=1, memory_budget=558_800)
         _, _, report = train(blobs, cfg)
         assert report.monotonicity_certified
         with pytest.raises(ResourceError, match="layer 3"):
-            train(blobs, replace(cfg, memory_budget=553_471))
+            train(blobs, replace(cfg, memory_budget=558_799))
 
     def test_budget_bounds_the_traced_peak(self):
         """What train allocates, as tracemalloc traces numpy's buffers,
@@ -610,8 +613,9 @@ class TestMapInputs:
         at each expanding layer, a block at a time; only an ELM front is
         walked on the whole train split, and the test split's one walk runs
         every layer on every column once, :data:`EVAL_BLOCK` columns at a
-        time, so each expanding layer's features are formed once per column
-        of the whole dataset."""
+        time (wider here than the train pass's 100), so each expanding
+        layer's features are formed once per column of the whole
+        dataset."""
         widths, expanded = count_walk(monkeypatch), {}
         real = HnfLayer.features
 
@@ -621,15 +625,15 @@ class TestMapInputs:
             return real(layer, z, *rest)
 
         monkeypatch.setattr(HnfLayer, "features", features)
-        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 200)
-        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 100)
+        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 100)
+        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 150)
         net, _, _ = train(blobs, TrainConfig(n1=16, depth=3, elm_front=elm,
                                              seed=1))
         n_train, n_test = len(blobs.train_idx), len(blobs.test_idx)
         assert expanded == {l.weight.rows: n_train + n_test
                             for l in net.layers if l.expand}
         assert widths[:elm] == [n_train] * elm
-        assert sorted(widths[elm:]) == [n_test - 100] * 3 + [100] * 3
+        assert sorted(widths[elm:]) == [n_test - 150] * 3 + [150] * 3
 
 
 class TestEvaluate:
@@ -651,10 +655,11 @@ class TestEvaluate:
 
     def test_train_split_cost_matches_solver(self, blobs, monkeypatch):
         """On one block, each train score is the sample cost of the whole
-        split. Over several train blocks (64 columns here, walked 24 at a
-        time; 2048 on a Letter-shape run, walked 1024 at a time), plain,
-        standardized and with DCT weights, each equals the report's train
-        cost and accuracy exactly."""
+        split. Over several train blocks (64 columns here, walked 24 or 128
+        at a time; 2048 on a Letter-shape run, walked 1024 at a time),
+        plain, standardized and with DCT weights, each equals the report's
+        train cost and accuracy exactly: both sum one vector of per-column
+        errors."""
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
         scores = evaluate(net, maps, blobs, split="train")
         x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
@@ -663,12 +668,44 @@ class TestEvaluate:
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, seed=1))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
-        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 24)
         assert len(blobs.train_idx) > 4 * 64
-        for cfg in (TrainConfig(n1=16, depth=3, seed=1),
-                    TrainConfig(n1=16, depth=3, seed=2, standardize=True),
-                    TrainConfig(n1=16, depth=3, seed=1, weight_kind="dct")):
-            train_scores_match_the_report(blobs, cfg)
+        for width in (24, 128):
+            monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", width)
+            for cfg in (TrainConfig(n1=16, depth=3, seed=1),
+                        TrainConfig(n1=16, depth=3, seed=2, standardize=True),
+                        TrainConfig(n1=16, depth=3, seed=1,
+                                    weight_kind="dct")):
+                train_scores_match_the_report(blobs, cfg)
+
+    @pytest.mark.parametrize("shift, cfg", [
+        (1, TrainConfig(n1=16, depth=3, seed=1)),
+        (2, TrainConfig(n1=24, depth=3, seed=3, elm_front=True)),
+        (3, TrainConfig(n1=24, depth=3, seed=3, elm_front=True,
+                        elm_activation="sigmoid")),
+        (4, TrainConfig(n1=16, depth=3, seed=2, standardize=True)),
+    ], ids=["plain", "elm-relu", "elm-sigmoid", "standardize"])
+    def test_drawn_widths_keep_the_report_s_scores(self, monkeypatch, shift,
+                                                   cfg):
+        """Whatever widths SCORE_BLOCK and EVAL_BLOCK take, set alike for
+        train and evaluate, evaluate on the train split returns the
+        report's costs and accuracies exactly, and on the test split its
+        test accuracies: each cost is one sum of a vector of per-column
+        errors. The widths are 1, 7, 64, 100 (which does not divide N =
+        333) and N + 1, and over the four runs each ordered pair of
+        distinct widths is drawn once. Products are pinned to one BLAS
+        call a column (:func:`conftest.pin_products`), so the summation is
+        what is checked; 10 classes take each column's error past numpy's
+        eight-way pairwise unrolling, which a width-1 sum would use."""
+        ds = make_synthetic_blobs(8, 10, 500, separation=6.0, seed=3)
+        n = len(ds.train_idx)
+        widths = [1, 7, 64, 100, n + 1]
+        assert n == 333
+        pin_products(monkeypatch)
+        for i, score in enumerate(widths):
+            monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", score)
+            monkeypatch.setattr("hnf.trainer.EVAL_BLOCK",
+                                widths[(i + shift) % len(widths)])
+            train_scores_match_the_report(ds, cfg)
 
     def test_missing_layer_is_state_error(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1)
@@ -688,19 +725,23 @@ class TestEvaluate:
         """Behind an ELM front, the baseline and every later map score on
         the train split exactly as the report has them, over 2048-column
         train blocks of a Letter-shape run, walked 1024 columns at a time,
-        and 64-column blocks of blobs, walked 24 at a time. The
+        and 64-column blocks of blobs, walked 24 or 128 at a time. The
         train walk forms the front with one product over all train columns
         and ``evaluate`` with one per block, so exact equality here relies
         on the BLAS computing each column of a product in the same order
-        whatever the column count; it does not follow from the code."""
+        whatever the column count; it does not follow from the code
+        (:meth:`TestEvaluate.test_drawn_widths_keep_the_report_s_scores`
+        pins that order)."""
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, elm_front=True, seed=4))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
-        monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 24)
-        for cfg in (TrainConfig(n1=32, depth=2, elm_front=True, seed=4),
-                    TrainConfig(n1=24, depth=3, seed=3, elm_front=True,
-                                elm_activation="sigmoid", standardize=True)):
-            train_scores_match_the_report(blobs, cfg)
+        for width in (24, 128):
+            monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", width)
+            for cfg in (TrainConfig(n1=32, depth=2, elm_front=True, seed=4),
+                        TrainConfig(n1=24, depth=3, seed=3, elm_front=True,
+                                    elm_activation="sigmoid",
+                                    standardize=True)):
+                train_scores_match_the_report(blobs, cfg)
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(n1=16, depth=3, seed=1),
@@ -731,16 +772,14 @@ class TestEvaluate:
     ], ids=["standardize", "elm-sigmoid"])
     def test_blocks_match_a_one_block_reference(self, blobs, monkeypatch,
                                                 cfg, split):
-        """Walked 7 columns at a time and summed over 64-column blocks,
-        each map's cost is within 1e-12 of sample_cost over the whole
-        split, and its accuracy is exact."""
+        """Walked 7 columns at a time, each map's cost is within 1e-12 of
+        sample_cost over the whole split, and its accuracy is exact."""
         net, maps, report = train(blobs, cfg)
         std = report.meta["standardize_params"]
         transform = std and (np.array(std["mu"])[:, None],
                              np.array(std["sigma"])[:, None])
         idx = blobs.train_idx if split == "train" else blobs.test_idx
         x, t = blobs.columns(idx, transform), blobs.targets(idx)
-        monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
         monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 7)
         scores = evaluate(net, maps, blobs, split, transform)
         assert sorted(scores) == [m.layer_index for m in maps]
@@ -762,8 +801,8 @@ class TestEvaluate:
         """Over at least four blocks, evaluate holds the features of the
         widest layer it runs on EVAL_BLOCK columns: the last layer's for
         every map, layer 1's (a quarter of those) for maps up to layer 1.
-        1 MiB covers a block's inputs and targets, and each map's errors
-        on a train block."""
+        1 MiB covers a block's inputs and targets, and each map's vector of
+        per-column errors on the split (8 bytes a column, 64 KiB here)."""
         ds = make_synthetic_blobs(4, 2, 6 * SCORE_BLOCK, separation=3.0,
                                   seed=1)
         assert len(ds.train_idx) >= 4 * SCORE_BLOCK
@@ -774,6 +813,53 @@ class TestEvaluate:
             assert sorted(scores) == list(range(upto + 1))
             assert peak <= (net.layers[upto - 1].out_dim * EVAL_BLOCK * 8
                             + 2 ** 20)
+
+
+#: The metamorphic relations' runs, on Letter-shape blobs.
+RELATION_CONFIGS = pytest.mark.parametrize("cfg", [
+    TrainConfig(n1=32, depth=2, seed=1),
+    TrainConfig(n1=32, depth=2, seed=1, weight_kind="dct"),
+    TrainConfig(n1=32, depth=3, seed=4, elm_front=True, standardize=True),
+], ids=["plain", "dct", "elm-standardize"])
+
+
+class TestMetamorphicRelations:
+    """Relabellings the paper's cost is blind to: a cost is a mean over the
+    train columns, and it treats every class alike."""
+
+    @RELATION_CONFIGS
+    def test_permuting_the_columns_keeps_costs(self, cfg):
+        """Shuffled columns, each kept in its split, give each split's
+        columns in another order; every cost stays within 1e-10 relative
+        and every accuracy is the same."""
+        ds = letter_shape()
+        perm = np.random.Generator(np.random.PCG64(5)).permutation(
+            ds.n_samples)
+        at = np.argsort(perm)  # where each old column lands
+        moved = Dataset(ds.X[:, perm], ds.labels[perm], ds.label_names,
+                        np.sort(at[ds.train_idx]), np.sort(at[ds.test_idx]),
+                        ds.meta)
+        assert not np.array_equal(perm[moved.train_idx], ds.train_idx)
+        (_, _, want), (_, _, got) = train(ds, cfg), train(moved, cfg)
+        assert got.monotonicity_certified
+        for a, b in zip(want.rows(), got.rows()):
+            assert abs(b.train_cost - a.train_cost) <= 1e-10 * a.train_cost
+            assert (b.train_acc, b.test_acc) == (a.train_acc, a.test_acc)
+
+    @RELATION_CONFIGS
+    def test_permuting_the_classes_permutes_the_maps(self, cfg):
+        """Classes renumbered by a permutation s give maps whose row s(c)
+        is the first run's row c, within 1e-12 of the map's norm, and every
+        cost within 1e-12 relative."""
+        ds = letter_shape()
+        s = np.random.Generator(np.random.PCG64(6)).permutation(ds.n_classes)
+        names = [ds.label_names[c] for c in np.argsort(s)]
+        renamed = replace(ds, labels=s[ds.labels], label_names=names)
+        (_, want, _), (_, got, _) = train(ds, cfg), train(renamed, cfg)
+        for a, b in zip(want, got):
+            assert (np.linalg.norm(b.matrix[s] - a.matrix)
+                    <= 1e-12 * np.linalg.norm(a.matrix)), a.layer_index
+            assert abs(b.train_cost - a.train_cost) <= 1e-12 * a.train_cost
 
 
 class TestVerifyInvariants:
@@ -927,9 +1013,12 @@ class TestReportSerialization:
     def test_accuracy_tie_breaks_low(self):
         pred = np.array([[1.0, 0.5], [1.0, 0.5]])
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        # the tie in column 0 goes to class 0, a hit; squared error 1 + 0.5
-        assert block_score(np.eye(2), pred, t, np.argmax(t, axis=0)) == (
-            1.5, 1)
+        err = np.full(2, np.nan)
+        # the tie in column 0 goes to class 0, a hit; column 0's squared
+        # error is 0 + 1, column 1's 0.25 + 0.25
+        assert block_score(np.eye(2), pred, t, np.argmax(t, axis=0),
+                           err) == 1
+        assert err.tolist() == [1.0, 0.5]
 
 
 class TestCertificationInternals:
