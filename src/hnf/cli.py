@@ -61,7 +61,6 @@ from .trainer import (
     LayerRecord,
     TrainConfig,
     TrainReport,
-    build_network,
     evaluate,
     map_widths,
     train,
@@ -241,11 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single layer to evaluate (default: all)")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("--run", help="artifact directory (default: fresh net)")
-    p_verify.add_argument("--n1", type=int, help="fresh net only")
-    p_verify.add_argument("--depth", type=int, help="fresh net only")
-    p_verify.add_argument("--weights", choices=WEIGHT_KINDS, help="fresh net only")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--run", required=True, help="artifact directory")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seeds the trials and a --data blobs draw")
     p_verify.add_argument("--trials", type=int, default=200)
     for p in (p_train, p_verify):
         p.add_argument("--data", help="blobs | csv:PATH | idx:IMG,LBL[,TIMG,TLBL]")
@@ -559,21 +556,8 @@ def cmd_eval(args) -> None:
 def cmd_verify(args) -> None:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    spec = args.data or (None if args.run else "blobs")
-    opts = _data_options(spec, vars(args), config=False)
-    if args.run and (args.n1, args.depth, args.weights) != (None, None, None):
-        raise ConfigError("--n1, --depth and --weights do not apply to verify "
-                          "--run, which checks the run's own network")
-    if args.run:
-        data, _, net, _, _ = _load_run(args.run, spec, spec and opts)
-    else:
-        cfg = TrainConfig(n1=16 if args.n1 is None else args.n1,
-                          depth=3 if args.depth is None else args.depth,
-                          weight_kind=args.weights or "random", seed=args.seed,
-                          memory_budget=_memory_budget())
-        data = _load_data(spec, opts)
-        net = build_network(data.input_dim, cfg, len(data.train_idx))
-
+    opts = _data_options(args.data, vars(args), config=False)
+    data, _, net, _, _ = _load_run(args.run, args.data, args.data and opts)
     report = verify_invariants(net, data, args.trials, args.seed)
     print(f"{'check':<28} {'trials':>7} {'violations':>11} {'worst_margin':>13}")
     for chk in report.checks:

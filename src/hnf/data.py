@@ -332,6 +332,9 @@ def load_idx(images_path, labels_path) -> Dataset:
     if _read_be_u32(head, 0, images_path) != IDX_IMAGE_MAGIC:
         raise FormatError(f"{images_path}: bad image magic")
     count, rows, cols = (_read_be_u32(head, k, images_path) for k in (4, 8, 12))
+    if rows * cols > np.iinfo(np.intp).max:
+        raise FormatError(f"{images_path}: images of {rows} x {cols} pixels "
+                          "are more than an array dimension can hold")
     if pixels.size != count * rows * cols:
         raise FormatError(
             f"{images_path}: expected {count * rows * cols} pixels, "

@@ -98,10 +98,11 @@ class HnfLayer:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        if self.activation not in ACTIVATIONS:
+        allowed = ["relu"] if self.expand else sorted(ACTIVATIONS)
+        if self.activation not in allowed:  # an expansion is a ReLU's
             raise ParameterError(
-                f"unknown activation {self.activation!r}; "
-                f"expected one of {sorted(ACTIVATIONS)}"
+                f"activation {self.activation!r} on a layer with expand="
+                f"{self.expand}; expected one of {allowed}"
             )
 
     @property

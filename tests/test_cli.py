@@ -222,6 +222,19 @@ class TestTrainCommand:
         assert "error: --split (or split =) does not apply to" in err
         assert not out.exists()
 
+    def test_idx_image_size_no_array_can_hold_exits_3(self, tmp_path,
+                                                       capsys):
+        """0 images of (2**32 - 1) x (2**32 - 1) pixels are a corrupt
+        image file, named, not a numpy traceback."""
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1))
+        lbl.write_bytes(struct.pack(">II", 0x801, 0))
+        assert main(["train", "--data", f"idx:{img},{lbl}", "--n1", "4",
+                     "--depth", "1", "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {img}: images of 4294967295 x ")
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
     def test_split_zero_exits_2(self, tmp_path, capsys):
         src = tmp_path / "four.csv"
         src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")
@@ -270,6 +283,16 @@ class TestTrainCommand:
         monkeypatch.setenv("HNF_MEM_BUDGET", "10000")
         code, _ = run_train(tmp_path)
         assert code == 5
+
+    @pytest.mark.parametrize("budget,code,message", [
+        ("1000", 5, "layer 1"), ("abc", 2, "HNF_MEM_BUDGET"),
+        ("0", 2, "memory_budget must be positive")])
+    def test_reads_env_budget(self, tmp_path, monkeypatch, capsys, budget,
+                              code, message):
+        monkeypatch.setenv("HNF_MEM_BUDGET", budget)
+        assert run_train(tmp_path)[0] == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -360,19 +383,19 @@ class TestTrainCommand:
                                for i in range(6)))
         monkeypatch.setattr("hnf.cli.load_csv", lambda *a, **k: pytest.fail(
             "the data was read"))
-        train = ["--n1", "4", "--depth", "1", "--out", str(tmp_path / "x")]
-        assert main([command, "--data", f"csv:{src}", flag, "",
-                     *(train if command == "train" else [])]) == 2
+        rest = (["--n1", "4", "--depth", "1", "--out", str(tmp_path / "x")]
+                if command == "train" else ["--run", str(tmp_path / "run")])
+        assert main([command, "--data", f"csv:{src}", flag, "", *rest]) == 2
         assert f"error: {flag} has no value" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["eval", "--run", "RUN"], ["verify"], ["verify", "--run", "RUN"]],
-        ids=["eval", "verify", "verify-run"])
+        ["eval", "--run", "RUN"], ["verify", "--run", "RUN"]],
+        ids=["eval", "verify-run"])
     def test_empty_data_flag_exits_2(self, tmp_path, capsys, monkeypatch,
                                      argv):
         """An empty ``--data`` is refused before any data or run is read,
-        not taken as blobs or as the run's own source."""
+        not taken as the run's own source."""
         refuse_data_reads(monkeypatch)
         argv = [str(tmp_path / "run") if a == "RUN" else a for a in argv]
         assert main([*argv, "--data", ""]) == 2
@@ -381,18 +404,21 @@ class TestTrainCommand:
     @pytest.mark.parametrize("sep", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["train", "verify"])
     def test_non_finite_blob_separation_exits_2(self, tmp_path, capsys,
-                                                monkeypatch, command, sep):
+                                                monkeypatch, trained_run,
+                                                command, sep):
         """A NaN or infinite ``--blob-sep`` is a bad flag, refused before
-        any blob is drawn or network built: it neither reads as a failed
-        invariant check (exit 4) nor as non-finite data (exit 3)."""
-        for name in ("train", "verify_invariants", "build_network"):
+        any blob is drawn, network built or invariant checked: it neither
+        reads as a failed invariant check (exit 4) nor as non-finite data
+        (exit 3)."""
+        for name in ("train", "verify_invariants"):
             monkeypatch.setattr(f"hnf.cli.{name}", lambda *a, **k: pytest.fail(
                 "the network was built"))
         monkeypatch.setattr("numpy.random.PCG64", lambda *a: pytest.fail(
             "the blobs were drawn"))
-        train = ["--n1", "4", "--depth", "1", "--out", str(tmp_path / "x")]
+        rest = (["--n1", "4", "--depth", "1", "--out", str(tmp_path / "x")]
+                if command == "train" else ["--run", str(trained_run)])
         assert main([command, "--data", "blobs", "--blob-sep", sep,
-                     *(train if command == "train" else [])]) == 2
+                     *rest]) == 2
         assert ("error: separation must be finite and >= 0, got "
                 f"{float(sep)}") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -639,16 +665,19 @@ class TestEvalCommand:
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                         reason="reads VmHWM from /proc/self/status")
-    def test_blobs_hold_one_copy_of_their_data(self):
+    def test_blobs_hold_one_copy_of_their_data(self, tmp_path):
         """Blobs of 64 x 131072 inputs (64 MiB) and 4 x 131072 targets
         (4 MiB) raise the peak RSS of their making by at most both plus
         16 MiB: the class means are added in place, not gathered into a
         second copy of the inputs."""
         x_bytes, t_bytes = 64 * 131072 * 8, 4 * 131072 * 8
-        proc = run_module("make_synthetic_blobs", "verify", "--data", "blobs",
-                          "--blob-p", "64", "--blob-q", "4", "--blob-n",
-                          "131072", "--n1", "64", "--depth", "1", "--trials",
-                          "1", python=("-c", RSS_PROBE))
+        run, blobs = tmp_path / "run", ["--data", "blobs", "--blob-p", "64",
+                                        "--blob-q", "4"]
+        assert main(["train", *blobs, "--blob-n", "200", "--n1", "64",
+                     "--depth", "1", "--out", str(run)]) == 0
+        proc = run_module("make_synthetic_blobs", "verify", "--run", str(run),
+                          *blobs, "--blob-n", "131072", "--trials", "1",
+                          python=("-c", RSS_PROBE))
         assert proc.returncode == 0, proc.stderr
         code, growth_kib = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0 and len(growth_kib) == 1
@@ -747,23 +776,41 @@ class TestEvalCommand:
 
 
 class TestVerifyCommand:
-    def test_fresh_network_passes(self, capsys):
-        code = main(["verify", "--data", "blobs", "--n1", "16",
-                     "--depth", "3", "--trials", "25"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "distance_sandwich_lower" in out
-        assert "inversion_round_trip" in out
-
     def test_saved_run_passes(self, tmp_path, capsys):
         _, out = run_train(tmp_path)
         capsys.readouterr()
         assert main(["verify", "--run", str(out), "--data", "blobs",
                      "--trials", "25"]) == 0
+        out = capsys.readouterr().out
+        assert "distance_sandwich_lower" in out
+        assert "inversion_round_trip" in out
 
-    def test_dct_network_passes(self, capsys):
-        assert main(["verify", "--data", "blobs", "--weights", "dct",
-                     "--n1", "16", "--depth", "2", "--trials", "20"]) == 0
+    def test_dct_network_passes(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", "blobs", "--weights", "dct", "--n1",
+                     "16", "--depth", "2", "--out", str(run)]) == 0
+        assert main(["verify", "--run", str(run), "--trials", "20"]) == 0
+
+    @pytest.mark.parametrize("flags, cfg", [
+        (["--seed", "4"], TrainConfig(n1=16, depth=3, seed=4)),
+        (["--weights", "dct"], TrainConfig(n1=16, depth=3, weight_kind="dct")),
+        (["--n1", "24", "--seed", "2", "--elm", "--elm-activation",
+          "sigmoid"], TrainConfig(n1=24, depth=3, seed=2, elm_front=True,
+                                  elm_activation="sigmoid")),
+    ], ids=["random", "dct", "elm"])
+    def test_run_checks_the_network_its_config_builds(self, tmp_path, capsys,
+                                                      flags, cfg):
+        """A run's network, loaded back, checks as the network its config
+        builds on the same data, trials and seed do: ``train``, then
+        ``verify --run``, checks what ``build_network`` gives."""
+        run = tmp_path / "run"
+        assert main(["train", "--data", "blobs", "--n1", "16", "--depth", "3",
+                     *flags, "--out", str(run)]) == 0
+        data = make_synthetic_blobs(8, 3, 600, 10.0, cfg.seed)
+        built = build_network(8, cfg, len(data.train_idx))
+        loaded = load_network(run / "network.json")
+        assert verify_invariants(loaded, data, 60, 7) == verify_invariants(
+            built, data, 60, 7)
 
     def test_corrupted_weight_fails_with_4(self, tmp_path, capsys):
         _, out = run_train(tmp_path)
@@ -816,10 +863,12 @@ class TestVerifyCommand:
         """On all-zero features the norm check has no input to check: it
         prints a count of 0 and no margin, not the nan of a violation, and
         the sandwich counts only the pairs drawn apart."""
-        src = tmp_path / "zero.csv"
+        src, run = tmp_path / "zero.csv", tmp_path / "run"
         src.write_text("0,0,A\n0,0,B\n0,0,A\n0,0,B\n")
-        assert main(["verify", "--data", f"csv:{src}", "--n1", "2",
-                     "--depth", "2", "--trials", "5"]) == 0
+        assert main(["train", "--data", f"csv:{src}", "--n1", "2",
+                     "--depth", "2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--run", str(run), "--trials", "5"]) == 0
         out = capsys.readouterr().out
         rows = {line.split()[0]: line.split()[1:] for line in
                 out.splitlines()[1:]}
@@ -827,18 +876,22 @@ class TestVerifyCommand:
         assert 0 < int(rows["distance_sandwich_lower"][0]) < 5
         assert "nan" not in out
 
-    def test_zero_trials_exits_2(self):
-        assert main(["verify", "--data", "blobs", "--trials", "0"]) == 2
+    def test_zero_trials_exits_2(self, tmp_path, capsys, monkeypatch):
+        refuse_data_reads(monkeypatch)
+        assert main(["verify", "--run", str(tmp_path / "run"),
+                     "--trials", "0"]) == 2
+        assert "--trials must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["default", "blobs", "idx", "run"])
     def test_split_of_a_divided_source_exits_2(self, tmp_path, capsys,
                                                monkeypatch, trained_run,
                                                source):
-        """As for train, a split of blobs (also the default source, and
-        with ``--run``) or of a four-part ``idx:`` source is refused
-        before any data or run is read."""
-        data = {"default": [], "blobs": ["--data", "blobs"],
-                "idx": ["--data", idx_parts(tmp_path)],
+        """As for train, a split of blobs, of a four-part ``idx:`` source,
+        or of the run's own source (a blobs run's here) is refused before
+        any data or run is read, whether the run exists or not."""
+        norun = ["--run", str(tmp_path / "no-run")]
+        data = {"default": norun, "blobs": [*norun, "--data", "blobs"],
+                "idx": [*norun, "--data", idx_parts(tmp_path)],
                 "run": ["--run", str(trained_run), "--data", "blobs"]}[source]
         refuse_data_reads(monkeypatch)
         assert main(["verify", *data, "--split", "99999", "--trials",
@@ -857,23 +910,8 @@ class TestVerifyCommand:
         assert got == audit(trained_run, capsys)
         assert [code for code, _ in got] == [0, 0]
 
-    @pytest.mark.parametrize("meta", [{}, {"N_train": 5}],
-                             ids=["no-count", "stale-count"])
-    def test_fresh_network_is_sized_from_the_split(self, capsys, monkeypatch,
-                                                   meta):
-        """The fresh network's budget counts the split's 400 train
-        columns, whatever ``meta["N_train"]`` says or if it is absent."""
-        blobs = make_synthetic_blobs(8, 3, 600, 10.0, 0)
-        monkeypatch.setattr("hnf.cli._load_data",
-                            lambda *a: replace(blobs, meta=meta))
-        sized, real = [], hnf.cli.build_network
-        monkeypatch.setattr("hnf.cli.build_network", lambda p, cfg, n: (
-            sized.append(n) or real(p, cfg, n)))
-        assert main(["verify", "--trials", "5"]) == 0
-        assert sized == [400]
-
     def test_overflowing_inputs_exit_3(self, tmp_path, capsys, monkeypatch,
-                                       recwarn):
+                                       trained_run, recwarn):
         """Finite blobs whose squares overflow float64 are a data problem
         for both commands: train names the feature statistics, and verify
         refuses them before it walks, with no margin of nan, exit 4 or
@@ -886,8 +924,8 @@ class TestVerifyCommand:
         assert not out.exists()
         monkeypatch.setattr("hnf.trainer.walk", lambda *a: pytest.fail(
             "verify walked the network"))
-        assert main(["verify", "--data", "blobs", "--blob-sep", "1e200",
-                     "--trials", "20"]) == 3
+        assert main(["verify", "--run", str(trained_run), "--data", "blobs",
+                     "--blob-sep", "1e200", "--trials", "20"]) == 3
         out, err = capsys.readouterr()
         assert "squared norm overflows float64" in err
         assert out == "" and "Traceback" not in err
@@ -899,60 +937,29 @@ class TestVerifyCommand:
         ids=["train", "verify"])
     def test_empty_dataset_exits_3(self, tmp_path, capsys, command, message):
         """An IDX pair of 0 images of 2 x 2 pixels leaves nothing to train
-        on or draw trials from: a data problem for both commands."""
+        on or, for a run of 4 inputs, draw trials from: a data problem for
+        both commands."""
         img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
         img.write_bytes(struct.pack(">IIII", 0x803, 0, 2, 2))
         lbl.write_bytes(struct.pack(">II", 0x801, 0))
-        out = ["--out", str(tmp_path / "run")] if command == "train" else []
-        assert main([command, *out, "--data", f"idx:{img},{lbl}", "--n1", "4",
-                     "--depth", "2"]) == 3
+        if command == "train":
+            rest = ["--n1", "4", "--depth", "2", "--out",
+                    str(tmp_path / "run")]
+        else:
+            assert run_train(tmp_path, "--blob-p", "4")[0] == 0
+            rest = ["--run", str(tmp_path / "run")]
+            capsys.readouterr()
+        assert main([command, *rest, "--data", f"idx:{img},{lbl}"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert str(img) in err and "Traceback" not in err
 
     def test_one_feature_csv_passes(self, tmp_path, capsys):
-        src = tmp_path / "one.csv"
+        src, run = tmp_path / "one.csv", tmp_path / "run"
         src.write_text("".join(f"{i % 7 - 3},{'AB'[i % 2]}\n" for i in range(40)))
-        assert main(["verify", "--data", f"csv:{src}", "--n1", "4",
-                     "--depth", "2", "--trials", "50"]) == 0
-
-    def test_fresh_network_is_built_not_trained(self, capsys, monkeypatch):
-        argv = ["verify", "--data", "blobs", "--n1", "16", "--depth", "3",
-                "--trials", "25"]
-        assert main(argv) == 0
-        table = capsys.readouterr().out
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("verify trained a network")
-
-        monkeypatch.setattr("hnf.cli.train", no_training)
-        assert main(argv) == 0
-        assert capsys.readouterr().out == table
-
-    def test_fresh_network_over_budget_exits_5(self, capsys, monkeypatch):
-        built = []
-        real_make = hnf.trainer.make_random_orthonormal
-
-        def make(rows, cols, seed):
-            built.append(seed)
-            return real_make(rows, cols, seed)
-
-        monkeypatch.setattr("hnf.trainer.make_random_orthonormal", make)
-        # 400 train columns: layer 2 needs 246784 bytes, layer 3 582656
-        monkeypatch.setenv("HNF_MEM_BUDGET", "400000")
-        assert main(["verify", "--data", "blobs", "--n1", "16", "--depth",
-                     "6", "--trials", "5"]) == 5
-        assert "layer 3" in capsys.readouterr().err
-        assert built == [1, 2]
-
-    @pytest.mark.parametrize("budget,code,message", [
-        ("1000", 5, "layer 1"), ("abc", 2, "HNF_MEM_BUDGET"),
-        ("0", 2, "memory_budget must be positive")])
-    def test_fresh_network_reads_env_budget(self, monkeypatch, capsys,
-                                            budget, code, message):
-        monkeypatch.setenv("HNF_MEM_BUDGET", budget)
-        assert main(["verify", "--data", "blobs", "--trials", "5"]) == code
-        assert message in capsys.readouterr().err
+        assert main(["train", "--data", f"csv:{src}", "--n1", "4",
+                     "--depth", "2", "--out", str(run)]) == 0
+        assert main(["verify", "--run", str(run), "--trials", "50"]) == 0
 
     def test_run_without_data_checks_its_own_data(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -1345,6 +1352,8 @@ class TestCorruptArtifacts:
          "Is a directory"),
         ("network.json", lambda d: d["layers"][0].update(activation="tanh"),
          "network.json"),
+        ("network.json", lambda d: d["layers"][1].update(
+            activation="sigmoid"), "network.json"),
         ("network.json", lambda d: d["layers"][0].update(file=""),
          "network.json"),
         ("network.json", lambda d: d["layers"][0].update(expand="no"),
@@ -1376,9 +1385,9 @@ class TestCorruptArtifacts:
         ("manifest.json", lambda d: d["dataset"].update(
             label_names=["2", "1", "0", "9"]), "manifest.json"),
     ], ids=["map-file-empty", "network-empty", "map-entry-dir",
-            "unknown-activation", "weight-file-empty", "expand-text",
-            "expand-null", "activation-number", "rows-float", "cols-bool",
-            "map-rows-float", "map-cols-text", "layer-index-bool",
+            "unknown-activation", "expanding-sigmoid", "weight-file-empty",
+            "expand-text", "expand-null", "activation-number", "rows-float",
+            "cols-bool", "map-rows-float", "map-cols-text", "layer-index-bool",
             "layer-index-text", "layer-index-wider", "layer-index-beyond",
             "epsilon-negative", "epsilon-text",
             "train-cost-text", "label-names-ints", "label-names-null-entry",
@@ -1475,6 +1484,8 @@ class TestCorruptArtifacts:
         if recorded:
             argv = [*argv, "--run", str(corrupt_copy(
                 trained_run, tmp_path, "manifest.json", rewrite))]
+        elif argv[0] == "verify":
+            argv = [*argv, "--run", str(trained_run)]
         elif argv[0] == "train":
             argv = [*argv, "--data", "blobs", "--n1", "16", "--depth", "1",
                     "--out", str(tmp_path / "run")]
@@ -1613,6 +1624,26 @@ class TestArgumentHandling:
     def test_retired_curves_command_exits_2(self, tmp_path):
         assert main(["curves", "--run", str(tmp_path)]) == 2
 
+    def test_verify_without_run_exits_2(self, capsys, monkeypatch):
+        refuse_data_reads(monkeypatch)
+        assert main(["verify", "--trials", "5"]) == 2
+        assert ("the following arguments are required: --run"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--n1", "99"], ["--depth", "7"], ["--weights", "dct"],
+        ["--n1", "99", "--depth", "7", "--weights", "dct"]],
+        ids=["n1", "depth", "weights", "all"])
+    def test_network_flag_is_unknown_to_verify(self, tmp_path, capsys,
+                                               monkeypatch, flags):
+        """verify checks a run's own network: it takes no flag describing
+        one, and refuses each before the run is read."""
+        refuse_data_reads(monkeypatch)
+        assert main(["verify", "--run", str(tmp_path / "run"), *flags,
+                     "--trials", "5"]) == 2
+        assert ("unrecognized arguments: " + " ".join(flags)
+                in capsys.readouterr().err)
+
     def test_missing_required_configuration_exits_2(self, tmp_path):
         assert main(["train", "--data", "blobs",
                      "--out", str(tmp_path / "x")]) == 2
@@ -1687,11 +1718,12 @@ class TestDataOptions:
             self, tmp_path, capsys, monkeypatch, command, kind, dest, via):
         refuse_data_reads(monkeypatch)
         out = tmp_path / "run"
-        data = (["--run", str(tmp_path / "no-run")] if kind == "run" else
-                ["--data", missing_source(tmp_path, kind)])
+        data = [] if kind == "run" else ["--data", missing_source(tmp_path,
+                                                                   kind)]
         flag = "--" + dest.replace("_", "-")
         argv = [command, *data, *(["--n1", "4", "--depth", "1", "--out",
-                                   str(out)] if command == "train" else [])]
+                                   str(out)] if command == "train" else
+                                  ["--run", str(tmp_path / "no-run")])]
         if via == "flag":
             argv += [flag, OPTION_VALUES[dest]]
         else:
@@ -1713,10 +1745,10 @@ class TestDataOptions:
          "--seed (or seed =)"),
         (["train", "CONFIG", "data = csv:MISSING\nsplit = 100\n"
           "split_seed = -1\n"], "--split-seed (or split_seed =)"),
-        (["verify", "--data", "blobs", "--seed", "-1", "--trials", "3"],
-         "--seed"),
-        (["verify", "--data", "csv:MISSING", "--split", "100",
-          "--split-seed", "-1"], "--split-seed"),
+        (["verify", "--run", "MISSING", "--data", "blobs", "--seed", "-1",
+          "--trials", "3"], "--seed"),
+        (["verify", "--run", "MISSING", "--data", "csv:MISSING", "--split",
+          "100", "--split-seed", "-1"], "--split-seed"),
         (["verify", "--run", "MISSING", "--seed", "-1"], "--seed"),
     ], ids=["train-seed", "train-split-seed", "train-config-seed",
             "train-config-split-seed", "verify-seed", "verify-split-seed",
@@ -1739,42 +1771,17 @@ class TestDataOptions:
         assert err == f"error: {named} must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "verify"])
+    @pytest.mark.parametrize("command", ["train"])  # the one that builds
     def test_seed_range_is_u64(self, tmp_path, capsys, command):
         """The largest u64 seed builds a network, whose layers' seeds wrap
         modulo 2**64; one past it exits 2 naming the value given."""
-        argv = [command, "--data", "blobs", "--n1", "8", "--depth", "2", *(
-            ["--out", str(tmp_path / "run")] if command == "train"
-            else ["--trials", "5"])]
+        argv = [command, "--data", "blobs", "--n1", "8", "--depth", "2",
+                "--out", str(tmp_path / "run")]
         assert main([*argv, "--seed", str(2 ** 64 - 1)]) == 0
         capsys.readouterr()
         assert main([*argv, "--seed", str(2 ** 64)]) == 2
         assert capsys.readouterr().err == (
             "error: seed must be in 0..2**64-1, got 18446744073709551616\n")
-
-    @pytest.mark.parametrize("flags", [
-        ["--n1", "99"], ["--depth", "7"], ["--weights", "dct"],
-        ["--n1", "99", "--depth", "7", "--weights", "dct"]],
-        ids=["n1", "depth", "weights", "all"])
-    def test_fresh_network_flag_with_run_exits_2(self, tmp_path, capsys,
-                                                  monkeypatch, flags):
-        """--n1, --depth and --weights describe the network verify builds
-        without --run; with --run they are refused before the run is read."""
-        refuse_data_reads(monkeypatch)
-        assert main(["verify", "--run", str(tmp_path / "no-run"), *flags,
-                     "--trials", "5"]) == 2
-        assert capsys.readouterr().err == (
-            "error: --n1, --depth and --weights do not apply to verify --run, "
-            "which checks the run's own network\n")
-
-    def test_fresh_network_defaults(self, capsys):
-        """Without --run, the fresh network is 16 wide, 3 deep and random,
-        whether those flags are given or not."""
-        assert main(["verify", "--trials", "5"]) == 0
-        table = capsys.readouterr().out
-        assert main(["verify", "--n1", "16", "--depth", "3", "--weights",
-                     "random", "--trials", "5"]) == 0
-        assert capsys.readouterr().out == table
 
     @pytest.mark.parametrize("source", ["blobs", "csv"])
     def test_recorded_options_the_source_does_not_take_still_load(

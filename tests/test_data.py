@@ -333,6 +333,17 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="count"):
             load_idx(img, lbl)
 
+    def test_image_size_no_array_can_hold(self, tmp_path):
+        """0 images of (2**32 - 1) x (2**32 - 1) pixels match their empty
+        pixel data, but no array dimension holds one image's pixels: a
+        FormatError naming the file and the declared size."""
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1))
+        lbl.write_bytes(struct.pack(">II", 0x801, 0))
+        with pytest.raises(FormatError, match=(
+                f"{img.name}: images of 4294967295 x 4294967295 pixels")):
+            load_idx(img, lbl)
+
 
 class TestBlobs:
     def test_separated_blobs_linearly_separable(self):

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import hnf
 from hnf.cli import load_network, save_network
-from hnf.errors import DimensionError, NotInvertibleError
+from hnf.errors import DimensionError, NotInvertibleError, ParameterError
 from hnf.layers import (
     ACTIVATIONS,
     HnfLayer,
@@ -172,6 +172,17 @@ class TestLayerForward:
         layer = HnfLayer(w, expand=False, activation="sigmoid")
         assert np.allclose(forward(layer, np.zeros(3)), 0.5)
         assert np.allclose(sigmoid(np.zeros(3)), 0.5)
+
+    @pytest.mark.parametrize("expand, activation", [
+        (True, "sigmoid"), (True, "tanh"), (False, "tanh")])
+    def test_activation_the_layer_cannot_run_is_refused(self, expand,
+                                                        activation):
+        """An expanding layer computes the ReLU expansion whatever it
+        records, so it takes only ``relu``; a plain one, any activation of
+        ACTIVATIONS."""
+        with pytest.raises(ParameterError, match=repr(activation)):
+            HnfLayer(make_raw_gaussian(4, 3, seed=5), expand=expand,
+                     activation=activation)
 
 
 class TestNetworkForward:
