@@ -785,6 +785,19 @@ class TestVerifyCommand:
         assert "distance_sandwich_lower" in out
         assert "inversion_round_trip" in out
 
+    def test_fresh_network_passes(self):
+        """A network built but not trained is checked in Python, not by the
+        command: ``build_network`` plus ``verify_invariants`` passes every
+        check on blobs."""
+        data = make_synthetic_blobs(8, 3, 600, 10.0, 0)
+        net = build_network(8, TrainConfig(n1=16, depth=3),
+                            len(data.train_idx))
+        report = verify_invariants(net, data, 25)
+        assert [c.name for c in report.checks] == list(
+            hnf.trainer.CHECK_NAMES)
+        assert report.passed
+        assert all(c.count > 0 for c in report.checks)
+
     def test_dct_network_passes(self, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(["train", "--data", "blobs", "--weights", "dct", "--n1",
