@@ -2,7 +2,7 @@
 
 Every failure leaves through :func:`main`, which exits with its error
 class's ``exit_code`` (see :mod:`hnf.errors`). Each train setting is its
-flag, else its ``--config`` line, else its :data:`_TRAIN_SETTINGS` default.
+flag, else its ``--config`` line, else its :class:`TrainConfig` default.
 This module writes and reads every file of a run directory: its manifest,
 ``network.json`` beside the weight files (through :mod:`hnf.matrixgen`'s
 codec), the maps and the report. A train run writes a manifest that
@@ -86,15 +86,19 @@ _DATA_OPTIONS = {
     "blob_sep": (float, 10.0, ("blobs",), "separation")}
 
 #: Each ``train`` setting: its ``--config`` key, which is also its flag's
-#: dest, its type, and its value when neither the flag nor the file sets it
-#: (None for a data option, which :func:`_data_options` then defaults).
+#: dest, its type or the strings it may take, the :class:`TrainConfig`
+#: field it sets (None for ``--out`` and the data, whose options
+#: :data:`_DATA_OPTIONS` defaults) and its flag's help.
 _TRAIN_SETTINGS = {
-    "data": (str, None),
-    **{k: (kind, None) for k, (kind, *_) in _DATA_OPTIONS.items()},
-    "n1": (int, None), "depth": (int, None), "weights": (str, "random"),
-    "seed": (int, 0), "elm": (bool, False), "elm_activation": (str, "relu"),
-    "eps_schedule": (str, "exact"), "standardize": (bool, False),
-    "out": (str, None)}
+    "data": (str, None, None),
+    **{k: (kind, None, None) for k, (kind, *_) in _DATA_OPTIONS.items()},
+    "n1": (int, "n1", None), "depth": (int, "depth", None),
+    "weights": (WEIGHT_KINDS, "weight_kind", None), "seed": (int, "seed", None),
+    "elm": (bool, "elm_front", "use an ELM feature layer in front"),
+    "elm_activation": (tuple(sorted(ACTIVATIONS)), "elm_activation", None),
+    "eps_schedule": (EPS_SCHEDULES, "eps_schedule", None),
+    "standardize": (bool, "standardize", None),
+    "out": (str, None, "artifact directory")}
 
 #: The boolean values a config file may spell, in any case.
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -220,17 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a network and write artifacts")
     p_train.add_argument("--config", help="flat key=value config file; "
                                           "flags override file values")
-    p_train.add_argument("--n1", type=int, default=None)
-    p_train.add_argument("--depth", type=int, default=None)
-    p_train.add_argument("--weights", choices=WEIGHT_KINDS, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--elm", action="store_true", default=None,
-                         help="use an ELM feature layer in front")
-    p_train.add_argument("--elm-activation", choices=sorted(ACTIVATIONS),
-                         default=None)
-    p_train.add_argument("--eps-schedule", choices=EPS_SCHEDULES, default=None)
-    p_train.add_argument("--standardize", action="store_true", default=None)
-    p_train.add_argument("--out", default=None, help="artifact directory")
+    for dest, (kind, _, text) in _TRAIN_SETTINGS.items():
+        if dest != "data" and dest not in _DATA_OPTIONS:  # added below
+            p_train.add_argument("--" + dest.replace("_", "-"), help=text, **(
+                {"action": "store_true", "default": None} if kind is bool
+                else {"choices": kind} if isinstance(kind, tuple)
+                else {"type": kind}))
 
     p_eval = sub.add_parser("eval", help="re-evaluate saved artifacts")
     p_eval.add_argument("--run", required=True, help="artifact directory")
@@ -254,31 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
-    """The run's config, data source, ``--out`` and data options."""
+    """The run's config, data source, ``--out`` and data options; a setting
+    no flag or ``--config`` line sets is left to :class:`TrainConfig`."""
     lines = _read_config_file(args.config) if args.config else {}
     s = {}
-    for key, (kind, default) in _TRAIN_SETTINGS.items():
-        value = getattr(args, key)
-        if value is None and key in lines:
-            raw = lines[key]
+    for key, (kind, *_) in _TRAIN_SETTINGS.items():
+        raw, s[key] = lines.get(key), getattr(args, key)
+        if s[key] is None and raw is not None:
             try:
-                value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+                s[key] = (_BOOLS[raw.lower()] if kind is bool else raw
+                          if isinstance(kind, tuple) else kind(raw))
             except (KeyError, ValueError):
                 raise ConfigError(f"{args.config}: {key} = {raw!r} is not "
                                   f"a valid {kind.__name__}") from None
-        s[key] = default if value is None else value
     if not s["data"]:
         raise ConfigError("no data source: pass --data or set data= in the config")
     if s["n1"] is None or s["depth"] is None:
         raise ConfigError("--n1 and --depth are required")
     if not s["out"]:
         raise ConfigError("no output directory: pass --out or set out=")
-    opts = _data_options(s["data"], s, config=True)
-    cfg = TrainConfig(
-        n1=s["n1"], depth=s["depth"], weight_kind=s["weights"], seed=s["seed"],
-        elm_front=s["elm"], elm_activation=s["elm_activation"],
-        eps_schedule=s["eps_schedule"], memory_budget=_memory_budget(),
-        standardize=s["standardize"])
+    opts = _data_options(s["data"], s, config=True)  # first: names the flag
+    cfg = TrainConfig(memory_budget=_memory_budget(), **{
+        field: s[key] for key, (_, field, _) in _TRAIN_SETTINGS.items()
+        if field and s[key] is not None})
+    opts["blobs"]["seed"] = cfg.seed
     return cfg, s["data"], Path(s["out"]), opts
 
 
@@ -347,15 +345,15 @@ def save_output_map(om: OutputMap, prefix: Path) -> None:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     bin_path = prefix.with_suffix(".bin")
     bin_path.write_bytes(np.ascontiguousarray(om.matrix, dtype="<f8"))
-    prefix.with_suffix(".json").write_text(json.dumps({
+    prefix.with_suffix(".json").write_text(json.dumps(_nulled({
         "rows": int(om.matrix.shape[0]),
         "cols": int(om.matrix.shape[1]),
-        "epsilon": None if math.isinf(om.epsilon) else om.epsilon,
+        "epsilon": om.epsilon,
         "train_cost": om.train_cost,
         "layer_index": om.layer_index,
         "solver": om.solver,
         "matrix_file": bin_path.name,
-    }, indent=2))
+    }), indent=2))
 
 
 def load_output_map(path: Path) -> OutputMap:
@@ -377,13 +375,18 @@ def load_output_map(path: Path) -> OutputMap:
     return OutputMap(matrix, eps, *fitted)
 
 
+def _nulled(record: dict) -> dict:
+    """``record`` with each float that is not finite (as an unconstrained
+    epsilon) as None: null in JSON, an empty ``report.csv`` cell."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record.items()}
+
+
 def save_report(report: TrainReport, run: Path) -> None:
     """Write the report's rows to ``report.jsonl`` and ``report.csv``."""
-    rows = [rec.as_dict() for rec in report.rows()]
-    cell = lambda v: ("" if v is None else repr(v) if isinstance(v, float)
-                      else str(v))
-    csv = [",".join(_CSV_FIELDS),
-           *(",".join(cell(d[k]) for k in _CSV_FIELDS) for d in rows)]
+    rows = [_nulled(asdict(rec)) for rec in report.rows()]
+    csv = [",".join(_CSV_FIELDS), *(",".join(
+        "" if d[k] is None else str(d[k]) for k in _CSV_FIELDS) for d in rows)]
     (run / "report.jsonl").write_text("".join(json.dumps(d) + "\n"
                                               for d in rows))
     (run / "report.csv").write_text("".join(line + "\n" for line in csv))
@@ -441,7 +444,8 @@ def cmd_train(args) -> None:
                     "N_test": len(data.test_idx),
                     "label_names": data.label_names, **data.meta},
         "config": asdict(cfg),
-        "standardize_params": report.meta.get("standardize_params"),
+        "standardize_params": report.transform and dict(zip(
+            ("mu", "sigma"), (a.ravel().tolist() for a in report.transform))),
         "monotonicity_certified": report.monotonicity_certified,
         "artifacts": {
             "network": "network.json",
@@ -465,7 +469,7 @@ def cmd_train(args) -> None:
     _replace_dir(out, write)
 
     for rec in report.rows():
-        print(json.dumps(rec.as_dict()))
+        print(json.dumps(_nulled(asdict(rec))))
     if not report.monotonicity_certified:
         raise SolverError("certification FAILED: training cost chain is not "
                           "certified")

@@ -42,6 +42,7 @@ def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(v, 0.0, out=out)
 
 
+@np.errstate(over="ignore")  # exp(-v) = inf gives 1 / inf = 0, exactly
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic 1 / (1 + exp(-v)), into ``out`` if given."""
     out = np.negative(v, out=out, dtype=np.float64)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,23 +150,16 @@ class LayerRecord:
     newton_steps: int
     wall_ms: int
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        if math.isinf(self.epsilon):
-            d["epsilon"] = None
-        if math.isnan(self.test_acc):
-            d["test_acc"] = None
-        return d
-
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Baseline plus per-layer records and the certification flag."""
+    """Baseline plus per-layer records, the certification flag and the
+    training (mu, sigma) columns the inputs were standardized by, or None."""
 
     baseline: LayerRecord
     per_layer: list[LayerRecord]
     monotonicity_certified: bool
-    meta: dict = field(default_factory=dict)
+    transform: tuple | None
 
     def rows(self) -> list[LayerRecord]:
         return [self.baseline, *self.per_layer]
@@ -275,12 +268,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[HnfNetwork, list[OutputMap],
     maps, rows, certified, transform = _fit(net, data, cfg, clock)
     test = evaluate(net, maps, data, "test", transform)
     rows = [replace(r, test_acc=test[r.layer].accuracy) for r in rows]
-    std_params = None if transform is None else {
-        "mu": transform[0].ravel().tolist(),
-        "sigma": transform[1].ravel().tolist()}
-    report = TrainReport(rows[0], rows[1:], certified,
-                         {"standardize_params": std_params})
-    return net, maps, report
+    return net, maps, TrainReport(rows[0], rows[1:], certified, transform)
 
 
 @functools.cache
@@ -346,19 +334,25 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
          ) -> tuple[list[OutputMap], list[LayerRecord], bool, tuple | None]:
     """The maps, report rows and certificate of :func:`train` on the train
     split of ``data``, one pass per layer, and the training (mu, sigma) if
-    ``cfg.standardize``; the witness ``[M, -M]`` reads ``[sqrt(2) M, 0]``
-    in the ``u`` basis. Each row, timed from ``clock`` or the row before,
-    covers the next layer's ``|z|`` sums. The train split's inputs
-    (standardized in place) and targets live only through the baseline; a
-    pass forms each block's by :meth:`Dataset.targets` and holds a block
-    buffer of the rows it uses, freed before the next carry and solve."""
+    ``cfg.standardize``, finite or a :class:`DataError` before any solve;
+    the witness ``[M, -M]`` reads ``[sqrt(2) M, 0]`` in the ``u`` basis.
+    Each row, timed from ``clock`` or the row before, covers the next
+    layer's ``|z|`` sums. The train split's inputs (standardized in place)
+    and targets live only through the baseline; a pass forms each block's
+    by :meth:`Dataset.targets` and holds a block buffer of the rows it
+    uses, freed before the next carry and solve."""
     idx = data.train_idx
     n = len(idx)
     held = np.empty((max(l.weight.rows for l in net.layers), n))
     x, transform = data.columns(idx), None
     if cfg.standardize:
-        mu = x.mean(axis=1, keepdims=True)
-        sigma = x.std(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mu, sigma = x.mean(1, keepdims=True), x.std(1, keepdims=True)
+        bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sigma))) + 1
+        if bad.size:
+            raise DataError("cannot standardize: the mean or standard deviation"
+                            f" of train feature(s) {', '.join(map(str, bad))}"
+                            " overflows float64 or is not finite")
         sigma[sigma == 0] = 1.0
         transform = mu, sigma
         x -= mu

@@ -235,6 +235,73 @@ class TestTrainCommand:
         assert err.startswith(f"error: {img}: images of 4294967295 x ")
         assert "Traceback" not in err and not (tmp_path / "run").exists()
 
+    def test_idx_label_count_not_its_bytes_exits_3(self, tmp_path, capsys):
+        """A label file whose header counts 5 labels but holds 4 is named."""
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 5, 2, 2) + bytes(20))
+        lbl.write_bytes(struct.pack(">II", 0x801, 5) + bytes(4))
+        assert main(["train", "--data", f"idx:{img},{lbl}", "--n1", "4",
+                     "--depth", "1", "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {lbl}: expected 5 labels, got 4\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_idx_test_images_of_another_size_exit_3(self, tmp_path, capsys):
+        """Test images of 3 x 3 pixels cannot join train images of 2 x 2."""
+        parts = idx_parts(tmp_path).split(",")
+        img = tmp_path / "test-3x3.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 20, 3, 3) + bytes(180))
+        parts[2] = str(img)
+        assert main(["train", "--data", ",".join(parts), "--n1", "4",
+                     "--depth", "1", "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: train and test parts have mismatched "
+                              "input dims: 4 vs 9")
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+    def test_standardize_overflow_exits_3_before_writing(self, tmp_path):
+        """A feature scaled by 1e200 has a standard deviation past float64:
+        train names it and writes no run, rather than zero the feature and
+        write a sigma its own eval refuses."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((60, 3)) * [1e200, 1.0, 1.0]
+        src = tmp_path / "huge.csv"
+        np.savetxt(src, np.column_stack([x, np.arange(60) % 3]),
+                   fmt=["%.17g"] * 3 + ["%d"], delimiter=",")
+        out = tmp_path / "run"
+        proc = run_module("train", "--data", f"csv:{src}", "--split", "40",
+                          "--n1", "4", "--depth", "2", "--standardize",
+                          "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == ("error: cannot standardize: the mean or "
+                               "standard deviation of train feature(s) 1 "
+                               "overflows float64 or is not finite\n")
+        assert not out.exists()
+
+    def test_saturated_sigmoid_front_trains_under_warnings_as_errors(
+            self, tmp_path):
+        """Blobs 2000 apart drive a sigmoid front to exactly 0 and 1."""
+        proc = run_module(
+            "train", "--data", "blobs", "--blob-sep", "2000", "--n1", "16",
+            "--depth", "2", "--elm", "--elm-activation", "sigmoid",
+            "--out", str(tmp_path / "run"),
+            env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_failed_eigensolve_exits_4(self, tmp_path, capsys, monkeypatch):
+        """``dsyevr`` reporting ``info`` 1 fails the baseline's solve, which
+        the eigensolver alone makes: a solver error naming the layer."""
+        import hnf.solvers
+        lapack = hnf.solvers._lapack()
+        real = lapack.dsyevr
+        monkeypatch.setattr(lapack, "dsyevr",
+                            lambda *a, **k: (*real(*a, **k)[:-1], 1))
+        code, out = run_train(tmp_path)
+        assert code == 4 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: layer 0: solver failed: dsyevr failed: info 1\n"
+
     def test_split_zero_exits_2(self, tmp_path, capsys):
         src = tmp_path / "four.csv"
         src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")

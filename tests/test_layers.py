@@ -173,6 +173,12 @@ class TestLayerForward:
         assert np.allclose(forward(layer, np.zeros(3)), 0.5)
         assert np.allclose(sigmoid(np.zeros(3)), 0.5)
 
+    def test_sigmoid_saturates_without_a_warning(self):
+        """exp(1e3) overflows to inf, and 1 / (1 + inf) is exactly 0: the
+        overflow is the value, not an error."""
+        assert np.array_equal(sigmoid(np.array([-1e3, 0.0, 1e3])),
+                              [0.0, 0.5, 1.0])
+
     @pytest.mark.parametrize("expand, activation", [
         (True, "sigmoid"), (True, "tanh"), (False, "tanh")])
     def test_activation_the_layer_cannot_run_is_refused(self, expand,

@@ -75,9 +75,7 @@ def train_scores_match_the_report(data, cfg):
     on the test split its test accuracy: the walk forms each block's
     products as the train walk does."""
     net, maps, report = train(data, cfg)
-    std = report.meta["standardize_params"]
-    transform = std and (np.array(std["mu"])[:, None],
-                         np.array(std["sigma"])[:, None])
+    transform = report.transform
     scores = evaluate(net, maps, data, "train", transform)
     test = evaluate(net, maps, data, "test", transform)
     assert sorted(scores) == [r.layer for r in report.rows()]
@@ -214,9 +212,7 @@ class TestTrain:
         _, _, a = train(blobs, cfg)
         _, _, b = train(blobs, cfg)
         for ra, rb in zip(a.rows(), b.rows()):
-            da, db = ra.as_dict(), rb.as_dict()
-            da.pop("wall_ms"), db.pop("wall_ms")
-            assert da == db
+            assert replace(ra, wall_ms=0) == replace(rb, wall_ms=0)
 
     def test_nodes_accounting(self, blobs):
         cfg = TrainConfig(n1=16, depth=3, seed=1)
@@ -401,10 +397,19 @@ class TestTrain:
     def test_standardize_recorded(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
         _, _, report = train(blobs, cfg)
-        params = report.meta["standardize_params"]
-        assert params is not None
-        assert len(params["mu"]) == blobs.input_dim
+        mu, sigma = report.transform
+        assert mu.shape == sigma.shape == (blobs.input_dim, 1)
         assert report.monotonicity_certified
+
+    def test_standardize_refuses_a_statistic_that_overflows(self, blobs):
+        """A train feature scaled by 1e200 has a variance past float64: its
+        1-based number is named, before any solve, not standardized by an
+        infinite sigma to zero."""
+        x = blobs.X.copy()
+        x[[0, 2]] *= 1e200
+        cfg = TrainConfig(n1=16, depth=2, seed=1, standardize=True)
+        with pytest.raises(DataError, match=r"feature\(s\) 1, 3 overflows"):
+            train(replace(blobs, X=x), cfg)
 
     def test_elm_front_chain(self, blobs):
         cfg = TrainConfig(n1=32, depth=3, elm_front=True, seed=4)
@@ -637,6 +642,11 @@ class TestMapInputs:
 
 
 class TestEvaluate:
+    def test_split_other_than_train_or_test_refused(self, blobs):
+        net, maps, _ = train(blobs, TrainConfig(n1=16, depth=1, seed=1))
+        with pytest.raises(ParameterError, match="got 'val'"):
+            evaluate(net, maps, blobs, split="val")
+
     def test_perfect_predictor(self):
         ds = make_synthetic_blobs(4, 2, 10, separation=50.0, seed=0)
         cfg = TrainConfig(n1=4, depth=1, seed=0)
@@ -750,9 +760,7 @@ class TestEvaluate:
     ], ids=["plain", "standardize", "elm-dct"])
     def test_report_test_acc_is_evaluates(self, blobs, cfg):
         net, maps, report = train(blobs, cfg)
-        std = report.meta["standardize_params"]
-        transform = std and (np.array(std["mu"])[:, None],
-                             np.array(std["sigma"])[:, None])
+        transform = report.transform
         scores = evaluate(net, maps, blobs, "test", transform)
         assert sorted(scores) == [r.layer for r in report.rows()]
         for rec in report.rows():
@@ -775,9 +783,7 @@ class TestEvaluate:
         """Walked 7 columns at a time, each map's cost is within 1e-12 of
         sample_cost over the whole split, and its accuracy is exact."""
         net, maps, report = train(blobs, cfg)
-        std = report.meta["standardize_params"]
-        transform = std and (np.array(std["mu"])[:, None],
-                             np.array(std["sigma"])[:, None])
+        transform = report.transform
         idx = blobs.train_idx if split == "train" else blobs.test_idx
         x, t = blobs.columns(idx, transform), blobs.targets(idx)
         monkeypatch.setattr("hnf.trainer.EVAL_BLOCK", 7)
