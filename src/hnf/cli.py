@@ -260,12 +260,13 @@ def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
     for key, (kind, *_) in _TRAIN_SETTINGS.items():
         raw, s[key] = lines.get(key), getattr(args, key)
         if s[key] is None and raw is not None:
-            try:
-                s[key] = (_BOOLS[raw.lower()] if kind is bool else raw
-                          if isinstance(kind, tuple) else kind(raw))
+            try:  # a choice's index raises ValueError for any other value
+                s[key] = (_BOOLS[raw.lower()] if kind is bool else kind(raw)
+                          if isinstance(kind, type) else kind[kind.index(raw)])
             except (KeyError, ValueError):
-                raise ConfigError(f"{args.config}: {key} = {raw!r} is not "
-                                  f"a valid {kind.__name__}") from None
+                raise ConfigError(f"{args.config}: {key} = {raw!r} is not " + (
+                    f"one of {kind}" if isinstance(kind, tuple)
+                    else f"a valid {kind.__name__}")) from None
     if not s["data"]:
         raise ConfigError("no data source: pass --data or set data= in the config")
     if s["n1"] is None or s["depth"] is None:
@@ -538,8 +539,8 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
 
 def cmd_eval(args) -> None:
     data, transform, net, maps, names = _load_run(args.run, args.data)
-    if names is not None and len(names) == data.n_classes:
-        data = data.relabel(names)  # first-appearance order to the run's
+    if names is not None:  # a file may lack some of the run's classes
+        data = data.relabel(names)
     if args.layer is not None:
         layer_ids = sorted(m.layer_index for m in maps)
         maps = [m for m in maps if m.layer_index == args.layer]

@@ -165,15 +165,16 @@ class TrainReport:
         return [self.baseline, *self.per_layer]
 
 
-def block_score(o: np.ndarray, feats: np.ndarray, t: np.ndarray,
-                labels: np.ndarray, err: np.ndarray) -> int:
-    """Each column's squared error ``||t_j - o @ feats_j||^2`` of a map on
-    a block, into ``err``, and how many columns' argmax (ties to the lowest
+def block_score(o: np.ndarray, feats: np.ndarray, labels: np.ndarray,
+                err: np.ndarray) -> int:
+    """Each column's squared error ``||t_j - o @ feats_j||^2`` against its
+    one-hot target ``t_j`` (a 1 at class ``labels[j]``) of a map on a
+    block, into ``err``, and how many columns' argmax (ties to the lowest
     class) equals ``labels``. Added up class by class, an error's bits do
     not depend on the block's width or the column's place in it."""
     p = np.matmul(o, feats)
     hits = int(np.count_nonzero(np.argmax(p, axis=0) == labels))
-    p -= t  # -(t - p): the squares of t - p, bit for bit
+    p[labels, np.arange(len(labels))] -= 1.0  # -(t - p), bit for bit
     err[:] = functools.reduce(np.add, np.square(p, out=p))  # row by row
     return hits
 
@@ -338,9 +339,9 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
     the witness ``[M, -M]`` reads ``[sqrt(2) M, 0]`` in the ``u`` basis.
     Each row, timed from ``clock`` or the row before, covers the next
     layer's ``|z|`` sums. The train split's inputs (standardized in place)
-    and targets live only through the baseline; a pass forms each block's
-    by :meth:`Dataset.targets` and holds a block buffer of the rows it
-    uses, freed before the next carry and solve."""
+    live only through the baseline; a pass scores each block by its labels,
+    forms its one-hot targets only for the next ``T |z|^T`` and holds a
+    block buffer of the rows it uses, freed before the next carry and solve."""
     idx = data.train_idx
     n = len(idx)
     held = np.empty((max(l.weight.rows for l in net.layers), n))
@@ -396,18 +397,16 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
                      0 if nxt is None else nxt.weight.rows)
         buf = np.empty((height, min(n, SCORE_BLOCK)))
         for cols in _blocks(n, SCORE_BLOCK):
-            tb = data.targets(idx[cols])
-            labels = data.labels[idx[cols]]
-            zb = q[:, cols]
+            labels, zb = data.labels[idx[cols]], q[:, cols]
             if layer is not None:
-                hits[1] += block_score(m, zb, tb, labels, err[1, cols])
+                hits[1] += block_score(m, zb, labels, err[1, cols])
             feats = zb if layer is None else layer.features(
                 zb, buf[:, :len(labels)])
-            hits[0] += block_score(o, feats, tb, labels, err[0, cols])
+            hits[0] += block_score(o, feats, labels, err[0, cols])
             if nxt is not None:  # feats are spent: buf takes the next |z|
                 zb = nxt.weight.apply(feats, held[:nxt.weight.rows, cols])
-                _add_abs_block(zb, tb, *carry, buf)
-        q = buf = feats = tb = None  # the buffer, and the baseline's inputs
+                _add_abs_block(zb, data.targets(idx[cols]), *carry, buf)
+        q = buf = feats = None  # the buffer, and the baseline's inputs
         if nxt is not None:  # close the next layer's G and B
             (g, b), r = carry, nxt.weight.rows
             g[r:, :r] = g[:r, r:].T
@@ -480,12 +479,11 @@ def evaluate(net: HnfNetwork, maps: list[OutputMap], data: Dataset,
                     min(n, EVAL_BLOCK)))
     for cols in _blocks(n, EVAL_BLOCK):
         xb = data.columns(idx[cols], transform)
-        tb, labels = data.targets(idx[cols]), data.labels[idx[cols]]
+        labels = data.labels[idx[cols]]
         for layer, feats in walk(net, xb, buf[:, :xb.shape[1]]):
             for i, m in enumerate(maps):
                 if m.layer_index == layer:
-                    hits[i] += block_score(m.matrix, feats, tb, labels,
-                                           err[i, cols])
+                    hits[i] += block_score(m.matrix, feats, labels, err[i, cols])
             if layer == deepest:
                 break
     n = n or math.nan

@@ -7,7 +7,9 @@ Lagrange multiplier, and the budget formula is evaluated with the
 collapse matrix explicitly materialized. The invariant-check reference
 computes each layer's ``act(W q)`` itself (:func:`layer_output`) on single
 columns, one pair at a time, and checks each weight perturbation densely,
-as a full matrix.
+as a full matrix. The reference trainer (:func:`reference_train`) chains
+these: it materializes every layer's features and solves each layer by
+bisection, taking only the designed weights from ``hnf.trainer``.
 :func:`traced_peak` measures what a call allocates, and
 :func:`reference_load_csv` parses a CSV cell by cell with Python's ``csv``
 module and ``float``.
@@ -17,6 +19,7 @@ import csv
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
@@ -30,6 +33,7 @@ from hnf.layers import (
     network_invert,
     vn_expand,
 )
+from hnf.trainer import build_network
 
 
 def traced_peak(fn, *args):
@@ -196,6 +200,66 @@ def epsilon_materialized(o_prev: np.ndarray, w: np.ndarray) -> float:
     u = np.hstack([np.eye(n), -np.eye(n)])
     m = o_prev @ np.linalg.pinv(w) @ u
     return float(np.sum(m * m))
+
+
+def reference_train(data, cfg):
+    """The run ``hnf.trainer.train(data, cfg)`` makes, done the slow way.
+
+    Its weights come from ``build_network``, which designs them without any
+    solve; nothing else here comes from ``hnf.trainer`` or ``hnf.solvers``.
+    Every layer's features are materialized on the whole train split
+    (:func:`layer_output`), and the targets are the one-hot columns of the
+    labels. The baseline is the unconstrained solve. Each expanding layer
+    embeds the previous map as the witness ``O_prev pinv(W) U``, written
+    out with the collapse ``U = [I, -I]``; its ball radius is
+    :func:`epsilon_materialized` of the previous map, or twice the previous
+    radius from the second expanding layer on under ``doubling``. The layer
+    is solved by :func:`constrained_ls_oracle`, and the witness is kept
+    when the solve costs more. Returns the network, one record per map,
+    baseline first (``layer``, ``matrix``, ``epsilon``, ``cost``,
+    ``fallback``: the witness was kept, ``active``: the unconstrained
+    solve lies outside the ball) and whether the cost chain is certified
+    by the trainer's rule.
+    """
+    idx = data.train_idx
+    net = build_network(data.input_dim, cfg, len(idx))
+    x = np.asarray(data.X[:, idx], dtype=np.float64)
+    if cfg.standardize:
+        sigma = x.std(1, keepdims=True)
+        sigma[sigma == 0] = 1.0
+        x = (x - x.mean(1, keepdims=True)) / sigma
+    t = np.eye(data.n_classes)[:, data.labels[idx]]
+    q = layer_output(net.layers[0], x) if net.has_front else x
+    o, cost = constrained_ls_oracle(q, t, math.inf)
+    maps = [SimpleNamespace(layer=0, matrix=o, epsilon=math.inf, cost=cost,
+                            fallback=False, active=False)]
+    certified = True
+    for no, layer in enumerate(net.layers, 1):
+        if not layer.expand:
+            continue
+        w, prev = layer.weight.entries, maps[-1]
+        y = layer_output(layer, q)
+        collapse = np.hstack([np.eye(len(w)), -np.eye(len(w))])
+        witness = prev.matrix @ np.linalg.pinv(w) @ collapse
+        eps = (2.0 * prev.epsilon
+               if cfg.eps_schedule == "doubling" and len(maps) > 1
+               else epsilon_materialized(prev.matrix, w))
+        o, cost = constrained_ls_oracle(y, t, eps)
+        free = constrained_ls_oracle(y, t, math.inf)[0]
+        witness_cost = sample_cost(t, witness, y)
+        fallback = cost > witness_cost
+        if fallback:
+            o, cost = witness, witness_cost
+        certified = (certified
+                     and float(np.sum(witness ** 2)) <= eps * (1.0 + 1e-9)
+                     and abs(witness_cost - prev.cost) <= 1e-8
+                     and cost <= witness_cost + 1e-8
+                     and float(np.sum(o ** 2)) <= eps * (1.0 + 1e-12))
+        maps.append(SimpleNamespace(
+            layer=no, matrix=o, epsilon=eps, cost=cost, fallback=fallback,
+            active=float(np.sum(free ** 2)) > eps))
+        q = y
+    return net, maps, certified
 
 
 def dct_ii_matrix_oracle(n: int) -> np.ndarray:

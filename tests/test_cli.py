@@ -408,15 +408,26 @@ class TestTrainCommand:
         (b"data = blobs\nn1 = 16\ndepth = 1\nlabel_col =  # none\n",
          "run.cfg:4: label_col has no value"),
         (b"data = blobs\nwarm_start =\n", "run.cfg:2: unknown key"),
+        (b"data = blobs\nn1 = 16\ndepth = 2\nweights = foo\n",
+         "run.cfg: weights = 'foo' is not one of ('random', 'dct')"),
+        (b"data = blobs\nn1 = 16\ndepth = 2\nelm = on\n"
+         b"elm_activation = tanh\n",
+         "run.cfg: elm_activation = 'tanh' is not one of ('relu', 'sigmoid')"),
+        (b"data = blobs\nn1 = 16\ndepth = 2\neps_schedule = halving\n",
+         "run.cfg: eps_schedule = 'halving' is not one of ('exact', "
+         "'doubling')"),
     ], ids=["non-utf8", "bad-int", "bad-bool", "no-equals", "empty-value",
-            "unknown-empty"])
+            "unknown-empty", "bad-weights", "bad-elm-activation",
+            "bad-eps-schedule"])
     def test_config_file_unreadable_value_exits_2(self, tmp_path, capsys,
                                                   text, named):
+        """Each bad line fails alone, in one error line naming the file."""
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_bytes(text + f"out = {tmp_path / 'x'}\n".encode())
         assert main(["train", "--config", str(cfgfile)]) == 2
         err = capsys.readouterr().err
-        assert "run.cfg" in err and named in err
+        assert "run.cfg" in err and named in err and err.count("error:") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_whitespace_delimiter_exits_2(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -494,7 +505,7 @@ class TestTrainCommand:
         ("n1 = 16\ndepth = 1\nout = {out}\n", "no data source"),
         ("data = blobs\nn1 = 16\ndepth = 1\n", "no output directory"),
         ("data = blobs\nn1 = 16\ndepth = 1\nweights = qr\nout = {out}\n",
-         "weight_kind must be one of"),
+         "run.cfg: weights = 'qr' is not one of ('random', 'dct')"),
     ], ids=["no-data", "no-out", "unknown-weights"])
     def test_config_file_settings_checked_exit_2(self, tmp_path, capsys,
                                                  text, message):
@@ -803,6 +814,39 @@ class TestEvalCommand:
         assert main(["eval", "--run", str(run), "--data", f"csv:{ac}"]) == 2
         err = capsys.readouterr().err
         assert "'C'" in err and "Traceback" not in err
+
+    def test_file_without_one_of_the_run_s_classes(self, tmp_path, capsys):
+        """A file lacking one of the run's classes is scored with its labels
+        mapped onto the run's label_names: eval prints the scores evaluate
+        gives the relabeled data. A label the run never saw exits 2."""
+        rng = np.random.Generator(np.random.PCG64(7))
+        rows = [(rng.standard_normal(4) + 1.5 * (i % 3), "ABC"[i % 3])
+                for i in range(90)]
+        src, sub = tmp_path / "abc.csv", tmp_path / "ac.csv"
+        for path, keep in ((src, "ABC"), (sub, "AC")):
+            path.write_text("".join(
+                ",".join(f"{v:.6f}" for v in x) + f",{lab}\n"
+                for x, lab in rows if lab in keep))
+        run = tmp_path / "rabc"
+        assert main(["train", "--data", f"csv:{src}", "--split", "45",
+                     "--n1", "4", "--depth", "2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", f"csv:{sub}"]) == 0
+        body = capsys.readouterr().out.splitlines()[1:]
+        data, transform, net, maps, names = hnf.cli._load_run(
+            str(run), f"csv:{sub}")
+        assert data.label_names == ["A", "C"] and names == ["A", "B", "C"]
+        data = data.relabel(names)
+        train, test = (hnf.trainer.evaluate(net, maps, data, split, transform)
+                       for split in ("train", "test"))
+        assert [line.split() for line in body] == [
+            [str(k), f"{train[k].cost:.12e}", f"{train[k].accuracy:.10f}",
+             f"{test[k].cost:.12e}", f"{test[k].accuracy:.10f}"]
+            for k in sorted(train)]
+        sub.write_text(sub.read_text().replace(",C\n", ",D\n"))
+        assert main(["eval", "--run", str(run), "--data", f"csv:{sub}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "['D']" in err
 
     def test_unknown_layer_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
@@ -1593,13 +1637,15 @@ class TestCorruptArtifacts:
         assert "Traceback" not in err
 
     def test_other_class_count_exits_2(self, trained_run, tmp_path, capsys):
+        """Data of another class count whose labels the run's label_names do
+        not name exits 2, naming them."""
         src = tmp_path / "two.csv"  # 8 features like the run, 2 classes not 3
         src.write_text("".join(f"{','.join(str(i * j % 7) for j in range(8))},"
                                f"{'AB'[i % 2]}\n" for i in range(6)))
         assert main(["eval", "--run", str(trained_run), "--data",
                      f"csv:{src}"]) == 2
         err = capsys.readouterr().err
-        assert "2 classes" in err and "predict 3" in err
+        assert "['A', 'B'] are not among ['0', '1', '2']" in err
         assert "Traceback" not in err
 
     def test_map_of_another_layer_exits_3(self, trained_run, tmp_path, capsys):

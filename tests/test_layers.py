@@ -301,8 +301,9 @@ class TestNetworkForward:
         train walk, which holds pre-activations, runs only inside train.
         Features are formed only by HnfLayer.features, and weights applied
         by WeightMatrix.apply, both called by the walk, the train walk and
-        verify_invariants' perturbation check. A block's one-hot targets
-        are formed only by Dataset.targets."""
+        verify_invariants' perturbation check. One-hot targets are formed
+        only by Dataset.targets, for the train walk's products alone:
+        scores read labels."""
         def callers(name):
             found = []
             for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
@@ -324,6 +325,7 @@ class TestNetworkForward:
         assert callers("_add_abs_block") == ["_fit"]
         assert callers("vn_expand") == ["features"]
         assert callers("one_hot") == ["targets"]
+        assert callers("targets") == ["_fit", "_fit"]
         for name in ("apply", "features"):
             assert set(callers(name)) == {"_fit", "verify_invariants", "walk"}
 

@@ -717,6 +717,21 @@ class TestEvaluate:
                                 widths[(i + shift) % len(widths)])
             train_scores_match_the_report(ds, cfg)
 
+    def test_scores_from_labels_without_one_hot_targets(self, blobs,
+                                                        monkeypatch):
+        """evaluate scores every map from the labels alone: with
+        ``one_hot`` replaced by a stub that raises, its scores are
+        unchanged."""
+        net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
+        want = [evaluate(net, maps, blobs, s) for s in ("train", "test")]
+
+        def refuse(*_):
+            raise AssertionError("evaluate formed one-hot targets")
+
+        monkeypatch.setattr("hnf.data.one_hot", refuse)
+        assert [evaluate(net, maps, blobs, s) for s in ("train", "test")
+                ] == want
+
     def test_missing_layer_is_state_error(self, blobs):
         cfg = TrainConfig(n1=16, depth=1, seed=1)
         net, maps, _ = train(blobs, cfg)
@@ -819,6 +834,48 @@ class TestEvaluate:
             assert sorted(scores) == list(range(upto + 1))
             assert peak <= (net.layers[upto - 1].out_dim * EVAL_BLOCK * 8
                             + 2 ** 20)
+
+
+class TestReferenceTrainer:
+    @pytest.mark.parametrize("cfg, block", [
+        (TrainConfig(n1=8, depth=4, seed=1), None),
+        (TrainConfig(n1=8, depth=4, seed=1), 64),
+        (TrainConfig(n1=8, depth=3, seed=2, weight_kind="dct"), None),
+        (TrainConfig(n1=12, depth=3, seed=3, elm_front=True), None),
+        (TrainConfig(n1=12, depth=4, seed=3, elm_front=True,
+                     elm_activation="sigmoid"), 64),
+        (TrainConfig(n1=8, depth=4, seed=4, eps_schedule="doubling"), None),
+        (TrainConfig(n1=8, depth=3, seed=5, standardize=True), None),
+    ], ids=["random", "random-blocks", "dct", "elm-relu", "elm-sigmoid",
+            "doubling", "standardize"])
+    def test_train_matches_the_reference_trainer(self, monkeypatch, cfg,
+                                                 block):
+        """``train`` never forms the expanded features: it builds each Gram
+        in the u basis, carries part of it through the weight and rotates
+        each map back to y. :func:`oracles.reference_train` forms every
+        layer's features, witness and radius explicitly and solves each
+        layer by bisection. On 200 train columns, walked in one block or
+        in 64-column blocks, each map's cost agrees within 1e-9 relative,
+        its radius (the reference's, from its own previous map) within
+        1e-12, and, where the ball binds, the map within 1e-6 of its norm;
+        so do the fallbacks and the certificate."""
+        if block is not None:
+            monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", block)
+        data = make_synthetic_blobs(6, 3, 300, separation=3.0, seed=5)
+        assert len(data.train_idx) == 200
+        _, maps, report = train(data, cfg)
+        _, ref, certified = oracles.reference_train(data, cfg)
+        assert certified == report.monotonicity_certified
+        assert [m.layer_index for m in maps] == [r.layer for r in ref]
+        assert sum(r.active for r in ref) == len(ref) - 1
+        for m, r in zip(maps, ref):
+            assert abs(m.train_cost - r.cost) <= 1e-9 * r.cost
+            assert m.epsilon == r.epsilon or (
+                abs(m.epsilon - r.epsilon) <= 1e-12 * r.epsilon)
+            assert ("fallback" in m.solver) == r.fallback
+            if r.active:
+                assert (np.linalg.norm(m.matrix - r.matrix)
+                        <= 1e-6 * np.linalg.norm(r.matrix))
 
 
 #: The metamorphic relations' runs, on Letter-shape blobs.
@@ -1018,12 +1075,10 @@ class TestReportSerialization:
 
     def test_accuracy_tie_breaks_low(self):
         pred = np.array([[1.0, 0.5], [1.0, 0.5]])
-        t = np.array([[1.0, 0.0], [0.0, 1.0]])
         err = np.full(2, np.nan)
-        # the tie in column 0 goes to class 0, a hit; column 0's squared
-        # error is 0 + 1, column 1's 0.25 + 0.25
-        assert block_score(np.eye(2), pred, t, np.argmax(t, axis=0),
-                           err) == 1
+        # targets e_0, e_1: the tie in column 0 goes to class 0, a hit;
+        # column 0's squared error is 0 + 1, column 1's 0.25 + 0.25
+        assert block_score(np.eye(2), pred, np.array([0, 1]), err) == 1
         assert err.tolist() == [1.0, 0.5]
 
 
