@@ -11,8 +11,9 @@ Everything here minimizes the sample-average squared prediction error
   diagonalized instead for ``eps=inf`` (the baseline and the ELM front)
   and for an inactive ball, whose minimum-norm solution needs the
   spectrum. It never sees the features, so the caller may form the
-  statistics in any orthonormal basis ``u = R y``: costs, balls and
-  multipliers are the same there, and the map is ``O_u R``;
+  statistics in any orthonormal basis ``u = R y`` (costs, balls and
+  multipliers are the same there, and the map is ``O_u R``), and in part
+  in float32, as :mod:`hnf.trainer` does: its certificate reads costs;
 * :func:`embed_previous_map` pulls the previous map back through the new
   weight once and returns the feasible witness with the budget it fits
   in, which together guarantee each layer's constrained optimum can match
@@ -79,7 +80,7 @@ def _lapack():
     return lapack
 
 
-#: Lower bound applied to computed budgets so the ball never degenerates.
+#: Replaces a zero radius only: every other one scales with the inputs.
 EPSILON_FLOOR = 1e-12
 
 #: The multiplier search stops once ||O||_F^2 is within this relative
@@ -119,9 +120,7 @@ class OutputMap:
 def project_frobenius_ball(m: np.ndarray, eps: float) -> np.ndarray:
     """Euclidean projection onto {M : ||M||_F^2 <= eps}."""
     nrm2 = float(np.sum(m * m))
-    if nrm2 <= eps:
-        return m
-    return m * math.sqrt(eps / nrm2)
+    return m if nrm2 <= eps else m * math.sqrt(eps / nrm2)
 
 
 def within_ball(o: np.ndarray, eps: float) -> bool:
@@ -144,7 +143,8 @@ def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
     ``(d + N) * machine-eps * lam_max`` are dropped, so ``O(0)`` is the
     minimum-norm (pseudo-inverse) solution; it is returned when
     ``s(0) <= eps``, else Newton's method climbs from ``mu = 0`` in the
-    eigenbasis. Returns the map and its diagnostics.
+    eigenbasis, and reads the dropped ones too (at 0 or above) once mu
+    reaches the Cholesky path's floor. Returns the map and diagnostics.
     """
     if n < 1:
         raise DataError("empty data")
@@ -169,26 +169,28 @@ def least_squares(g: np.ndarray, b: np.ndarray, n: int, eps: float = math.inf,
         lam, v = eigh(g.T)
         c = b @ v
         # forming G sums N products per entry and eigh adds d more
-        # roundings, so eigenvalues below (d + N) * eps * lam_max are noise;
-        # lam ascends, so a slice drops them without copying v
+        # roundings, so eigenvalues below (d + N) * eps * lam_max are noise,
+        # dropped by a slice (lam ascends: v is not copied); float32 sums may
+        # leave real ones there, read once mu >= MU_FLOOR * trace(G)
         drop = np.searchsorted(
             lam, (len(g) + n) * np.finfo(np.float64).eps * lam[-1], "right")
-        lam, c, v = lam[drop:], c[:, drop:], v[:, drop:]
-        w = np.sum(c * c, axis=0)
-
+        floor, w = MU_FLOOR * float(np.sum(lam)), np.sum(c * c, axis=0)
         mu, steps = 0.0, 0
-        s = float(np.sum(w / lam ** 2))
-        while s - eps > NEWTON_RTOL * eps and steps < NEWTON_MAX_STEPS:
-            # phi = s^-1/2 - eps^-1/2 and phi' = s^-3/2 * sum(w / (lam + mu)^3)
-            r = float(np.sum(w / (lam + mu) ** 3))
-            mu += s * (math.sqrt(s / eps) - 1.0) / r
-            s = float(np.sum(w / (lam + mu) ** 2))
-            steps += 1
-        found = (c / (lam + mu)) @ v.T, "eigh", steps, mu
+        for keep in (slice(drop, None), slice(0, None)):
+            lk, wk = np.maximum(lam[keep], 0.0), w[keep]
+            s = float(np.sum(wk / (lk + mu) ** 2))
+            while s - eps > NEWTON_RTOL * eps and steps < NEWTON_MAX_STEPS:
+                # phi = s^-1/2 - eps^-1/2, phi' = s^-3/2 sum(w / (lam + mu)^3)
+                r = float(np.sum(wk / (lk + mu) ** 3))
+                mu += s * (math.sqrt(s / eps) - 1.0) / r
+                s = float(np.sum(wk / (lk + mu) ** 2))
+                steps += 1
+            if not (drop and mu >= floor > 0):
+                break
+        found = (c[:, keep] / (lk + mu)) @ v[:, keep].T, "eigh", steps, mu
     o, method, steps, mu = found
-    o = project_frobenius_ball(o, eps)
-    return np.ascontiguousarray(o), {"method": method, "newton_steps": steps,
-                                     "multiplier": mu}
+    return np.ascontiguousarray(project_frobenius_ball(o, eps)), {
+        "method": method, "newton_steps": steps, "multiplier": mu}
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +211,8 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reset_gram(g: np.ndarray, diagonal: np.ndarray) -> None:
     """Rebuild a symmetric ``g`` in place from its strict upper triangle,
     with ``diagonal`` on its diagonal."""
-    for j in range(0, len(g), 256):  # blocks of columns, for the cache
-        k = min(j + 256, len(g))
+    for j in range(0, len(g), 64):  # blocks of columns, for the cache
+        k = min(j + 64, len(g))
         g[k:, j:k] = g[j:k, k:].T
         upper = np.triu(g[j:k, j:k], 1)
         np.add(upper, upper.T, out=g[j:k, j:k])
@@ -255,14 +257,14 @@ def _cholesky_newton(g: np.ndarray, b: np.ndarray, eps: float, mu: float):
 def embed_previous_map(o_prev: OutputMap,
                        w: WeightMatrix) -> tuple[np.ndarray, float]:
     """The witness ``[M, -M]`` with ``M = O_prev @ pinv(W)``, and the ball
-    radius ``max(2 * ||M||_F^2, EPSILON_FLOOR)`` it fits in.
+    radius ``2 * ||M||_F^2`` it fits in, or EPSILON_FLOOR in place of 0.
 
     Applied to this layer's expanded features the witness reproduces the
     previous layer's predictions exactly, certifying that the previous
     training cost stays attainable within the radius. The radius is
     ``2 * ||O_prev||_F^2`` when W is orthonormal, for the first expanding
     layer (over the baseline) and every later one; the floor keeps the
-    ball solvable over an all-zero previous map.
+    ball solvable over an all-zero previous map, and moves no other radius.
     """
     o = o_prev.matrix
     if w.cols != o.shape[1]:
@@ -271,4 +273,4 @@ def embed_previous_map(o_prev: OutputMap,
             f"{w.cols}"
         )
     m = o @ pinv_weight(w)
-    return np.hstack([m, -m]), max(2.0 * float(np.sum(m * m)), EPSILON_FLOOR)
+    return np.hstack([m, -m]), 2.0 * float(np.sum(m * m)) or EPSILON_FLOOR

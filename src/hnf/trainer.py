@@ -21,17 +21,19 @@ weight. A layer's pass expands each :data:`SCORE_BLOCK`-column block once
 (``HnfLayer.features``) in its block buffer, scores the solved map, rotated
 back to ``y``, and the witness there, then applies the next weight
 (``WeightMatrix.apply``) into the block's next ``z``, whose ``|z|`` terms it
-adds to the next Gram (:func:`_add_abs_block`) while it is hot. A cost, here
+adds to the next Gram (:func:`_add_abs_block`) while it is hot: ``z |z|^T``
+and ``|z| |z|^T`` as float32 products of z scaled by a power of two, twice
+as fast. The certificate reads no G, only costs scored on float64 features,
+and a map scoring worse than its witness falls back to it. A cost, here
 and in :func:`evaluate`, is one ``np.sum`` of the split's per-column errors
-(:func:`block_score`) over N. Before each solve and each pass, glibc hands
-back the heap it kept after frees (:func:`_release_heap`), so the walk's
-peak is what it holds. Every product runs in numpy; only the solve calls
-scipy (see :mod:`hnf.solvers`). Everything else that applies the network to
-data runs through :func:`hnf.layers.walk`, the one forward loop: the ELM
-front here, and :func:`evaluate` and :func:`verify_invariants` block by
-block. The test split stays out of the loop: :func:`evaluate` scores every
-map on it once, after the last layer, for the report only. Nothing about the
-budgets or stopping looks at it; there is no cross-validation anywhere.
+(:func:`block_score`) over N. Before each solve and pass, glibc hands back
+the heap it kept after frees (:func:`_release_heap`), so the walk's peak is
+what it holds. Every product runs in numpy; only the solve calls scipy
+(:mod:`hnf.solvers`). All else that applies the network to data runs
+through :func:`hnf.layers.walk`, the one forward loop: the ELM front here,
+and :func:`evaluate` and :func:`verify_invariants` block by block. The test
+split stays out of the loop: :func:`evaluate` scores every map on it once,
+after the last layer, for the report only; no cross-validation is done.
 """
 
 from __future__ import annotations
@@ -301,11 +303,13 @@ def _to_y_basis(m: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # the solve reports non-finite
 def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
-           u_basis: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The next layer's G and B, zero but for ``Z Z^T`` and ``T Z^T`` of
-    its pre-activations ``Z = W Y``, from this layer's ``G = Y Y^T`` and
-    ``B = T Y^T`` (read through ``W R^T`` in the u basis): 2 d^3 flops
-    instead of d^2 N. ``Z Z^T`` is made exactly symmetric, as solves need."""
+           u_basis: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The next layer's G and B, zero but for ``Z Z^T / 2`` (their u-basis
+    value, exactly symmetric, as solves need) and ``T Z^T`` of its
+    pre-activations ``Z = W Y``, from this layer's ``G = Y Y^T`` and ``B =
+    T Y^T`` (read through ``W R^T`` in the u basis): 2 d^3 flops instead of
+    d^2 N; and k, ``2^k > sqrt(max diag Z Z^T / 2)``, by which
+    :func:`_add_abs_block` scales z into float32's range."""
     if u_basis:
         w1, w2 = np.hsplit(w, 2)
         w = np.hstack([w1 - w2, w1 + w2]) * math.sqrt(0.5)
@@ -314,21 +318,25 @@ def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
     zz = np.matmul(w @ g, w.T, out=g_next[:r, :r])
     np.matmul(b, w.T, out=b_next[:, :r])
     zz += zz.T  # numpy reads the overlapping zz.T from a copy
-    zz *= 0.5
-    return g_next, b_next
+    zz *= 0.25  # and halved, as _fit halves G's other blocks
+    top = float(np.max(np.diagonal(zz)))  # a NaN or inf top gives k = 0
+    return g_next, b_next, math.frexp(math.sqrt(max(top, 0.0)))[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the solve reports non-finite
 def _add_abs_block(zb: np.ndarray, tb: np.ndarray, g: np.ndarray,
-                   b: np.ndarray, buf: np.ndarray) -> None:
+                   b: np.ndarray, k: int, buf: np.ndarray) -> None:
     """Add a block's ``|z|`` terms to the u-basis G and B that :func:`_carry`
-    began: ``|z|`` into ``buf``, rows x rows products into G's lower-left
-    block, which :func:`_fit` fills by transpose after the last block."""
-    r = len(zb)
-    a = np.abs(zb, out=buf[:r, :zb.shape[1]])
-    g[:r, r:] += np.matmul(zb, a.T, out=g[r:, :r])
-    g[r:, r:] += np.matmul(a, a.T, out=g[r:, :r])
-    b[:, r:] += tb @ a.T
+    began: ``T |z|^T`` from ``|z|`` in ``buf``, then the float32 products of
+    ``2^-k z`` and its ``|.|``, side by side in ``buf``, through G's
+    lower-left block, which :func:`_fit` unscales and fills by transpose."""
+    r, c = zb.shape
+    b[:, r:] += tb @ np.abs(zb, out=buf[:r, :c]).T
+    z, a = np.hsplit(buf[:r].view(np.float32)[:, :2 * c], 2)
+    np.multiply(zb, math.ldexp(1.0, -k), out=z, casting="same_kind")
+    np.abs(z, out=a)
+    g[:r, r:] += np.matmul(z, a.T, out=g[r:, :r].view(np.float32)[:, :r])
+    g[r:, r:] += np.matmul(a, a.T, out=g[r:, :r].view(np.float32)[:, :r])
 
 
 def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
@@ -408,9 +416,9 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
                 _add_abs_block(zb, data.targets(idx[cols]), *carry, buf)
         q = buf = feats = None  # the buffer, and the baseline's inputs
         if nxt is not None:  # close the next layer's G and B
-            (g, b), r = carry, nxt.weight.rows
+            (g, b, k), r = carry, nxt.weight.rows
+            g[:, r:] *= math.ldexp(0.5, 2 * k)  # exact: a power of two
             g[r:, :r] = g[:r, r:].T
-            g *= 0.5
             b *= math.sqrt(0.5)
         (cost, acc), (witness_cost, witness_acc) = (
             (float(np.sum(e)) / n, h / n) for e, h in zip(err, hits))

@@ -218,8 +218,9 @@ def reference_train(data, cfg):
     when the solve costs more. Returns the network, one record per map,
     baseline first (``layer``, ``matrix``, ``epsilon``, ``cost``,
     ``fallback``: the witness was kept, ``active``: the unconstrained
-    solve lies outside the ball) and whether the cost chain is certified
-    by the trainer's rule.
+    solve lies outside the ball, ``spectrum``: the ascending eigenvalues
+    of ``y y^T``) and whether the cost chain is certified by the trainer's
+    rule.
     """
     idx = data.train_idx
     net = build_network(data.input_dim, cfg, len(idx))
@@ -232,7 +233,8 @@ def reference_train(data, cfg):
     q = layer_output(net.layers[0], x) if net.has_front else x
     o, cost = constrained_ls_oracle(q, t, math.inf)
     maps = [SimpleNamespace(layer=0, matrix=o, epsilon=math.inf, cost=cost,
-                            fallback=False, active=False)]
+                            fallback=False, active=False,
+                            spectrum=np.linalg.eigvalsh(q @ q.T))]
     certified = True
     for no, layer in enumerate(net.layers, 1):
         if not layer.expand:
@@ -257,7 +259,8 @@ def reference_train(data, cfg):
                      and float(np.sum(o ** 2)) <= eps * (1.0 + 1e-12))
         maps.append(SimpleNamespace(
             layer=no, matrix=o, epsilon=eps, cost=cost, fallback=fallback,
-            active=float(np.sum(free ** 2)) > eps))
+            active=float(np.sum(free ** 2)) > eps,
+            spectrum=np.linalg.eigvalsh(y @ y.T)))
         q = y
     return net, maps, certified
 

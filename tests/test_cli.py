@@ -302,6 +302,30 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == "error: layer 0: solver failed: dsyevr failed: info 1\n"
 
+    @pytest.mark.parametrize("suffix", ["e25", "e-25"])
+    def test_features_far_from_unit_scale_train(self, tmp_path, capsys,
+                                                suffix):
+        """A CSV whose feature fields carry an ``e25`` or ``e-25`` suffix
+        trains, certified, to every cost of the plain CSV within 1e-6
+        relative: z is scaled by a power of two before its float32
+        products, which would otherwise overflow (exit 3) or underflow
+        (a final cost 40% higher), and no floor binds the radii."""
+        ds = make_synthetic_blobs(4, 3, 600, separation=3.0, seed=2)
+        costs = []
+        for name, tail in (("plain", ""), ("scaled", suffix)):
+            src, out = tmp_path / f"{name}.csv", tmp_path / name
+            src.write_text("".join(
+                ",".join([*(f"{v:.6f}{tail}" for v in col), str(label)])
+                + "\n" for col, label in zip(ds.X.T, ds.labels)))
+            assert main(["train", "--data", f"csv:{src}", "--n1", "8",
+                         "--depth", "3", "--seed", "1", "--out", str(out)]
+                        ) == 0
+            assert json.loads((out / "manifest.json").read_text())[
+                "monotonicity_certified"]
+            costs.append([json.loads(l)["train_cost"] for l in
+                          (out / "report.jsonl").read_text().splitlines()])
+        assert costs[1] == pytest.approx(costs[0], rel=1e-6, abs=0)
+
     def test_split_zero_exits_2(self, tmp_path, capsys):
         src = tmp_path / "four.csv"
         src.write_text("1,2,A\n3,4,B\n2,1,A\n4,3,B\n")
@@ -1980,6 +2004,25 @@ class TestReproducibility:
             for ra, rb in zip(rows_a, rows_b):
                 ra.pop("wall_ms"), rb.pop("wall_ms")
                 assert ra == rb
+
+
+    def test_thread_counts_certify_alike(self, tmp_path):
+        """Under ``OPENBLAS_NUM_THREADS`` 1 and 2, which may split a float32
+        product's sums differently, a run wide enough for two threads
+        certifies, and every cost agrees within 1e-9 relative."""
+        costs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = run_module(
+                "train", "--data", "blobs", "--blob-n", "6000", "--n1", "64",
+                "--depth", "3", "--seed", "3", "--out", str(out),
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads((out / "manifest.json").read_text())[
+                "monotonicity_certified"]
+            costs.append([json.loads(l)["train_cost"] for l in
+                          (out / "report.jsonl").read_text().splitlines()])
+        assert costs[1] == pytest.approx(costs[0], rel=1e-9, abs=0)
 
 
 #: Imports ``hnf.cli``, runs one least-squares solve, and prints, as JSON,

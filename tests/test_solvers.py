@@ -433,9 +433,15 @@ class TestEpsilonSchedule:
             expected, rel=1e-12)
 
     def test_zero_previous_map_floored(self):
-        o_prev = make_map(np.zeros((2, 3)))
+        """A zero previous map's radius is EPSILON_FLOOR; one below the
+        floor is kept, so the radius follows the inputs' scale."""
         w = make_random_orthonormal(3, 3, seed=0)
-        assert embed_previous_map(o_prev, w)[1] == EPSILON_FLOOR
+        assert embed_previous_map(make_map(np.zeros((2, 3))), w)[1] == (
+            EPSILON_FLOOR)
+        small = np.full((2, 3), 2.0 ** -30)
+        eps = embed_previous_map(make_map(small), w)[1]
+        assert eps < EPSILON_FLOOR
+        assert eps == pytest.approx(12 * 2.0 ** -60, rel=1e-12)
 
     def test_matches_materialized_oracle_orthonormal(self, rng):
         o_prev = make_map(rng.standard_normal((2, 3)))

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import hnf.solvers
 import hnf.trainer
 from hnf.cli import save_report
 from hnf.data import Dataset, make_synthetic_blobs
@@ -67,6 +69,32 @@ TRACE_SLACK = 2 ** 19
 
 def monotone(costs, slack=1e-8):
     return all(b <= a + slack * (1.0 + a) for a, b in zip(costs, costs[1:]))
+
+
+def float32_moves(spectrum, m, n, width):
+    """How far float32 ``|z|`` products may move an expanding layer's map
+    ``m`` from the one float64 statistics give, as a fraction of its norm,
+    and its cost, over ``n`` train columns whose Gram ``y y^T`` has the
+    ascending eigenvalues ``spectrum``, summed ``width`` columns a block.
+
+    Each ``2^-k z`` is rounded to float32 once and each product entry sums
+    ``width`` float32 terms, so an entry of the u-basis G moves by at most
+    gamma(width + 2) of the same entry of ``|z| |z|^T / 2``; gamma(k) is
+    ``k u`` in the worst case and ``sqrt(k) u`` in the probabilistic model
+    (Higham and Mary, SIAM J. Sci. Comput. 41, 2019) used here, with
+    ``u = 2^-24``. Over G's three ``|z|`` blocks, ``||dG||_2 <= 3
+    sqrt(width + 2) u lam_max``. At the solve's multiplier mu the map
+    ``B (G + mu I)^-1`` moves by at most ``||dG||_2 / (lam_min + mu)`` of
+    its norm, and the shift of mu back onto the ball's sphere at most
+    doubles that: ``rho = 6 sqrt(width + 2) u lam_max / (lam_min + mu)``.
+    The map minimizes the cost with ``G + dG`` on the ball's sphere, where
+    the exact minimum lies too, so its cost exceeds that minimum by at most
+    ``|<O dG, O> - <O* dG, O*>| / n <= 2 ||dO|| ||dG||_2 ||O|| / n <=
+    (lam_min + mu) (rho ||O||)^2 / n``."""
+    lam_min, lam_max = max(spectrum[0], 0.0), spectrum[-1]
+    mu = m.solver["multiplier"]
+    rho = 6.0 * math.sqrt(width + 2) * 2.0 ** -24 * lam_max / (lam_min + mu)
+    return rho, (lam_min + mu) * (rho * np.linalg.norm(m.matrix)) ** 2 / n
 
 
 def train_scores_match_the_report(data, cfg):
@@ -180,12 +208,32 @@ class TestTrain:
         eps = embed_previous_map(baseline, w)[1]
         direct = solve(vn_expand(w.entries @ x), t, eps)
         expect = direct.matrix
+        y = vn_expand(w.entries @ x)
+        rho, _ = float32_moves(np.linalg.eigvalsh(y @ y.T), maps[1],
+                               x.shape[1], min(x.shape[1], SCORE_BLOCK))
         if direct.train_cost > maps[1].train_cost:
             pytest.fail("trainer should never beat the identical solve")
-        # the trainer sums its Gram in another basis and order
+        # the trainer sums its Gram in another basis and order, in float32
         assert (np.linalg.norm(maps[1].matrix - expect)
-                <= 1e-12 * np.linalg.norm(expect))
+                <= (1e-12 + rho) * np.linalg.norm(expect))
         assert report.per_layer[0].epsilon == pytest.approx(eps, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-80, -20, 20, 80])
+    def test_inputs_scaled_by_a_power_of_two_scale_the_radii(self, k):
+        """Inputs times 2^k give every cost bit for bit and every radius
+        times 2^-2k: each map scales by 2^-k, and every step from the data
+        to a cost or a radius commutes with a power of two, the float32
+        ``|z|`` products too, whose own power-of-two scale follows the
+        data. A floor on every small radius broke this at k = 20 and 80."""
+        ds = make_synthetic_blobs(4, 3, 600, separation=3.0, seed=2)
+        cfg = TrainConfig(n1=8, depth=3, seed=1)
+        _, _, want = train(ds, cfg)
+        _, _, got = train(replace(ds, X=ds.X * 2.0 ** k), cfg)
+        assert got.monotonicity_certified
+        for a, b in zip(want.rows(), got.rows()):
+            assert b.train_cost == a.train_cost, a.layer
+            assert b.epsilon * 2.0 ** (2 * k) == a.epsilon, a.layer
+            assert (b.train_acc, b.test_acc) == (a.train_acc, a.test_acc)
 
     def test_n1_below_input_dim_rejected(self, blobs):
         with pytest.raises(ConfigError):
@@ -521,8 +569,16 @@ class TestExpandedStatistics:
         """Each expanding layer's G and B, begun by _carry from the previous
         layer's statistics, summed by _add_abs_block once per 64-column
         block of the pass before, closed and rotated back, are those of
-        vn_expand(z) within 1e-12 relative: for the non-square first layer,
-        the square inner ones and the layer behind an ELM front."""
+        vn_expand(z): for the non-square first layer, the square inner ones
+        and the layer behind an ELM front. In the u basis ``[z; |z|] /
+        sqrt(2)``, B is a float64 sum, within 1e-12 relative of the
+        features', and so is the carried ``z z^T`` block of ``W G W^T``
+        from the previous G rotated back. Each of the two ``|z|`` blocks,
+        summed as float32 products of ``2^-k z`` rounded to float32 once,
+        is within gamma(66) = 66 u / (1 - 66 u), u = 2^-24, of the
+        features' ``|z| |z|^T / 2`` in Frobenius norm (Higham's bound
+        ``|fl(A B) - A B| <= gamma(c) |A| |B|`` for c = 64 terms a block,
+        two more for the operands)."""
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
         solved, summed = [], []
         real_step = hnf.trainer._add_abs_block
@@ -547,13 +603,22 @@ class TestExpandedStatistics:
                           for c in blocks]
         feats = [f.copy() for _, f in walk(net, x)]
         assert len(feats) == len(solved) == len(net.layers) + 1 - elm
-        for (g, b), y in zip(solved[1:], feats[1:]):
+        gamma = 66 * 2.0 ** -24 / (1 - 66 * 2.0 ** -24)
+        prev = solved[0][0]  # the previous G, in the basis of its features
+        for (g, b), y, layer in zip(solved[1:], feats[1:], net.layers[elm:]):
             assert np.array_equal(g, g.T)
-            want_g, want_b = y @ y.T, t @ y.T
-            back = _to_y_basis(_to_y_basis(g).T)  # R^T G R, G symmetric
-            assert (np.linalg.norm(back - want_g)
-                    <= 1e-12 * np.linalg.norm(want_g)), y.shape
-            assert (np.linalg.norm(_to_y_basis(b) - want_b)
+            r = len(y) // 2
+            u = np.vstack([y[:r] - y[r:], y[:r] + y[r:]]) * math.sqrt(0.5)
+            want_g, want_b = u @ u.T, t @ u.T
+            w = layer.weight.entries
+            carried = 0.5 * (w @ prev @ w.T)
+            assert (np.linalg.norm(g[:r, :r] - carried)
+                    <= 1e-12 * np.linalg.norm(carried)), y.shape
+            prev = _to_y_basis(_to_y_basis(g).T)  # R^T G R, G symmetric
+            for block in (np.s_[:r, r:], np.s_[r:, r:]):
+                assert (np.linalg.norm(g[block] - want_g[block])
+                        <= gamma * np.linalg.norm(want_g[r:, r:])), y.shape
+            assert (np.linalg.norm(b - want_b)
                     <= 1e-12 * np.linalg.norm(want_b)), y.shape
 
     @pytest.mark.parametrize("elm", [False, True], ids=["plain", "elm"])
@@ -581,14 +646,21 @@ class TestExpandedStatistics:
     def test_blocks_match_a_one_block_run(self, blobs, monkeypatch, cfg):
         """Summed and scored 7 columns at a time, the train walk reports
         every cost within 1e-12 relative of a one-block run, and the same
-        accuracies."""
-        _, _, whole = train(blobs, cfg)
-        assert len(blobs.train_idx) <= SCORE_BLOCK
+        accuracies; beyond the baseline, plus the cost move float32 ``|z|``
+        products allow at the wider block (:func:`float32_moves`)."""
+        net, maps, whole = train(blobs, cfg)
+        n = len(blobs.train_idx)
+        assert n <= SCORE_BLOCK
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 7)
         _, _, blocked = train(blobs, cfg)
         assert blocked.monotonicity_certified
-        for a, b in zip(whole.rows(), blocked.rows()):
-            assert abs(b.train_cost - a.train_cost) <= 1e-12 * a.train_cost
+        spectra = {layer: np.linalg.eigvalsh(f @ f.T)
+                   for layer, f in walk(net, blobs.columns(blobs.train_idx))}
+        for m, a, b in zip(maps, whole.rows(), blocked.rows()):
+            moved = 0.0 if math.isinf(m.epsilon) else float32_moves(
+                spectra[m.layer_index], m, n, n)[1]
+            assert (abs(b.train_cost - a.train_cost)
+                    <= 1e-12 * a.train_cost + moved)
             assert (b.train_acc, b.test_acc) == (a.train_acc, a.test_acc)
 
 
@@ -665,16 +737,26 @@ class TestEvaluate:
 
     def test_train_split_cost_matches_solver(self, blobs, monkeypatch):
         """On one block, each train score is the sample cost of the whole
-        split. Over several train blocks (64 columns here, walked 24 or 128
-        at a time; 2048 on a Letter-shape run, walked 1024 at a time),
-        plain, standardized and with DCT weights, each equals the report's
-        train cost and accuracy exactly: both sum one vector of per-column
-        errors."""
+        split: exactly, summed as the scorer sums it (each column's squared
+        errors class by class, then one ``np.sum`` over the columns), and
+        within 1e-12 relative as :func:`oracles.sample_cost` sums it. Over
+        several train blocks (64 columns here, walked 24 or 128 at a time;
+        2048 on a Letter-shape run, walked 1024 at a time), plain,
+        standardized and with DCT weights, each equals the report's train
+        cost and accuracy exactly: both sum one vector of per-column errors.
+        Products are pinned to one BLAS call a column
+        (:func:`conftest.pin_products`), so no bit depends on the width at
+        which the BLAS forms a column."""
+        pin_products(monkeypatch)
         net, maps, _ = train(blobs, TrainConfig(n1=16, depth=2, seed=1))
         scores = evaluate(net, maps, blobs, split="train")
         x, t = blobs.columns(blobs.train_idx), blobs.targets(blobs.train_idx)
         for (layer, feats), m in zip(walk(net, x), maps):
-            assert scores[layer].cost == sample_cost(t, m.matrix, feats)
+            r = np.matmul(m.matrix, feats) - t
+            cost = float(np.sum(functools.reduce(np.add, r * r))) / len(x.T)
+            assert scores[layer].cost == cost
+            assert cost == pytest.approx(sample_cost(t, m.matrix, feats),
+                                         rel=1e-12, abs=0)
         train_scores_match_the_report(letter_shape(), TrainConfig(
             n1=32, depth=2, seed=1))
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
@@ -836,18 +918,23 @@ class TestEvaluate:
                             + 2 ** 20)
 
 
+#: The reference trainer's runs: a config, and the train pass's block
+#: width (None: one block of all 200 train columns).
+REFERENCE_CASES = pytest.mark.parametrize("cfg, block", [
+    (TrainConfig(n1=8, depth=4, seed=1), None),
+    (TrainConfig(n1=8, depth=4, seed=1), 64),
+    (TrainConfig(n1=8, depth=3, seed=2, weight_kind="dct"), None),
+    (TrainConfig(n1=12, depth=3, seed=3, elm_front=True), None),
+    (TrainConfig(n1=12, depth=4, seed=3, elm_front=True,
+                 elm_activation="sigmoid"), 64),
+    (TrainConfig(n1=8, depth=4, seed=4, eps_schedule="doubling"), None),
+    (TrainConfig(n1=8, depth=3, seed=5, standardize=True), None),
+], ids=["random", "random-blocks", "dct", "elm-relu", "elm-sigmoid",
+        "doubling", "standardize"])
+
+
 class TestReferenceTrainer:
-    @pytest.mark.parametrize("cfg, block", [
-        (TrainConfig(n1=8, depth=4, seed=1), None),
-        (TrainConfig(n1=8, depth=4, seed=1), 64),
-        (TrainConfig(n1=8, depth=3, seed=2, weight_kind="dct"), None),
-        (TrainConfig(n1=12, depth=3, seed=3, elm_front=True), None),
-        (TrainConfig(n1=12, depth=4, seed=3, elm_front=True,
-                     elm_activation="sigmoid"), 64),
-        (TrainConfig(n1=8, depth=4, seed=4, eps_schedule="doubling"), None),
-        (TrainConfig(n1=8, depth=3, seed=5, standardize=True), None),
-    ], ids=["random", "random-blocks", "dct", "elm-relu", "elm-sigmoid",
-            "doubling", "standardize"])
+    @REFERENCE_CASES
     def test_train_matches_the_reference_trainer(self, monkeypatch, cfg,
                                                  block):
         """``train`` never forms the expanded features: it builds each Gram
@@ -857,8 +944,9 @@ class TestReferenceTrainer:
         layer by bisection. On 200 train columns, walked in one block or
         in 64-column blocks, each map's cost agrees within 1e-9 relative,
         its radius (the reference's, from its own previous map) within
-        1e-12, and, where the ball binds, the map within 1e-6 of its norm;
-        so do the fallbacks and the certificate."""
+        1e-12, and, where the ball binds, the map within what float32
+        ``|z|`` products allow (:func:`float32_moves`) of its norm; so do
+        the fallbacks and the certificate."""
         if block is not None:
             monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", block)
         data = make_synthetic_blobs(6, 3, 300, separation=3.0, seed=5)
@@ -874,8 +962,41 @@ class TestReferenceTrainer:
                 abs(m.epsilon - r.epsilon) <= 1e-12 * r.epsilon)
             assert ("fallback" in m.solver) == r.fallback
             if r.active:
+                rho, _ = float32_moves(r.spectrum, m, 200, min(200, block or
+                                                               SCORE_BLOCK))
                 assert (np.linalg.norm(m.matrix - r.matrix)
-                        <= 1e-6 * np.linalg.norm(r.matrix))
+                        <= rho * np.linalg.norm(r.matrix))
+
+    @REFERENCE_CASES
+    @pytest.mark.parametrize("duplicate", [False, True],
+                             ids=["distinct", "duplicate-row"])
+    def test_spectral_path_matches_the_reference_trainer(
+            self, monkeypatch, cfg, block, duplicate):
+        """With every factorization failing, each ball is solved on G's
+        spectrum, whose float64 cutoff drops directions the float32 ``|z|``
+        sums can leave below it, negative ones too; once Newton's
+        multiplier reaches the Cholesky path's floor it reads them again,
+        as that path does. So each cost agrees with the reference within
+        1e-9 relative, with and without a duplicated input row, and so do
+        the fallbacks and the certificate. (Dropped for good, they moved
+        costs by up to 1.6e-8 relative here, and a cutoff at float32's unit
+        roundoff by up to 6.6e-3.)"""
+        if block is not None:
+            monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", block)
+        data = make_synthetic_blobs(6, 3, 300, separation=3.0, seed=5)
+        if duplicate:
+            data = replace(data, X=np.vstack([data.X, data.X[:1]]))
+        lapack = hnf.solvers._lapack()  # each factor fails after it is formed
+        real = lapack.dpotrf
+        monkeypatch.setattr(lapack, "dpotrf", lambda *a, **kw: (
+            real(*a, **kw)[0], 1))
+        _, maps, report = train(data, cfg)
+        _, ref, certified = oracles.reference_train(data, cfg)
+        assert certified == report.monotonicity_certified
+        for m, r in zip(maps, ref):
+            assert m.solver["method"] == "eigh"
+            assert abs(m.train_cost - r.cost) <= 1e-9 * r.cost
+            assert ("fallback" in m.solver) == r.fallback
 
 
 #: The metamorphic relations' runs, on Letter-shape blobs.
