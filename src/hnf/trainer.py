@@ -22,7 +22,7 @@ weight. A layer's pass expands each :data:`SCORE_BLOCK`-column block once
 back to ``y``, and the witness there, then applies the next weight
 (``WeightMatrix.apply``) into the block's next ``z``, whose ``|z|`` terms it
 adds to the next Gram (:func:`_add_abs_block`) while it is hot: ``z |z|^T``
-and ``|z| |z|^T`` as float32 products of z scaled by a power of two, twice
+and ``|z| |z|^T`` as float32 products of z at the walk's unit scale, twice
 as fast. The certificate reads no G, only costs scored on float64 features,
 and a map scoring worse than its witness falls back to it. A cost, here
 and in :func:`evaluate`, is one ``np.sum`` of the split's per-column errors
@@ -301,15 +301,13 @@ def _to_y_basis(m: np.ndarray) -> np.ndarray:
     return np.hstack([a + c, c - a]) * math.sqrt(0.5)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the solve reports non-finite
 def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
-           u_basis: bool) -> tuple[np.ndarray, np.ndarray, int]:
+           u_basis: bool) -> tuple[np.ndarray, np.ndarray]:
     """The next layer's G and B, zero but for ``Z Z^T / 2`` (their u-basis
     value, exactly symmetric, as solves need) and ``T Z^T`` of its
     pre-activations ``Z = W Y``, from this layer's ``G = Y Y^T`` and ``B =
     T Y^T`` (read through ``W R^T`` in the u basis): 2 d^3 flops instead of
-    d^2 N; and k, ``2^k > sqrt(max diag Z Z^T / 2)``, by which
-    :func:`_add_abs_block` scales z into float32's range."""
+    d^2 N."""
     if u_basis:
         w1, w2 = np.hsplit(w, 2)
         w = np.hstack([w1 - w2, w1 + w2]) * math.sqrt(0.5)
@@ -319,21 +317,19 @@ def _carry(w: np.ndarray, g: np.ndarray, b: np.ndarray,
     np.matmul(b, w.T, out=b_next[:, :r])
     zz += zz.T  # numpy reads the overlapping zz.T from a copy
     zz *= 0.25  # and halved, as _fit halves G's other blocks
-    top = float(np.max(np.diagonal(zz)))  # a NaN or inf top gives k = 0
-    return g_next, b_next, math.frexp(math.sqrt(max(top, 0.0)))[1]
+    return g_next, b_next
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the solve reports non-finite
 def _add_abs_block(zb: np.ndarray, tb: np.ndarray, g: np.ndarray,
-                   b: np.ndarray, k: int, buf: np.ndarray) -> None:
+                   b: np.ndarray, buf: np.ndarray) -> None:
     """Add a block's ``|z|`` terms to the u-basis G and B that :func:`_carry`
     began: ``T |z|^T`` from ``|z|`` in ``buf``, then the float32 products of
-    ``2^-k z`` and its ``|.|``, side by side in ``buf``, through G's
-    lower-left block, which :func:`_fit` unscales and fills by transpose."""
+    z and its ``|.|``, side by side in ``buf``, through G's lower-left
+    block, which :func:`_fit` halves and fills by transpose."""
     r, c = zb.shape
     b[:, r:] += tb @ np.abs(zb, out=buf[:r, :c]).T
     z, a = np.hsplit(buf[:r].view(np.float32)[:, :2 * c], 2)
-    np.multiply(zb, math.ldexp(1.0, -k), out=z, casting="same_kind")
+    np.copyto(z, zb, casting="same_kind")
     np.abs(z, out=a)
     g[:r, r:] += np.matmul(z, a.T, out=g[r:, :r].view(np.float32)[:, :r])
     g[r:, r:] += np.matmul(a, a.T, out=g[r:, :r].view(np.float32)[:, :r])
@@ -343,33 +339,35 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
          ) -> tuple[list[OutputMap], list[LayerRecord], bool, tuple | None]:
     """The maps, report rows and certificate of :func:`train` on the train
     split of ``data``, one pass per layer, and the training (mu, sigma) if
-    ``cfg.standardize``, finite or a :class:`DataError` before any solve;
-    the witness ``[M, -M]`` reads ``[sqrt(2) M, 0]`` in the ``u`` basis.
-    Each row, timed from ``clock`` or the row before, covers the next
-    layer's ``|z|`` sums. The train split's inputs (standardized in place)
-    live only through the baseline; a pass scores each block by its labels,
-    forms its one-hot targets only for the next ``T |z|^T`` and holds a
-    block buffer of the rows it uses, freed before the next carry and solve."""
+    ``cfg.standardize``. The walk reads the baseline's features times ``s =
+    2^-k``, ``2^k`` above their largest magnitude (a :class:`DataError` past
+    ``2^±500``), and records maps, radii and multipliers back at their
+    scale. The witness ``[M, -M]`` reads ``[sqrt(2) M, 0]`` in the ``u``
+    basis. Each row, timed from ``clock`` or the row before, covers the next
+    layer's ``|z|`` sums. The train split's inputs live only through the
+    baseline; a pass scores each block by its labels, forms its one-hot
+    targets only for the next ``T |z|^T`` and holds a block buffer of the
+    rows it uses, freed before the next carry and solve."""
     idx = data.train_idx
     n = len(idx)
     held = np.empty((max(l.weight.rows for l in net.layers), n))
     x, transform = data.columns(idx), None
-    if cfg.standardize:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            mu, sigma = x.mean(1, keepdims=True), x.std(1, keepdims=True)
-        bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sigma))) + 1
-        if bad.size:
-            raise DataError("cannot standardize: the mean or standard deviation"
-                            f" of train feature(s) {', '.join(map(str, bad))}"
-                            " overflows float64 or is not finite")
-        sigma[sigma == 0] = 1.0
-        transform = mu, sigma
+    if cfg.standardize:  # each feature over 2^e > max |x|, with 2^-e finite
+        e = np.frexp(np.maximum(x.max(1), -x.min(1)))[1][:, None].clip(-1021)
+        np.ldexp(x, -e, out=x)  # so no statistic overflows
+        mu, sigma = x.mean(1, keepdims=True), x.std(1, keepdims=True)
+        sigma[sigma == 0] = np.ldexp(1.0, -e[sigma == 0])  # recorded as 1.0
         x -= mu
         x /= sigma
+        transform = np.ldexp(mu, e), np.ldexp(sigma, e)
     q = next(walk(net, x, held))[1]  # x, or the front's in held
     del x
-    with np.errstate(over="ignore", invalid="ignore"):  # as _carry does
-        g, b = q @ q.T, data.targets(idx) @ q.T
+    top = max(float(q.max()), -float(q.min()))  # max |q|, with no |q| made
+    if top and not 2.0 ** -501 <= top < 2.0 ** 500:  # radii stay normal floats
+        raise DataError(f"the train features' largest magnitude, {top:g}, is "
+                        "not finite or not within 2^-501 .. 2^500")
+    q *= (s := math.ldexp(1.0, -math.frexp(top)[1]))  # 2^-k, exact
+    g, b = q @ q.T, data.targets(idx) @ q.T
     steps = [(0, None), *((no, l) for no, l in enumerate(net.layers, 1)
                           if l.expand)]
     maps, rows, certified = [], [], True
@@ -416,8 +414,8 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
                 _add_abs_block(zb, data.targets(idx[cols]), *carry, buf)
         q = buf = feats = None  # the buffer, and the baseline's inputs
         if nxt is not None:  # close the next layer's G and B
-            (g, b, k), r = carry, nxt.weight.rows
-            g[:, r:] *= math.ldexp(0.5, 2 * k)  # exact: a power of two
+            (g, b), r = carry, nxt.weight.rows
+            g[:, r:] *= 0.5
             g[r:, :r] = g[:r, r:].T
             b *= math.sqrt(0.5)
         (cost, acc), (witness_cost, witness_acc) = (
@@ -436,10 +434,12 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
                 and within_ball(o, eps))
         maps.append(OutputMap(o, eps, cost, layer_no, diag))
         now = time.perf_counter()
-        rows.append(LayerRecord(layer_no, nodes, eps, cost, acc, math.nan,
+        rows.append(LayerRecord(layer_no, nodes, eps * s * s, cost, acc, math.nan,
                                 diag["newton_steps"], int((now - clock) * 1000)))
         clock = now
-    return maps, rows, certified, transform
+    return [replace(m, matrix=m.matrix * s, epsilon=m.epsilon * s * s, solver={
+        **m.solver, "multiplier": m.solver["multiplier"] / s / s})
+            for m in maps], rows, certified, transform
 
 
 @dataclass(frozen=True)

@@ -259,10 +259,11 @@ class TestTrainCommand:
                               "input dims: 4 vs 9")
         assert "Traceback" not in err and not (tmp_path / "run").exists()
 
-    def test_standardize_overflow_exits_3_before_writing(self, tmp_path):
-        """A feature scaled by 1e200 has a standard deviation past float64:
-        train names it and writes no run, rather than zero the feature and
-        write a sigma its own eval refuses."""
+    def test_standardize_trains_a_feature_near_1e200(self, tmp_path):
+        """A feature scaled by 1e200 has a standard deviation past float64,
+        but its statistics are formed at its own power of two: train
+        certifies the run, and its own eval reads the recorded mu and
+        sigma back and prints every train cost of the report."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((60, 3)) * [1e200, 1.0, 1.0]
         src = tmp_path / "huge.csv"
@@ -272,11 +273,14 @@ class TestTrainCommand:
         proc = run_module("train", "--data", f"csv:{src}", "--split", "40",
                           "--n1", "4", "--depth", "2", "--standardize",
                           "--out", str(out))
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr == ("error: cannot standardize: the mean or "
-                               "standard deviation of train feature(s) 1 "
-                               "overflows float64 or is not finite\n")
-        assert not out.exists()
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "manifest.json").read_text())[
+            "monotonicity_certified"]
+        proc = run_module("eval", "--run", str(out))
+        assert proc.returncode == 0, proc.stderr
+        printed = [line.split()[1] for line in proc.stdout.splitlines()[1:]]
+        assert printed == [f"{json.loads(l)['train_cost']:.12e}" for l in
+                           (out / "report.jsonl").read_text().splitlines()]
 
     def test_saturated_sigmoid_front_trains_under_warnings_as_errors(
             self, tmp_path):
@@ -302,14 +306,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == "error: layer 0: solver failed: dsyevr failed: info 1\n"
 
-    @pytest.mark.parametrize("suffix", ["e25", "e-25"])
+    @pytest.mark.parametrize("suffix", ["e25", "e-25", "e100", "e-100",
+                                        "e-150"])
     def test_features_far_from_unit_scale_train(self, tmp_path, capsys,
                                                 suffix):
-        """A CSV whose feature fields carry an ``e25`` or ``e-25`` suffix
-        trains, certified, to every cost of the plain CSV within 1e-6
-        relative: z is scaled by a power of two before its float32
-        products, which would otherwise overflow (exit 3) or underflow
-        (a final cost 40% higher), and no floor binds the radii."""
+        """A CSV whose feature fields carry a suffix from ``e25`` to
+        ``e-150`` trains, certified, to every cost of the plain CSV within
+        1e-6 relative: the train features are prescaled by a power of two,
+        so neither the float32 ``|z|`` products nor the Newton iterates
+        overflow (exit 3 or 4) or underflow (a final cost 40% higher, or
+        exit 2), and no floor binds the radii."""
         ds = make_synthetic_blobs(4, 3, 600, separation=3.0, seed=2)
         costs = []
         for name, tail in (("plain", ""), ("scaled", suffix)):
@@ -1061,14 +1067,16 @@ class TestVerifyCommand:
     def test_overflowing_inputs_exit_3(self, tmp_path, capsys, monkeypatch,
                                        trained_run, recwarn):
         """Finite blobs whose squares overflow float64 are a data problem
-        for both commands: train names the feature statistics, and verify
-        refuses them before it walks, with no margin of nan, exit 4 or
-        RuntimeWarning."""
+        for both commands: train names their largest magnitude, past the
+        2^500 its prescale takes, and verify, which checks squared norms at
+        the inputs' scale, refuses them before it walks, with no margin of
+        nan, exit 4 or RuntimeWarning."""
         out = tmp_path / "run"
         assert main(["train", "--data", "blobs", "--blob-sep", "1e200",
                      "--n1", "16", "--depth", "2", "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "sums of squares overflow float64" in err
+        # every blob sits 1e200 / sqrt(2) from 0 along one axis
+        assert f"magnitude, {1e200 / math.sqrt(2):g}, is not" in err
         assert not out.exists()
         monkeypatch.setattr("hnf.trainer.walk", lambda *a: pytest.fail(
             "verify walked the network"))
@@ -1750,14 +1758,17 @@ class TestCorruptArtifacts:
         assert "row 2, column 2" in capsys.readouterr().err
 
     def test_overflowing_csv_feature_exits_3(self, tmp_path, capsys):
-        """1e200 is finite, but its square overflows in the Gram."""
+        """1e200 is finite, but past the 2^500 train's prescale takes,
+        and its square would overflow in the Gram: train names it."""
         src = tmp_path / "big.csv"
         src.write_text("1,2,A\n3,1e200,B\n2,1,A\n4,3,B\n")
         code = main(["train", "--data", f"csv:{src}", "--n1", "2",
                      "--depth", "1", "--out", str(tmp_path / "run")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "non-finite" in err and "Traceback" not in err
+        assert err == ("error: the train features' largest magnitude, "
+                       "1e+200, is not finite or not within 2^-501 .. "
+                       "2^500\n")
         assert not (tmp_path / "run").exists()
 
 

@@ -2,6 +2,7 @@ import ctypes
 import functools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -218,22 +219,47 @@ class TestTrain:
                 <= (1e-12 + rho) * np.linalg.norm(expect))
         assert report.per_layer[0].epsilon == pytest.approx(eps, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [-80, -20, 20, 80])
-    def test_inputs_scaled_by_a_power_of_two_scale_the_radii(self, k):
-        """Inputs times 2^k give every cost bit for bit and every radius
-        times 2^-2k: each map scales by 2^-k, and every step from the data
-        to a cost or a radius commutes with a power of two, the float32
-        ``|z|`` products too, whose own power-of-two scale follows the
-        data. A floor on every small radius broke this at k = 20 and 80."""
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k, standardize", [
+        pytest.param(k, std, id=f"{k}{'-standardize' * std}")
+        for std in (False, True)
+        for k in (-1000, -496, -300, -80, -20, 20, 80, 300, 496, 1000)])
+    def test_inputs_scaled_by_a_power_of_two_scale_the_radii(self, k,
+                                                             standardize):
+        """Inputs times 2^k give every cost bit for bit, every map times
+        2^-k, radius times 2^-2k and multiplier times 2^2k: the walk runs
+        at unit scale, the inputs times a power of two, which rounds
+        nothing, and records back at theirs. The blobs' largest magnitude
+        is about 5.2, so at k = +-1000 that prescale is past 2^+-500 and
+        train refuses the inputs, naming it. Standardized inputs (each
+        feature's statistics formed at its own power of two) are the unit
+        run's bit for bit at every k, and so are the maps; mu and sigma
+        scale by 2^k. A floor on every small radius broke this at k = 20
+        and 80; Newton iterates formed at the inputs' scale at k = +-300."""
         ds = make_synthetic_blobs(4, 3, 600, separation=3.0, seed=2)
-        cfg = TrainConfig(n1=8, depth=3, seed=1)
-        _, _, want = train(ds, cfg)
-        _, _, got = train(replace(ds, X=ds.X * 2.0 ** k), cfg)
+        cfg = TrainConfig(n1=8, depth=3, seed=1, standardize=standardize)
+        scaled = replace(ds, X=ds.X * 2.0 ** k)
+        if abs(k) > 500 and not standardize:
+            top = float(np.max(np.abs(scaled.columns(scaled.train_idx))))
+            with pytest.raises(DataError, match=re.escape(
+                    f"magnitude, {top:g}, is not")):
+                train(scaled, cfg)
+            return
+        _, want_maps, want = train(ds, cfg)
+        _, maps, got = train(scaled, cfg)
+        j = 0 if standardize else k  # the maps read features 2^j times
         assert got.monotonicity_certified
         for a, b in zip(want.rows(), got.rows()):
             assert b.train_cost == a.train_cost, a.layer
-            assert b.epsilon * 2.0 ** (2 * k) == a.epsilon, a.layer
+            assert b.epsilon == math.ldexp(a.epsilon, -2 * j), a.layer
             assert (b.train_acc, b.test_acc) == (a.train_acc, a.test_acc)
+        for a, b in zip(want_maps, maps):
+            assert np.array_equal(b.matrix, a.matrix * 2.0 ** -j), (
+                a.layer_index)
+            assert b.solver["multiplier"] == math.ldexp(
+                a.solver["multiplier"], 2 * j), a.layer_index
+        for a, b in zip(want.transform or (), got.transform or ()):
+            assert np.array_equal(b, a * 2.0 ** k)
 
     def test_n1_below_input_dim_rejected(self, blobs):
         with pytest.raises(ConfigError):
@@ -449,15 +475,23 @@ class TestTrain:
         assert mu.shape == sigma.shape == (blobs.input_dim, 1)
         assert report.monotonicity_certified
 
-    def test_standardize_refuses_a_statistic_that_overflows(self, blobs):
-        """A train feature scaled by 1e200 has a variance past float64: its
-        1-based number is named, before any solve, not standardized by an
-        infinite sigma to zero."""
+    def test_standardize_trains_features_whose_variance_overflows(self,
+                                                                  blobs):
+        """Train features scaled by 1e200 have a variance past float64, but
+        each feature's statistics are formed at its own power of two: the
+        run is certified, with a finite mu and sigma, and evaluating its
+        maps on the train split gives every cost the report holds."""
         x = blobs.X.copy()
         x[[0, 2]] *= 1e200
+        data = replace(blobs, X=x)
         cfg = TrainConfig(n1=16, depth=2, seed=1, standardize=True)
-        with pytest.raises(DataError, match=r"feature\(s\) 1, 3 overflows"):
-            train(replace(blobs, X=x), cfg)
+        net, maps, report = train(data, cfg)
+        assert report.monotonicity_certified
+        assert all(np.isfinite(a).all() for a in report.transform)
+        assert report.transform[1][[0, 2]].min() > 1e199
+        scores = evaluate(net, maps, data, "train", report.transform)
+        assert [scores[r.layer].cost for r in report.rows()] == [
+            r.train_cost for r in report.rows()]
 
     def test_elm_front_chain(self, blobs):
         cfg = TrainConfig(n1=32, depth=3, elm_front=True, seed=4)
@@ -574,11 +608,13 @@ class TestExpandedStatistics:
         sqrt(2)``, B is a float64 sum, within 1e-12 relative of the
         features', and so is the carried ``z z^T`` block of ``W G W^T``
         from the previous G rotated back. Each of the two ``|z|`` blocks,
-        summed as float32 products of ``2^-k z`` rounded to float32 once,
-        is within gamma(66) = 66 u / (1 - 66 u), u = 2^-24, of the
-        features' ``|z| |z|^T / 2`` in Frobenius norm (Higham's bound
-        ``|fl(A B) - A B| <= gamma(c) |A| |B|`` for c = 64 terms a block,
-        two more for the operands)."""
+        summed as float32 products of z rounded to float32 once, is within
+        gamma(66) = 66 u / (1 - 66 u), u = 2^-24, of the features' ``|z|
+        |z|^T / 2`` in Frobenius norm (Higham's bound ``|fl(A B) - A B| <=
+        gamma(c) |A| |B|`` for c = 64 terms a block, two more for the
+        operands). The walk runs at unit scale, so G and B are the
+        features' times ``2^-2k`` and ``2^-k``, with ``2^k`` just above the
+        largest magnitude of the features the baseline reads."""
         monkeypatch.setattr("hnf.trainer.SCORE_BLOCK", 64)
         solved, summed = [], []
         real_step = hnf.trainer._add_abs_block
@@ -603,13 +639,18 @@ class TestExpandedStatistics:
                           for c in blocks]
         feats = [f.copy() for _, f in walk(net, x)]
         assert len(feats) == len(solved) == len(net.layers) + 1 - elm
+        k = math.frexp(float(np.max(np.abs(feats[0]))))[1]
+        assert k != 0  # so the scales below are not vacuous
+        assert np.array_equal(solved[0][0], math.ldexp(1.0, -2 * k) * (
+            feats[0] @ feats[0].T))
         gamma = 66 * 2.0 ** -24 / (1 - 66 * 2.0 ** -24)
         prev = solved[0][0]  # the previous G, in the basis of its features
         for (g, b), y, layer in zip(solved[1:], feats[1:], net.layers[elm:]):
             assert np.array_equal(g, g.T)
             r = len(y) // 2
             u = np.vstack([y[:r] - y[r:], y[:r] + y[r:]]) * math.sqrt(0.5)
-            want_g, want_b = u @ u.T, t @ u.T
+            want_g, want_b = u @ u.T * math.ldexp(1.0, -2 * k), t @ u.T * (
+                math.ldexp(1.0, -k))
             w = layer.weight.entries
             carried = 0.5 * (w @ prev @ w.T)
             assert (np.linalg.norm(g[:r, :r] - carried)
