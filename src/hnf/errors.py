@@ -52,10 +52,6 @@ class NotInvertibleError(SolverError):
     """The network has a non-expanding layer, so it cannot be inverted."""
 
 
-class NumericalError(SolverError):
-    """A numerical routine did not converge."""
-
-
 class ResourceError(HnfError):
     """A memory or runtime budget would be exceeded."""
     exit_code = 5

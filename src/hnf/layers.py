@@ -2,8 +2,9 @@
 lossless collapse, a layer's features, the walk, and the exact inverse map.
 
 :meth:`HnfLayer.features` is the one place features are formed, and
-:meth:`~hnf.matrixgen.WeightMatrix.apply`, beside :func:`pinv_weight` and
-the train walk's Gram carry, the one place a weight multiplies data.
+:meth:`~hnf.matrixgen.WeightMatrix.apply`, beside the transposes of
+:func:`network_invert` and ``hnf.solvers.embed_previous_map`` and the train
+walk's Gram carry, the one place a weight multiplies data.
 :func:`walk`, the one loop that applies a network to data, runs both a
 layer at a time for scoring, the invariant checks and an ELM front in
 training. The train walk (``hnf.trainer``) holds pre-activations and calls
@@ -14,7 +15,9 @@ weight matrix and split into its positive part and negated negative part.
 The expansion concatenates ``relu(z)`` and ``relu(-z)``, so nothing is lost
 (``un_collapse`` recovers ``z`` exactly) and the squared norm is preserved.
 The structural expand/collapse matrices are never materialized; they are
-index arithmetic on the top and bottom halves.
+index arithmetic on the top and bottom halves. Only layer 0 may be a
+non-expanding (ELM) front, and an expanding layer's weight is orthonormal,
+so the exact inverse is a collapse and then a transpose.
 
 All vector operations also accept 2-D arrays whose columns are samples.
 """
@@ -25,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NotInvertibleError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import DimensionError, NotInvertibleError, ParameterError
 from .matrixgen import WeightMatrix
-
-#: SVD cutoff (relative to sigma_max) for non-orthonormal pseudo-inverses.
-PINV_RCOND = 1e-10
 
 
 def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -91,7 +86,7 @@ class HnfLayer:
 
     ``expand=False`` turns the layer into a plain activation layer
     ``act(W @ q)`` (the ELM front); such a layer halves nothing and cannot
-    be inverted.
+    be inverted. An expanding layer's weight must be orthonormal.
     """
 
     weight: WeightMatrix
@@ -105,6 +100,9 @@ class HnfLayer:
                 f"activation {self.activation!r} on a layer with expand="
                 f"{self.expand}; expected one of {allowed}"
             )
+        if self.expand and not self.weight.orthonormal:
+            raise ParameterError(f"an expanding layer needs an orthonormal "
+                                 f"weight, got {self.weight.kind.name}")
 
     @property
     def in_dim(self) -> int:
@@ -124,7 +122,7 @@ class HnfLayer:
 
 @dataclass(frozen=True)
 class HnfNetwork:
-    """An ordered chain of layers with validated dimension chaining."""
+    """An ordered chain of layers; only layer 0 may be non-expanding."""
 
     layers: tuple[HnfLayer, ...]
 
@@ -138,6 +136,9 @@ class HnfNetwork:
                     f"layer {i} expects input dim {self.layers[i].in_dim} "
                     f"but layer {i - 1} outputs {self.layers[i - 1].out_dim}"
                 )
+            if not self.layers[i].expand:
+                raise ParameterError(f"layer {i} does not expand; only "
+                                     "layer 0 may be a non-expanding front")
 
     @property
     def depth(self) -> int:
@@ -173,34 +174,18 @@ def walk(net: HnfNetwork, x: np.ndarray, buf: np.ndarray | None = None):
         yield (0 if no == 1 and net.has_front else no), x
 
 
-def pinv_weight(w: WeightMatrix) -> np.ndarray:
-    """Pseudo-inverse of a weight: its transpose when orthonormal, else an
-    SVD pseudo-inverse with cutoff :data:`PINV_RCOND`."""
-    if w.orthonormal:
-        return w.entries.T
-    try:
-        return np.linalg.pinv(w.entries, rcond=PINV_RCOND)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"pseudo-inverse of a {w.rows}x{w.cols} weight did not converge"
-        ) from exc
-
-
 def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
     """Reconstruct the network input from the last layer's features.
 
-    Walks the chain backwards: collapse the expansion, then apply the weight
-    pseudo-inverse (the transpose, for orthonormal weights). Raises
-    :class:`NotInvertibleError` when a layer does not expand. The weights
-    are not checked: a rank-deficient, wide or non-finite one gives a
-    reconstruction that misses the input, which a round trip measures.
+    Walks the chain backwards: collapse the expansion, then apply the
+    weight's transpose. Raises :class:`NotInvertibleError` when the network
+    has an ELM front. The entries are not checked: a hand-edited weight file
+    whose columns are not orthonormal gives a reconstruction that misses
+    the input, which a round trip measures.
     """
-    for i, layer in enumerate(net.layers):
-        if not layer.expand:
-            raise NotInvertibleError(
-                f"layer {i + 1} is a non-expanding feature layer; "
-                "the collapse that inversion relies on does not exist"
-            )
+    if net.has_front:
+        raise NotInvertibleError("layer 1 is a non-expanding feature layer, "
+                                 "with no collapse for inversion to undo")
     cur = np.asarray(ybar_last, dtype=np.float64)
     if cur.shape[0] != net.layers[-1].out_dim:
         raise DimensionError(
@@ -208,5 +193,5 @@ def network_invert(net: HnfNetwork, ybar_last: np.ndarray) -> np.ndarray:
             f"dim {net.layers[-1].out_dim}"
         )
     for layer in reversed(net.layers):
-        cur = pinv_weight(layer.weight) @ un_collapse(cur)
+        cur = layer.weight.entries.T @ un_collapse(cur)
     return cur

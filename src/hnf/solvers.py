@@ -30,10 +30,10 @@ some 320 modules, about 20 MB and 0.3 s, to every process, and a process
 that solves nothing (``hnf eval``, ``hnf verify``) loads neither the
 module nor its OpenBLAS.
 
-The budget for layer l is ``||O_prev @ pinv(W) @ U||_F^2`` where U is the
+The budget for layer l is ``||O_prev @ W^T @ U||_F^2`` where U is the
 structural collapse matrix; since ``[M, -M]`` has twice the squared norm of
-M this is computed without materializing U, and it collapses to
-``2 * ||O_prev||_F^2`` when W is orthonormal.
+M this is computed without materializing U, and as W is orthonormal it is
+``2 * ||O_prev||_F^2``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError
-from .layers import pinv_weight
 from .matrixgen import WeightMatrix
 
 
@@ -256,15 +255,15 @@ def _cholesky_newton(g: np.ndarray, b: np.ndarray, eps: float, mu: float):
 
 def embed_previous_map(o_prev: OutputMap,
                        w: WeightMatrix) -> tuple[np.ndarray, float]:
-    """The witness ``[M, -M]`` with ``M = O_prev @ pinv(W)``, and the ball
+    """The witness ``[M, -M]`` with ``M = O_prev @ W^T``, and the ball
     radius ``2 * ||M||_F^2`` it fits in, or EPSILON_FLOOR in place of 0.
 
     Applied to this layer's expanded features the witness reproduces the
     previous layer's predictions exactly, certifying that the previous
-    training cost stays attainable within the radius. The radius is
-    ``2 * ||O_prev||_F^2`` when W is orthonormal, for the first expanding
-    layer (over the baseline) and every later one; the floor keeps the
-    ball solvable over an all-zero previous map, and moves no other radius.
+    training cost stays attainable within the radius, ``2 * ||O_prev||_F^2``
+    as W is orthonormal (a :class:`ParameterError` if not), over the
+    baseline and every later layer; the floor keeps the ball solvable over
+    an all-zero previous map, and moves no other radius.
     """
     o = o_prev.matrix
     if w.cols != o.shape[1]:
@@ -272,5 +271,8 @@ def embed_previous_map(o_prev: OutputMap,
             f"previous map has {o.shape[1]} columns but weight expects "
             f"{w.cols}"
         )
-    m = o @ pinv_weight(w)
+    if not w.orthonormal:
+        raise ParameterError(f"a witness needs an orthonormal weight, got "
+                             f"{w.kind.name}")
+    m = o @ w.entries.T
     return np.hstack([m, -m]), 2.0 * float(np.sum(m * m)) or EPSILON_FLOOR

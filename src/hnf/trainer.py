@@ -51,8 +51,6 @@ from .errors import (
     DataError,
     DimensionError,
     HnfError,
-    NotInvertibleError,
-    NumericalError,
     ParameterError,
     ResourceError,
     SolverError,
@@ -353,10 +351,12 @@ def _fit(net: HnfNetwork, data: Dataset, cfg: TrainConfig, clock: float
     held = np.empty((max(l.weight.rows for l in net.layers), n))
     x, transform = data.columns(idx), None
     if cfg.standardize:  # each feature over 2^e > max |x|, with 2^-e finite
-        e = np.frexp(np.maximum(x.max(1), -x.min(1)))[1][:, None].clip(-1021)
+        hi, lo = x.max(1, keepdims=True), x.min(1, keepdims=True)
+        e = np.frexp(np.maximum(hi, -lo))[1].clip(-1021)
         np.ldexp(x, -e, out=x)  # so no statistic overflows
-        mu, sigma = x.mean(1, keepdims=True), x.std(1, keepdims=True)
-        sigma[sigma == 0] = np.ldexp(1.0, -e[sigma == 0])  # recorded as 1.0
+        flat = hi == lo  # a constant feature: recorded as its value and 1.0
+        mu = np.where(flat, np.ldexp(hi, -e), x.mean(1, keepdims=True))
+        sigma = np.where(flat, np.ldexp(1.0, -e), x.std(1, keepdims=True))
         x -= mu
         x /= sigma
         transform = np.ldexp(mu, e), np.ldexp(sigma, e)
@@ -545,11 +545,10 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     then draws one weight perturbation per trial, for a random layer, from
     its exact law as seen through ``dW q`` and ``||dW||_F``, and checks
     them all at once on the features the walk holds. Failures are reported,
-    never raised; an inversion error counts every trial of its block as a
-    violation. When the network has a non-expanding front layer, checks run
-    on the expanding subchain behind it. A check's ``count`` is the trials
-    it checked: the sandwich leaves out pairs at zero distance, the norm
-    check inputs of zero norm, and non-orthonormal weights skip both.
+    never raised. When the network has a non-expanding front layer, checks
+    run on the expanding subchain behind it. A check's ``count`` is the
+    trials it checked: the sandwich leaves out pairs at zero distance, and
+    the norm check inputs of zero norm.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -564,8 +563,6 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
     front_note = ("checks run behind the non-expanding front layer"
                   if net.has_front else "")
     n, width = data.n_samples, map_widths(net)[0]
-    orthonormal = all(l.weight.orthonormal for l in sub.layers)
-    invertible = True
 
     slack = 1e-9
     viol = dict.fromkeys(CHECK_NAMES, 0)
@@ -592,33 +589,25 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
         x1, y2 = f1[0], next(walk(net, data.columns(i2)))[1]
         x2 = np.where(heads, y2, x1 + noise * (
             0.1 * (np.linalg.norm(x1, axis=0) + 1.0)))
-        # a sub starting with a non-expanding layer yields no input: keep x2
-        f2 = [x2, *(f.copy() for _, f in walk(sub, x2) if f is not x2)]
+        f2 = [f.copy() for _, f in walk(sub, x2)]
 
-        if orthonormal:
-            d2 = np.sum((x1 - x2) ** 2, axis=0)
-            pos = d2 > 0
-            dl2 = np.array([np.sum((a - b) ** 2, axis=0)[pos]
-                            for a, b in zip(f1[1:], f2[1:])])  # layer x trial
-            halving = 2.0 ** np.arange(1, len(f1))[:, None]
-            record("distance_sandwich_lower",
-                   (dl2 - d2[pos] / halving) / d2[pos], -slack)
-            record("distance_sandwich_upper", (d2[pos] - dl2) / d2[pos], -slack)
-            nrm_in = np.sum(x1 ** 2, axis=0)
-            nz = nrm_in > 0
-            rel = np.abs(np.sum(f1[-1] ** 2, axis=0)[nz] - nrm_in[nz]) / nrm_in[nz]
-            record("norm_preservation", slack - rel)
+        d2 = np.sum((x1 - x2) ** 2, axis=0)
+        pos = d2 > 0
+        dl2 = np.array([np.sum((a - b) ** 2, axis=0)[pos]
+                        for a, b in zip(f1[1:], f2[1:])])  # layer x trial
+        halving = 2.0 ** np.arange(1, len(f1))[:, None]
+        record("distance_sandwich_lower",
+               (dl2 - d2[pos] / halving) / d2[pos], -slack)
+        record("distance_sandwich_upper", (d2[pos] - dl2) / d2[pos], -slack)
+        nrm_in = np.sum(x1 ** 2, axis=0)
+        nz = nrm_in > 0
+        rel = np.abs(np.sum(f1[-1] ** 2, axis=0)[nz] - nrm_in[nz]) / nrm_in[nz]
+        record("norm_preservation", slack - rel)
 
-        try:
-            x_rec = network_invert(sub, f1[-1])
-        except (NotInvertibleError, NumericalError):
-            invertible = False  # no margin: a NaN, which counts as violated
-            record("inversion_round_trip", np.full(count, np.nan))
-        else:
-            denom = np.linalg.norm(x1, axis=0)
-            denom[denom == 0] = 1.0
-            rel = np.linalg.norm(x_rec - x1, axis=0) / denom
-            record("inversion_round_trip", 1e-6 - rel)
+        denom = np.linalg.norm(x1, axis=0)
+        denom[denom == 0] = 1.0
+        rel = np.linalg.norm(network_invert(sub, f1[-1]) - x1, axis=0) / denom
+        record("inversion_round_trip", 1e-6 - rel)
 
         # dW = r G / ||G||_F with G i.i.d. N(0, 1) is seen only through
         # dW q = r ||q|| xi / sqrt(||xi||^2 + c), xi ~ N(0, I), c ~ chi^2
@@ -636,20 +625,13 @@ def verify_invariants(net: HnfNetwork, data: Dataset, trials: int,
             qq = np.sum(q * q, axis=0)
             delta *= rl * np.sqrt(qq / (np.sum(delta * delta, axis=0) + c))
             # the walk's expanded features hold W q exactly
-            z = un_collapse(out) if layer.expand else layer.weight.apply(q)
-            out_p = layer.features(z + delta)
+            out_p = layer.features(un_collapse(out) + delta)
             margins[on] = (rl * rl * qq * (1.0 + 1e-9)
                            - np.sum((out - out_p) ** 2, axis=0))
         record("weight_perturbation_bound", margins)
 
-    notes = dict.fromkeys(CHECK_NAMES, front_note)
-    if not orthonormal:
-        notes.update(dict.fromkeys(CHECK_NAMES[:3],
-                                   "skipped: non-orthonormal weights"))
-    if not invertible:
-        notes["inversion_round_trip"] = "network is not invertible"
     return InvariantReport(trials, [
         CheckResult(name, checked[name], viol[name],
                     math.nan if math.isinf(worst[name]) else worst[name],
-                    notes[name])
+                    front_note)
         for name in CHECK_NAMES])

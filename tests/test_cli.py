@@ -1562,6 +1562,24 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    def test_relabeled_expanding_weight_exits_3(self, trained_run, tmp_path,
+                                                capsys):
+        """w01's header kind byte (offset 12) and its network.json record
+        both relabeled RAW_GAUSSIAN: an expanding layer must be orthonormal,
+        so eval and verify exit 3 naming network.json, and verify skips no
+        check on such a network."""
+        run = corrupt_copy(trained_run, tmp_path, "weights/w01.hnfw",
+                           lambda raw: raw[:12] + b"\x02" + raw[13:])
+        doc = json.loads((run / "network.json").read_text())
+        doc["layers"][1]["kind"] = "RAW_GAUSSIAN"
+        (run / "network.json").write_text(json.dumps(doc))
+        assert main(["eval", "--run", str(run)]) == 3
+        assert main(["verify", "--run", str(run), "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("network.json") == 2
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("run, edit", [
         ("std", lambda d: d.update(standardize_params="abc")),
         ("std", lambda d: d["standardize_params"]["mu"].__setitem__(0, "x")),

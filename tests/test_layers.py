@@ -235,14 +235,13 @@ class TestNetworkForward:
             assert np.allclose(batched[:, j], single, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["plain", "elm-sigmoid", "1-D",
-                                      "inner-sigmoid", "wide", "one-layer",
-                                      "front-only"])
+                                      "wide", "one-layer", "front-only"])
     def test_blocked_walk_matches_per_layer_reference(self, rng, kind):
         """Each layer writes W @ q into the last rows of its output, which
-        may overlap its input: a non-expanding inner layer, or an expanding
-        one with rows < in_dim, overwrites rows it reads. The walk yields
-        the input as the baseline, or the front's output when there is
-        one, then every later layer under its number."""
+        may overlap its input: an expanding layer with rows < in_dim
+        overwrites rows it reads (the walk does not read the kind). The walk
+        yields the input as the baseline, or the front's output when there
+        is one, then every later layer under its number."""
         net = build_chain(5, 6, 3, seed=2)
         first = net.layers[0]
         if kind == "one-layer":
@@ -254,13 +253,10 @@ class TestNetworkForward:
             front = HnfLayer(make_raw_gaussian(5, 5, seed=3), expand=False,
                              activation="sigmoid")
             net = HnfNetwork((front, *net.layers))
-        elif kind == "inner-sigmoid":
-            inner = HnfLayer(make_raw_gaussian(9, 12, seed=3), expand=False,
-                             activation="sigmoid")
-            net = HnfNetwork((first, inner, HnfLayer(
-                make_random_orthonormal(9, 9, seed=4))))
         elif kind == "wide":
-            wide = HnfLayer(make_raw_gaussian(4, 12, seed=3))
+            wide = HnfLayer(WeightMatrix(
+                4, 12, make_raw_gaussian(4, 12, seed=3).entries,
+                WeightKind.RANDOM_ORTHONORMAL, 3))
             net = HnfNetwork((first, wide, HnfLayer(
                 make_random_orthonormal(8, 8, seed=4))))
         x = rng.standard_normal((5,) if kind == "1-D" else (5, 2 * 8192 + 37))
@@ -299,9 +295,11 @@ class TestNetworkForward:
         """Inside hnf, the walk is called by the train walk (for an ELM
         front), evaluate and verify_invariants, and by nothing else. The
         train walk, which holds pre-activations, runs only inside train.
-        Features are formed only by HnfLayer.features, and weights applied
-        by WeightMatrix.apply, both called by the walk, the train walk and
-        verify_invariants' perturbation check. One-hot targets are formed
+        Features are formed only by HnfLayer.features, called by the walk,
+        the train walk and verify_invariants' perturbation check, and
+        weights applied by WeightMatrix.apply, called by the walk and the
+        train walk: every layer the check perturbs expands, so it reads
+        W q off the collapse of its features. One-hot targets are formed
         only by Dataset.targets, for the train walk's products alone:
         scores read labels."""
         def callers(name):
@@ -326,14 +324,16 @@ class TestNetworkForward:
         assert callers("vn_expand") == ["features"]
         assert callers("one_hot") == ["targets"]
         assert callers("targets") == ["_fit", "_fit"]
-        for name in ("apply", "features"):
-            assert set(callers(name)) == {"_fit", "verify_invariants", "walk"}
+        assert set(callers("apply")) == {"_fit", "walk"}
+        assert set(callers("features")) == {"_fit", "verify_invariants",
+                                            "walk"}
 
-    def test_weights_multiply_data_only_in_apply_carry_and_pinv(self):
+    def test_weights_multiply_data_only_in_apply_carry_and_transpose(self):
         """Outside hnf.matrixgen, which builds, stores, loads and applies
-        weights, a weight's entries are read only by pinv_weight, handed to
-        _carry, or asked their shape: with WeightMatrix.apply, the only
-        places a weight meets data."""
+        weights, a weight's entries are read only by network_invert and
+        embed_previous_map (for the transpose), handed to _carry, or asked
+        their shape: with WeightMatrix.apply, the only places a weight meets
+        data or a map."""
         readers = set()
 
         def visit(node, fn, parent):
@@ -352,7 +352,7 @@ class TestNetworkForward:
         for path in sorted(Path(hnf.__file__).parent.glob("*.py")):
             if path.name != "matrixgen.py":
                 visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
-        assert readers == {"_carry", "pinv_weight"}
+        assert readers == {"_carry", "network_invert", "embed_previous_map"}
 
     @pytest.mark.parametrize("module", ["layers", "solvers", "trainer"])
     def test_numeric_modules_do_no_file_io(self, module):
@@ -389,7 +389,7 @@ class TestNetworkInvert:
         misses the input by far more than the 1e-6 that verify allows."""
         entries = make_random_orthonormal(5, 3, seed=0).entries.copy()
         entries[:, 2] = entries[:, 1]
-        bad = WeightMatrix(5, 3, entries, WeightKind.RAW_GAUSSIAN, 0)
+        bad = WeightMatrix(5, 3, entries, WeightKind.RANDOM_ORTHONORMAL, 0)
         net = HnfNetwork((HnfLayer(bad),))
         x = rng.standard_normal(3)
         x_rec = network_invert(net, last_features(net, x))
@@ -401,12 +401,11 @@ class TestNetworkInvert:
         with pytest.raises(NotInvertibleError):
             network_invert(net, rng.standard_normal(4))
 
-    def test_raw_full_rank_weight_inverts(self, rng):
-        w = make_raw_gaussian(6, 4, seed=3)
-        net = HnfNetwork((HnfLayer(w),))
-        x = rng.standard_normal(4)
-        x_rec = network_invert(net, last_features(net, x))
-        assert np.linalg.norm(x_rec - x) / np.linalg.norm(x) <= 1e-6
+    def test_raw_weight_refused_on_an_expanding_layer(self):
+        """An expanding layer's inverse is a collapse and a transpose, so
+        its weight must be of an orthonormal kind."""
+        with pytest.raises(ParameterError, match="RAW_GAUSSIAN"):
+            HnfLayer(make_raw_gaussian(6, 4, seed=3))
 
 
 def pair_distances(net, x1, x2):
@@ -472,9 +471,9 @@ class TestWeightPerturbation:
                    rng.uniform(0.5, 2.0) for l in net.layers]
             perturbed = []
             for layer, dw in zip(net.layers, dws):
-                w = layer.weight
+                w = layer.weight  # the bound does not read the kind
                 perturbed.append(HnfLayer(WeightMatrix(
-                    w.rows, w.cols, w.entries + dw, WeightKind.RAW_GAUSSIAN, 0)))
+                    w.rows, w.cols, w.entries + dw, w.kind, w.seed)))
             pnet = HnfNetwork(tuple(perturbed))
             out = last_features(net, x)
             out_p = last_features(pnet, x)

@@ -459,16 +459,12 @@ class TestEpsilonSchedule:
         assert embed_previous_map(make_map(o), w)[1] == pytest.approx(
             3.0, rel=1e-12)
 
-    def test_matches_oracle_non_orthonormal(self, rng):
-        for trial in range(20):
-            q = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 6))
-            n = m + int(rng.integers(0, 4))
-            o_prev = rng.standard_normal((q, m))
-            w = make_raw_gaussian(n, m, seed=trial)
-            value = embed_previous_map(make_map(o_prev), w)[1]
-            oracle = oracles.epsilon_materialized(o_prev, w.entries)
-            assert abs(value - oracle) <= 1e-10
+    def test_non_orthonormal_weight_refused(self, rng):
+        """The witness pulls the map back by the transpose, which inverts
+        only an orthonormal weight: a raw one gets no silently wrong one."""
+        o_prev = make_map(rng.standard_normal((2, 3)))
+        with pytest.raises(ParameterError, match="RAW_GAUSSIAN"):
+            embed_previous_map(o_prev, make_raw_gaussian(4, 3, seed=0))
 
     def test_doubling_dominates_exact(self, rng):
         eps_prev = 2.0

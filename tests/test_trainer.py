@@ -469,11 +469,21 @@ class TestTrain:
             assert sizes.count(x_copy) == (k == 0 and not cfg.elm_front), k
 
     def test_standardize_recorded(self, blobs):
+        """A feature constant on the train split records its value as mu
+        and 1.0 as sigma, so it standardizes to exactly 0: also 0.1, whose
+        float standard deviation over the split is not 0."""
+        x = blobs.X.copy()
+        x[1], x[3] = 0.1, 0.0
+        data = replace(blobs, X=x)
         cfg = TrainConfig(n1=16, depth=1, seed=1, standardize=True)
-        _, _, report = train(blobs, cfg)
+        _, _, report = train(data, cfg)
         mu, sigma = report.transform
         assert mu.shape == sigma.shape == (blobs.input_dim, 1)
         assert report.monotonicity_certified
+        assert mu[1, 0] == 0.1 and mu[3, 0] == 0.0
+        assert sigma[1, 0] == sigma[3, 0] == 1.0
+        cols = data.columns(data.train_idx, report.transform)
+        assert not cols[[1, 3]].any()
 
     def test_standardize_trains_features_whose_variance_overflows(self,
                                                                   blobs):
@@ -1172,25 +1182,13 @@ class TestVerifyInvariants:
         assert widths and max(widths) <= VERIFY_BLOCK < blobs.n_samples
 
     @pytest.mark.parametrize("kind", ["random", "dct", "elm", "elm_sigmoid",
-                                      "rank_deficient", "inner_sigmoid",
-                                      "elm_inner_sigmoid"])
+                                      "rank_deficient"])
     def test_batched_matches_per_pair_reference(self, blobs, kind):
         if kind in ("elm", "elm_sigmoid"):  # the reference fronts every column
             front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False,
                              activation="sigmoid" if kind == "elm_sigmoid"
                              else "relu")
             net = HnfNetwork((front, *build_chain(20, 20, 2, seed=3).layers))
-        elif kind == "inner_sigmoid":  # only a hand-written manifest has one
-            inner = HnfLayer(make_raw_gaussian(12, 32, seed=2), expand=False,
-                             activation="sigmoid")
-            net = HnfNetwork((*build_chain(8, 16, 1, seed=1).layers, inner,
-                              *build_chain(12, 12, 1, seed=3).layers))
-        elif kind == "elm_inner_sigmoid":  # the checks start on a front too
-            front = HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
-            inner = HnfLayer(make_raw_gaussian(12, 20, seed=4), expand=False,
-                             activation="sigmoid")
-            net = HnfNetwork((front, inner,
-                              *build_chain(12, 12, 2, seed=3).layers))
         elif kind == "rank_deficient":
             w = make_random_orthonormal(16, 8, seed=1)
             entries = w.entries.copy()
@@ -1211,8 +1209,20 @@ class TestVerifyInvariants:
                 assert math.isnan(chk.worst_margin), chk.name
             else:
                 assert abs(chk.worst_margin - margin) <= 1e-12, chk.name
-        if kind in ("rank_deficient", "inner_sigmoid", "elm_inner_sigmoid"):
+        if kind == "rank_deficient":
             assert rep.checks[3].violations == trials
+
+    @pytest.mark.parametrize("front", [False, True])
+    def test_inner_non_expanding_layer_refused(self, front):
+        """Only layer 0 may be a non-expanding front: a network with one
+        behind it, as a hand-written manifest might describe, is not built,
+        so verify_invariants never meets one."""
+        inner = HnfLayer(make_raw_gaussian(12, 20, seed=4), expand=False,
+                         activation="sigmoid")
+        head = (HnfLayer(make_raw_gaussian(20, 8, seed=2), expand=False)
+                if front else build_chain(8, 10, 1, seed=1).layers[0])
+        with pytest.raises(ParameterError, match="layer 1 does not expand"):
+            HnfNetwork((head, inner, *build_chain(12, 12, 1, seed=3).layers))
 
 
 class TestReportSerialization:
