@@ -2,12 +2,12 @@
 
 Every failure leaves through :func:`main`, which exits with its error
 class's ``exit_code`` (see :mod:`hnf.errors`). Each train setting is its
-flag, else its ``--config`` line, else its :class:`TrainConfig` default.
-This module writes and reads every file of a run directory: its manifest,
-``network.json`` beside the weight files (through :mod:`hnf.matrixgen`'s
-codec), the maps and the report. A train run writes a manifest that
-reproduces it byte-for-byte on the same build and BLAS thread count, and
-``eval`` can re-load every artifact it writes. A ``csv:`` run also keeps
+flag, else its field in ``--config``, a JSON object of a run manifest's
+shape, else its default. This module writes and reads every file of a run
+directory: its manifest, ``network.json`` beside the weight files (through
+:mod:`hnf.matrixgen`'s codec), the maps and the report. A run's manifest,
+as ``--config``, retrains it byte-for-byte on the same build and BLAS
+thread count, and ``eval`` can re-load every artifact it writes. A ``csv:`` run also keeps
 the table it parsed (:data:`SNAPSHOT_FILE`, through :mod:`hnf.data`),
 keyed to the CSV's bytes and parse options; ``eval`` and ``verify --run``
 read that instead of parsing again while the key still matches, and parse
@@ -85,50 +85,60 @@ _DATA_OPTIONS = {
     "blob_n": (int, 600, ("blobs",), "n"),
     "blob_sep": (float, 10.0, ("blobs",), "separation")}
 
-#: Each ``train`` setting: its ``--config`` key, which is also its flag's
-#: dest, its type or the strings it may take, the :class:`TrainConfig`
-#: field it sets (None for ``--out`` and the data, whose options
-#: :data:`_DATA_OPTIONS` defaults) and its flag's help.
+#: Each ``train`` setting but ``--out``, by its flag's dest: its type or
+#: the strings it may take, and its field in a ``--config`` file, which has
+#: a run manifest's shape (``config.F`` sets :class:`TrainConfig` field F;
+#: :data:`_DATA_OPTIONS` defaults the data options).
 _TRAIN_SETTINGS = {
-    "data": (str, None, None),
-    **{k: (kind, None, None) for k, (kind, *_) in _DATA_OPTIONS.items()},
-    "n1": (int, "n1", None), "depth": (int, "depth", None),
-    "weights": (WEIGHT_KINDS, "weight_kind", None), "seed": (int, "seed", None),
-    "elm": (bool, "elm_front", "use an ELM feature layer in front"),
-    "elm_activation": (tuple(sorted(ACTIVATIONS)), "elm_activation", None),
-    "eps_schedule": (EPS_SCHEDULES, "eps_schedule", None),
-    "standardize": (bool, "standardize", None),
-    "out": (str, None, "artifact directory")}
-
-#: The boolean values a config file may spell, in any case.
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
+    "data": (str, "data_source"),
+    **{k: (kind, "data_options." + "blobs." * ("blobs" in sources) + key)
+       for k, (kind, _, sources, key) in _DATA_OPTIONS.items()},
+    "n1": (int, "config.n1"), "depth": (int, "config.depth"),
+    "weights": (WEIGHT_KINDS, "config.weight_kind"),
+    "seed": (int, "config.seed"), "elm": (bool, "config.elm_front"),
+    "elm_activation": (tuple(sorted(ACTIVATIONS)), "config.elm_activation"),
+    "eps_schedule": (EPS_SCHEDULES, "config.eps_schedule"),
+    "standardize": (bool, "config.standardize")}
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment. A key outside
-    :data:`_TRAIN_SETTINGS` or an empty value (so a whitespace delimiter,
-    which stripping empties) is an error, never silently ignored."""
-    values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _TRAIN_SETTINGS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
-                              f"accepted keys: {', '.join(_TRAIN_SETTINGS)}")
-        if not value:
-            raise ConfigError(f"{path}:{lineno}: {key} has no value")
-        values[key] = value
-    return values
+def _read_data_options(doc) -> dict:
+    """A manifest's ``data_options``, null fields dropped, each of the type
+    train writes (a ``label_col`` also an int, as older trains wrote it)."""
+    types = {key: (int, float) if kind is float else kind
+             for kind, _, _, key in _DATA_OPTIONS.values()}
+    opts = _typed({} if doc is None else doc, {
+        **types, "label_col": (str, int), "blobs": dict}, "data_options.")
+    opts["blobs"] = _typed(opts.get("blobs", {}), {**types, "seed": int},
+                           "data_options.blobs.")
+    return opts
+
+
+def _read_config(path: str) -> dict:
+    """The settings, by flag dest, of ``path``: a JSON object of a run
+    manifest's shape, such as a run's manifest.json, whose other top-level
+    fields and ``config.memory_budget`` are ignored. A bad file or field, or
+    a key in ``config`` or ``data_options`` naming no setting, exits 2."""
+    kinds = {field: kind for kind, field in _TRAIN_SETTINGS.values()}
+    with json_artifact(path, ConfigError) as doc:
+        opts = _typed(doc, {"data_source": str, "config": dict}).get(
+            "data_options", {})
+        _read_data_options(opts)
+        given = {"data_source": doc.get("data_source"), **{
+            f"{name}.{k}": v for name, obj in (
+                ("config", doc.get("config") or {}), ("data_options", opts),
+                ("data_options.blobs", opts.get("blobs") or {}))
+            for k, v in obj.items()}}
+        _typed(given, {f: str if isinstance(kind, tuple) else kind
+                       for f, kind in kinds.items() if f.startswith("config.")})
+        for key, value in given.items():
+            if key not in {*kinds, "config.memory_budget",
+                           "data_options.blobs", "data_options.blobs.seed"}:
+                raise ValueError(f"{key} names no setting")
+            if value == "" or isinstance(kinds.get(key), tuple) and (
+                    value not in (None, *kinds[key])):
+                raise ValueError(f"{key} = {value!r} is not " + (
+                    f"one of {kinds[key]}" if value else "a value"))
+    return {dest: given.get(f) for dest, (_, f) in _TRAIN_SETTINGS.items()}
 
 
 def _option(opts: dict, dest: str):
@@ -192,12 +202,12 @@ def _data_options(spec: str | None, values: dict, config: bool) -> dict:
     """The ``data_options`` a manifest records for ``spec``: ``values``' seed
     and the options the source takes (blobs ones if set, others defaulted).
     Refuses a negative seed and a set option the source does not take (any,
-    for ``spec`` None: a run's manifest picks the data), by flag (and key)."""
+    for ``spec`` None: a run's manifest picks the data), by flag (and field)."""
     kind = spec and ("idx4" if spec.startswith("idx:") and spec.count(",") == 3
                      else spec.partition(":")[0])  # idx4: train and test pairs
     opts, blobs = {}, {"seed": values["seed"]}
-    named = lambda dest: ("--" + dest.replace("_", "-")
-                          + (f" (or {dest} =)" if config else ""))
+    named = lambda dest: ("--" + dest.replace("_", "-") + (
+        f" (or {_TRAIN_SETTINGS[dest][1]})" if config else ""))
     for dest in ("seed", "split_seed"):
         if (values[dest] or 0) < 0:
             raise ConfigError(f"{named(dest)} must be >= 0, got {values[dest]}")
@@ -222,14 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a network and write artifacts")
-    p_train.add_argument("--config", help="flat key=value config file; "
-                                          "flags override file values")
-    for dest, (kind, _, text) in _TRAIN_SETTINGS.items():
+    p_train.add_argument("--config", help="a run's manifest.json, or JSON of "
+                         "its shape; flags override its values")
+    for dest, (kind, field) in _TRAIN_SETTINGS.items():
         if dest != "data" and dest not in _DATA_OPTIONS:  # added below
-            p_train.add_argument("--" + dest.replace("_", "-"), help=text, **(
+            p_train.add_argument("--" + dest.replace("_", "-"), help=field, **(
                 {"action": "store_true", "default": None} if kind is bool
                 else {"choices": kind} if isinstance(kind, tuple)
                 else {"type": kind}))
+    p_train.add_argument("--out", required=True, help="artifact directory")
 
     p_eval = sub.add_parser("eval", help="re-evaluate saved artifacts")
     p_eval.add_argument("--run", required=True, help="artifact directory")
@@ -252,59 +263,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_config_from(args) -> tuple[TrainConfig, str, Path, dict]:
-    """The run's config, data source, ``--out`` and data options; a setting
-    no flag or ``--config`` line sets is left to :class:`TrainConfig`."""
-    lines = _read_config_file(args.config) if args.config else {}
-    s = {}
-    for key, (kind, *_) in _TRAIN_SETTINGS.items():
-        raw, s[key] = lines.get(key), getattr(args, key)
-        if s[key] is None and raw is not None:
-            try:  # a choice's index raises ValueError for any other value
-                s[key] = (_BOOLS[raw.lower()] if kind is bool else kind(raw)
-                          if isinstance(kind, type) else kind[kind.index(raw)])
-            except (KeyError, ValueError):
-                raise ConfigError(f"{args.config}: {key} = {raw!r} is not " + (
-                    f"one of {kind}" if isinstance(kind, tuple)
-                    else f"a valid {kind.__name__}")) from None
-    if not s["data"]:
-        raise ConfigError("no data source: pass --data or set data= in the config")
-    if s["n1"] is None or s["depth"] is None:
-        raise ConfigError("--n1 and --depth are required")
-    if not s["out"]:
-        raise ConfigError("no output directory: pass --out or set out=")
-    opts = _data_options(s["data"], s, config=True)  # first: names the flag
-    cfg = TrainConfig(memory_budget=_memory_budget(), **{
-        field: s[key] for key, (_, field, _) in _TRAIN_SETTINGS.items()
-        if field and s[key] is not None})
-    opts["blobs"]["seed"] = cfg.seed
-    return cfg, s["data"], Path(s["out"]), opts
-
-
-def _typed(doc, types: dict) -> dict:
+def _typed(doc, types: dict, name: str = "") -> dict:
     """The non-null fields of ``doc`` if it is an object whose ``types``
-    fields are null or of that type (a bool only of bool), else TypeError."""
-    if not isinstance(doc, dict) or any(
-            not isinstance(doc.get(k), (kind, type(None)))
-            or isinstance(doc.get(k), bool) and kind is not bool
-            for k, kind in types.items()):
-        raise TypeError(f"expected an object with fields {types}, got {doc!r}")
+    fields are null or of that type (a bool only of bool), else a TypeError
+    naming ``name`` and the first other field."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{name.rstrip('.') or 'document'} is not an object")
+    for k, kind in types.items():
+        if not isinstance(doc.get(k), (kind, type(None))) or isinstance(
+                doc.get(k), bool) and kind is not bool:
+            raise TypeError(f"{name}{k} is not {kind}: {doc.get(k)!r}")
     return {k: v for k, v in doc.items() if v is not None}
 
 
 @contextmanager
-def json_artifact(path):
+def json_artifact(path, error=DataError):
     """Parse a JSON artifact for a ``with`` block that reads its fields; an
     unreadable file or one the block reads, malformed JSON, or a field the
-    block finds missing, of the wrong type or out of range becomes a
-    :class:`DataError` naming the file."""
+    block finds missing, of the wrong type or out of range becomes an
+    ``error`` naming the file."""
     try:
         yield json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc}") from exc
+        raise error(f"{path}: cannot read: {exc}") from exc
     except (ValueError, KeyError, TypeError, ArithmeticError, ParameterError,
             DimensionError) as exc:
-        raise DataError(f"{path}: malformed or incomplete JSON: {exc!r}") from exc
+        raise error(f"{path}: malformed or incomplete JSON: {exc!r}") from exc
 
 
 def save_network(net: HnfNetwork, run: Path) -> None:
@@ -428,7 +412,18 @@ def _replace_dir(out: Path, write) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg, data_spec, out, opts = _train_config_from(args)
+    given = _read_config(args.config) if args.config else {}
+    s = {key: given.get(key) if getattr(args, key) is None  # flags win
+         else getattr(args, key) for key in _TRAIN_SETTINGS}
+    if None in (s["data"], s["n1"], s["depth"]):
+        raise ConfigError("--data, --n1 and --depth are required, as flags or "
+                          "--config fields")
+    opts = _data_options(s["data"], s, config=True)  # first: names the flag
+    cfg = TrainConfig(memory_budget=_memory_budget(), **{
+        f[len("config."):]: s[k] for k, (_, f) in _TRAIN_SETTINGS.items()
+        if f.startswith("config.") and s[k] is not None})
+    opts["blobs"]["seed"] = cfg.seed
+    data_spec, out = s["data"], Path(args.out)
     _check_out_dir(out)
     data = _load_data(data_spec, opts)
     net, maps, report = train(data, cfg)
@@ -518,13 +513,8 @@ def _load_run(run_dir: str, spec: str | None = None, opts: dict | None = None):
                             "one per row of every map")
         snapshot = run / SNAPSHOT_FILE, manifest.get("data_snapshot")
         spec = spec or manifest.get("data_source")
-        manifest_opts = opts is None
-        if manifest_opts:  # the types train writes; null takes the default
-            types = {key: (int, float) if kind is float else kind
-                     for kind, _, _, key in _DATA_OPTIONS.values()}
-            opts = _typed(manifest.get("data_options") or {}, {
-                **types, "label_col": (str, int), "blobs": dict})  # old: int
-            opts["blobs"] = _typed(opts.get("blobs", {}), {**types, "seed": int})
+        manifest_opts = opts is None  # null takes the default
+        opts = opts or _read_data_options(manifest.get("data_options"))
     if not isinstance(spec, str):
         raise DataError(f"{run_dir}: manifest.json names no data_source; "
                         "pass --data")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -23,7 +24,8 @@ from hnf.layers import HnfNetwork
 from hnf.errors import DataError, ResourceError
 from hnf.matrixgen import WeightMatrix
 from hnf.solvers import embed_previous_map
-from hnf.trainer import TrainConfig, build_network, verify_invariants
+from hnf.trainer import (DEFAULT_MEMORY_BUDGET, TrainConfig, build_network,
+                         verify_invariants)
 
 from conftest import ERROR_CLASSES, count_walk, exit_code_rows
 
@@ -121,6 +123,13 @@ def idx_parts(tmp_path) -> str:
     return "idx:" + ",".join(parts)
 
 
+def write_config(tmp_path, doc) -> str:
+    """``doc`` written as ``run.json`` in ``tmp_path``; its path."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def refuse_data_reads(monkeypatch):
     """Make any read of data or of a run fail the test."""
     for name in ("_load_data", "_load_run"):
@@ -205,7 +214,7 @@ class TestTrainCommand:
     def test_split_of_a_divided_source_exits_2(self, tmp_path, capsys,
                                                monkeypatch, source, via):
         """blobs and a four-part ``idx:`` source bring their own train/test
-        division: a split of either, by flag or config line, is refused
+        division: a split of either, by flag or config field, is refused
         before any data is read, where it used to be ignored."""
         spec = "blobs" if source == "blobs" else idx_parts(tmp_path)
         out = tmp_path / "run"
@@ -213,13 +222,12 @@ class TestTrainCommand:
         if via == "flag":
             argv += ["--data", spec, "--split", "99999"]
         else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"data = {spec}\nsplit = 99999\n")
-            argv += ["--config", str(cfg)]
+            argv += ["--config", write_config(tmp_path, {
+                "data_source": spec, "data_options": {"split": 99999}})]
         refuse_data_reads(monkeypatch)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "error: --split (or split =) does not apply to" in err
+        assert "error: --split (or data_options.split) does not apply to" in err
         assert not out.exists()
 
     def test_idx_image_size_no_array_can_hold_exits_3(self, tmp_path,
@@ -392,100 +400,110 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(
-            "data = blobs\n"
-            "n1 = 16\n"
-            "depth = 2   # flags override this\n"
-            "seed = 1\n"
-            f"out = {tmp_path / 'cfg_run'}\n"
-        )
-        code = main(["train", "--config", str(cfgfile), "--depth", "3"])
-        assert code == 0
+        cfg = write_config(tmp_path, {"data_source": "blobs", "config": {
+            "n1": 16, "depth": 2, "seed": 1}})
+        out = tmp_path / "cfg_run"
+        assert main(["train", "--config", cfg, "--depth", "3",
+                     "--out", str(out)]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 4
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["n1"], config["depth"], config["seed"]) == (16, 3, 1)
 
     def test_config_file_booleans_in_any_case(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
+        """Booleans are JSON's: ``true`` and ``false`` train, and a string
+        spelling one, in any case, exits 2 naming the file and the key."""
         out = tmp_path / "cfg_run"
-        cfgfile.write_text("data = blobs\nn1 = 16\ndepth = 1\n"
-                           f"standardize = ON\nelm = No\nout = {out}\n")
-        assert main(["train", "--config", str(cfgfile)]) == 0
+        config = {"n1": 16, "depth": 1, "standardize": True,
+                  "elm_front": False}
+        cfg = write_config(tmp_path, {"data_source": "blobs",
+                                      "config": config})
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["standardize"], config["elm_front"]) == (True, False)
+        capsys.readouterr()
+        cfg = write_config(tmp_path, {"data_source": "blobs", "config": {
+            "n1": 16, "depth": 1, "standardize": "ON"}})
+        assert main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert cfg in err and "config.standardize" in err
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_unknown_key_exits_2(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(
-            "data = blobs\n"
-            "n1 = 16\n"
-            "depth = 2\n"
-            "admm_iters = 100\n"
-            f"out = {tmp_path / 'cfg_run'}\n"
-        )
-        assert main(["train", "--config", str(cfgfile)]) == 2
+        cfg = write_config(tmp_path, {"data_source": "blobs", "config": {
+            "n1": 16, "depth": 2, "admm_iters": 100}})
+        assert main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "cfg_run")]) == 2
         err = capsys.readouterr().err
-        assert f"{cfgfile}:4: unknown key 'admm_iters'" in err
-        assert "eps_schedule" in err
+        assert f"{cfg}: " in err and "config.admm_iters names no setting" in err
         assert not (tmp_path / "cfg_run").exists()
 
     @pytest.mark.parametrize("text, named", [
-        (b"data = blobs\nn1 = \xff\n", "run.cfg"),
-        (b"data = blobs\nn1 = abc\ndepth = 1\n", "n1 = 'abc'"),
-        (b"data = blobs\nn1 = 16\ndepth = 1\nstandardize = ture\n",
-         "standardize = 'ture'"),
-        (b"data = blobs\nn1 16\n", "run.cfg:2: expected 'key = value'"),
-        (b"data = blobs\nn1 = 16\ndepth = 1\nlabel_col =  # none\n",
-         "run.cfg:4: label_col has no value"),
-        (b"data = blobs\nwarm_start =\n", "run.cfg:2: unknown key"),
-        (b"data = blobs\nn1 = 16\ndepth = 2\nweights = foo\n",
-         "run.cfg: weights = 'foo' is not one of ('random', 'dct')"),
-        (b"data = blobs\nn1 = 16\ndepth = 2\nelm = on\n"
-         b"elm_activation = tanh\n",
-         "run.cfg: elm_activation = 'tanh' is not one of ('relu', 'sigmoid')"),
-        (b"data = blobs\nn1 = 16\ndepth = 2\neps_schedule = halving\n",
-         "run.cfg: eps_schedule = 'halving' is not one of ('exact', "
+        (b'{"data_source": "blobs", "config": {"n1": \xff}}', "run.json"),
+        (b'{"data_source": "blobs", "config": {"n1": "abc", "depth": 1}}',
+         "config.n1"),
+        (b'{"data_source": "blobs", "config": {"n1": 16, "depth": 1, '
+         b'"standardize": "ture"}}', "config.standardize"),
+        (b"data = blobs\nn1 = 16\n", "run.json: malformed"),
+        (b'{"data_source": "blobs", "config": {"n1": 16, "depth": 1}, '
+         b'"data_options": {"label_col": ""}}',
+         "data_options.label_col = '' is not a value"),
+        (b'{"data_source": "blobs", "config": {"warm_start": null}}',
+         "config.warm_start names no setting"),
+        (b'{"data_source": "blobs", "config": {"n1": 16, "depth": 2, '
+         b'"weight_kind": "foo"}}',
+         "config.weight_kind = 'foo' is not one of ('random', 'dct')"),
+        (b'{"data_source": "blobs", "config": {"n1": 16, "depth": 2, '
+         b'"elm_front": true, "elm_activation": "tanh"}}',
+         "config.elm_activation = 'tanh' is not one of ('relu', 'sigmoid')"),
+        (b'{"data_source": "blobs", "config": {"n1": 16, "depth": 2, '
+         b'"eps_schedule": "halving"}}',
+         "config.eps_schedule = 'halving' is not one of ('exact', "
          "'doubling')"),
     ], ids=["non-utf8", "bad-int", "bad-bool", "no-equals", "empty-value",
             "unknown-empty", "bad-weights", "bad-elm-activation",
             "bad-eps-schedule"])
     def test_config_file_unreadable_value_exits_2(self, tmp_path, capsys,
-                                                  text, named):
-        """Each bad line fails alone, in one error line naming the file."""
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_bytes(text + f"out = {tmp_path / 'x'}\n".encode())
-        assert main(["train", "--config", str(cfgfile)]) == 2
+                                                  monkeypatch, text, named):
+        """Each bad field, or a file that is not JSON (as the retired flat
+        ``key = value`` format), fails alone, before any data is read, in
+        one error line naming the file."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_bytes(text)
+        refuse_data_reads(monkeypatch)
+        assert main(["train", "--config", str(cfgfile), "--out",
+                     str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert "run.cfg" in err and named in err and err.count("error:") == 1
+        assert str(cfgfile) in err and named in err
+        assert err.count("error:") == 1
         assert not (tmp_path / "x").exists()
 
-    def test_config_file_whitespace_delimiter_exits_2(self, tmp_path, capsys,
-                                                      monkeypatch):
-        """Config values are stripped, so a tab delimiter there is an empty
-        value: refused before the data is read, not taken as ','. Only the
-        flag gives the tab."""
+    def test_config_file_tab_delimiter_trains(self, tmp_path, capsys):
+        """A JSON string holds a tab: a ``"delimiter": "\\t"`` config reads
+        the tab-separated file, as ``--delimiter`` does, and records it."""
         src = tmp_path / "tab.csv"
         src.write_text("".join(f"{i % 5}\t{i % 3}\t{'AB'[i % 2]}\n"
                                for i in range(20)))
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"data = csv:{src}\nn1 = 4\ndepth = 1\n"
-                           f"delimiter = \t\nout = {tmp_path / 'x'}\n")
-        monkeypatch.setattr("hnf.cli.load_csv", lambda *a, **k: pytest.fail(
-            "the data was read"))
-        assert main(["train", "--config", str(cfgfile)]) == 2
-        assert "run.cfg:4: delimiter has no value" in capsys.readouterr().err
-        monkeypatch.undo()
-        cfgfile.write_text(f"data = csv:{src}\nn1 = 4\ndepth = 1\n"
-                           f"out = {tmp_path / 'x'}\n")
-        assert main(["train", "--config", str(cfgfile),
-                     "--delimiter", "\t"]) == 0
+        cfg = write_config(tmp_path, {
+            "data_source": f"csv:{src}", "config": {"n1": 4, "depth": 1},
+            "data_options": {"delimiter": "\t"}})
+        for name, argv in (("cfg", ["--config", cfg]), ("flag", [
+                "--data", f"csv:{src}", "--n1", "4", "--depth", "1",
+                "--delimiter", "\t"])):
+            assert main(["train", *argv, "--out", str(tmp_path / name)]) == 0
+        manifests = [json.loads((tmp_path / name / "manifest.json")
+                                .read_text()) for name in ("cfg", "flag")]
+        assert manifests[0]["data_options"]["delimiter"] == "\t"
+        assert manifests[0]["dataset"] == manifests[1]["dataset"]
+        assert capsys.readouterr().out.count("\n") == 4
 
     @pytest.mark.parametrize("flag", ["--delimiter", "--label-col"])
     @pytest.mark.parametrize("command", ["train", "verify"])
     def test_empty_data_option_flag_exits_2(self, tmp_path, capsys,
                                             monkeypatch, command, flag):
         """An empty data-option flag is refused before the data is read, as
-        an empty config value is: ``--delimiter ""`` is not taken as ','."""
+        an empty config field is: ``--delimiter ""`` is not taken as ','."""
         src = tmp_path / "tab.csv"
         src.write_text("".join(f"{i % 5}\t{i % 3}\t{'AB'[i % 2]}\n"
                                for i in range(6)))
@@ -531,17 +549,24 @@ class TestTrainCommand:
                 f"{float(sep)}") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        ("n1 = 16\ndepth = 1\nout = {out}\n", "no data source"),
-        ("data = blobs\nn1 = 16\ndepth = 1\n", "no output directory"),
-        ("data = blobs\nn1 = 16\ndepth = 1\nweights = qr\nout = {out}\n",
-         "run.cfg: weights = 'qr' is not one of ('random', 'dct')"),
+    @pytest.mark.parametrize("doc, out, message", [
+        ({"config": {"n1": 16, "depth": 1}}, True,
+         "--data, --n1 and --depth are required"),
+        ({"data_source": "blobs", "config": {"n1": 16, "depth": 1}}, False,
+         "the following arguments are required: --out"),
+        ({"data_source": "blobs", "config": {"n1": 16, "depth": 1,
+                                             "weight_kind": "qr"}}, True,
+         "config.weight_kind = 'qr' is not one of ('random', 'dct')"),
     ], ids=["no-data", "no-out", "unknown-weights"])
     def test_config_file_settings_checked_exit_2(self, tmp_path, capsys,
-                                                 text, message):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(text.format(out=tmp_path / "x"))
-        assert main(["train", "--config", str(cfgfile)]) == 2
+                                                 monkeypatch, doc, out,
+                                                 message):
+        """A config without a data source, a train without ``--out`` (which
+        no config gives) and a choice outside its set exit 2 before any
+        data is read."""
+        refuse_data_reads(monkeypatch)
+        argv = ["train", "--config", write_config(tmp_path, doc)]
+        assert main([*argv, *(["--out", str(tmp_path / "x")] * out)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
@@ -707,6 +732,152 @@ class TestTrainCommand:
                 capsys.readouterr().out.splitlines() if l.strip()]
         assert [r["layer"] for r in rows] == [0, 2]
         assert rows[0]["nodes_cumulative"] == 32
+
+
+def run_files(run: Path) -> dict:
+    """Every file of a run by its path in the run, with the manifest's
+    ``created_utc`` and the reports' ``wall_ms`` (report.csv's last
+    column) blanked: the bytes a retrain of the run must repeat."""
+    assert hnf.cli._CSV_FIELDS[-1] == "wall_ms"
+    blank = {"manifest.json": (rb'"created_utc": "[^"]*"', b'"created_utc"'),
+             "report.jsonl": (rb'"wall_ms": \d+', b'"wall_ms"'),
+             "report.csv": (rb",\d+$", b",")}
+    files = {}
+    for path in sorted(p for p in run.rglob("*") if p.is_file()):
+        rel, data = str(path.relative_to(run)), path.read_bytes()
+        files[rel] = re.sub(*blank[rel], data, flags=re.M) if (
+            rel in blank) else data
+    return files
+
+
+#: The ``config`` of a good ``--config`` file, beside ``data_source`` blobs.
+GOOD = {"n1": 8, "depth": 1}
+
+
+class TestManifestIsAConfig:
+    """``train --config RUN/manifest.json`` retrains RUN: a run's manifest
+    is a config file, and a flag overrides it key by key."""
+
+    @staticmethod
+    def headed_csv(path):
+        """A headed CSV whose label column, ``cls``, is not the last."""
+        rng = np.random.Generator(np.random.PCG64(7))
+        rows = [(rng.standard_normal(4) + 1.5 * (i % 3), "xyz"[i % 3])
+                for i in range(90)]
+        path.write_text("f1,cls,f2,f3,f4\n" + "".join(
+            f"{x[0]:.6f},{lab}," + ",".join(f"{v:.6f}" for v in x[1:]) + "\n"
+            for x, lab in rows))
+        return path
+
+    @pytest.mark.parametrize("flags", [
+        ["--data", "csv:CSV", "--label-col", "cls", "--split", "60",
+         "--split-seed", "3", "--standardize", "--n1", "8", "--depth", "3"],
+        ["--data", "blobs", "--blob-p", "5", "--blob-q", "4", "--elm",
+         "--elm-activation", "sigmoid", "--eps-schedule", "doubling",
+         "--n1", "40", "--depth", "3", "--seed", "2"],
+        ["--data", "blobs", "--weights", "dct", "--n1", "16", "--depth", "3"],
+    ], ids=["headed-csv", "blobs-elm-sigmoid-doubling", "dct"])
+    def test_manifest_retrains_its_run(self, tmp_path, capsys, flags):
+        """Every file of the retrain, and its eval, is the run's."""
+        csv = self.headed_csv(tmp_path / "h.csv")
+        flags = [f.replace("CSV", str(csv)) for f in flags]
+        run, again = tmp_path / "run", tmp_path / "again"
+        assert main(["train", *flags, "--out", str(run)]) == 0
+        assert main(["train", "--config", str(run / "manifest.json"),
+                     "--out", str(again)]) == 0
+        assert run_files(again) == run_files(run)
+        capsys.readouterr()
+        evals = []
+        for out in (run, again):
+            assert main(["eval", "--run", str(out)]) == 0
+            evals.append(capsys.readouterr().out)
+        assert evals[0] == evals[1]
+
+    def test_flag_overrides_the_manifest(self, tmp_path, capsys):
+        """``--depth 3`` over a depth-2 run's manifest trains the depth-3
+        run the same flags train directly."""
+        flags = ["--data", "blobs", "--blob-n", "300", "--n1", "12",
+                 "--seed", "4", "--standardize"]
+        assert main(["train", *flags, "--depth", "2",
+                     "--out", str(tmp_path / "d2")]) == 0
+        assert main(["train", "--config", str(tmp_path / "d2/manifest.json"),
+                     "--depth", "3", "--out", str(tmp_path / "over")]) == 0
+        assert main(["train", *flags, "--depth", "3",
+                     "--out", str(tmp_path / "d3")]) == 0
+        assert run_files(tmp_path / "over") == run_files(tmp_path / "d3")
+
+    def test_recorded_memory_budget_is_ignored(self, tmp_path, capsys,
+                                               monkeypatch):
+        """The budget comes from ``HNF_MEM_BUDGET`` at train time: a
+        recorded budget of 1 byte still trains, and records the default,
+        while the environment's 1000 bytes still refuse the network."""
+        monkeypatch.delenv("HNF_MEM_BUDGET", raising=False)
+        code, run = run_train(tmp_path)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["config"]["memory_budget"] = 1
+        cfg = write_config(tmp_path, manifest)
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "again")]) == 0
+        config = json.loads((tmp_path / "again/manifest.json").read_text())
+        assert config["config"]["memory_budget"] == DEFAULT_MEMORY_BUDGET
+        monkeypatch.setenv("HNF_MEM_BUDGET", "1000")
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "small")]) == 5
+        assert "layer 1" in capsys.readouterr().err
+        assert not (tmp_path / "small").exists()
+
+    def test_retrain_in_place_keeps_the_run(self, tmp_path, capsys):
+        """``--config R/manifest.json --out R`` reads R's manifest before
+        replacing R, and writes R's own files again."""
+        code, run = run_train(tmp_path, "--elm")
+        before = run_files(run)
+        assert main(["train", "--config", str(run / "manifest.json"),
+                     "--out", str(run)]) == 0
+        assert run_files(run) == before
+
+    @pytest.mark.parametrize("doc, key", [
+        ("data = blobs\nn1 = 8\n", None),
+        ([1, 2], None),
+        (None, None),
+        ({"data_source": 5}, "data_source"),
+        ({"data_source": ""}, "data_source"),
+        ({"config": [8]}, "config"),
+        ({"config": {**GOOD, "depth": True}}, "config.depth"),
+        ({"config": {**GOOD, "elm_front": 1}}, "config.elm_front"),
+        ({"config": {**GOOD, "weight_kind": "foo"}}, "config.weight_kind"),
+        ({"config": {**GOOD, "weights": "dct"}}, "config.weights"),
+        ({"data_options": [5]}, "data_options"),
+        ({"data_options": False}, "data_options"),
+        ({"data_options": {"split": "5"}}, "data_options.split"),
+        ({"data_options": {"splt": 5}}, "data_options.splt"),
+        ({"data_options": {"blobs": {"separation": "far"}}},
+         "data_options.blobs.separation"),
+        ({"data_options": {"blobs": {"seed": 1.5}}},
+         "data_options.blobs.seed"),
+        ({"data_options": {"blobs": {"sep": 2.0}}}, "data_options.blobs.sep"),
+    ], ids=["flat", "not-an-object", "missing", "data-source-type",
+            "data-source-empty", "config-type", "int-as-bool", "bool-as-int",
+            "choice", "flag-name", "data-options-type", "data-options-false",
+            "option-type",
+            "unknown-option", "blob-option-type", "blob-seed-type",
+            "unknown-blob-option"])
+    def test_bad_file_exits_2_naming_file_and_key(self, tmp_path, capsys,
+                                                  monkeypatch, doc, key):
+        """A file that is not JSON, not an object or not there, and each bad
+        field beside good ones, exits 2 before any data is read, in one
+        error line naming the file and the key."""
+        refuse_data_reads(monkeypatch)
+        cfg = tmp_path / "run.json"
+        if isinstance(doc, dict):
+            doc = {"data_source": "blobs", "config": GOOD, **doc}
+        if doc is not None:
+            cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+        assert key is None or key in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvalCommand:
@@ -1872,7 +2043,7 @@ def inapplicable_options():
     """(command, source kind, option, via) for each data option the code's
     table says the source does not take; "run" is ``verify --run`` without
     ``--data``, whose manifest picks the data, and via is the flag or, for
-    train, a config line."""
+    train, its field in a ``--config`` file."""
     kinds = ("blobs", "csv", "idx", "idx4")
     for command, kind, via in [*(("train", k, v) for k in kinds
                                  for v in ("flag", "config")),
@@ -1905,10 +2076,12 @@ class TestDataOptions:
                                   ["--run", str(tmp_path / "no-run")])]
         if via == "flag":
             argv += [flag, OPTION_VALUES[dest]]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{dest} = {OPTION_VALUES[dest]}\n")
-            argv += ["--config", str(cfg)]
+        else:  # the field's path, as nested objects
+            kind, field = hnf.cli._TRAIN_SETTINGS[dest]
+            doc = kind(OPTION_VALUES[dest])
+            for key in reversed(field.split(".")):
+                doc = {key: doc}
+            argv += ["--config", write_config(tmp_path, doc)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and err.count("\n") == 1
@@ -1917,13 +2090,15 @@ class TestDataOptions:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
-        (["train", "--data", "blobs", "--seed", "-1"], "--seed (or seed =)"),
+        (["train", "--data", "blobs", "--seed", "-1"],
+         "--seed (or config.seed)"),
         (["train", "--data", "csv:MISSING", "--split", "100", "--split-seed",
-          "-1"], "--split-seed (or split_seed =)"),
-        (["train", "CONFIG", "data = blobs\nseed = -1\n"],
-         "--seed (or seed =)"),
-        (["train", "CONFIG", "data = csv:MISSING\nsplit = 100\n"
-          "split_seed = -1\n"], "--split-seed (or split_seed =)"),
+          "-1"], "--split-seed (or data_options.split_seed)"),
+        (["train", "CONFIG", '{"data_source": "blobs", "config": '
+          '{"seed": -1}}'], "--seed (or config.seed)"),
+        (["train", "CONFIG", '{"data_source": "csv:MISSING", "data_options": '
+          '{"split": 100, "split_seed": -1}}'],
+         "--split-seed (or data_options.split_seed)"),
         (["verify", "--run", "MISSING", "--data", "blobs", "--seed", "-1",
           "--trials", "3"], "--seed"),
         (["verify", "--run", "MISSING", "--data", "csv:MISSING", "--split",
@@ -1935,14 +2110,13 @@ class TestDataOptions:
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv,
                                    named):
         """A negative seed is refused before any data is read, by flag or
-        config line, not left to numpy's ValueError traceback (exit 1)."""
+        config field, not left to numpy's ValueError traceback (exit 1)."""
         refuse_data_reads(monkeypatch)
         missing, out = str(tmp_path / "missing"), tmp_path / "run"
         argv = [a.replace("MISSING", missing) for a in argv]
         if argv[1] == "CONFIG":
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(argv.pop(2))
-            argv[1:2] = ["--config", str(cfg)]
+            argv[1:3] = ["--config", write_config(tmp_path,
+                                                  json.loads(argv[2]))]
         if argv[0] == "train":
             argv += ["--n1", "16", "--depth", "1", "--out", str(out)]
         assert main(argv) == 2

@@ -1,17 +1,19 @@
 """The README's Python API example runs as written, every ``hnf`` command
 it shows is one the CLI accepts, and it lists the report's columns, the
-config keys, which are the train flags, the options each data source
+``--config`` fields, one for each train flag, the options each data source
 takes, and the error classes behind each exit code."""
 
 import re
 import shlex
 from contextlib import suppress
+from dataclasses import fields
 
 import pytest
 
 from hnf.cli import (_CSV_FIELDS, _DATA_OPTIONS, _TRAIN_SETTINGS,
                      _data_options, build_parser)
 from hnf.errors import ConfigError, DataError, ResourceError
+from hnf.trainer import TrainConfig
 from conftest import ERROR_CLASSES, README, exit_code_rows
 
 
@@ -41,16 +43,24 @@ def test_report_columns_match_the_code():
 
 
 def test_config_keys_match_the_code():
-    sentence = re.search(r"The keys\s+are (.*?)\s+\(a `-`", README.read_text(),
-                         re.S)
-    assert sentence, "README has no 'The keys are' sentence"
-    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(_TRAIN_SETTINGS)
+    """The README lists each setting's ``--config`` field, in flag order."""
+    sentence = re.search(r"The fields, in\s+the order of their flags, are "
+                         r"(.*?)\s+\(each flag's", README.read_text(), re.S)
+    assert sentence, "README has no 'The fields ... are' sentence"
+    assert re.findall(r"`([\w.]+)`", sentence.group(1)) == [
+        field for _, field in _TRAIN_SETTINGS.values()]
 
 
 def test_config_keys_are_the_train_flags():
-    dests = vars(build_parser().parse_args(["train"])).keys() - {
-        "command", "config"}
+    """Each train flag but ``--config`` and ``--out`` is a setting, and the
+    ``config`` fields the settings name are the :class:`TrainConfig`
+    fields but the memory budget, which the environment gives."""
+    dests = vars(build_parser().parse_args(["train", "--out", "x"])).keys() - {
+        "command", "config", "out"}
     assert dests == _TRAIN_SETTINGS.keys()
+    assert {field.partition(".")[2] for _, field in _TRAIN_SETTINGS.values()
+            if field.startswith("config.")} == {
+        f.name for f in fields(TrainConfig)} - {"memory_budget"}
 
 
 def test_data_source_options_match_the_code():
