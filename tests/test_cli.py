@@ -813,6 +813,7 @@ class TestManifestIsAConfig:
         while the environment's 1000 bytes still refuse the network."""
         monkeypatch.delenv("HNF_MEM_BUDGET", raising=False)
         code, run = run_train(tmp_path)
+        assert code == 0
         manifest = json.loads((run / "manifest.json").read_text())
         manifest["config"]["memory_budget"] = 1
         cfg = write_config(tmp_path, manifest)
@@ -830,6 +831,7 @@ class TestManifestIsAConfig:
         """``--config R/manifest.json --out R`` reads R's manifest before
         replacing R, and writes R's own files again."""
         code, run = run_train(tmp_path, "--elm")
+        assert code == 0
         before = run_files(run)
         assert main(["train", "--config", str(run / "manifest.json"),
                      "--out", str(run)]) == 0
